@@ -223,8 +223,9 @@ def cmd_train(cfg: dict, args) -> int:
     inputs = {k: data[k + "_path"] for k in ("taxonomy", "train", "external")}
     _write_manifest(out, "train", resolved, inputs, ["checkpoint.json", "trace.csv"])
     last = result.trace[-1]["L_total"] if result.trace else float("nan")
-    print(f"train: {tcfg.iterations} steps, final loss {last:.4f}, "
-          f"composite examples {result.counters['composite_examples']} -> {out}")
+    c = result.counters
+    print(f"train: {tcfg.iterations} steps, final loss {last:.4f}, composite kept/valid/candidates "
+          f"{c['composite_examples']}/{c['composite_valid']}/{c['composite_candidates']} -> {out}")
     return EXIT_OK
 
 

@@ -109,15 +109,20 @@ def bce_loss(probs, target) -> float:
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape:
         raise ValueError(f"probs shape {p.shape} != target shape {t.shape}")
-    pc = np.clip(p, EPS, 1.0 - EPS)
+    return _clamped_bce(np.clip(p, EPS, 1.0 - EPS), t)
+
+
+def _clamped_bce(pc: np.ndarray, t: np.ndarray) -> float:
     return float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
 
 
-def mlp_backward(params: MLPParams, x, target) -> MLPParams:
-    """Analytic gradient of bce_loss(mlp_forward(x)) w.r.t. every parameter.
+def mlp_backward(params: MLPParams, x, target) -> tuple[float, MLPParams]:
+    """bce_loss(mlp_forward(x)) and its analytic gradient w.r.t. every parameter.
 
-    Batch inputs use mean reduction over examples, matching bce_loss on the
-    stacked batch; the returned object has MLPParams shape.
+    The loss comes from the forward pass the gradient runs anyway, so a training
+    step needs no separate forward. Batch inputs use mean reduction over
+    examples, matching bce_loss on the stacked batch; the gradient has
+    MLPParams shape.
     """
     x = _check_input(params, x)
     single = x.ndim == 1
@@ -134,6 +139,7 @@ def mlp_backward(params: MLPParams, x, target) -> MLPParams:
 
     # d(loss)/d(prob) through the clamp: zero where the clamp is active.
     pc = np.clip(p, EPS, 1.0 - EPS)
+    loss = _clamped_bce(pc, tb)
     n_terms = tb.size
     dl_dp = (-tb / pc + (1.0 - tb) / (1.0 - pc)) / n_terms
     dl_dp[(p < EPS) | (p > 1.0 - EPS)] = 0.0
@@ -145,7 +151,7 @@ def mlp_backward(params: MLPParams, x, target) -> MLPParams:
     dh[pre <= 0.0] = 0.0
     dw1 = dh.T @ xb
     db1 = dh.sum(axis=0)
-    return MLPParams(dw1, db1, dw2, db2)
+    return loss, MLPParams(dw1, db1, dw2, db2)
 
 
 def sgd_step(params: MLPParams, grads: MLPParams, lr: float = 0.01) -> MLPParams:
@@ -177,7 +183,7 @@ def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def grad_check(params: MLPParams, x, target, step: float = 1e-5) -> GradReport:
     """Central finite differences over every parameter entry vs the analytic gradient."""
-    analytic = mlp_backward(params, x, target)
+    _, analytic = mlp_backward(params, x, target)
     per_param = {}
     for name, arr in params.items():
         fd = np.zeros_like(arr)

@@ -153,34 +153,49 @@ def build_matrices(instances, tax: Taxonomy, resolution: int):
     return x_sp, x_hoi, y, verbs
 
 
-def compose_batch(verb_items, object_items, tax: Taxonomy, cap: int, rng: np.random.Generator):
+def compose_batch(verb_items, object_items, tax: Taxonomy, cap: int, rng: np.random.Generator,
+                  counters: dict | None = None):
     """Cross every verb item with every object item, keep valid compositions only.
 
     verb_items: (verb_feat, verb multi-hot); object_items: (object_feat, object
-    one-hot). Candidates whose composed label is all zeros are dropped; at most
-    cap survivors are kept by uniform subsampling (selection order-preserving).
-    Returns a list of (verb_feat ++ object_feat, label).
+    one-hot). One broadcast compose_label call labels all B x K candidates;
+    those whose label is all zeros are dropped, the rest stay in verb-major
+    order. At most cap survivors are kept by uniform subsampling (selection
+    order-preserving). Returns a list of (verb_feat ++ object_feat, label).
+    counters, when given, gains the composite_candidates and composite_valid
+    counts of this call.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    survivors = []
-    for verb_feat, verb_label in verb_items:
-        for object_feat, object_label in object_items:
-            label = compose_label(object_label, verb_label, tax)
-            if label.any():
-                survivors.append((hoi_input(verb_feat, object_feat), label))
-    if len(survivors) > cap:
-        keep = np.sort(rng.choice(len(survivors), size=cap, replace=False))
-        survivors = [survivors[i] for i in keep]
-    return survivors
+    if not len(verb_items) or not len(object_items):
+        return []
+    verb_labels = np.stack([label for _, label in verb_items])
+    object_labels = np.stack([label for _, label in object_items])
+    block = compose_label(object_labels[None, :, :], verb_labels[:, None, :], tax)
+    vi, oj = np.nonzero(block.any(axis=-1))
+    if counters is not None:
+        counters["composite_candidates"] += block.shape[0] * block.shape[1]
+        counters["composite_valid"] += len(vi)
+    keep = range(len(vi))
+    if len(vi) > cap:
+        keep = np.sort(rng.choice(len(vi), size=cap, replace=False))
+    return [(hoi_input(verb_items[vi[k]][0], object_items[oj[k]][0]), block[vi[k], oj[k]]) for k in keep]
 
 
-def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfig) -> float:
-    """L_sp + lambda1 * L_hoi + lambda2 * L_composite; empty composite passes 0."""
-    for name, v in (("sp", sp_loss), ("hoi", hoi_loss), ("composite", atl_loss)):
+def _weighted_total(sp_loss, hoi_loss, atl_loss, aux_loss, cfg: TrainConfig):
+    """The one total-loss expression, unvalidated:
+    ((L_sp + lambda1 * L_hoi) + lambda2 * L_composite) + lambda_aux * L_aux."""
+    return sp_loss + cfg.lambda1 * hoi_loss + cfg.lambda2 * atl_loss + cfg.lambda_aux * aux_loss
+
+
+def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfig,
+               aux_loss: float = 0.0) -> float:
+    """L_sp + lambda1 * L_hoi + lambda2 * L_composite (+ lambda_aux * L_aux);
+    empty composite passes 0."""
+    for name, v in (("sp", sp_loss), ("hoi", hoi_loss), ("composite", atl_loss), ("aux", aux_loss)):
         if not np.isfinite(v) or v < 0:
             raise ValueError(f"{name} loss must be finite and nonnegative, got {v}")
-    return float(sp_loss + cfg.lambda1 * hoi_loss + cfg.lambda2 * atl_loss)
+    return float(_weighted_total(sp_loss, hoi_loss, atl_loss, aux_loss, cfg))
 
 
 @dataclass
@@ -198,7 +213,11 @@ class StepBatch:
 
 
 def branch_losses(model: HOIModel, batch: StepBatch, cfg: TrainConfig) -> dict:
-    """Raw forward-only branch losses for one step; no finiteness validation."""
+    """Raw forward-only branch losses for one step; no finiteness validation.
+
+    Training takes the same losses from step_grads; this forward-only path
+    serves the finite-difference check.
+    """
     l_sp = nn.bce_loss(nn.mlp_forward(model.sp_classifier, batch.sp_x)[1], batch.sp_y)
     l_hoi = nn.bce_loss(nn.mlp_forward(model.hoi_classifier, batch.hoi_x)[1], batch.hoi_y)
     l_atl = 0.0
@@ -211,28 +230,32 @@ def branch_losses(model: HOIModel, batch: StepBatch, cfg: TrainConfig) -> dict:
 
 
 def step_losses(model: HOIModel, batch: StepBatch, cfg: TrainConfig) -> dict:
-    """Branch losses plus the validated total (used by training and grad checks)."""
+    """Forward-only branch losses plus the validated total (for the grad check)."""
     losses = branch_losses(model, batch, cfg)
-    total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
-    total += cfg.lambda_aux * losses["L_aux"]
+    total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg, losses["L_aux"])
     return {**losses, "L_total": total}
 
 
 def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig):
-    """Analytic gradients of the total step loss for each classifier.
+    """Raw branch losses and analytic gradients of the total step loss, from one
+    forward pass per branch: returns (losses, (g_sp, g_hoi, g_verb)).
 
     The real and composite branches share the HOI classifier, so its gradient
     is lambda1 * real + lambda2 * composite.
     """
-    g_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.sp_y)
-    g_hoi = nn.scale_grads(nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y), cfg.lambda1)
+    l_sp, g_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.sp_y)
+    l_hoi, g_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y)
+    g_hoi = nn.scale_grads(g_hoi, cfg.lambda1)
+    l_atl = 0.0
     if batch.atl_x is not None and len(batch.atl_x):
-        g_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)
+        l_atl, g_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)
         g_hoi = nn.add_grads(g_hoi, nn.scale_grads(g_atl, cfg.lambda2))
-    g_verb = None
+    l_aux, g_verb = 0.0, None
     if model.verb_head is not None and batch.verb_x is not None and cfg.lambda_aux > 0:
-        g_verb = nn.scale_grads(nn.mlp_backward(model.verb_head, batch.verb_x, batch.verb_y), cfg.lambda_aux)
-    return g_sp, g_hoi, g_verb
+        l_aux, g_verb = nn.mlp_backward(model.verb_head, batch.verb_x, batch.verb_y)
+        g_verb = nn.scale_grads(g_verb, cfg.lambda_aux)
+    losses = {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_aux": l_aux}
+    return losses, (g_sp, g_hoi, g_verb)
 
 
 @dataclass
@@ -264,6 +287,9 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
 
     lambda2=0 or object_batch=0 disables the composite branch entirely (the
     counters record that the shared classifier never saw composite inputs).
+    The counters also record what the composite branch did: candidate and valid
+    compositions, kept examples (composite_examples), and the label bits of the
+    kept examples per category (composite_per_category).
     """
     cfg.validate()
     if not train_set:
@@ -276,13 +302,16 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
     verb_feats = np.stack([inst.verb_feat for inst in train_set])
     if use_composite:
+        verb_rows = verb_targets.astype(np.int8)
         obj_feats = np.stack([o.object_feat for o in external_objects])
         obj_onehots = np.stack([one_hot(tax.n_objects, o.object_label) for o in external_objects])
 
     model = init_model(tax, feat_dim, cfg)
     rng = substream(cfg.seed, "batching")
     n = len(train_set)
-    counters = {"composite_classifier_calls": 0, "composite_examples": 0}
+    counters = {"composite_classifier_calls": 0, "composite_examples": 0,
+                "composite_candidates": 0, "composite_valid": 0}
+    per_category = np.zeros(tax.n_categories, dtype=np.int64)
     trace = []
 
     for step in range(cfg.iterations):
@@ -291,12 +320,14 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
         if use_composite:
             m = len(external_objects)
             obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
-            verb_items = [(verb_feats[i], decouple_verb(train_set[i].hoi_label, tax)) for i in idx]
+            verb_items = [(verb_feats[i], verb_rows[i]) for i in idx]
             object_items = [(obj_feats[j], obj_onehots[j]) for j in obj_idx]
-            composites = compose_batch(verb_items, object_items, tax, cfg.object_batch, rng)
+            composites = compose_batch(verb_items, object_items, tax, cfg.object_batch, rng, counters)
             if composites:
                 atl_x = np.stack([c[0] for c in composites])
-                atl_y = np.stack([c[1] for c in composites]).astype(float)
+                labels = np.stack([c[1] for c in composites])
+                atl_y = labels.astype(float)
+                per_category += labels.sum(axis=0)
                 counters["composite_classifier_calls"] += 1
                 counters["composite_examples"] += len(composites)
 
@@ -306,9 +337,8 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
             verb_x=verb_feats[idx] if cfg.lambda_aux > 0 else None,
             verb_y=verb_targets[idx] if cfg.lambda_aux > 0 else None,
         )
-        losses = branch_losses(model, batch, cfg)
-        raw_total = (losses["L_sp"] + cfg.lambda1 * losses["L_hoi"]
-                     + cfg.lambda2 * losses["L_ATL"] + cfg.lambda_aux * losses["L_aux"])
+        losses, (g_sp, g_hoi, g_verb) = step_grads(model, batch, cfg)
+        raw_total = _weighted_total(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], losses["L_aux"], cfg)
         if not np.isfinite(raw_total):
             raise TrainingDiverged(step, raw_total)
         losses["L_total"] = float(raw_total)
@@ -316,7 +346,6 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
         lr = cfg.lr
         if cfg.lr_decay_step is not None and step >= cfg.lr_decay_step:
             lr = cfg.lr * 0.1
-        g_sp, g_hoi, g_verb = step_grads(model, batch, cfg)
         try:
             model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, lr)
             model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, lr)
@@ -329,6 +358,7 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
         if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
             trace.append({"step": step, **{k: losses[k] for k in ("L_sp", "L_hoi", "L_ATL", "L_total")}})
 
+    counters["composite_per_category"] = per_category.tolist()
     return TrainResult(model=model, trace=trace, counters=counters)
 
 
@@ -336,7 +366,7 @@ def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: f
     """Finite-difference check of the full composite step loss across both
     classifiers (and the verb head when present). Returns {param_path: rel_error}.
     """
-    g_sp, g_hoi, g_verb = step_grads(model, batch, cfg)
+    _, (g_sp, g_hoi, g_verb) = step_grads(model, batch, cfg)
     analytic = {"sp_classifier": g_sp, "hoi_classifier": g_hoi}
     if g_verb is not None:
         analytic["verb_head"] = g_verb

@@ -164,9 +164,10 @@ class Taxonomy:
 
 
 def _as_binary(vec, length: int, what: str) -> np.ndarray:
+    """vec as an array whose last axis has the given length; leading axes are free."""
     v = np.asarray(vec)
-    if v.shape != (length,):
-        raise ValueError(f"{what} has shape {v.shape}, expected ({length},)")
+    if v.ndim < 1 or v.shape[-1] != length:
+        raise ValueError(f"{what} has shape {v.shape}, expected (..., {length})")
     return v
 
 
@@ -175,7 +176,9 @@ def compose_label(object_label, verb_label, tax: Taxonomy) -> np.ndarray:
     categories reachable from the object label and from the verb label.
 
     Invalid pairs come out all-zero; for one-hot inputs the result is one-hot at
-    the unique matching category.
+    the unique matching category. Stacked labels broadcast over their leading
+    axes: object labels (1, K, n_objects) with verb labels (B, 1, n_verbs) give
+    the (B, K, C) block of every verb-object composition.
     """
     obj = _as_binary(object_label, tax.n_objects, "object label")
     verb = _as_binary(verb_label, tax.n_verbs, "verb label")

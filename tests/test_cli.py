@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,24 @@ def test_train_rerun_byte_identical(trained_dir, data_dir, tmp_path):
     assert run("train", cfg, out) == EXIT_OK
     for name in ("checkpoint.json", "trace.csv"):
         assert (out / name).read_bytes() == (trained_dir / name).read_bytes(), name
+
+
+def test_train_summary_reports_composite_counts(data_dir, tmp_path, capsys):
+    cfg = write_config(tmp_path / "train.json", {
+        "data_dir": str(data_dir),
+        "train": TINY_TRAIN,
+        "seed": 0,
+    })
+    out = tmp_path / "summary"
+    out.mkdir()
+    assert run("train", cfg, out) == EXIT_OK
+    summary = capsys.readouterr().out
+    m = re.search(r"composite kept/valid/candidates (\d+)/(\d+)/(\d+)", summary)
+    assert m, summary
+    kept, valid, candidates = (int(g) for g in m.groups())
+    assert 0 < kept <= valid <= candidates == TINY_TRAIN["iterations"] * 32 * 2
+    manifest = (out / "manifest.json").read_text() + (out / "checkpoint.json").read_text()
+    assert "composite" not in manifest
 
 
 def test_train_baseline_flag(data_dir, tmp_path):

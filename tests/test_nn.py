@@ -117,10 +117,10 @@ def test_backward_batch_is_mean_of_singles():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 3))
     t = (rng.random((4, 2)) < 0.5).astype(float)
-    gb = mlp_backward(p, x, t)
+    _, gb = mlp_backward(p, x, t)
     acc = None
     for i in range(4):
-        gi = mlp_backward(p, x[i], t[i])
+        _, gi = mlp_backward(p, x[i], t[i])
         acc = gi if acc is None else add_grads(acc, gi)
     mean = scale_grads(acc, 1.0 / 4)
     for name, arr in gb.items():
@@ -137,11 +137,73 @@ def test_backward_clamped_region_matches_fd():
     assert report.max_rel_error < 1e-6
 
 
+def _mlp_backward_reference(params, x, target):
+    """The gradient-only backward pass as it was before the loss was fused in."""
+    x = np.asarray(x, dtype=float)
+    xb = x[None, :] if x.ndim == 1 else x
+    t = np.asarray(target, dtype=float)
+    tb = t[None, :] if t.ndim == 1 else t
+    pre = xb @ params.w1.T + params.b1
+    h = np.maximum(pre, 0.0)
+    p = sigmoid(h @ params.w2.T + params.b2)
+    pc = np.clip(p, EPS, 1.0 - EPS)
+    dl_dp = (-tb / pc + (1.0 - tb) / (1.0 - pc)) / tb.size
+    dl_dp[(p < EPS) | (p > 1.0 - EPS)] = 0.0
+    delta = dl_dp * p * (1.0 - p)
+    dh = delta @ params.w2
+    dh[pre <= 0.0] = 0.0
+    return MLPParams(dh.T @ xb, dh.sum(axis=0), delta.T @ h, delta.sum(axis=0))
+
+
+def _saturated_case():
+    p = init_params(2, 2, hidden=3, seed=9)
+    p.b2[:] = 40.0
+    return p, np.array([0.5, -0.3]), np.array([0.0, 1.0])
+
+
+def _random_case(d_in, k_out, hidden, seed, n=None):
+    p = init_params(d_in, k_out, hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    shape = (d_in,) if n is None else (n, d_in)
+    x = rng.normal(size=shape)
+    t = (rng.random(shape[:-1] + (k_out,)) < 0.5).astype(float)
+    return p, x, t
+
+
+# The inputs of this file's other mlp_backward and grad_check cases.
+BACKWARD_CASES = [
+    _random_case(4, 3, 5, 3),
+    _random_case(3, 2, 4, 5, n=5),
+    _random_case(3, 2, 4, 7, n=4),
+    _saturated_case(),
+    (init_params(3, 2, hidden=4, seed=10), np.ones(3), np.array([1.0, 0.0])),
+    _random_case(3, 2, 8, 11, n=16),
+    (init_params(2, 2, hidden=2, seed=13), np.ones(2), np.ones(2)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
+def test_backward_loss_is_forward_bce_bitwise(case):
+    p, x, t = BACKWARD_CASES[case]
+    loss, _ = mlp_backward(p, x, t)
+    assert isinstance(loss, float)
+    assert loss == bce_loss(mlp_forward(p, x)[1], t)
+
+
+@pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
+def test_backward_grads_match_gradient_only_reference(case):
+    p, x, t = BACKWARD_CASES[case]
+    _, grads = mlp_backward(p, x, t)
+    want = _mlp_backward_reference(p, x, t)
+    for name, arr in grads.items():
+        np.testing.assert_array_equal(arr, getattr(want, name))
+
+
 def test_sgd_step_functional():
     p = init_params(3, 2, hidden=4, seed=10)
     x = np.ones(3)
     t = np.array([1.0, 0.0])
-    g = mlp_backward(p, x, t)
+    _, g = mlp_backward(p, x, t)
     before = p.w1.copy()
     q = sgd_step(p, g, lr=0.1)
     np.testing.assert_array_equal(p.w1, before)
@@ -155,14 +217,14 @@ def test_sgd_step_reduces_loss():
     t = (rng.random((16, 2)) < 0.5).astype(float)
     loss0 = bce_loss(mlp_forward(p, x)[1], t)
     for _ in range(50):
-        p = sgd_step(p, mlp_backward(p, x, t), lr=0.5)
+        p = sgd_step(p, mlp_backward(p, x, t)[1], lr=0.5)
     loss1 = bce_loss(mlp_forward(p, x)[1], t)
     assert loss1 < loss0
 
 
 def test_sgd_rejects_nonfinite_grads():
     p = init_params(2, 2, hidden=2, seed=13)
-    g = scale_grads(mlp_backward(p, np.ones(2), np.ones(2)), 1.0)
+    g = scale_grads(mlp_backward(p, np.ones(2), np.ones(2))[1], 1.0)
     g.b2[0] = np.nan
     with pytest.raises(ValueError, match="b2"):
         sgd_step(p, g)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_taxonomy import random_taxonomy
 
 from hoicompose import nn
 from hoicompose.evaluation import make_split
@@ -15,6 +18,7 @@ from hoicompose.pipeline import (
     build_matrices,
     compose_batch,
     ground_truth_pairs,
+    hoi_input,
     init_model,
     load_checkpoint,
     make_spatial_pattern,
@@ -22,6 +26,7 @@ from hoicompose.pipeline import (
     predict_pair,
     save_checkpoint,
     step_grad_check,
+    step_grads,
     step_losses,
     total_loss,
     train,
@@ -125,6 +130,60 @@ def test_compose_batch_empty_verbs():
     assert compose_batch([], [(np.ones(2), one_hot(2, 0))], tax, 5, np.random.default_rng(0)) == []
 
 
+def _compose_batch_reference(verb_items, object_items, tax, cap, rng):
+    """compose_batch as a double loop: one compose_label call per candidate."""
+    survivors = []
+    for verb_feat, verb_label in verb_items:
+        for object_feat, object_label in object_items:
+            label = compose_label(object_label, verb_label, tax)
+            if label.any():
+                survivors.append((hoi_input(verb_feat, object_feat), label))
+    if len(survivors) > cap:
+        keep = np.sort(rng.choice(len(survivors), size=cap, replace=False))
+        survivors = [survivors[i] for i in keep]
+    return survivors
+
+
+def test_compose_batch_draws_only_over_cap():
+    tax = _complete_tax()
+    verb_items = [(np.zeros(2), one_hot(3, 0))]
+    object_items = [(np.ones(2), one_hot(2, o)) for o in range(2)]  # both compositions valid
+    for cap in (1, 2, 3):
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = compose_batch(verb_items, object_items, tax, cap, rng)
+        want = _compose_batch_reference(verb_items, object_items, tax, cap, rng_ref)
+        assert len(got) == len(want) == min(cap, 2)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_taxonomy(), st.data())
+def test_compose_batch_matches_double_loop_reference(tax, data):
+    n_verb_items = data.draw(st.integers(0, 6))
+    n_object_items = data.draw(st.integers(0, 4))
+    multi_hot = st.lists(st.integers(0, 1), min_size=tax.n_verbs, max_size=tax.n_verbs)
+    # Features encode the item index, so a reordered output cannot pass.
+    verb_items = [(np.full(2, float(i)), np.array(data.draw(multi_hot), dtype=np.int8))
+                  for i in range(n_verb_items)]
+    object_items = [(np.full(3, -1.0 - j), one_hot(tax.n_objects, data.draw(st.integers(0, tax.n_objects - 1))))
+                    for j in range(n_object_items)]
+    cap = data.draw(st.sampled_from([0, 1, 2, 10**9]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    counters = {"composite_candidates": 0, "composite_valid": 0}
+    got = compose_batch(verb_items, object_items, tax, cap, rng, counters)
+    want = _compose_batch_reference(verb_items, object_items, tax, cap, rng_ref)
+    assert len(got) == len(want)
+    for (x, y), (ex, ey) in zip(got, want):
+        assert x.dtype == ex.dtype and y.dtype == ey.dtype
+        np.testing.assert_array_equal(x, ex)
+        np.testing.assert_array_equal(y, ey)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert counters["composite_candidates"] == n_verb_items * n_object_items
+    valid = len(_compose_batch_reference(verb_items, object_items, tax, 10**9, None))
+    assert counters["composite_valid"] == valid
+
+
 # --- losses ---
 
 def test_total_loss_arithmetic():
@@ -133,6 +192,31 @@ def test_total_loss_arithmetic():
     assert total_loss(1.0, 2.0, 0.0, cfg) == pytest.approx(5.0)
     cfg0 = TrainConfig(lambda1=0.0, lambda2=0.0)
     assert total_loss(0.7, 9.0, 9.0, cfg0) == pytest.approx(0.7)
+
+
+def test_step_losses_total_is_the_training_expression():
+    # Forward-only losses equal the fused ones bit for bit, and the total keeps
+    # the association ((L_sp + l1*L_hoi) + l2*L_ATL) + l_aux*L_aux.
+    tax, world, train_set, _, external = tiny_setup()
+    cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda_aux=0.5, seed=6)
+    model = init_model(tax, world.feat_dim, cfg)
+    x_sp, x_hoi, y, verbs = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
+    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:8]]
+    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:3]]
+    comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(6))
+    batch = StepBatch(
+        sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
+        atl_x=np.stack([c[0] for c in comps]), atl_y=np.stack([c[1] for c in comps]).astype(float),
+        verb_x=np.stack([inst.verb_feat for inst in train_set[:8]]), verb_y=verbs,
+    )
+    forward = step_losses(model, batch, cfg)
+    fused, _ = step_grads(model, batch, cfg)
+    for key in ("L_sp", "L_hoi", "L_ATL", "L_aux"):
+        assert fused[key] == forward[key]
+    assert forward["L_aux"] > 0
+    want = ((forward["L_sp"] + cfg.lambda1 * forward["L_hoi"]) + cfg.lambda2 * forward["L_ATL"]) \
+        + cfg.lambda_aux * forward["L_aux"]
+    assert forward["L_total"] == want
 
 
 def test_total_loss_rejects_nonfinite():
@@ -174,6 +258,9 @@ def test_baseline_never_touches_composite_path():
     result = train(train_set, [], tax, cfg)
     assert result.counters["composite_classifier_calls"] == 0
     assert result.counters["composite_examples"] == 0
+    assert result.counters["composite_candidates"] == 0
+    assert result.counters["composite_valid"] == 0
+    assert result.counters["composite_per_category"] == [0] * tax.n_categories
 
 
 def test_atl_run_uses_composite_path():
@@ -182,6 +269,25 @@ def test_atl_run_uses_composite_path():
     result = train(train_set, external, tax, cfg)
     assert result.counters["composite_classifier_calls"] > 0
     assert result.counters["composite_examples"] <= 30 * cfg.object_batch
+    c = result.counters
+    assert c["composite_candidates"] == cfg.iterations * cfg.hoi_batch * cfg.object_batch
+    assert 0 < c["composite_examples"] <= c["composite_valid"] <= c["composite_candidates"]
+    assert len(c["composite_per_category"]) == tax.n_categories
+    # every kept label sets at least one category bit
+    assert sum(c["composite_per_category"]) >= c["composite_examples"]
+
+
+def test_composite_examples_reach_unseen_categories():
+    # On a novel-object split the real branch never sees an unseen category;
+    # only composites of training verbs with novel external objects reach them.
+    tax, world = gen_world(n_verbs=4, n_objects=5, c_pairs=12, feat_dim=6, seed=0)
+    split = make_split(tax, "novel-object", rng=substream(0, "split"))
+    train_set, _, external = gen_dataset(world, tax, split, 60, 20, 20, seed=0)
+    unseen = sorted(split.unseen_hoi_ids)
+    assert not any(inst.hoi_label[unseen].any() for inst in train_set)
+    cfg = TrainConfig(iterations=30, hidden=8, spatial_resolution=4, seed=1)
+    per_category = train(train_set, external, tax, cfg).counters["composite_per_category"]
+    assert sum(per_category[c] for c in unseen) > 0
 
 
 def test_train_zero_iterations_equals_init():

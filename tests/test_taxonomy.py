@@ -181,3 +181,28 @@ def test_compose_matches_reference_property(tax, data):
     if got.any():
         assert (decouple_verb(got, tax) <= verb).all()
         assert (decouple_object(got, tax) <= obj).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_taxonomy(), st.data())
+def test_compose_label_broadcasts_stacked_labels(tax, data):
+    b = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 4))
+    bits = st.integers(0, 1)
+    verbs = np.array(data.draw(st.lists(st.lists(bits, min_size=tax.n_verbs, max_size=tax.n_verbs),
+                                        min_size=b, max_size=b)), dtype=np.int8)
+    objs = np.array(data.draw(st.lists(st.lists(bits, min_size=tax.n_objects, max_size=tax.n_objects),
+                                       min_size=k, max_size=k)), dtype=np.int8)
+    block = compose_label(objs[None, :, :], verbs[:, None, :], tax)
+    assert block.shape == (b, k, tax.n_categories) and block.dtype == np.int8
+    for i in range(b):
+        for j in range(k):
+            np.testing.assert_array_equal(block[i, j], reference_compose(objs[j], verbs[i], tax))
+
+
+def test_compose_label_rejects_wrong_last_axis():
+    tax = small_tax()
+    with pytest.raises(ValueError, match="object label"):
+        compose_label(np.zeros((2, 4), dtype=np.int8), np.zeros((2, 3), dtype=np.int8), tax)
+    with pytest.raises(ValueError, match="verb label"):
+        compose_label(one_hot(3, 0), np.int8(1), tax)
