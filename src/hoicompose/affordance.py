@@ -14,7 +14,7 @@ import numpy as np
 from . import nn
 from .pipeline import HOIModel, hoi_input
 from .seeding import substream
-from .taxonomy import Taxonomy, decouple_verb
+from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
 
 DEFAULT_BANK_SIZE = 100
 DEFAULT_HOI_THRESHOLD = 0.5
@@ -57,10 +57,7 @@ class AffordanceBank:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AffordanceBank":
-        known = {"schema_version", "m", "feat_dim", "source_seed", "entries"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown bank fields: {sorted(unknown)}")
+        _reject_unknown(d, {"schema_version", "m", "feat_dim", "source_seed", "entries"}, "bank")
         feat_dim = int(d["feat_dim"])
         entries = {}
         for v, rows in d["entries"].items():

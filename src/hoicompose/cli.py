@@ -25,7 +25,7 @@ from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_p
                          write_report_json)
 from .experiments import TrendSettings, reproduce_trends, save_trend_report
 from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, build_matrices,
-                       ground_truth_pairs, init_model, load_checkpoint, predict_dataset,
+                       _check_confidences, ground_truth_pairs, init_model, load_checkpoint, predict_dataset,
                        save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
 from .synth import (DESK_N_TEST, DESK_N_TRAIN, WorldSpec, gen_dataset, gen_world,
@@ -232,6 +232,11 @@ def cmd_train(cfg: dict, args) -> int:
 def _eval_common(cfg: dict, args, with_split: bool) -> int:
     _check_keys(cfg, {"data_dir", "checkpoint", "s_h", "s_o", "rare_threshold", "seed",
                       "write_predictions"}, "eval")
+    try:
+        s_h, s_o = float(cfg.get("s_h", 1.0)), float(cfg.get("s_o", 1.0))
+        _check_confidences(s_h, s_o)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"eval s_h, s_o: {e}")
     out = _out_dir(args)
     ckpt_path = cfg.get("checkpoint")
     if ckpt_path is None:
@@ -248,8 +253,7 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
     if with_split and split is not None and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
-    preds = predict_dataset(model, data["test"], tax,
-                            s_h=float(cfg.get("s_h", 1.0)), s_o=float(cfg.get("s_o", 1.0)))
+    preds = predict_dataset(model, data["test"], tax, s_h=s_h, s_o=s_o)
     gt = ground_truth_pairs(data["test"])
     report = map_report(preds, gt, tax, split if with_split else None,
                         rare_threshold=int(cfg.get("rare_threshold", RARE_THRESHOLD)))
@@ -260,7 +264,7 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
         save_predictions(out / "predictions.jsonl", preds)
         outputs.append("predictions.jsonl")
     resolved = {"data_dir": str(data["dir"]), "checkpoint": str(ckpt_path),
-                "s_h": float(cfg.get("s_h", 1.0)), "s_o": float(cfg.get("s_o", 1.0)),
+                "s_h": s_h, "s_o": s_o,
                 "rare_threshold": int(cfg.get("rare_threshold", RARE_THRESHOLD))}
     inputs = {k: data[k + "_path"] for k in need}
     inputs["checkpoint"] = Path(ckpt_path)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _reject_unknown
 
 IOU_THRESHOLD = 0.5
 RARE_THRESHOLD = 10
@@ -127,10 +127,8 @@ class SplitSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SplitSpec":
-        known = {"schema_version", "mode", "unseen_hoi_ids", "seen_hoi_ids", "unseen_object_ids"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown split fields: {sorted(unknown)}")
+        _reject_unknown(d, {"schema_version", "mode", "unseen_hoi_ids", "seen_hoi_ids",
+                            "unseen_object_ids"}, "split")
         return cls(
             mode=d["mode"],
             unseen_hoi_ids=frozenset(d["unseen_hoi_ids"]),

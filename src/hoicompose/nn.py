@@ -181,23 +181,30 @@ def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / den)
 
 
+def _numeric_grad(loss, arr: np.ndarray, step: float) -> np.ndarray:
+    """Central finite differences of loss() w.r.t. every entry of arr.
+
+    Each entry is perturbed in place by +-step and restored exactly, so loss
+    must read arr (e.g. a parameter array of the model it evaluates).
+    """
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + step
+        up = loss()
+        arr[idx] = orig - step
+        down = loss()
+        arr[idx] = orig
+        fd[idx] = (up - down) / (2.0 * step)
+    return fd
+
+
 def grad_check(params: MLPParams, x, target, step: float = 1e-5) -> GradReport:
     """Central finite differences over every parameter entry vs the analytic gradient."""
     _, analytic = mlp_backward(params, x, target)
     per_param = {}
     for name, arr in params.items():
-        fd = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            _, p_plus = mlp_forward(params, x)
-            arr[idx] = orig - step
-            _, p_minus = mlp_forward(params, x)
-            arr[idx] = orig
-            fd[idx] = (bce_loss(p_plus, target) - bce_loss(p_minus, target)) / (2.0 * step)
-            it.iternext()
+        fd = _numeric_grad(lambda: bce_loss(mlp_forward(params, x)[1], target), arr, step)
         per_param[name] = _rel_error(getattr(analytic, name), fd)
     return GradReport(max_rel_error=max(per_param.values()), per_param=per_param)
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import nn
 from .seeding import stream_seed, substream
-from .taxonomy import Taxonomy, compose_label, decouple_verb, one_hot
+from .taxonomy import Taxonomy, _reject_unknown, compose_label, decouple_verb, one_hot
 from .synth import HOIInstance
 
-SPATIAL_MAP_RESOLUTION = 64  # full-size binary map; classifiers use a downscale
+_CHECKPOINT_SCHEMA = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -33,12 +33,10 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     lambda1: float = 2.0
     lambda2: float = 0.5
-    lambda_aux: float = 0.0  # optional auxiliary verb head; off by default
     # lr is calibrated for the mean-reduced BCE at desk scale; with 60 classes
     # the per-class gradient scale is 1/C, so this is far larger than the lr a
     # sum-reduced full-scale system would use.
     lr: float = 3.0
-    lr_decay_step: int | None = None  # multiply lr by 0.1 from this step on
     iterations: int = 1500
     hoi_batch: int = 32
     object_batch: int = 2  # external objects per step; also the composite cap
@@ -48,7 +46,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda_aux < 0:
+        if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
@@ -64,20 +62,11 @@ class TrainConfig:
             raise ValueError("trace_every must be at least 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1, "lambda2": self.lambda2, "lambda_aux": self.lambda_aux,
-            "lr": self.lr, "lr_decay_step": self.lr_decay_step, "iterations": self.iterations,
-            "hoi_batch": self.hoi_batch, "object_batch": self.object_batch,
-            "hidden": self.hidden, "spatial_resolution": self.spatial_resolution,
-            "trace_every": self.trace_every, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown training config fields: {sorted(unknown)}")
+        _reject_unknown(d, {f.name for f in fields(cls)}, "training config")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -90,11 +79,10 @@ def baseline_config(cfg: TrainConfig) -> TrainConfig:
 
 @dataclass
 class HOIModel:
-    """The two trained classifiers (plus the optional verb head)."""
+    """The two trained classifiers."""
 
     sp_classifier: nn.MLPParams  # input: flattened spatial map ++ human_feat
     hoi_classifier: nn.MLPParams  # input: verb_feat ++ object_feat; shared by both branches
-    verb_head: nn.MLPParams | None
     spatial_resolution: int
     feat_dim: int
 
@@ -112,7 +100,7 @@ class HOIModel:
             raise ValueError(f"spatial classifier input must be {want}")
 
 
-def make_spatial_pattern(b_h, b_o, resolution: int = SPATIAL_MAP_RESOLUTION) -> np.ndarray:
+def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
     """Two binary maps over the tight union box of the pair, shape (2, res, res).
 
     A pixel is 1 iff its center lies inside the human (channel 0) or object
@@ -182,25 +170,15 @@ def compose_batch(verb_items, object_items, tax: Taxonomy, cap: int, rng: np.ran
     return [(hoi_input(verb_items[vi[k]][0], object_items[oj[k]][0]), block[vi[k], oj[k]]) for k in keep]
 
 
-def _weighted_total(sp_loss, hoi_loss, atl_loss, aux_loss, cfg: TrainConfig):
+def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfig) -> float:
     """The one total-loss expression, unvalidated:
-    ((L_sp + lambda1 * L_hoi) + lambda2 * L_composite) + lambda_aux * L_aux."""
-    return sp_loss + cfg.lambda1 * hoi_loss + cfg.lambda2 * atl_loss + cfg.lambda_aux * aux_loss
-
-
-def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfig,
-               aux_loss: float = 0.0) -> float:
-    """L_sp + lambda1 * L_hoi + lambda2 * L_composite (+ lambda_aux * L_aux);
-    empty composite passes 0."""
-    for name, v in (("sp", sp_loss), ("hoi", hoi_loss), ("composite", atl_loss), ("aux", aux_loss)):
-        if not np.isfinite(v) or v < 0:
-            raise ValueError(f"{name} loss must be finite and nonnegative, got {v}")
-    return float(_weighted_total(sp_loss, hoi_loss, atl_loss, aux_loss, cfg))
+    (L_sp + lambda1 * L_hoi) + lambda2 * L_composite; an empty composite branch passes 0."""
+    return float(sp_loss + cfg.lambda1 * hoi_loss + cfg.lambda2 * atl_loss)
 
 
 @dataclass
 class StepBatch:
-    """Everything one optimization step sees, as stacked arrays (None = branch off)."""
+    """Everything one optimization step sees, as stacked arrays (None = no composites)."""
 
     sp_x: np.ndarray
     sp_y: np.ndarray
@@ -208,37 +186,11 @@ class StepBatch:
     hoi_y: np.ndarray
     atl_x: np.ndarray | None
     atl_y: np.ndarray | None
-    verb_x: np.ndarray | None = None
-    verb_y: np.ndarray | None = None
-
-
-def branch_losses(model: HOIModel, batch: StepBatch, cfg: TrainConfig) -> dict:
-    """Raw forward-only branch losses for one step; no finiteness validation.
-
-    Training takes the same losses from step_grads; this forward-only path
-    serves the finite-difference check.
-    """
-    l_sp = nn.bce_loss(nn.mlp_forward(model.sp_classifier, batch.sp_x)[1], batch.sp_y)
-    l_hoi = nn.bce_loss(nn.mlp_forward(model.hoi_classifier, batch.hoi_x)[1], batch.hoi_y)
-    l_atl = 0.0
-    if batch.atl_x is not None and len(batch.atl_x):
-        l_atl = nn.bce_loss(nn.mlp_forward(model.hoi_classifier, batch.atl_x)[1], batch.atl_y)
-    l_aux = 0.0
-    if model.verb_head is not None and batch.verb_x is not None and cfg.lambda_aux > 0:
-        l_aux = nn.bce_loss(nn.mlp_forward(model.verb_head, batch.verb_x)[1], batch.verb_y)
-    return {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_aux": l_aux}
-
-
-def step_losses(model: HOIModel, batch: StepBatch, cfg: TrainConfig) -> dict:
-    """Forward-only branch losses plus the validated total (for the grad check)."""
-    losses = branch_losses(model, batch, cfg)
-    total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg, losses["L_aux"])
-    return {**losses, "L_total": total}
 
 
 def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig):
     """Raw branch losses and analytic gradients of the total step loss, from one
-    forward pass per branch: returns (losses, (g_sp, g_hoi, g_verb)).
+    forward pass per branch: returns (losses, (g_sp, g_hoi)).
 
     The real and composite branches share the HOI classifier, so its gradient
     is lambda1 * real + lambda2 * composite.
@@ -250,12 +202,7 @@ def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig):
     if batch.atl_x is not None and len(batch.atl_x):
         l_atl, g_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)
         g_hoi = nn.add_grads(g_hoi, nn.scale_grads(g_atl, cfg.lambda2))
-    l_aux, g_verb = 0.0, None
-    if model.verb_head is not None and batch.verb_x is not None and cfg.lambda_aux > 0:
-        l_aux, g_verb = nn.mlp_backward(model.verb_head, batch.verb_x, batch.verb_y)
-        g_verb = nn.scale_grads(g_verb, cfg.lambda_aux)
-    losses = {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_aux": l_aux}
-    return losses, (g_sp, g_hoi, g_verb)
+    return {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl}, (g_sp, g_hoi)
 
 
 @dataclass
@@ -272,9 +219,6 @@ def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
                                      seed=stream_seed(cfg.seed, "init-sp")),
         hoi_classifier=nn.init_params(2 * feat_dim, tax.n_categories, cfg.hidden,
                                       seed=stream_seed(cfg.seed, "init-hoi")),
-        verb_head=(nn.init_params(feat_dim, tax.n_verbs, cfg.hidden,
-                                  seed=stream_seed(cfg.seed, "init-verb"))
-                   if cfg.lambda_aux > 0 else None),
         spatial_resolution=cfg.spatial_resolution,
         feat_dim=feat_dim,
     )
@@ -300,8 +244,8 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
 
     feat_dim = train_set[0].verb_feat.shape[0]
     x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
-    verb_feats = np.stack([inst.verb_feat for inst in train_set])
     if use_composite:
+        verb_feats = np.stack([inst.verb_feat for inst in train_set])
         verb_rows = verb_targets.astype(np.int8)
         obj_feats = np.stack([o.object_feat for o in external_objects])
         obj_onehots = np.stack([one_hot(tax.n_objects, o.object_label) for o in external_objects])
@@ -331,26 +275,17 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
                 counters["composite_classifier_calls"] += 1
                 counters["composite_examples"] += len(composites)
 
-        batch = StepBatch(
-            sp_x=x_sp[idx], sp_y=y[idx], hoi_x=x_hoi[idx], hoi_y=y[idx],
-            atl_x=atl_x, atl_y=atl_y,
-            verb_x=verb_feats[idx] if cfg.lambda_aux > 0 else None,
-            verb_y=verb_targets[idx] if cfg.lambda_aux > 0 else None,
-        )
-        losses, (g_sp, g_hoi, g_verb) = step_grads(model, batch, cfg)
-        raw_total = _weighted_total(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], losses["L_aux"], cfg)
-        if not np.isfinite(raw_total):
-            raise TrainingDiverged(step, raw_total)
-        losses["L_total"] = float(raw_total)
+        batch = StepBatch(sp_x=x_sp[idx], sp_y=y[idx], hoi_x=x_hoi[idx], hoi_y=y[idx],
+                          atl_x=atl_x, atl_y=atl_y)
+        losses, (g_sp, g_hoi) = step_grads(model, batch, cfg)
+        total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
+        if not np.isfinite(total):
+            raise TrainingDiverged(step, total)
+        losses["L_total"] = total
 
-        lr = cfg.lr
-        if cfg.lr_decay_step is not None and step >= cfg.lr_decay_step:
-            lr = cfg.lr * 0.1
         try:
-            model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, lr)
-            model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, lr)
-            if g_verb is not None:
-                model.verb_head = nn.sgd_step(model.verb_head, g_verb, lr)
+            model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
+            model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
         except ValueError:
             # sgd_step only rejects non-finite gradients: that is divergence here.
             raise TrainingDiverged(step, float("nan"))
@@ -364,40 +299,30 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
 
 def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: float = 1e-5):
     """Finite-difference check of the full composite step loss across both
-    classifiers (and the verb head when present). Returns {param_path: rel_error}.
+    classifiers. Returns {param_path: rel_error}.
     """
-    _, (g_sp, g_hoi, g_verb) = step_grads(model, batch, cfg)
-    analytic = {"sp_classifier": g_sp, "hoi_classifier": g_hoi}
-    if g_verb is not None:
-        analytic["verb_head"] = g_verb
+    def loss() -> float:
+        losses, _ = step_grads(model, batch, cfg)
+        return total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
+
+    _, analytic = step_grads(model, batch, cfg)
     errors = {}
-    for comp, grads in analytic.items():
-        params: nn.MLPParams = getattr(model, comp)
-        for name, arr in params.items():
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                ix = it.multi_index
-                orig = arr[ix]
-                arr[ix] = orig + step
-                up = step_losses(model, batch, cfg)["L_total"]
-                arr[ix] = orig - step
-                down = step_losses(model, batch, cfg)["L_total"]
-                arr[ix] = orig
-                fd[ix] = (up - down) / (2.0 * step)
-                it.iternext()
-            a = getattr(grads, name)
-            num = np.linalg.norm(a - fd)
-            den = max(np.linalg.norm(a) + np.linalg.norm(fd), 1e-12)
-            errors[f"{comp}.{name}"] = float(num / den)
+    for comp, grads in zip(("sp_classifier", "hoi_classifier"), analytic):
+        for name, arr in getattr(model, comp).items():
+            fd = nn._numeric_grad(loss, arr, step)
+            errors[f"{comp}.{name}"] = nn._rel_error(getattr(grads, name), fd)
     return errors
+
+
+def _check_confidences(s_h: float, s_o: float) -> None:
+    if not 0.0 <= s_h <= 1.0 or not 0.0 <= s_o <= 1.0:
+        raise ValueError("detection confidences must lie in [0, 1]")
 
 
 def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h: float, s_o: float,
                  model: HOIModel, tax: Taxonomy) -> np.ndarray:
     """Per-category score s_h * s_o * p_hoi * p_sp for one human-object pair."""
-    if not 0.0 <= s_h <= 1.0 or not 0.0 <= s_o <= 1.0:
-        raise ValueError("detection confidences must lie in [0, 1]")
+    _check_confidences(s_h, s_o)
     pattern = make_spatial_pattern(b_h, b_o, model.spatial_resolution)
     sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
     _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
@@ -407,6 +332,7 @@ def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h: float, s_o: 
 
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0, s_o: float = 1.0):
     """Score every instance for every category; returns (b_h, b_o, category, score) tuples."""
+    _check_confidences(s_h, s_o)
     if not instances:
         return []
     x_sp, x_hoi, _, _ = build_matrices(instances, tax, model.spatial_resolution)
@@ -431,13 +357,12 @@ def ground_truth_pairs(instances):
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
     d = {
-        "schema_version": 1,
+        "schema_version": _CHECKPOINT_SCHEMA,
         "config": cfg.to_json_dict(),
         "spatial_resolution": model.spatial_resolution,
         "feat_dim": model.feat_dim,
         "sp_classifier": nn.params_to_dict(model.sp_classifier),
         "hoi_classifier": nn.params_to_dict(model.hoi_classifier),
-        "verb_head": None if model.verb_head is None else nn.params_to_dict(model.verb_head),
     }
     with open(path, "w") as f:
         json.dump(d, f, sort_keys=True)
@@ -447,15 +372,15 @@ def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
 def load_checkpoint(path) -> tuple[HOIModel, TrainConfig]:
     with open(path) as f:
         d = json.load(f)
-    known = {"schema_version", "config", "spatial_resolution", "feat_dim",
-             "sp_classifier", "hoi_classifier", "verb_head"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown checkpoint fields: {sorted(unknown)}")
+    version = d.get("schema_version") if isinstance(d, dict) else None
+    if version != _CHECKPOINT_SCHEMA:
+        raise ValueError(f"unsupported checkpoint schema_version {version!r}; "
+                         f"this version reads {_CHECKPOINT_SCHEMA} (retrain to upgrade)")
+    _reject_unknown(d, {"schema_version", "config", "spatial_resolution", "feat_dim",
+                        "sp_classifier", "hoi_classifier"}, "checkpoint")
     model = HOIModel(
         sp_classifier=nn.params_from_dict(d["sp_classifier"]),
         hoi_classifier=nn.params_from_dict(d["hoi_classifier"]),
-        verb_head=None if d["verb_head"] is None else nn.params_from_dict(d["verb_head"]),
         spatial_resolution=int(d["spatial_resolution"]),
         feat_dim=int(d["feat_dim"]),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import per_instance_rng, substream
-from .taxonomy import Taxonomy, decouple_object, decouple_verb, one_hot
+from .taxonomy import Taxonomy, _reject_unknown, decouple_object, decouple_verb, one_hot
 
 # Desk-scale defaults; everything is overridable.
 DESK_N_VERBS = 12
@@ -82,11 +82,9 @@ class WorldSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WorldSpec":
-        known = {"schema_version", "feat_dim", "verb_prototypes", "object_prototypes",
-                 "noise_sigma", "tail_exponent", "object_domain_shift", "target_counts", "seed"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown world fields: {sorted(unknown)}")
+        _reject_unknown(d, {"schema_version", "feat_dim", "verb_prototypes", "object_prototypes",
+                            "noise_sigma", "tail_exponent", "object_domain_shift", "target_counts",
+                            "seed"}, "world")
         world = cls(
             feat_dim=int(d["feat_dim"]),
             verb_prototypes=np.asarray(d["verb_prototypes"], dtype=float),

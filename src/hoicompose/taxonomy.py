@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _reject_unknown(d: dict, known, what: str) -> None:
+    """Strict JSON loading: raise ValueError naming any key of d outside known."""
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def one_hot(n: int, index: int) -> np.ndarray:
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range for length {n}")
@@ -142,10 +149,8 @@ class Taxonomy:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Taxonomy":
-        known = {"schema_version", "verbs", "objects", "pairs", "train_counts", "no_interaction_verbs"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown taxonomy fields: {sorted(unknown)}")
+        _reject_unknown(d, {"schema_version", "verbs", "objects", "pairs", "train_counts",
+                            "no_interaction_verbs"}, "taxonomy")
         return cls.build(
             d["verbs"], d["objects"], [tuple(p) for p in d["pairs"]],
             train_counts=d.get("train_counts"),

@@ -34,8 +34,7 @@ def threshold_model(feat_dim=1, n_categories=3, cut=0.5, sharpness=1e4):
         b2=np.full(n_categories, -sharpness * cut),
     )
     sp = nn.init_params(2 * 4 ** 2 + feat_dim, n_categories, hidden=2, seed=0)
-    model = HOIModel(sp_classifier=sp, hoi_classifier=hoi, verb_head=None,
-                     spatial_resolution=4, feat_dim=feat_dim)
+    model = HOIModel(sp_classifier=sp, hoi_classifier=hoi, spatial_resolution=4, feat_dim=feat_dim)
     model.validate()
     return model
 

@@ -204,6 +204,43 @@ def test_eval_hoi_needs_no_split(trained_dir, data_dir, tmp_path):
     assert not (out / "predictions.jsonl").exists()
 
 
+@pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot"])
+@pytest.mark.parametrize("key,value", [("s_h", -1.0), ("s_h", 5.0), ("s_o", -1.0), ("s_o", 5.0),
+                                       ("s_o", "high")])
+def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tmp_path, cmd, key, value):
+    # -1 would silently reverse the ranking, 5 would write scores above 1
+    cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data_dir),
+        "checkpoint": str(trained_dir / "checkpoint.json"),
+        key: value,
+    })
+    assert run(cmd, cfg, tmp_path) == EXIT_CONFIG
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_zeroshot_rejects_schema_1_checkpoint(trained_dir, data_dir, tmp_path, capsys):
+    d = json.loads((trained_dir / "checkpoint.json").read_text())
+    assert d["schema_version"] == 2
+    d["schema_version"] = 1
+    d["verb_head"] = None
+    d["config"].update(lambda_aux=0.0, lr_decay_step=None)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(d))
+    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(old)})
+    assert run("zeroshot", cfg, tmp_path) == EXIT_DATA
+    assert "schema_version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("lambda_aux", 0.5), ("lr_decay_step", 100)])
+def test_train_rejects_removed_config_fields(data_dir, tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "train.json", {
+        "data_dir": str(data_dir),
+        "train": {**TINY_TRAIN, key: value},
+    })
+    assert run("train", cfg, tmp_path) == EXIT_CONFIG
+    assert f"unknown training config fields: ['{key}']" in capsys.readouterr().err
+
+
 def test_zeroshot_rejects_trivial_split(trained_dir, tmp_path):
     gen = write_config(tmp_path / "gen.json", {
         "world": TINY_WORLD,
@@ -368,14 +405,17 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
 
 
-def run_program(*argv):
-    # the program as a separate process, importing this checkout's package
-    # whatever the working directory and whatever copy is installed
+def run_python(*argv):
+    # a separate Python process importing this checkout's package whatever the
+    # working directory and whatever copy is installed
     env = dict(os.environ)
     src = str(Path(hoicompose.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hoicompose", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_program(*argv):
+    return run_python("-m", "hoicompose", *argv)
 
 
 def test_console_script_runs(tmp_path):
@@ -387,6 +427,14 @@ def test_console_script_runs(tmp_path):
     cfg = write_config(tmp_path / "train.json", {"data_dir": str(tmp_path / "nowhere")})
     proc = run_program("train", "--config", cfg, "--out", str(tmp_path))
     assert proc.returncode == EXIT_DATA, proc.stderr
+
+
+def test_gradient_check_demo_runs():
+    # the one demo that builds a StepBatch and calls step_grad_check
+    demo = Path(__file__).resolve().parents[1] / "demos" / "gradient_check.py"
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+    assert "end-to-end composite step:" in proc.stdout
 
 
 def test_console_script_target():

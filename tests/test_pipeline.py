@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from hoicompose.pipeline import (
     save_checkpoint,
     step_grad_check,
     step_grads,
-    step_losses,
     total_loss,
     train,
     write_trace_csv,
@@ -76,9 +77,9 @@ def test_spatial_pattern_analytic_area_within_boundary_tolerance():
 def test_spatial_pattern_rejects_degenerate():
     good = np.array([0.1, 0.1, 0.5, 0.5])
     with pytest.raises(ValueError):
-        make_spatial_pattern(np.array([0.5, 0.1, 0.5, 0.5]), good)
+        make_spatial_pattern(np.array([0.5, 0.1, 0.5, 0.5]), good, 16)
     with pytest.raises(ValueError):
-        make_spatial_pattern(good, np.array([0.1, 0.6, 0.5, 0.5]))
+        make_spatial_pattern(good, np.array([0.1, 0.6, 0.5, 0.5]), 16)
 
 
 # --- compose_batch ---
@@ -195,36 +196,30 @@ def test_total_loss_arithmetic():
 
 
 def test_step_losses_total_is_the_training_expression():
-    # Forward-only losses equal the fused ones bit for bit, and the total keeps
-    # the association ((L_sp + l1*L_hoi) + l2*L_ATL) + l_aux*L_aux.
+    # The training step and step_grad_check total the fused branch losses of
+    # step_grads through total_loss, with the association
+    # (L_sp + l1*L_hoi) + l2*L_ATL; the trace records that total.
     tax, world, train_set, _, external = tiny_setup()
-    cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda_aux=0.5, seed=6)
+    cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
-    x_sp, x_hoi, y, verbs = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
+    x_sp, x_hoi, y, _ = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
     verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:8]]
     object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:3]]
     comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(6))
     batch = StepBatch(
         sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
         atl_x=np.stack([c[0] for c in comps]), atl_y=np.stack([c[1] for c in comps]).astype(float),
-        verb_x=np.stack([inst.verb_feat for inst in train_set[:8]]), verb_y=verbs,
     )
-    forward = step_losses(model, batch, cfg)
-    fused, _ = step_grads(model, batch, cfg)
-    for key in ("L_sp", "L_hoi", "L_ATL", "L_aux"):
-        assert fused[key] == forward[key]
-    assert forward["L_aux"] > 0
-    want = ((forward["L_sp"] + cfg.lambda1 * forward["L_hoi"]) + cfg.lambda2 * forward["L_ATL"]) \
-        + cfg.lambda_aux * forward["L_aux"]
-    assert forward["L_total"] == want
+    losses, _ = step_grads(model, batch, cfg)
+    assert set(losses) == {"L_sp", "L_hoi", "L_ATL"}
+    assert losses["L_ATL"] > 0
+    want = (losses["L_sp"] + cfg.lambda1 * losses["L_hoi"]) + cfg.lambda2 * losses["L_ATL"]
+    assert total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg) == want
 
-
-def test_total_loss_rejects_nonfinite():
-    cfg = TrainConfig()
-    with pytest.raises(ValueError):
-        total_loss(float("nan"), 0.0, 0.0, cfg)
-    with pytest.raises(ValueError):
-        total_loss(0.0, -1.0, 0.0, cfg)
+    trace = train(train_set, external, tax, replace(cfg, iterations=30, trace_every=7)).trace
+    assert len(trace) == 6
+    for row in trace:
+        assert row["L_total"] == (row["L_sp"] + cfg.lambda1 * row["L_hoi"]) + cfg.lambda2 * row["L_ATL"]
 
 
 # --- training ---
@@ -357,14 +352,6 @@ def test_step_grad_check_miniature():
     assert max(errors.values()) < 1e-6
 
 
-def test_aux_verb_head_trains_and_checks():
-    tax, world, train_set, _, external = tiny_setup()
-    cfg = TrainConfig(iterations=20, hidden=8, spatial_resolution=4, lambda_aux=0.5, seed=6)
-    result = train(train_set, external, tax, cfg)
-    assert result.model.verb_head is not None
-    assert result.model.verb_head.k_out == tax.n_verbs
-
-
 # --- inference ---
 
 def test_predict_pair_arithmetic_and_monotonicity():
@@ -399,6 +386,9 @@ def test_predict_dataset_matches_predict_pair():
     rows = [p for p in preds if p[0] is inst.human_box]
     for b_h, b_o, c, score in rows:
         assert score == pytest.approx(single[c], abs=1e-12)
+    for s_h, s_o in ((-1.0, 1.0), (1.0, 5.0)):
+        with pytest.raises(ValueError, match="confidences"):
+            predict_dataset(model, test_set[:3], tax, s_h=s_h, s_o=s_o)
 
 
 def test_ground_truth_pairs_expands_multi_hot():
