@@ -2,8 +2,11 @@
 
 The classifier is sigmoid(W2 relu(W1 x + b1) + b2) trained with mean-reduced
 binary cross-entropy. Both the per-network check and a full composite training
-step should sit many orders of magnitude under their tolerances.
+step should sit many orders of magnitude under their tolerances; the script
+exits 1 when either worst error is over its tolerance.
 """
+import sys
+
 import numpy as np
 
 from hoicompose import gen_dataset, gen_world, grad_check, init_params, one_hot
@@ -20,18 +23,18 @@ from hoicompose.taxonomy import decouple_verb
 rng = np.random.default_rng(0)
 
 print("unit check, 20 random layer shapes:")
-worst = 0.0
+unit_worst = 0.0
 for i in range(20):
     d_in, hidden, k_out = (int(n) for n in rng.integers(1, 33, size=3))
     params = init_params(d_in, k_out, hidden, seed=int(rng.integers(2**31)))
     x = rng.normal(size=d_in)
     t = (rng.random(k_out) < 0.5).astype(float)
     report = grad_check(params, x, t)
-    worst = max(worst, report.max_rel_error)
+    unit_worst = max(unit_worst, report.max_rel_error)
     if i < 5:
         print(f"  d_in={d_in:2d} hidden={hidden:2d} k_out={k_out:2d}"
               f"  max rel error {report.max_rel_error:.3e}")
-print(f"worst of 20: {worst:.3e}  (tolerance 1e-4)")
+print(f"worst of 20: {unit_worst:.3e}  (tolerance 1e-4)")
 
 # per-tensor view for one network
 params = init_params(6, 4, hidden=8, seed=1)
@@ -61,4 +64,8 @@ errors = step_grad_check(model, batch, cfg)
 print("\nend-to-end composite step:")
 for name, err in sorted(errors.items()):
     print(f"  {name}: {err:.3e}")
-print(f"worst: {max(errors.values()):.3e}  (tolerance 1e-3)")
+e2e_worst = max(errors.values())
+print(f"worst: {e2e_worst:.3e}  (tolerance 1e-3)")
+if unit_worst > 1e-4 or e2e_worst > 1e-3:
+    print("gradient check FAILED", file=sys.stderr)
+    sys.exit(1)

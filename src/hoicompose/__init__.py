@@ -11,7 +11,7 @@ from .evaluation import (EvalReport, PRF1, SplitSpec, affordance_map, affordance
 from .nn import GradReport, MLPParams, bce_loss, grad_check, init_params, mlp_backward, mlp_forward, sgd_step
 from .pipeline import (HOIModel, TrainConfig, TrainingDiverged, TrainResult, baseline_config,
                        compose_batch, load_checkpoint, make_spatial_pattern, predict_dataset,
-                       predict_pair, save_checkpoint, total_loss, train)
+                       save_checkpoint, total_loss, train)
 from .seeding import per_instance_rng, stream_seed, substream
 from .synth import (HOIInstance, ObjectInstance, WorldSpec, gen_dataset, gen_world,
                     load_instances, sample_hoi_instance, sample_object_instance, save_instances)
@@ -21,19 +21,3 @@ from .experiments import TrendReport, TrendSettings, reproduce_trends
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffordanceBank", "AffordanceScores", "build_bank", "recognize", "recognize_objects",
-    "EvalReport", "PRF1", "SplitSpec", "affordance_map", "affordance_prf1",
-    "average_precision", "iou", "make_split", "map_report", "match_detections",
-    "GradReport", "MLPParams", "bce_loss", "grad_check", "init_params",
-    "mlp_backward", "mlp_forward", "sgd_step",
-    "HOIModel", "TrainConfig", "TrainingDiverged", "TrainResult", "baseline_config",
-    "compose_batch", "load_checkpoint", "make_spatial_pattern", "predict_dataset",
-    "predict_pair", "save_checkpoint", "total_loss", "train",
-    "per_instance_rng", "stream_seed", "substream",
-    "HOIInstance", "ObjectInstance", "WorldSpec", "gen_dataset", "gen_world",
-    "load_instances", "sample_hoi_instance", "sample_object_instance", "save_instances",
-    "Taxonomy", "build_cooccurrence", "compose_label", "decouple_object",
-    "decouple_verb", "is_valid_pair", "one_hot",
-    "TrendReport", "TrendSettings", "reproduce_trends",
-]

@@ -45,6 +45,8 @@ class AffordanceBank:
                 raise ValueError(f"verb {v} stores {len(arr)} entries, above cap {self.m}")
             if len(arr) and arr.shape[1] != self.feat_dim:
                 raise ValueError(f"verb {v} entries have dim {arr.shape[1]}, expected {self.feat_dim}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"verb {v} entries hold non-finite values")
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,14 +123,6 @@ class AffordanceScores:
     stored: dict[int, int]  # S_i
     kept: set[int]
 
-    def validate(self) -> None:
-        for v, f in self.hits.items():
-            if not 0 <= f <= self.stored[v]:
-                raise ValueError(f"verb {v}: hit count {f} outside [0, {self.stored[v]}]")
-        for v in self.kept:
-            if self.stored[v] == 0:
-                raise ValueError(f"verb {v} kept with an empty bank entry")
-
 
 def recognize(
     object_feat,
@@ -152,6 +146,8 @@ def recognize(
     object_feat = np.asarray(object_feat, dtype=float)
     if object_feat.shape != (bank.feat_dim,):
         raise ValueError(f"object feature shape {object_feat.shape} does not match bank dim {bank.feat_dim}")
+    if not np.isfinite(object_feat).all():
+        raise ValueError("object feature has non-finite entries")
 
     scores: dict[int, float] = {}
     hits: dict[int, int] = {}
@@ -181,9 +177,7 @@ def recognize(
         if scores[v] > keep_threshold:
             kept.add(v)
 
-    out = AffordanceScores(scores=scores, hits=hits, stored=stored, kept=kept)
-    out.validate()
-    return out
+    return AffordanceScores(scores=scores, hits=hits, stored=stored, kept=kept)
 
 
 def recognize_objects(

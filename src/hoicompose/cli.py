@@ -28,8 +28,8 @@ from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, build
                        _check_confidences, ground_truth_pairs, init_model, load_checkpoint, predict_dataset,
                        save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
-from .synth import (DESK_N_TEST, DESK_N_TRAIN, WorldSpec, gen_dataset, gen_world,
-                    load_instances, save_instances)
+from .synth import (DESK_N_TEST, DESK_N_TRAIN, gen_dataset, gen_world, load_instances,
+                    save_instances, validate_instances)
 from .taxonomy import Taxonomy
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
@@ -46,6 +46,10 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
+
+
+# What parsing a malformed JSON field raises (json.JSONDecodeError is a ValueError).
+_LOAD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _load_config(path: str | None) -> dict:
@@ -119,32 +123,46 @@ def _require_file(path: Path, what: str) -> Path:
 
 
 def _load_data_dir(cfg: dict, need=("taxonomy",)) -> dict:
+    """Load and check the gen-data files in need, "taxonomy" first; failures name the file."""
     data_dir = cfg.get("data_dir")
     if data_dir is None:
         raise ConfigError("config must set data_dir (a gen-data output directory)")
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"data_dir does not exist: {d}")
-    loaded = {"dir": d}
-    names = {
-        "taxonomy": "taxonomy.json", "world": "world.json", "split": "split.json",
-        "train": "train.jsonl", "test": "test.jsonl", "external": "external.jsonl",
-    }
-    try:
-        for key in need:
-            path = _require_file(d / names[key], names[key])
+    loaded = {"dir": d, "feat_dim": None}
+    names = {"taxonomy": "taxonomy.json", "split": "split.json",
+             "train": "train.jsonl", "test": "test.jsonl", "external": "external.jsonl"}
+    kinds = {"train": "hoi", "test": "hoi", "external": "object"}
+    for key in need:
+        path = _require_file(d / names[key], names[key])
+        try:
             if key == "taxonomy":
                 loaded[key] = Taxonomy.load(path)
-            elif key == "world":
-                loaded[key] = WorldSpec.load(path)
             elif key == "split":
                 loaded[key] = SplitSpec.load(path)
+                loaded[key].validate(loaded["taxonomy"])
             else:
                 loaded[key] = load_instances(path)
-            loaded[key + "_path"] = path
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise DataError(f"failed to load {d}: {e}")
+                loaded["feat_dim"] = validate_instances(loaded[key], kinds[key], loaded["taxonomy"],
+                                                        loaded["feat_dim"])
+        except _LOAD_ERRORS as e:
+            raise DataError(f"failed to load {path}: {e}")
+        loaded[key + "_path"] = path
     return loaded
+
+
+def _load_model(path, data: dict) -> HOIModel:
+    """The checkpoint at path; it must fit the loaded data's categories and feat_dim."""
+    try:
+        model, _ = load_checkpoint(path)
+    except _LOAD_ERRORS as e:
+        raise DataError(f"failed to load checkpoint {path}: {e}")
+    n_categories, feat_dim = data["taxonomy"].n_categories, data["feat_dim"]
+    if model.n_categories != n_categories or feat_dim not in (None, model.feat_dim):
+        raise DataError(f"checkpoint {path} ({model.n_categories} categories, feat_dim {model.feat_dim}) "
+                        f"does not fit {data['dir']} ({n_categories} categories, feat_dim {feat_dim})")
+    return model
 
 
 def cmd_gen_data(cfg: dict, args) -> int:
@@ -169,7 +187,6 @@ def cmd_gen_data(cfg: dict, args) -> int:
             unseen_object_ids=split_cfg.get("unseen_object_ids"),
             rng=substream(seed, "split"),
         )
-        split.validate(tax)
         train_set, test_set, external = gen_dataset(
             world, tax, split,
             n_train=int(data_cfg.get("n_train", DESK_N_TRAIN)),
@@ -244,10 +261,7 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
     _require_file(Path(ckpt_path), "checkpoint")
     need = ("taxonomy", "test", "split") if with_split else ("taxonomy", "test")
     data = _load_data_dir(cfg, need=need)
-    try:
-        model, _ = load_checkpoint(ckpt_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise DataError(f"failed to load checkpoint {ckpt_path}: {e}")
+    model = _load_model(ckpt_path, data)
 
     split = data.get("split")
     if with_split and split is not None and split.mode == "none":
@@ -316,11 +330,11 @@ def cmd_affordance(cfg: dict, args) -> int:
     _require_file(Path(cfg["checkpoint"]), "checkpoint")
     _require_file(Path(cfg["bank"]), "bank")
     data = _load_data_dir(cfg, need=("taxonomy", "split", "external"))
+    model = _load_model(cfg["checkpoint"], data)
     try:
-        model, _ = load_checkpoint(cfg["checkpoint"])
         bank = AffordanceBank.load(cfg["bank"])
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise DataError(f"failed to load model/bank: {e}")
+    except _LOAD_ERRORS as e:
+        raise DataError(f"failed to load bank {cfg['bank']}: {e}")
 
     tax = data["taxonomy"]
     split = data["split"]
@@ -464,8 +478,6 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
         raise ConfigError(f"reproduce-trends config: {e}")
     try:
         report = reproduce_trends(settings)
-    except TrainingDiverged:
-        raise
     except ValueError as e:
         raise DataError(f"reproduce-trends: {e}")
     save_trend_report(report, out / "trends.json")

@@ -22,10 +22,10 @@ _CHECKPOINT_SCHEMA = 2
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss goes non-finite; .step is the failing step."""
+    """Raised when a step's loss or gradients go non-finite; .step is the failing step."""
 
     def __init__(self, step: int, loss: float):
-        super().__init__(f"training loss became non-finite ({loss}) at step {step}")
+        super().__init__(f"training loss or gradients became non-finite at step {step} (loss {loss})")
         self.step = step
 
 
@@ -109,7 +109,7 @@ def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
     b_h = np.asarray(b_h, dtype=float)
     b_o = np.asarray(b_o, dtype=float)
     for name, b in (("human", b_h), ("object", b_o)):
-        if b.shape != (4,) or b[2] <= b[0] or b[3] <= b[1]:
+        if b.shape != (4,) or not (b[2] > b[0] and b[3] > b[1]):  # NaN corners fail too
             raise ValueError(f"{name} box degenerate or malformed: {b.tolist()}")
     ux1, uy1 = min(b_h[0], b_o[0]), min(b_h[1], b_o[1])
     ux2, uy2 = max(b_h[2], b_o[2]), max(b_h[3], b_o[3])
@@ -133,9 +133,12 @@ def hoi_input(verb_feat, object_feat) -> np.ndarray:
 
 
 def build_matrices(instances, tax: Taxonomy, resolution: int):
-    """Stack per-instance classifier inputs/targets: (X_sp, X_hoi, Y, verb multi-hots)."""
+    """Stack per-instance classifier inputs/targets: (X_sp, X_hoi, Y, verb multi-hots).
+    The one finiteness check on the way into train and predict_dataset."""
     x_sp = np.stack([spatial_input(inst, resolution) for inst in instances])
     x_hoi = np.stack([hoi_input(inst.verb_feat, inst.object_feat) for inst in instances])
+    if not (np.isfinite(x_sp).all() and np.isfinite(x_hoi).all()):
+        raise ValueError("non-finite entries in instance features")
     y = np.stack([inst.hoi_label for inst in instances]).astype(float)
     verbs = np.stack([decouple_verb(inst.hoi_label, tax) for inst in instances]).astype(float)
     return x_sp, x_hoi, y, verbs
@@ -222,7 +225,6 @@ def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
         spatial_resolution=cfg.spatial_resolution,
         feat_dim=feat_dim,
     )
-    model.validate()
     return model
 
 
@@ -248,6 +250,8 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
         verb_feats = np.stack([inst.verb_feat for inst in train_set])
         verb_rows = verb_targets.astype(np.int8)
         obj_feats = np.stack([o.object_feat for o in external_objects])
+        if not np.isfinite(obj_feats).all():
+            raise ValueError("non-finite entries in external object features")
         obj_onehots = np.stack([one_hot(tax.n_objects, o.object_label) for o in external_objects])
 
     model = init_model(tax, feat_dim, cfg)
@@ -279,16 +283,14 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
                           atl_x=atl_x, atl_y=atl_y)
         losses, (g_sp, g_hoi) = step_grads(model, batch, cfg)
         total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
-        if not np.isfinite(total):
+        # the step's one divergence check, before either classifier is updated
+        if not (np.isfinite(total) and all(np.isfinite(arr).all()
+                                           for g in (g_sp, g_hoi) for _, arr in g.items())):
             raise TrainingDiverged(step, total)
         losses["L_total"] = total
 
-        try:
-            model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
-            model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
-        except ValueError:
-            # sgd_step only rejects non-finite gradients: that is divergence here.
-            raise TrainingDiverged(step, float("nan"))
+        model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
+        model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
 
         if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
             trace.append({"step": step, **{k: losses[k] for k in ("L_sp", "L_hoi", "L_ATL", "L_total")}})
@@ -317,17 +319,6 @@ def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: f
 def _check_confidences(s_h: float, s_o: float) -> None:
     if not 0.0 <= s_h <= 1.0 or not 0.0 <= s_o <= 1.0:
         raise ValueError("detection confidences must lie in [0, 1]")
-
-
-def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h: float, s_o: float,
-                 model: HOIModel, tax: Taxonomy) -> np.ndarray:
-    """Per-category score s_h * s_o * p_hoi * p_sp for one human-object pair."""
-    _check_confidences(s_h, s_o)
-    pattern = make_spatial_pattern(b_h, b_o, model.spatial_resolution)
-    sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
-    _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
-    _, p_hoi = nn.mlp_forward(model.hoi_classifier, hoi_input(verb_feat, object_feat))
-    return s_h * s_o * p_hoi * p_sp
 
 
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0, s_o: float = 1.0):

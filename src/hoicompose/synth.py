@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import per_instance_rng, substream
-from .taxonomy import Taxonomy, _reject_unknown, decouple_object, decouple_verb, one_hot
+from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
 
 # Desk-scale defaults; everything is overridable.
 DESK_N_VERBS = 12
@@ -121,21 +121,6 @@ class HOIInstance:
     verb_feat: np.ndarray
     object_feat: np.ndarray
 
-    def validate(self, tax: Taxonomy, feat_dim: int) -> None:
-        for name, box in (("human", self.human_box), ("object", self.object_box)):
-            _check_box(box, name)
-        if not 0 <= self.object_label < tax.n_objects:
-            raise ValueError(f"object label {self.object_label} out of range")
-        if self.hoi_label.shape != (tax.n_categories,):
-            raise ValueError("hoi_label length does not match taxonomy")
-        if not self.hoi_label.any():
-            raise ValueError("hoi_label must have at least one set category")
-        if decouple_object(self.hoi_label, tax).tolist() != one_hot(tax.n_objects, self.object_label).tolist():
-            raise ValueError("hoi_label categories disagree with object_label")
-        for name, feat in (("human", self.human_feat), ("verb", self.verb_feat), ("object", self.object_feat)):
-            if feat.shape != (feat_dim,):
-                raise ValueError(f"{name} feature must have shape ({feat_dim},)")
-
 
 @dataclass
 class ObjectInstance:
@@ -144,23 +129,6 @@ class ObjectInstance:
     object_box: np.ndarray
     object_label: int
     object_feat: np.ndarray
-
-    def validate(self, n_objects: int, feat_dim: int) -> None:
-        _check_box(self.object_box, "object")
-        if not 0 <= self.object_label < n_objects:
-            raise ValueError(f"object label {self.object_label} out of range")
-        if self.object_feat.shape != (feat_dim,):
-            raise ValueError(f"object feature must have shape ({feat_dim},)")
-
-
-def _check_box(box: np.ndarray, name: str) -> None:
-    if box.shape != (4,):
-        raise ValueError(f"{name} box must have shape (4,)")
-    x1, y1, x2, y2 = box
-    if not (x2 > x1 and y2 > y1):
-        raise ValueError(f"{name} box degenerate: {box.tolist()}")
-    if box.min() < 0.0 or box.max() > 1.0:
-        raise ValueError(f"{name} box outside [0,1]: {box.tolist()}")
 
 
 def tail_counts(n_categories: int, tail_exponent: float, head_count: int) -> np.ndarray:
@@ -323,9 +291,8 @@ def gen_dataset(
     if split is None:
         seen = list(range(tax.n_categories))
     else:
+        split.validate(tax)
         seen = sorted(split.seen_hoi_ids)
-        if set(seen) | set(split.unseen_hoi_ids) != set(range(tax.n_categories)):
-            raise ValueError("split does not cover this taxonomy")
     if not seen:
         raise ValueError("split leaves zero seen categories to train on")
     seen_set = set(seen)
@@ -403,7 +370,7 @@ def load_instances(path) -> list:
             if not line:
                 continue
             rec = json.loads(line)
-            kind = rec.get("kind")
+            kind = rec.get("kind") if isinstance(rec, dict) else None
             if kind == "hoi":
                 out.append(HOIInstance(
                     human_box=np.asarray(rec["human_box"], dtype=float),
@@ -423,3 +390,54 @@ def load_instances(path) -> list:
             else:
                 raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
     return out
+
+
+def _stacked(instances, name: str, shape: tuple) -> np.ndarray:
+    rows = [getattr(inst, name) for inst in instances]
+    for i, row in enumerate(rows):
+        if row.shape != shape:
+            raise ValueError(f"record {i + 1}: {name} has shape {row.shape}, expected {shape}")
+    return np.stack(rows)
+
+
+def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None = None) -> int | None:
+    """Check loaded records of one kind ("hoi" or "object") over stacked arrays: boxes
+    finite, non-degenerate, in [0, 1]; object label in range; features finite, of
+    length feat_dim (default: the first record's); hoi_label a multi-hot of length C
+    setting at least one category, all of its object. Raises ValueError naming the
+    first record (1-based) of the wrong kind or shape, else the first failing a
+    value check. Returns feat_dim, so one length can be carried across files."""
+    hoi = kind == "hoi"
+    record_type = HOIInstance if hoi else ObjectInstance
+    for i, inst in enumerate(instances):
+        if not isinstance(inst, record_type):
+            raise ValueError(f"record {i + 1}: expected kind {kind!r}")
+    if not instances:
+        return feat_dim
+    if feat_dim is None:
+        feat_dim = instances[0].object_feat.size
+
+    checks = []  # (bad-record mask, failure), in record field order
+    for name in ("human_box", "object_box") if hoi else ("object_box",):
+        b = _stacked(instances, name, (4,))
+        checks += [(~np.isfinite(b).all(axis=1), f"{name} is not finite"),
+                   (~((b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])), f"{name} is degenerate"),
+                   (((b < 0.0) | (b > 1.0)).any(axis=1), f"{name} lies outside [0, 1]")]
+    labels = np.array([inst.object_label for inst in instances])
+    checks.append(((labels < 0) | (labels >= tax.n_objects), f"object_label outside [0, {tax.n_objects})"))
+    if hoi:
+        y = _stacked(instances, "hoi_label", (tax.n_categories,))
+        category_object = np.array([o for _, o in tax.hoi_pairs])
+        checks += [(((y != 0) & (y != 1)).any(axis=1), "hoi_label is not multi-hot"),
+                   (~y.any(axis=1), "hoi_label sets no category"),
+                   (((y != 0) & (category_object != labels[:, None])).any(axis=1),
+                    "hoi_label sets a category of another object")]
+    for name in ("human_feat", "verb_feat", "object_feat") if hoi else ("object_feat",):
+        feats = _stacked(instances, name, (feat_dim,))
+        checks.append((~np.isfinite(feats).all(axis=1), f"{name} is not finite"))
+
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"record {i + 1}: " + "; ".join(why for mask, why in checks if mask[i]))
+    return feat_dim

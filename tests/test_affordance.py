@@ -120,6 +120,10 @@ def test_bank_json_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.entries[v], bank.entries[v])
     with pytest.raises(ValueError, match="extra"):
         AffordanceBank.from_json_dict({**bank.to_json_dict(), "extra": 1})
+    doc = bank.to_json_dict()
+    doc["entries"]["1"][0][0] = float("nan")
+    with pytest.raises(ValueError, match="verb 1 entries hold non-finite values"):
+        AffordanceBank.from_json_dict(doc)
 
 
 def test_bank_validate_rejects_over_cap():
@@ -223,6 +227,8 @@ def test_recognize_input_validation():
         recognize(np.zeros(1), bank, model, tax, hoi_threshold=1.5)
     with pytest.raises(ValueError, match="does not match"):
         recognize(np.zeros(2), bank, model, tax)
+    with pytest.raises(ValueError, match="non-finite"):
+        recognize(np.array([np.nan]), bank, model, tax)
     empty = bank_of({0: []})
     with pytest.raises(ValueError, match="no entries"):
         recognize(np.zeros(1), empty, model, tax)

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,156 @@ def test_zeroshot_rejects_trivial_split(trained_dir, tmp_path):
         "checkpoint": str(trained_dir / "checkpoint.json"),
     })
     assert run("zeroshot", cfg, tmp_path) == EXIT_DATA
+
+
+def test_rare_first_split_end_to_end(tmp_path):
+    gen = write_config(tmp_path / "gen.json", {
+        "world": TINY_WORLD,
+        "dataset": TINY_DATASET,
+        "split": {"mode": "unseen-composition-rare-first"},
+        "seed": 0,
+    })
+    data = tmp_path / "data"
+    assert run("gen-data", gen, data) == EXIT_OK
+    split = json.loads((data / "split.json").read_text())
+    unseen = set(split["unseen_hoi_ids"])
+    assert split["mode"] == "unseen-composition-rare-first" and unseen
+    for line in (data / "train.jsonl").read_text().splitlines():
+        label = json.loads(line)["hoi_label"]
+        assert not any(label[c] for c in unseen)
+
+    train_cfg = write_config(tmp_path / "train.json", {"data_dir": str(data), "train": TINY_TRAIN})
+    assert run("train", train_cfg, tmp_path / "run") == EXIT_OK
+    eval_cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data),
+        "checkpoint": str(tmp_path / "run" / "checkpoint.json"),
+    })
+    assert run("zeroshot", eval_cfg, tmp_path / "eval") == EXIT_OK
+    groups = json.loads((tmp_path / "eval" / "report.json").read_text())["groups"]
+    assert groups["unseen"]["category_ids"]
+    assert set(groups["unseen"]["category_ids"]) <= unseen
+
+
+# --- input checked where it is loaded: exit 3, a message naming the file, no output file ---
+
+def corrupt_copy(data_dir, dest, name, edit):
+    """A copy of data_dir where edit has changed record 5 of a .jsonl file in
+    place (or returned its replacement), or changed a .json document."""
+    shutil.copytree(data_dir, dest)
+    path = dest / name
+    if name.endswith(".jsonl"):
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        replacement = edit(record)
+        lines[4] = json.dumps(record if replacement is None else replacement)
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return dest
+
+
+def assert_data_error(capsys, out, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: failed to load "), err
+    for needle in needles:
+        assert needle in err, err
+    assert not any(out.iterdir()), sorted(out.iterdir())
+
+
+TEST_RECORD_FAULTS = {
+    "nan-verb-feat": (lambda r: r["verb_feat"].__setitem__(1, float("nan")), "verb_feat is not finite"),
+    "degenerate-human-box": (lambda r: r["human_box"].__setitem__(2, r["human_box"][0]),
+                             "human_box is degenerate"),
+    "short-hoi-label": (lambda r: r.update(hoi_label=r["hoi_label"][:-1]), "hoi_label has shape"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot"])
+@pytest.mark.parametrize("fault", sorted(TEST_RECORD_FAULTS))
+def test_eval_rejects_bad_test_record(trained_dir, data_dir, tmp_path, capsys, cmd, fault):
+    edit, why = TEST_RECORD_FAULTS[fault]
+    data = corrupt_copy(data_dir, tmp_path / "data", "test.jsonl", edit)
+    cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data),
+        "checkpoint": str(trained_dir / "checkpoint.json"),
+    })
+    out = tmp_path / "out"
+    assert run(cmd, cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, f"test.jsonl: record 5: {why}")
+
+
+@pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot", "affordance"])
+@pytest.mark.parametrize("world", [{"feat_dim": 8}, {"c_pairs": 13}])
+def test_checkpoint_must_fit_the_data(trained_dir, tmp_path, capsys, cmd, world):
+    gen = write_config(tmp_path / "gen.json", {
+        "world": {**TINY_WORLD, **world},
+        "dataset": TINY_DATASET,
+        "split": {"mode": "novel-object"},
+        "seed": 0,
+    })
+    data = tmp_path / "data"
+    assert run("gen-data", gen, data) == EXIT_OK
+    body = {"data_dir": str(data), "checkpoint": str(trained_dir / "checkpoint.json")}
+    if cmd == "affordance":
+        bank_cfg = write_config(tmp_path / "bank.json", {"data_dir": str(data)})
+        assert run("build-bank", bank_cfg, tmp_path / "bank") == EXIT_OK
+        body["bank"] = str(tmp_path / "bank" / "bank.json")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "cmd.json", body), out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint ") and "checkpoint.json" in err, err
+    assert "does not fit" in err and not any(out.iterdir())
+
+
+def test_zeroshot_rejects_split_with_unknown_category(trained_dir, data_dir, tmp_path, capsys):
+    data = corrupt_copy(data_dir, tmp_path / "data", "split.json",
+                        lambda d: d["unseen_hoi_ids"].append(999))
+    cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data),
+        "checkpoint": str(trained_dir / "checkpoint.json"),
+    })
+    out = tmp_path / "out"
+    assert run("zeroshot", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, "split.json: split does not cover all categories")
+
+
+def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
+    # m above every pool size: at the parent commit the NaN reached bank.json
+    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl",
+                        lambda r: r["verb_feat"].__setitem__(3, float("nan")))
+    out = tmp_path / "out"
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data), "m": 1000}),
+               out) == EXIT_DATA
+    assert_data_error(capsys, out, "train.jsonl: record 5: verb_feat is not finite")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: [r["kind"], r["object_label"]],  # a record that is not a JSON object
+    lambda r: r.update(object_label=None),
+    lambda r: r["hoi_label"].__setitem__(0, 300),  # out of int8 range
+])
+def test_malformed_record_is_data_error(data_dir, tmp_path, capsys, edit):
+    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl", edit)
+    out = tmp_path / "out"
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data)}), out) == EXIT_DATA
+    assert_data_error(capsys, out, "train.jsonl: ")
+
+
+@pytest.mark.parametrize("iterations", [0, 5])
+def test_train_rejects_nonfinite_human_feat(data_dir, tmp_path, capsys, iterations):
+    # rejected at load, whether or not a batch would ever sample the bad record
+    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl",
+                        lambda r: r["human_feat"].__setitem__(0, float("nan")))
+    cfg = write_config(tmp_path / "train.json", {
+        "data_dir": str(data),
+        "train": {**TINY_TRAIN, "iterations": iterations},
+    })
+    out = tmp_path / "out"
+    assert run("train", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, "train.jsonl: record 5: human_feat is not finite")
 
 
 def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_taxonomy import random_taxonomy
 
-from hoicompose import nn
+from hoicompose import nn, pipeline
 from hoicompose.evaluation import make_split
 from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
@@ -25,7 +25,6 @@ from hoicompose.pipeline import (
     load_checkpoint,
     make_spatial_pattern,
     predict_dataset,
-    predict_pair,
     save_checkpoint,
     step_grad_check,
     step_grads,
@@ -318,6 +317,59 @@ def test_train_divergence_reports_step():
     assert err.value.step >= 0
 
 
+@pytest.mark.parametrize("classifier", ["sp", "hoi"])
+def test_train_divergence_on_nonfinite_gradient(monkeypatch, classifier):
+    # finite loss, one non-finite gradient entry at step 3: the step's one
+    # check stops training there, before either classifier is updated
+    tax, world, train_set, _, external = tiny_setup()
+    real_step_grads, real_sgd_step = pipeline.step_grads, nn.sgd_step
+    steps, updates = [], []
+
+    def step_grads(model, batch, cfg):
+        losses, grads = real_step_grads(model, batch, cfg)
+        if len(steps) == 3:
+            grads[0 if classifier == "sp" else 1].b2[0] = np.inf
+        steps.append(losses)
+        return losses, grads
+
+    def sgd_step(params, grads, lr):
+        updates.append(len(steps) - 1)
+        return real_sgd_step(params, grads, lr)
+
+    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    cfg = TrainConfig(iterations=10, hidden=8, spatial_resolution=4, seed=3)
+    with pytest.raises(TrainingDiverged, match="non-finite") as err:
+        train(train_set, external, tax, cfg)
+    assert err.value.step == 3
+    assert np.isfinite(total_loss(steps[3]["L_sp"], steps[3]["L_hoi"], steps[3]["L_ATL"], cfg))
+    assert updates == [0, 0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("field", ["human_feat", "verb_feat", "object_feat", "human_box"])
+def test_build_matrices_rejects_nonfinite_input(field):
+    # the entry check of train and predict_dataset; the forward pass no longer checks
+    tax, world, train_set, test_set, external = tiny_setup()
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4))
+    bad = replace(test_set[2], **{field: getattr(test_set[2], field).copy()})
+    getattr(bad, field)[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite|degenerate"):
+        build_matrices([test_set[0], bad], tax, 4)
+    with pytest.raises(ValueError, match="non-finite|degenerate"):
+        predict_dataset(model, [test_set[0], bad], tax)
+    with pytest.raises(ValueError, match="non-finite|degenerate"):
+        train([train_set[0], bad], external, tax, TrainConfig(iterations=1, hidden=8, spatial_resolution=4))
+
+
+def test_train_rejects_nonfinite_external_feature():
+    tax, world, train_set, _, external = tiny_setup()
+    bad = replace(external[5], object_feat=external[5].object_feat.copy())
+    bad.object_feat[0] = np.nan
+    cfg = TrainConfig(iterations=1, hidden=8, spatial_resolution=4)
+    with pytest.raises(ValueError, match="non-finite entries in external object features"):
+        train(train_set, external[:5] + [bad], tax, cfg)
+
+
 def test_weight_sharing_real_and_composite_branch():
     # One classifier serves both branches: identical inputs give identical outputs.
     tax, world, train_set, _, external = tiny_setup()
@@ -354,24 +406,31 @@ def test_step_grad_check_miniature():
 
 # --- inference ---
 
+def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h, s_o, model, tax):
+    """Reference scorer for one pair: s_h * s_o * p_hoi * p_sp per category."""
+    pattern = make_spatial_pattern(b_h, b_o, model.spatial_resolution)
+    sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
+    _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
+    _, p_hoi = nn.mlp_forward(model.hoi_classifier, hoi_input(verb_feat, object_feat))
+    return s_h * s_o * p_hoi * p_sp
+
+
 def test_predict_pair_arithmetic_and_monotonicity():
     tax, world, train_set, _, _ = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=7)
     model = init_model(tax, world.feat_dim, cfg)
-    inst = train_set[0]
-    args = (inst.human_feat, inst.verb_feat, inst.object_feat, inst.human_box, inst.object_box)
-    full = predict_pair(*args, 1.0, 1.0, model, tax)
-    assert full.shape == (tax.n_categories,)
+
+    def scores(s_h, s_o):
+        return np.array([p[3] for p in predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o)])
+
+    full = scores(1.0, 1.0)
+    assert full.shape == (3 * tax.n_categories,)
     assert ((full >= 0) & (full <= 1)).all()
-    np.testing.assert_array_equal(predict_pair(*args, 0.0, 1.0, model, tax), np.zeros(tax.n_categories))
-    half = predict_pair(*args, 0.5, 0.5, model, tax)
-    np.testing.assert_allclose(half, 0.25 * full, atol=1e-12)
+    np.testing.assert_array_equal(scores(0.0, 1.0), np.zeros_like(full))
+    np.testing.assert_allclose(scores(0.5, 0.5), 0.25 * full, atol=1e-12)
     # monotone nondecreasing in each confidence
-    lo = predict_pair(*args, 0.3, 0.8, model, tax)
-    hi = predict_pair(*args, 0.6, 0.8, model, tax)
-    assert (hi >= lo).all()
-    with pytest.raises(ValueError):
-        predict_pair(*args, 1.5, 1.0, model, tax)
+    assert (scores(0.6, 0.8) >= scores(0.3, 0.8)).all()
+    assert (scores(0.8, 0.6) >= scores(0.8, 0.3)).all()
 
 
 def test_predict_dataset_matches_predict_pair():

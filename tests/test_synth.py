@@ -14,6 +14,7 @@ from hoicompose.synth import (
     sample_object_instance,
     save_instances,
     tail_counts,
+    validate_instances,
 )
 from hoicompose.taxonomy import decouple_object, one_hot
 
@@ -102,16 +103,17 @@ def test_sample_hoi_label_consistency():
         assert inst.hoi_label[cat] == 1
         want = one_hot(tax.n_objects, inst.object_label)
         np.testing.assert_array_equal(decouple_object(inst.hoi_label, tax), want)
-        inst.validate(tax, world.feat_dim)
+        assert validate_instances([inst], "hoi", tax) == world.feat_dim
 
 
 def test_sample_hoi_instance_invariants_bulk():
     tax, world = gen_world(seed=9)
+    instances = []
     for i in range(500):
         rng = per_instance_rng(9, "bulk", i)
         cat = int(rng.integers(tax.n_categories))
-        inst = sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2)
-        inst.validate(tax, world.feat_dim)
+        instances.append(sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2))
+    assert validate_instances(instances, "hoi", tax, world.feat_dim) == world.feat_dim
 
 
 def test_nearest_prototype_recovers_object_label():
@@ -134,7 +136,7 @@ def test_external_object_domain_shift():
     rng = np.random.default_rng(0)
     inst = sample_object_instance(world, 3, rng)
     np.testing.assert_allclose(inst.object_feat, world.object_prototypes[3] + world.object_domain_shift)
-    inst.validate(tax.n_objects, world.feat_dim)
+    assert validate_instances([inst], "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError):
         sample_object_instance(world, tax.n_objects, rng)
 
@@ -236,3 +238,65 @@ def test_load_rejects_unknown_kind(tmp_path):
     path.write_text('{"kind": "mystery"}\n')
     with pytest.raises(ValueError, match="mystery"):
         load_instances(path)
+
+
+def _set(name, value):
+    return lambda inst, tax: setattr(inst, name, value)
+
+
+def _poke(name, index, value):
+    def edit(inst, tax):
+        arr = getattr(inst, name).copy()
+        arr[index] = value
+        setattr(inst, name, arr)
+    return edit
+
+
+def _other_object_category(inst, tax):
+    other = next(c for c, (_, o) in enumerate(tax.hoi_pairs) if o != inst.object_label)
+    inst.hoi_label = inst.hoi_label.copy()
+    inst.hoi_label[other] = 1
+
+
+@pytest.mark.parametrize("edit,want", [
+    (_poke("human_box", 2, 0.0), "human_box is degenerate"),
+    (_poke("object_box", 2, 1.5), "object_box lies outside"),
+    (_poke("human_box", 1, np.nan), "human_box is not finite; human_box is degenerate"),
+    (_set("object_label", 99), "object_label outside"),
+    (_set("hoi_label", np.zeros(3, dtype=np.int8)), "hoi_label has shape"),
+    (lambda inst, tax: setattr(inst, "hoi_label", 0 * inst.hoi_label), "hoi_label sets no category"),
+    (lambda inst, tax: setattr(inst, "hoi_label", 2 * inst.hoi_label), "hoi_label is not multi-hot"),
+    (_other_object_category, "hoi_label sets a category of another object"),
+    (_poke("verb_feat", 0, np.inf), "verb_feat is not finite"),
+    (_poke("human_feat", 0, np.nan), "human_feat is not finite"),
+    (_set("object_feat", np.zeros(3)), "object_feat has shape"),
+    (lambda inst, tax: ObjectInstance(inst.object_box, inst.object_label, inst.object_feat),
+     "expected kind 'hoi'"),
+])
+def test_validate_instances_names_first_bad_record(edit, want):
+    tax, world = gen_world(seed=27)
+    records, _, _ = gen_dataset(world, tax, None, 6, 0, 0, seed=27)
+    assert validate_instances(records, "hoi", tax) == world.feat_dim
+    # record 4 (1-based) gets a later bad value; record 3 is the first bad one
+    records[3] = HOIInstance(**{**records[3].__dict__, "verb_feat": np.full(world.feat_dim, np.nan)})
+    records[2] = HOIInstance(**records[2].__dict__)
+    replaced = edit(records[2], tax)
+    if replaced is not None:
+        records[2] = replaced
+    with pytest.raises(ValueError, match=f"^record 3: {want}"):
+        validate_instances(records, "hoi", tax)
+
+
+def test_validate_instances_object_records_and_shared_feat_dim():
+    tax, world = gen_world(seed=28)
+    train, _, external = gen_dataset(world, tax, None, 3, 0, 4, seed=28)
+    assert validate_instances([], "object", tax) is None
+    assert validate_instances([], "object", tax, 5) == 5
+    assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
+    with pytest.raises(ValueError, match="record 1: object_feat has shape"):
+        validate_instances(external, "object", tax, world.feat_dim + 1)
+    with pytest.raises(ValueError, match="record 2: expected kind 'object'"):
+        validate_instances([external[0], train[0]], "object", tax)
+    external[3].object_box = np.array([0.2, 0.2, 0.1, 0.9])
+    with pytest.raises(ValueError, match="record 4: object_box is degenerate"):
+        validate_instances(external, "object", tax)
