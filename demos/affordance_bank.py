@@ -5,6 +5,8 @@ a new object, pair its feature with every banked entry, run the shared
 interaction classifier, and count hits: score_i = F_i / S_i. Verbs scoring
 above 1/2 are the object's predicted affordances.
 """
+import numpy as np
+
 from hoicompose import TrainConfig, gen_dataset, gen_world, train
 from hoicompose.affordance import build_bank, recognize, recognize_objects
 from hoicompose.evaluation import affordance_map, affordance_prf1, make_split
@@ -20,24 +22,24 @@ model = train(train_set, external, tax, cfg).model
 bank = build_bank(train_set, tax, m=100, seed=seed)
 print(f"bank: {bank.total_entries} stored features across {len(bank.entries)} verbs")
 
-novel = [o for o in external if o.object_label in split.unseen_object_ids]
+novel = external[np.isin(external.object_label, sorted(split.unseen_object_ids))]
+labels = novel.object_label.tolist()
 print(f"probing {len(novel)} instances of the held-out objects:"
-      f" {sorted({tax.object_names[o.object_label] for o in novel})}")
+      f" {sorted({tax.object_names[o] for o in labels})}")
 
 # one object in detail
-obj = novel[0]
-r = recognize(obj.object_feat, bank, model, tax)
-print(f"\n{tax.object_names[obj.object_label]} (never seen in training):")
+r = recognize(novel.object_feat[0], bank, model, tax)
+print(f"\n{tax.object_names[labels[0]]} (never seen in training):")
 print(f"{'verb':>8} {'hits':>6} {'stored':>7} {'score':>6}  kept")
 for v in sorted(r.scores):
     mark = "yes" if v in r.kept else ""
     print(f"{tax.verb_names[v]:>8} {r.hits[v]:>6} {r.stored[v]:>7} {r.scores[v]:>6.2f}  {mark}")
-truth = tax.affordances_of_object(obj.object_label)
+truth = tax.affordances_of_object(labels[0])
 print("ground truth:", sorted(tax.verb_names[v] for v in truth))
 
 # aggregate quality over all novel instances
-feats = [o.object_feat for o in novel]
-gt = {i: tax.affordances_of_object(o.object_label) for i, o in enumerate(novel)}
+feats = novel.object_feat
+gt = {i: tax.affordances_of_object(o) for i, o in enumerate(labels)}
 predicted, scores = recognize_objects(feats, bank, model, tax)
 prf1 = affordance_prf1(predicted, gt)
 print(f"\nmicro precision {prf1.micro_precision:.3f}"

@@ -51,8 +51,9 @@ cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=0)
 model = init_model(tax, world.feat_dim, cfg)
 
 x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:4]]
-object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:2]]
+verb_items = list(zip(train_set.verb_feat[:4], decouple_verb(train_set.hoi_label[:4], tax)))
+object_items = [(f, one_hot(tax.n_objects, o))
+                for f, o in zip(external.object_feat[:2], external.object_label[:2])]
 composites = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(0))
 batch = StepBatch(
     sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,

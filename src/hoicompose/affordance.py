@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .pipeline import HOIModel, hoi_input
+from .pipeline import HOIModel
 from .seeding import substream
 from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
 
@@ -81,33 +81,30 @@ class AffordanceBank:
 
 
 def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int = 0) -> AffordanceBank:
-    """Uniformly sample up to m verb features per verb from the training set.
+    """Uniformly sample up to m verb features per verb from a training HOISet.
 
-    A verb's pool is every instance whose label contains it. No-interaction
-    verbs are skipped entirely; verbs with no instances store empty lists.
+    A verb's pool is the verb_feat rows, in instance order, whose label
+    contains it. No-interaction verbs are skipped entirely; verbs with no
+    instances store empty arrays.
     """
     if m < 1:
         raise ValueError("bank cap m must be at least 1")
-    if not train_set:
+    feat_dim = train_set.verb_feat.shape[1]
+    if len(train_set):
+        verbs = decouple_verb(train_set.hoi_label, tax)
+    else:
         warnings.warn("empty train set: bank has no entries", stacklevel=2)
-    feat_dim = train_set[0].verb_feat.shape[0] if train_set else 0
+        verbs = np.zeros((0, tax.n_verbs), dtype=np.int8)
     rng = substream(seed, "bank")
 
-    pools: dict[int, list] = {v: [] for v in range(tax.n_verbs) if v not in tax.no_interaction_verbs}
-    for inst in train_set:
-        for v in np.flatnonzero(decouple_verb(inst.hoi_label, tax)):
-            if int(v) in pools:
-                pools[int(v)].append(inst.verb_feat)
-
     entries = {}
-    for v in sorted(pools):
-        pool = pools[v]
-        if len(pool) <= m:
-            chosen = pool
-        else:
-            keep = np.sort(rng.choice(len(pool), size=m, replace=False))
-            chosen = [pool[i] for i in keep]
-        entries[v] = np.stack(chosen) if chosen else np.zeros((0, feat_dim))
+    for v in range(tax.n_verbs):
+        if v in tax.no_interaction_verbs:
+            continue
+        pool = train_set.verb_feat[verbs[:, v] == 1]
+        if len(pool) > m:
+            pool = pool[np.sort(rng.choice(len(pool), size=m, replace=False))]
+        entries[v] = pool
 
     bank = AffordanceBank(entries=entries, m=m, feat_dim=feat_dim, source_seed=seed)
     bank.validate()

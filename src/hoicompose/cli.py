@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,13 @@ from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_p
                          make_split, map_report, save_predictions, write_report_csv,
                          write_report_json)
 from .experiments import TrendSettings, reproduce_trends, save_trend_report
-from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, build_matrices,
-                       _check_confidences, ground_truth_pairs, init_model, load_checkpoint, predict_dataset,
-                       save_checkpoint, step_grad_check, train, write_trace_csv)
+from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, baseline_config, build_matrices,
+                       _check_confidences, compose_batch, ground_truth_pairs, init_model, load_checkpoint,
+                       predict_dataset, save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
 from .synth import (DESK_N_TEST, DESK_N_TRAIN, gen_dataset, gen_world, load_instances,
                     save_instances, validate_instances)
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, decouple_verb, one_hot
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
 
@@ -198,7 +199,8 @@ def cmd_gen_data(cfg: dict, args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"gen-data: {e}")
 
-    tax.save(out / "taxonomy.json")
+    # taxonomy.json records the training counts this split actually drew
+    replace(tax, train_counts=train_set.hoi_label.sum(axis=0)).save(out / "taxonomy.json")
     world.save(out / "world.json")
     split.save(out / "split.json")
     save_instances(out / "train.jsonl", train_set)
@@ -225,7 +227,6 @@ def cmd_train(cfg: dict, args) -> int:
         tcfg.seed = args.seed
     baseline = bool(cfg.get("baseline", False))
     if baseline:
-        from .pipeline import baseline_config
         tcfg = baseline_config(tcfg)
 
     data = _load_data_dir(cfg, need=("taxonomy", "train", "external"))
@@ -340,28 +341,29 @@ def cmd_affordance(cfg: dict, args) -> int:
     split = data["split"]
     objects = data["external"]
     if bool(cfg.get("novel_only", True)):
-        objects = [o for o in objects if o.object_label in split.unseen_object_ids]
-        if not objects:
+        objects = objects[np.isin(objects.object_label, sorted(split.unseen_object_ids))]
+        if not len(objects):
             raise DataError("no novel objects in the external stream for this split")
 
     hoi_t = float(cfg.get("hoi_threshold", DEFAULT_HOI_THRESHOLD))
     keep_t = float(cfg.get("keep_threshold", DEFAULT_KEEP_THRESHOLD))
     try:
-        predicted, scores = recognize_objects([o.object_feat for o in objects], bank, model, tax,
+        predicted, scores = recognize_objects(objects.object_feat, bank, model, tax,
                                               hoi_threshold=hoi_t, keep_threshold=keep_t)
     except ValueError as e:
         raise DataError(f"affordance: {e}")
-    gt = {i: tax.affordances_of_object(o.object_label) for i, o in enumerate(objects)}
+    labels = objects.object_label.tolist()
+    gt = {i: tax.affordances_of_object(o) for i, o in enumerate(labels)}
     prf1 = affordance_prf1(predicted, gt)
     amap = affordance_map(scores, gt)
 
     per_object = []
-    for i, o in enumerate(objects):
+    for i, o in enumerate(labels):
         row_scores = {v: (None if math.isnan(s) else s) for v, s in scores[i].items()}
         per_object.append({
             "index": i,
-            "object_label": int(o.object_label),
-            "object_name": tax.object_names[o.object_label],
+            "object_label": o,
+            "object_name": tax.object_names[o],
             "kept_verbs": sorted(predicted[i]),
             "gt_verbs": sorted(gt[i]),
             "scores": {str(v): row_scores[v] for v in sorted(row_scores)},
@@ -442,16 +444,14 @@ def cmd_gradcheck(cfg: dict, args) -> int:
 
 def _end_to_end_errors(seed: int) -> dict:
     """Finite-difference check of one full composite training step on a miniature world."""
-    from .synth import gen_dataset as _gen
     tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=seed)
-    train_set, _, external = _gen(world, tax, None, 6, 1, 4, seed=seed)
+    train_set, _, external = gen_dataset(world, tax, None, 6, 1, 4, seed=seed)
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, object_batch=2, seed=seed)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    from .pipeline import compose_batch
-    from .taxonomy import decouple_verb, one_hot
-    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:4]]
-    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:2]]
+    verb_items = list(zip(train_set.verb_feat[:4], decouple_verb(train_set.hoi_label[:4], tax)))
+    object_items = [(f, one_hot(tax.n_objects, o))
+                    for f, o in zip(external.object_feat[:2], external.object_label[:2])]
     composites = compose_batch(verb_items, object_items, tax, cfg.object_batch, substream(seed, "gradcheck-e2e"))
     atl_x = np.stack([c[0] for c in composites]) if composites else None
     atl_y = np.stack([c[1] for c in composites]).astype(float) if composites else None

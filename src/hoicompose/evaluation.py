@@ -423,19 +423,3 @@ def save_predictions(path, predictions) -> None:
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
-
-def load_predictions(path) -> list:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append((
-                np.asarray(rec["human_box"], dtype=float),
-                np.asarray(rec["object_box"], dtype=float),
-                int(rec["category"]),
-                float(rec["score"]),
-            ))
-    return out

@@ -11,11 +11,13 @@ import json
 from dataclasses import dataclass, field, replace
 from statistics import median
 
+import numpy as np
+
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
 from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report
 from .pipeline import TrainConfig, TrainResult, baseline_config, ground_truth_pairs, predict_dataset, train
 from .seeding import substream
-from .synth import gen_dataset, gen_world
+from .synth import HOISet, ObjectSet, gen_dataset, gen_world
 from .taxonomy import Taxonomy
 
 # Trend thresholds: the margins the comparison must clear.
@@ -52,14 +54,14 @@ class SeedRun:
     seed: int
     tax: Taxonomy
     split: SplitSpec
-    train_set: list
-    test_set: list
-    external: list
+    train_set: HOISet
+    test_set: HOISet
+    external: ObjectSet
     atl: TrainResult
     base: TrainResult
     detection: dict  # {"atl": EvalReport, "baseline": EvalReport}
     affordance: dict  # {"atl"/"baseline": {"prf1": PRF1, "map": float}}
-    novel_feats: list
+    novel_feats: np.ndarray  # (n_novel, feat_dim)
     novel_gt: dict
     metrics: dict
 
@@ -75,16 +77,18 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
     base = train(train_set, [], tax, baseline_config(cfg))
 
     gt = ground_truth_pairs(test_set)
+    # Rare/non-rare groups count the training labels actually drawn.
+    counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
     detection = {
-        "atl": map_report(predict_dataset(atl.model, test_set, tax), gt, tax, split),
-        "baseline": map_report(predict_dataset(base.model, test_set, tax), gt, tax, split),
+        "atl": map_report(predict_dataset(atl.model, test_set, tax), gt, counted, split),
+        "baseline": map_report(predict_dataset(base.model, test_set, tax), gt, counted, split),
     }
 
-    novel = [o for o in external if o.object_label in split.unseen_object_ids]
-    if not novel:
+    novel = external[np.isin(external.object_label, sorted(split.unseen_object_ids))]
+    if not len(novel):
         raise ValueError(f"seed {seed}: no novel objects in the external stream")
-    novel_feats = [o.object_feat for o in novel]
-    novel_gt = {i: tax.affordances_of_object(o.object_label) for i, o in enumerate(novel)}
+    novel_feats = novel.object_feat
+    novel_gt = {i: tax.affordances_of_object(o) for i, o in enumerate(novel.object_label.tolist())}
     bank = build_bank(train_set, tax, m=settings.bank_m, seed=seed)
     affordance = {}
     for name, result in (("atl", atl), ("baseline", base)):

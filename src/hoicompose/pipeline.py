@@ -16,7 +16,6 @@ import numpy as np
 from . import nn
 from .seeding import stream_seed, substream
 from .taxonomy import Taxonomy, _reject_unknown, compose_label, decouple_verb, one_hot
-from .synth import HOIInstance
 
 _CHECKPOINT_SCHEMA = 2
 
@@ -101,7 +100,8 @@ class HOIModel:
 
 
 def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
-    """Two binary maps over the tight union box of the pair, shape (2, res, res).
+    """Two binary maps per pair over the tight union box of the pair: boxes of
+    shape (..., 4) give maps of shape (..., 2, res, res).
 
     A pixel is 1 iff its center lies inside the human (channel 0) or object
     (channel 1) box.
@@ -109,23 +109,19 @@ def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
     b_h = np.asarray(b_h, dtype=float)
     b_o = np.asarray(b_o, dtype=float)
     for name, b in (("human", b_h), ("object", b_o)):
-        if b.shape != (4,) or not (b[2] > b[0] and b[3] > b[1]):  # NaN corners fail too
-            raise ValueError(f"{name} box degenerate or malformed: {b.tolist()}")
-    ux1, uy1 = min(b_h[0], b_o[0]), min(b_h[1], b_o[1])
-    ux2, uy2 = max(b_h[2], b_o[2]), max(b_h[3], b_o[3])
-    cx = ux1 + (np.arange(resolution) + 0.5) / resolution * (ux2 - ux1)
-    cy = uy1 + (np.arange(resolution) + 0.5) / resolution * (uy2 - uy1)
-    out = np.zeros((2, resolution, resolution), dtype=np.int8)
-    for ch, b in ((0, b_h), (1, b_o)):
-        in_x = (cx >= b[0]) & (cx <= b[2])
-        in_y = (cy >= b[1]) & (cy <= b[3])
-        out[ch] = in_y[:, None] & in_x[None, :]
-    return out
-
-
-def spatial_input(inst: HOIInstance, resolution: int) -> np.ndarray:
-    pattern = make_spatial_pattern(inst.human_box, inst.object_box, resolution)
-    return np.concatenate([pattern.reshape(-1).astype(float), inst.human_feat])
+        if b.ndim == 0 or b.shape[-1] != 4:
+            raise ValueError(f"{name} box malformed: shape {b.shape}")
+        ok = (b[..., 2] > b[..., 0]) & (b[..., 3] > b[..., 1])  # NaN corners fail too
+        if not ok.all():
+            raise ValueError(f"{name} box degenerate or malformed: {b[~ok][0].tolist()}")
+    lo = np.minimum(b_h[..., :2], b_o[..., :2])
+    hi = np.maximum(b_h[..., 2:], b_o[..., 2:])
+    centers = lo[..., None] + (np.arange(resolution) + 0.5) / resolution * (hi - lo)[..., None]
+    boxes = np.stack([b_h, b_o], axis=-2)[..., None]  # (..., channel, corner, 1)
+    cx, cy = centers[..., None, 0, :], centers[..., None, 1, :]  # (..., 1, res)
+    in_x = (cx >= boxes[..., 0, :]) & (cx <= boxes[..., 2, :])  # (..., channel, res)
+    in_y = (cy >= boxes[..., 1, :]) & (cy <= boxes[..., 3, :])
+    return (in_y[..., :, None] & in_x[..., None, :]).astype(np.int8)
 
 
 def hoi_input(verb_feat, object_feat) -> np.ndarray:
@@ -133,15 +129,15 @@ def hoi_input(verb_feat, object_feat) -> np.ndarray:
 
 
 def build_matrices(instances, tax: Taxonomy, resolution: int):
-    """Stack per-instance classifier inputs/targets: (X_sp, X_hoi, Y, verb multi-hots).
+    """Classifier inputs/targets of an HOISet: (X_sp, X_hoi, Y, verb multi-hots).
     The one finiteness check on the way into train and predict_dataset."""
-    x_sp = np.stack([spatial_input(inst, resolution) for inst in instances])
-    x_hoi = np.stack([hoi_input(inst.verb_feat, inst.object_feat) for inst in instances])
+    pattern = make_spatial_pattern(instances.human_box, instances.object_box, resolution)
+    x_sp = np.concatenate([pattern.reshape(len(instances), -1), instances.human_feat], axis=1)
+    x_hoi = np.concatenate([instances.verb_feat, instances.object_feat], axis=1)
     if not (np.isfinite(x_sp).all() and np.isfinite(x_hoi).all()):
         raise ValueError("non-finite entries in instance features")
-    y = np.stack([inst.hoi_label for inst in instances]).astype(float)
-    verbs = np.stack([decouple_verb(inst.hoi_label, tax) for inst in instances]).astype(float)
-    return x_sp, x_hoi, y, verbs
+    verbs = decouple_verb(instances.hoi_label, tax)
+    return x_sp, x_hoi, instances.hoi_label.astype(float), verbs.astype(float)
 
 
 def compose_batch(verb_items, object_items, tax: Taxonomy, cap: int, rng: np.random.Generator,
@@ -244,15 +240,15 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     if use_composite and not external_objects:
         raise ValueError("composite branch enabled but no external objects given")
 
-    feat_dim = train_set[0].verb_feat.shape[0]
+    feat_dim = train_set.verb_feat.shape[1]
     x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
     if use_composite:
-        verb_feats = np.stack([inst.verb_feat for inst in train_set])
+        verb_feats = train_set.verb_feat
         verb_rows = verb_targets.astype(np.int8)
-        obj_feats = np.stack([o.object_feat for o in external_objects])
+        obj_feats = external_objects.object_feat
         if not np.isfinite(obj_feats).all():
             raise ValueError("non-finite entries in external object features")
-        obj_onehots = np.stack([one_hot(tax.n_objects, o.object_label) for o in external_objects])
+        obj_onehots = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
 
     model = init_model(tax, feat_dim, cfg)
     rng = substream(cfg.seed, "batching")
@@ -302,10 +298,18 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
 def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: float = 1e-5):
     """Finite-difference check of the full composite step loss across both
     classifiers. Returns {param_path: rel_error}.
+
+    Each evaluation is total_loss of the forward-only branch losses, the path
+    nn.grad_check takes, so no gradient is computed only to be thrown away.
     """
+    def bce(params: nn.MLPParams, x, y) -> float:
+        return nn.bce_loss(nn.mlp_forward(params, x)[1], y)
+
     def loss() -> float:
-        losses, _ = step_grads(model, batch, cfg)
-        return total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
+        has_atl = batch.atl_x is not None and len(batch.atl_x)
+        l_atl = bce(model.hoi_classifier, batch.atl_x, batch.atl_y) if has_atl else 0.0
+        return total_loss(bce(model.sp_classifier, batch.sp_x, batch.sp_y),
+                          bce(model.hoi_classifier, batch.hoi_x, batch.hoi_y), l_atl, cfg)
 
     _, analytic = step_grads(model, batch, cfg)
     errors = {}
@@ -322,28 +326,26 @@ def _check_confidences(s_h: float, s_o: float) -> None:
 
 
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0, s_o: float = 1.0):
-    """Score every instance for every category; returns (b_h, b_o, category, score) tuples."""
+    """Score every instance of an HOISet for every category; returns
+    (b_h, b_o, category, score) tuples, the C tuples of one instance sharing
+    its two box rows."""
     _check_confidences(s_h, s_o)
-    if not instances:
+    if not len(instances):
         return []
     x_sp, x_hoi, _, _ = build_matrices(instances, tax, model.spatial_resolution)
     _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
     scores = s_h * s_o * p_sp * p_hoi
     out = []
-    for i, inst in enumerate(instances):
-        for c in range(tax.n_categories):
-            out.append((inst.human_box, inst.object_box, c, float(scores[i, c])))
+    for b_h, b_o, row in zip(instances.human_box, instances.object_box, scores):
+        out += [(b_h, b_o, c, s) for c, s in enumerate(row.tolist())]
     return out
 
 
 def ground_truth_pairs(instances):
-    """(b_h, b_o, category) per set label bit, for the evaluation harness."""
-    out = []
-    for inst in instances:
-        for c in np.flatnonzero(inst.hoi_label):
-            out.append((inst.human_box, inst.object_box, int(c)))
-    return out
+    """(b_h, b_o, category) per set label bit of an HOISet, for the evaluation harness."""
+    human, obj = list(instances.human_box), list(instances.object_box)
+    return [(human[i], obj[i], int(c)) for i, c in zip(*np.nonzero(instances.hoi_label))]
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,26 +109,73 @@ class WorldSpec:
             return cls.from_json_dict(json.load(f))
 
 
-@dataclass
-class HOIInstance:
-    """One human-object pair: boxes, features, multi-hot HOI label."""
+@dataclass(eq=False)
+class _Columns:
+    """A set of records held as columns: every field is an array whose first
+    axis indexes the records, so a row selection applies to all of them."""
 
-    human_box: np.ndarray  # (4,) x1,y1,x2,y2 normalized to [0,1]
-    object_box: np.ndarray
-    object_label: int
-    hoi_label: np.ndarray  # (n_categories,) multi-hot int8
-    human_feat: np.ndarray
-    verb_feat: np.ndarray
-    object_feat: np.ndarray
+    def __len__(self) -> int:
+        return len(self.object_label)
+
+    def __getitem__(self, rows):
+        """The records at rows (a slice, an index array or a boolean mask) as a new
+        set; as in numpy, a slice's columns are views of this set's."""
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("select rows with a slice, an index array or a boolean mask")
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def put(self, i: int, record) -> None:
+        """Write one record (field name -> value, as in a .jsonl line) into row i.
+
+        A vector value must have exactly the row's length: row assignment would
+        broadcast a length-1 value across the whole row.
+        """
+        for f in fields(self):
+            column, value = getattr(self, f.name), record[f.name]
+            if column.ndim == 2 and len(value) != column.shape[1]:
+                raise ValueError(f"{f.name} has shape ({len(value)},), expected ({column.shape[1]},)")
+            try:
+                column[i] = value
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{f.name}: {e}") from None
 
 
-@dataclass
-class ObjectInstance:
-    """One standalone object from the external stream."""
+@dataclass(eq=False)
+class HOISet(_Columns):
+    """n human-object pairs, one row each: boxes, features, multi-hot HOI label."""
 
-    object_box: np.ndarray
-    object_label: int
-    object_feat: np.ndarray
+    human_box: np.ndarray  # (n, 4) x1,y1,x2,y2 normalized to [0,1]
+    object_box: np.ndarray  # (n, 4)
+    object_label: np.ndarray  # (n,) int64
+    hoi_label: np.ndarray  # (n, n_categories) multi-hot int8
+    human_feat: np.ndarray  # (n, feat_dim)
+    verb_feat: np.ndarray  # (n, feat_dim)
+    object_feat: np.ndarray  # (n, feat_dim)
+
+    kind = "hoi"
+
+    @classmethod
+    def empty(cls, n: int, n_categories: int, feat_dim: int) -> "HOISet":
+        """n zero rows, for put to fill."""
+        return cls(np.zeros((n, 4)), np.zeros((n, 4)), np.zeros(n, dtype=np.int64),
+                   np.zeros((n, n_categories), dtype=np.int8),
+                   np.zeros((n, feat_dim)), np.zeros((n, feat_dim)), np.zeros((n, feat_dim)))
+
+
+@dataclass(eq=False)
+class ObjectSet(_Columns):
+    """n standalone objects from the external stream, one row each."""
+
+    object_box: np.ndarray  # (n, 4)
+    object_label: np.ndarray  # (n,) int64
+    object_feat: np.ndarray  # (n, feat_dim)
+
+    kind = "object"
+
+    @classmethod
+    def empty(cls, n: int, feat_dim: int) -> "ObjectSet":
+        """n zero rows, for put to fill."""
+        return cls(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), np.zeros((n, feat_dim)))
 
 
 def tail_counts(n_categories: int, tail_exponent: float, head_count: int) -> np.ndarray:
@@ -152,9 +199,8 @@ def gen_world(
 ) -> tuple[Taxonomy, WorldSpec]:
     """Sample a taxonomy (valid pairs + long-tail target counts) and its latent world.
 
-    Target counts live in the world and are copied into taxonomy.train_counts;
-    gen_dataset later overwrites the taxonomy copy with the realized counts of
-    the split it draws.
+    Target counts live in the world and are copied into taxonomy.train_counts.
+    The realized counts of a drawn split are its train.hoi_label.sum(axis=0).
     """
     if c_pairs > n_verbs * n_objects:
         raise ValueError(f"c_pairs={c_pairs} exceeds {n_verbs}x{n_objects} possible pairs")
@@ -210,8 +256,9 @@ def sample_hoi_instance(
     rng: np.random.Generator,
     co_label_prob: float = 0.0,
     allowed_categories=None,
-) -> HOIInstance:
-    """Draw one HOI pair of the given category.
+) -> dict:
+    """Draw one HOI pair of the given category, as a record (field name -> value)
+    that HOISet.put writes into a row.
 
     With probability co_label_prob each other valid category sharing the same
     object is added to the label (restricted to allowed_categories when given,
@@ -242,19 +289,12 @@ def sample_hoi_instance(
     center = ((human_box[0] + human_box[2]) / 2, (human_box[1] + human_box[3]) / 2)
     object_box = _sample_box(rng, 0.1, 0.35, center=center, jitter=0.25)
 
-    return HOIInstance(
-        human_box=human_box,
-        object_box=object_box,
-        object_label=o,
-        hoi_label=label,
-        human_feat=human_feat,
-        verb_feat=verb_feat,
-        object_feat=object_feat,
-    )
+    return {"human_box": human_box, "object_box": object_box, "object_label": o, "hoi_label": label,
+            "human_feat": human_feat, "verb_feat": verb_feat, "object_feat": object_feat}
 
 
-def sample_object_instance(world: WorldSpec, object_id: int, rng: np.random.Generator) -> ObjectInstance:
-    """Draw one external-domain object: prototype + domain shift + noise."""
+def sample_object_instance(world: WorldSpec, object_id: int, rng: np.random.Generator) -> dict:
+    """Draw one external-domain object record: prototype + domain shift + noise."""
     if not 0 <= object_id < world.object_prototypes.shape[0]:
         raise ValueError(f"object id {object_id} out of range")
     feat = (
@@ -262,11 +302,7 @@ def sample_object_instance(world: WorldSpec, object_id: int, rng: np.random.Gene
         + world.object_domain_shift
         + world.noise_sigma * rng.normal(size=world.feat_dim)
     )
-    return ObjectInstance(
-        object_box=_sample_box(rng, 0.2, 0.8),
-        object_label=object_id,
-        object_feat=feat,
-    )
+    return {"object_box": _sample_box(rng, 0.2, 0.8), "object_label": object_id, "object_feat": feat}
 
 
 def gen_dataset(
@@ -279,14 +315,13 @@ def gen_dataset(
     seed: int,
     co_label_prob: float = 0.1,
 ):
-    """Draw (train, test, external) sets for one split.
+    """Draw (train, test, external) sets for one split: two HOISets and an ObjectSet.
 
     Train instances come only from seen categories, sampled proportionally to
-    the world's target counts; realized per-category counts overwrite
-    taxonomy.train_counts (the targets stay untouched, so regeneration is
-    repeatable). Test draws uniformly over all categories; external objects
-    draw uniformly over all object ids. Each instance uses its own RNG stream,
-    so generation is order-independent.
+    the world's target counts; tax is left as given, and the realized
+    per-category counts are train.hoi_label.sum(axis=0). Test draws uniformly
+    over all categories; external objects draw uniformly over all object ids.
+    Each instance uses its own RNG stream, so generation is order-independent.
     """
     if split is None:
         seen = list(range(tax.n_categories))
@@ -302,139 +337,115 @@ def gen_dataset(
     weights = world.target_counts[seen].astype(float)
     probs = weights / weights.sum() if weights.sum() > 0 else None
 
-    train = []
+    train = HOISet.empty(n_train, tax.n_categories, world.feat_dim)
     for i in range(n_train):
         rng = per_instance_rng(seed, "train", i)
         cat = seen[rng.choice(len(seen), p=probs)]
-        train.append(sample_hoi_instance(world, tax, cat, rng, co_label_prob, allowed_categories=seen_set))
+        train.put(i, sample_hoi_instance(world, tax, cat, rng, co_label_prob, allowed_categories=seen_set))
 
-    test = []
+    test = HOISet.empty(n_test, tax.n_categories, world.feat_dim)
     for j in range(n_test):
         rng = per_instance_rng(seed, "test", j)
         cat = int(rng.integers(tax.n_categories))
-        test.append(sample_hoi_instance(world, tax, cat, rng, co_label_prob))
+        test.put(j, sample_hoi_instance(world, tax, cat, rng, co_label_prob))
 
-    external = []
+    external = ObjectSet.empty(n_external_objects, world.feat_dim)
     n_objects = world.object_prototypes.shape[0]
     for k in range(n_external_objects):
         rng = per_instance_rng(seed, "external", k)
-        external.append(sample_object_instance(world, int(rng.integers(n_objects)), rng))
-
-    realized = np.zeros(tax.n_categories, dtype=np.int64)
-    for inst in train:
-        realized += inst.hoi_label
-    tax.train_counts[:] = realized
+        external.put(k, sample_object_instance(world, int(rng.integers(n_objects)), rng))
     return train, test, external
 
 
-def _hoi_record(inst: HOIInstance) -> dict:
-    return {
-        "kind": "hoi",
-        "human_box": inst.human_box.tolist(),
-        "object_box": inst.object_box.tolist(),
-        "object_label": int(inst.object_label),
-        "hoi_label": inst.hoi_label.tolist(),
-        "human_feat": inst.human_feat.tolist(),
-        "verb_feat": inst.verb_feat.tolist(),
-        "object_feat": inst.object_feat.tolist(),
-    }
-
-
-def _object_record(inst: ObjectInstance) -> dict:
-    return {
-        "kind": "object",
-        "object_box": inst.object_box.tolist(),
-        "object_label": int(inst.object_label),
-        "object_feat": inst.object_feat.tolist(),
-    }
-
-
 def save_instances(path, instances) -> None:
-    """Write instances as JSON lines; float round-trip is exact."""
+    """Write a set as JSON lines, one record per row; float round-trip is exact."""
+    names = [f.name for f in fields(instances)]
+    columns = [getattr(instances, name).tolist() for name in names]
     with open(path, "w") as f:
-        for inst in instances:
-            if isinstance(inst, HOIInstance):
-                rec = _hoi_record(inst)
-            elif isinstance(inst, ObjectInstance):
-                rec = _object_record(inst)
-            else:
-                raise TypeError(f"cannot serialize {type(inst).__name__}")
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+        for row in zip(*columns):
+            f.write(json.dumps({"kind": instances.kind, **dict(zip(names, row))}, sort_keys=True) + "\n")
 
 
-def load_instances(path) -> list:
-    out = []
+def _empty_for(record, n: int):
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind == "hoi":
+        return HOISet.empty(n, len(record["hoi_label"]), len(record["object_feat"]))
+    if kind == "object":
+        return ObjectSet.empty(n, len(record["object_feat"]))
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
+def load_instances(path):
+    """Read a .jsonl file of one record kind as an HOISet or ObjectSet.
+
+    A first pass counts the records (non-blank lines); the second fills the
+    preallocated rows one line at a time. Record 1 fixes the kind, the label
+    length and the feature length; a record that breaks them, or that cannot
+    be parsed, raises ValueError naming it (1-based). A file with no records
+    loads as an empty HOISet.
+    """
     with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+        n = sum(1 for line in f if line.strip())
+    out = HOISet.empty(0, 0, 0)
+    with open(path) as f:
+        i = 0
+        for line in f:
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            kind = rec.get("kind") if isinstance(rec, dict) else None
-            if kind == "hoi":
-                out.append(HOIInstance(
-                    human_box=np.asarray(rec["human_box"], dtype=float),
-                    object_box=np.asarray(rec["object_box"], dtype=float),
-                    object_label=int(rec["object_label"]),
-                    hoi_label=np.asarray(rec["hoi_label"], dtype=np.int8),
-                    human_feat=np.asarray(rec["human_feat"], dtype=float),
-                    verb_feat=np.asarray(rec["verb_feat"], dtype=float),
-                    object_feat=np.asarray(rec["object_feat"], dtype=float),
-                ))
-            elif kind == "object":
-                out.append(ObjectInstance(
-                    object_box=np.asarray(rec["object_box"], dtype=float),
-                    object_label=int(rec["object_label"]),
-                    object_feat=np.asarray(rec["object_feat"], dtype=float),
-                ))
-            else:
-                raise ValueError(f"line {line_no}: unknown record kind {kind!r}")
+            try:
+                rec = json.loads(line)
+                if i == 0:
+                    out = _empty_for(rec, n)
+                elif not isinstance(rec, dict) or rec.get("kind") != out.kind:
+                    raise ValueError(f"expected kind {out.kind!r}")
+                out.put(i, rec)
+            except KeyError as e:
+                raise ValueError(f"record {i + 1}: missing field {e}") from None
+            except (ValueError, TypeError, OverflowError) as e:
+                raise ValueError(f"record {i + 1}: {e}") from None
+            i += 1
     return out
 
 
-def _stacked(instances, name: str, shape: tuple) -> np.ndarray:
-    rows = [getattr(inst, name) for inst in instances]
-    for i, row in enumerate(rows):
-        if row.shape != shape:
-            raise ValueError(f"record {i + 1}: {name} has shape {row.shape}, expected {shape}")
-    return np.stack(rows)
-
-
 def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None = None) -> int | None:
-    """Check loaded records of one kind ("hoi" or "object") over stacked arrays: boxes
+    """Check a loaded set of one kind ("hoi" or "object") column by column: boxes
     finite, non-degenerate, in [0, 1]; object label in range; features finite, of
-    length feat_dim (default: the first record's); hoi_label a multi-hot of length C
-    setting at least one category, all of its object. Raises ValueError naming the
-    first record (1-based) of the wrong kind or shape, else the first failing a
-    value check. Returns feat_dim, so one length can be carried across files."""
-    hoi = kind == "hoi"
-    record_type = HOIInstance if hoi else ObjectInstance
-    for i, inst in enumerate(instances):
-        if not isinstance(inst, record_type):
-            raise ValueError(f"record {i + 1}: expected kind {kind!r}")
-    if not instances:
+    length feat_dim (default: record 1's); hoi_label a multi-hot of length C
+    setting at least one category, all of its object. Raises ValueError naming
+    record 1 when the set is of the other kind or its rows have the wrong length
+    (the loader makes every row agree with record 1), else the first record
+    (1-based) failing a value check. Returns feat_dim, so one length can be
+    carried across files."""
+    if not len(instances):
         return feat_dim
+    if instances.kind != kind:
+        raise ValueError(f"record 1: expected kind {kind!r}")
     if feat_dim is None:
-        feat_dim = instances[0].object_feat.size
+        feat_dim = instances.object_feat.shape[1]
+    row_shapes = {"human_box": (4,), "object_box": (4,), "object_label": (), "hoi_label": (tax.n_categories,)}
+    for f in fields(instances):
+        got, want = getattr(instances, f.name).shape[1:], row_shapes.get(f.name, (feat_dim,))
+        if got != want:
+            raise ValueError(f"record 1: {f.name} has shape {got}, expected {want}")
 
+    hoi = kind == "hoi"
     checks = []  # (bad-record mask, failure), in record field order
     for name in ("human_box", "object_box") if hoi else ("object_box",):
-        b = _stacked(instances, name, (4,))
+        b = getattr(instances, name)
         checks += [(~np.isfinite(b).all(axis=1), f"{name} is not finite"),
                    (~((b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])), f"{name} is degenerate"),
                    (((b < 0.0) | (b > 1.0)).any(axis=1), f"{name} lies outside [0, 1]")]
-    labels = np.array([inst.object_label for inst in instances])
+    labels = instances.object_label
     checks.append(((labels < 0) | (labels >= tax.n_objects), f"object_label outside [0, {tax.n_objects})"))
     if hoi:
-        y = _stacked(instances, "hoi_label", (tax.n_categories,))
+        y = instances.hoi_label
         category_object = np.array([o for _, o in tax.hoi_pairs])
         checks += [(((y != 0) & (y != 1)).any(axis=1), "hoi_label is not multi-hot"),
                    (~y.any(axis=1), "hoi_label sets no category"),
                    (((y != 0) & (category_object != labels[:, None])).any(axis=1),
                     "hoi_label sets a category of another object")]
     for name in ("human_feat", "verb_feat", "object_feat") if hoi else ("object_feat",):
-        feats = _stacked(instances, name, (feat_dim,))
-        checks.append((~np.isfinite(feats).all(axis=1), f"{name} is not finite"))
+        checks.append((~np.isfinite(getattr(instances, name)).all(axis=1), f"{name} is not finite"))
 
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():

@@ -53,11 +53,7 @@ def build_cooccurrence(hoi_pairs, n_verbs: int, n_objects: int):
 
 @dataclass
 class Taxonomy:
-    """The HOI label space. Immutable after construction; share freely.
-
-    train_counts is the one field written once more after construction: dataset
-    generation records realized per-category training counts into it in place.
-    """
+    """The HOI label space. Immutable after construction; share freely."""
 
     verb_names: list[str]
     object_names: list[str]

@@ -215,27 +215,29 @@ def test_criterion_7_structural_invariants(tmp_path):
     all_cats = set(range(tax.n_categories))
     check(split.unseen_hoi_ids | split.seen_hoi_ids == all_cats, "split does not cover all categories")
     check(not split.unseen_hoi_ids & split.seen_hoi_ids, "split groups overlap")
-    leaked = any(set(np.flatnonzero(inst.hoi_label)) & split.unseen_hoi_ids
-                 for inst in train_set)
+    leaked = any(set(np.flatnonzero(y)) & split.unseen_hoi_ids
+                 for y in train_set.hoi_label)
     check(not leaked, "train set leaks unseen categories")
     test_cats = set()
-    for inst in test_set:
-        test_cats |= set(np.flatnonzero(inst.hoi_label).tolist())
+    for y in test_set.hoi_label:
+        test_cats |= set(np.flatnonzero(y).tolist())
     check(bool(test_cats & split.unseen_hoi_ids), "test set never exercises unseen categories")
 
     # every instance label decomposes and recomposes consistently
-    for inst in train_set + test_set:
-        vl = decouple_verb(inst.hoi_label, tax)
-        ol = decouple_object(inst.hoi_label, tax)
+    for y in np.concatenate([train_set.hoi_label, test_set.hoi_label]):
+        vl = decouple_verb(y, tax)
+        ol = decouple_object(y, tax)
         check(ol.sum() == 1, "instance label spans several objects")
         recomposed = compose_label(ol, vl, tax)
-        check(bool(((inst.hoi_label == 1) <= (recomposed == 1)).all()),
+        check(bool(((y == 1) <= (recomposed == 1)).all()),
               "label not contained in its recomposition")
 
     # composite batches: capped, never all-zero, built from the given features
     rng = np.random.default_rng(7)
-    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:8]]
-    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:4]]
+    verb_items = [(f, decouple_verb(y, tax))
+                  for f, y in zip(train_set.verb_feat[:8], train_set.hoi_label[:8])]
+    object_items = [(f, one_hot(tax.n_objects, o))
+                    for f, o in zip(external.object_feat[:4], external.object_label[:4])]
     known_halves = ({tuple(f) for f, _ in verb_items}, {tuple(f) for f, _ in object_items})
     for cap in (1, 3, 10, 10**6):
         out = compose_batch(verb_items, object_items, tax, cap, rng)
@@ -249,8 +251,8 @@ def test_criterion_7_structural_invariants(tmp_path):
     # affordance scores: 0 <= hits <= stored <= m; kept only above threshold
     model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4))
     bank = build_bank(train_set, tax, m=7, seed=0)
-    for obj in external[:12]:
-        r = recognize(obj.object_feat, bank, model, tax)
+    for feat in external.object_feat[:12]:
+        r = recognize(feat, bank, model, tax)
         for v, s in r.stored.items():
             check(0 <= r.hits[v] <= s <= 7, "hit count outside [0, stored]")
             if s:

@@ -56,13 +56,15 @@ def bank_of(entries, m=10, feat_dim=1):
 def test_bank_stores_all_when_under_cap():
     tax, world, train_set, _ = small_world()
     bank = build_bank(train_set, tax, m=10**6, seed=0)
-    # every verb's stored count equals its pool size
+    # every verb stores its whole pool, in instance order
     from hoicompose.taxonomy import decouple_verb
-    pool_sizes = {v: 0 for v in range(tax.n_verbs)}
-    for inst in train_set:
-        for v in np.flatnonzero(decouple_verb(inst.hoi_label, tax)):
-            pool_sizes[int(v)] += 1
-    assert bank.s_counts() == pool_sizes
+    pools = {v: [] for v in range(tax.n_verbs)}
+    for label, feat in zip(train_set.hoi_label, train_set.verb_feat):
+        for v in np.flatnonzero(decouple_verb(label, tax)):
+            pools[int(v)].append(feat)
+    assert bank.s_counts() == {v: len(pool) for v, pool in pools.items()}
+    for v, pool in pools.items():
+        np.testing.assert_array_equal(bank.entries[v], np.reshape(pool, (-1, world.feat_dim)))
 
 
 def test_bank_cap_binds():
@@ -71,7 +73,7 @@ def test_bank_cap_binds():
     assert all(s <= 3 for s in bank.s_counts().values())
     assert max(bank.s_counts().values()) == 3
     # entries come from real training features
-    flat = {tuple(f) for inst in train_set for f in [inst.verb_feat]}
+    flat = {tuple(f) for f in train_set.verb_feat}
     for arr in bank.entries.values():
         for row in arr:
             assert tuple(row) in flat
@@ -88,9 +90,9 @@ def test_bank_determinism_and_seed_sensitivity():
 
 
 def test_bank_empty_train_warns():
-    tax, _, _, _ = small_world()
+    tax, _, train_set, _ = small_world()
     with pytest.warns(UserWarning, match="empty train set"):
-        bank = build_bank([], tax, m=5, seed=0)
+        bank = build_bank(train_set[:0], tax, m=5, seed=0)
     assert bank.total_entries == 0
 
 
@@ -189,7 +191,7 @@ def test_recognize_entry_order_irrelevant():
         entries={v: arr[::-1].copy() for v, arr in bank.entries.items()},
         m=bank.m, feat_dim=bank.feat_dim, source_seed=bank.source_seed,
     )
-    feat = external[0].object_feat
+    feat = external.object_feat[0]
     a = recognize(feat, bank, model, tax)
     b = recognize(feat, shuffled, model, tax)
     assert a.scores == b.scores and a.kept == b.kept
@@ -200,7 +202,7 @@ def test_recognize_threshold_monotonicity():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=2)
     model = init_model(tax, world.feat_dim, cfg)
     bank = build_bank(train_set, tax, m=8, seed=0)
-    feat = external[0].object_feat
+    feat = external.object_feat[0]
     prev_hits = None
     for t in (0.0, 0.3, 0.5, 0.7, 1.0):
         r = recognize(feat, bank, model, tax, hoi_threshold=t)
@@ -239,7 +241,7 @@ def test_recognize_objects_keys_and_consistency():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=3)
     model = init_model(tax, world.feat_dim, cfg)
     bank = build_bank(train_set, tax, m=5, seed=0)
-    feats = [o.object_feat for o in external[:4]]
+    feats = external.object_feat[:4]
     predicted, scores = recognize_objects(feats, bank, model, tax)
     assert set(predicted) == set(scores) == {0, 1, 2, 3}
     single = recognize(feats[2], bank, model, tax)

@@ -12,7 +12,6 @@ from hoicompose.evaluation import (
     affordance_prf1,
     average_precision,
     iou,
-    load_predictions,
     make_split,
     map_report,
     match_detections,
@@ -298,12 +297,13 @@ def test_predictions_roundtrip(tmp_path):
     preds = [(UNIT, RIGHT_HALF, 2, 0.75), (FAR, FAR2, 0, 0.25)]
     path = tmp_path / "preds.jsonl"
     save_predictions(path, preds)
-    back = load_predictions(path)
+    import json
+    back = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(back) == 2
-    for (h, o, c, s), (h2, o2, c2, s2) in zip(preds, back):
-        np.testing.assert_array_equal(np.asarray(h, dtype=float), h2)
-        np.testing.assert_array_equal(np.asarray(o, dtype=float), o2)
-        assert (c, s) == (c2, s2)
+    for (h, o, c, s), rec in zip(preds, back):
+        np.testing.assert_array_equal(np.asarray(h, dtype=float), rec["human_box"])
+        np.testing.assert_array_equal(np.asarray(o, dtype=float), rec["object_box"])
+        assert (c, s) == (rec["category"], rec["score"])
 
 
 # --- affordance metrics ---

@@ -1,0 +1,37 @@
+"""Every import in src/ and tests/ is used (pyflakes is not a dependency, so
+this walks each module's syntax tree with the standard library)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# __init__.py files import to re-export
+MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; from __future__ imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nimport sys\nfrom json import dumps, loads\nsys.exit(loads('0'))\n") == \
+        ["line 1: os", "line 3: dumps"]
+    assert unused_imports("from __future__ import annotations\nimport a.b as c\nc.d()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -12,7 +12,6 @@ from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import compose_label, decouple_verb, one_hot
 from hoicompose.pipeline import (
-    HOIModel,
     StepBatch,
     TrainConfig,
     TrainingDiverged,
@@ -40,7 +39,80 @@ def tiny_setup(seed=0, n_train=60, n_external=20):
     return tax, world, train_set, test_set, external
 
 
+def composite_items(train_set, external, tax):
+    """compose_batch's verb and object items, one per row of the two sets."""
+    verb_items = [(f, decouple_verb(y, tax)) for f, y in zip(train_set.verb_feat, train_set.hoi_label)]
+    object_items = [(f, one_hot(tax.n_objects, o))
+                    for f, o in zip(external.object_feat, external.object_label)]
+    return verb_items, object_items
+
+
 # --- spatial pattern ---
+
+def spatial_pattern_oracle(b_h, b_o, resolution):
+    """One pair's (2, res, res) maps, pixel by pixel row: the per-pair form
+    make_spatial_pattern had before it broadcast over pairs."""
+    b_h = np.asarray(b_h, dtype=float)
+    b_o = np.asarray(b_o, dtype=float)
+    for name, b in (("human", b_h), ("object", b_o)):
+        if b.shape != (4,) or not (b[2] > b[0] and b[3] > b[1]):
+            raise ValueError(f"{name} box degenerate or malformed: {b.tolist()}")
+    ux1, uy1 = min(b_h[0], b_o[0]), min(b_h[1], b_o[1])
+    ux2, uy2 = max(b_h[2], b_o[2]), max(b_h[3], b_o[3])
+    cx = ux1 + (np.arange(resolution) + 0.5) / resolution * (ux2 - ux1)
+    cy = uy1 + (np.arange(resolution) + 0.5) / resolution * (uy2 - uy1)
+    out = np.zeros((2, resolution, resolution), dtype=np.int8)
+    for ch, b in ((0, b_h), (1, b_o)):
+        in_x = (cx >= b[0]) & (cx <= b[2])
+        in_y = (cy >= b[1]) & (cy <= b[3])
+        out[ch] = in_y[:, None] & in_x[None, :]
+    return out
+
+
+@st.composite
+def box_pairs(draw):
+    """(human boxes (n, 4), object boxes (n, 4), resolution). On each axis of
+    each pair the union frame is [a, b]: one box owns each end, and every
+    other edge is a frame end, a pixel centre of the frame or a free point.
+    So edges fall exactly on pixel centres, boxes share edges, and a box that
+    owns both ends nests the other."""
+    res = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 4))
+    human, obj = np.zeros((n, 4)), np.zeros((n, 4))
+    for i in range(n):
+        for lo, hi in ((0, 2), (1, 3)):
+            a = draw(st.floats(0.0, 0.45))
+            b = draw(st.floats(0.55, 1.0))
+            centres = a + (np.arange(res) + 0.5) / res * (b - a)
+            pool = sorted({a, b, *centres.tolist(), draw(st.floats(a, b))})
+            human_owns_lo, human_owns_hi = draw(st.booleans()), draw(st.booleans())
+            for box, owns_lo, owns_hi in ((human, human_owns_lo, human_owns_hi),
+                                          (obj, not human_owns_lo, not human_owns_hi)):
+                box[i, lo] = a if owns_lo else draw(st.sampled_from([v for v in pool if v < b]))
+                box[i, hi] = b if owns_hi else draw(st.sampled_from([v for v in pool if v > box[i, lo]]))
+    return human, obj, res
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_pairs())
+def test_spatial_pattern_matches_per_pair_oracle(case):
+    human, obj, res = case
+    want = np.stack([spatial_pattern_oracle(h, o, res) for h, o in zip(human, obj)])
+    np.testing.assert_array_equal(make_spatial_pattern(human, obj, res), want)
+    np.testing.assert_array_equal(make_spatial_pattern(human[0], obj[0], res), want[0])
+
+
+@pytest.mark.parametrize("channel", [0, 1])
+@pytest.mark.parametrize("bad", [[0.3, 0.1, 0.3, 0.5], [0.1, 0.4, 0.5, 0.4], [0.5, 0.1, 0.2, 0.5],
+                                 [0.1, np.nan, 0.5, 0.5]])
+def test_spatial_pattern_rejects_a_bad_pair_in_a_batch(channel, bad):
+    boxes = [np.tile([0.1, 0.1, 0.5, 0.5], (3, 1)), np.tile([0.2, 0.3, 0.9, 0.6], (3, 1))]
+    boxes[channel][1] = bad
+    with pytest.raises(ValueError, match="degenerate"):
+        spatial_pattern_oracle(boxes[0][1], boxes[1][1], 8)
+    with pytest.raises(ValueError, match="degenerate"):
+        make_spatial_pattern(boxes[0], boxes[1], 8)
+
 
 def test_spatial_pattern_full_frame_all_ones():
     b = np.array([0.2, 0.2, 0.8, 0.8])
@@ -85,8 +157,7 @@ def test_spatial_pattern_rejects_degenerate():
 
 def test_compose_batch_labels_match_oracle():
     tax, world, train_set, _, external = tiny_setup()
-    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:5]]
-    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:3]]
+    verb_items, object_items = composite_items(train_set[:5], external[:3], tax)
     out = compose_batch(verb_items, object_items, tax, cap=10**9, rng=np.random.default_rng(0))
     # every returned label nonzero and equal to recomputing the composition
     expected = []
@@ -202,8 +273,7 @@ def test_step_losses_total_is_the_training_expression():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
-    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:8]]
-    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:3]]
+    verb_items, object_items = composite_items(train_set[:8], external[:3], tax)
     comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(6))
     batch = StepBatch(
         sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
@@ -278,7 +348,7 @@ def test_composite_examples_reach_unseen_categories():
     split = make_split(tax, "novel-object", rng=substream(0, "split"))
     train_set, _, external = gen_dataset(world, tax, split, 60, 20, 20, seed=0)
     unseen = sorted(split.unseen_hoi_ids)
-    assert not any(inst.hoi_label[unseen].any() for inst in train_set)
+    assert not train_set.hoi_label[:, unseen].any()
     cfg = TrainConfig(iterations=30, hidden=8, spatial_resolution=4, seed=1)
     per_category = train(train_set, external, tax, cfg).counters["composite_per_category"]
     assert sum(per_category[c] for c in unseen) > 0
@@ -351,23 +421,41 @@ def test_build_matrices_rejects_nonfinite_input(field):
     # the entry check of train and predict_dataset; the forward pass no longer checks
     tax, world, train_set, test_set, external = tiny_setup()
     model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4))
-    bad = replace(test_set[2], **{field: getattr(test_set[2], field).copy()})
-    getattr(bad, field)[1] = np.nan
+    bad = test_set[[0, 2]]
+    getattr(bad, field)[1, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite|degenerate"):
-        build_matrices([test_set[0], bad], tax, 4)
+        build_matrices(bad, tax, 4)
     with pytest.raises(ValueError, match="non-finite|degenerate"):
-        predict_dataset(model, [test_set[0], bad], tax)
+        predict_dataset(model, bad, tax)
     with pytest.raises(ValueError, match="non-finite|degenerate"):
-        train([train_set[0], bad], external, tax, TrainConfig(iterations=1, hidden=8, spatial_resolution=4))
+        train(bad, external, tax, TrainConfig(iterations=1, hidden=8, spatial_resolution=4))
+
+
+def test_build_matrices_matches_per_instance_oracle(monkeypatch):
+    # one spatial-pattern call and one decouple_verb call per set, equal to the
+    # per-instance rows stacked
+    tax, world, train_set, _, _ = tiny_setup()
+    rows = [(np.concatenate([spatial_pattern_oracle(h, o, 4).reshape(-1).astype(float), f]),
+             hoi_input(v, of), y.astype(float), decouple_verb(y, tax).astype(float))
+            for h, o, f, v, of, y in zip(train_set.human_box, train_set.object_box, train_set.human_feat,
+                                         train_set.verb_feat, train_set.object_feat, train_set.hoi_label)]
+    calls = []
+    for name in ("make_spatial_pattern", "decouple_verb"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    got = build_matrices(train_set, tax, 4)
+    assert calls == ["make_spatial_pattern", "decouple_verb"]
+    for column, want in zip(got, zip(*rows)):
+        np.testing.assert_array_equal(column, np.stack(want))
 
 
 def test_train_rejects_nonfinite_external_feature():
     tax, world, train_set, _, external = tiny_setup()
-    bad = replace(external[5], object_feat=external[5].object_feat.copy())
-    bad.object_feat[0] = np.nan
+    bad = external[np.arange(6)]
+    bad.object_feat[5, 0] = np.nan
     cfg = TrainConfig(iterations=1, hidden=8, spatial_resolution=4)
     with pytest.raises(ValueError, match="non-finite entries in external object features"):
-        train(train_set, external[:5] + [bad], tax, cfg)
+        train(train_set, bad, tax, cfg)
 
 
 def test_weight_sharing_real_and_composite_branch():
@@ -375,7 +463,7 @@ def test_weight_sharing_real_and_composite_branch():
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(iterations=25, hidden=8, spatial_resolution=4, seed=4)
     model = train(train_set, external, tax, cfg).model
-    x = np.concatenate([train_set[0].verb_feat, external[0].object_feat])
+    x = np.concatenate([train_set.verb_feat[0], external.object_feat[0]])
     _, real_branch = nn.mlp_forward(model.hoi_classifier, x)
     _, composite_branch = nn.mlp_forward(model.hoi_classifier, x)
     np.testing.assert_array_equal(real_branch, composite_branch)
@@ -389,8 +477,7 @@ def test_step_grad_check_miniature():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=5)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    verb_items = [(inst.verb_feat, decouple_verb(inst.hoi_label, tax)) for inst in train_set[:4]]
-    object_items = [(o.object_feat, one_hot(tax.n_objects, o.object_label)) for o in external[:2]]
+    verb_items, object_items = composite_items(train_set[:4], external[:2], tax)
     comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(5))
     batch = StepBatch(
         sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
@@ -408,7 +495,7 @@ def test_step_grad_check_miniature():
 
 def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h, s_o, model, tax):
     """Reference scorer for one pair: s_h * s_o * p_hoi * p_sp per category."""
-    pattern = make_spatial_pattern(b_h, b_o, model.spatial_resolution)
+    pattern = spatial_pattern_oracle(b_h, b_o, model.spatial_resolution)
     sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
     _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, hoi_input(verb_feat, object_feat))
@@ -439,10 +526,14 @@ def test_predict_dataset_matches_predict_pair():
     model = init_model(tax, world.feat_dim, cfg)
     preds = predict_dataset(model, test_set[:3], tax)
     assert len(preds) == 3 * tax.n_categories
-    inst = test_set[1]
-    single = predict_pair(inst.human_feat, inst.verb_feat, inst.object_feat,
-                          inst.human_box, inst.object_box, 1.0, 1.0, model, tax)
-    rows = [p for p in preds if p[0] is inst.human_box]
+    single = predict_pair(test_set.human_feat[1], test_set.verb_feat[1], test_set.object_feat[1],
+                          test_set.human_box[1], test_set.object_box[1], 1.0, 1.0, model, tax)
+    rows = preds[tax.n_categories:2 * tax.n_categories]
+    # the C tuples of one instance share one view of each of its boxes
+    assert all(p[0] is rows[0][0] and p[1] is rows[0][1] for p in rows)
+    np.testing.assert_array_equal(rows[0][0], test_set.human_box[1])
+    np.testing.assert_array_equal(rows[0][1], test_set.object_box[1])
+    assert [p[2] for p in rows] == list(range(tax.n_categories))
     for b_h, b_o, c, score in rows:
         assert score == pytest.approx(single[c], abs=1e-12)
     for s_h, s_o in ((-1.0, 1.0), (1.0, 5.0)):
@@ -452,10 +543,10 @@ def test_predict_dataset_matches_predict_pair():
 
 def test_ground_truth_pairs_expands_multi_hot():
     tax, world, train_set, _, _ = tiny_setup()
-    inst = train_set[0]
-    inst.hoi_label[:] = 0
-    inst.hoi_label[[2, 5]] = 1
-    gt = ground_truth_pairs([inst])
+    one = train_set[:1]
+    one.hoi_label[:] = 0
+    one.hoi_label[0, [2, 5]] = 1
+    gt = ground_truth_pairs(one)
     assert [g[2] for g in gt] == [2, 5]
 
 

@@ -1,11 +1,15 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
 from hoicompose.seeding import per_instance_rng, substream
 from hoicompose.evaluation import make_split
 from hoicompose.synth import (
-    HOIInstance,
-    ObjectInstance,
+    HOISet,
+    ObjectSet,
     WorldSpec,
     gen_dataset,
     gen_world,
@@ -90,9 +94,19 @@ def test_sample_hoi_noiseless_features_equal_prototypes():
     cat = 7
     v, o = tax.hoi_pairs[cat]
     inst = sample_hoi_instance(world, tax, cat, rng)
-    np.testing.assert_array_equal(inst.verb_feat, world.verb_prototypes[v])
-    np.testing.assert_array_equal(inst.object_feat, world.object_prototypes[o])
-    np.testing.assert_array_equal(inst.human_feat, world.verb_prototypes[v])
+    np.testing.assert_array_equal(inst["verb_feat"], world.verb_prototypes[v])
+    np.testing.assert_array_equal(inst["object_feat"], world.object_prototypes[o])
+    np.testing.assert_array_equal(inst["human_feat"], world.verb_prototypes[v])
+
+
+def one_row(record, tax, feat_dim):
+    """A one-row set holding record (an HOI record when it has a label)."""
+    if "hoi_label" in record:
+        out = HOISet.empty(1, tax.n_categories, feat_dim)
+    else:
+        out = ObjectSet.empty(1, feat_dim)
+    out.put(0, record)
+    return out
 
 
 def test_sample_hoi_label_consistency():
@@ -100,19 +114,19 @@ def test_sample_hoi_label_consistency():
     rng = np.random.default_rng(1)
     for cat in range(0, tax.n_categories, 7):
         inst = sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.5)
-        assert inst.hoi_label[cat] == 1
-        want = one_hot(tax.n_objects, inst.object_label)
-        np.testing.assert_array_equal(decouple_object(inst.hoi_label, tax), want)
-        assert validate_instances([inst], "hoi", tax) == world.feat_dim
+        assert inst["hoi_label"][cat] == 1
+        want = one_hot(tax.n_objects, inst["object_label"])
+        np.testing.assert_array_equal(decouple_object(inst["hoi_label"], tax), want)
+        assert validate_instances(one_row(inst, tax, world.feat_dim), "hoi", tax) == world.feat_dim
 
 
 def test_sample_hoi_instance_invariants_bulk():
     tax, world = gen_world(seed=9)
-    instances = []
+    instances = HOISet.empty(500, tax.n_categories, world.feat_dim)
     for i in range(500):
         rng = per_instance_rng(9, "bulk", i)
         cat = int(rng.integers(tax.n_categories))
-        instances.append(sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2))
+        instances.put(i, sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2))
     assert validate_instances(instances, "hoi", tax, world.feat_dim) == world.feat_dim
 
 
@@ -126,8 +140,8 @@ def test_nearest_prototype_recovers_object_label():
         rng = per_instance_rng(11, "nn-check", i)
         cat = int(rng.integers(tax.n_categories))
         inst = sample_hoi_instance(world, tax, cat, rng)
-        d = np.linalg.norm(world.object_prototypes - inst.object_feat, axis=1)
-        hits += int(np.argmin(d)) == inst.object_label
+        d = np.linalg.norm(world.object_prototypes - inst["object_feat"], axis=1)
+        hits += int(np.argmin(d)) == inst["object_label"]
     assert hits / n >= 0.99
 
 
@@ -135,8 +149,9 @@ def test_external_object_domain_shift():
     tax, world = gen_world(seed=12, noise_sigma=0.0)
     rng = np.random.default_rng(0)
     inst = sample_object_instance(world, 3, rng)
-    np.testing.assert_allclose(inst.object_feat, world.object_prototypes[3] + world.object_domain_shift)
-    assert validate_instances([inst], "object", tax, world.feat_dim) == world.feat_dim
+    np.testing.assert_allclose(inst["object_feat"], world.object_prototypes[3] + world.object_domain_shift)
+    one = one_row(inst, tax, world.feat_dim)
+    assert validate_instances(one, "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError):
         sample_object_instance(world, tax.n_objects, rng)
 
@@ -152,7 +167,7 @@ def test_large_shift_hurts_nearest_prototype():
             rng = per_instance_rng(13, "shift", i)
             o = int(rng.integers(tax.n_objects))
             inst = sample_object_instance(w, o, rng)
-            d = np.linalg.norm(w.object_prototypes - inst.object_feat, axis=1)
+            d = np.linalg.norm(w.object_prototypes - inst["object_feat"], axis=1)
             hits += int(np.argmin(d)) == o
         return hits / 400
 
@@ -165,29 +180,33 @@ def test_gen_dataset_novel_object_leakage_free():
     train, test, external = gen_dataset(world, tax, split, 300, 150, 150, seed=21)
     unseen = split.unseen_hoi_ids
     unseen_objects = split.unseen_object_ids
-    for inst in train:
-        assert inst.object_label not in unseen_objects
-        assert not (set(np.flatnonzero(inst.hoi_label)) & unseen)
+    for label, y in zip(train.object_label, train.hoi_label):
+        assert label not in unseen_objects
+        assert not (set(np.flatnonzero(y)) & unseen)
     # novel objects do reach the external stream and the test set
-    assert any(o.object_label in unseen_objects for o in external)
-    assert any(inst.object_label in unseen_objects for inst in test)
+    assert any(o in unseen_objects for o in external.object_label)
+    assert any(o in unseen_objects for o in test.object_label)
 
 
-def test_gen_dataset_records_realized_counts():
+def test_gen_dataset_leaves_taxonomy_unchanged():
+    # the taxonomy keeps its target counts; the realized ones are a column sum
     tax, world = gen_world(seed=22)
+    before = tax.to_json_dict()
     train, _, _ = gen_dataset(world, tax, None, 250, 50, 50, seed=22)
+    assert tax.to_json_dict() == before
+    np.testing.assert_array_equal(tax.train_counts, world.target_counts)
     realized = np.zeros(tax.n_categories, dtype=np.int64)
-    for inst in train:
-        realized += inst.hoi_label
-    np.testing.assert_array_equal(tax.train_counts, realized)
+    for y in train.hoi_label:
+        realized += y
+    np.testing.assert_array_equal(train.hoi_label.sum(axis=0), realized)
 
 
 def test_gen_dataset_empty_train_ok():
     tax, world = gen_world(seed=23)
     train, test, external = gen_dataset(world, tax, None, 0, 40, 20, seed=23)
-    assert train == []
+    assert len(train) == 0 and train.hoi_label.shape == (0, tax.n_categories)
     assert len(test) == 40 and len(external) == 20
-    assert (tax.train_counts == 0).all()
+    assert (train.hoi_label.sum(axis=0) == 0).all()
 
 
 def test_gen_dataset_rejects_empty_seen():
@@ -204,33 +223,37 @@ def test_gen_dataset_deterministic():
     a, _, _ = gen_dataset(world1, tax1, None, 50, 10, 10, seed=25)
     tax2, world2 = gen_world(seed=25)
     b, _, _ = gen_dataset(world2, tax2, None, 50, 10, 10, seed=25)
-    # repeat on the same objects: the realized-count overwrite must not feed
-    # back into the sampling weights
+    # repeat on the same objects: a second draw from one taxonomy and world
+    # repeats the first
     c, _, _ = gen_dataset(world1, tax1, None, 50, 10, 10, seed=25)
-    for x, y, z in zip(a, b, c):
-        np.testing.assert_array_equal(x.hoi_label, y.hoi_label)
-        np.testing.assert_array_equal(x.verb_feat, y.verb_feat)
-        np.testing.assert_array_equal(x.human_box, y.human_box)
-        np.testing.assert_array_equal(x.hoi_label, z.hoi_label)
-        np.testing.assert_array_equal(x.verb_feat, z.verb_feat)
+    np.testing.assert_array_equal(a.hoi_label, b.hoi_label)
+    np.testing.assert_array_equal(a.verb_feat, b.verb_feat)
+    np.testing.assert_array_equal(a.human_box, b.human_box)
+    np.testing.assert_array_equal(a.hoi_label, c.hoi_label)
+    np.testing.assert_array_equal(a.verb_feat, c.verb_feat)
 
 
 def test_jsonl_roundtrip_lossless(tmp_path):
     tax, world = gen_world(seed=26)
     train, _, external = gen_dataset(world, tax, None, 20, 5, 8, seed=26)
-    path = tmp_path / "mixed.jsonl"
-    save_instances(path, train + external)
-    back = load_instances(path)
-    assert len(back) == 28
-    for orig, loaded in zip(train, back[:20]):
-        assert isinstance(loaded, HOIInstance)
-        np.testing.assert_array_equal(orig.human_box, loaded.human_box)
-        np.testing.assert_array_equal(orig.verb_feat, loaded.verb_feat)
-        np.testing.assert_array_equal(orig.hoi_label, loaded.hoi_label)
-    for orig, loaded in zip(external, back[20:]):
-        assert isinstance(loaded, ObjectInstance)
-        np.testing.assert_array_equal(orig.object_feat, loaded.object_feat)
-        assert orig.object_label == loaded.object_label
+    for name, orig in (("hoi.jsonl", train), ("object.jsonl", external)):
+        save_instances(tmp_path / name, orig)
+        back = load_instances(tmp_path / name)
+        assert type(back) is type(orig) and len(back) == len(orig)
+        for f in dataclasses.fields(orig):
+            got, want = getattr(back, f.name), getattr(orig, f.name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_save_of_load_is_byte_identical(tmp_path):
+    tax, world = gen_world(seed=26)
+    split = make_split(tax, "novel-object", rng=substream(26, "split"))
+    parts = gen_dataset(world, tax, split, 30, 20, 25, seed=26)
+    for name, part in zip(("train.jsonl", "test.jsonl", "external.jsonl"), parts):
+        save_instances(tmp_path / name, part)
+        save_instances(tmp_path / ("again-" + name), load_instances(tmp_path / name))
+        assert (tmp_path / ("again-" + name)).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_load_rejects_unknown_kind(tmp_path):
@@ -240,22 +263,51 @@ def test_load_rejects_unknown_kind(tmp_path):
         load_instances(path)
 
 
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def saved_records(tmp_path, part):
+    save_instances(tmp_path / "part.jsonl", part)
+    return [json.loads(line) for line in (tmp_path / "part.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("part,field,value,want", [
+    (0, "human_box", [0.5], "human_box has shape (1,), expected (4,)"),
+    (0, "object_box", [0.1, 0.2, 0.3, 0.4, 0.5], "object_box has shape (5,), expected (4,)"),
+    (0, "hoi_label", [1], "hoi_label has shape (1,), expected ("),
+    (0, "verb_feat", [0.0], "verb_feat has shape (1,), expected ("),
+    (2, "object_box", [0.5], "object_box has shape (1,), expected (4,)"),
+    (2, "object_feat", [], "object_feat has shape (0,), expected ("),
+    (0, "object_label", [3], "object_label: "),
+    (0, "human_feat", None, "missing field 'human_feat'"),
+])
+def test_load_rejects_a_short_row_by_record_number(tmp_path, part, field, value, want):
+    # row assignment would broadcast a length-1 value across the row
+    tax, world = gen_world(seed=29)
+    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    if value is None:
+        del records[2][field]
+    else:
+        records[2][field] = value
+    with pytest.raises(ValueError, match=f"^record 3: {re.escape(want)}"):
+        load_instances(write_records(tmp_path / "bad.jsonl", records))
+
+
 def _set(name, value):
-    return lambda inst, tax: setattr(inst, name, value)
+    return lambda rec, tax: rec.__setitem__(name, value)
 
 
 def _poke(name, index, value):
-    def edit(inst, tax):
-        arr = getattr(inst, name).copy()
-        arr[index] = value
-        setattr(inst, name, arr)
+    def edit(rec, tax):
+        rec[name][index] = value
     return edit
 
 
-def _other_object_category(inst, tax):
-    other = next(c for c, (_, o) in enumerate(tax.hoi_pairs) if o != inst.object_label)
-    inst.hoi_label = inst.hoi_label.copy()
-    inst.hoi_label[other] = 1
+def _other_object_category(rec, tax):
+    other = next(c for c, (_, o) in enumerate(tax.hoi_pairs) if o != rec["object_label"])
+    rec["hoi_label"][other] = 1
 
 
 @pytest.mark.parametrize("edit,want", [
@@ -263,40 +315,61 @@ def _other_object_category(inst, tax):
     (_poke("object_box", 2, 1.5), "object_box lies outside"),
     (_poke("human_box", 1, np.nan), "human_box is not finite; human_box is degenerate"),
     (_set("object_label", 99), "object_label outside"),
-    (_set("hoi_label", np.zeros(3, dtype=np.int8)), "hoi_label has shape"),
-    (lambda inst, tax: setattr(inst, "hoi_label", 0 * inst.hoi_label), "hoi_label sets no category"),
-    (lambda inst, tax: setattr(inst, "hoi_label", 2 * inst.hoi_label), "hoi_label is not multi-hot"),
+    (_set("hoi_label", [0, 0, 0]), "hoi_label has shape"),
+    (lambda rec, tax: rec.update(hoi_label=[0 for _ in rec["hoi_label"]]), "hoi_label sets no category"),
+    (lambda rec, tax: rec.update(hoi_label=[2 * b for b in rec["hoi_label"]]), "hoi_label is not multi-hot"),
     (_other_object_category, "hoi_label sets a category of another object"),
     (_poke("verb_feat", 0, np.inf), "verb_feat is not finite"),
     (_poke("human_feat", 0, np.nan), "human_feat is not finite"),
-    (_set("object_feat", np.zeros(3)), "object_feat has shape"),
-    (lambda inst, tax: ObjectInstance(inst.object_box, inst.object_label, inst.object_feat),
+    (_set("object_feat", [0.0, 0.0, 0.0]), "object_feat has shape"),
+    (lambda rec, tax: {"kind": "object", "object_box": rec["object_box"], "object_label": rec["object_label"],
+                       "object_feat": rec["object_feat"]},
      "expected kind 'hoi'"),
 ])
-def test_validate_instances_names_first_bad_record(edit, want):
+def test_validate_instances_names_first_bad_record(tmp_path, edit, want):
+    # the records go through a file: a wrong-length or wrong-kind record is
+    # rejected by the loader, a bad value by validate_instances
     tax, world = gen_world(seed=27)
     records, _, _ = gen_dataset(world, tax, None, 6, 0, 0, seed=27)
     assert validate_instances(records, "hoi", tax) == world.feat_dim
     # record 4 (1-based) gets a later bad value; record 3 is the first bad one
-    records[3] = HOIInstance(**{**records[3].__dict__, "verb_feat": np.full(world.feat_dim, np.nan)})
-    records[2] = HOIInstance(**records[2].__dict__)
-    replaced = edit(records[2], tax)
+    lines = saved_records(tmp_path, records)
+    lines[3]["verb_feat"] = [np.nan] * world.feat_dim
+    replaced = edit(lines[2], tax)
     if replaced is not None:
-        records[2] = replaced
+        lines[2] = replaced
+    path = write_records(tmp_path / "bad.jsonl", lines)
     with pytest.raises(ValueError, match=f"^record 3: {want}"):
-        validate_instances(records, "hoi", tax)
+        validate_instances(load_instances(path), "hoi", tax)
 
 
-def test_validate_instances_object_records_and_shared_feat_dim():
+def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
     tax, world = gen_world(seed=28)
     train, _, external = gen_dataset(world, tax, None, 3, 0, 4, seed=28)
-    assert validate_instances([], "object", tax) is None
-    assert validate_instances([], "object", tax, 5) == 5
+    assert validate_instances(ObjectSet.empty(0, world.feat_dim), "object", tax) is None
+    assert validate_instances(ObjectSet.empty(0, world.feat_dim), "object", tax, 5) == 5
     assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError, match="record 1: object_feat has shape"):
         validate_instances(external, "object", tax, world.feat_dim + 1)
+    mixed = saved_records(tmp_path, external[:1]) + saved_records(tmp_path, train[:1])
     with pytest.raises(ValueError, match="record 2: expected kind 'object'"):
-        validate_instances([external[0], train[0]], "object", tax)
-    external[3].object_box = np.array([0.2, 0.2, 0.1, 0.9])
+        load_instances(write_records(tmp_path / "mixed.jsonl", mixed))
+    with pytest.raises(ValueError, match="record 1: expected kind 'object'"):
+        validate_instances(train, "object", tax)
+    external.object_box[3] = [0.2, 0.2, 0.1, 0.9]
     with pytest.raises(ValueError, match="record 4: object_box is degenerate"):
         validate_instances(external, "object", tax)
+
+
+def test_row_selection_and_put():
+    tax, world = gen_world(seed=30)
+    train, _, external = gen_dataset(world, tax, None, 6, 0, 4, seed=30)
+    picked = train[np.array([4, 1])]
+    assert len(picked) == 2 and isinstance(picked, HOISet)
+    np.testing.assert_array_equal(picked.verb_feat, train.verb_feat[[4, 1]])
+    assert len(external[external.object_label == external.object_label[0]]) >= 1
+    with pytest.raises(TypeError, match="slice"):
+        train[0]
+    with pytest.raises(ValueError, match="human_box has shape"):
+        train.put(0, {**{f.name: getattr(train, f.name)[1] for f in dataclasses.fields(train)},
+                      "human_box": [0.5]})
