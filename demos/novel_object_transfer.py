@@ -8,7 +8,7 @@ model ever sees a held-out object during training.
 """
 from hoicompose import TrainConfig, gen_dataset, gen_world, train
 from hoicompose.evaluation import make_split, map_report
-from hoicompose.pipeline import baseline_config, ground_truth_pairs, predict_dataset
+from hoicompose.pipeline import baseline_config, predict_dataset
 from hoicompose.seeding import substream
 
 seed = 0
@@ -27,12 +27,11 @@ print(f"  composite examples consumed: {atl.counters['composite_examples']}")
 print("training the ablation (no composite branch) ...")
 base = train(train_set, [], tax, baseline_config(cfg))
 
-gt = ground_truth_pairs(test_set)
 print(f"\n{'group':>8} {'transfer-on':>12} {'transfer-off':>13}")
 reports = {}
 for name, result in (("on", atl), ("off", base)):
     preds = predict_dataset(result.model, test_set, tax)
-    reports[name] = map_report(preds, gt, tax, split)
+    reports[name] = map_report(preds, test_set, tax, split)
 for group in ("unseen", "seen", "full"):
     on = reports["on"].groups[group]["map"]
     off = reports["off"].groups[group]["map"]

@@ -11,7 +11,7 @@ import numpy as np
 
 from hoicompose import TrainConfig, gen_dataset, gen_world, train
 from hoicompose.evaluation import map_report
-from hoicompose.pipeline import ground_truth_pairs, predict_dataset
+from hoicompose.pipeline import predict_dataset
 
 # keep it quick: a reduced world, still long-tailed
 tax, world = gen_world(n_verbs=8, n_objects=10, c_pairs=30, feat_dim=12, seed=0)
@@ -33,7 +33,7 @@ for row in result.trace:
 
 # evaluate with perfect detector confidences (s_h = s_o = 1)
 preds = predict_dataset(result.model, test_set, tax)
-report = map_report(preds, ground_truth_pairs(test_set), replace(tax, train_counts=realized))
+report = map_report(preds, test_set, replace(tax, train_counts=realized))
 print("\ndetection mAP:")
 for name in ("full", "rare", "nonrare"):
     g = report.groups[name]

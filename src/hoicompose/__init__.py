@@ -6,7 +6,7 @@ zero-shot detection and object-affordance recognition against exact synthetic
 ground truth.
 """
 from .affordance import AffordanceBank, AffordanceScores, build_bank, recognize, recognize_objects
-from .evaluation import (EvalReport, PRF1, SplitSpec, affordance_map, affordance_prf1,
+from .evaluation import (Detections, EvalReport, PRF1, SplitSpec, affordance_map, affordance_prf1,
                          average_precision, iou, make_split, map_report, match_detections)
 from .nn import GradReport, MLPParams, bce_loss, grad_check, init_params, mlp_backward, mlp_forward, sgd_step
 from .pipeline import (HOIModel, TrainConfig, TrainingDiverged, TrainResult, baseline_config,

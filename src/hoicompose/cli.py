@@ -26,8 +26,8 @@ from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_p
                          write_report_json)
 from .experiments import TrendSettings, reproduce_trends, save_trend_report
 from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, baseline_config, build_matrices,
-                       _check_confidences, compose_batch, ground_truth_pairs, init_model, load_checkpoint,
-                       predict_dataset, save_checkpoint, step_grad_check, train, write_trace_csv)
+                       _check_confidences, compose_batch, init_model, load_checkpoint, predict_dataset,
+                       save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
 from .synth import (DESK_N_TEST, DESK_N_TRAIN, gen_dataset, gen_world, load_instances,
                     save_instances, validate_instances)
@@ -269,8 +269,7 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
     preds = predict_dataset(model, data["test"], tax, s_h=s_h, s_o=s_o)
-    gt = ground_truth_pairs(data["test"])
-    report = map_report(preds, gt, tax, split if with_split else None,
+    report = map_report(preds, data["test"], tax, split if with_split else None,
                         rare_threshold=int(cfg.get("rare_threshold", RARE_THRESHOLD)))
     write_report_json(report, out / "report.json")
     write_report_csv(report, tax, out / "report.csv")

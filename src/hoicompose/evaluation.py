@@ -1,9 +1,10 @@
 """Measurement: IoU-matched HOI detection mAP, zero-shot splits, affordance metrics.
 
-Detections are (human_box, object_box, category, score); ground truth drops the
-score. Matching is greedy in score order against a shared ground-truth pool, a
-true positive needs both IoUs >= 0.5 and the exact category, and AP is the
-non-interpolated sum of precisions at true-positive ranks over n_positives.
+Detections are a grid, every (human_box, object_box) row scored for every
+category; ground truth is an HOISet's boxes and multi-hot labels. Matching is
+greedy in score order against a shared ground-truth pool, a true positive needs
+both IoUs >= 0.5 and the exact category, and AP is the non-interpolated sum of
+precisions at true-positive ranks over n_positives.
 """
 from __future__ import annotations
 
@@ -37,19 +38,52 @@ def iou(box_a, box_b) -> float:
     return float(inter / union)
 
 
-def _iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b)). Same arithmetic as iou()."""
-    a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes a[..., :4] and b[..., :4], broadcast against each other: a[:, None]
+    and b[None] give the pairwise matrix, equal-length a and b the row-by-row pairs.
+    Same arithmetic as iou(), so every pair reads the same bits either way."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+# Prediction rows per human-IoU block: 64 x n_gt float temporaries stay a few MB.
+_CHUNK_ROWS = 64
+
+
+def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
+    """(prediction, GT) index arrays of every pair whose human and object IoUs both
+    reach iou_threshold, in (prediction, GT) order. The human IoU is taken over blocks
+    of prediction rows, the object IoU only on the pairs the human boxes let through."""
+    pred_h, pred_o, gt_h, gt_o = (np.asarray(b, dtype=float).reshape(-1, 4)
+                                  for b in (pred_h, pred_o, gt_h, gt_o))
+    preds, gts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(pred_h), _CHUNK_ROWS):
+        block = _pair_iou(pred_h[start:start + _CHUNK_ROWS, None], gt_h[None])
+        rows, cols = np.nonzero(block >= iou_threshold)
+        rows += start
+        ok = _pair_iou(pred_o[rows], gt_o[cols]) >= iou_threshold
+        preds.append(rows[ok])
+        gts.append(cols[ok])
+    return np.concatenate(preds), np.concatenate(gts)
+
+
+def _greedy_match(pred, gt) -> list[int]:
+    """The greedy matcher. pred, gt: the candidate pairs of one category, ordered by
+    (prediction rank, GT index). Each prediction takes its first GT not yet consumed.
+    Returns the ranks of the matched predictions, ascending."""
+    matched, consumed = [], set()
+    for p, g in zip(pred.tolist(), gt.tolist()):
+        if g not in consumed and (not matched or matched[-1] != p):
+            consumed.add(g)
+            matched.append(p)
+    return matched
 
 
 def match_detections(predictions, ground_truth, iou_threshold: float = IOU_THRESHOLD) -> list[bool]:
@@ -63,34 +97,42 @@ def match_detections(predictions, ground_truth, iou_threshold: float = IOU_THRES
     scores = [p[3] for p in predictions]
     if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
         raise ValueError("predictions must be sorted by score descending")
-    if not predictions:
-        return []
     flags = [False] * len(predictions)
-    if ground_truth:
-        iou_h = _iou_matrix([p[0] for p in predictions], [g[0] for g in ground_truth])
-        iou_o = _iou_matrix([p[1] for p in predictions], [g[1] for g in ground_truth])
-        ok = (iou_h >= iou_threshold) & (iou_o >= iou_threshold)
-        consumed = [False] * len(ground_truth)
-        for i, (_, _, category, _) in enumerate(predictions):
-            for j, g in enumerate(ground_truth):
-                if not consumed[j] and g[2] == category and ok[i, j]:
-                    consumed[j] = True
-                    flags[i] = True
-                    break
+    if predictions and ground_truth:
+        pred, gt = _candidate_pairs([p[0] for p in predictions], [p[1] for p in predictions],
+                                    [g[0] for g in ground_truth], [g[1] for g in ground_truth],
+                                    iou_threshold)
+        same = (np.array([p[2] for p in predictions])[pred]
+                == np.array([g[2] for g in ground_truth])[gt])
+        for rank in _greedy_match(pred[same], gt[same]):
+            flags[rank] = True
     return flags
+
+
+def _ap_at_ranks(tp_ranks, n_positives: int) -> float:
+    """Sum of precision at each true positive, given its 0-based rank (ascending),
+    accumulated in rank order and divided by n_positives."""
+    total = 0.0
+    for tp_cum, rank in enumerate(tp_ranks, start=1):
+        total += tp_cum / (rank + 1)
+    return total / n_positives
 
 
 def average_precision(tp_flags, n_positives: int) -> float:
     """Sum of precision at each TP rank, divided by n_positives."""
     if n_positives < 1:
         raise ValueError("average_precision needs at least one positive")
-    tp_cum = 0
-    total = 0.0
-    for rank, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp_cum += 1
-            total += tp_cum / rank
-    return total / n_positives
+    return _ap_at_ranks([rank for rank, flag in enumerate(tp_flags) if flag], n_positives)
+
+
+@dataclass(eq=False)
+class Detections:
+    """Scored detections as one grid: row i is one (human box, object box) pair,
+    and scores[i, c] its score for category c."""
+
+    human_box: np.ndarray  # (n, 4)
+    object_box: np.ndarray  # (n, 4)
+    scores: np.ndarray  # (n, n_categories)
 
 
 @dataclass
@@ -332,42 +374,52 @@ def _group_mean(per_cat: dict[int, float], ids) -> dict:
 
 
 def map_report(
-    predictions,
-    ground_truth,
+    detections: Detections,
+    truth,
     tax: Taxonomy,
     split: SplitSpec | None = None,
     rare_threshold: int = RARE_THRESHOLD,
     iou_threshold: float = IOU_THRESHOLD,
 ) -> EvalReport:
-    """Full detection report over one pooled test set.
+    """Full detection report of a Detections grid against one pooled test set.
 
-    Categories absent from the ground truth get AP = NaN and are excluded from
-    every group mean. Rare = realized train count < rare_threshold.
+    truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
+    two boxes with that category. The IoU test runs once per (detection row, GT
+    row); per category, the detections rank by score descending (ties in row
+    order) and match greedily against the candidate pairs whose GT row carries
+    the category, as match_detections does. Categories absent from the ground
+    truth get AP = NaN and are excluded from every group mean. Rare = realized
+    train count < rare_threshold.
     """
-    by_cat_preds: dict[int, list] = {c: [] for c in range(tax.n_categories)}
-    for p in predictions:
-        c = p[2]
-        if not 0 <= c < tax.n_categories:
-            raise ValueError(f"prediction category {c} out of range")
-        by_cat_preds[c].append(p)
-    by_cat_gt: dict[int, list] = {c: [] for c in range(tax.n_categories)}
-    for g in ground_truth:
-        c = g[2]
-        if not 0 <= c < tax.n_categories:
-            raise ValueError(f"ground-truth category {c} out of range")
-        by_cat_gt[c].append(g)
+    n, m, n_cat = len(detections.scores), len(truth.hoi_label), tax.n_categories
+    # an empty set loaded from an empty file has no label width
+    labels = truth.hoi_label if m else np.zeros((0, n_cat), dtype=np.int8)
+    for name, column, want in (("detection human_box", detections.human_box, (n, 4)),
+                               ("detection object_box", detections.object_box, (n, 4)),
+                               ("detection scores", detections.scores, (n, n_cat)),
+                               ("ground-truth human_box", truth.human_box, (m, 4)),
+                               ("ground-truth object_box", truth.object_box, (m, 4)),
+                               ("ground-truth hoi_label", labels, (m, n_cat))):
+        if np.shape(column) != want:
+            raise ValueError(f"{name} has shape {np.shape(column)}, expected {want}")
+    pred, gt = _candidate_pairs(detections.human_box, detections.object_box,
+                                truth.human_box, truth.object_box, iou_threshold)
+    labels = np.asarray(labels) != 0
+    candidate_labels = labels[gt]
+    scores = np.asarray(detections.scores, dtype=float)
+    rank = np.empty(n, dtype=np.intp)
 
     per_cat = {}
-    n_gt = {}
-    for c in range(tax.n_categories):
-        gt_c = by_cat_gt[c]
-        n_gt[c] = len(gt_c)
-        if not gt_c:
+    n_gt = dict(enumerate(labels.sum(axis=0).tolist()))
+    for c in range(n_cat):
+        if not n_gt[c]:
             per_cat[c] = float("nan")
             continue
-        preds_c = sorted(by_cat_preds[c], key=lambda p: -p[3])
-        flags = match_detections(preds_c, gt_c, iou_threshold)
-        per_cat[c] = average_precision(flags, len(gt_c))
+        rank[np.argsort(-scores[:, c], kind="stable")] = np.arange(n)
+        keep = candidate_labels[:, c]
+        r, g = rank[pred[keep]], gt[keep]
+        order = np.lexsort((g, r))
+        per_cat[c] = _ap_at_ranks(_greedy_match(r[order], g[order]), n_gt[c])
 
     all_ids = range(tax.n_categories)
     rare = [c for c in all_ids if tax.train_counts[c] < rare_threshold]
@@ -411,15 +463,14 @@ def write_report_csv(report: EvalReport, tax: Taxonomy, path) -> None:
             w.writerow([name, "" if math.isnan(g["map"]) else f"{g['map']:.6f}", g["n_categories"]])
 
 
-def save_predictions(path, predictions) -> None:
-    """JSON-lines prediction file: boxes, integer category, score."""
+def save_predictions(path, detections: Detections) -> None:
+    """JSON-lines prediction file, one line per (row, category), row-major:
+    boxes, integer category, score."""
     with open(path, "w") as f:
-        for human_box, object_box, category, score in predictions:
-            rec = {
-                "human_box": np.asarray(human_box, dtype=float).tolist(),
-                "object_box": np.asarray(object_box, dtype=float).tolist(),
-                "category": int(category),
-                "score": float(score),
-            }
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-
+        for human_box, object_box, row in zip(detections.human_box, detections.object_box,
+                                              np.asarray(detections.scores).tolist()):
+            boxes = {"human_box": np.asarray(human_box, dtype=float).tolist(),
+                     "object_box": np.asarray(object_box, dtype=float).tolist()}
+            for category, score in enumerate(row):
+                rec = {**boxes, "category": category, "score": float(score)}
+                f.write(json.dumps(rec, sort_keys=True) + "\n")

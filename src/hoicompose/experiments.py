@@ -15,7 +15,7 @@ import numpy as np
 
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
 from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report
-from .pipeline import TrainConfig, TrainResult, baseline_config, ground_truth_pairs, predict_dataset, train
+from .pipeline import TrainConfig, TrainResult, baseline_config, predict_dataset, train
 from .seeding import substream
 from .synth import HOISet, ObjectSet, gen_dataset, gen_world
 from .taxonomy import Taxonomy
@@ -76,12 +76,11 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
     atl = train(train_set, external, tax, cfg)
     base = train(train_set, [], tax, baseline_config(cfg))
 
-    gt = ground_truth_pairs(test_set)
     # Rare/non-rare groups count the training labels actually drawn.
     counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
     detection = {
-        "atl": map_report(predict_dataset(atl.model, test_set, tax), gt, counted, split),
-        "baseline": map_report(predict_dataset(base.model, test_set, tax), gt, counted, split),
+        "atl": map_report(predict_dataset(atl.model, test_set, tax), test_set, counted, split),
+        "baseline": map_report(predict_dataset(base.model, test_set, tax), test_set, counted, split),
     }
 
     novel = external[np.isin(external.object_label, sorted(split.unseen_object_ids))]

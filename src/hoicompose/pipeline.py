@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import nn
+from .evaluation import Detections
 from .seeding import stream_seed, substream
 from .taxonomy import Taxonomy, _reject_unknown, compose_label, decouple_verb, one_hot
 
@@ -279,9 +280,10 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
                           atl_x=atl_x, atl_y=atl_y)
         losses, (g_sp, g_hoi) = step_grads(model, batch, cfg)
         total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
-        # the step's one divergence check, before either classifier is updated
-        if not (np.isfinite(total) and all(np.isfinite(arr).all()
-                                           for g in (g_sp, g_hoi) for _, arr in g.items())):
+        # the step's one divergence check, before either classifier is updated: one
+        # isfinite over the loss and every gradient entry, with no sum that could overflow
+        entries = [np.ravel(total)] + [arr.ravel() for g in (g_sp, g_hoi) for _, arr in g.items()]
+        if not np.isfinite(np.concatenate(entries)).all():
             raise TrainingDiverged(step, total)
         losses["L_total"] = total
 
@@ -325,27 +327,17 @@ def _check_confidences(s_h: float, s_o: float) -> None:
         raise ValueError("detection confidences must lie in [0, 1]")
 
 
-def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0, s_o: float = 1.0):
-    """Score every instance of an HOISet for every category; returns
-    (b_h, b_o, category, score) tuples, the C tuples of one instance sharing
-    its two box rows."""
+def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
+                    s_o: float = 1.0) -> Detections:
+    """Score every instance of an HOISet for every category: a Detections grid
+    whose box columns are the set's own."""
     _check_confidences(s_h, s_o)
     if not len(instances):
-        return []
+        return Detections(instances.human_box, instances.object_box, np.zeros((0, tax.n_categories)))
     x_sp, x_hoi, _, _ = build_matrices(instances, tax, model.spatial_resolution)
     _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
-    scores = s_h * s_o * p_sp * p_hoi
-    out = []
-    for b_h, b_o, row in zip(instances.human_box, instances.object_box, scores):
-        out += [(b_h, b_o, c, s) for c, s in enumerate(row.tolist())]
-    return out
-
-
-def ground_truth_pairs(instances):
-    """(b_h, b_o, category) per set label bit of an HOISet, for the evaluation harness."""
-    human, obj = list(instances.human_box), list(instances.object_box)
-    return [(human[i], obj[i], int(c)) for i, c in zip(*np.nonzero(instances.hoi_label))]
+    return Detections(instances.human_box, instances.object_box, s_h * s_o * p_sp * p_hoi)
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:

@@ -128,12 +128,17 @@ class _Columns:
         """Write one record (field name -> value, as in a .jsonl line) into row i.
 
         A vector value must have exactly the row's length: row assignment would
-        broadcast a length-1 value across the whole row.
+        broadcast a length-1 value across the whole row. An integer column takes
+        only integral values: assignment would truncate 13.5 to 13.
         """
         for f in fields(self):
             column, value = getattr(self, f.name), record[f.name]
             if column.ndim == 2 and len(value) != column.shape[1]:
                 raise ValueError(f"{f.name} has shape ({len(value)},), expected ({column.shape[1]},)")
+            if column.dtype.kind == "i":
+                given = np.asarray(value)
+                if given.dtype.kind == "f" and not (given % 1 == 0).all():
+                    raise ValueError(f"{f.name} is not integral")
             try:
                 column[i] = value
             except (TypeError, ValueError, OverflowError) as e:

@@ -1,0 +1,39 @@
+"""tools/bench_record.py: the pair bookkeeping behind a committed BENCH_<label>.json."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+@pytest.fixture(scope="module")
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_run(side, seed, run_s, trace=0):
+    return {"side": side, "workload": "w", "seed": seed, "trace": trace,
+            "result": {"metrics": {"run_s": {"value": run_s, "unit": "s"}}}}
+
+
+def test_summary_pairs_runs_by_seed_and_counts_wins(bench_record):
+    # the change wins seeds 0, 1 and 3, ties seed 2 (no win) and loses seed 4;
+    # runs arrive in alternating order and a traced run is left out
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 1.5, 3.0, 3.5, 6.0]
+    runs = [fake_run("change", 9, 99.0, trace=1)]
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        pair = [fake_run("parent", seed, p), fake_run("change", seed, c)]
+        runs += pair if seed % 2 == 0 else pair[::-1]
+    metric = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+    s = bench_record.summarize(runs, [metric])["w"]["run_s"]
+    assert (s["pairs"], s["change_wins"], s["bound"]) == (5, 3, 0.25)
+    assert s["parent"]["values"] == parent and s["change"]["values"] == change
+    assert (s["parent"]["q1"], s["parent"]["median"], s["parent"]["q3"]) == (1.5, 3.0, 4.5)
+    assert s["median_change"] == pytest.approx(3.0 / 3.0 - 1.0)
+    higher = {**metric, "better": "higher"}
+    assert bench_record.summarize(runs, [higher])["w"]["run_s"]["change_wins"] == 1

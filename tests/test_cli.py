@@ -320,6 +320,10 @@ TEST_RECORD_FAULTS = {
     "degenerate-human-box": (lambda r: r["human_box"].__setitem__(2, r["human_box"][0]),
                              "human_box is degenerate"),
     "short-hoi-label": (lambda r: r.update(hoi_label=r["hoi_label"][:-1]), "hoi_label has shape"),
+    "fractional-object-label": (lambda r: r.update(object_label=r["object_label"] + 0.5),
+                                "object_label is not integral"),
+    "fractional-hoi-bit": (lambda r: r["hoi_label"].__setitem__(r["hoi_label"].index(1), 1.9),
+                           "hoi_label is not integral"),
 }
 
 

@@ -1,11 +1,18 @@
 import itertools
+import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hoicompose import evaluation
 from hoicompose.taxonomy import Taxonomy
 from hoicompose.evaluation import (
+    Detections,
     EvalReport,
     SplitSpec,
     affordance_map,
@@ -19,6 +26,8 @@ from hoicompose.evaluation import (
     write_report_csv,
     write_report_json,
 )
+from hoicompose.pipeline import TrainConfig, init_model, predict_dataset
+from hoicompose.synth import HOISet, gen_dataset, gen_world, load_instances
 
 UNIT = np.array([0.0, 0.0, 1.0, 1.0])
 RIGHT_HALF = np.array([0.5, 0.0, 1.0, 1.0])
@@ -219,24 +228,35 @@ def test_split_json_roundtrip(tmp_path):
 
 # --- detection report ---
 
-def perfect_preds_and_gt(tax):
-    gt = []
-    preds = []
+def truth_set(human_box, object_box, hoi_label):
+    """An HOISet carrying only what map_report reads: boxes and multi-hot labels."""
+    labels = np.asarray(hoi_label, dtype=np.int8)
+    n = len(labels)
+    feats = np.zeros((n, 1))
+    return HOISet(np.asarray(human_box, dtype=float).reshape(n, 4),
+                  np.asarray(object_box, dtype=float).reshape(n, 4),
+                  np.zeros(n, dtype=np.int64), labels, feats, feats, feats)
+
+
+def perfect_grid(tax):
+    """Two GT rows per category, each detected at its own boxes with a score in
+    [0.5, 1) for its category and 0 for every other."""
     rng = np.random.default_rng(3)
+    boxes, labels, scores = [], [], []
     for c in range(tax.n_categories):
         for _ in range(2):
             x, y = rng.uniform(0, 0.5, 2)
-            h = np.array([x, y, x + 0.3, y + 0.3])
-            o = np.array([x + 0.1, y, x + 0.4, y + 0.3])
-            gt.append((h, o, c))
-            preds.append((h, o, c, float(rng.uniform(0.5, 1.0))))
-    return preds, gt
+            boxes.append(([x, y, x + 0.3, y + 0.3], [x + 0.1, y, x + 0.4, y + 0.3]))
+            labels.append(np.eye(tax.n_categories, dtype=np.int8)[c])
+            scores.append(labels[-1] * rng.uniform(0.5, 1.0))
+    human, obj = (np.array([b[k] for b in boxes]) for k in (0, 1))
+    return Detections(human, obj, np.array(scores)), truth_set(human, obj, labels)
 
 
 def test_map_report_perfect_predictions():
     tax = four_cat_tax()
-    preds, gt = perfect_preds_and_gt(tax)
-    report = map_report(preds, gt, tax)
+    detections, truth = perfect_grid(tax)
+    report = map_report(detections, truth, tax)
     assert all(ap == 1.0 for ap in report.per_category_ap.values())
     assert report.groups["full"]["map"] == 1.0
     assert report.groups["rare"]["n_categories"] == 3  # counts 1, 5, 9 < 10
@@ -247,45 +267,63 @@ def test_map_report_full_is_category_mean_not_group_mean():
     # Per-category APs 1.0, 1.0, 0.0 with one NaN: full mAP must be 2/3,
     # not the mean of the rare/nonrare group means.
     tax = four_cat_tax()
-    gt = [(UNIT, RIGHT_HALF, 0), (UNIT, RIGHT_HALF, 1), (UNIT, RIGHT_HALF, 2)]
-    preds = [
-        (UNIT, RIGHT_HALF, 0, 0.9),
-        (UNIT, RIGHT_HALF, 1, 0.9),
-        (FAR, FAR2, 2, 0.9),  # miss
-    ]
-    report = map_report(preds, gt, tax)
+    truth = truth_set([UNIT, UNIT, FAR], [RIGHT_HALF, RIGHT_HALF, FAR],
+                      [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    detections = Detections(np.array([UNIT, FAR2]), np.array([RIGHT_HALF, FAR2]),
+                            np.array([[0.9, 0.9, 0.0, 0.0],
+                                      [0.0, 0.0, 0.9, 0.0]]))  # row 1 misses category 2's GT
+    report = map_report(detections, truth, tax)
     assert math.isnan(report.per_category_ap[3])
+    assert report.per_category_ap[2] == 0.0
     assert report.groups["full"]["map"] == pytest.approx(2 / 3)
     assert report.groups["full"]["n_categories"] == 3
 
 
 def test_map_report_unseen_seen_groups_with_split():
     tax = four_cat_tax()
-    preds, gt = perfect_preds_and_gt(tax)
+    detections, truth = perfect_grid(tax)
     split = make_split(tax, "novel-object", unseen_object_ids=[1])
-    report = map_report(preds, gt, tax, split=split)
+    report = map_report(detections, truth, tax, split=split)
     assert report.groups["unseen"]["map"] == 1.0
     assert sorted(report.groups["unseen"]["category_ids"]) == [1, 3]
     assert sorted(report.groups["seen"]["category_ids"]) == [0, 2]
 
 
 def test_map_report_rejects_out_of_range_category():
+    # a grid or label column wider or narrower than the taxonomy's categories
+    # (where a tuple named a category out of range) is a shape mismatch
     tax = four_cat_tax()
-    with pytest.raises(ValueError):
-        map_report([(UNIT, UNIT, 99, 0.5)], [], tax)
-    with pytest.raises(ValueError):
-        map_report([], [(UNIT, UNIT, 99)], tax)
+    detections, truth = perfect_grid(tax)
+    wide = Detections(detections.human_box, detections.object_box, np.zeros((len(truth), 99)))
+    with pytest.raises(ValueError, match=r"detection scores has shape \(8, 99\), expected \(8, 4\)"):
+        map_report(wide, truth, tax)
+    with pytest.raises(ValueError, match=r"ground-truth hoi_label has shape \(8, 3\)"):
+        map_report(detections, replace(truth, hoi_label=truth.hoi_label[:, :3]), tax)
+    with pytest.raises(ValueError, match=r"detection object_box has shape \(7, 4\), expected \(8, 4\)"):
+        map_report(Detections(detections.human_box, detections.object_box[1:], detections.scores), truth, tax)
+    with pytest.raises(ValueError, match=r"ground-truth human_box has shape \(8, 3\)"):
+        map_report(detections, replace(truth, human_box=truth.human_box[:, :3]), tax)
+
+
+def test_map_report_of_an_empty_test_set(tmp_path):
+    # an empty .jsonl loads with no label width: every category has no GT
+    tax = four_cat_tax()
+    path = tmp_path / "test.jsonl"
+    path.write_text("")
+    empty = load_instances(path)
+    report = map_report(Detections(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4))), empty, tax)
+    assert all(math.isnan(ap) for ap in report.per_category_ap.values())
+    assert report.n_gt_per_category == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert math.isnan(report.groups["full"]["map"])
 
 
 def test_report_writers(tmp_path):
     tax = four_cat_tax()
-    preds, gt = perfect_preds_and_gt(tax)
-    report = map_report(preds, gt, tax)
+    report = map_report(*perfect_grid(tax), tax)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
     write_report_json(report, jpath)
     write_report_csv(report, tax, cpath)
-    import json
     loaded = json.loads(jpath.read_text())
     assert loaded["groups"]["full"]["map"] == 1.0
     lines = cpath.read_text().splitlines()
@@ -294,16 +332,188 @@ def test_report_writers(tmp_path):
 
 
 def test_predictions_roundtrip(tmp_path):
-    preds = [(UNIT, RIGHT_HALF, 2, 0.75), (FAR, FAR2, 0, 0.25)]
+    detections = Detections(np.array([UNIT, FAR]), np.array([RIGHT_HALF, FAR2]),
+                            np.array([[0.75, 0.5, 0.0], [0.25, 1.0, 0.125]]))
     path = tmp_path / "preds.jsonl"
-    save_predictions(path, preds)
-    import json
+    save_predictions(path, detections)
     back = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(back) == 2
-    for (h, o, c, s), rec in zip(preds, back):
-        np.testing.assert_array_equal(np.asarray(h, dtype=float), rec["human_box"])
-        np.testing.assert_array_equal(np.asarray(o, dtype=float), rec["object_box"])
-        assert (c, s) == (rec["category"], rec["score"])
+    assert len(back) == 6
+    # row-major: every category of row 0, then of row 1
+    for k, rec in enumerate(back):
+        i, c = divmod(k, 3)
+        assert rec["human_box"] == detections.human_box[i].tolist()
+        assert rec["object_box"] == detections.object_box[i].tolist()
+        assert (c, detections.scores[i, c]) == (rec["category"], rec["score"])
+
+
+# --- the tuple path, kept as the oracle of map_report and save_predictions ---
+
+def ground_truth_pairs(instances):
+    """(b_h, b_o, category) per set label bit of an HOISet."""
+    human, obj = list(instances.human_box), list(instances.object_box)
+    return [(human[i], obj[i], int(c)) for i, c in zip(*np.nonzero(instances.hoi_label))]
+
+
+def detection_tuples(detections):
+    """(b_h, b_o, category, score) per grid cell, row-major."""
+    return [(b_h, b_o, c, s) for b_h, b_o, row in zip(detections.human_box, detections.object_box,
+                                                     detections.scores)
+            for c, s in enumerate(row.tolist())]
+
+
+def iou_matrix_oracle(boxes_a, boxes_b):
+    a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+def match_detections_oracle(predictions, ground_truth, iou_threshold=0.5):
+    """Dense IoU matrices, then every GT walked for every prediction in score order."""
+    flags = [False] * len(predictions)
+    if predictions and ground_truth:
+        iou_h = iou_matrix_oracle([p[0] for p in predictions], [g[0] for g in ground_truth])
+        iou_o = iou_matrix_oracle([p[1] for p in predictions], [g[1] for g in ground_truth])
+        ok = (iou_h >= iou_threshold) & (iou_o >= iou_threshold)
+        consumed = [False] * len(ground_truth)
+        for i, (_, _, category, _) in enumerate(predictions):
+            for j, g in enumerate(ground_truth):
+                if not consumed[j] and g[2] == category and ok[i, j]:
+                    consumed[j] = True
+                    flags[i] = True
+                    break
+    return flags
+
+
+def average_precision_oracle(tp_flags, n_positives):
+    tp_cum = 0
+    total = 0.0
+    for rank, flag in enumerate(tp_flags, start=1):
+        if flag:
+            tp_cum += 1
+            total += tp_cum / rank
+    return total / n_positives
+
+
+def map_report_oracle(predictions, ground_truth, n_categories):
+    """Per-category APs (NaN without GT) of tuple predictions against tuple ground
+    truth; also checks the library matcher against the oracle matcher."""
+    per_cat = []
+    for c in range(n_categories):
+        gt_c = [g for g in ground_truth if g[2] == c]
+        if not gt_c:
+            per_cat.append(float("nan"))
+            continue
+        preds_c = sorted((p for p in predictions if p[2] == c), key=lambda p: -p[3])
+        flags = match_detections_oracle(preds_c, gt_c)
+        assert match_detections(preds_c, gt_c) == flags
+        per_cat.append(average_precision_oracle(flags, len(gt_c)))
+    return per_cat
+
+
+def save_predictions_oracle(path, predictions):
+    with open(path, "w") as f:
+        for human_box, object_box, category, score in predictions:
+            rec = {
+                "human_box": np.asarray(human_box, dtype=float).tolist(),
+                "object_box": np.asarray(object_box, dtype=float).tolist(),
+                "category": int(category),
+                "score": float(score),
+            }
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def assert_report_matches_oracle(report, detections, truth, tax, split=None):
+    want = map_report_oracle(detection_tuples(detections), ground_truth_pairs(truth), tax.n_categories)
+    got = [report.per_category_ap[c] for c in range(tax.n_categories)]
+    assert [repr(x) for x in got] == [repr(x) for x in want]  # bit-equal, NaN where no GT
+    assert report.n_gt_per_category == dict(enumerate(np.count_nonzero(truth.hoi_label, axis=0).tolist()))
+    groups = {"full": range(tax.n_categories),
+              "rare": [c for c in range(tax.n_categories) if tax.train_counts[c] < evaluation.RARE_THRESHOLD],
+              "nonrare": [c for c in range(tax.n_categories) if tax.train_counts[c] >= evaluation.RARE_THRESHOLD]}
+    if split is not None:
+        groups.update(unseen=sorted(split.unseen_hoi_ids), seen=sorted(split.seen_hoi_ids))
+    assert sorted(report.groups) == sorted(groups)
+    for name, ids in groups.items():
+        vals = [want[c] for c in ids if not math.isnan(want[c])]
+        mean = float(np.mean(vals)) if vals else float("nan")
+        assert repr(report.groups[name]["map"]) == repr(mean), name
+
+
+# Corners on a quarter grid: boxes repeat, share edges, nest, and reach IoU exactly 0.5.
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def grid_box(draw):
+    x1, x2 = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+    return [x1, y1, x2, y2]
+
+
+@st.composite
+def detection_cases(draw):
+    n_cat = draw(st.integers(1, 4))
+    n_gt = draw(st.integers(0, 8))
+    gt_boxes = draw(st.lists(st.tuples(grid_box(), grid_box()), min_size=n_gt, max_size=n_gt))
+    # some categories carry no GT at all; a GT row may carry several
+    labels = draw(st.lists(st.lists(st.sampled_from([0, 0, 1]), min_size=n_cat, max_size=n_cat),
+                           min_size=n_gt, max_size=n_gt))
+    n_pred = draw(st.integers(0, 12))
+    # a detection repeats a GT row's boxes or has boxes of its own
+    pred_boxes = draw(st.lists(st.sampled_from(gt_boxes) | st.tuples(grid_box(), grid_box())
+                               if gt_boxes else st.tuples(grid_box(), grid_box()),
+                               min_size=n_pred, max_size=n_pred))
+    # few distinct scores, so ties are common
+    scores = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9]), min_size=n_cat, max_size=n_cat),
+                           min_size=n_pred, max_size=n_pred))
+    counts = draw(st.lists(st.integers(0, 20), min_size=n_cat, max_size=n_cat))
+    detections = Detections(np.array([b[0] for b in pred_boxes], dtype=float).reshape(n_pred, 4),
+                            np.array([b[1] for b in pred_boxes], dtype=float).reshape(n_pred, 4),
+                            np.array(scores, dtype=float).reshape(n_pred, n_cat))
+    truth = truth_set([b[0] for b in gt_boxes], [b[1] for b in gt_boxes],
+                      np.array(labels, dtype=np.int8).reshape(n_gt, n_cat))
+    pairs = [(v, o) for v in range(2) for o in range(2)][:n_cat]
+    tax = Taxonomy.build(["hold", "lift"], ["cup", "pen"], pairs, train_counts=counts)
+    return detections, truth, tax, draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_cases())
+def test_map_report_matches_tuple_oracle(case):
+    detections, truth, tax, chunk_rows = case
+    with mock.patch.object(evaluation, "_CHUNK_ROWS", chunk_rows):  # blocks split the rows
+        report = map_report(detections, truth, tax)
+    assert_report_matches_oracle(report, detections, truth, tax)
+
+
+def test_map_report_matches_tuple_oracle_on_generated_data():
+    # a real world: 60 categories, nearby boxes, untrained-model scores, a split
+    tax, world = gen_world(seed=5)
+    split = make_split(tax, "novel-object", rng=np.random.default_rng(5))
+    train_set, test_set, _ = gen_dataset(world, tax, split, 200, 150, 0, seed=5)
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=16, spatial_resolution=4, seed=5))
+    detections = predict_dataset(model, test_set, tax, s_h=0.9, s_o=0.8)
+    counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
+    report = map_report(detections, test_set, counted, split)
+    assert_report_matches_oracle(report, detections, test_set, counted, split)
+
+
+def test_save_predictions_matches_tuple_writer(tmp_path):
+    tax, world = gen_world(n_verbs=4, n_objects=5, c_pairs=9, feat_dim=6, seed=2)
+    _, test_set, _ = gen_dataset(world, tax, None, 30, 12, 0, seed=2)
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=2))
+    detections = predict_dataset(model, test_set, tax)
+    save_predictions(tmp_path / "grid.jsonl", detections)
+    save_predictions_oracle(tmp_path / "tuples.jsonl", detection_tuples(detections))
+    assert (tmp_path / "grid.jsonl").read_bytes() == (tmp_path / "tuples.jsonl").read_bytes()
 
 
 # --- affordance metrics ---

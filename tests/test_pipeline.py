@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_evaluation import ground_truth_pairs
 from test_taxonomy import random_taxonomy
 
 from hoicompose import nn, pipeline
-from hoicompose.evaluation import make_split
+from hoicompose.evaluation import make_split, map_report
 from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import compose_label, decouple_verb, one_hot
@@ -18,7 +19,6 @@ from hoicompose.pipeline import (
     baseline_config,
     build_matrices,
     compose_batch,
-    ground_truth_pairs,
     hoi_input,
     init_model,
     load_checkpoint,
@@ -416,6 +416,48 @@ def test_train_divergence_on_nonfinite_gradient(monkeypatch, classifier):
     assert updates == [0, 0, 1, 1, 2, 2]
 
 
+def train_with_gradient_edit(monkeypatch, edit, iterations=10):
+    """Train tiny_setup for iterations steps, edit(step, (g_sp, g_hoi)) applied to
+    each step's gradients before the divergence check; returns the steps run."""
+    tax, world, train_set, _, external = tiny_setup()
+    real_step_grads = pipeline.step_grads
+    steps = []
+
+    def step_grads(model, batch, cfg):
+        losses, grads = real_step_grads(model, batch, cfg)
+        edit(len(steps), grads)
+        steps.append(losses)
+        return losses, grads
+
+    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    train(train_set, external, tax, TrainConfig(iterations=iterations, hidden=8, spatial_resolution=4, seed=3))
+    return steps
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_train_divergence_on_the_last_gradient_entry(monkeypatch, value):
+    # the very last entry the check sees: hoi_classifier's output bias, last category
+    def edit(step, grads):
+        if step == 4:
+            grads[1].b2[-1] = value
+
+    with pytest.raises(TrainingDiverged) as err:
+        train_with_gradient_edit(monkeypatch, edit)
+    assert err.value.step == 4
+
+
+def test_train_overflowing_gradient_sum_is_no_divergence(monkeypatch):
+    # finite entries whose sum overflows to inf: the check must not add them up
+    def edit(step, grads):
+        if step == 9:
+            for g in grads:
+                g.w1[0, :2] = np.finfo(float).max
+                g.b2[:2] = np.finfo(float).max
+
+    with np.errstate(over="ignore"):  # the update after the check overflows (lr 3)
+        assert len(train_with_gradient_edit(monkeypatch, edit)) == 10
+
+
 @pytest.mark.parametrize("field", ["human_feat", "verb_feat", "object_feat", "human_box"])
 def test_build_matrices_rejects_nonfinite_input(field):
     # the entry check of train and predict_dataset; the forward pass no longer checks
@@ -508,7 +550,7 @@ def test_predict_pair_arithmetic_and_monotonicity():
     model = init_model(tax, world.feat_dim, cfg)
 
     def scores(s_h, s_o):
-        return np.array([p[3] for p in predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o)])
+        return predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o).scores.ravel()
 
     full = scores(1.0, 1.0)
     assert full.shape == (3 * tax.n_categories,)
@@ -524,30 +566,32 @@ def test_predict_dataset_matches_predict_pair():
     tax, world, train_set, test_set, _ = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=8)
     model = init_model(tax, world.feat_dim, cfg)
-    preds = predict_dataset(model, test_set[:3], tax)
-    assert len(preds) == 3 * tax.n_categories
+    part = test_set[:3]
+    detections = predict_dataset(model, part, tax)
+    assert detections.scores.shape == (3, tax.n_categories)
+    # the grid's box columns are the set's own, not copies
+    assert detections.human_box is part.human_box and detections.object_box is part.object_box
     single = predict_pair(test_set.human_feat[1], test_set.verb_feat[1], test_set.object_feat[1],
                           test_set.human_box[1], test_set.object_box[1], 1.0, 1.0, model, tax)
-    rows = preds[tax.n_categories:2 * tax.n_categories]
-    # the C tuples of one instance share one view of each of its boxes
-    assert all(p[0] is rows[0][0] and p[1] is rows[0][1] for p in rows)
-    np.testing.assert_array_equal(rows[0][0], test_set.human_box[1])
-    np.testing.assert_array_equal(rows[0][1], test_set.object_box[1])
-    assert [p[2] for p in rows] == list(range(tax.n_categories))
-    for b_h, b_o, c, score in rows:
-        assert score == pytest.approx(single[c], abs=1e-12)
+    np.testing.assert_allclose(detections.scores[1], single, rtol=0, atol=1e-12)
+    empty = predict_dataset(model, test_set[:0], tax)
+    assert empty.scores.shape == (0, tax.n_categories) and empty.human_box.shape == (0, 4)
     for s_h, s_o in ((-1.0, 1.0), (1.0, 5.0)):
         with pytest.raises(ValueError, match="confidences"):
             predict_dataset(model, test_set[:3], tax, s_h=s_h, s_o=s_o)
 
 
 def test_ground_truth_pairs_expands_multi_hot():
+    # one GT pair per set label bit: the tuple oracle and map_report agree
     tax, world, train_set, _, _ = tiny_setup()
     one = train_set[:1]
     one.hoi_label[:] = 0
     one.hoi_label[0, [2, 5]] = 1
     gt = ground_truth_pairs(one)
     assert [g[2] for g in gt] == [2, 5]
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=1))
+    n_gt = map_report(predict_dataset(model, one, tax), one, tax).n_gt_per_category
+    assert {c: k for c, k in n_gt.items() if k} == {2: 1, 5: 1}
 
 
 # --- persistence ---
@@ -563,8 +607,7 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(model.hoi_classifier.w1, result.model.hoi_classifier.w1)
     a = predict_dataset(result.model, test_set[:2], tax)
     b = predict_dataset(model, test_set[:2], tax)
-    for x, y in zip(a, b):
-        assert x[3] == y[3]
+    np.testing.assert_array_equal(a.scores, b.scores)
 
 
 def test_trace_csv(tmp_path):

@@ -295,6 +295,30 @@ def test_load_rejects_a_short_row_by_record_number(tmp_path, part, field, value,
         load_instances(write_records(tmp_path / "bad.jsonl", records))
 
 
+def _fractional_bit(rec):
+    rec["hoi_label"][rec["hoi_label"].index(1)] = 1.9
+
+
+@pytest.mark.parametrize("part,edit,want", [
+    (0, lambda rec: rec.update(object_label=13.5), "object_label is not integral"),
+    (0, _fractional_bit, "hoi_label is not integral"),
+    (2, lambda rec: rec.update(object_label=rec["object_label"] + 0.5), "object_label is not integral"),
+    (0, lambda rec: rec.update(object_label=float("nan")), "object_label is not integral"),
+])
+def test_load_rejects_a_non_integral_label(tmp_path, part, edit, want):
+    # assignment into an integer column would truncate 13.5 to 13 and 1.9 to 1
+    tax, world = gen_world(seed=29)
+    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    label = records[2]["object_label"]
+    edit(records[2])
+    with pytest.raises(ValueError, match=f"^record 3: {re.escape(want)}$"):
+        load_instances(write_records(tmp_path / "bad.jsonl", records))
+    # an integral float is no truncation: 7.0 loads as 7
+    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    records[2]["object_label"] = float(label)
+    assert load_instances(write_records(tmp_path / "ok.jsonl", records)).object_label[2] == label
+
+
 def _set(name, value):
     return lambda rec, tax: rec.__setitem__(name, value)
 
