@@ -129,7 +129,8 @@ class _Columns:
 
         A vector value must have exactly the row's length: row assignment would
         broadcast a length-1 value across the whole row. An integer column takes
-        only integral values: assignment would truncate 13.5 to 13.
+        only integral values: assignment would truncate 13.5 to 13. NaN and
+        ±inf are not integral either.
         """
         for f in fields(self):
             column, value = getattr(self, f.name), record[f.name]
@@ -137,7 +138,7 @@ class _Columns:
                 raise ValueError(f"{f.name} has shape ({len(value)},), expected ({column.shape[1]},)")
             if column.dtype.kind == "i":
                 given = np.asarray(value)
-                if given.dtype.kind == "f" and not (given % 1 == 0).all():
+                if given.dtype.kind == "f" and not (np.isfinite(given) & (given == np.trunc(given))).all():
                     raise ValueError(f"{f.name} is not integral")
             try:
                 column[i] = value

@@ -304,6 +304,8 @@ def _fractional_bit(rec):
     (0, _fractional_bit, "hoi_label is not integral"),
     (2, lambda rec: rec.update(object_label=rec["object_label"] + 0.5), "object_label is not integral"),
     (0, lambda rec: rec.update(object_label=float("nan")), "object_label is not integral"),
+    (0, lambda rec: rec.update(object_label=float("inf")), "object_label is not integral"),
+    (2, lambda rec: rec.update(object_label=float("-inf")), "object_label is not integral"),
 ])
 def test_load_rejects_a_non_integral_label(tmp_path, part, edit, want):
     # assignment into an integer column would truncate 13.5 to 13 and 1.9 to 1

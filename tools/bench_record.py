@@ -1,12 +1,13 @@
 """Record one change's perf trajectory: parent and change, every workload, into BENCH_<label>.json.
 
-    python3 tools/bench_record.py --parent PARENT_TREE --change CHANGE_TREE --label 7 [--pairs 10] [--seed 0]
+    python3 tools/bench_record.py --parent PARENT_TREE --change CHANGE_TREE --label 7 [--out-dir DIR]
 
 Each tree runs its own ``perfbench/run.py`` in a fresh process, for the
 ``run_seconds`` of the change's ``BENCHMARK.json``. Untraced runs come in
-pairs: pair k runs both trees at workload seed ``seed + k``, the parent first
-when k is even and the change first when k is odd. One traced run per tree and
-workload, at ``seed``, gives the per-layer metrics. The file keeps every run's
+``PAIRS`` pairs: pair k runs both trees at workload seed ``SEED + k``, the
+parent first when k is even and the change first when k is odd; ten pairs is
+the fewest a gain claim is judged on. One traced run per tree and workload, at
+``SEED``, gives the per-layer metrics. The file keeps every run's
 result, output digests and quality values, each tree's machine info, and for
 each workload and end-to-end metric both sides' medians and quartiles and the
 number of pairs the change won. Set ``OPENBLAS_NUM_THREADS`` before running:
@@ -22,6 +23,8 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+PAIRS = 10
+SEED = 0
 SIDES = ("parent", "change")
 
 
@@ -72,8 +75,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
     p.add_argument("--change", type=Path, required=True, help="source tree of the change")
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", type=Path, default=Path("."))
     args = p.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -87,11 +88,11 @@ def main(argv=None) -> int:
         runs.append({"side": side, **entry})
 
     for workload in (w["name"] for w in bench["workloads"]):
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                record(side, workload, args.seed + k, 0)
+                record(side, workload, SEED + k, 0)
         for side in SIDES:
-            record(side, workload, args.seed, 1)
+            record(side, workload, SEED, 1)
 
     per_layer = {}
     for run in runs:
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
             per_layer.setdefault(run["workload"], {})[run["side"]] = {
                 name: m["value"] for name, m in run["result"]["metrics"].items()}
     doc = {
-        "label": args.label, "run_seconds": seconds, "seed": args.seed, "pairs": args.pairs,
+        "label": args.label, "run_seconds": seconds, "seed": SEED, "pairs": PAIRS,
         "machines": machines,
         "summary": summarize(runs, bench["end_to_end"]),
         "per_layer": per_layer,
