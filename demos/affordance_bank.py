@@ -31,22 +31,21 @@ print(f"probing {len(novel)} instances of the held-out objects:"
 r = recognize(novel.object_feat[0], bank, model, tax)
 print(f"\n{tax.object_names[labels[0]]} (never seen in training):")
 print(f"{'verb':>8} {'hits':>6} {'stored':>7} {'score':>6}  kept")
-for v in sorted(r.scores):
-    mark = "yes" if v in r.kept else ""
-    print(f"{tax.verb_names[v]:>8} {r.hits[v]:>6} {r.stored[v]:>7} {r.scores[v]:>6.2f}  {mark}")
-truth = tax.affordances_of_object(labels[0])
-print("ground truth:", sorted(tax.verb_names[v] for v in truth))
+for v in np.flatnonzero(r.probed):
+    mark = "yes" if r.kept[0, v] else ""
+    print(f"{tax.verb_names[v]:>8} {r.hits[0, v]:>6} {r.stored[v]:>7} {r.scores[0, v]:>6.2f}  {mark}")
+truth = tax.affordance_matrix()[novel.object_label]
+print("ground truth:", sorted(tax.verb_names[v] for v in np.flatnonzero(truth[0])))
 
 # aggregate quality over all novel instances
 feats = novel.object_feat
-gt = {i: tax.affordances_of_object(o) for i, o in enumerate(labels)}
-predicted, scores = recognize_objects(feats, bank, model, tax)
-prf1 = affordance_prf1(predicted, gt)
+scores = recognize_objects(feats, bank, model, tax)
+prf1 = affordance_prf1(scores.kept, truth)
 print(f"\nmicro precision {prf1.micro_precision:.3f}"
       f"  recall {prf1.micro_recall:.3f}  F1 {prf1.micro_f1:.3f}")
-print(f"affordance mAP {affordance_map(scores, gt):.3f}")
+print(f"affordance mAP {affordance_map(scores.scores, truth):.3f}")
 
 # a much smaller bank barely moves the ranking
 small = build_bank(train_set, tax, m=20, seed=seed)
-_, s_small = recognize_objects(feats, small, model, tax)
-print(f"affordance mAP with M=20: {affordance_map(s_small, gt):.3f}")
+s_small = recognize_objects(feats, small, model, tax).scores
+print(f"affordance mAP with M=20: {affordance_map(s_small, truth):.3f}")

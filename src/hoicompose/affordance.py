@@ -111,14 +111,21 @@ def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int =
     return bank
 
 
-@dataclass
+@dataclass(eq=False)
 class AffordanceScores:
-    """recognize() output: per-verb hit counts and ratios, plus the kept set."""
+    """recognize_objects() output: one grid over n objects x V verbs (V = tax.n_verbs).
 
-    scores: dict[int, float]  # F_i / S_i; NaN when S_i = 0 (undefined, never 0)
-    hits: dict[int, int]  # F_i
-    stored: dict[int, int]  # S_i
-    kept: set[int]
+    probed marks the bank's verbs minus the no-interaction verbs. stored is S_i
+    for a probed verb and 0 for any other, hits[k, i] is F_i for object k, and
+    scores is F_i / S_i: NaN where S_i = 0 (undefined, never 0), so for every
+    verb not probed. kept is scores > keep_threshold.
+    """
+
+    hits: np.ndarray  # (n, V) int64
+    stored: np.ndarray  # (V,) int64
+    probed: np.ndarray  # (V,) bool
+    scores: np.ndarray  # (n, V) float
+    kept: np.ndarray  # (n, V) bool
 
 
 def recognize(
@@ -129,52 +136,9 @@ def recognize(
     hoi_threshold: float = DEFAULT_HOI_THRESHOLD,
     keep_threshold: float = DEFAULT_KEEP_THRESHOLD,
 ) -> AffordanceScores:
-    """Probe one object feature against every bank entry.
-
-    Each entry (verb i, feat f) runs the HOI classifier on f ++ object_feat; the
-    entry scores a hit iff verb i's own max-over-categories probability reaches
-    hoi_threshold (other verbs' predictions are discarded). Kept verbs are those
-    with hit ratio strictly above keep_threshold.
-    """
-    if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
-        raise ValueError("thresholds must lie in [0, 1]")
-    if bank.total_entries == 0:
-        raise ValueError("bank has no entries")
-    object_feat = np.asarray(object_feat, dtype=float)
-    if object_feat.shape != (bank.feat_dim,):
-        raise ValueError(f"object feature shape {object_feat.shape} does not match bank dim {bank.feat_dim}")
-    if not np.isfinite(object_feat).all():
-        raise ValueError("object feature has non-finite entries")
-
-    scores: dict[int, float] = {}
-    hits: dict[int, int] = {}
-    stored: dict[int, int] = {}
-    kept: set[int] = set()
-    for v in sorted(bank.entries):
-        if v in tax.no_interaction_verbs:
-            continue
-        feats = bank.entries[v]
-        s_i = len(feats)
-        stored[v] = s_i
-        if s_i == 0:
-            hits[v] = 0
-            scores[v] = float("nan")
-            continue
-        own_cats = tax.categories_of_verb(v)
-        if len(own_cats) == 0:
-            hits[v] = 0
-            scores[v] = 0.0
-            continue
-        x = np.hstack([feats, np.broadcast_to(object_feat, (s_i, bank.feat_dim))])
-        _, probs = nn.mlp_forward(model.hoi_classifier, x)
-        verb_scores = probs[:, own_cats].max(axis=1)
-        f_i = int((verb_scores >= hoi_threshold).sum())
-        hits[v] = f_i
-        scores[v] = f_i / s_i
-        if scores[v] > keep_threshold:
-            kept.add(v)
-
-    return AffordanceScores(scores=scores, hits=hits, stored=stored, kept=kept)
+    """recognize_objects() for one object feature (feat_dim,): a grid of one row."""
+    return recognize_objects(np.asarray(object_feat, dtype=float)[None], bank, model, tax,
+                             hoi_threshold, keep_threshold)
 
 
 def recognize_objects(
@@ -184,16 +148,39 @@ def recognize_objects(
     tax: Taxonomy,
     hoi_threshold: float = DEFAULT_HOI_THRESHOLD,
     keep_threshold: float = DEFAULT_KEEP_THRESHOLD,
-):
-    """recognize() over many object features.
+) -> AffordanceScores:
+    """Probe each of n object features (n, feat_dim) against every bank entry.
 
-    Returns (kept sets, score dicts) keyed by position, ready for the
-    affordance metrics.
+    Each entry (verb i, feat f) runs the HOI classifier on f ++ object_feat, one
+    forward pass per (object, verb); the entry scores a hit iff verb i's own
+    max-over-categories probability reaches hoi_threshold (other verbs'
+    predictions are discarded), so a verb with no category of its own scores 0.
+    Kept verbs are those with hit ratio strictly above keep_threshold.
     """
-    predicted: dict[int, set] = {}
-    scores: dict[int, dict] = {}
-    for i, feat in enumerate(object_feats):
-        r = recognize(feat, bank, model, tax, hoi_threshold, keep_threshold)
-        predicted[i] = r.kept
-        scores[i] = r.scores
-    return predicted, scores
+    if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
+        raise ValueError("thresholds must lie in [0, 1]")
+    if bank.total_entries == 0:
+        raise ValueError("bank has no entries")
+    outside = sorted(v for v in bank.entries if not 0 <= v < tax.n_verbs)
+    if outside:
+        raise ValueError(f"bank verbs {outside} lie outside the taxonomy's {tax.n_verbs} verbs")
+    feats = np.asarray(object_feats, dtype=float)
+    if feats.ndim != 2 or (len(feats) and feats.shape[1] != bank.feat_dim):
+        raise ValueError(f"object feature shape {feats.shape[1:]} does not match bank dim {bank.feat_dim}")
+    if not np.isfinite(feats).all():
+        raise ValueError("object features have non-finite entries")
+
+    probed = np.array([v in bank.entries and v not in tax.no_interaction_verbs for v in range(tax.n_verbs)])
+    stored = np.array([len(bank.entries[v]) if p else 0 for v, p in enumerate(probed)], dtype=np.int64)
+    probes = [(v, bank.entries[v], tax.categories_of_verb(v)) for v in np.flatnonzero(stored).tolist()]
+    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
+    for k, feat in enumerate(feats):
+        for v, entries, cats in probes:
+            if len(cats):
+                x = np.hstack([entries, np.broadcast_to(feat, entries.shape)])
+                _, probs = nn.mlp_forward(model.hoi_classifier, x)
+                hits[k, v] = (probs[:, cats].max(axis=1) >= hoi_threshold).sum()
+    scores = np.full(hits.shape, np.nan)
+    np.divide(hits, stored, out=scores, where=stored > 0)
+    return AffordanceScores(hits=hits, stored=stored, probed=probed, scores=scores,
+                            kept=scores > keep_threshold)

@@ -71,10 +71,21 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, allowed: set, where: str) -> None:
-    unknown = set(cfg) - allowed
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+          dict: "an object"}
+
+
+def _check_keys(cfg: dict, kinds: dict, where: str) -> None:
+    """Reject keys outside kinds and values of another JSON type than their key's
+    kind: an int key takes a JSON integer, a float key any number."""
+    unknown = set(cfg) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        kind = kinds[key]
+        if not isinstance(value, (int, float) if kind is float else kind) or (
+                isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{where} {key} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _out_dir(args) -> Path:
@@ -85,9 +96,10 @@ def _out_dir(args) -> Path:
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _config_hash(resolved: dict) -> str:
@@ -167,15 +179,16 @@ def _load_model(path, data: dict) -> HOIModel:
 
 
 def cmd_gen_data(cfg: dict, args) -> int:
-    _check_keys(cfg, {"world", "dataset", "split", "seed"}, "gen-data")
+    _check_keys(cfg, {"world": dict, "dataset": dict, "split": dict, "seed": int}, "gen-data")
     world_cfg = dict(cfg.get("world", {}))
     data_cfg = dict(cfg.get("dataset", {}))
     split_cfg = dict(cfg.get("split", {}))
-    _check_keys(world_cfg, {"n_verbs", "n_objects", "c_pairs", "feat_dim", "noise_sigma",
-                            "tail_exponent", "head_count", "domain_shift_scale",
-                            "no_interaction_verbs"}, "gen-data world")
-    _check_keys(data_cfg, {"n_train", "n_test", "n_external_objects", "co_label_prob"}, "gen-data dataset")
-    _check_keys(split_cfg, {"mode", "unseen_count", "unseen_object_ids"}, "gen-data split")
+    _check_keys(world_cfg, {"n_verbs": int, "n_objects": int, "c_pairs": int, "feat_dim": int,
+                            "noise_sigma": float, "tail_exponent": float, "head_count": int,
+                            "domain_shift_scale": float, "no_interaction_verbs": list}, "gen-data world")
+    _check_keys(data_cfg, {"n_train": int, "n_test": int, "n_external_objects": int, "co_label_prob": float},
+                "gen-data dataset")
+    _check_keys(split_cfg, {"mode": str, "unseen_count": int, "unseen_object_ids": list}, "gen-data split")
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
 
@@ -214,7 +227,7 @@ def cmd_gen_data(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir", "train", "baseline", "seed"}, "train")
+    _check_keys(cfg, {"data_dir": str, "train": dict, "baseline": bool, "seed": int}, "train")
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     train_overrides = dict(cfg.get("train", {}))
@@ -248,12 +261,12 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def _eval_common(cfg: dict, args, with_split: bool) -> int:
-    _check_keys(cfg, {"data_dir", "checkpoint", "s_h", "s_o", "rare_threshold", "seed",
-                      "write_predictions"}, "eval")
+    _check_keys(cfg, {"data_dir": str, "checkpoint": str, "s_h": float, "s_o": float, "rare_threshold": int,
+                      "seed": int, "write_predictions": bool}, "eval")
     try:
         s_h, s_o = float(cfg.get("s_h", 1.0)), float(cfg.get("s_o", 1.0))
         _check_confidences(s_h, s_o)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"eval s_h, s_o: {e}")
     out = _out_dir(args)
     ckpt_path = cfg.get("checkpoint")
@@ -301,7 +314,7 @@ def cmd_zeroshot(cfg: dict, args) -> int:
 
 
 def cmd_build_bank(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir", "m", "seed"}, "build-bank")
+    _check_keys(cfg, {"data_dir": str, "m": int, "seed": int}, "build-bank")
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     data = _load_data_dir(cfg, need=("taxonomy", "train"))
@@ -321,8 +334,12 @@ def cmd_build_bank(cfg: dict, args) -> int:
 
 
 def cmd_affordance(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir", "checkpoint", "bank", "hoi_threshold", "keep_threshold",
-                      "novel_only", "seed"}, "affordance")
+    _check_keys(cfg, {"data_dir": str, "checkpoint": str, "bank": str, "hoi_threshold": float,
+                      "keep_threshold": float, "novel_only": bool, "seed": int}, "affordance")
+    hoi_t = float(cfg.get("hoi_threshold", DEFAULT_HOI_THRESHOLD))
+    keep_t = float(cfg.get("keep_threshold", DEFAULT_KEEP_THRESHOLD))
+    if not (0 <= hoi_t <= 1 and 0 <= keep_t <= 1):
+        raise ConfigError(f"hoi_threshold {hoi_t} and keep_threshold {keep_t} must lie in [0, 1]")
     out = _out_dir(args)
     for key in ("checkpoint", "bank"):
         if cfg.get(key) is None:
@@ -344,29 +361,23 @@ def cmd_affordance(cfg: dict, args) -> int:
         if not len(objects):
             raise DataError("no novel objects in the external stream for this split")
 
-    hoi_t = float(cfg.get("hoi_threshold", DEFAULT_HOI_THRESHOLD))
-    keep_t = float(cfg.get("keep_threshold", DEFAULT_KEEP_THRESHOLD))
     try:
-        predicted, scores = recognize_objects(objects.object_feat, bank, model, tax,
-                                              hoi_threshold=hoi_t, keep_threshold=keep_t)
+        r = recognize_objects(objects.object_feat, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
     except ValueError as e:
         raise DataError(f"affordance: {e}")
-    labels = objects.object_label.tolist()
-    gt = {i: tax.affordances_of_object(o) for i, o in enumerate(labels)}
-    prf1 = affordance_prf1(predicted, gt)
-    amap = affordance_map(scores, gt)
+    truth = tax.affordance_matrix()[objects.object_label]
+    prf1 = affordance_prf1(r.kept, truth)
+    amap = affordance_map(r.scores, truth)
 
-    per_object = []
-    for i, o in enumerate(labels):
-        row_scores = {v: (None if math.isnan(s) else s) for v, s in scores[i].items()}
-        per_object.append({
-            "index": i,
-            "object_label": o,
-            "object_name": tax.object_names[o],
-            "kept_verbs": sorted(predicted[i]),
-            "gt_verbs": sorted(gt[i]),
-            "scores": {str(v): row_scores[v] for v in sorted(row_scores)},
-        })
+    probed = np.flatnonzero(r.probed).tolist()
+    per_object = [{
+        "index": i,
+        "object_label": o,
+        "object_name": tax.object_names[o],
+        "kept_verbs": np.flatnonzero(r.kept[i]).tolist(),
+        "gt_verbs": np.flatnonzero(truth[i]).tolist(),
+        "scores": {str(v): None if math.isnan(s) else s for v, s in zip(probed, r.scores[i, probed].tolist())},
+    } for i, o in enumerate(objects.object_label.tolist())]
     doc = {
         "schema_version": 1,
         "hoi_threshold": hoi_t,
@@ -397,7 +408,8 @@ def cmd_affordance(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
-    _check_keys(cfg, {"n_configs", "tolerance", "end_to_end_tolerance", "seed"}, "gradcheck")
+    _check_keys(cfg, {"n_configs": int, "tolerance": float, "end_to_end_tolerance": float, "seed": int},
+                "gradcheck")
     seed = _resolve_seed(cfg, args)
     out = _out_dir(args)
     n_configs = int(cfg.get("n_configs", 100))
@@ -459,8 +471,8 @@ def _end_to_end_errors(seed: int) -> dict:
 
 
 def cmd_reproduce_trends(cfg: dict, args) -> int:
-    _check_keys(cfg, {"seeds", "n_train", "n_test", "n_external", "train",
-                      "bank_m", "bank_m_small", "seed"}, "reproduce-trends")
+    _check_keys(cfg, {"seeds": list, "n_train": int, "n_test": int, "n_external": int, "train": dict,
+                      "bank_m": int, "bank_m_small": int, "seed": int}, "reproduce-trends")
     out = _out_dir(args)
     try:
         settings = TrendSettings(

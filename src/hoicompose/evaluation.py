@@ -262,93 +262,75 @@ class PRF1:
             "n_objects", "undefined_precision")}
 
 
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+def _f1(p, r):
+    """F1 of precisions p and recalls r (scalars or arrays); 0 where p + r = 0."""
+    den = p + r
+    return np.divide(2 * p * r, den, out=np.zeros_like(den, dtype=float), where=den != 0)
 
 
-def affordance_prf1(predicted: dict, ground_truth: dict) -> PRF1:
-    """Compare per-object predicted verb sets against ground-truth affordance sets.
+def _affordance_grids(a, dtype, truth, what: str):
+    """a as dtype and truth as bool, both (objects, verbs) grids of one shape."""
+    a, truth = np.asarray(a, dtype=dtype), np.asarray(truth, dtype=bool)
+    if truth.ndim != 2 or a.shape != truth.shape:
+        raise ValueError(f"{what} of shape {a.shape} and truth of shape {truth.shape} "
+                         "must be the same (objects, verbs) grid")
+    return a, truth
+
+
+def affordance_prf1(kept, truth) -> PRF1:
+    """Compare predicted affordances with the truth, both (n objects, V verbs) bool grids.
 
     Micro averages pool every (object, verb) decision; macro averages per-object
-    scores. Undefined precision (no predictions at all) is reported as 0 and
-    flagged, never NaN.
+    scores, where an object with no prediction (no truth) has precision (recall)
+    0. Undefined precision (no predictions at all) is reported as 0 and flagged,
+    never NaN.
     """
-    keys = sorted(set(predicted) | set(ground_truth))
-    tp = fp = fn = 0
-    macro_p = []
-    macro_r = []
-    macro_f = []
-    for k in keys:
-        pred = set(predicted.get(k, ()))
-        gt = set(ground_truth.get(k, ()))
-        tp_k = len(pred & gt)
-        fp_k = len(pred - gt)
-        fn_k = len(gt - pred)
-        tp, fp, fn = tp + tp_k, fp + fp_k, fn + fn_k
-        p_k = tp_k / (tp_k + fp_k) if pred else 0.0
-        r_k = tp_k / (tp_k + fn_k) if gt else 0.0
-        macro_p.append(p_k)
-        macro_r.append(r_k)
-        macro_f.append(_f1(p_k, r_k))
+    kept, truth = _affordance_grids(kept, bool, truth, "kept")
+    tp_k = (kept & truth).sum(axis=1)
+    n_pred, n_true = kept.sum(axis=1), truth.sum(axis=1)
+    p_k = np.divide(tp_k, n_pred, out=np.zeros(len(kept)), where=n_pred > 0)
+    r_k = np.divide(tp_k, n_true, out=np.zeros(len(kept)), where=n_true > 0)
+    tp, fp, fn = int(tp_k.sum()), int((n_pred - tp_k).sum()), int((n_true - tp_k).sum())
     undefined = tp + fp == 0
     micro_p = 0.0 if undefined else tp / (tp + fp)
     micro_r = 0.0 if tp + fn == 0 else tp / (tp + fn)
-    return PRF1(
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=_f1(micro_p, micro_r),
-        macro_precision=float(np.mean(macro_p)) if keys else 0.0,
-        macro_recall=float(np.mean(macro_r)) if keys else 0.0,
-        macro_f1=float(np.mean(macro_f)) if keys else 0.0,
-        n_objects=len(keys),
-        undefined_precision=undefined,
-    )
+    macro = [float(np.mean(x)) if len(kept) else 0.0 for x in (p_k, r_k, _f1(p_k, r_k))]
+    return PRF1(micro_p, micro_r, float(_f1(micro_p, micro_r)), *macro, n_objects=len(kept),
+                undefined_precision=undefined)
 
 
-def affordance_map(scores: dict, ground_truth: dict) -> float:
+def affordance_map(scores, truth) -> float:
     """Mean over verbs of AP when ranking objects by their score for that verb.
 
-    scores: {object_key: {verb_id: score}}; missing or NaN scores rank last
-    (in object-key order). Verbs with zero positive objects are excluded; with
-    no scorable verb at all the result is NaN.
+    scores: (n objects, V verbs) float; truth: the same grid, bool. Per verb a
+    stable argsort ranks the objects by score descending, NaN last and ties in
+    object order. Verbs with zero positive objects are excluded; with no
+    scorable verb at all the result is NaN.
     """
-    keys = sorted(set(scores) | set(ground_truth))
-    verbs = set()
-    for k in keys:
-        verbs |= set(ground_truth.get(k, ()))
+    scores, truth = _affordance_grids(scores, float, truth, "scores")
+    ranked = -np.where(np.isnan(scores), -np.inf, scores)
     aps = []
-    for v in sorted(verbs):
-        ranked = []
-        for k in keys:
-            s = scores.get(k, {}).get(v)
-            sort_key = -float("inf") if s is None or math.isnan(s) else float(s)
-            ranked.append((sort_key, k))
-        ranked.sort(key=lambda t: -t[0])  # stable: ties keep object-key order
-        flags = [v in ground_truth.get(k, ()) for _, k in ranked]
-        n_pos = sum(flags)
-        if n_pos == 0:
-            continue
-        aps.append(average_precision(flags, n_pos))
+    for v in np.flatnonzero(truth.any(axis=0)).tolist():
+        flags = truth[np.argsort(ranked[:, v], kind="stable"), v]
+        aps.append(_ap_at_ranks(np.flatnonzero(flags).tolist(), int(flags.sum())))
     return float(np.mean(aps)) if aps else float("nan")
 
 
 @dataclass
 class EvalReport:
-    """Per-category APs plus grouped means; affordance metrics attach when computed."""
+    """Per-category APs plus grouped means."""
 
     per_category_ap: dict[int, float]  # NaN where the category has no GT
     n_gt_per_category: dict[int, int]
     groups: dict[str, dict]  # name -> {"map": float, "n_categories": int, "category_ids": [...]}
     rare_threshold: int = RARE_THRESHOLD
-    affordance: PRF1 | None = None
-    affordance_map_score: float | None = None
 
     def to_json_dict(self) -> dict:
         # NaN is not valid JSON; absent values serialize as null.
         def clean(x):
             return None if isinstance(x, float) and math.isnan(x) else x
 
-        d = {
+        return {
             "schema_version": 1,
             "per_category_ap": {str(c): clean(self.per_category_ap[c])
                                 for c in sorted(self.per_category_ap)},
@@ -356,11 +338,6 @@ class EvalReport:
             "groups": {name: {**g, "map": clean(g["map"])} for name, g in self.groups.items()},
             "rare_threshold": self.rare_threshold,
         }
-        if self.affordance is not None:
-            d["affordance"] = self.affordance.to_json_dict()
-        if self.affordance_map_score is not None:
-            d["affordance_map"] = clean(self.affordance_map_score)
-        return d
 
 
 def _group_mean(per_cat: dict[int, float], ids) -> dict:

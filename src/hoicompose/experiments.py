@@ -40,6 +40,8 @@ class TrendSettings:
     def validate(self) -> None:
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be nonnegative integers, got {list(self.seeds)}")
         if self.n_train < 1 or self.n_test < 1 or self.n_external < 1:
             raise ValueError("dataset sizes must be positive")
         if self.bank_m < 1 or self.bank_m_small < 1:
@@ -62,7 +64,7 @@ class SeedRun:
     detection: dict  # {"atl": EvalReport, "baseline": EvalReport}
     affordance: dict  # {"atl"/"baseline": {"prf1": PRF1, "map": float}}
     novel_feats: np.ndarray  # (n_novel, feat_dim)
-    novel_gt: dict
+    novel_gt: np.ndarray  # (n_novel, n_verbs) bool, the novel objects' true affordances
     metrics: dict
 
 
@@ -87,14 +89,14 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
     if not len(novel):
         raise ValueError(f"seed {seed}: no novel objects in the external stream")
     novel_feats = novel.object_feat
-    novel_gt = {i: tax.affordances_of_object(o) for i, o in enumerate(novel.object_label.tolist())}
+    novel_gt = tax.affordance_matrix()[novel.object_label]
     bank = build_bank(train_set, tax, m=settings.bank_m, seed=seed)
     affordance = {}
     for name, result in (("atl", atl), ("baseline", base)):
-        pred, scores = recognize_objects(novel_feats, bank, result.model, tax)
+        r = recognize_objects(novel_feats, bank, result.model, tax)
         affordance[name] = {
-            "prf1": affordance_prf1(pred, novel_gt),
-            "map": affordance_map(scores, novel_gt),
+            "prf1": affordance_prf1(r.kept, novel_gt),
+            "map": affordance_map(r.scores, novel_gt),
         }
 
     metrics = {
@@ -122,10 +124,8 @@ def bank_stability(run: SeedRun, settings: TrendSettings) -> dict:
     """Affordance mAP with a small bank vs the full bank, on one seed's ATL model."""
     small = build_bank(run.train_set, run.tax, m=settings.bank_m_small, seed=run.seed)
     full = build_bank(run.train_set, run.tax, m=settings.bank_m, seed=run.seed)
-    _, s_small = recognize_objects(run.novel_feats, small, run.atl.model, run.tax)
-    _, s_full = recognize_objects(run.novel_feats, full, run.atl.model, run.tax)
-    map_small = affordance_map(s_small, run.novel_gt)
-    map_full = affordance_map(s_full, run.novel_gt)
+    map_small, map_full = (affordance_map(recognize_objects(run.novel_feats, bank, run.atl.model, run.tax).scores,
+                                          run.novel_gt) for bank in (small, full))
     rel = abs(map_small - map_full) / map_full if map_full > 0 else float("inf")
     return {
         "m_small": settings.bank_m_small,

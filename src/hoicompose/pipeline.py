@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -46,6 +47,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # a float field takes any number, an int field an integer
+            value, real = getattr(self, f.name), isinstance(f.default, float)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
+                raise ValueError(f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.lr <= 0:

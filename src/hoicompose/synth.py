@@ -127,23 +127,36 @@ class _Columns:
     def put(self, i: int, record) -> None:
         """Write one record (field name -> value, as in a .jsonl line) into row i.
 
-        A vector value must have exactly the row's length: row assignment would
-        broadcast a length-1 value across the whole row. An integer column takes
-        only integral values: assignment would truncate 13.5 to 13. NaN and
-        ±inf are not integral either.
+        The record holds this set's fields and at most a "kind". Each value is a
+        number or a list of numbers: assignment would parse the string "1" and
+        take true as 1. A vector value must have exactly the row's length: row
+        assignment would broadcast a length-1 value across the whole row. An
+        integer column takes only integral values: assignment would truncate
+        13.5 to 13. NaN and ±inf are not integral either.
         """
-        for f in fields(self):
-            column, value = getattr(self, f.name), record[f.name]
+        names = [f.name for f in fields(self)]
+        if len(record) > len(names) + ("kind" in record):  # else an unknown field leaves one missing
+            _reject_unknown(record, [*names, "kind"], "record")
+        for name in names:
+            column, value = getattr(self, name), record[name]
             if column.ndim == 2 and len(value) != column.shape[1]:
-                raise ValueError(f"{f.name} has shape ({len(value)},), expected ({column.shape[1]},)")
-            if column.dtype.kind == "i":
-                given = np.asarray(value)
-                if given.dtype.kind == "f" and not (np.isfinite(given) & (given == np.trunc(given))).all():
-                    raise ValueError(f"{f.name} is not integral")
+                raise ValueError(f"{name} has shape ({len(value)},), expected ({column.shape[1]},)")
+            if type(value) is list:  # as json.loads makes it: the items' types tell
+                kinds = set(map(type, value))
+                numeric, fractional = kinds <= {int, float}, float in kinds
+            else:
+                kind = np.asarray(value).dtype.kind
+                numeric, fractional = kind in "iuf", kind == "f"
+            if not numeric:
+                raise ValueError(f"{name} is not a number")
+            if fractional and column.dtype.kind == "i":
+                given = np.asarray(value, dtype=float)
+                if not (np.isfinite(given) & (given == np.trunc(given))).all():
+                    raise ValueError(f"{name} is not integral")
             try:
                 column[i] = value
             except (TypeError, ValueError, OverflowError) as e:
-                raise ValueError(f"{f.name}: {e}") from None
+                raise ValueError(f"{name}: {e}") from None
 
 
 @dataclass(eq=False)

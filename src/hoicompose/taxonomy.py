@@ -126,10 +126,12 @@ class Taxonomy:
     def categories_of_object(self, object_id: int) -> np.ndarray:
         return np.flatnonzero(self.object_to_hoi[object_id])
 
-    def affordances_of_object(self, object_id: int) -> set[int]:
-        """Ground-truth affordance set: verbs valid for the object, minus no-interaction verbs."""
-        verbs = {self.hoi_pairs[c][0] for c in self.categories_of_object(object_id)}
-        return verbs - self.no_interaction_verbs
+    def affordance_matrix(self) -> np.ndarray:
+        """Ground-truth affordances, (n_objects, n_verbs) bool: [o, v] is set iff
+        (v, o) is a valid pair and v is not a no-interaction verb."""
+        valid = (self.object_to_hoi.astype(np.int64) @ self.verb_to_hoi.T) > 0
+        valid[:, sorted(self.no_interaction_verbs)] = False
+        return valid
 
     def to_json_dict(self) -> dict:
         d = {

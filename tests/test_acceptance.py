@@ -253,11 +253,11 @@ def test_criterion_7_structural_invariants(tmp_path):
     bank = build_bank(train_set, tax, m=7, seed=0)
     for feat in external.object_feat[:12]:
         r = recognize(feat, bank, model, tax)
-        for v, s in r.stored.items():
-            check(0 <= r.hits[v] <= s <= 7, "hit count outside [0, stored]")
-            if s:
-                check(abs(r.scores[v] - r.hits[v] / s) < 1e-12, "score is not hits/stored")
-        check(all(r.scores[v] > 0.5 for v in r.kept), "kept verb at or below keep threshold")
+        hits, stored, banked = r.hits[0], r.stored, r.stored > 0
+        check(bool(((0 <= hits) & (hits <= stored) & (stored <= 7)).all()), "hit count outside [0, stored]")
+        check(bool((abs(r.scores[0, banked] - hits[banked] / stored[banked]) < 1e-12).all()),
+              "score is not hits/stored")
+        check(bool((r.scores[r.kept] > 0.5).all()), "kept verb at or below keep threshold")
 
     # spatial patterns: each channel covers its box's share of the union frame
     rng2 = np.random.default_rng(71)

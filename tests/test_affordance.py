@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_evaluation import (affordance_map_oracle, affordance_prf1_oracle, assert_same_float, assert_same_prf1,
+                             grid_sets)
 
 from hoicompose import nn
 from hoicompose.affordance import (
@@ -10,6 +15,7 @@ from hoicompose.affordance import (
     recognize,
     recognize_objects,
 )
+from hoicompose.evaluation import affordance_map, affordance_prf1
 from hoicompose.pipeline import HOIModel, TrainConfig, init_model
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import Taxonomy
@@ -142,11 +148,13 @@ def test_recognize_hit_ratio_exact():
     model = threshold_model(n_categories=tax.n_categories)
     bank = bank_of({0: [[0.9], [0.8], [0.7], [0.1]], 1: [[0.9], [0.1], [0.2], [0.3]]})
     r = recognize(np.zeros(1), bank, model, tax)
-    assert r.stored == {0: 4, 1: 4}
-    assert r.hits == {0: 3, 1: 1}
-    assert r.scores[0] == pytest.approx(0.75)
-    assert r.scores[1] == pytest.approx(0.25)
-    assert r.kept == {0}
+    assert r.probed.tolist() == [True, True, False]
+    assert r.stored.tolist() == [4, 4, 0]
+    assert r.hits.tolist() == [[3, 1, 0]]
+    assert r.scores[0, 0] == pytest.approx(0.75)
+    assert r.scores[0, 1] == pytest.approx(0.25)
+    assert math.isnan(r.scores[0, 2])
+    assert r.kept.tolist() == [[True, False, False]]
 
 
 def test_recognize_keep_is_strict_inequality():
@@ -154,8 +162,8 @@ def test_recognize_keep_is_strict_inequality():
     model = threshold_model(n_categories=tax.n_categories)
     bank = bank_of({0: [[0.9], [0.1]]})  # exactly half the entries hit
     r = recognize(np.zeros(1), bank, model, tax, keep_threshold=0.5)
-    assert r.scores[0] == pytest.approx(0.5)
-    assert r.kept == set()
+    assert r.scores[0, 0] == pytest.approx(0.5)
+    assert not r.kept.any()
 
 
 def test_recognize_all_or_nothing_classifier():
@@ -164,11 +172,11 @@ def test_recognize_all_or_nothing_classifier():
     never = threshold_model(n_categories=tax.n_categories, cut=10.0)
     bank = bank_of({0: [[0.5], [0.6]], 1: [[0.4]]})
     r_all = recognize(np.zeros(1), bank, always, tax)
-    assert all(s == 1.0 for s in r_all.scores.values())
-    assert r_all.kept == {0, 1}
+    assert r_all.scores[0, r_all.probed].tolist() == [1.0, 1.0]
+    assert r_all.kept.tolist() == [[True, True, False]]
     r_none = recognize(np.zeros(1), bank, never, tax)
-    assert all(s == 0.0 for s in r_none.scores.values())
-    assert r_none.kept == set()
+    assert r_none.scores[0, r_none.probed].tolist() == [0.0, 0.0]
+    assert not r_none.kept.any()
 
 
 def test_recognize_empty_verb_entry_is_nan_never_kept():
@@ -176,10 +184,11 @@ def test_recognize_empty_verb_entry_is_nan_never_kept():
     model = threshold_model(n_categories=tax.n_categories, cut=-10.0)
     bank = bank_of({0: [[0.5]], 1: []})
     r = recognize(np.zeros(1), bank, model, tax)
-    assert math.isnan(r.scores[1])
-    assert r.hits[1] == 0
-    assert 1 not in r.kept
-    assert r.scores[1] != 0.0  # undefined is not the same as zero
+    assert r.probed[1] and r.stored[1] == 0
+    assert math.isnan(r.scores[0, 1])
+    assert r.hits[0, 1] == 0
+    assert not r.kept[0, 1]
+    assert r.scores[0, 1] != 0.0  # undefined is not the same as zero
 
 
 def test_recognize_entry_order_irrelevant():
@@ -194,7 +203,8 @@ def test_recognize_entry_order_irrelevant():
     feat = external.object_feat[0]
     a = recognize(feat, bank, model, tax)
     b = recognize(feat, shuffled, model, tax)
-    assert a.scores == b.scores and a.kept == b.kept
+    assert np.array_equal(a.scores, b.scores, equal_nan=True)
+    assert np.array_equal(a.kept, b.kept)
 
 
 def test_recognize_threshold_monotonicity():
@@ -207,7 +217,7 @@ def test_recognize_threshold_monotonicity():
     for t in (0.0, 0.3, 0.5, 0.7, 1.0):
         r = recognize(feat, bank, model, tax, hoi_threshold=t)
         if prev_hits is not None:
-            assert all(r.hits[v] <= prev_hits[v] for v in r.hits)
+            assert (r.hits <= prev_hits).all()
         prev_hits = r.hits
 
 
@@ -217,8 +227,10 @@ def test_recognize_skips_no_interaction_verbs():
     model = threshold_model(n_categories=tax.n_categories, cut=-10.0)
     bank = bank_of({0: [[0.5]], 1: [[0.5]], 2: [[0.5]]})
     r = recognize(np.zeros(1), bank, model, tax)
-    assert 2 not in r.scores and 2 not in r.kept
-    assert set(r.scores) == {0, 1}
+    assert r.probed.tolist() == [True, True, False]
+    assert r.stored[2] == 0 and r.hits[0, 2] == 0
+    assert math.isnan(r.scores[0, 2]) and not r.kept[0, 2]
+    assert r.kept.tolist() == [[True, True, False]]
 
 
 def test_recognize_input_validation():
@@ -229,11 +241,18 @@ def test_recognize_input_validation():
         recognize(np.zeros(1), bank, model, tax, hoi_threshold=1.5)
     with pytest.raises(ValueError, match="does not match"):
         recognize(np.zeros(2), bank, model, tax)
+    with pytest.raises(ValueError, match="does not match"):
+        recognize(np.float64(0.5), bank, model, tax)
+    with pytest.raises(ValueError, match="does not match"):
+        recognize_objects(np.zeros((3, 2)), bank, model, tax)
     with pytest.raises(ValueError, match="non-finite"):
         recognize(np.array([np.nan]), bank, model, tax)
     empty = bank_of({0: []})
     with pytest.raises(ValueError, match="no entries"):
         recognize(np.zeros(1), empty, model, tax)
+    for verb in (3, -1):  # a bank written for a larger taxonomy
+        with pytest.raises(ValueError, match=rf"bank verbs \[{verb}\] lie outside the taxonomy's 3 verbs"):
+            recognize(np.zeros(1), bank_of({0: [[0.5]], verb: [[0.5]]}), model, tax)
 
 
 def test_recognize_objects_keys_and_consistency():
@@ -242,8 +261,127 @@ def test_recognize_objects_keys_and_consistency():
     model = init_model(tax, world.feat_dim, cfg)
     bank = build_bank(train_set, tax, m=5, seed=0)
     feats = external.object_feat[:4]
-    predicted, scores = recognize_objects(feats, bank, model, tax)
-    assert set(predicted) == set(scores) == {0, 1, 2, 3}
+    r = recognize_objects(feats, bank, model, tax)
+    assert r.hits.shape == r.scores.shape == r.kept.shape == (4, tax.n_verbs)
+    assert r.stored.shape == r.probed.shape == (tax.n_verbs,)
     single = recognize(feats[2], bank, model, tax)
-    assert predicted[2] == single.kept
-    assert scores[2] == single.scores
+    assert np.array_equal(r.hits[2:3], single.hits)
+    assert np.array_equal(r.scores[2:3], single.scores, equal_nan=True)
+    assert np.array_equal(r.kept[2:3], single.kept)
+    assert recognize_objects(feats[:0], bank, model, tax).hits.shape == (0, tax.n_verbs)
+
+
+# --- the dict path recognize_objects replaced, kept as the oracle ---
+
+def recognize_oracle(object_feat, bank, model, tax, hoi_threshold=0.5, keep_threshold=0.5) -> dict:
+    """One object probed verb by verb: per-verb hits, stored counts and scores
+    (NaN when S_i = 0) over the bank's verbs minus the no-interaction verbs,
+    plus the kept set."""
+    scores, hits, stored, kept = {}, {}, {}, set()
+    for v in sorted(bank.entries):
+        if v in tax.no_interaction_verbs:
+            continue
+        feats = bank.entries[v]
+        s_i = len(feats)
+        stored[v] = s_i
+        if s_i == 0:
+            hits[v] = 0
+            scores[v] = float("nan")
+            continue
+        own_cats = tax.categories_of_verb(v)
+        if len(own_cats) == 0:
+            hits[v] = 0
+            scores[v] = 0.0
+            continue
+        x = np.hstack([feats, np.broadcast_to(object_feat, (s_i, bank.feat_dim))])
+        _, probs = nn.mlp_forward(model.hoi_classifier, x)
+        f_i = int((probs[:, own_cats].max(axis=1) >= hoi_threshold).sum())
+        hits[v] = f_i
+        scores[v] = f_i / s_i
+        if scores[v] > keep_threshold:
+            kept.add(v)
+    return {"scores": scores, "hits": hits, "stored": stored, "kept": kept}
+
+
+def recognize_objects_oracle(object_feats, bank, model, tax, hoi_threshold=0.5, keep_threshold=0.5):
+    """recognize_oracle over many objects: (kept sets, score dicts, hit dicts), each keyed
+    by position."""
+    results = [recognize_oracle(f, bank, model, tax, hoi_threshold, keep_threshold) for f in object_feats]
+    return ({i: r["kept"] for i, r in enumerate(results)}, {i: r["scores"] for i, r in enumerate(results)},
+            {i: r["hits"] for i, r in enumerate(results)})
+
+
+def affordances_of_object_oracle(tax, object_id) -> set:
+    """Verbs valid for the object, minus the no-interaction verbs."""
+    return {tax.hoi_pairs[c][0] for c in tax.categories_of_object(object_id)} - tax.no_interaction_verbs
+
+
+VALUES = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def probe_cases(draw):
+    """A small taxonomy (verbs with no category, no-interaction verbs), a bank (verbs
+    with no entries, unbanked verbs), a classifier and objects, all from a few values,
+    so probabilities hit 0.5 exactly and hit ratios tie."""
+    n_verbs, n_objects = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    all_pairs = [(v, o) for v in range(n_verbs) for o in range(n_objects)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=len(all_pairs), unique=True))
+    tax = Taxonomy.build([f"verb{v}" for v in range(n_verbs)], [f"object{o}" for o in range(n_objects)],
+                         pairs, no_interaction_verbs=draw(st.sets(st.integers(0, n_verbs - 1), max_size=1)))
+    feat_dim, hidden, n = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    banked = sorted(draw(st.sets(st.integers(0, n_verbs - 1), min_size=1)))
+    entries = {v: array(draw(st.integers(0, 4)), feat_dim) for v in banked}
+    if not sum(map(len, entries.values())):
+        entries[banked[0]] = array(1, feat_dim)
+    bank = bank_of(entries, m=4, feat_dim=feat_dim)
+    c = tax.n_categories
+    hoi = nn.MLPParams(w1=array(hidden, 2 * feat_dim), b1=array(hidden), w2=array(c, hidden), b2=array(c))
+    model = HOIModel(sp_classifier=nn.init_params(2 * 4 ** 2 + feat_dim, c, hidden=2, seed=0),
+                     hoi_classifier=hoi, spatial_resolution=4, feat_dim=feat_dim)
+    labels = np.array(draw(st.lists(st.integers(0, n_objects - 1), min_size=n, max_size=n)), dtype=np.int64)
+    thresholds = draw(st.sampled_from([0.0, 0.5, 0.6, 1.0])), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    return tax, bank, model, array(n, feat_dim), labels, thresholds
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_cases())
+def test_recognize_objects_matches_dict_oracle(case):
+    tax, bank, model, feats, labels, (hoi_t, keep_t) = case
+    r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
+    predicted, scores, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_t, keep_t)
+
+    probed = [v for v in sorted(bank.entries) if v not in tax.no_interaction_verbs]
+    assert np.flatnonzero(r.probed).tolist() == probed
+    assert r.stored.tolist() == [len(bank.entries[v]) if v in probed else 0 for v in range(tax.n_verbs)]
+    assert not r.hits[:, ~r.probed].any() and np.isnan(r.scores[:, ~r.probed]).all()
+    for k in range(len(feats)):
+        assert r.hits[k, probed].tolist() == [hits[k][v] for v in probed]
+        for v in probed:
+            assert_same_float(float(r.scores[k, v]), scores[k][v])
+        assert set(np.flatnonzero(r.kept[k]).tolist()) == predicted[k]
+
+    truth = tax.affordance_matrix()[labels]
+    gt = {k: affordances_of_object_oracle(tax, o) for k, o in enumerate(labels.tolist())}
+    assert grid_sets(truth) == gt
+    assert_same_prf1(affordance_prf1(r.kept, truth), affordance_prf1_oracle(predicted, gt))
+    assert_same_float(affordance_map(r.scores, truth), affordance_map_oracle(scores, gt))
+
+
+def test_recognize_objects_matches_dict_oracle_on_generated_data():
+    # a real world and an untrained model: hit ratios of every size
+    tax, world, train_set, external = small_world(seed=4)
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=4))
+    bank = build_bank(train_set, tax, m=7, seed=4)
+    r = recognize_objects(external.object_feat, bank, model, tax)
+    predicted, scores, hits = recognize_objects_oracle(external.object_feat, bank, model, tax)
+    assert [dict(zip(range(tax.n_verbs), row)) for row in r.hits.tolist()] == list(hits.values())
+    truth = tax.affordance_matrix()[external.object_label]
+    gt = {k: affordances_of_object_oracle(tax, o) for k, o in enumerate(external.object_label.tolist())}
+    assert_same_float(affordance_map(r.scores, truth), affordance_map_oracle(scores, gt))
+    assert_same_prf1(affordance_prf1(r.kept, truth), affordance_prf1_oracle(predicted, gt))

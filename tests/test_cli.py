@@ -219,6 +219,49 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("cmd,body,needle", [
+    ("gen-data", {"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ("gen-data", {"dataset": {"n_train": 7.5}}, "n_train must be an integer, got 7.5"),
+    ("train", {"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ("train", {"seed": -1}, "seed must be nonnegative"),
+    ("train", {"baseline": "yes"}, "baseline must be true or false"),
+    ("train", {"train": {"hidden": "x"}}, "hidden must be an integer, got 'x'"),
+    ("build-bank", {"m": "many"}, "m must be an integer, got 'many'"),
+    ("zeroshot", {"rare_threshold": "x"}, "rare_threshold must be an integer, got 'x'"),
+    ("eval-hoi", {"write_predictions": "true"}, "write_predictions must be true or false"),
+    ("affordance", {"hoi_threshold": "hi"}, "hoi_threshold must be a number, got 'hi'"),
+    ("affordance", {"keep_threshold": 2}, "keep_threshold 2.0 must lie in [0, 1]"),
+    ("affordance", {"novel_only": "false"}, "novel_only must be true or false"),
+    ("gradcheck", {"n_configs": "x"}, "n_configs must be an integer, got 'x'"),
+    ("gradcheck", {"tolerance": "tight"}, "tolerance must be a number, got 'tight'"),
+    ("reproduce-trends", {"seeds": "ab"}, "seeds must be a list, got 'ab'"),
+    ("reproduce-trends", {"seeds": [0, "1"]}, "seeds must be nonnegative integers, got [0, '1']"),
+    ("reproduce-trends", {"seeds": [True]}, "seeds must be nonnegative integers"),
+    ("reproduce-trends", {"seeds": [-1]}, "seeds must be nonnegative integers"),
+    ("gen-data", {"world": {"noise_sigma": "x"}}, "noise_sigma must be a number, got 'x'"),
+    ("gen-data", {"split": {"mode": 3}}, "mode must be a string, got 3"),
+])
+def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
+    # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
+    # "yes" or "false" as true and "1" as seed 1
+    files = {"data_dir": str(data_dir), "checkpoint": str(trained_dir / "checkpoint.json"),
+             "bank": str(tmp_path / "bank.json")}
+    needs = {"train": ["data_dir"], "build-bank": ["data_dir"], "zeroshot": ["data_dir", "checkpoint"],
+             "eval-hoi": ["data_dir", "checkpoint"], "affordance": ["data_dir", "checkpoint", "bank"]}
+    cfg = write_config(tmp_path / "cfg.json", {**{k: files[k] for k in needs.get(cmd, [])}, **body})
+    out = tmp_path / "out"
+    assert run(cmd, cfg, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    # gradcheck used to end in a traceback from the seed stream
+    assert run("gradcheck", out=tmp_path, seed=-1) == EXIT_CONFIG
+    assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_zeroshot_rejects_schema_1_checkpoint(trained_dir, data_dir, tmp_path, capsys):
     d = json.loads((trained_dir / "checkpoint.json").read_text())
     assert d["schema_version"] == 2
@@ -324,6 +367,13 @@ TEST_RECORD_FAULTS = {
                                 "object_label is not integral"),
     "fractional-hoi-bit": (lambda r: r["hoi_label"].__setitem__(r["hoi_label"].index(1), 1.9),
                            "hoi_label is not integral"),
+    "string-object-label": (lambda r: r.update(object_label=str(r["object_label"])),
+                            "object_label is not a number"),
+    "boolean-hoi-bit": (lambda r: r["hoi_label"].__setitem__(r["hoi_label"].index(1), True),
+                        "hoi_label is not a number"),
+    "string-human-box": (lambda r: r.update(human_box=[str(x) for x in r["human_box"]]),
+                         "human_box is not a number"),
+    "unknown-field": (lambda r: r.update(object_bbox=r["object_box"]), "unknown record fields: ['object_bbox']"),
 }
 
 

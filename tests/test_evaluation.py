@@ -518,8 +518,16 @@ def test_save_predictions_matches_tuple_writer(tmp_path):
 
 # --- affordance metrics ---
 
+def as_grid(rows, n_verbs):
+    """(len(rows), n_verbs) bool grid with row k set at the verb ids rows[k]."""
+    grid = np.zeros((len(rows), n_verbs), dtype=bool)
+    for k, verbs in enumerate(rows):
+        grid[k, list(verbs)] = True
+    return grid
+
+
 def test_affordance_prf1_identical():
-    sets = {0: {1, 2}, 1: {0}}
+    sets = as_grid([{1, 2}, {0}], 3)
     r = affordance_prf1(sets, sets)
     assert (r.micro_precision, r.micro_recall, r.micro_f1) == (1.0, 1.0, 1.0)
     assert (r.macro_precision, r.macro_recall, r.macro_f1) == (1.0, 1.0, 1.0)
@@ -527,14 +535,14 @@ def test_affordance_prf1_identical():
 
 
 def test_affordance_prf1_empty_predictions_flagged():
-    r = affordance_prf1({}, {0: {1}})
+    r = affordance_prf1(as_grid([set()], 2), as_grid([{1}], 2))
     assert (r.micro_precision, r.micro_recall, r.micro_f1) == (0.0, 0.0, 0.0)
     assert r.undefined_precision
 
 
 def test_affordance_prf1_worked_example():
     # predicted {ride, eat}, truth {ride}: P=1/2, R=1, F1=2/3
-    r = affordance_prf1({0: {0, 1}}, {0: {0}})
+    r = affordance_prf1(as_grid([{0, 1}], 2), as_grid([{0}], 2))
     assert r.micro_precision == pytest.approx(0.5)
     assert r.micro_recall == 1.0
     assert r.micro_f1 == pytest.approx(2 / 3)
@@ -543,16 +551,16 @@ def test_affordance_prf1_worked_example():
 def test_affordance_prf1_micro_vs_macro_differ():
     # object 0 perfect (1 verb), object 1 half precision over many verbs:
     # micro is pulled toward the big object, macro averages objects equally.
-    predicted = {0: {0}, 1: {1, 2, 3, 4}}
-    truth = {0: {0}, 1: {1, 2}}
+    predicted = as_grid([{0}, {1, 2, 3, 4}], 5)
+    truth = as_grid([{0}, {1, 2}], 5)
     r = affordance_prf1(predicted, truth)
     assert r.micro_precision == pytest.approx(3 / 5)
     assert r.macro_precision == pytest.approx((1.0 + 0.5) / 2)
 
 
 def test_affordance_map_perfect_separation():
-    scores = {k: {0: 1.0 if k < 3 else 0.0} for k in range(6)}
-    truth = {k: ({0} if k < 3 else set()) for k in range(6)}
+    scores = np.array([[1.0] if k < 3 else [0.0] for k in range(6)])
+    truth = as_grid([{0} if k < 3 else set() for k in range(6)], 1)
     assert affordance_map(scores, truth) == 1.0
 
 
@@ -564,31 +572,140 @@ def test_affordance_map_null_matches_prevalence():
     aps = []
     for trial in range(60):
         positive = set(rng.choice(n_obj, size=n_pos, replace=False).tolist())
-        truth = {k: ({0} if k in positive else set()) for k in range(n_obj)}
-        scores = {k: {0: float(rng.uniform())} for k in range(n_obj)}
+        truth = as_grid([{0} if k in positive else set() for k in range(n_obj)], 1)
+        scores = np.array([[float(rng.uniform())] for k in range(n_obj)])
         aps.append(affordance_map(scores, truth))
     assert abs(float(np.mean(aps)) - n_pos / n_obj) < 0.05
 
 
 def test_affordance_map_missing_scores_rank_last():
-    truth = {0: {5}, 1: set(), 2: set()}
-    # object 0 is the positive but has no score: it ranks below both scored objects
-    scores = {1: {5: 0.9}, 2: {5: 0.8}}
+    truth = as_grid([{5}, set(), set()], 6)
+    # object 0 is the positive but has no score (NaN): it ranks below both scored objects
+    scores = np.full((3, 6), np.nan)
+    scores[1:, 5] = [0.9, 0.8]
     assert affordance_map(scores, truth) == pytest.approx(1 / 3)
-    # NaN behaves exactly like missing
-    scores_nan = {0: {5: float("nan")}, 1: {5: 0.9}, 2: {5: 0.8}}
-    assert affordance_map(scores_nan, truth) == pytest.approx(1 / 3)
+    # below a score of 0 too, and in object order among the unscored
+    scores[1:, 5] = [0.0, np.nan]
+    assert affordance_map(scores, truth) == pytest.approx(1 / 2)
 
 
 def test_affordance_map_excludes_zero_positive_verbs():
-    truth = {0: {1}, 1: set()}
-    scores = {0: {1: 0.9, 2: 0.1}, 1: {1: 0.2, 2: 0.8}}
+    truth = as_grid([{1}, set()], 3)
+    scores = np.array([[np.nan, 0.9, 0.1], [np.nan, 0.2, 0.8]])
     # verb 2 never appears in the truth: only verb 1 contributes
     assert affordance_map(scores, truth) == 1.0
 
 
 def test_affordance_map_no_positives_at_all_is_nan():
-    assert math.isnan(affordance_map({0: {1: 0.5}}, {0: set()}))
+    assert math.isnan(affordance_map(np.array([[np.nan, 0.5]]), as_grid([set()], 2)))
+
+
+@pytest.mark.parametrize("metric", [affordance_prf1, affordance_map])
+@pytest.mark.parametrize("shape,truth_shape", [((2, 3), (2, 4)), ((3, 3), (2, 3)), ((3,), (3,)),
+                                               ((1, 2, 3), (1, 2, 3))])
+def test_affordance_metrics_reject_shape_mismatch(metric, shape, truth_shape):
+    with pytest.raises(ValueError, match="must be the same"):
+        metric(np.zeros(shape), np.zeros(truth_shape, dtype=bool))
+
+
+# The dict path the affordance metrics replaced: per-object sets and score dicts
+# keyed by object position, over the union of both inputs' keys. The grid
+# metrics must give bit-equal results.
+
+def affordance_prf1_oracle(predicted: dict, ground_truth: dict) -> dict:
+    keys = sorted(set(predicted) | set(ground_truth))
+    tp = fp = fn = 0
+    macro_p, macro_r, macro_f = [], [], []
+
+    def f1(p, r):
+        return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+    for k in keys:
+        pred = set(predicted.get(k, ()))
+        gt = set(ground_truth.get(k, ()))
+        tp_k, fp_k, fn_k = len(pred & gt), len(pred - gt), len(gt - pred)
+        tp, fp, fn = tp + tp_k, fp + fp_k, fn + fn_k
+        p_k = tp_k / (tp_k + fp_k) if pred else 0.0
+        r_k = tp_k / (tp_k + fn_k) if gt else 0.0
+        macro_p.append(p_k)
+        macro_r.append(r_k)
+        macro_f.append(f1(p_k, r_k))
+    undefined = tp + fp == 0
+    micro_p = 0.0 if undefined else tp / (tp + fp)
+    micro_r = 0.0 if tp + fn == 0 else tp / (tp + fn)
+    return {
+        "micro_precision": micro_p, "micro_recall": micro_r, "micro_f1": f1(micro_p, micro_r),
+        "macro_precision": float(np.mean(macro_p)) if keys else 0.0,
+        "macro_recall": float(np.mean(macro_r)) if keys else 0.0,
+        "macro_f1": float(np.mean(macro_f)) if keys else 0.0,
+        "n_objects": len(keys), "undefined_precision": undefined,
+    }
+
+
+def affordance_map_oracle(scores: dict, ground_truth: dict) -> float:
+    keys = sorted(set(scores) | set(ground_truth))
+    verbs = set()
+    for k in keys:
+        verbs |= set(ground_truth.get(k, ()))
+    aps = []
+    for v in sorted(verbs):
+        ranked = []
+        for k in keys:
+            s = scores.get(k, {}).get(v)
+            ranked.append((-float("inf") if s is None or math.isnan(s) else float(s), k))
+        ranked.sort(key=lambda t: -t[0])  # stable: ties keep object-key order
+        flags = [v in ground_truth.get(k, ()) for _, k in ranked]
+        aps.append(average_precision(flags, sum(flags)))
+    return float(np.mean(aps)) if aps else float("nan")
+
+
+def grid_sets(grid) -> dict:
+    """A bool grid as the dict path's {object position: set of verb ids}."""
+    return {k: set(np.flatnonzero(row).tolist()) for k, row in enumerate(grid)}
+
+
+def grid_scores(scores, verbs) -> dict:
+    """A score grid as the dict path's {object position: {verb id: score}} over verbs."""
+    return {k: {v: float(row[v]) for v in verbs} for k, row in enumerate(scores)}
+
+
+def assert_same_float(a: float, b: float):
+    assert type(a) is type(b) is float
+    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (a, b)
+
+
+def assert_same_prf1(prf1, want: dict):
+    """Every field of prf1 equal to the oracle's, of the same type, floats bit for bit."""
+    got = prf1.to_json_dict()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert_same_float(got[key], value)
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+def assert_affordance_metrics_match_oracle(kept, scores, truth, verbs):
+    """The grid metrics of (kept, scores, truth) against the dict path's; verbs are
+    the score columns the dict path holds."""
+    assert_same_prf1(affordance_prf1(kept, truth), affordance_prf1_oracle(grid_sets(kept), grid_sets(truth)))
+    assert_same_float(affordance_map(scores, truth),
+                      affordance_map_oracle(grid_scores(scores, verbs), grid_sets(truth)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), st.integers(1, 4), st.data())
+def test_affordance_metrics_match_dict_oracle(n, n_verbs, data):
+    # scores from a few values (ties), NaN and +-inf included; rows of kept and
+    # truth may be empty, or all of them. Up to 30 objects: numpy's quicksort
+    # is an insertion sort, so stable, below 17.
+    cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+                     min_size=n * n_verbs, max_size=n * n_verbs)
+    bits = st.lists(st.booleans(), min_size=n * n_verbs, max_size=n * n_verbs)
+    scores = np.array(data.draw(cells), dtype=float).reshape(n, n_verbs)
+    kept = np.array(data.draw(bits), dtype=bool).reshape(n, n_verbs)
+    truth = np.array(data.draw(bits), dtype=bool).reshape(n, n_verbs)
+    assert_affordance_metrics_match_oracle(kept, scores, truth, range(n_verbs))
 
 
 def test_eval_report_json_dict_has_nan_as_none():

@@ -306,9 +306,17 @@ def _fractional_bit(rec):
     (0, lambda rec: rec.update(object_label=float("nan")), "object_label is not integral"),
     (0, lambda rec: rec.update(object_label=float("inf")), "object_label is not integral"),
     (2, lambda rec: rec.update(object_label=float("-inf")), "object_label is not integral"),
+    (0, lambda rec: rec.update(object_label=str(rec["object_label"])), "object_label is not a number"),
+    (2, lambda rec: rec.update(object_label=True), "object_label is not a number"),
+    (0, lambda rec: rec.update(object_label=None), "object_label is not a number"),
+    (0, lambda rec: rec.update(object_box=[str(x) for x in rec["object_box"]]), "object_box is not a number"),
+    (2, lambda rec: rec.update(object_box=[True] * 4), "object_box is not a number"),
+    (0, lambda rec: rec["hoi_label"].__setitem__(rec["hoi_label"].index(1), True), "hoi_label is not a number"),
+    (2, lambda rec: rec["object_feat"].__setitem__(0, "0.5"), "object_feat is not a number"),
 ])
 def test_load_rejects_a_non_integral_label(tmp_path, part, edit, want):
-    # assignment into an integer column would truncate 13.5 to 13 and 1.9 to 1
+    # assignment into an integer column would truncate 13.5 to 13 and 1.9 to 1;
+    # into any column it would parse the string "1" and take true as 1
     tax, world = gen_world(seed=29)
     records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
     label = records[2]["object_label"]
@@ -319,6 +327,16 @@ def test_load_rejects_a_non_integral_label(tmp_path, part, edit, want):
     records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
     records[2]["object_label"] = float(label)
     assert load_instances(write_records(tmp_path / "ok.jsonl", records)).object_label[2] == label
+
+
+@pytest.mark.parametrize("part", [0, 2])
+def test_load_rejects_an_unknown_field(tmp_path, part):
+    # a misspelt field would otherwise be dropped without a word
+    tax, world = gen_world(seed=29)
+    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    records[2]["object_bbox"] = records[2]["object_box"]
+    with pytest.raises(ValueError, match=re.escape("record 3: unknown record fields: ['object_bbox']")):
+        load_instances(write_records(tmp_path / "bad.jsonl", records))
 
 
 def _set(name, value):

@@ -114,8 +114,9 @@ def test_categories_of_and_affordances():
     assert tax.categories_of_verb(2).tolist() == [3, 4]
     assert tax.categories_of_object(1).tolist() == [1, 2]
     # no_interaction excluded from affordances
-    assert tax.affordances_of_object(0) == {0}
-    assert tax.affordances_of_object(2) == set()
+    afford = tax.affordance_matrix()
+    assert afford.dtype == bool
+    assert afford.tolist() == [[True, False, False], [True, True, False], [False, False, False]]
 
 
 def test_json_roundtrip(tmp_path):
