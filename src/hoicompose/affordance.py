@@ -19,6 +19,9 @@ from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
 DEFAULT_BANK_SIZE = 100
 DEFAULT_HOI_THRESHOLD = 0.5
 DEFAULT_KEEP_THRESHOLD = 0.5
+# (object, entry) rows per block of recognize_objects: bounds its hidden buffer at
+# PROBE_ROWS x hidden floats whatever the number of objects.
+PROBE_ROWS = 1024
 
 
 @dataclass
@@ -60,12 +63,18 @@ class AffordanceBank:
     @classmethod
     def from_json_dict(cls, d: dict) -> "AffordanceBank":
         _reject_unknown(d, {"schema_version", "m", "feat_dim", "source_seed", "entries"}, "bank")
-        feat_dim = int(d["feat_dim"])
+        for key in ("m", "feat_dim", "source_seed"):
+            if type(d[key]) is not int:  # as json.loads makes it: true and "5" are not integers
+                raise ValueError(f"bank {key} must be an integer, got {d[key]!r}")
+        feat_dim = d["feat_dim"]
         entries = {}
         for v, rows in d["entries"].items():
+            for j, row in enumerate(rows):
+                if not set(map(type, row)) <= {int, float}:
+                    raise ValueError(f"bank verb {v} row {j}: not a number")
             arr = np.asarray(rows, dtype=float)
             entries[int(v)] = arr.reshape(len(rows), feat_dim) if len(rows) else np.zeros((0, feat_dim))
-        bank = cls(entries=entries, m=int(d["m"]), feat_dim=feat_dim, source_seed=int(d["source_seed"]))
+        bank = cls(entries=entries, m=d["m"], feat_dim=feat_dim, source_seed=d["source_seed"])
         bank.validate()
         return bank
 
@@ -151,11 +160,16 @@ def recognize_objects(
 ) -> AffordanceScores:
     """Probe each of n object features (n, feat_dim) against every bank entry.
 
-    Each entry (verb i, feat f) runs the HOI classifier on f ++ object_feat, one
-    forward pass per (object, verb); the entry scores a hit iff verb i's own
-    max-over-categories probability reaches hoi_threshold (other verbs'
-    predictions are discarded), so a verb with no category of its own scores 0.
-    Kept verbs are those with hit ratio strictly above keep_threshold.
+    Each (object, entry) pair, entry = (verb i, feat f), reads the HOI classifier
+    on f ++ object_feat and scores a hit iff verb i's own max-over-categories
+    probability reaches hoi_threshold, so a verb with no category of its own
+    scores 0. Kept verbs are those with hit ratio strictly above keep_threshold.
+
+    The first layer splits as W1 = [W1_verb | W1_obj], so each pair's hidden
+    pre-activation is (f @ W1_verb.T + b1) + object_feat @ W1_obj.T: both halves
+    are computed once, and each verb's pairs are summed block by block into one
+    buffer of at most PROBE_ROWS x hidden (one object a block when S_i is larger),
+    which reads only that verb's own output rows of W2.
     """
     if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
         raise ValueError("thresholds must lie in [0, 1]")
@@ -172,14 +186,30 @@ def recognize_objects(
 
     probed = np.array([v in bank.entries and v not in tax.no_interaction_verbs for v in range(tax.n_verbs)])
     stored = np.array([len(bank.entries[v]) if p else 0 for v, p in enumerate(probed)], dtype=np.int64)
-    probes = [(v, bank.entries[v], tax.categories_of_verb(v)) for v in np.flatnonzero(stored).tolist()]
+    hoi = model.hoi_classifier
+    if hoi.d_in != 2 * bank.feat_dim:
+        raise ValueError(f"classifier input dim {hoi.d_in} does not match twice the bank dim {bank.feat_dim}")
+    w1_verb, w1_obj = hoi.w1[:, :bank.feat_dim], hoi.w1[:, bank.feat_dim:]
+    obj_hidden = feats @ w1_obj.T  # (n, hidden): the object half of every first layer
     hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
-    for k, feat in enumerate(feats):
-        for v, entries, cats in probes:
-            if len(cats):
-                x = np.hstack([entries, np.broadcast_to(feat, entries.shape)])
-                _, probs = nn.mlp_forward(model.hoi_classifier, x)
-                hits[k, v] = (probs[:, cats].max(axis=1) >= hoi_threshold).sum()
+    for v in np.flatnonzero(stored).tolist():
+        cats = tax.categories_of_verb(v)
+        if not len(cats):
+            continue
+        entries = bank.entries[v]
+        entry_hidden = entries @ w1_verb.T + hoi.b1  # (s_i, hidden)
+        s_i = len(entries)
+        block = max(1, PROBE_ROWS // s_i)
+        buf = np.empty((min(block, len(feats)), s_i, hoi.hidden))
+        w2, b2 = hoi.w2[cats], hoi.b2[cats, None]
+        for start in range(0, len(feats), block):
+            h = buf[:min(block, len(feats) - start)]
+            np.add(entry_hidden, obj_hidden[start:start + len(h), None], out=h)
+            np.maximum(h, 0.0, out=h)
+            logits = w2 @ h.reshape(-1, hoi.hidden).T  # (own categories, rows): max runs down columns
+            logits += b2
+            probs = nn.sigmoid(logits.max(axis=0)).reshape(len(h), s_i)
+            hits[start:start + len(h), v] = (probs >= hoi_threshold).sum(axis=1)
     scores = np.full(hits.shape, np.nan)
     np.divide(hits, stored, out=scores, where=stored > 0)
     return AffordanceScores(hits=hits, stored=stored, probed=probed, scores=scores,

@@ -471,8 +471,10 @@ def _end_to_end_errors(seed: int) -> dict:
 
 
 def cmd_reproduce_trends(cfg: dict, args) -> int:
+    if "seed" in cfg or args.seed is not None:
+        raise ConfigError("reproduce-trends takes no seed or --seed: trend seeds come from the seeds list")
     _check_keys(cfg, {"seeds": list, "n_train": int, "n_test": int, "n_external": int, "train": dict,
-                      "bank_m": int, "bank_m_small": int, "seed": int}, "reproduce-trends")
+                      "bank_m": int, "bank_m_small": int}, "reproduce-trends")
     out = _out_dir(args)
     try:
         settings = TrendSettings(

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("spatial_resolution must be positive")
         if self.trace_every < 1:
             raise ValueError("trace_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

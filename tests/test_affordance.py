@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from test_evaluation import (affordance_map_oracle, affordance_prf1_oracle, asse
 
 from hoicompose import nn
 from hoicompose.affordance import (
+    PROBE_ROWS,
     AffordanceBank,
     build_bank,
     recognize,
     recognize_objects,
 )
 from hoicompose.evaluation import affordance_map, affordance_prf1
-from hoicompose.pipeline import HOIModel, TrainConfig, init_model
+from hoicompose.pipeline import HOIModel, TrainConfig, init_model, train
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import Taxonomy
 
@@ -134,6 +137,24 @@ def test_bank_json_roundtrip(tmp_path):
         AffordanceBank.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d["entries"]["1"].__setitem__(0, [str(x) for x in d["entries"]["1"][0]]),
+     "bank verb 1 row 0: not a number"),
+    (lambda d: d["entries"]["2"][1].__setitem__(0, True), "bank verb 2 row 1: not a number"),
+    (lambda d: d["entries"]["0"][0].__setitem__(3, None), "bank verb 0 row 0: not a number"),
+    (lambda d: d.update(m="100"), "bank m must be an integer, got '100'"),
+    (lambda d: d.update(feat_dim=6.0), "bank feat_dim must be an integer, got 6.0"),
+    (lambda d: d.update(source_seed=True), "bank source_seed must be an integer, got True"),
+])
+def test_bank_load_rejects_non_numbers(edit, needle):
+    # a float or int cast would read number strings and true as numbers
+    tax, world, train_set, _ = small_world()
+    doc = build_bank(train_set, tax, m=4, seed=2).to_json_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        AffordanceBank.from_json_dict(doc)
+
+
 def test_bank_validate_rejects_over_cap():
     bank = bank_of({0: [[0.1]]}, m=1)
     bank.entries[0] = np.zeros((3, 1))  # mutate past the cap
@@ -247,6 +268,10 @@ def test_recognize_input_validation():
         recognize_objects(np.zeros((3, 2)), bank, model, tax)
     with pytest.raises(ValueError, match="non-finite"):
         recognize(np.array([np.nan]), bank, model, tax)
+    wide = HOIModel(sp_classifier=model.sp_classifier, hoi_classifier=nn.init_params(3, tax.n_categories, 2),
+                    spatial_resolution=4, feat_dim=1)
+    with pytest.raises(ValueError, match="classifier input dim 3 does not match twice the bank dim 1"):
+        recognize(np.zeros(1), bank, wide, tax)
     empty = bank_of({0: []})
     with pytest.raises(ValueError, match="no entries"):
         recognize(np.zeros(1), empty, model, tax)
@@ -385,3 +410,87 @@ def test_recognize_objects_matches_dict_oracle_on_generated_data():
     gt = {k: affordances_of_object_oracle(tax, o) for k, o in enumerate(external.object_label.tolist())}
     assert_same_float(affordance_map(r.scores, truth), affordance_map_oracle(scores, gt))
     assert_same_prf1(affordance_prf1(r.kept, truth), affordance_prf1_oracle(predicted, gt))
+
+
+def assert_hits_match_oracle(feats, bank, model, tax, hoi_threshold=0.5):
+    r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_threshold)
+    _, _, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_threshold)
+    probed = np.flatnonzero(r.probed).tolist()
+    assert r.hits.shape == (len(feats), tax.n_verbs)
+    assert [dict(zip(probed, row)) for row in r.hits[:, probed].tolist()] == list(hits.values())
+    return r
+
+
+def probe_margin(feats, bank, model, tax, hoi_threshold):
+    """Smallest |p - hoi_threshold| over every (object, entry) pair's own-category max."""
+    margin = math.inf
+    for v, entries in bank.entries.items():
+        cats = tax.categories_of_verb(v)
+        for feat in feats:
+            _, probs = nn.mlp_forward(model.hoi_classifier, np.hstack([entries, np.broadcast_to(feat, entries.shape)]))
+            margin = min(margin, float(np.abs(probs[:, cats].max(axis=1) - hoi_threshold).min()))
+    return margin
+
+
+def test_recognize_objects_matches_oracle_with_trained_weights():
+    # trained, non-dyadic weights: the split first layer sums in another order
+    # than the oracle's one forward pass, so equality rests on no probability
+    # lying within rounding of the threshold
+    tax, world, train_set, external = small_world(seed=5)
+    cfg = TrainConfig(hidden=16, spatial_resolution=4, iterations=150, hoi_batch=16, object_batch=8, seed=5)
+    model = train(train_set, external, tax, cfg).model
+    bank = build_bank(train_set, tax, m=12, seed=5)
+    for t in (0.3, 0.5, 0.7):
+        r = assert_hits_match_oracle(external.object_feat, bank, model, tax, hoi_threshold=t)
+        assert 0 < r.hits.sum() < r.stored.sum() * len(external)
+        print(f"hoi_threshold {t}: smallest |p - threshold| {probe_margin(external.object_feat, bank, model, tax, t):.3g}")
+
+
+def random_case(sizes, seed=0):
+    """line_tax, a bank with sizes[v] random entries for verb v, and an untrained model."""
+    tax = line_tax()
+    rng = np.random.default_rng(seed)
+    bank = bank_of({v: rng.normal(size=(s, 3)) for v, s in enumerate(sizes)}, m=max(sizes), feat_dim=3)
+    model = init_model(tax, 3, TrainConfig(hidden=6, spatial_resolution=4, seed=seed))
+    return tax, bank, model, rng
+
+
+@pytest.mark.parametrize("s_i", [7, 100])
+def test_recognize_objects_block_boundaries(s_i):
+    # 0, 1, one full block of PROBE_ROWS // s_i objects and one more
+    tax, bank, model, rng = random_case([s_i, 3, 1], seed=s_i)
+    block = PROBE_ROWS // s_i
+    for n in (0, 1, block, block + 1):
+        assert_hits_match_oracle(rng.normal(size=(n, 3)), bank, model, tax)
+
+
+def test_recognize_objects_verb_above_block_rows():
+    # S_i > PROBE_ROWS: every block holds one object
+    tax, bank, model, rng = random_case([PROBE_ROWS + 5, 2], seed=1)
+    r = assert_hits_match_oracle(rng.normal(size=(3, 3)), bank, model, tax)
+    assert r.stored.tolist() == [PROBE_ROWS + 5, 2, 0]
+
+
+def test_recognize_objects_single_entry_verb():
+    # S_i = 1: a block of PROBE_ROWS objects, then one more
+    tax, bank, model, rng = random_case([1, 1, 1], seed=2)
+    r = assert_hits_match_oracle(rng.normal(size=(PROBE_ROWS + 1, 3)), bank, model, tax)
+    assert set(np.unique(r.hits)) <= {0, 1}
+
+
+@pytest.mark.parametrize("s_i,n", [(100, 400), (PROBE_ROWS + 5, 8)])
+def test_recognize_objects_working_set_is_bounded(s_i, n):
+    # one block buffer of at most max(PROBE_ROWS, S_i) hidden rows, not n x S_i of them
+    tax = line_tax()
+    rng = np.random.default_rng(0)
+    bank = bank_of({0: rng.normal(size=(s_i, 3))}, m=s_i, feat_dim=3)
+    model = init_model(tax, 3, TrainConfig(hidden=64, spatial_resolution=4, seed=0))
+    feats = rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        recognize_objects(feats, bank, model, tax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = max(PROBE_ROWS, s_i) + s_i + n  # the block buffer, the entry half, the object half
+    assert peak < 1.25 * rows * 64 * 8 + 64 * 1024

@@ -224,6 +224,7 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("gen-data", {"dataset": {"n_train": 7.5}}, "n_train must be an integer, got 7.5"),
     ("train", {"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ("train", {"seed": -1}, "seed must be nonnegative"),
+    ("train", {"train": {"seed": -1}}, "train config: seed must be nonnegative, got -1"),
     ("train", {"baseline": "yes"}, "baseline must be true or false"),
     ("train", {"train": {"hidden": "x"}}, "hidden must be an integer, got 'x'"),
     ("build-bank", {"m": "many"}, "m must be an integer, got 'many'"),
@@ -490,6 +491,27 @@ def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
     assert {row["object_label"] for row in doc["objects"]} <= novel
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["entries"]["0"].__setitem__(0, [str(x) for x in d["entries"]["0"][0]]),
+    lambda d: d["entries"]["0"][0].__setitem__(0, True),
+])
+def test_affordance_rejects_bank_of_non_numbers(trained_dir, data_dir, tmp_path, capsys, edit):
+    # a float cast would load such a row as numbers
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+               tmp_path / "bank") == EXIT_OK
+    doc = json.loads((tmp_path / "bank" / "bank.json").read_text())
+    edit(doc)
+    (tmp_path / "bank" / "bank.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data_dir), "bank": str(tmp_path / "bank" / "bank.json"),
+                                                "checkpoint": str(trained_dir / "checkpoint.json")})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("affordance", cfg, out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: failed to load bank ") and "bank verb 0 row 0: not a number" in err, err
+    assert not any(out.iterdir())
+
+
 def test_gradcheck_passes_and_writes(tmp_path):
     cfg = write_config(tmp_path / "gc.json", {"n_configs": 5})
     assert run("gradcheck", cfg, tmp_path) == EXIT_OK
@@ -608,6 +630,17 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg, tmp_path) == EXIT_CONFIG
     cfg2 = write_config(tmp_path / "t2.json", {"seeds": []})
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
+def test_reproduce_trends_rejects_seed(tmp_path, capsys, body, seed):
+    # neither would change trends.json: the trend seeds are the seeds list
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0], **body})
+    out = tmp_path / "out"
+    assert run("reproduce-trends", cfg, out, seed=seed) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "trend seeds come from the seeds list" in err, err
+    assert not out.exists()
 
 
 def run_python(*argv):
