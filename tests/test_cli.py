@@ -224,7 +224,6 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("gen-data", {"dataset": {"n_train": 7.5}}, "n_train must be an integer, got 7.5"),
     ("train", {"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ("train", {"seed": -1}, "seed must be nonnegative"),
-    ("train", {"train": {"seed": -1}}, "train config: seed must be nonnegative, got -1"),
     ("train", {"baseline": "yes"}, "baseline must be true or false"),
     ("train", {"train": {"hidden": "x"}}, "hidden must be an integer, got 'x'"),
     ("build-bank", {"m": "many"}, "m must be an integer, got 'many'"),
@@ -241,6 +240,7 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("reproduce-trends", {"seeds": [-1]}, "seeds must be nonnegative integers"),
     ("gen-data", {"world": {"noise_sigma": "x"}}, "noise_sigma must be a number, got 'x'"),
     ("gen-data", {"split": {"mode": 3}}, "mode must be a string, got 3"),
+    ("train", {"train": {"seed": -1}}, "train config: seed must be nonnegative, got -1"),
 ])
 def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
     # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
