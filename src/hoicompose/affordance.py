@@ -5,7 +5,6 @@ is hits / stored entries.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -14,7 +13,8 @@ import numpy as np
 from . import nn
 from .pipeline import HOIModel
 from .seeding import substream
-from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
+from .jsonfile import check_fields, read_json, write_json
+from .taxonomy import Taxonomy, decouple_verb
 
 DEFAULT_BANK_SIZE = 100
 DEFAULT_HOI_THRESHOLD = 0.5
@@ -53,7 +53,6 @@ class AffordanceBank:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "m": self.m,
             "feat_dim": self.feat_dim,
             "source_seed": self.source_seed,
@@ -62,10 +61,7 @@ class AffordanceBank:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AffordanceBank":
-        _reject_unknown(d, {"schema_version", "m", "feat_dim", "source_seed", "entries"}, "bank")
-        for key in ("m", "feat_dim", "source_seed"):
-            if type(d[key]) is not int:  # as json.loads makes it: true and "5" are not integers
-                raise ValueError(f"bank {key} must be an integer, got {d[key]!r}")
+        check_fields(d, {"m": int, "feat_dim": int, "source_seed": int, "entries": dict}, "bank")
         feat_dim = d["feat_dim"]
         entries = {}
         for v, rows in d["entries"].items():
@@ -79,14 +75,11 @@ class AffordanceBank:
         return bank
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict(), indent=None)
 
     @classmethod
     def load(cls, path) -> "AffordanceBank":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path, "bank"))
 
 
 def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int = 0) -> AffordanceBank:

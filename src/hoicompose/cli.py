@@ -22,9 +22,9 @@ from . import nn
 from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
-                         make_split, map_report, save_predictions, write_report_csv,
-                         write_report_json)
-from .experiments import TrendSettings, reproduce_trends, save_trend_report
+                         make_split, map_report, save_predictions, write_report_csv)
+from .experiments import TrendSettings, reproduce_trends
+from .jsonfile import check_fields, read_json, write_json
 from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, baseline_config, build_matrices,
                        _check_confidences, compose_batch, init_model, load_checkpoint, predict_dataset,
                        save_checkpoint, step_grad_check, train, write_trace_csv)
@@ -56,36 +56,19 @@ _LOAD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
+    try:  # a config file may leave out its schema_version
+        return read_json(path, "config", missing_ok=True)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    version = cfg.pop("schema_version", 1)
-    if version != 1:
-        raise ConfigError(f"unsupported config schema_version {version}")
-    return cfg
-
-
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
-          dict: "an object"}
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"config file {path}: {e}")
 
 
 def _check_keys(cfg: dict, kinds: dict, where: str) -> None:
-    """Reject keys outside kinds and values of another JSON type than their key's
-    kind: an int key takes a JSON integer, a float key any number."""
-    unknown = set(cfg) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown {where} config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        kind = kinds[key]
-        if not isinstance(value, (int, float) if kind is float else kind) or (
-                isinstance(value, bool) and kind is not bool):
-            raise ConfigError(f"{where} {key} must be {_KINDS[kind]}, got {value!r}")
+    try:
+        check_fields(cfg, kinds, f"{where} config")
+    except ValueError as e:
+        raise ConfigError(e)
 
 
 def _out_dir(args) -> Path:
@@ -116,17 +99,13 @@ def _file_hash(path: Path) -> str:
 
 
 def _write_manifest(out: Path, command: str, resolved: dict, inputs: dict, outputs: list) -> None:
-    manifest = {
-        "schema_version": 1,
+    write_json(out / "manifest.json", {
         "command": command,
         "config": resolved,
         "config_sha256": _config_hash(resolved),
         "inputs": {name: {"path": str(p), "sha256": _file_hash(Path(p))} for name, p in inputs.items()},
         "outputs": sorted(outputs),
-    }
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -284,7 +263,7 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
     preds = predict_dataset(model, data["test"], tax, s_h=s_h, s_o=s_o)
     report = map_report(preds, data["test"], tax, split if with_split else None,
                         rare_threshold=int(cfg.get("rare_threshold", RARE_THRESHOLD)))
-    write_report_json(report, out / "report.json")
+    write_json(out / "report.json", report.to_json_dict())
     write_report_csv(report, tax, out / "report.csv")
     outputs = ["report.json", "report.csv"]
     if cfg.get("write_predictions"):
@@ -378,17 +357,13 @@ def cmd_affordance(cfg: dict, args) -> int:
         "gt_verbs": np.flatnonzero(truth[i]).tolist(),
         "scores": {str(v): None if math.isnan(s) else s for v, s in zip(probed, r.scores[i, probed].tolist())},
     } for i, o in enumerate(objects.object_label.tolist())]
-    doc = {
-        "schema_version": 1,
+    write_json(out / "affordance.json", {
         "hoi_threshold": hoi_t,
         "keep_threshold": keep_t,
         "prf1": prf1.to_json_dict(),
         "affordance_map": None if math.isnan(amap) else amap,
         "objects": per_object,
-    }
-    with open(out / "affordance.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
     resolved = {"data_dir": str(data["dir"]), "checkpoint": str(cfg["checkpoint"]),
                 "bank": str(cfg["bank"]), "hoi_threshold": hoi_t, "keep_threshold": keep_t,
                 "novel_only": bool(cfg.get("novel_only", True))}
@@ -430,24 +405,21 @@ def cmd_gradcheck(cfg: dict, args) -> int:
         worst = max(worst, nn.grad_check(params, x, t).max_rel_error)
 
     e2e_worst = max(_end_to_end_errors(seed).values())
-    doc = {
-        "schema_version": 1,
+    passed = worst < tol and e2e_worst < e2e_tol
+    write_json(out / "gradcheck.json", {
         "n_configs": n_configs,
         "max_rel_error": worst,
         "tolerance": tol,
         "end_to_end_max_rel_error": e2e_worst,
         "end_to_end_tolerance": e2e_tol,
-        "passed": worst < tol and e2e_worst < e2e_tol,
-    }
-    with open(out / "gradcheck.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        "passed": passed,
+    })
     _write_manifest(out, "gradcheck", {"n_configs": n_configs, "tolerance": tol,
                                        "end_to_end_tolerance": e2e_tol, "seed": seed},
                     {}, ["gradcheck.json"])
     print(f"gradcheck: max rel error {worst:.3e} over {n_configs} configs "
           f"(tolerance {tol:g}); end-to-end {e2e_worst:.3e} (tolerance {e2e_tol:g})")
-    if not doc["passed"]:
+    if not passed:
         print("gradcheck FAILED", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
@@ -493,7 +465,7 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
         report = reproduce_trends(settings)
     except ValueError as e:
         raise DataError(f"reproduce-trends: {e}")
-    save_trend_report(report, out / "trends.json")
+    write_json(out / "trends.json", report.to_json_dict())
     resolved = {"seeds": list(settings.seeds), "n_train": settings.n_train,
                 "n_test": settings.n_test, "n_external": settings.n_external,
                 "train": settings.train.to_json_dict(), "bank_m": settings.bank_m,

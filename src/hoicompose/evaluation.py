@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import Taxonomy, _reject_unknown
+from .jsonfile import check_fields, read_json, write_json
+from .taxonomy import Taxonomy
 
 IOU_THRESHOLD = 0.5
 RARE_THRESHOLD = 10
@@ -160,7 +161,6 @@ class SplitSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "mode": self.mode,
             "unseen_hoi_ids": sorted(self.unseen_hoi_ids),
             "seen_hoi_ids": sorted(self.seen_hoi_ids),
@@ -169,8 +169,8 @@ class SplitSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SplitSpec":
-        _reject_unknown(d, {"schema_version", "mode", "unseen_hoi_ids", "seen_hoi_ids",
-                            "unseen_object_ids"}, "split")
+        check_fields(d, {"mode": str, "unseen_hoi_ids": list, "seen_hoi_ids": list, "unseen_object_ids": list},
+                     "split")
         return cls(
             mode=d["mode"],
             unseen_hoi_ids=frozenset(d["unseen_hoi_ids"]),
@@ -179,14 +179,11 @@ class SplitSpec:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "SplitSpec":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path, "split"))
 
 
 def make_split(
@@ -331,7 +328,6 @@ class EvalReport:
             return None if isinstance(x, float) and math.isnan(x) else x
 
         return {
-            "schema_version": 1,
             "per_category_ap": {str(c): clean(self.per_category_ap[c])
                                 for c in sorted(self.per_category_ap)},
             "n_gt_per_category": {str(c): self.n_gt_per_category[c] for c in sorted(self.n_gt_per_category)},
@@ -415,12 +411,6 @@ def map_report(
         groups=groups,
         rare_threshold=rare_threshold,
     )
-
-
-def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_report_csv(report: EvalReport, tax: Taxonomy, path) -> None:

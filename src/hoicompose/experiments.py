@@ -7,7 +7,6 @@ code backs both the CLI summary and the automated trend checks.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from statistics import median
 
@@ -146,7 +145,6 @@ class TrendReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "per_seed": self.per_seed,
             "medians": self.medians,
             "bank_stability": self.bank,
@@ -199,9 +197,3 @@ def reproduce_trends(settings: TrendSettings | None = None, keep_runs: bool = Fa
     }
     return TrendReport(per_seed=per_seed, medians=medians, bank=bank, checks=checks,
                        runs=runs if keep_runs else None)
-
-
-def save_trend_report(report: TrendReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -8,7 +8,6 @@ pair as s_h * s_o * p_hoi * p_sp per category.
 from __future__ import annotations
 
 import csv
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -16,8 +15,9 @@ import numpy as np
 
 from . import nn
 from .evaluation import Detections
+from .jsonfile import check_fields, read_json, write_json
 from .seeding import stream_seed, substream
-from .taxonomy import Taxonomy, _reject_unknown, compose_label, decouple_verb, one_hot
+from .taxonomy import Taxonomy, compose_label, decouple_verb, one_hot
 
 _CHECKPOINT_SCHEMA = 2
 
@@ -73,7 +73,7 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        _reject_unknown(d, {f.name for f in fields(cls)}, "training config")
+        check_fields(d, dict.fromkeys(f.name for f in fields(cls)), "training config")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -348,33 +348,24 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
-    d = {
-        "schema_version": _CHECKPOINT_SCHEMA,
+    write_json(path, {
         "config": cfg.to_json_dict(),
         "spatial_resolution": model.spatial_resolution,
         "feat_dim": model.feat_dim,
         "sp_classifier": nn.params_to_dict(model.sp_classifier),
         "hoi_classifier": nn.params_to_dict(model.hoi_classifier),
-    }
-    with open(path, "w") as f:
-        json.dump(d, f, sort_keys=True)
-        f.write("\n")
+    }, version=_CHECKPOINT_SCHEMA, indent=None)
 
 
 def load_checkpoint(path) -> tuple[HOIModel, TrainConfig]:
-    with open(path) as f:
-        d = json.load(f)
-    version = d.get("schema_version") if isinstance(d, dict) else None
-    if version != _CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema_version {version!r}; "
-                         f"this version reads {_CHECKPOINT_SCHEMA} (retrain to upgrade)")
-    _reject_unknown(d, {"schema_version", "config", "spatial_resolution", "feat_dim",
-                        "sp_classifier", "hoi_classifier"}, "checkpoint")
+    d = read_json(path, "checkpoint", version=_CHECKPOINT_SCHEMA)
+    check_fields(d, {"config": dict, "spatial_resolution": int, "feat_dim": int,
+                     "sp_classifier": dict, "hoi_classifier": dict}, "checkpoint")
     model = HOIModel(
         sp_classifier=nn.params_from_dict(d["sp_classifier"]),
         hoi_classifier=nn.params_from_dict(d["hoi_classifier"]),
-        spatial_resolution=int(d["spatial_resolution"]),
-        feat_dim=int(d["feat_dim"]),
+        spatial_resolution=d["spatial_resolution"],
+        feat_dim=d["feat_dim"],
     )
     model.validate()
     return model, TrainConfig.from_json_dict(d["config"])

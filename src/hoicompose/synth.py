@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .seeding import per_instance_rng, substream
-from .taxonomy import Taxonomy, _reject_unknown, decouple_verb
+from .jsonfile import check_fields, read_json, write_json
+from .taxonomy import Taxonomy, decouple_verb
 
 # Desk-scale defaults; everything is overridable.
 DESK_N_VERBS = 12
@@ -69,7 +70,6 @@ class WorldSpec:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "feat_dim": self.feat_dim,
             "verb_prototypes": self.verb_prototypes.tolist(),
             "object_prototypes": self.object_prototypes.tolist(),
@@ -82,31 +82,28 @@ class WorldSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WorldSpec":
-        _reject_unknown(d, {"schema_version", "feat_dim", "verb_prototypes", "object_prototypes",
-                            "noise_sigma", "tail_exponent", "object_domain_shift", "target_counts",
-                            "seed"}, "world")
+        check_fields(d, {"feat_dim": int, "verb_prototypes": list, "object_prototypes": list,
+                         "noise_sigma": float, "tail_exponent": float, "object_domain_shift": list,
+                         "target_counts": list, "seed": int}, "world")
         world = cls(
-            feat_dim=int(d["feat_dim"]),
+            feat_dim=d["feat_dim"],
             verb_prototypes=np.asarray(d["verb_prototypes"], dtype=float),
             object_prototypes=np.asarray(d["object_prototypes"], dtype=float),
             noise_sigma=float(d["noise_sigma"]),
             tail_exponent=float(d["tail_exponent"]),
             object_domain_shift=np.asarray(d["object_domain_shift"], dtype=float),
             target_counts=np.asarray(d["target_counts"], dtype=np.int64),
-            seed=int(d["seed"]),
+            seed=d["seed"],
         )
         world.validate()
         return world
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "WorldSpec":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path, "world"))
 
 
 @dataclass(eq=False)
@@ -136,7 +133,7 @@ class _Columns:
         """
         names = [f.name for f in fields(self)]
         if len(record) > len(names) + ("kind" in record):  # else an unknown field leaves one missing
-            _reject_unknown(record, [*names, "kind"], "record")
+            check_fields(record, dict.fromkeys([*names, "kind"]), "record")
         for name in names:
             column, value = getattr(self, name), record[name]
             if column.ndim == 2 and len(value) != column.shape[1]:

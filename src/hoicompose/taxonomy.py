@@ -6,17 +6,11 @@ categories they participate in and drive label composition and decoupling.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _reject_unknown(d: dict, known, what: str) -> None:
-    """Strict JSON loading: raise ValueError naming any key of d outside known."""
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+from .jsonfile import check_fields, read_json, write_json
 
 
 def one_hot(n: int, index: int) -> np.ndarray:
@@ -135,7 +129,6 @@ class Taxonomy:
 
     def to_json_dict(self) -> dict:
         d = {
-            "schema_version": 1,
             "verbs": self.verb_names,
             "objects": self.object_names,
             "pairs": [[v, o] for v, o in self.hoi_pairs],
@@ -147,8 +140,8 @@ class Taxonomy:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Taxonomy":
-        _reject_unknown(d, {"schema_version", "verbs", "objects", "pairs", "train_counts",
-                            "no_interaction_verbs"}, "taxonomy")
+        check_fields(d, {"verbs": list, "objects": list, "pairs": list, "train_counts": list,
+                         "no_interaction_verbs": list}, "taxonomy")
         return cls.build(
             d["verbs"], d["objects"], [tuple(p) for p in d["pairs"]],
             train_counts=d.get("train_counts"),
@@ -156,14 +149,11 @@ class Taxonomy:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "Taxonomy":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path, "taxonomy"))
 
 
 def _as_binary(vec, length: int, what: str) -> np.ndarray:

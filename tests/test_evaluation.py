@@ -24,8 +24,8 @@ from hoicompose.evaluation import (
     match_detections,
     save_predictions,
     write_report_csv,
-    write_report_json,
 )
+from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig, init_model, predict_dataset
 from hoicompose.synth import HOISet, gen_dataset, gen_world, load_instances
 
@@ -322,10 +322,10 @@ def test_report_writers(tmp_path):
     report = map_report(*perfect_grid(tax), tax)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
-    write_report_json(report, jpath)
+    write_json(jpath, report.to_json_dict())
     write_report_csv(report, tax, cpath)
     loaded = json.loads(jpath.read_text())
-    assert loaded["groups"]["full"]["map"] == 1.0
+    assert loaded["schema_version"] == 1 and loaded["groups"]["full"]["map"] == 1.0
     lines = cpath.read_text().splitlines()
     assert lines[0].startswith("category,verb,object")
     assert any(line.startswith("full,") for line in lines)

@@ -135,7 +135,7 @@ def test_json_roundtrip(tmp_path):
 
 def test_json_rejects_unknown_keys(tmp_path):
     tax = small_tax()
-    d = tax.to_json_dict()
+    d = {"schema_version": 1, **tax.to_json_dict()}
     d["surprise"] = 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
