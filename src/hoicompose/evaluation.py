@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonfile import check_fields, read_json, write_json
+from .jsonfile import check_fields, int_items, read_json, write_json
 from .taxonomy import Taxonomy
 
 IOU_THRESHOLD = 0.5
@@ -173,9 +173,9 @@ class SplitSpec:
                      "split")
         return cls(
             mode=d["mode"],
-            unseen_hoi_ids=frozenset(d["unseen_hoi_ids"]),
-            seen_hoi_ids=frozenset(d["seen_hoi_ids"]),
-            unseen_object_ids=frozenset(d.get("unseen_object_ids", ())),
+            unseen_hoi_ids=frozenset(int_items(d["unseen_hoi_ids"], "split unseen_hoi_ids")),
+            seen_hoi_ids=frozenset(int_items(d["seen_hoi_ids"], "split seen_hoi_ids")),
+            unseen_object_ids=frozenset(int_items(d.get("unseen_object_ids", []), "split unseen_object_ids")),
         )
 
     def save(self, path) -> None:

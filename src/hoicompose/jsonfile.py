@@ -45,3 +45,10 @@ def check_fields(d: dict, kinds: dict, what: str) -> None:
                                  or isinstance(value, bool) and kind is not bool):
             raise ValueError(f"{what} {key} must be {_KINDS[kind]}, got {value!r}")
 
+
+def int_items(values: list, what: str) -> list:
+    """values, when every item is a JSON integer (not true, not 2.0)."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must hold integers, got {x!r}")
+    return values

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reference classifier width; desk-scale configs shrink it.
-DEFAULT_HIDDEN = 1024
-
 # Probabilities are clamped to [EPS, 1-EPS] before logs.
 EPS = 1e-7
 
@@ -42,9 +39,6 @@ class MLPParams:
     def items(self):
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
-    def copy(self) -> "MLPParams":
-        return MLPParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
     def validate(self) -> None:
         if self.w1.shape != (self.hidden, self.d_in) or self.b1.shape != (self.hidden,):
             raise ValueError("first-layer shapes inconsistent")
@@ -61,7 +55,7 @@ class GradReport:
     per_param: dict[str, float]
 
 
-def init_params(d_in: int, k_out: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> MLPParams:
+def init_params(d_in: int, k_out: int, hidden: int, seed: int = 0) -> MLPParams:
     """Seeded scaled-uniform init: weights in [-a, a], a = sqrt(6/(fan_in+fan_out))."""
     if d_in < 1 or k_out < 1 or hidden < 1:
         raise ValueError("d_in, k_out and hidden must be positive")

@@ -8,6 +8,7 @@ pair as s_h * s_o * p_hoi * p_sp per category.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -51,16 +52,18 @@ class TrainConfig:
             value, real = getattr(self, f.name), isinstance(f.default, float)
             if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
                 raise ValueError(f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):  # NaN fails too
+            raise ValueError("loss weights must be finite and nonnegative")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.hoi_batch < 1:
             raise ValueError("hoi_batch must be at least 1")
         if self.object_batch < 0:
             raise ValueError("object_batch must be nonnegative")
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
         if self.spatial_resolution < 1:
             raise ValueError("spatial_resolution must be positive")
         if self.trace_every < 1:

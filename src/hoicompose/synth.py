@@ -339,6 +339,8 @@ def gen_dataset(
     over all categories; external objects draw uniformly over all object ids.
     Each instance uses its own RNG stream, so generation is order-independent.
     """
+    if not 0 <= co_label_prob <= 1:
+        raise ValueError(f"co_label_prob must lie in [0, 1], got {co_label_prob}")
     if split is None:
         seen = list(range(tax.n_categories))
     else:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonfile import check_fields, read_json, write_json
+from .jsonfile import check_fields, int_items, read_json, write_json
 
 
 def one_hot(n: int, index: int) -> np.ndarray:
@@ -142,10 +142,11 @@ class Taxonomy:
     def from_json_dict(cls, d: dict) -> "Taxonomy":
         check_fields(d, {"verbs": list, "objects": list, "pairs": list, "train_counts": list,
                          "no_interaction_verbs": list}, "taxonomy")
+        counts = d.get("train_counts")
         return cls.build(
-            d["verbs"], d["objects"], [tuple(p) for p in d["pairs"]],
-            train_counts=d.get("train_counts"),
-            no_interaction_verbs=d.get("no_interaction_verbs", ()),
+            d["verbs"], d["objects"], [tuple(int_items(p, "taxonomy pair")) for p in d["pairs"]],
+            train_counts=None if counts is None else int_items(counts, "taxonomy train_counts"),
+            no_interaction_verbs=int_items(d.get("no_interaction_verbs", []), "taxonomy no_interaction_verbs"),
         )
 
     def save(self, path) -> None:

@@ -241,6 +241,12 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("gen-data", {"world": {"noise_sigma": "x"}}, "noise_sigma must be a number, got 'x'"),
     ("gen-data", {"split": {"mode": 3}}, "mode must be a string, got 3"),
     ("train", {"train": {"seed": -1}}, "train config: seed must be nonnegative, got -1"),
+    ("train", {"train": {"hidden": 0}}, "train config: hidden must be at least 1"),
+    ("reproduce-trends", {"train": {"hidden": 0}}, "reproduce-trends config: hidden must be at least 1"),
+    ("train", {"train": {"lr": float("nan")}}, "train config: lr must be positive and finite"),
+    ("train", {"train": {"lambda1": float("inf")}}, "train config: loss weights must be finite and nonnegative"),
+    ("gen-data", {"dataset": {"co_label_prob": 1.5}}, "co_label_prob must lie in [0, 1], got 1.5"),
+    ("gen-data", {"dataset": {"co_label_prob": -3}}, "co_label_prob must lie in [0, 1], got -3"),
 ])
 def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
     # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
@@ -426,6 +432,49 @@ def test_zeroshot_rejects_split_with_unknown_category(trained_dir, data_dir, tmp
     out = tmp_path / "out"
     assert run("zeroshot", cfg, out) == EXIT_DATA
     assert_data_error(capsys, out, "split.json: split does not cover all categories")
+
+
+def test_zeroshot_rejects_split_of_float_ids(trained_dir, data_dir, tmp_path, capsys):
+    # frozenset({2.0, 5.0}) equals {2, 5}, so the split used to validate
+    data = corrupt_copy(data_dir, tmp_path / "data", "split.json",
+                        lambda d: d.update(unseen_hoi_ids=[float(c) for c in d["unseen_hoi_ids"]]))
+    cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data),
+        "checkpoint": str(trained_dir / "checkpoint.json"),
+    })
+    out = tmp_path / "out"
+    assert run("zeroshot", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, "split.json: split unseen_hoi_ids must hold integers, got ")
+
+
+@pytest.mark.parametrize("version", [7, None, True])
+@pytest.mark.parametrize("cmd,name", [("build-bank", "taxonomy.json"), ("zeroshot", "split.json"),
+                                      ("affordance", "bank.json")])
+def test_document_of_another_schema_version_is_data_error(trained_dir, data_dir, tmp_path, capsys,
+                                                          cmd, name, version):
+    # none of these three files used to have its version read
+    def edit(doc):
+        del doc["schema_version"]
+        if version is not None:
+            doc["schema_version"] = version
+
+    body = {"data_dir": str(data_dir)}
+    if cmd != "build-bank":
+        body["checkpoint"] = str(trained_dir / "checkpoint.json")
+    if name == "bank.json":
+        assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+                   tmp_path / "bank") == EXIT_OK
+        path = tmp_path / "bank" / "bank.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        body["bank"] = str(path)
+    else:
+        body["data_dir"] = str(corrupt_copy(data_dir, tmp_path / "data", name, edit))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "cmd.json", body), out) == EXIT_DATA
+    assert_data_error(capsys, out, f"{name}: unsupported ", f"schema_version {version!r}; this version reads 1")
 
 
 def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):

@@ -226,6 +226,31 @@ def test_split_json_roundtrip(tmp_path):
         SplitSpec.from_json_dict({**split.to_json_dict(), "bogus": 1})
 
 
+@pytest.mark.parametrize("key,edit", [
+    ("unseen_hoi_ids", lambda ids: [float(c) for c in ids]),
+    ("seen_hoi_ids", lambda ids: [False, *ids[1:]]),
+    ("unseen_object_ids", lambda ids: [True]),
+])
+def test_split_json_rejects_non_integer_ids(key, edit):
+    # each of these loaded as the same frozenset and passed validate
+    tax = four_cat_tax()
+    d = make_split(tax, "novel-object", unseen_object_ids=[1]).to_json_dict()
+    d[key] = edit(d[key])
+    with pytest.raises(ValueError, match=f"split {key} must hold integers, got "):
+        SplitSpec.from_json_dict(d).validate(tax)
+
+
+@pytest.mark.parametrize("version", [2, None, True, 1.0])
+def test_split_load_rejects_other_schema_versions(tmp_path, version):
+    d = make_split(four_cat_tax(), "none").to_json_dict()
+    if version is not None:
+        d["schema_version"] = version
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="unsupported split schema_version"):
+        SplitSpec.load(path)
+
+
 # --- detection report ---
 
 def truth_set(human_box, object_box, hoi_label):

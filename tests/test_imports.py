@@ -35,3 +35,30 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def json_document_calls(source: str) -> list[str]:
+    """Whole-file json.dump / json.load calls (and imports of either by name);
+    the per-line json.dumps / json.loads of the .jsonl streams are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "load")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append((node.lineno, f"json.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, f"from json import {a.name}") for a in node.names if a.name in ("dump", "load")]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_finds_a_json_document_call():
+    source = ("import json\nfrom json import load, loads\njson.dump(d, f)\nline = json.dumps(d)\n"
+              "with open(p) as f:\n    d = json.load(f)\nrec = json.loads(line)\n")
+    assert json_document_calls(source) == ["line 2: from json import load", "line 3: json.dump",
+                                           "line 6: json.load"]
+
+
+# jsonfile.py alone writes and reads the package's JSON documents
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parts[len(ROOT.parts)] == "src" and p.name != "jsonfile.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_jsonfile_writes_and_reads_json_documents(path):
+    assert json_document_calls(path.read_text()) == []

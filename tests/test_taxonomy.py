@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,35 @@ def test_json_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match="surprise"):
+        Taxonomy.load(path)
+
+
+@pytest.mark.parametrize("version", [7, None, True, 1.0, "1"])
+def test_load_rejects_other_schema_versions(tmp_path, version):
+    d = small_tax().to_json_dict()
+    if version is not None:
+        d["schema_version"] = version
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=re.escape(f"unsupported taxonomy schema_version {version!r}")):
+        Taxonomy.load(path)
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d["train_counts"].__setitem__(0, 9.5), "taxonomy train_counts must hold integers, got 9.5"),
+    (lambda d: d["train_counts"].__setitem__(0, True), "taxonomy train_counts must hold integers, got True"),
+    (lambda d: d["pairs"][0].__setitem__(0, "0"), "taxonomy pair must hold integers, got '0'"),
+    (lambda d: d["pairs"][1].__setitem__(1, 1.0), "taxonomy pair must hold integers, got 1.0"),
+    (lambda d: d.update(no_interaction_verbs=[2.0]), "taxonomy no_interaction_verbs must hold integers, got 2.0"),
+    (lambda d: d.update(pairs={"0": [0, 0]}), "taxonomy pairs must be a list, got {'0': [0, 0]}"),
+])
+def test_json_rejects_non_integer_ids_and_counts(tmp_path, edit, needle):
+    # int() used to read a count of 9.5 as 9, true as 1 and the pair id "0" as 0
+    d = {"schema_version": 1, **small_tax().to_json_dict()}
+    edit(d)
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=re.escape(needle)):
         Taxonomy.load(path)
 
 
