@@ -13,7 +13,7 @@ import numpy as np
 from . import nn
 from .pipeline import HOIModel
 from .seeding import substream
-from .jsonfile import check_fields, read_json, write_json
+from .jsonfile import check_fields, number_items, read_json, write_json
 from .taxonomy import Taxonomy, decouple_verb
 
 DEFAULT_BANK_SIZE = 100
@@ -66,8 +66,7 @@ class AffordanceBank:
         entries = {}
         for v, rows in d["entries"].items():
             for j, row in enumerate(rows):
-                if not set(map(type, row)) <= {int, float}:
-                    raise ValueError(f"bank verb {v} row {j}: not a number")
+                number_items(row, f"bank verb {v} row {j}")
             arr = np.asarray(rows, dtype=float)
             entries[int(v)] = arr.reshape(len(rows), feat_dim) if len(rows) else np.zeros((0, feat_dim))
         bank = cls(entries=entries, m=d["m"], feat_dim=feat_dim, source_seed=d["source_seed"])

@@ -91,7 +91,11 @@ def _config_hash(resolved: dict) -> str:
 
 
 def _file_hash(path: Path) -> str:
+    """sha256 of a file's bytes; of a directory, sha256 of its sorted "<name> <sha256>" lines."""
     h = hashlib.sha256()
+    if path.is_dir():
+        h.update("".join(f"{p.name} {_file_hash(p)}\n" for p in sorted(path.iterdir())).encode())
+        return h.hexdigest()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
@@ -115,7 +119,9 @@ def _require_file(path: Path, what: str) -> Path:
 
 
 def _load_data_dir(cfg: dict, need=("taxonomy",)) -> dict:
-    """Load and check the gen-data files in need, "taxonomy" first; failures name the file."""
+    """Load and check the gen-data inputs in need, "taxonomy" first: the JSON
+    documents and the train, test and external column directories. Failures
+    name the file or directory."""
     data_dir = cfg.get("data_dir")
     if data_dir is None:
         raise ConfigError("config must set data_dir (a gen-data output directory)")
@@ -123,11 +129,11 @@ def _load_data_dir(cfg: dict, need=("taxonomy",)) -> dict:
     if not d.is_dir():
         raise DataError(f"data_dir does not exist: {d}")
     loaded = {"dir": d, "feat_dim": None}
-    names = {"taxonomy": "taxonomy.json", "split": "split.json",
-             "train": "train.jsonl", "test": "test.jsonl", "external": "external.jsonl"}
-    kinds = {"train": "hoi", "test": "hoi", "external": "object"}
+    kinds = {"train": "hoi", "test": "hoi", "external": "object"}  # the column directories
     for key in need:
-        path = _require_file(d / names[key], names[key])
+        path = d / (key if key in kinds else key + ".json")
+        if not (path.is_dir() if key in kinds else path.is_file()):
+            raise DataError(f"{path.name} not found: {path}")
         try:
             if key == "taxonomy":
                 loaded[key] = Taxonomy.load(path)
@@ -193,13 +199,12 @@ def cmd_gen_data(cfg: dict, args) -> int:
 
     # taxonomy.json records the training counts this split actually drew
     replace(tax, train_counts=train_set.hoi_label.sum(axis=0)).save(out / "taxonomy.json")
-    world.save(out / "world.json")
     split.save(out / "split.json")
-    save_instances(out / "train.jsonl", train_set)
-    save_instances(out / "test.jsonl", test_set)
-    save_instances(out / "external.jsonl", external)
+    save_instances(out / "train", train_set)
+    save_instances(out / "test", test_set)
+    save_instances(out / "external", external)
     resolved = {"world": world_cfg, "dataset": data_cfg, "split": split_cfg, "seed": seed}
-    outputs = ["taxonomy.json", "world.json", "split.json", "train.jsonl", "test.jsonl", "external.jsonl"]
+    outputs = ["taxonomy.json", "split.json", "train", "test", "external"]
     _write_manifest(out, "gen-data", resolved, {}, outputs)
     print(f"gen-data: {len(train_set)} train, {len(test_set)} test, {len(external)} external -> {out}")
     return EXIT_OK

@@ -52,3 +52,12 @@ def int_items(values: list, what: str) -> list:
         if type(x) is not int:
             raise ValueError(f"{what} must hold integers, got {x!r}")
     return values
+
+
+def number_items(values, what: str) -> list:
+    """values, when it is a list of JSON numbers only (not true, not "0.5")."""
+    if type(values) is not list:
+        raise ValueError(f"{what}: not a list")
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{what}: not a number")
+    return values

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonfile import check_fields, number_items
+
 # Probabilities are clamped to [EPS, 1-EPS] before logs.
 EPS = 1e-7
 
@@ -211,15 +213,24 @@ def params_to_dict(params: MLPParams) -> dict:
     }
 
 
-def params_from_dict(d: dict) -> MLPParams:
-    shape = d["shape"]
-    params = MLPParams(
-        w1=np.asarray(d["w1"], dtype=float),
-        b1=np.asarray(d["b1"], dtype=float),
-        w2=np.asarray(d["w2"], dtype=float),
-        b2=np.asarray(d["b2"], dtype=float),
-    )
-    if (params.d_in, params.hidden, params.k_out) != (shape["d_in"], shape["hidden"], shape["k_out"]):
-        raise ValueError("checkpoint arrays do not match their declared shapes")
+def params_from_dict(d: dict, what: str = "classifier") -> MLPParams:
+    """The MLPParams of a params_to_dict object. Every key must be known, every
+    array item a JSON number and every array of its declared shape; a failed
+    check raises ValueError naming the array."""
+    check_fields(d, {"shape": dict, "w1": list, "b1": list, "w2": list, "b2": list}, what)
+    check_fields(d["shape"], {"d_in": int, "hidden": int, "k_out": int}, f"{what} shape")
+    d_in, hidden, k_out = d["shape"]["d_in"], d["shape"]["hidden"], d["shape"]["k_out"]
+    shapes = {"w1": (hidden, d_in), "b1": (hidden,), "w2": (k_out, hidden), "b2": (k_out,)}
+    arrays = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            for j, row in enumerate(d[name]):
+                number_items(row, f"{what} {name} row {j}")
+        else:
+            number_items(d[name], f"{what} {name}")
+        arrays[name] = np.asarray(d[name], dtype=float)
+        if arrays[name].shape != shape:
+            raise ValueError(f"{what} {name} has shape {arrays[name].shape}, expected {shape}")
+    params = MLPParams(**arrays)
     params.validate()
     return params

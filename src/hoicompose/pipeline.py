@@ -365,8 +365,8 @@ def load_checkpoint(path) -> tuple[HOIModel, TrainConfig]:
     check_fields(d, {"config": dict, "spatial_resolution": int, "feat_dim": int,
                      "sp_classifier": dict, "hoi_classifier": dict}, "checkpoint")
     model = HOIModel(
-        sp_classifier=nn.params_from_dict(d["sp_classifier"]),
-        hoi_classifier=nn.params_from_dict(d["hoi_classifier"]),
+        sp_classifier=nn.params_from_dict(d["sp_classifier"], "sp_classifier"),
+        hoi_classifier=nn.params_from_dict(d["hoi_classifier"], "hoi_classifier"),
         spatial_resolution=d["spatial_resolution"],
         feat_dim=d["feat_dim"],
     )

@@ -7,14 +7,13 @@ for an out-of-domain object dataset via a fixed domain-shift offset.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from .seeding import per_instance_rng, substream
-from .jsonfile import check_fields, read_json, write_json
 from .taxonomy import Taxonomy, decouple_verb
 
 # Desk-scale defaults; everything is overridable.
@@ -68,43 +67,6 @@ class WorldSpec:
         if self.target_counts.ndim != 1 or (self.target_counts < 0).any():
             raise ValueError("target_counts must be a nonnegative 1-D array")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feat_dim": self.feat_dim,
-            "verb_prototypes": self.verb_prototypes.tolist(),
-            "object_prototypes": self.object_prototypes.tolist(),
-            "noise_sigma": self.noise_sigma,
-            "tail_exponent": self.tail_exponent,
-            "object_domain_shift": self.object_domain_shift.tolist(),
-            "target_counts": self.target_counts.tolist(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WorldSpec":
-        check_fields(d, {"feat_dim": int, "verb_prototypes": list, "object_prototypes": list,
-                         "noise_sigma": float, "tail_exponent": float, "object_domain_shift": list,
-                         "target_counts": list, "seed": int}, "world")
-        world = cls(
-            feat_dim=d["feat_dim"],
-            verb_prototypes=np.asarray(d["verb_prototypes"], dtype=float),
-            object_prototypes=np.asarray(d["object_prototypes"], dtype=float),
-            noise_sigma=float(d["noise_sigma"]),
-            tail_exponent=float(d["tail_exponent"]),
-            object_domain_shift=np.asarray(d["object_domain_shift"], dtype=float),
-            target_counts=np.asarray(d["target_counts"], dtype=np.int64),
-            seed=d["seed"],
-        )
-        world.validate()
-        return world
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "WorldSpec":
-        return cls.from_json_dict(read_json(path, "world"))
-
 
 @dataclass(eq=False)
 class _Columns:
@@ -120,40 +82,6 @@ class _Columns:
         if isinstance(rows, (int, np.integer)):
             raise TypeError("select rows with a slice, an index array or a boolean mask")
         return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
-
-    def put(self, i: int, record) -> None:
-        """Write one record (field name -> value, as in a .jsonl line) into row i.
-
-        The record holds this set's fields and at most a "kind". Each value is a
-        number or a list of numbers: assignment would parse the string "1" and
-        take true as 1. A vector value must have exactly the row's length: row
-        assignment would broadcast a length-1 value across the whole row. An
-        integer column takes only integral values: assignment would truncate
-        13.5 to 13. NaN and ±inf are not integral either.
-        """
-        names = [f.name for f in fields(self)]
-        if len(record) > len(names) + ("kind" in record):  # else an unknown field leaves one missing
-            check_fields(record, dict.fromkeys([*names, "kind"]), "record")
-        for name in names:
-            column, value = getattr(self, name), record[name]
-            if column.ndim == 2 and len(value) != column.shape[1]:
-                raise ValueError(f"{name} has shape ({len(value)},), expected ({column.shape[1]},)")
-            if type(value) is list:  # as json.loads makes it: the items' types tell
-                kinds = set(map(type, value))
-                numeric, fractional = kinds <= {int, float}, float in kinds
-            else:
-                kind = np.asarray(value).dtype.kind
-                numeric, fractional = kind in "iuf", kind == "f"
-            if not numeric:
-                raise ValueError(f"{name} is not a number")
-            if fractional and column.dtype.kind == "i":
-                given = np.asarray(value, dtype=float)
-                if not (np.isfinite(given) & (given == np.trunc(given))).all():
-                    raise ValueError(f"{name} is not integral")
-            try:
-                column[i] = value
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ValueError(f"{name}: {e}") from None
 
 
 @dataclass(eq=False)
@@ -172,7 +100,7 @@ class HOISet(_Columns):
 
     @classmethod
     def empty(cls, n: int, n_categories: int, feat_dim: int) -> "HOISet":
-        """n zero rows, for put to fill."""
+        """n zero rows, for gen_dataset to fill."""
         return cls(np.zeros((n, 4)), np.zeros((n, 4)), np.zeros(n, dtype=np.int64),
                    np.zeros((n, n_categories), dtype=np.int8),
                    np.zeros((n, feat_dim)), np.zeros((n, feat_dim)), np.zeros((n, feat_dim)))
@@ -190,7 +118,7 @@ class ObjectSet(_Columns):
 
     @classmethod
     def empty(cls, n: int, feat_dim: int) -> "ObjectSet":
-        """n zero rows, for put to fill."""
+        """n zero rows, for gen_dataset to fill."""
         return cls(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), np.zeros((n, feat_dim)))
 
 
@@ -274,7 +202,7 @@ def sample_hoi_instance(
     allowed_categories=None,
 ) -> dict:
     """Draw one HOI pair of the given category, as a record (field name -> value)
-    that HOISet.put writes into a row.
+    that gen_dataset writes into a row of an HOISet.
 
     With probability co_label_prob each other valid category sharing the same
     object is added to the label (restricted to allowed_categories when given,
@@ -359,70 +287,86 @@ def gen_dataset(
     for i in range(n_train):
         rng = per_instance_rng(seed, "train", i)
         cat = seen[rng.choice(len(seen), p=probs)]
-        train.put(i, sample_hoi_instance(world, tax, cat, rng, co_label_prob, allowed_categories=seen_set))
+        _write_row(train, i, sample_hoi_instance(world, tax, cat, rng, co_label_prob, allowed_categories=seen_set))
 
     test = HOISet.empty(n_test, tax.n_categories, world.feat_dim)
     for j in range(n_test):
         rng = per_instance_rng(seed, "test", j)
         cat = int(rng.integers(tax.n_categories))
-        test.put(j, sample_hoi_instance(world, tax, cat, rng, co_label_prob))
+        _write_row(test, j, sample_hoi_instance(world, tax, cat, rng, co_label_prob))
 
     external = ObjectSet.empty(n_external_objects, world.feat_dim)
     n_objects = world.object_prototypes.shape[0]
     for k in range(n_external_objects):
         rng = per_instance_rng(seed, "external", k)
-        external.put(k, sample_object_instance(world, int(rng.integers(n_objects)), rng))
+        _write_row(external, k, sample_object_instance(world, int(rng.integers(n_objects)), rng))
     return train, test, external
 
 
+def _write_row(columns, i: int, record: dict) -> None:
+    for name, value in record.items():
+        getattr(columns, name)[i] = value
+
+
+# The on-disk dtype of every column: little-endian float64 unless named here. The
+# loader casts nothing, so a float label is never truncated and 256 never wraps.
+_FLOAT = np.dtype("<f8")
+_DTYPES = {"object_label": np.dtype("<i8"), "hoi_label": np.dtype("i1")}
+
+
+def _check_column(name: str, column) -> None:
+    """Raise ValueError naming the column unless it is an array of the column's
+    dtype and rank (object_label one value per row, every other column a row
+    vector); validate_instances checks the row widths."""
+    if not isinstance(column, np.ndarray):
+        raise ValueError(f"{name}: not a .npy array")
+    want = _DTYPES.get(name, _FLOAT)
+    if column.dtype != want:
+        raise ValueError(f"{name}: dtype {column.dtype.str}, expected {want.str}")
+    rank = 1 if name == "object_label" else 2
+    if column.ndim != rank:
+        raise ValueError(f"{name}: shape {column.shape}, expected rank {rank}")
+
+
 def save_instances(path, instances) -> None:
-    """Write a set as JSON lines, one record per row; float round-trip is exact."""
-    names = [f.name for f in fields(instances)]
-    columns = [getattr(instances, name).tolist() for name in names]
-    with open(path, "w") as f:
-        for row in zip(*columns):
-            f.write(json.dumps({"kind": instances.kind, **dict(zip(names, row))}, sort_keys=True) + "\n")
-
-
-def _empty_for(record, n: int):
-    kind = record.get("kind") if isinstance(record, dict) else None
-    if kind == "hoi":
-        return HOISet.empty(n, len(record["hoi_label"]), len(record["object_feat"]))
-    if kind == "object":
-        return ObjectSet.empty(n, len(record["object_feat"]))
-    raise ValueError(f"unknown record kind {kind!r}")
+    """Write a set as the directory path holding one <field>.npy per column."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    for f in fields(instances):
+        column = getattr(instances, f.name)
+        _check_column(f.name, column)
+        np.save(path / f"{f.name}.npy", column, allow_pickle=False)
 
 
 def load_instances(path):
-    """Read a .jsonl file of one record kind as an HOISet or ObjectSet.
+    """Read a save_instances directory as an HOISet or ObjectSet.
 
-    A first pass counts the records (non-blank lines); the second fills the
-    preallocated rows one line at a time. Record 1 fixes the kind, the label
-    length and the feature length; a record that breaks them, or that cannot
-    be parsed, raises ValueError naming it (1-based). A file with no records
-    loads as an empty HOISet.
+    Its files must be exactly one set's <field>.npy column files, which fixes
+    the kind. Each is read without pickle, must hold the dtype and rank
+    save_instances writes, and all must have one row count. A failed check
+    raises ValueError naming the column file or column.
     """
-    with open(path) as f:
-        n = sum(1 for line in f if line.strip())
-    out = HOISet.empty(0, 0, 0)
-    with open(path) as f:
-        i = 0
-        for line in f:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if i == 0:
-                    out = _empty_for(rec, n)
-                elif not isinstance(rec, dict) or rec.get("kind") != out.kind:
-                    raise ValueError(f"expected kind {out.kind!r}")
-                out.put(i, rec)
-            except KeyError as e:
-                raise ValueError(f"record {i + 1}: missing field {e}") from None
-            except (ValueError, TypeError, OverflowError) as e:
-                raise ValueError(f"record {i + 1}: {e}") from None
-            i += 1
-    return out
+    path = Path(path)
+    found = {p.name for p in path.iterdir()}
+    hoi_only = {f"{f.name}.npy" for f in fields(HOISet)} - {f"{f.name}.npy" for f in fields(ObjectSet)}
+    cls = HOISet if found & hoi_only else ObjectSet
+    names = [f.name for f in fields(cls)]
+    unknown = found - {f"{name}.npy" for name in names}
+    if unknown:
+        raise ValueError(f"unknown column files: {sorted(unknown)}")
+    columns = {}
+    for name in names:
+        if f"{name}.npy" not in found:
+            raise ValueError(f"missing field {name!r}: no {name}.npy")
+        try:
+            with open(path / f"{name}.npy", "rb") as f:
+                columns[name] = np.load(f, allow_pickle=False)
+        except (EOFError, OSError, MemoryError, ValueError) as e:  # MemoryError: a header's huge shape
+            raise ValueError(f"{name}: {e}") from None
+        _check_column(name, columns[name])
+        if len(columns[name]) != len(columns[names[0]]):
+            raise ValueError(f"{name}: {len(columns[name])} rows, {names[0]} has {len(columns[names[0]])}")
+    return cls(**columns)
 
 
 def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None = None) -> int | None:
@@ -431,8 +375,8 @@ def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None
     length feat_dim (default: record 1's); hoi_label a multi-hot of length C
     setting at least one category, all of its object. Raises ValueError naming
     record 1 when the set is of the other kind or its rows have the wrong length
-    (the loader makes every row agree with record 1), else the first record
-    (1-based) failing a value check. Returns feat_dim, so one length can be
+    (every row of a column has one length), else the first record (1-based)
+    failing a value check. Returns feat_dim, so one length can be
     carried across files."""
     if not len(instances):
         return feat_dim

@@ -277,10 +277,11 @@ def test_criterion_7_structural_invariants(tmp_path):
 
     # determinism: identical seeds give byte-identical artifacts and weights
     rerun = gen_dataset(world, tax, split, 200, 60, 60, seed=70)
-    a_path, b_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_instances(a_path, train_set)
-    save_instances(b_path, rerun[0])
-    check(a_path.read_bytes() == b_path.read_bytes(), "dataset regeneration not byte-identical")
+    save_instances(tmp_path / "a", train_set)
+    save_instances(tmp_path / "b", rerun[0])
+    same = [(p.name, p.read_bytes()) for p in sorted((tmp_path / "a").iterdir())] == \
+        [(p.name, p.read_bytes()) for p in sorted((tmp_path / "b").iterdir())]
+    check(same, "dataset regeneration not byte-identical")
     cfg = TrainConfig(iterations=25, hidden=8, spatial_resolution=4, seed=70)
     m1 = train(train_set, external, tax, cfg).model
     m2 = train(train_set, external, tax, cfg).model

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -35,8 +37,8 @@ TINY_WORLD = {"n_verbs": 4, "n_objects": 6, "c_pairs": 14, "feat_dim": 6}
 TINY_DATASET = {"n_train": 150, "n_test": 60, "n_external_objects": 60}
 TINY_TRAIN = {"iterations": 200, "hidden": 12, "spatial_resolution": 6, "trace_every": 50}
 
-DATA_FILES = ["taxonomy.json", "world.json", "split.json",
-              "train.jsonl", "test.jsonl", "external.jsonl"]
+DATA_FILES = ["taxonomy.json", "split.json"]
+DATA_DIRS = ["train", "test", "external"]  # one <column>.npy per field
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +70,23 @@ def trained_dir(data_dir, tmp_path_factory):
     return out
 
 
+def tree_bytes(path: Path) -> dict:
+    """Every file under path (relative name -> bytes)."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
 def test_gen_data_outputs_and_manifest(data_dir):
     for name in DATA_FILES + ["manifest.json"]:
         assert (data_dir / name).is_file()
+    assert sorted(p.name for p in (data_dir / "test").iterdir()) == [
+        "hoi_label.npy", "human_box.npy", "human_feat.npy", "object_box.npy", "object_feat.npy",
+        "object_label.npy", "verb_feat.npy"]
+    assert sorted(p.name for p in (data_dir / "external").iterdir()) == [
+        "object_box.npy", "object_feat.npy", "object_label.npy"]
+    assert not (data_dir / "world.json").exists()
     manifest = json.loads((data_dir / "manifest.json").read_text())
     assert manifest["command"] == "gen-data"
-    assert manifest["outputs"] == sorted(DATA_FILES)
+    assert manifest["outputs"] == sorted(DATA_FILES + DATA_DIRS)
     assert "config_sha256" in manifest
     # reproducibility artifacts carry no wall-clock state
     assert not any("time" in k or "date" in k for k in manifest)
@@ -89,8 +102,7 @@ def test_gen_data_rerun_byte_identical(data_dir, tmp_path):
     out = tmp_path / "again"
     out.mkdir()
     assert run("gen-data", cfg, out) == EXIT_OK
-    for name in DATA_FILES:
-        assert (out / name).read_bytes() == (data_dir / name).read_bytes(), name
+    assert tree_bytes(out) == tree_bytes(data_dir)  # the manifest too
 
 
 def test_gen_data_seed_changes_data(data_dir, tmp_path):
@@ -103,7 +115,7 @@ def test_gen_data_seed_changes_data(data_dir, tmp_path):
     out = tmp_path / "seed7"
     out.mkdir()
     assert run("gen-data", cfg, out, seed=7) == EXIT_OK
-    assert (out / "train.jsonl").read_bytes() != (data_dir / "train.jsonl").read_bytes()
+    assert (out / "train" / "verb_feat.npy").read_bytes() != (data_dir / "train" / "verb_feat.npy").read_bytes()
 
 
 def test_train_outputs(trained_dir, data_dir):
@@ -115,6 +127,10 @@ def test_train_outputs(trained_dir, data_dir):
     assert set(manifest["inputs"]) == {"taxonomy", "train", "external"}
     for entry in manifest["inputs"].values():
         assert len(entry["sha256"]) == 64
+    # a column directory hashes as its sorted "<file name> <sha256>" lines
+    lines = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+                    for p in sorted((data_dir / "train").iterdir()))
+    assert manifest["inputs"]["train"]["sha256"] == hashlib.sha256(lines.encode()).hexdigest()
 
 
 def test_train_rerun_byte_identical(trained_dir, data_dir, tmp_path):
@@ -292,6 +308,23 @@ def test_train_rejects_removed_config_fields(data_dir, tmp_path, capsys, key, va
     assert f"unknown training config fields: ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d["sp_classifier"]["b1"].__setitem__(0, "0.5"), "sp_classifier b1: not a number"),
+    (lambda d: d["hoi_classifier"]["w2"][1].__setitem__(0, True), "hoi_classifier w2 row 1: not a number"),
+    (lambda d: d["hoi_classifier"].update(extra=[1.0]), "unknown hoi_classifier fields: ['extra']"),
+])
+def test_checkpoint_of_non_numbers_is_data_error(trained_dir, data_dir, tmp_path, capsys, edit, needle):
+    # a float cast would read "0.5" and true as numbers, and an unknown key went unread
+    doc = json.loads((trained_dir / "checkpoint.json").read_text())
+    edit(doc)
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
+    assert run("zeroshot", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, f"checkpoint {bad}: {needle}")
+
+
 def test_zeroshot_rejects_trivial_split(trained_dir, tmp_path):
     gen = write_config(tmp_path / "gen.json", {
         "world": TINY_WORLD,
@@ -321,9 +354,7 @@ def test_rare_first_split_end_to_end(tmp_path):
     split = json.loads((data / "split.json").read_text())
     unseen = set(split["unseen_hoi_ids"])
     assert split["mode"] == "unseen-composition-rare-first" and unseen
-    for line in (data / "train.jsonl").read_text().splitlines():
-        label = json.loads(line)["hoi_label"]
-        assert not any(label[c] for c in unseen)
+    assert not np.load(data / "train" / "hoi_label.npy", allow_pickle=False)[:, sorted(unseen)].any()
 
     train_cfg = write_config(tmp_path / "train.json", {"data_dir": str(data), "train": TINY_TRAIN})
     assert run("train", train_cfg, tmp_path / "run") == EXIT_OK
@@ -340,21 +371,38 @@ def test_rare_first_split_end_to_end(tmp_path):
 # --- input checked where it is loaded: exit 3, a message naming the file, no output file ---
 
 def corrupt_copy(data_dir, dest, name, edit):
-    """A copy of data_dir where edit has changed record 5 of a .jsonl file in
-    place (or returned its replacement), or changed a .json document."""
+    """A copy of data_dir where edit has changed a column directory's columns
+    (a dict: name -> array, or bytes to write as they are) or a .json document."""
     shutil.copytree(data_dir, dest)
     path = dest / name
-    if name.endswith(".jsonl"):
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[4])
-        replacement = edit(record)
-        lines[4] = json.dumps(record if replacement is None else replacement)
-        path.write_text("\n".join(lines) + "\n")
+    if path.is_dir():
+        columns = {p.stem: np.load(p, allow_pickle=False) for p in path.iterdir()}
+        edit(columns)
+        shutil.rmtree(path)
+        path.mkdir()
+        for column, value in columns.items():
+            if isinstance(value, bytes):
+                (path / f"{column}.npy").write_bytes(value)
+            else:
+                np.save(path / f"{column}.npy", value)  # an object array is pickled
     else:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
     return dest
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def put(columns, name, index, value, dtype=None):
+    """Set columns[name][index] = value, first making the column of dtype."""
+    column = columns[name].astype(dtype or columns[name].dtype)
+    column[index] = value
+    columns[name] = column
 
 
 def assert_data_error(capsys, out, *needles):
@@ -365,22 +413,32 @@ def assert_data_error(capsys, out, *needles):
     assert not any(out.iterdir()), sorted(out.iterdir())
 
 
+# Faults of the test set's columns, each made in record 5 where it is of one
+# value: (edit, what the message says after "test: ").
 TEST_RECORD_FAULTS = {
-    "nan-verb-feat": (lambda r: r["verb_feat"].__setitem__(1, float("nan")), "verb_feat is not finite"),
-    "degenerate-human-box": (lambda r: r["human_box"].__setitem__(2, r["human_box"][0]),
-                             "human_box is degenerate"),
-    "short-hoi-label": (lambda r: r.update(hoi_label=r["hoi_label"][:-1]), "hoi_label has shape"),
-    "fractional-object-label": (lambda r: r.update(object_label=r["object_label"] + 0.5),
-                                "object_label is not integral"),
-    "fractional-hoi-bit": (lambda r: r["hoi_label"].__setitem__(r["hoi_label"].index(1), 1.9),
-                           "hoi_label is not integral"),
-    "string-object-label": (lambda r: r.update(object_label=str(r["object_label"])),
-                            "object_label is not a number"),
-    "boolean-hoi-bit": (lambda r: r["hoi_label"].__setitem__(r["hoi_label"].index(1), True),
-                        "hoi_label is not a number"),
-    "string-human-box": (lambda r: r.update(human_box=[str(x) for x in r["human_box"]]),
-                         "human_box is not a number"),
-    "unknown-field": (lambda r: r.update(object_bbox=r["object_box"]), "unknown record fields: ['object_bbox']"),
+    "nan-verb-feat": (lambda c: put(c, "verb_feat", (4, 1), np.nan), "record 5: verb_feat is not finite"),
+    "degenerate-human-box": (lambda c: put(c, "human_box", (4, 2), c["human_box"][4, 0]),
+                             "record 5: human_box is degenerate"),
+    "short-hoi-label": (lambda c: c.update(hoi_label=c["hoi_label"][:, :-1]), "record 1: hoi_label has shape"),
+    "fractional-object-label": (lambda c: put(c, "object_label", 4, 7.5, float),
+                                "object_label: dtype <f8, expected <i8"),
+    "fractional-hoi-bit": (lambda c: put(c, "hoi_label", (4, 0), 1.9, float), "hoi_label: dtype <f8, expected |i1"),
+    "string-object-label": (lambda c: c.update(object_label=c["object_label"].astype(str)),
+                            "object_label: dtype <U"),
+    "boolean-hoi-bit": (lambda c: c.update(hoi_label=c["hoi_label"].astype(bool)), "hoi_label: dtype |b1"),
+    "string-human-box": (lambda c: c.update(human_box=c["human_box"].astype(str)), "human_box: dtype <U"),
+    "unknown-field": (lambda c: c.update(object_bbox=c["object_box"]), "unknown column files: ['object_bbox.npy']"),
+    "object-column": (lambda c: c.update(human_box=c["human_box"].astype(object)),
+                      "human_box: Object arrays cannot be loaded when allow_pickle=False"),
+    "wide-object-box": (lambda c: c.update(object_box=np.hstack([c["object_box"], c["object_box"][:, :1]])),
+                        "record 1: object_box has shape (5,), expected (4,)"),
+    "ragged-rows": (lambda c: c.update(verb_feat=c["verb_feat"][:-1]), "verb_feat: 59 rows, human_box has 60"),
+    "missing-column": (lambda c: c.pop("human_feat"), "missing field 'human_feat': no human_feat.npy"),
+    "empty-npy": (lambda c: c.update(object_feat=b""), "object_feat: No data left in file"),
+    "truncated-npy": (lambda c: c.update(object_feat=npy_bytes(c["object_feat"])[:-8]),
+                      "object_feat: Failed to read all data"),
+    "big-endian-feat": (lambda c: c.update(human_feat=c["human_feat"].astype(">f8")),
+                        "human_feat: dtype >f8, expected <f8"),
 }
 
 
@@ -388,14 +446,34 @@ TEST_RECORD_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(TEST_RECORD_FAULTS))
 def test_eval_rejects_bad_test_record(trained_dir, data_dir, tmp_path, capsys, cmd, fault):
     edit, why = TEST_RECORD_FAULTS[fault]
-    data = corrupt_copy(data_dir, tmp_path / "data", "test.jsonl", edit)
+    data = corrupt_copy(data_dir, tmp_path / "data", "test", edit)
     cfg = write_config(tmp_path / "eval.json", {
         "data_dir": str(data),
         "checkpoint": str(trained_dir / "checkpoint.json"),
     })
     out = tmp_path / "out"
     assert run(cmd, cfg, out) == EXIT_DATA
-    assert_data_error(capsys, out, f"test.jsonl: record 5: {why}")
+    assert_data_error(capsys, out, f"test: {why}")
+
+
+@pytest.mark.parametrize("cmd", ["eval-hoi", "build-bank"])
+def test_data_dir_of_jsonl_files_is_data_error(trained_dir, data_dir, tmp_path, capsys, cmd):
+    # a data dir in the old record format: its .jsonl files are not read
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in DATA_FILES:
+        shutil.copy(data_dir / name, data / name)
+    for name in DATA_DIRS:
+        (data / f"{name}.jsonl").write_text('{"kind": "object", "object_box": [0.1, 0.1, 0.5, 0.5]}\n')
+    body = {"data_dir": str(data)}
+    if cmd == "eval-hoi":
+        body["checkpoint"] = str(trained_dir / "checkpoint.json")
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "cfg.json", body), out) == EXIT_DATA
+    err = capsys.readouterr().err
+    name = "test" if cmd == "eval-hoi" else "train"
+    assert err.startswith(f"data error: {name} not found: "), err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot", "affordance"])
@@ -479,38 +557,36 @@ def test_document_of_another_schema_version_is_data_error(trained_dir, data_dir,
 
 def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
     # m above every pool size: at the parent commit the NaN reached bank.json
-    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl",
-                        lambda r: r["verb_feat"].__setitem__(3, float("nan")))
+    data = corrupt_copy(data_dir, tmp_path / "data", "train", lambda c: put(c, "verb_feat", (4, 3), np.nan))
     out = tmp_path / "out"
     assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data), "m": 1000}),
                out) == EXIT_DATA
-    assert_data_error(capsys, out, "train.jsonl: record 5: verb_feat is not finite")
+    assert_data_error(capsys, out, "train: record 5: verb_feat is not finite")
 
 
 @pytest.mark.parametrize("edit", [
-    lambda r: [r["kind"], r["object_label"]],  # a record that is not a JSON object
-    lambda r: r.update(object_label=None),
-    lambda r: r["hoi_label"].__setitem__(0, 300),  # out of int8 range
+    lambda c: c.update(object_label=b"[3, 4]\n"),  # a column file that is not a .npy array
+    lambda c: c.update(object_label=np.array([None] * len(c["object_label"]))),
+    lambda c: put(c, "hoi_label", (4, 0), 300, np.int16),  # out of int8 range: refused, not wrapped
 ])
 def test_malformed_record_is_data_error(data_dir, tmp_path, capsys, edit):
-    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl", edit)
+    data = corrupt_copy(data_dir, tmp_path / "data", "train", edit)
     out = tmp_path / "out"
     assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data)}), out) == EXIT_DATA
-    assert_data_error(capsys, out, "train.jsonl: ")
+    assert_data_error(capsys, out, "train: ")
 
 
 @pytest.mark.parametrize("iterations", [0, 5])
 def test_train_rejects_nonfinite_human_feat(data_dir, tmp_path, capsys, iterations):
     # rejected at load, whether or not a batch would ever sample the bad record
-    data = corrupt_copy(data_dir, tmp_path / "data", "train.jsonl",
-                        lambda r: r["human_feat"].__setitem__(0, float("nan")))
+    data = corrupt_copy(data_dir, tmp_path / "data", "train", lambda c: put(c, "human_feat", (4, 0), np.nan))
     cfg = write_config(tmp_path / "train.json", {
         "data_dir": str(data),
         "train": {**TINY_TRAIN, "iterations": iterations},
     })
     out = tmp_path / "out"
     assert run("train", cfg, out) == EXIT_DATA
-    assert_data_error(capsys, out, "train.jsonl: record 5: human_feat is not finite")
+    assert_data_error(capsys, out, "train: record 5: human_feat is not finite")
 
 
 def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
@@ -641,9 +717,7 @@ def test_eval_missing_checkpoint_is_data_error(data_dir, tmp_path):
 
 def test_corrupt_data_file_is_data_error(data_dir, tmp_path):
     broken = tmp_path / "data"
-    broken.mkdir()
-    for name in DATA_FILES:
-        (broken / name).write_bytes((data_dir / name).read_bytes())
+    shutil.copytree(data_dir, broken)
     (broken / "taxonomy.json").write_text('{"schema_version": 1}')
     cfg = write_config(tmp_path / "bank.json", {"data_dir": str(broken)})
     assert run("build-bank", cfg, tmp_path) == EXIT_DATA

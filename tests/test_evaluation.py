@@ -27,7 +27,7 @@ from hoicompose.evaluation import (
 )
 from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig, init_model, predict_dataset
-from hoicompose.synth import HOISet, gen_dataset, gen_world, load_instances
+from hoicompose.synth import HOISet, gen_dataset, gen_world, load_instances, save_instances
 
 UNIT = np.array([0.0, 0.0, 1.0, 1.0])
 RIGHT_HALF = np.array([0.5, 0.0, 1.0, 1.0])
@@ -331,11 +331,11 @@ def test_map_report_rejects_out_of_range_category():
 
 
 def test_map_report_of_an_empty_test_set(tmp_path):
-    # an empty .jsonl loads with no label width: every category has no GT
+    # a saved 0-row test set: every category has no GT
     tax = four_cat_tax()
-    path = tmp_path / "test.jsonl"
-    path.write_text("")
-    empty = load_instances(path)
+    save_instances(tmp_path / "test", HOISet.empty(0, tax.n_categories, 3))
+    empty = load_instances(tmp_path / "test")
+    assert len(empty) == 0 and empty.hoi_label.shape == (0, tax.n_categories)
     report = map_report(Detections(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4))), empty, tax)
     assert all(math.isnan(ap) for ap in report.per_category_ap.values())
     assert report.n_gt_per_category == {0: 0, 1: 0, 2: 0, 3: 0}

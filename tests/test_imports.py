@@ -39,7 +39,7 @@ def test_no_unused_imports(path):
 
 def json_document_calls(source: str) -> list[str]:
     """Whole-file json.dump / json.load calls (and imports of either by name);
-    the per-line json.dumps / json.loads of the .jsonl streams are exempt."""
+    the per-line json.dumps of the predictions.jsonl stream is exempt."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and node.attr in ("dump", "load")
@@ -62,3 +62,36 @@ def test_scan_finds_a_json_document_call():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_jsonfile_writes_and_reads_json_documents(path):
     assert json_document_calls(path.read_text()) == []
+
+
+def unsafe_np_loads(source: str) -> list[str]:
+    """Each np.load / numpy.load that is not a call passing the literal
+    allow_pickle=False, and each import of numpy's load by name: a data file
+    must never be able to run code when it is read."""
+    tree = ast.parse(source)
+    safe = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in node.keywords)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "load" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy") and id(node) not in safe):
+            found.append((node.lineno, f"{node.value.id}.load"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, "from numpy import load") for a in node.names if a.name == "load"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_finds_an_unsafe_np_load():
+    source = ("import numpy as np\nfrom numpy import load\na = np.load(f, allow_pickle=False)\n"
+              "b = np.load(f)\nc = np.load(f, allow_pickle=True)\nflag = False\n"
+              "d = np.load(f, allow_pickle=flag)\ne = np.load(f, **kw)\nread = np.load\n"
+              "g = numpy.load(f, mmap_mode=None)\nh = np.loads(f)\n")
+    assert unsafe_np_loads(source) == ["line 2: from numpy import load", "line 4: np.load", "line 5: np.load",
+                                       "line 7: np.load", "line 8: np.load", "line 9: np.load",
+                                       "line 10: numpy.load"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_np_load_refuses_pickle(path):
+    assert unsafe_np_loads(path.read_text()) == []

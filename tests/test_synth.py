@@ -1,9 +1,14 @@
 import dataclasses
-import json
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hoicompose.seeding import per_instance_rng, substream
 from hoicompose.evaluation import make_split
@@ -77,17 +82,6 @@ def test_world_validate_warns_on_close_prototypes():
         world.validate()
 
 
-def test_world_json_roundtrip(tmp_path):
-    _, world = gen_world(seed=3)
-    path = tmp_path / "world.json"
-    world.save(path)
-    back = WorldSpec.load(path)
-    np.testing.assert_array_equal(back.verb_prototypes, world.verb_prototypes)
-    np.testing.assert_array_equal(back.object_prototypes, world.object_prototypes)
-    np.testing.assert_array_equal(back.object_domain_shift, world.object_domain_shift)
-    assert back.noise_sigma == world.noise_sigma
-
-
 def test_sample_hoi_noiseless_features_equal_prototypes():
     tax, world = gen_world(seed=4, noise_sigma=0.0)
     rng = np.random.default_rng(0)
@@ -99,14 +93,10 @@ def test_sample_hoi_noiseless_features_equal_prototypes():
     np.testing.assert_array_equal(inst["human_feat"], world.verb_prototypes[v])
 
 
-def one_row(record, tax, feat_dim):
-    """A one-row set holding record (an HOI record when it has a label)."""
-    if "hoi_label" in record:
-        out = HOISet.empty(1, tax.n_categories, feat_dim)
-    else:
-        out = ObjectSet.empty(1, feat_dim)
-    out.put(0, record)
-    return out
+def one_row(record):
+    """A one-row set holding record (an HOISet when it has a label)."""
+    cls = HOISet if "hoi_label" in record else ObjectSet
+    return cls(**{name: np.asarray(value)[None] for name, value in record.items()})
 
 
 def test_sample_hoi_label_consistency():
@@ -117,7 +107,7 @@ def test_sample_hoi_label_consistency():
         assert inst["hoi_label"][cat] == 1
         want = one_hot(tax.n_objects, inst["object_label"])
         np.testing.assert_array_equal(decouple_object(inst["hoi_label"], tax), want)
-        assert validate_instances(one_row(inst, tax, world.feat_dim), "hoi", tax) == world.feat_dim
+        assert validate_instances(one_row(inst), "hoi", tax) == world.feat_dim
 
 
 def test_sample_hoi_instance_invariants_bulk():
@@ -126,7 +116,8 @@ def test_sample_hoi_instance_invariants_bulk():
     for i in range(500):
         rng = per_instance_rng(9, "bulk", i)
         cat = int(rng.integers(tax.n_categories))
-        instances.put(i, sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2))
+        for name, value in sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2).items():
+            getattr(instances, name)[i] = value
     assert validate_instances(instances, "hoi", tax, world.feat_dim) == world.feat_dim
 
 
@@ -150,7 +141,7 @@ def test_external_object_domain_shift():
     rng = np.random.default_rng(0)
     inst = sample_object_instance(world, 3, rng)
     np.testing.assert_allclose(inst["object_feat"], world.object_prototypes[3] + world.object_domain_shift)
-    one = one_row(inst, tax, world.feat_dim)
+    one = one_row(inst)
     assert validate_instances(one, "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError):
         sample_object_instance(world, tax.n_objects, rng)
@@ -233,44 +224,100 @@ def test_gen_dataset_deterministic():
     np.testing.assert_array_equal(a.verb_feat, c.verb_feat)
 
 
-def test_jsonl_roundtrip_lossless(tmp_path):
-    tax, world = gen_world(seed=26)
-    train, _, external = gen_dataset(world, tax, None, 20, 5, 8, seed=26)
-    for name, orig in (("hoi.jsonl", train), ("object.jsonl", external)):
-        save_instances(tmp_path / name, orig)
-        back = load_instances(tmp_path / name)
-        assert type(back) is type(orig) and len(back) == len(orig)
-        for f in dataclasses.fields(orig):
-            got, want = getattr(back, f.name), getattr(orig, f.name)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+def assert_same_set(got, want):
+    assert type(got) is type(want) and len(got) == len(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        np.testing.assert_array_equal(a, b)
+
+
+def dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+
+
+def _float_column(n, width):
+    return hnp.arrays(np.float64, (n, width), elements=st.floats(width=64))
+
+
+@st.composite
+def column_sets(draw):
+    """An HOISet or ObjectSet of 0, 1 or n rows, of any float values (NaN and
+    ±inf too) and any label in its column's integer range."""
+    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 9))]))
+    feat_dim = draw(st.integers(1, 5))
+    columns = {"object_box": draw(_float_column(n, 4)),
+               "object_label": draw(hnp.arrays(np.int64, (n,))),
+               "object_feat": draw(_float_column(n, feat_dim))}
+    if draw(st.booleans()):
+        return ObjectSet(**columns)
+    return HOISet(human_box=draw(_float_column(n, 4)),
+                  hoi_label=draw(hnp.arrays(np.int8, (n, draw(st.integers(1, 6))))),
+                  human_feat=draw(_float_column(n, feat_dim)), verb_feat=draw(_float_column(n, feat_dim)),
+                  **columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_sets())
+def test_save_load_roundtrip_property(orig):
+    # values and dtypes come back equal, and a save of the load is byte-identical
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instances(Path(tmp) / "a", orig)
+        back = load_instances(Path(tmp) / "a")
+        assert_same_set(back, orig)
+        save_instances(Path(tmp) / "b", back)
+        assert dir_bytes(Path(tmp) / "b") == dir_bytes(Path(tmp) / "a")
 
 
 def test_save_of_load_is_byte_identical(tmp_path):
     tax, world = gen_world(seed=26)
     split = make_split(tax, "novel-object", rng=substream(26, "split"))
     parts = gen_dataset(world, tax, split, 30, 20, 25, seed=26)
-    for name, part in zip(("train.jsonl", "test.jsonl", "external.jsonl"), parts):
+    for name, part in zip(("train", "test", "external"), parts):
         save_instances(tmp_path / name, part)
-        save_instances(tmp_path / ("again-" + name), load_instances(tmp_path / name))
-        assert (tmp_path / ("again-" + name)).read_bytes() == (tmp_path / name).read_bytes()
+        back = load_instances(tmp_path / name)
+        assert_same_set(back, part)
+        save_instances(tmp_path / ("again-" + name), back)
+        assert dir_bytes(tmp_path / ("again-" + name)) == dir_bytes(tmp_path / name)
+
+
+def test_save_refuses_a_column_of_another_dtype(tmp_path):
+    tax, world = gen_world(seed=26)
+    _, _, external = gen_dataset(world, tax, None, 0, 0, 3, seed=26)
+    bad = dataclasses.replace(external, object_label=external.object_label.astype(float))
+    with pytest.raises(ValueError, match=re.escape("object_label: dtype <f8, expected <i8")):
+        save_instances(tmp_path / "bad", bad)
 
 
 def test_load_rejects_unknown_kind(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"kind": "mystery"}\n')
-    with pytest.raises(ValueError, match="mystery"):
+    # a directory whose column files are no set's names none of them as a kind
+    path = tmp_path / "bad"
+    path.mkdir()
+    np.save(path / "mystery.npy", np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("unknown column files: ['mystery.npy']")):
         load_instances(path)
 
 
-def write_records(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+def saved_columns(tmp_path, part):
+    """The columns of part as save_instances writes and np.load reads them back."""
+    save_instances(tmp_path / "part", part)
+    return {p.stem: np.load(p) for p in (tmp_path / "part").iterdir()}
+
+
+def write_columns(path, columns):
+    """A column directory holding each value: an array saved as .npy (an object
+    array pickled), or bytes as they are."""
+    path.mkdir()
+    for name, value in columns.items():
+        if isinstance(value, bytes):
+            (path / f"{name}.npy").write_bytes(value)
+        else:
+            np.save(path / f"{name}.npy", value)
     return path
 
 
-def saved_records(tmp_path, part):
-    save_instances(tmp_path / "part.jsonl", part)
-    return [json.loads(line) for line in (tmp_path / "part.jsonl").read_text().splitlines()]
+def load_and_validate(path, kind, tax, feat_dim):
+    return validate_instances(load_instances(path), kind, tax, feat_dim)
 
 
 @pytest.mark.parametrize("part,field,value,want", [
@@ -284,74 +331,134 @@ def saved_records(tmp_path, part):
     (0, "human_feat", None, "missing field 'human_feat'"),
 ])
 def test_load_rejects_a_short_row_by_record_number(tmp_path, part, field, value, want):
-    # row assignment would broadcast a length-1 value across the row
+    # A .npy column is rectangular: a short row is a column of that width (named
+    # by validate_instances as record 1), a wrong rank or a missing column file.
     tax, world = gen_world(seed=29)
-    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
     if value is None:
-        del records[2][field]
+        del columns[field]
     else:
-        records[2][field] = value
-    with pytest.raises(ValueError, match=f"^record 3: {re.escape(want)}"):
-        load_instances(write_records(tmp_path / "bad.jsonl", records))
+        columns[field] = np.tile(np.asarray(value, dtype=columns[field].dtype), (5, 1))
+    kind = "hoi" if part == 0 else "object"
+    with pytest.raises(ValueError, match=f"^(record 1: )?{re.escape(want)}"):
+        load_and_validate(write_columns(tmp_path / "bad", columns), kind, tax, world.feat_dim)
 
 
-def _fractional_bit(rec):
-    rec["hoi_label"][rec["hoi_label"].index(1)] = 1.9
+def _fractional_bit(columns):
+    y = columns["hoi_label"].astype(float)
+    y[2, np.argmax(y[2])] = 1.9
+    columns["hoi_label"] = y
 
 
-@pytest.mark.parametrize("part,edit,want", [
-    (0, lambda rec: rec.update(object_label=13.5), "object_label is not integral"),
+def _label(columns, value):
+    """object_label as a column of value's type, with value in row 3."""
+    label = columns["object_label"].astype(type(value))
+    label[2] = value
+    columns["object_label"] = label
+
+
+@pytest.mark.parametrize("part,edit,fault", [
+    (0, lambda c: _label(c, 7.5), "object_label is not integral"),
     (0, _fractional_bit, "hoi_label is not integral"),
-    (2, lambda rec: rec.update(object_label=rec["object_label"] + 0.5), "object_label is not integral"),
-    (0, lambda rec: rec.update(object_label=float("nan")), "object_label is not integral"),
-    (0, lambda rec: rec.update(object_label=float("inf")), "object_label is not integral"),
-    (2, lambda rec: rec.update(object_label=float("-inf")), "object_label is not integral"),
-    (0, lambda rec: rec.update(object_label=str(rec["object_label"])), "object_label is not a number"),
-    (2, lambda rec: rec.update(object_label=True), "object_label is not a number"),
-    (0, lambda rec: rec.update(object_label=None), "object_label is not a number"),
-    (0, lambda rec: rec.update(object_box=[str(x) for x in rec["object_box"]]), "object_box is not a number"),
-    (2, lambda rec: rec.update(object_box=[True] * 4), "object_box is not a number"),
-    (0, lambda rec: rec["hoi_label"].__setitem__(rec["hoi_label"].index(1), True), "hoi_label is not a number"),
-    (2, lambda rec: rec["object_feat"].__setitem__(0, "0.5"), "object_feat is not a number"),
+    (2, lambda c: _label(c, c["object_label"][2] + 0.5), "object_label is not integral"),
+    (0, lambda c: _label(c, float("nan")), "object_label is not integral"),
+    (0, lambda c: _label(c, float("inf")), "object_label is not integral"),
+    (2, lambda c: _label(c, float("-inf")), "object_label is not integral"),
+    (0, lambda c: c.update(object_label=c["object_label"].astype(str)), "object_label is not a number"),
+    (2, lambda c: c.update(object_label=c["object_label"] > 0), "object_label is not a number"),
+    (0, lambda c: c.update(object_label=np.array([None] * 5)), "object_label is not a number"),
+    (0, lambda c: c.update(object_box=c["object_box"].astype(str)), "object_box is not a number"),
+    (2, lambda c: c.update(object_box=np.ones((5, 4), dtype=bool)), "object_box is not a number"),
+    (0, lambda c: c.update(hoi_label=c["hoi_label"].astype(bool)), "hoi_label is not a number"),
+    (2, lambda c: c.update(object_feat=c["object_feat"].astype(str)), "object_feat is not a number"),
 ])
-def test_load_rejects_a_non_integral_label(tmp_path, part, edit, want):
-    # assignment into an integer column would truncate 13.5 to 13 and 1.9 to 1;
-    # into any column it would parse the string "1" and take true as 1
+def test_load_rejects_a_non_integral_label(tmp_path, part, edit, fault):
+    # A column holds one dtype, so 7.5 in a label, a string, true or null makes
+    # the whole column of another dtype, which the loader refuses by name without
+    # a cast (which would truncate 7.5 to 7, parse "1" and take true as 1); an
+    # object column is refused by the pickle-free read.
     tax, world = gen_world(seed=29)
-    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
-    label = records[2]["object_label"]
-    edit(records[2])
-    with pytest.raises(ValueError, match=f"^record 3: {re.escape(want)}$"):
-        load_instances(write_records(tmp_path / "bad.jsonl", records))
-    # an integral float is no truncation: 7.0 loads as 7
-    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
-    records[2]["object_label"] = float(label)
-    assert load_instances(write_records(tmp_path / "ok.jsonl", records)).object_label[2] == label
+    columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    edit(columns)
+    column = fault.split()[0]
+    with pytest.raises(ValueError, match=f"^{column}: (dtype |Object arrays cannot be loaded)"):
+        load_instances(write_columns(tmp_path / "bad", columns))
 
 
 @pytest.mark.parametrize("part", [0, 2])
 def test_load_rejects_an_unknown_field(tmp_path, part):
-    # a misspelt field would otherwise be dropped without a word
+    # a misspelt column file would otherwise be dropped without a word
     tax, world = gen_world(seed=29)
-    records = saved_records(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
-    records[2]["object_bbox"] = records[2]["object_box"]
-    with pytest.raises(ValueError, match=re.escape("record 3: unknown record fields: ['object_bbox']")):
-        load_instances(write_records(tmp_path / "bad.jsonl", records))
+    columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
+    columns["object_bbox"] = columns["object_box"]
+    with pytest.raises(ValueError, match=re.escape("unknown column files: ['object_bbox.npy']")):
+        load_instances(write_columns(tmp_path / "bad", columns))
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("edit,want", [
+    (lambda c: c.update(object_feat=c["object_feat"][:-1]), "object_feat: 4 rows, object_box has 5"),
+    (lambda c: c.update(object_box=b""), "object_box: No data left in file"),
+    (lambda c: c.update(object_box=_npy_bytes(c["object_box"])[:-8]), "object_box: Failed to read all data"),
+    (lambda c: c.update(object_box=_npy_bytes(c["object_box"])[:40]), "object_box: EOF: reading array header"),
+    (lambda c: c.update(object_feat=b'{"rows": [[0.5]]}\n'), "object_feat: This file contains pickled"),
+    (lambda c: c.update(object_feat=c["object_feat"].astype(">f8")), "object_feat: dtype >f8, expected <f8"),
+    (lambda c: c.update(object_feat=c["object_feat"].astype(np.float32)), "object_feat: dtype <f4, expected <f8"),
+    (lambda c: c.update(object_label=c["object_label"].astype(np.int32)), "object_label: dtype <i4, expected <i8"),
+    (lambda c: c.update(object_feat=c["object_feat"][:, :, None]), "object_feat: shape (5, 16, 1), expected rank 2"),
+    (lambda c: c.update(object_feat=np.float64(1.0)), "object_feat: shape (), expected rank 2"),
+])
+def test_load_rejects_a_malformed_column_file(tmp_path, edit, want):
+    # ragged row counts, an empty, truncated or non-.npy file, another byte order,
+    # width or integer size, and a column of the wrong rank
+    tax, world = gen_world(seed=29)
+    columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 0, 0, 5, seed=29)[2])
+    edit(columns)
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+        load_instances(write_columns(tmp_path / "bad", columns))
+
+
+def test_load_rejects_a_huge_declared_shape(tmp_path):
+    # a header may claim more rows than memory holds: a data error, not a crash
+    path = tmp_path / "bad"
+    path.mkdir()
+    with open(path / "object_label.npy", "wb") as f:
+        np.lib.format.write_array_header_1_0(f, {"descr": "<i8", "fortran_order": False, "shape": (2**60,)})
+        f.write(b"\0" * 64)
+    for name in ("object_box", "object_feat"):
+        np.save(path / f"{name}.npy", np.zeros((8, 4)))
+    with pytest.raises(ValueError, match="^object_label: "):
+        load_instances(path)
 
 
 def _set(name, value):
-    return lambda rec, tax: rec.__setitem__(name, value)
+    return lambda s, tax: _assign(s, name, value)
+
+
+def _assign(s, name, value):
+    """Row 3 of column name set to value; a value of another row shape gives
+    the whole column that shape, since every row of a column has one."""
+    column = getattr(s, name)
+    if np.shape(value) == column.shape[1:]:
+        column[2] = value
+        return None
+    return dataclasses.replace(s, **{name: np.tile(np.asarray(value, dtype=column.dtype), (len(s), 1))})
 
 
 def _poke(name, index, value):
-    def edit(rec, tax):
-        rec[name][index] = value
+    def edit(s, tax):
+        getattr(s, name)[2, index] = value
     return edit
 
 
-def _other_object_category(rec, tax):
-    other = next(c for c, (_, o) in enumerate(tax.hoi_pairs) if o != rec["object_label"])
-    rec["hoi_label"][other] = 1
+def _other_object_category(s, tax):
+    other = next(c for c, (_, o) in enumerate(tax.hoi_pairs) if o != s.object_label[2])
+    s.hoi_label[2, other] = 1
 
 
 @pytest.mark.parametrize("edit,want", [
@@ -360,31 +467,27 @@ def _other_object_category(rec, tax):
     (_poke("human_box", 1, np.nan), "human_box is not finite; human_box is degenerate"),
     (_set("object_label", 99), "object_label outside"),
     (_set("hoi_label", [0, 0, 0]), "hoi_label has shape"),
-    (lambda rec, tax: rec.update(hoi_label=[0 for _ in rec["hoi_label"]]), "hoi_label sets no category"),
-    (lambda rec, tax: rec.update(hoi_label=[2 * b for b in rec["hoi_label"]]), "hoi_label is not multi-hot"),
+    (lambda s, tax: s.hoi_label.__setitem__(2, 0), "hoi_label sets no category"),
+    (lambda s, tax: s.hoi_label.__setitem__(2, 2 * s.hoi_label[2]), "hoi_label is not multi-hot"),
     (_other_object_category, "hoi_label sets a category of another object"),
     (_poke("verb_feat", 0, np.inf), "verb_feat is not finite"),
     (_poke("human_feat", 0, np.nan), "human_feat is not finite"),
     (_set("object_feat", [0.0, 0.0, 0.0]), "object_feat has shape"),
-    (lambda rec, tax: {"kind": "object", "object_box": rec["object_box"], "object_label": rec["object_label"],
-                       "object_feat": rec["object_feat"]},
-     "expected kind 'hoi'"),
+    (lambda s, tax: ObjectSet(s.object_box, s.object_label, s.object_feat), "expected kind 'hoi'"),
 ])
 def test_validate_instances_names_first_bad_record(tmp_path, edit, want):
-    # the records go through a file: a wrong-length or wrong-kind record is
-    # rejected by the loader, a bad value by validate_instances
+    # the set goes through its directory; a fault of a whole column (a row
+    # length, the kind) is named as record 1, a bad value by its first record
     tax, world = gen_world(seed=27)
     records, _, _ = gen_dataset(world, tax, None, 6, 0, 0, seed=27)
     assert validate_instances(records, "hoi", tax) == world.feat_dim
     # record 4 (1-based) gets a later bad value; record 3 is the first bad one
-    lines = saved_records(tmp_path, records)
-    lines[3]["verb_feat"] = [np.nan] * world.feat_dim
-    replaced = edit(lines[2], tax)
-    if replaced is not None:
-        lines[2] = replaced
-    path = write_records(tmp_path / "bad.jsonl", lines)
-    with pytest.raises(ValueError, match=f"^record 3: {want}"):
-        validate_instances(load_instances(path), "hoi", tax)
+    records.verb_feat[3] = np.nan
+    replaced = edit(records, tax)
+    save_instances(tmp_path / "bad", records if replaced is None else replaced)
+    first = 3 if replaced is None else 1
+    with pytest.raises(ValueError, match=f"^record {first}: {want}"):
+        load_and_validate(tmp_path / "bad", "hoi", tax, world.feat_dim)
 
 
 def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
@@ -395,9 +498,11 @@ def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
     assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError, match="record 1: object_feat has shape"):
         validate_instances(external, "object", tax, world.feat_dim + 1)
-    mixed = saved_records(tmp_path, external[:1]) + saved_records(tmp_path, train[:1])
-    with pytest.raises(ValueError, match="record 2: expected kind 'object'"):
-        load_instances(write_records(tmp_path / "mixed.jsonl", mixed))
+    # the column files of both kinds in one directory: the HOI set's plus an unknown
+    mixed = {**saved_columns(tmp_path, external[:1]), **saved_columns(tmp_path, train[:1])}
+    mixed["object_kind"] = np.zeros(1)
+    with pytest.raises(ValueError, match=re.escape("unknown column files: ['object_kind.npy']")):
+        load_instances(write_columns(tmp_path / "mixed", mixed))
     with pytest.raises(ValueError, match="record 1: expected kind 'object'"):
         validate_instances(train, "object", tax)
     external.object_box[3] = [0.2, 0.2, 0.1, 0.9]
@@ -405,7 +510,7 @@ def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
         validate_instances(external, "object", tax)
 
 
-def test_row_selection_and_put():
+def test_row_selection():
     tax, world = gen_world(seed=30)
     train, _, external = gen_dataset(world, tax, None, 6, 0, 4, seed=30)
     picked = train[np.array([4, 1])]
@@ -414,6 +519,3 @@ def test_row_selection_and_put():
     assert len(external[external.object_label == external.object_label[0]]) >= 1
     with pytest.raises(TypeError, match="slice"):
         train[0]
-    with pytest.raises(ValueError, match="human_box has shape"):
-        train.put(0, {**{f.name: getattr(train, f.name)[1] for f in dataclasses.fields(train)},
-                      "human_box": [0.5]})
