@@ -54,25 +54,75 @@ def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Prediction rows per human-IoU block: 64 x n_gt float temporaries stay a few MB.
+# Prediction rows per IoU block: a block's temporaries are _CHUNK_ROWS x (the GT rows
+# near its cell), a few MB at most even when every box falls into one cell.
 _CHUNK_ROWS = 64
+# Cells per axis at most. Wider cells stay exact; they keep the cell keys small and the
+# keys' rounding error far below the margin on the reach.
+_MAX_CELLS = 1024
 
 
 def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
     """(prediction, GT) index arrays of every pair whose human and object IoUs both
-    reach iou_threshold, in (prediction, GT) order. The human IoU is taken over blocks
-    of prediction rows, the object IoU only on the pairs the human boxes let through."""
+    reach iou_threshold, in (prediction, GT) order.
+
+    If IoU(a, b) >= t > 0, the intersection width is at least t * max(w_a, w_b), so
+    |x1_a - x1_b| <= (1 - t) * max(w_a, w_b), and likewise y1 with heights. With
+    reach that bound at the largest object side, widened to cover rounding, rows are
+    bucketed by their object box's (x1, y1) into square cells of side at least
+    reach / 2, and each prediction cell meets only the GT rows of its 5 x 5
+    neighbourhood: the object IoU over blocks of its rows, the human IoU only on the
+    pairs the object boxes let through. A row with a non-finite coordinate never
+    reaches IoU t and is dropped."""
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
     pred_h, pred_o, gt_h, gt_o = (np.asarray(b, dtype=float).reshape(-1, 4)
                                   for b in (pred_h, pred_o, gt_h, gt_o))
-    preds, gts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for start in range(0, len(pred_h), _CHUNK_ROWS):
-        block = _pair_iou(pred_h[start:start + _CHUNK_ROWS, None], gt_h[None])
-        rows, cols = np.nonzero(block >= iou_threshold)
-        rows += start
-        ok = _pair_iou(pred_o[rows], gt_o[cols]) >= iou_threshold
-        preds.append(rows[ok])
-        gts.append(cols[ok])
-    return np.concatenate(preds), np.concatenate(gts)
+    pred_rows, gt_rows = (np.flatnonzero(np.isfinite(h).all(axis=1) & np.isfinite(o).all(axis=1))
+                          for h, o in ((pred_h, pred_o), (gt_h, gt_o)))
+    boxes = np.concatenate([pred_o[pred_rows], gt_o[gt_rows]])
+    w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    side = max(w.max(initial=0.0), h.max(initial=0.0))
+    empty = np.zeros(0, dtype=np.intp)
+    if not (len(pred_rows) and len(gt_rows) and side > 0):  # no pair can overlap
+        return empty, empty
+    # Below an area of 1e-300 the IoU's rounding is no longer relative to its value:
+    # then only the overlap itself is relied on, |x1_a - x1_b| < max(w_a, w_b).
+    slack = 1.0 if ((w > 0) & (h > 0) & (w * h < 1e-300)).any() else 1 - iou_threshold
+    reach = (slack * (1 + 1e-9) + 1e-9) * side
+    corners = boxes[:, :2]
+    lo = corners.min(axis=0)
+    cell = max(reach / 2, (corners.max(axis=0) - lo).max() / _MAX_CELLS)
+    if 0 < cell < np.inf:
+        xy = np.floor((corners - lo) / cell).astype(np.intp)
+    else:  # a reach and span of 0 (or an infinite one): one cell holds every row
+        xy = np.zeros_like(corners, dtype=np.intp)
+    stride = xy[:, 1].max() + 3  # > the largest y cell + 2: a window stays in its column
+    keys = xy[:, 0] * stride + xy[:, 1]
+    pred_key, gt_key = keys[:len(pred_rows)], keys[len(pred_rows):]
+    pred_order, gt_order = np.argsort(pred_key), np.argsort(gt_key)
+    pred_rows, pred_key = pred_rows[pred_order], pred_key[pred_order]
+    gt_rows, gt_key = gt_rows[gt_order], gt_key[gt_order]
+    # per occupied prediction cell, the GT rows of its 5 x 5 neighbourhood: one key
+    # range per cell column
+    firsts = np.flatnonzero(np.diff(pred_key, prepend=-1))
+    windows = pred_key[firsts, None] + stride * np.arange(-2, 3)
+    starts = np.searchsorted(gt_key, windows - 2, side="left")
+    ends = np.searchsorted(gt_key, windows + 2, side="right")
+    preds, gts = [empty], [empty]
+    for first, last, cell_starts, cell_ends in zip(firsts, np.append(firsts[1:], len(pred_key)),
+                                                   starts, ends):
+        near = np.concatenate([gt_rows[s:e] for s, e in zip(cell_starts, cell_ends)])
+        for start in range(first, last, _CHUNK_ROWS):
+            block = pred_rows[start:min(start + _CHUNK_ROWS, last)]
+            r, c = np.nonzero(_pair_iou(pred_o[block, None], gt_o[None, near]) >= iou_threshold)
+            pred, gt = block[r], near[c]
+            ok = _pair_iou(pred_h[pred], gt_h[gt]) >= iou_threshold
+            preds.append(pred[ok])
+            gts.append(gt[ok])
+    pred, gt = np.concatenate(preds), np.concatenate(gts)
+    order = np.lexsort((gt, pred))
+    return pred[order], gt[order]
 
 
 def _greedy_match(pred, gt) -> list[int]:
@@ -93,20 +143,20 @@ def match_detections(predictions, ground_truth, iou_threshold: float = IOU_THRES
     predictions: (human_box, object_box, category, score), already sorted by
     score descending; equal scores keep input order. Each GT pair is consumed
     by at most one prediction; a prediction takes the first unconsumed GT (in
-    GT input order) with its exact category and both IoUs >= threshold.
+    GT input order) with its exact category and both IoUs >= iou_threshold,
+    which must lie in (0, 1].
     """
     scores = [p[3] for p in predictions]
     if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
         raise ValueError("predictions must be sorted by score descending")
+    pred, gt = _candidate_pairs([p[0] for p in predictions], [p[1] for p in predictions],
+                                [g[0] for g in ground_truth], [g[1] for g in ground_truth],
+                                iou_threshold)
+    same = (np.array([p[2] for p in predictions])[pred]
+            == np.array([g[2] for g in ground_truth])[gt])
     flags = [False] * len(predictions)
-    if predictions and ground_truth:
-        pred, gt = _candidate_pairs([p[0] for p in predictions], [p[1] for p in predictions],
-                                    [g[0] for g in ground_truth], [g[1] for g in ground_truth],
-                                    iou_threshold)
-        same = (np.array([p[2] for p in predictions])[pred]
-                == np.array([g[2] for g in ground_truth])[gt])
-        for rank in _greedy_match(pred[same], gt[same]):
-            flags[rank] = True
+    for rank in _greedy_match(pred[same], gt[same]):
+        flags[rank] = True
     return flags
 
 
@@ -357,10 +407,11 @@ def map_report(
     """Full detection report of a Detections grid against one pooled test set.
 
     truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
-    two boxes with that category. The IoU test runs once per (detection row, GT
-    row); per category, the detections rank by score descending (ties in row
-    order) and match greedily against the candidate pairs whose GT row carries
-    the category, as match_detections does. Categories absent from the ground
+    two boxes with that category. The candidate (detection row, GT row) pairs,
+    both IoUs >= iou_threshold in (0, 1], are found once for all categories; per
+    category, the detections rank by score descending (ties in row order) and
+    match greedily against the candidate pairs whose GT row carries the
+    category, as match_detections does. Categories absent from the ground
     truth get AP = NaN and are excluded from every group mean. Rare = realized
     train count < rare_threshold.
     """

@@ -374,16 +374,18 @@ def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None
     finite, non-degenerate, in [0, 1]; object label in range; features finite, of
     length feat_dim (default: record 1's); hoi_label a multi-hot of length C
     setting at least one category, all of its object. Raises ValueError naming
-    record 1 when the set is of the other kind or its rows have the wrong length
-    (every row of a column has one length), else the first record (1-based)
-    failing a value check. Returns feat_dim, so one length can be
-    carried across files."""
+    record 1 when the set is of the other kind, its feature length is 0 or its
+    rows have the wrong length (every row of a column has one length), else the
+    first record (1-based) failing a value check. Returns feat_dim, so one length
+    can be carried across files."""
     if not len(instances):
         return feat_dim
     if instances.kind != kind:
         raise ValueError(f"record 1: expected kind {kind!r}")
     if feat_dim is None:
         feat_dim = instances.object_feat.shape[1]
+    if feat_dim < 1:
+        raise ValueError(f"record 1: object_feat has feature length {feat_dim}, expected at least 1")
     row_shapes = {"human_box": (4,), "object_box": (4,), "object_label": (), "hoi_label": (tax.n_categories,)}
     for f in fields(instances):
         got, want = getattr(instances, f.name).shape[1:], row_shapes.get(f.name, (feat_dim,))

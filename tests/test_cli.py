@@ -564,6 +564,23 @@ def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
     assert_data_error(capsys, out, "train: record 5: verb_feat is not finite")
 
 
+@pytest.mark.parametrize("cmd, config", [
+    ("build-bank", {}),
+    ("train", {"train": TINY_TRAIN}),
+])
+def test_zero_length_features_are_data_errors(data_dir, tmp_path, capsys, cmd, config):
+    # the feature length is taken from the data: at the parent commit build-bank
+    # wrote a bank.json of empty rows
+    def empty_features(columns):
+        for name in ("human_feat", "verb_feat", "object_feat"):
+            columns[name] = columns[name][:, :0]
+
+    data = corrupt_copy(data_dir, tmp_path / "data", "train", empty_features)
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "cfg.json", {"data_dir": str(data), **config}), out) == EXIT_DATA
+    assert_data_error(capsys, out, "train: record 1: object_feat has feature length 0")
+
+
 @pytest.mark.parametrize("edit", [
     lambda c: c.update(object_label=b"[3, 4]\n"),  # a column file that is not a .npy array
     lambda c: c.update(object_label=np.array([None] * len(c["object_label"]))),

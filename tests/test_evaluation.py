@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoicompose import evaluation
@@ -111,6 +111,17 @@ def test_match_tp_count_bounded_by_gt():
 def test_match_empty_inputs():
     assert match_detections([], [(UNIT, UNIT, 0)]) == []
     assert match_detections([(UNIT, UNIT, 0, 0.5)], []) == [False]
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
+def test_iou_threshold_outside_the_unit_interval_is_refused(threshold):
+    # at 0 every disjoint pair would match
+    tax = four_cat_tax()
+    detections, truth = perfect_grid(tax)
+    with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+        match_detections([(FAR, FAR, 0, 0.9)], [(FAR2, FAR2, 0)], threshold)
+    with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+        map_report(detections, truth, tax, iou_threshold=threshold)
 
 
 # --- average precision ---
@@ -529,6 +540,127 @@ def test_map_report_matches_tuple_oracle_on_generated_data():
     counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
     report = map_report(detections, test_set, counted, split)
     assert_report_matches_oracle(report, detections, test_set, counted, split)
+
+
+# --- candidate pairs: the all-pairs scan, kept as the oracle of the cell grid ---
+
+def candidate_pairs_oracle(pred_h, pred_o, gt_h, gt_o, iou_threshold):
+    """Every human IoU over blocks of prediction rows, the object IoU only on the
+    pairs the human boxes let through."""
+    pred_h, pred_o, gt_h, gt_o = (np.asarray(b, dtype=float).reshape(-1, 4)
+                                  for b in (pred_h, pred_o, gt_h, gt_o))
+    preds, gts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite box reads NaN, never a match
+        for start in range(0, len(pred_h), evaluation._CHUNK_ROWS):
+            block = evaluation._pair_iou(pred_h[start:start + evaluation._CHUNK_ROWS, None], gt_h[None])
+            rows, cols = np.nonzero(block >= iou_threshold)
+            rows += start
+            ok = evaluation._pair_iou(pred_o[rows], gt_o[cols]) >= iou_threshold
+            preds.append(rows[ok])
+            gts.append(cols[ok])
+    return np.concatenate(preds), np.concatenate(gts)
+
+
+def assert_candidate_pairs_match_oracle(pred_h, pred_o, gt_h, gt_o, iou_threshold):
+    got = evaluation._candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold)
+    want = candidate_pairs_oracle(pred_h, pred_o, gt_h, gt_o, iou_threshold)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+THRESHOLDS = [0.05, 0.5, 0.9, 1.0]
+
+
+@st.composite
+def any_box(draw):
+    """A box of one of several kinds: quarter-grid corners in any order (inverted,
+    zero-area, at IoU exactly t with its neighbours), continuous (sides down to
+    subnormal), about 1e12 from the origin, or with a NaN or infinite coordinate."""
+    kind = draw(st.sampled_from(["grid", "continuous", "far", "non-finite"]))
+    if kind == "grid":
+        return [draw(st.sampled_from(GRID)) for _ in range(4)]
+    x1, y1 = (draw(st.floats(-1, 2)) for _ in range(2))
+    box = [x1, y1, x1 + draw(st.floats(0, 1)), y1 + draw(st.floats(0, 1))]
+    if kind == "far":
+        offset = draw(st.sampled_from([(1e12, 0.0), (0.0, -1e12), (1e12, 1e12)]))
+        box = [v + offset[k % 2] for k, v in enumerate(box)]
+    elif kind == "non-finite":
+        box[draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return box
+
+
+def reach_edge(box, t, axis):
+    """box's right (axis 0) or lower (axis 1) part, (1 - t) of its side in: IoU t
+    with box, and x1 (or y1) exactly (1 - t) * side apart when box has the largest side."""
+    box = list(box)
+    box[axis] += (1 - t) * (box[axis + 2] - box[axis])
+    return box
+
+
+@st.composite
+def candidate_pair_cases(draw):
+    t = draw(st.sampled_from(THRESHOLDS))
+    # unit-side boxes: no side is larger, so a reach-edge partner sits at the reach; a
+    # corner one ulp below a quarter point rounds its partner's corner up, past the reach
+    corner = st.sampled_from(GRID[:-1]) | st.sampled_from(GRID[1:-1]).map(lambda v: np.nextafter(v, 0)) \
+        | st.floats(-1, 2)
+    unit = st.tuples(corner, corner).map(lambda xy: [*xy, xy[0] + 1, xy[1] + 1])
+    box = any_box() | unit
+    preds = draw(st.lists(st.tuples(box, box), max_size=10))
+    gts = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(["fresh", "copy", "edge"] if preds else ["fresh"]))
+        if how == "fresh":
+            gts.append(draw(st.tuples(box, box)))
+            continue
+        human, obj = draw(st.sampled_from(preds))
+        if how == "edge":
+            edges = [draw(st.sampled_from([None, 0, 1])) for _ in range(2)]
+            human, obj = (b if a is None else reach_edge(b, t, a) for b, a in zip((human, obj), edges))
+        gts.append((human, obj))
+    pred_h, pred_o, gt_h, gt_o = (np.array([r[k] for r in rows], dtype=float).reshape(-1, 4)
+                                  for rows in (preds, gts) for k in (0, 1))
+    return pred_h, pred_o, gt_h, gt_o, t, draw(st.integers(1, 5))
+
+
+def below_quarter_case():
+    """A unit box one ulp below y = 0.25 and its lower half, with a zero-area box
+    pinning the grid at 0: the half's y1 rounds up to 0.75, just past the reach of
+    0.5 at t = 0.5, and the pair still reads IoU 0.5."""
+    y = np.nextafter(0.25, 0)
+    unit = [0.0, y, 1.0, y + 1]
+    pred_o, gt_o = np.array([unit, [0.0, 0.0, 0.0, 0.0]]), np.array([reach_edge(unit, 0.5, 1)])
+    return np.array([UNIT, UNIT]), pred_o, np.array([UNIT]), gt_o, 0.5, 1
+
+
+def subnormal_case():
+    """Boxes one subnormal unit tall: every area and the intersection round to that
+    unit, so IoU reads 1 at x1 0.4 apart, far past the reach of 0.1 at t = 0.9."""
+    h = np.nextafter(0.0, 1)
+    pred_o, gt_o = np.array([[0.0, 0.0, 1.0, h]]), np.array([[0.4, 0.0, 1.0, h]])
+    return np.array([UNIT]), pred_o, np.array([UNIT]), gt_o, 0.9, 1
+
+
+@settings(max_examples=600, deadline=None)
+@given(candidate_pair_cases())
+@example(case=below_quarter_case())
+@example(case=subnormal_case())
+def test_candidate_pairs_match_all_pairs_oracle(case):
+    *boxes, t, chunk_rows = case
+    with mock.patch.object(evaluation, "_CHUNK_ROWS", chunk_rows):  # blocks split the cells
+        assert_candidate_pairs_match_oracle(*boxes, t)
+
+
+def test_candidate_pairs_match_all_pairs_oracle_on_generated_data():
+    # the zeroshot pairing: the 3,200-row test set's boxes against themselves
+    tax, world = gen_world(seed=0)
+    split = make_split(tax, "novel-object", rng=np.random.default_rng(0))
+    _, test_set, _ = gen_dataset(world, tax, split, 10, 3200, 0, seed=0)
+    boxes = (test_set.human_box, test_set.object_box)
+    pred, gt = assert_candidate_pairs_match_oracle(*boxes, *boxes, evaluation.IOU_THRESHOLD)
+    assert len(pred) > len(test_set)  # every self-pair, and more
 
 
 def test_save_predictions_matches_tuple_writer(tmp_path):
