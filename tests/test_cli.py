@@ -569,8 +569,8 @@ def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
     ("train", {"train": TINY_TRAIN}),
 ])
 def test_zero_length_features_are_data_errors(data_dir, tmp_path, capsys, cmd, config):
-    # the feature length is taken from the data: at the parent commit build-bank
-    # wrote a bank.json of empty rows
+    # the feature length is taken from the data: unchecked, build-bank wrote a
+    # bank.json of empty rows
     def empty_features(columns):
         for name in ("human_feat", "verb_feat", "object_feat"):
             columns[name] = columns[name][:, :0]

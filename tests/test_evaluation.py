@@ -570,9 +570,6 @@ def assert_candidate_pairs_match_oracle(pred_h, pred_o, gt_h, gt_o, iou_threshol
     return got
 
 
-THRESHOLDS = [0.05, 0.5, 0.9, 1.0]
-
-
 @st.composite
 def any_box(draw):
     """A box of one of several kinds: quarter-grid corners in any order (inverted,
@@ -592,8 +589,8 @@ def any_box(draw):
 
 
 def reach_edge(box, t, axis):
-    """box's right (axis 0) or lower (axis 1) part, (1 - t) of its side in: IoU t
-    with box, and x1 (or y1) exactly (1 - t) * side apart when box has the largest side."""
+    """box's right (axis 0) or lower (axis 1) part, its x1 (or y1) moved in by
+    (1 - t) * side: IoU t with box, at the reach when box has the largest side."""
     box = list(box)
     box[axis] += (1 - t) * (box[axis + 2] - box[axis])
     return box
@@ -601,7 +598,7 @@ def reach_edge(box, t, axis):
 
 @st.composite
 def candidate_pair_cases(draw):
-    t = draw(st.sampled_from(THRESHOLDS))
+    t = draw(st.sampled_from([0.05, 0.5, 0.9, 1.0]))
     # unit-side boxes: no side is larger, so a reach-edge partner sits at the reach; a
     # corner one ulp below a quarter point rounds its partner's corner up, past the reach
     corner = st.sampled_from(GRID[:-1]) | st.sampled_from(GRID[1:-1]).map(lambda v: np.nextafter(v, 0)) \
