@@ -51,14 +51,13 @@ cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=0)
 model = init_model(tax, world.feat_dim, cfg)
 
 x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-verb_items = list(zip(train_set.verb_feat[:4], decouple_verb(train_set.hoi_label[:4], tax)))
-object_items = [(f, one_hot(tax.n_objects, o))
-                for f, o in zip(external.object_feat[:2], external.object_label[:2])]
-composites = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(0))
+object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label[:2]])
+composites = compose_batch(decouple_verb(train_set.hoi_label[:4], tax), object_labels, tax, 2,
+                           np.random.default_rng(0))
 batch = StepBatch(
     sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
-    atl_x=np.stack([c[0] for c in composites]),
-    atl_y=np.stack([c[1] for c in composites]).astype(float),
+    atl_x=composites.inputs(train_set.verb_feat[:4], external.object_feat[:2]),
+    atl_y=composites.labels.astype(float),
 )
 
 errors = step_grad_check(model, batch, cfg)

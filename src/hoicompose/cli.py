@@ -437,12 +437,11 @@ def _end_to_end_errors(seed: int) -> dict:
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, object_batch=2, seed=seed)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    verb_items = list(zip(train_set.verb_feat[:4], decouple_verb(train_set.hoi_label[:4], tax)))
-    object_items = [(f, one_hot(tax.n_objects, o))
-                    for f, o in zip(external.object_feat[:2], external.object_label[:2])]
-    composites = compose_batch(verb_items, object_items, tax, cfg.object_batch, substream(seed, "gradcheck-e2e"))
-    atl_x = np.stack([c[0] for c in composites]) if composites else None
-    atl_y = np.stack([c[1] for c in composites]).astype(float) if composites else None
+    object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label[:2]])
+    kept = compose_batch(decouple_verb(train_set.hoi_label[:4], tax), object_labels, tax, cfg.object_batch,
+                         substream(seed, "gradcheck-e2e"))
+    atl_x = kept.inputs(train_set.verb_feat[:4], external.object_feat[:2]) if len(kept) else None
+    atl_y = kept.labels.astype(float) if len(kept) else None
     batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
     return step_grad_check(model, batch, cfg)
 

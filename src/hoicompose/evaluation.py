@@ -60,6 +60,10 @@ _CHUNK_ROWS = 64
 # Cells per axis at most. Wider cells stay exact; they keep the cell keys small and the
 # keys' rounding error far below the margin on the reach.
 _MAX_CELLS = 1024
+# Prediction rows per cell, at least, on average: cells per axis are also at most
+# sqrt(prediction rows / _CELL_ROWS), so that a small set does not pay a Python
+# loop step for every few rows.
+_CELL_ROWS = 16
 
 
 def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
@@ -92,7 +96,8 @@ def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
     reach = (slack * (1 + 1e-9) + 1e-9) * side
     corners = boxes[:, :2]
     lo = corners.min(axis=0)
-    cell = max(reach / 2, (corners.max(axis=0) - lo).max() / _MAX_CELLS)
+    cells = min(_MAX_CELLS, max(1.0, math.sqrt(len(pred_rows) / _CELL_ROWS)))
+    cell = max(reach / 2, (corners.max(axis=0) - lo).max() / cells)
     if 0 < cell < np.inf:
         xy = np.floor((corners - lo) / cell).astype(np.intp)
     else:  # a reach and span of 0 (or an infinite one): one cell holds every row

@@ -9,7 +9,7 @@ where they enter, and train checks each step's loss and gradients once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,10 +21,26 @@ EPS = 1e-7
 
 @dataclass
 class MLPParams:
+    """The four parameter arrays, as views into one contiguous float buffer, flat
+    (w1, b1, w2, b2 in that order), so that a whole-model update, scaling or
+    check is one operation. Construction copies the given arrays into it."""
+
     w1: np.ndarray  # (hidden, d_in)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (k_out, hidden)
     b2: np.ndarray  # (k_out,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(arr, dtype=float) for arr in (self.w1, self.b1, self.w2, self.b2)]
+        self.flat = np.concatenate([arr.ravel() for arr in arrays])
+        at = 0
+        for name, arr in zip(("w1", "b1", "w2", "b2"), arrays):
+            setattr(self, name, self.flat[at:at + arr.size].reshape(arr.shape))
+            at += arr.size
+
+    def __reduce__(self):  # a copy or an unpickled one rebuilds its views
+        return MLPParams, (self.w1, self.b1, self.w2, self.b2)
 
     @property
     def d_in(self) -> int:
@@ -72,14 +88,23 @@ def init_params(d_in: int, k_out: int, hidden: int, seed: int = 0) -> MLPParams:
     )
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The logistic function without overflow: with e = exp(-|z|), 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere (NaN included). overwrite=True
+    writes the result into z, a float array."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    nonneg = z >= 0
+    e = z if overwrite else z.copy()
+    np.negative(e, out=e, where=nonneg)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, den, out=e)
+
+
+def zeros_like(params: MLPParams) -> MLPParams:
+    """An all-zero MLPParams of params' shapes, with its own flat buffer."""
+    return MLPParams(*(np.zeros_like(arr) for _, arr in params.items()))
 
 
 def _check_input(params: MLPParams, x) -> np.ndarray:
@@ -95,9 +120,18 @@ def mlp_forward(params: MLPParams, x):
     Returns (logits, probs) with matching leading shape.
     """
     x = _check_input(params, x)
-    h = np.maximum(x @ params.w1.T + params.b1, 0.0)
-    logits = h @ params.w2.T + params.b2
+    h = x @ params.w1.T
+    h += params.b1
+    np.maximum(h, 0.0, out=h)
+    logits = h @ params.w2.T
+    logits += params.b2
     return logits, sigmoid(logits)
+
+
+def _clamp(p: np.ndarray) -> np.ndarray:
+    """np.clip(p, EPS, 1 - EPS), without its Python wrapper."""
+    pc = np.maximum(p, EPS)
+    return np.minimum(pc, 1.0 - EPS, out=pc)
 
 
 def bce_loss(probs, target) -> float:
@@ -106,20 +140,26 @@ def bce_loss(probs, target) -> float:
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape:
         raise ValueError(f"probs shape {p.shape} != target shape {t.shape}")
-    return _clamped_bce(np.clip(p, EPS, 1.0 - EPS), t)
+    return _clamped_bce(_clamp(p), t, 1.0 - t)
 
 
-def _clamped_bce(pc: np.ndarray, t: np.ndarray) -> float:
-    return float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
+def _clamped_bce(pc: np.ndarray, t: np.ndarray, one_minus_t: np.ndarray) -> float:
+    terms = np.log(pc)
+    terms *= t
+    log_q = np.negative(pc)
+    np.log1p(log_q, out=log_q)
+    log_q *= one_minus_t
+    terms += log_q
+    return float(-(terms.sum() / terms.size))  # -mean, without np.mean's wrapper
 
 
-def mlp_backward(params: MLPParams, x, target) -> tuple[float, MLPParams]:
+def mlp_backward(params: MLPParams, x, target, out: MLPParams | None = None) -> tuple[float, MLPParams]:
     """bce_loss(mlp_forward(x)) and its analytic gradient w.r.t. every parameter.
 
     The loss comes from the forward pass the gradient runs anyway, so a training
     step needs no separate forward. Batch inputs use mean reduction over
-    examples, matching bce_loss on the stacked batch; the gradient has
-    MLPParams shape.
+    examples, matching bce_loss on the stacked batch. The gradient is written
+    into out, an MLPParams of params' shapes (a new one when None), and returned.
     """
     x = _check_input(params, x)
     single = x.ndim == 1
@@ -128,45 +168,44 @@ def mlp_backward(params: MLPParams, x, target) -> tuple[float, MLPParams]:
     tb = t[None, :] if single else t
     if tb.shape != (xb.shape[0], params.k_out):
         raise ValueError(f"target shape {t.shape} does not match ({xb.shape[0]}, {params.k_out})")
+    grads = zeros_like(params) if out is None else out
 
-    pre = xb @ params.w1.T + params.b1
+    pre = xb @ params.w1.T
+    pre += params.b1
     h = np.maximum(pre, 0.0)
-    logits = h @ params.w2.T + params.b2
-    p = sigmoid(logits)
+    p = h @ params.w2.T
+    p += params.b2
+    sigmoid(p, overwrite=True)
 
-    # d(loss)/d(prob) through the clamp: zero where the clamp is active.
-    pc = np.clip(p, EPS, 1.0 - EPS)
-    loss = _clamped_bce(pc, tb)
-    n_terms = tb.size
-    dl_dp = (-tb / pc + (1.0 - tb) / (1.0 - pc)) / n_terms
-    dl_dp[(p < EPS) | (p > 1.0 - EPS)] = 0.0
-    delta = dl_dp * p * (1.0 - p)  # (n, k_out)
+    # d(loss)/d(prob) through the clamp: zero where the clamp is active, which
+    # is where it moved p (a NaN p gives a NaN delta either way).
+    pc = _clamp(p)
+    one_minus_t = 1.0 - tb
+    loss = _clamped_bce(pc, tb, one_minus_t)
+    delta = np.negative(tb)
+    delta /= pc
+    q = np.subtract(1.0, pc)
+    np.divide(one_minus_t, q, out=q)
+    delta += q
+    delta /= tb.size
+    np.copyto(delta, 0.0, where=pc != p)
+    delta *= p
+    np.subtract(1.0, p, out=q)
+    delta *= q  # (n, k_out)
 
-    dw2 = delta.T @ h
-    db2 = delta.sum(axis=0)
+    np.matmul(delta.T, h, out=grads.w2)
+    np.add.reduce(delta, axis=0, out=grads.b2)
     dh = delta @ params.w2
     dh[pre <= 0.0] = 0.0
-    dw1 = dh.T @ xb
-    db1 = dh.sum(axis=0)
-    return loss, MLPParams(dw1, db1, dw2, db2)
+    np.matmul(dh.T, xb, out=grads.w1)
+    np.add.reduce(dh, axis=0, out=grads.b1)
+    return loss, grads
 
 
 def sgd_step(params: MLPParams, grads: MLPParams, lr: float = 0.01) -> MLPParams:
-    """One gradient-descent update; returns new params, inputs untouched."""
-    return MLPParams(
-        params.w1 - lr * grads.w1,
-        params.b1 - lr * grads.b1,
-        params.w2 - lr * grads.w2,
-        params.b2 - lr * grads.b2,
-    )
-
-
-def scale_grads(grads: MLPParams, coef: float) -> MLPParams:
-    return MLPParams(coef * grads.w1, coef * grads.b1, coef * grads.w2, coef * grads.b2)
-
-
-def add_grads(a: MLPParams, b: MLPParams) -> MLPParams:
-    return MLPParams(a.w1 + b.w1, a.b1 + b.b1, a.w2 + b.w2, a.b2 + b.b2)
+    """One gradient-descent update of params, in place: params -= lr * grads. Returns params."""
+    params.flat -= lr * grads.flat
+    return params
 
 
 def _rel_error(a: np.ndarray, b: np.ndarray) -> float:

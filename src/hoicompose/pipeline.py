@@ -135,10 +135,6 @@ def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
     return (in_y[..., :, None] & in_x[..., None, :]).astype(np.int8)
 
 
-def hoi_input(verb_feat, object_feat) -> np.ndarray:
-    return np.concatenate([verb_feat, object_feat])
-
-
 def build_matrices(instances, tax: Taxonomy, resolution: int):
     """Classifier inputs/targets of an HOISet: (X_sp, X_hoi, Y, verb multi-hots).
     The one finiteness check on the way into train and predict_dataset."""
@@ -151,33 +147,46 @@ def build_matrices(instances, tax: Taxonomy, resolution: int):
     return x_sp, x_hoi, instances.hoi_label.astype(float), verbs.astype(float)
 
 
-def compose_batch(verb_items, object_items, tax: Taxonomy, cap: int, rng: np.random.Generator,
-                  counters: dict | None = None):
-    """Cross every verb item with every object item, keep valid compositions only.
+@dataclass
+class Composites:
+    """The kept compositions of one compose_batch call, in verb-major order: row
+    indices into its verb and object label rows, and each composition's label."""
 
-    verb_items: (verb_feat, verb multi-hot); object_items: (object_feat, object
-    one-hot). One broadcast compose_label call labels all B x K candidates;
-    those whose label is all zeros are dropped, the rest stay in verb-major
-    order. At most cap survivors are kept by uniform subsampling (selection
-    order-preserving). Returns a list of (verb_feat ++ object_feat, label).
-    counters, when given, gains the composite_candidates and composite_valid
-    counts of this call.
+    verb_rows: np.ndarray  # (kept,) intp
+    object_rows: np.ndarray  # (kept,) intp
+    labels: np.ndarray  # (kept, C) int8, never all zero
+
+    def __len__(self) -> int:
+        return len(self.verb_rows)
+
+    def inputs(self, verb_feats: np.ndarray, object_feats: np.ndarray) -> np.ndarray:
+        """(kept, d_v + d_o) classifier inputs: each kept pair's verb feature row
+        ++ object feature row, from the rows the label rows came from."""
+        return np.concatenate([verb_feats[self.verb_rows], object_feats[self.object_rows]], axis=1)
+
+
+def compose_batch(verb_labels, object_labels, tax: Taxonomy, cap: int, rng: np.random.Generator,
+                  counters: dict | None = None) -> Composites:
+    """Cross every verb row with every object row, keep valid compositions only.
+
+    verb_labels: (B, n_verbs) verb multi-hots; object_labels: (K, n_objects)
+    object one-hots. One broadcast compose_label call labels all B x K
+    candidates; those whose label is all zeros are dropped, the rest stay in
+    verb-major order. At most cap survivors are kept by uniform subsampling
+    (selection order-preserving). counters, when given, gains the
+    composite_candidates and composite_valid counts of this call.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if not len(verb_items) or not len(object_items):
-        return []
-    verb_labels = np.stack([label for _, label in verb_items])
-    object_labels = np.stack([label for _, label in object_items])
-    block = compose_label(object_labels[None, :, :], verb_labels[:, None, :], tax)
+    block = compose_label(np.asarray(object_labels)[None, :, :], np.asarray(verb_labels)[:, None, :], tax)
     vi, oj = np.nonzero(block.any(axis=-1))
     if counters is not None:
         counters["composite_candidates"] += block.shape[0] * block.shape[1]
         counters["composite_valid"] += len(vi)
-    keep = range(len(vi))
     if len(vi) > cap:
         keep = np.sort(rng.choice(len(vi), size=cap, replace=False))
-    return [(hoi_input(verb_items[vi[k]][0], object_items[oj[k]][0]), block[vi[k], oj[k]]) for k in keep]
+        vi, oj = vi[keep], oj[keep]
+    return Composites(vi, oj, block[vi, oj])
 
 
 def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfig) -> float:
@@ -198,28 +207,47 @@ class StepBatch:
     atl_y: np.ndarray | None
 
 
-def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig):
+def grad_workspaces(model: HOIModel) -> tuple:
+    """Zeroed (g_sp, g_hoi, g_atl) gradient workspaces for step_grads."""
+    return tuple(nn.zeros_like(p) for p in (model.sp_classifier, model.hoi_classifier, model.hoi_classifier))
+
+
+def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig, grads=None, norms: dict | None = None):
     """Raw branch losses and analytic gradients of the total step loss, from one
     forward pass per branch: returns (losses, (g_sp, g_hoi)).
 
     The real and composite branches share the HOI classifier, so its gradient
-    is lambda1 * real + lambda2 * composite.
+    is lambda1 * real + lambda2 * composite. The gradients are written into
+    grads, the grad_workspaces of the model (new ones when None); its g_atl ends
+    up holding lambda2 * composite. norms, when given, gains the L2 norms "sp",
+    "hoi" and "atl" of g_sp, lambda1 * real and lambda2 * composite (0.0 with no
+    composites), the last two taken before they are added.
     """
-    l_sp, g_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.sp_y)
-    l_hoi, g_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y)
-    g_hoi = nn.scale_grads(g_hoi, cfg.lambda1)
+    g_sp, g_hoi, g_atl = grads or grad_workspaces(model)
+    l_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.sp_y, out=g_sp)[0]
+    l_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y, out=g_hoi)[0]
+    g_hoi.flat *= cfg.lambda1
+    if norms is not None:
+        norms.update(sp=float(np.linalg.norm(g_sp.flat)), hoi=float(np.linalg.norm(g_hoi.flat)), atl=0.0)
     l_atl = 0.0
     if batch.atl_x is not None and len(batch.atl_x):
-        l_atl, g_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)
-        g_hoi = nn.add_grads(g_hoi, nn.scale_grads(g_atl, cfg.lambda2))
+        l_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y, out=g_atl)[0]
+        g_atl.flat *= cfg.lambda2
+        if norms is not None:
+            norms["atl"] = float(np.linalg.norm(g_atl.flat))
+        g_hoi.flat += g_atl.flat
     return {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl}, (g_sp, g_hoi)
 
 
 @dataclass
 class TrainResult:
+    """The trained model, the loss trace, the composite counters, and per traced
+    step the L2 gradient norms of the three branches (see step_grads)."""
+
     model: HOIModel
     trace: list[dict] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
+    grad_norms: list[dict] = field(default_factory=list)
 
 
 def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
@@ -243,6 +271,9 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     The counters also record what the composite branch did: candidate and valid
     compositions, kept examples (composite_examples), and the label bits of the
     kept examples per category (composite_per_category).
+
+    The model's classifiers are updated in place, and each step's gradients
+    are written into one reused workspace per branch.
     """
     cfg.validate()
     if not train_set:
@@ -255,56 +286,55 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
     if use_composite:
         verb_feats = train_set.verb_feat
-        verb_rows = verb_targets.astype(np.int8)
+        verb_labels = verb_targets.astype(np.int8)
         obj_feats = external_objects.object_feat
         if not np.isfinite(obj_feats).all():
             raise ValueError("non-finite entries in external object features")
         obj_onehots = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
+        m = len(external_objects)
 
     model = init_model(tax, feat_dim, cfg)
+    grads = grad_workspaces(model)
     rng = substream(cfg.seed, "batching")
     n = len(train_set)
     counters = {"composite_classifier_calls": 0, "composite_examples": 0,
                 "composite_candidates": 0, "composite_valid": 0}
     per_category = np.zeros(tax.n_categories, dtype=np.int64)
-    trace = []
+    trace, grad_norms = [], []
 
     for step in range(cfg.iterations):
         idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
         atl_x = atl_y = None
         if use_composite:
-            m = len(external_objects)
             obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
-            verb_items = [(verb_feats[i], verb_rows[i]) for i in idx]
-            object_items = [(obj_feats[j], obj_onehots[j]) for j in obj_idx]
-            composites = compose_batch(verb_items, object_items, tax, cfg.object_batch, rng, counters)
-            if composites:
-                atl_x = np.stack([c[0] for c in composites])
-                labels = np.stack([c[1] for c in composites])
-                atl_y = labels.astype(float)
-                per_category += labels.sum(axis=0)
+            kept = compose_batch(verb_labels[idx], obj_onehots[obj_idx], tax, cfg.object_batch, rng, counters)
+            if len(kept):
+                atl_x = kept.inputs(verb_feats[idx], obj_feats[obj_idx])
+                atl_y = kept.labels.astype(float)
+                per_category += kept.labels.sum(axis=0)
                 counters["composite_classifier_calls"] += 1
-                counters["composite_examples"] += len(composites)
+                counters["composite_examples"] += len(kept)
 
-        batch = StepBatch(sp_x=x_sp[idx], sp_y=y[idx], hoi_x=x_hoi[idx], hoi_y=y[idx],
-                          atl_x=atl_x, atl_y=atl_y)
-        losses, (g_sp, g_hoi) = step_grads(model, batch, cfg)
+        y_b = y[idx]
+        batch = StepBatch(sp_x=x_sp[idx], sp_y=y_b, hoi_x=x_hoi[idx], hoi_y=y_b, atl_x=atl_x, atl_y=atl_y)
+        traced = step % cfg.trace_every == 0 or step == cfg.iterations - 1
+        norms = {} if traced else None
+        losses, (g_sp, g_hoi) = step_grads(model, batch, cfg, grads, norms)
         total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
         # the step's one divergence check, before either classifier is updated: one
-        # isfinite over the loss and every gradient entry, with no sum that could overflow
-        entries = [np.ravel(total)] + [arr.ravel() for g in (g_sp, g_hoi) for _, arr in g.items()]
-        if not np.isfinite(np.concatenate(entries)).all():
+        # isfinite per flat gradient buffer and the loss, with no sum that could overflow
+        if not (math.isfinite(total) and np.isfinite(g_sp.flat).all() and np.isfinite(g_hoi.flat).all()):
             raise TrainingDiverged(step, total)
-        losses["L_total"] = total
 
-        model.sp_classifier = nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
-        model.hoi_classifier = nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
+        nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
+        nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
 
-        if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
-            trace.append({"step": step, **{k: losses[k] for k in ("L_sp", "L_hoi", "L_ATL", "L_total")}})
+        if traced:
+            trace.append({"step": step, **losses, "L_total": total})
+            grad_norms.append({"step": step, **norms})
 
     counters["composite_per_category"] = per_category.tolist()
-    return TrainResult(model=model, trace=trace, counters=counters)
+    return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
 
 
 def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: float = 1e-5):

@@ -234,15 +234,14 @@ def test_criterion_7_structural_invariants(tmp_path):
 
     # composite batches: capped, never all-zero, built from the given features
     rng = np.random.default_rng(7)
-    verb_items = [(f, decouple_verb(y, tax))
-                  for f, y in zip(train_set.verb_feat[:8], train_set.hoi_label[:8])]
-    object_items = [(f, one_hot(tax.n_objects, o))
-                    for f, o in zip(external.object_feat[:4], external.object_label[:4])]
-    known_halves = ({tuple(f) for f, _ in verb_items}, {tuple(f) for f, _ in object_items})
+    verb_feats, object_feats = train_set.verb_feat[:8], external.object_feat[:4]
+    verb_labels = decouple_verb(train_set.hoi_label[:8], tax)
+    object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label[:4]])
+    known_halves = ({tuple(f) for f in verb_feats}, {tuple(f) for f in object_feats})
     for cap in (1, 3, 10, 10**6):
-        out = compose_batch(verb_items, object_items, tax, cap, rng)
+        out = compose_batch(verb_labels, object_labels, tax, cap, rng)
         check(len(out) <= cap, "composite batch above cap")
-        for x, y in out:
+        for x, y in zip(out.inputs(verb_feats, object_feats), out.labels):
             check(bool(y.any()), "all-zero composite label survived")
             d = world.feat_dim
             check(tuple(x[:d]) in known_halves[0] and tuple(x[d:]) in known_halves[1],

@@ -641,12 +641,15 @@ def subnormal_case():
 
 
 @settings(max_examples=600, deadline=None)
-@given(candidate_pair_cases())
-@example(case=below_quarter_case())
-@example(case=subnormal_case())
-def test_candidate_pairs_match_all_pairs_oracle(case):
+@given(candidate_pair_cases(), st.sampled_from([1e-6, 1 / 64, 1, 16]))
+@example(case=below_quarter_case(), cell_rows=1e-6)
+@example(case=subnormal_case(), cell_rows=1e-6)
+def test_candidate_pairs_match_all_pairs_oracle(case, cell_rows):
     *boxes, t, chunk_rows = case
-    with mock.patch.object(evaluation, "_CHUNK_ROWS", chunk_rows):  # blocks split the cells
+    # blocks split the cells, and a _CELL_ROWS below 1 lets ten rows span many cells
+    # (1e-6: up to _MAX_CELLS per axis)
+    with mock.patch.object(evaluation, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(evaluation, "_CELL_ROWS", cell_rows):
         assert_candidate_pairs_match_oracle(*boxes, t)
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,6 @@ from hoicompose.nn import (
     EPS,
     GradReport,
     MLPParams,
-    add_grads,
     bce_loss,
     grad_check,
     init_params,
@@ -15,9 +17,9 @@ from hoicompose.nn import (
     mlp_forward,
     params_from_dict,
     params_to_dict,
-    scale_grads,
     sgd_step,
     sigmoid,
+    zeros_like,
 )
 
 
@@ -50,6 +52,39 @@ def test_sigmoid_stable_at_extremes():
     assert s[2] == 0.5
     assert s[4] == 1.0 or s[4] > 1 - 1e-20
     np.testing.assert_allclose(s + sigmoid(-z), 1.0, atol=1e-12)
+
+
+def sigmoid_reference(z):
+    """The masked logistic function sigmoid replaced: 1 / (1 + exp(-z)) on z >= 0,
+    exp(z) / (1 + exp(z)) on the rest."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SPECIAL_LOGITS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                  745.2, -745.2, 746.0, -746.0, 1e300, -1e300, 36.7, -36.7, 1.0, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL_LOGITS) | st.floats(allow_nan=True, allow_infinity=True)
+                | st.floats(-800, 800), min_size=0, max_size=40),
+       st.sampled_from([(-1,), (-1, 1), (1, -1), (-1, 2)]))
+def test_sigmoid_is_the_masked_one_bit_for_bit(values, shape):
+    if shape[-1] == 2 and len(values) % 2:
+        values = values[:-1]
+    z = np.array(values, dtype=float).reshape(shape)
+    want = sigmoid_reference(z).view(np.uint64)
+    before = z.copy()
+    np.testing.assert_array_equal(sigmoid(z).view(np.uint64), want)
+    np.testing.assert_array_equal(z.view(np.uint64), before.view(np.uint64))  # z untouched
+    out = sigmoid(z, overwrite=True)
+    assert out is z
+    np.testing.assert_array_equal(z.view(np.uint64), want)
 
 
 def test_forward_single_and_batch_agree():
@@ -116,13 +151,10 @@ def test_backward_batch_is_mean_of_singles():
     x = rng.normal(size=(4, 3))
     t = (rng.random((4, 2)) < 0.5).astype(float)
     _, gb = mlp_backward(p, x, t)
-    acc = None
-    for i in range(4):
-        _, gi = mlp_backward(p, x[i], t[i])
-        acc = gi if acc is None else add_grads(acc, gi)
-    mean = scale_grads(acc, 1.0 / 4)
+    singles = [mlp_backward(p, x[i], t[i])[1] for i in range(4)]
     for name, arr in gb.items():
-        np.testing.assert_allclose(arr, getattr(mean, name), atol=1e-12)
+        mean = sum(getattr(g, name) for g in singles) / 4
+        np.testing.assert_allclose(arr, mean, atol=1e-12)
 
 
 def test_backward_clamped_region_matches_fd():
@@ -143,7 +175,7 @@ def _mlp_backward_reference(params, x, target):
     tb = t[None, :] if t.ndim == 1 else t
     pre = xb @ params.w1.T + params.b1
     h = np.maximum(pre, 0.0)
-    p = sigmoid(h @ params.w2.T + params.b2)
+    p = sigmoid_reference(h @ params.w2.T + params.b2)
     pc = np.clip(p, EPS, 1.0 - EPS)
     dl_dp = (-tb / pc + (1.0 - tb) / (1.0 - pc)) / tb.size
     dl_dp[(p < EPS) | (p > 1.0 - EPS)] = 0.0
@@ -157,6 +189,25 @@ def _saturated_case():
     p = init_params(2, 2, hidden=3, seed=9)
     p.b2[:] = 40.0
     return p, np.array([0.5, -0.3]), np.array([0.0, 1.0])
+
+
+def _clamp_band_case():
+    """Outputs 0 and 1 inside the clamp band but not at 0 or 1: p = 1 - 4.1e-8 and
+    4.1e-8, where p * (1 - p) is not 0, so only the clamp's zero keeps them out."""
+    p = init_params(3, 3, hidden=4, seed=15)
+    p.w2[:] *= 1e-9
+    p.b2[:] = [17.0, -17.0, 0.5]
+    x = np.array([[0.3, -1.2, 0.8], [1.5, 0.2, -0.4]])
+    return p, x, np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def test_backward_gradient_is_zero_in_the_clamp_band():
+    p, x, t = _clamp_band_case()
+    probs = mlp_forward(p, x)[1]
+    assert (probs[:, 0] > 1 - EPS).all() and (probs[:, 0] < 1).all()
+    assert (probs[:, 1] < EPS).all() and (probs[:, 1] > 0).all()
+    _, grads = mlp_backward(p, x, t)
+    assert (grads.b2[:2] == 0).all() and (grads.w2[:2] == 0).all() and grads.b2[2] != 0
 
 
 def _random_case(d_in, k_out, hidden, seed, n=None):
@@ -177,6 +228,7 @@ BACKWARD_CASES = [
     (init_params(3, 2, hidden=4, seed=10), np.ones(3), np.array([1.0, 0.0])),
     _random_case(3, 2, 8, 11, n=16),
     (init_params(2, 2, hidden=2, seed=13), np.ones(2), np.ones(2)),
+    _clamp_band_case(),
 ]
 
 
@@ -197,15 +249,68 @@ def test_backward_grads_match_gradient_only_reference(case):
         np.testing.assert_array_equal(arr, getattr(want, name))
 
 
-def test_sgd_step_functional():
+@pytest.mark.parametrize("case", range(len(BACKWARD_CASES)))
+def test_backward_writes_into_out(case):
+    # a stale workspace, NaN-filled, ends up holding exactly the allocating result
+    p, x, t = BACKWARD_CASES[case]
+    loss, want = mlp_backward(p, x, t)
+    out = zeros_like(p)
+    out.flat[:] = np.nan
+    got_loss, got = mlp_backward(p, x, t, out=out)
+    assert got is out and got_loss == loss
+    np.testing.assert_array_equal(out.flat, want.flat)
+
+
+def bce_reference(p, t):
+    """bce_loss as np.clip and np.mean wrote it."""
+    pc = np.clip(p, EPS, 1.0 - EPS)
+    return float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, EPS, 1 - EPS, 5e-324, 1 - 2**-53, 0.5])
+                          | st.floats(0, 1), st.sampled_from([0.0, 1.0]) | st.floats(0, 1)),
+                min_size=1, max_size=30))
+def test_bce_loss_is_the_clip_and_mean_formula_bit_for_bit(pairs):
+    p, t = (np.array(col) for col in zip(*pairs))
+    assert bce_loss(p, t) == bce_reference(p, t)
+
+
+def test_sgd_step_in_place():
     p = init_params(3, 2, hidden=4, seed=10)
     x = np.ones(3)
     t = np.array([1.0, 0.0])
     _, g = mlp_backward(p, x, t)
-    before = p.w1.copy()
+    before, g_before = p.w1.copy(), g.flat.copy()
+    w1 = p.w1
     q = sgd_step(p, g, lr=0.1)
-    np.testing.assert_array_equal(p.w1, before)
-    np.testing.assert_allclose(q.w1, p.w1 - 0.1 * g.w1)
+    assert q is p and p.w1 is w1
+    np.testing.assert_array_equal(p.w1, before - 0.1 * g.w1)
+    np.testing.assert_array_equal(g.flat, g_before)
+
+
+def test_params_are_views_of_one_flat_buffer():
+    p = init_params(3, 2, hidden=4, seed=10)
+    parts = [arr.ravel() for _, arr in p.items()]
+    np.testing.assert_array_equal(p.flat, np.concatenate(parts))
+    for _, arr in p.items():
+        assert np.shares_memory(arr, p.flat)
+    p.flat[-1] = 7.0
+    assert p.b2[-1] == 7.0
+    source = np.ones((4, 3))
+    q = MLPParams(source, p.b1, p.w2, p.b2)  # construction copies
+    q.w1[0, 0] = 5.0
+    assert source[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+def test_params_copy_rebuilds_its_views(clone):
+    p = init_params(3, 2, hidden=4, seed=10)
+    q = clone(p)
+    assert not np.shares_memory(q.flat, p.flat)
+    np.testing.assert_array_equal(q.flat, p.flat)
+    q.flat[0] = 9.0
+    assert q.w1[0, 0] == 9.0 and p.w1[0, 0] != 9.0
 
 
 def test_sgd_step_reduces_loss():

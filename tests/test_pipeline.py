@@ -1,4 +1,7 @@
+import copy
 from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from hoicompose.pipeline import (
     baseline_config,
     build_matrices,
     compose_batch,
-    hoi_input,
     init_model,
     load_checkpoint,
     make_spatial_pattern,
@@ -40,11 +42,37 @@ def tiny_setup(seed=0, n_train=60, n_external=20):
 
 
 def composite_items(train_set, external, tax):
-    """compose_batch's verb and object items, one per row of the two sets."""
+    """The tuple compose_batch's verb and object items, one per row of the two sets."""
     verb_items = [(f, decouple_verb(y, tax)) for f, y in zip(train_set.verb_feat, train_set.hoi_label)]
     object_items = [(f, one_hot(tax.n_objects, o))
                     for f, o in zip(external.object_feat, external.object_label)]
     return verb_items, object_items
+
+
+def _stack_items(items, n_labels):
+    """(feature rows, label rows) of (feature, label) items; (0, 1) and (0, n_labels) when empty."""
+    if not items:
+        return np.zeros((0, 1)), np.zeros((0, n_labels), dtype=np.int8)
+    return np.stack([f for f, _ in items]), np.stack([label for _, label in items])
+
+
+def compose_as_tuples(verb_items, object_items, tax, cap, rng, counters=None):
+    """compose_batch on the label rows of tuple items, its kept compositions as the
+    (verb_feat ++ object_feat, label) list the tuple oracles return."""
+    verb_feats, verb_labels = _stack_items(verb_items, tax.n_verbs)
+    object_feats, object_labels = _stack_items(object_items, tax.n_objects)
+    kept = compose_batch(verb_labels, object_labels, tax, cap, rng, counters)
+    assert kept.verb_rows.dtype == kept.object_rows.dtype == np.intp and kept.labels.dtype == np.int8
+    return list(zip(kept.inputs(verb_feats, object_feats), kept.labels))
+
+
+def composite_batch(train_set, external, tax, cap, rng):
+    """(atl_x, atl_y) of compose_batch over every row of the two sets; (None, None) when none is kept."""
+    object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label])
+    kept = compose_batch(decouple_verb(train_set.hoi_label, tax), object_labels, tax, cap, rng)
+    if not len(kept):
+        return None, None
+    return kept.inputs(train_set.verb_feat, external.object_feat), kept.labels.astype(float)
 
 
 # --- spatial pattern ---
@@ -158,7 +186,7 @@ def test_spatial_pattern_rejects_degenerate():
 def test_compose_batch_labels_match_oracle():
     tax, world, train_set, _, external = tiny_setup()
     verb_items, object_items = composite_items(train_set[:5], external[:3], tax)
-    out = compose_batch(verb_items, object_items, tax, cap=10**9, rng=np.random.default_rng(0))
+    out = compose_as_tuples(verb_items, object_items, tax, cap=10**9, rng=np.random.default_rng(0))
     # every returned label nonzero and equal to recomputing the composition
     expected = []
     for vf, vl in verb_items:
@@ -176,10 +204,10 @@ def test_compose_batch_labels_match_oracle():
 def test_compose_batch_cap_binds():
     tax = _complete_tax()
     rng = np.random.default_rng(1)
-    verb_items = [(np.zeros(2), one_hot(3, v)) for v in range(3)]
-    object_items = [(np.ones(2), one_hot(2, o)) for o in range(2)]
-    out = compose_batch(verb_items, object_items, tax, cap=2, rng=rng)
-    assert len(out) == 2
+    verb_labels = np.stack([one_hot(3, v) for v in range(3)])
+    object_labels = np.stack([one_hot(2, o) for o in range(2)])
+    out = compose_batch(verb_labels, object_labels, tax, cap=2, rng=rng)
+    assert len(out) == 2 == len(out.object_rows) == len(out.labels)
 
 
 def _complete_tax():
@@ -191,14 +219,15 @@ def _complete_tax():
 def test_compose_batch_all_invalid_empty():
     from hoicompose.taxonomy import Taxonomy
     tax = Taxonomy.build(["a", "b"], ["x", "y"], [(0, 0), (1, 1)])
-    verb_items = [(np.zeros(2), one_hot(2, 0))]
-    object_items = [(np.ones(2), one_hot(2, 1))]  # (0, 1) is invalid
-    assert compose_batch(verb_items, object_items, tax, 5, np.random.default_rng(0)) == []
+    # (0, 1) is invalid
+    out = compose_batch(one_hot(2, 0)[None], one_hot(2, 1)[None], tax, 5, np.random.default_rng(0))
+    assert len(out) == 0 and out.labels.shape == (0, 2)
 
 
 def test_compose_batch_empty_verbs():
     tax = _complete_tax()
-    assert compose_batch([], [(np.ones(2), one_hot(2, 0))], tax, 5, np.random.default_rng(0)) == []
+    out = compose_batch(np.zeros((0, 3), dtype=np.int8), one_hot(2, 0)[None], tax, 5, np.random.default_rng(0))
+    assert len(out) == 0 and out.labels.shape == (0, tax.n_categories)
 
 
 def _compose_batch_reference(verb_items, object_items, tax, cap, rng):
@@ -208,11 +237,31 @@ def _compose_batch_reference(verb_items, object_items, tax, cap, rng):
         for object_feat, object_label in object_items:
             label = compose_label(object_label, verb_label, tax)
             if label.any():
-                survivors.append((hoi_input(verb_feat, object_feat), label))
+                survivors.append((np.concatenate([verb_feat, object_feat]), label))
     if len(survivors) > cap:
         keep = np.sort(rng.choice(len(survivors), size=cap, replace=False))
         survivors = [survivors[i] for i in keep]
     return survivors
+
+
+def compose_batch_tuples(verb_items, object_items, tax, cap, rng, counters=None):
+    """compose_batch as it was before it took label rows and returned index arrays:
+    (feature, label) items in, a list of (verb_feat ++ object_feat, label) out."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if not len(verb_items) or not len(object_items):
+        return []
+    verb_labels = np.stack([label for _, label in verb_items])
+    object_labels = np.stack([label for _, label in object_items])
+    block = compose_label(object_labels[None, :, :], verb_labels[:, None, :], tax)
+    vi, oj = np.nonzero(block.any(axis=-1))
+    if counters is not None:
+        counters["composite_candidates"] += block.shape[0] * block.shape[1]
+        counters["composite_valid"] += len(vi)
+    keep = range(len(vi))
+    if len(vi) > cap:
+        keep = np.sort(rng.choice(len(vi), size=cap, replace=False))
+    return [(np.concatenate([verb_items[vi[k]][0], object_items[oj[k]][0]]), block[vi[k], oj[k]]) for k in keep]
 
 
 def test_compose_batch_draws_only_over_cap():
@@ -221,7 +270,7 @@ def test_compose_batch_draws_only_over_cap():
     object_items = [(np.ones(2), one_hot(2, o)) for o in range(2)]  # both compositions valid
     for cap in (1, 2, 3):
         rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-        got = compose_batch(verb_items, object_items, tax, cap, rng)
+        got = compose_as_tuples(verb_items, object_items, tax, cap, rng)
         want = _compose_batch_reference(verb_items, object_items, tax, cap, rng_ref)
         assert len(got) == len(want) == min(cap, 2)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -240,19 +289,20 @@ def test_compose_batch_matches_double_loop_reference(tax, data):
                     for j in range(n_object_items)]
     cap = data.draw(st.sampled_from([0, 1, 2, 10**9]))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    counters = {"composite_candidates": 0, "composite_valid": 0}
-    got = compose_batch(verb_items, object_items, tax, cap, rng, counters)
-    want = _compose_batch_reference(verb_items, object_items, tax, cap, rng_ref)
-    assert len(got) == len(want)
-    for (x, y), (ex, ey) in zip(got, want):
-        assert x.dtype == ex.dtype and y.dtype == ey.dtype
-        np.testing.assert_array_equal(x, ex)
-        np.testing.assert_array_equal(y, ey)
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert counters["composite_candidates"] == n_verb_items * n_object_items
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    counters = [{"composite_candidates": 0, "composite_valid": 0} for _ in range(2)]
+    got = compose_as_tuples(verb_items, object_items, tax, cap, rngs[0], counters[0])
+    tuples = compose_batch_tuples(verb_items, object_items, tax, cap, rngs[1], counters[1])
+    want = _compose_batch_reference(verb_items, object_items, tax, cap, rngs[2])
+    assert len(got) == len(tuples) == len(want)
+    for (x, y), (tx, ty), (ex, ey) in zip(got, tuples, want):
+        assert x.dtype == tx.dtype == ex.dtype and y.dtype == ty.dtype == ey.dtype
+        for a, b in ((x, ex), (tx, ex), (y, ey), (ty, ey)):
+            np.testing.assert_array_equal(a, b)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
     valid = len(_compose_batch_reference(verb_items, object_items, tax, 10**9, None))
-    assert counters["composite_valid"] == valid
+    for c in counters:
+        assert c == {"composite_candidates": n_verb_items * n_object_items, "composite_valid": valid}
 
 
 # --- losses ---
@@ -273,12 +323,8 @@ def test_step_losses_total_is_the_training_expression():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
-    verb_items, object_items = composite_items(train_set[:8], external[:3], tax)
-    comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(6))
-    batch = StepBatch(
-        sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
-        atl_x=np.stack([c[0] for c in comps]), atl_y=np.stack([c[1] for c in comps]).astype(float),
-    )
+    atl_x, atl_y = composite_batch(train_set[:8], external[:3], tax, 2, np.random.default_rng(6))
+    batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
     losses, _ = step_grads(model, batch, cfg)
     assert set(losses) == {"L_sp", "L_hoi", "L_ATL"}
     assert losses["L_ATL"] > 0
@@ -395,8 +441,8 @@ def test_train_divergence_on_nonfinite_gradient(monkeypatch, classifier):
     real_step_grads, real_sgd_step = pipeline.step_grads, nn.sgd_step
     steps, updates = [], []
 
-    def step_grads(model, batch, cfg):
-        losses, grads = real_step_grads(model, batch, cfg)
+    def step_grads(*args):
+        losses, grads = real_step_grads(*args)
         if len(steps) == 3:
             grads[0 if classifier == "sp" else 1].b2[0] = np.inf
         steps.append(losses)
@@ -423,8 +469,8 @@ def train_with_gradient_edit(monkeypatch, edit, iterations=10):
     real_step_grads = pipeline.step_grads
     steps = []
 
-    def step_grads(model, batch, cfg):
-        losses, grads = real_step_grads(model, batch, cfg)
+    def step_grads(*args):
+        losses, grads = real_step_grads(*args)
         edit(len(steps), grads)
         steps.append(losses)
         return losses, grads
@@ -458,6 +504,229 @@ def test_train_overflowing_gradient_sum_is_no_divergence(monkeypatch):
         assert len(train_with_gradient_edit(monkeypatch, edit)) == 10
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", [0, -1])
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+@pytest.mark.parametrize("classifier", ["sp", "hoi"])
+def test_train_divergence_on_every_gradient_array(monkeypatch, classifier, name, entry, value):
+    # the first or last entry of any one gradient array: the flat-buffer check sees
+    # every view, and training stops at that step before either classifier moves
+    real_sgd_step, edits, updates = nn.sgd_step, [], []
+
+    def sgd_step(params, grads, lr):
+        updates.append(edits[-1])
+        return real_sgd_step(params, grads, lr)
+
+    def edit(step, grads):
+        edits.append(step)
+        if step == 2:
+            getattr(grads[0 if classifier == "sp" else 1], name).reshape(-1)[entry] = value
+
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    with pytest.raises(TrainingDiverged) as err:
+        train_with_gradient_edit(monkeypatch, edit)
+    assert err.value.step == 2
+    assert updates == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_train_divergence_on_a_nonfinite_composite_gradient(monkeypatch, value):
+    # lambda2 > 0: a non-finite composite gradient reaches the shared classifier's
+    # gradient, and the check stops training at that step
+    tax, world, train_set, _, external = tiny_setup()
+    real_backward, real_sgd_step = nn.mlp_backward, nn.sgd_step
+    calls, updates = [], []
+
+    def mlp_backward(params, x, target, out=None):
+        loss, grads = real_backward(params, x, target, out=out)
+        calls.append(len(updates) // 2)
+        if calls.count(4) == 3 and calls[-1] == 4:  # step 4's composite call
+            grads.w2[0, -1] = value
+        return loss, grads
+
+    def sgd_step(params, grads, lr):
+        updates.append(params)
+        return real_sgd_step(params, grads, lr)
+
+    monkeypatch.setattr(nn, "mlp_backward", mlp_backward)
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    cfg = TrainConfig(iterations=10, hidden=8, spatial_resolution=4, lambda2=0.5, seed=3)
+    with pytest.raises(TrainingDiverged) as err:
+        train(train_set, external, tax, cfg)
+    assert calls.count(4) == 3  # the step had composites
+    assert err.value.step == 4 and len(updates) == 8
+
+
+@lru_cache(maxsize=None)
+def reference_world(n_train: int, n_external: int):
+    tax, world, train_set, _, external = tiny_setup(seed=1, n_train=60, n_external=20)
+    return tax, train_set[:n_train], external[:n_external]
+
+
+def _sgd_step_reference(params, grads, lr):
+    return nn.MLPParams(*(p - lr * g for (_, p), (_, g) in zip(params.items(), grads.items())))
+
+
+def _scale_grads(grads, coef):
+    return nn.MLPParams(*(coef * g for _, g in grads.items()))
+
+
+def _add_grads(a, b):
+    return nn.MLPParams(*(x + y for (_, x), (_, y) in zip(a.items(), b.items())))
+
+
+def _train_reference(train_set, external_objects, tax, cfg):
+    """train as it was before its flat workspaces: tuple compose_batch, a new
+    MLPParams from every gradient scaling, gradient sum and SGD step, and one
+    concatenated divergence check."""
+    cfg.validate()
+    use_composite = cfg.lambda2 > 0 and cfg.object_batch > 0
+    x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
+    if use_composite:
+        verb_rows = verb_targets.astype(np.int8)
+        obj_onehots = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
+    model = init_model(tax, train_set.verb_feat.shape[1], cfg)
+    rng = substream(cfg.seed, "batching")
+    n = len(train_set)
+    counters = {"composite_classifier_calls": 0, "composite_examples": 0,
+                "composite_candidates": 0, "composite_valid": 0}
+    per_category = np.zeros(tax.n_categories, dtype=np.int64)
+    trace = []
+    for step in range(cfg.iterations):
+        idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
+        composites = []
+        if use_composite:
+            m = len(external_objects)
+            obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
+            verb_items = [(train_set.verb_feat[i], verb_rows[i]) for i in idx]
+            object_items = [(external_objects.object_feat[j], obj_onehots[j]) for j in obj_idx]
+            composites = compose_batch_tuples(verb_items, object_items, tax, cfg.object_batch, rng, counters)
+            if composites:
+                labels = np.stack([c[1] for c in composites])
+                per_category += labels.sum(axis=0)
+                counters["composite_classifier_calls"] += 1
+                counters["composite_examples"] += len(composites)
+        l_sp, g_sp = nn.mlp_backward(model.sp_classifier, x_sp[idx], y[idx])
+        l_hoi, g_hoi = nn.mlp_backward(model.hoi_classifier, x_hoi[idx], y[idx])
+        g_hoi = _scale_grads(g_hoi, cfg.lambda1)
+        l_atl = 0.0
+        if composites:
+            l_atl, g_atl = nn.mlp_backward(model.hoi_classifier, np.stack([c[0] for c in composites]),
+                                           labels.astype(float))
+            g_hoi = _add_grads(g_hoi, _scale_grads(g_atl, cfg.lambda2))
+        total = total_loss(l_sp, l_hoi, l_atl, cfg)
+        entries = [np.ravel(total)] + [arr.ravel() for g in (g_sp, g_hoi) for _, arr in g.items()]
+        if not np.isfinite(np.concatenate(entries)).all():
+            raise TrainingDiverged(step, total)
+        model.sp_classifier = _sgd_step_reference(model.sp_classifier, g_sp, cfg.lr)
+        model.hoi_classifier = _sgd_step_reference(model.hoi_classifier, g_hoi, cfg.lr)
+        if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
+            trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
+    counters["composite_per_category"] = per_category.tolist()
+    return pipeline.TrainResult(model=model, trace=trace, counters=counters)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 60]), st.sampled_from([1, 20]), st.fixed_dictionaries({
+    "lambda1": st.sampled_from([0.0, 1.3, 2.0]),
+    "lambda2": st.sampled_from([0.0, 0.5, 3.0]),
+    "lr": st.sampled_from([0.1, 3.0]),
+    "iterations": st.sampled_from([0, 1, 2, 9]),
+    "hoi_batch": st.sampled_from([1, 8, 70]),  # 8 and 70 draw with replacement from 5 rows, 70 from 60
+    "object_batch": st.sampled_from([0, 1, 2, 3]),
+    "hidden": st.sampled_from([1, 4]),
+    "spatial_resolution": st.sampled_from([2, 4]),
+    "trace_every": st.sampled_from([1, 4]),
+    "seed": st.integers(0, 3),
+}))
+def test_train_matches_the_allocating_reference_bit_for_bit(n_train, n_external, overrides):
+    tax, train_set, external = reference_world(n_train, n_external)
+    cfg = TrainConfig(**overrides)
+    real_backward, inputs = nn.mlp_backward, ([], [])
+
+    def recorder(side):  # every backward pass's input and target, so batches must match too
+        def mlp_backward(params, x, target, out=None):
+            side.append((x, target))
+            return real_backward(params, x, target, out=out)
+        return mlp_backward
+
+    with mock.patch.object(nn, "mlp_backward", recorder(inputs[0])):
+        got = train(train_set, external, tax, cfg)
+    with mock.patch.object(nn, "mlp_backward", recorder(inputs[1])):
+        want = _train_reference(train_set, external, tax, cfg)
+    assert len(inputs[0]) == len(inputs[1])
+    for pair, want_pair in zip(*inputs):
+        for a, b in zip(pair, want_pair):
+            assert_same_bits(a, b)
+    for name in ("sp_classifier", "hoi_classifier"):
+        for (_, a), (_, b) in zip(getattr(got.model, name).items(), getattr(want.model, name).items()):
+            assert_same_bits(a, b)
+    assert got.trace == want.trace
+    assert got.counters == want.counters
+    assert [row["step"] for row in got.grad_norms] == [row["step"] for row in got.trace]
+
+
+def test_two_trainings_return_independent_models(monkeypatch):
+    # each training owns its model, which no later training and no gradient
+    # workspace shares; one workspace serves every step of a training
+    tax, world, train_set, _, external = tiny_setup()
+    cfg = TrainConfig(iterations=6, hidden=8, spatial_resolution=4, seed=2)
+    real_step_grads, workspaces = pipeline.step_grads, []
+
+    def step_grads(*args):
+        losses, grads = real_step_grads(*args)
+        workspaces.append(grads)
+        return losses, grads
+
+    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    a = train(train_set, external, tax, cfg)
+    b = train(train_set, external, tax, cfg)
+    assert all(g[0] is workspaces[0][0] and g[1] is workspaces[0][1] for g in workspaces[:6])
+    assert workspaces[6][0] is not workspaces[0][0]
+    flats = [p.flat for r in (a, b) for p in (r.model.sp_classifier, r.model.hoi_classifier)]
+    flats += [g.flat for g in workspaces[0] + workspaces[6]]
+    for i, x in enumerate(flats):
+        assert not any(np.shares_memory(x, y) for y in flats[i + 1:])
+    want = b.model.hoi_classifier.flat.copy()
+    a.model.hoi_classifier.flat[:] = 0.0
+    a.model.sp_classifier.flat[:] = 0.0
+    assert_same_bits(b.model.hoi_classifier.flat, want)
+    assert_same_bits(train(train_set, external, tax, cfg).model.hoi_classifier.flat, want)
+
+
+def test_grad_norms_are_the_norms_of_the_step_gradients(monkeypatch):
+    tax, world, train_set, _, external = tiny_setup()
+    cfg = TrainConfig(iterations=12, trace_every=5, hidden=8, spatial_resolution=4, lambda1=1.3, seed=3)
+    real_step_grads, recorded = pipeline.step_grads, {}
+
+    def step_grads(model, batch, cfg, grads, norms):
+        if norms is not None:
+            recorded[len(recorded)] = (copy.deepcopy(model), batch)
+        return real_step_grads(model, batch, cfg, grads, norms)
+
+    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    result = train(train_set, external, tax, cfg)
+    assert [row["step"] for row in result.grad_norms] == [row["step"] for row in result.trace] == [0, 5, 10, 11]
+    assert all(set(row) == {"step", "L_sp", "L_hoi", "L_ATL", "L_total"} for row in result.trace)
+    for k, row in enumerate(result.grad_norms):
+        model, batch = recorded[k]
+        assert set(row) == {"step", "sp", "hoi", "atl"} and batch.atl_x is not None
+        _, (g_sp, g_hoi) = real_step_grads(model, batch, cfg)
+        real = cfg.lambda1 * nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y)[1].flat
+        composite = cfg.lambda2 * nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)[1].flat
+        assert_same_bits(g_hoi.flat, real + composite)
+        assert row["sp"] == np.linalg.norm(np.concatenate([arr.ravel() for _, arr in g_sp.items()]))
+        assert row["hoi"] == np.linalg.norm(real) > 0
+        assert row["atl"] == np.linalg.norm(composite) > 0
+    base = train(train_set, [], tax, baseline_config(cfg))
+    assert [row["atl"] for row in base.grad_norms] == [0.0] * 4
+
+
 @pytest.mark.parametrize("field", ["human_feat", "verb_feat", "object_feat", "human_box"])
 def test_build_matrices_rejects_nonfinite_input(field):
     # the entry check of train and predict_dataset; the forward pass no longer checks
@@ -478,7 +747,7 @@ def test_build_matrices_matches_per_instance_oracle(monkeypatch):
     # per-instance rows stacked
     tax, world, train_set, _, _ = tiny_setup()
     rows = [(np.concatenate([spatial_pattern_oracle(h, o, 4).reshape(-1).astype(float), f]),
-             hoi_input(v, of), y.astype(float), decouple_verb(y, tax).astype(float))
+             np.concatenate([v, of]), y.astype(float), decouple_verb(y, tax).astype(float))
             for h, o, f, v, of, y in zip(train_set.human_box, train_set.object_box, train_set.human_feat,
                                          train_set.verb_feat, train_set.object_feat, train_set.hoi_label)]
     calls = []
@@ -519,13 +788,8 @@ def test_step_grad_check_miniature():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=5)
     model = init_model(tax, world.feat_dim, cfg)
     x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    verb_items, object_items = composite_items(train_set[:4], external[:2], tax)
-    comps = compose_batch(verb_items, object_items, tax, 2, np.random.default_rng(5))
-    batch = StepBatch(
-        sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
-        atl_x=np.stack([c[0] for c in comps]) if comps else None,
-        atl_y=np.stack([c[1] for c in comps]).astype(float) if comps else None,
-    )
+    atl_x, atl_y = composite_batch(train_set[:4], external[:2], tax, 2, np.random.default_rng(5))
+    batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
     errors = step_grad_check(model, batch, cfg)
     assert set(errors) == {"sp_classifier.w1", "sp_classifier.b1", "sp_classifier.w2",
                            "sp_classifier.b2", "hoi_classifier.w1", "hoi_classifier.b1",
@@ -540,7 +804,7 @@ def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h, s_o, model, 
     pattern = spatial_pattern_oracle(b_h, b_o, model.spatial_resolution)
     sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
     _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
-    _, p_hoi = nn.mlp_forward(model.hoi_classifier, hoi_input(verb_feat, object_feat))
+    _, p_hoi = nn.mlp_forward(model.hoi_classifier, np.concatenate([verb_feat, object_feat]))
     return s_h * s_o * p_hoi * p_sp
 
 
