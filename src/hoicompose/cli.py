@@ -24,13 +24,12 @@ from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_
 from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
                          make_split, map_report, save_predictions, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
-from .jsonfile import check_fields, read_json, write_json
+from .jsonfile import check_fields, int_items, read_json, write_json
 from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, baseline_config, build_matrices,
                        _check_confidences, compose_batch, init_model, load_checkpoint, predict_dataset,
                        save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
-from .synth import (DESK_N_TEST, DESK_N_TRAIN, gen_dataset, gen_world, load_instances,
-                    save_instances, validate_instances)
+from .synth import gen_dataset, gen_world, load_instances, save_instances, validate_instances
 from .taxonomy import Taxonomy, decouple_verb, one_hot
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
@@ -52,6 +51,34 @@ class DataError(Exception):
 # What parsing a malformed JSON field raises (json.JSONDecodeError is a ValueError).
 _LOAD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
+# gen-data's sections go to gen_world, make_split and gen_dataset as given, and
+# those functions hold their defaults, so these tables hold kinds only.
+_GEN_DATA_SECTIONS = {
+    "world": {"n_verbs": int, "n_objects": int, "c_pairs": int, "feat_dim": int, "noise_sigma": float,
+              "tail_exponent": float, "head_count": int, "domain_shift_scale": float,
+              "no_interaction_verbs": list},
+    "dataset": {"n_train": int, "n_test": int, "n_external_objects": int, "co_label_prob": float},
+    "split": {"mode": str, "unseen_count": int, "unseen_object_ids": list},
+}
+_EVAL = {"data_dir": str, "checkpoint": str, "s_h": 1.0, "s_o": 1.0, "rare_threshold": RARE_THRESHOLD,
+         "write_predictions": False, "seed": 0}
+
+# Each command's settings, {key: default}; a kind in place of a default marks a
+# key the config must set. A default's type is its key's kind, and a float key
+# takes any JSON number.
+SETTINGS = {
+    "gen-data": {**{name: {} for name in _GEN_DATA_SECTIONS}, "seed": 0},
+    "train": {"data_dir": str, "train": {}, "baseline": False, "seed": 0},
+    "eval-hoi": _EVAL,
+    "zeroshot": _EVAL,
+    "build-bank": {"data_dir": str, "m": DEFAULT_BANK_SIZE, "seed": 0},
+    "affordance": {"data_dir": str, "checkpoint": str, "bank": str, "hoi_threshold": DEFAULT_HOI_THRESHOLD,
+                   "keep_threshold": DEFAULT_KEEP_THRESHOLD, "novel_only": True, "seed": 0},
+    "gradcheck": {"n_configs": 100, "tolerance": 1e-4, "end_to_end_tolerance": 1e-3, "seed": 0},
+    "reproduce-trends": {"seeds": [0, 1, 2, 3, 4], "n_train": 1500, "n_test": 400, "n_external": 400,
+                         "train": {}, "bank_m": DEFAULT_BANK_SIZE, "bank_m_small": 20},
+}
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -71,18 +98,34 @@ def _check_keys(cfg: dict, kinds: dict, where: str) -> None:
         raise ConfigError(e)
 
 
+def _settings(cfg: dict, args) -> dict:
+    """The command's resolved config: cfg checked against the command's
+    SETTINGS table, defaults filled in, numbers of float keys as floats and
+    --seed applied. The command reads it, and its manifest records it, so that
+    running the command on that record repeats the run."""
+    where, spec = args.command, SETTINGS[args.command]
+    kinds = {k: d if isinstance(d, type) else type(d) for k, d in spec.items()}
+    _check_keys(cfg, kinds, where)
+    missing = [k for k, d in spec.items() if isinstance(d, type) and k not in cfg]
+    if missing:
+        raise ConfigError(f"{where} config must set {', '.join(missing)}")
+    try:
+        resolved = {k: float(v) if kinds[k] is float else v for k, v in {**spec, **cfg}.items()}
+    except OverflowError as e:  # an integer past the float range
+        raise ConfigError(f"{where} config: {e}")
+    if "seed" in spec:
+        if args.seed is not None:
+            resolved["seed"] = args.seed
+        if resolved["seed"] < 0:
+            raise ConfigError(f"seed must be nonnegative, got {resolved['seed']}")
+    return resolved
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV_VAR) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _resolve_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
 
 
 def _config_hash(resolved: dict) -> str:
@@ -112,23 +155,16 @@ def _write_manifest(out: Path, command: str, resolved: dict, inputs: dict, outpu
     })
 
 
-def _require_file(path: Path, what: str) -> Path:
-    if not path.is_file():
-        raise DataError(f"{what} not found: {path}")
-    return path
-
-
-def _load_data_dir(cfg: dict, need=("taxonomy",)) -> dict:
+def _load_data_dir(s: dict, need=("taxonomy",)) -> dict:
     """Load and check the gen-data inputs in need, "taxonomy" first: the JSON
     documents and the train, test and external column directories. Failures
-    name the file or directory."""
-    data_dir = cfg.get("data_dir")
-    if data_dir is None:
-        raise ConfigError("config must set data_dir (a gen-data output directory)")
-    d = Path(data_dir)
+    name the file or directory. Records the loaded paths under "inputs" and
+    data_dir in s as a normalised path."""
+    d = Path(s["data_dir"])
+    s["data_dir"] = str(d)
     if not d.is_dir():
         raise DataError(f"data_dir does not exist: {d}")
-    loaded = {"dir": d, "feat_dim": None}
+    loaded = {"dir": d, "feat_dim": None, "inputs": {}}
     kinds = {"train": "hoi", "test": "hoi", "external": "object"}  # the column directories
     for key in need:
         path = d / (key if key in kinds else key + ".json")
@@ -146,16 +182,26 @@ def _load_data_dir(cfg: dict, need=("taxonomy",)) -> dict:
                                                         loaded["feat_dim"])
         except _LOAD_ERRORS as e:
             raise DataError(f"failed to load {path}: {e}")
-        loaded[key + "_path"] = path
+        loaded["inputs"][key] = path
     return loaded
 
 
-def _load_model(path, data: dict) -> HOIModel:
-    """The checkpoint at path; it must fit the loaded data's categories and feat_dim."""
+def _load_file(path: str, what: str, load, inputs: dict):
+    """load(path) for the file at path, recorded in inputs as what."""
+    p = Path(path)
+    if not p.is_file():
+        raise DataError(f"{what} not found: {p}")
     try:
-        model, _ = load_checkpoint(path)
+        value = load(p)
     except _LOAD_ERRORS as e:
-        raise DataError(f"failed to load checkpoint {path}: {e}")
+        raise DataError(f"failed to load {what} {p}: {e}")
+    inputs[what] = p
+    return value
+
+
+def _load_model(path: str, data: dict) -> HOIModel:
+    """The checkpoint at path; it must fit the loaded data's categories and feat_dim."""
+    model = _load_file(path, "checkpoint", lambda p: load_checkpoint(p)[0], data["inputs"])
     n_categories, feat_dim = data["taxonomy"].n_categories, data["feat_dim"]
     if model.n_categories != n_categories or feat_dim not in (None, model.feat_dim):
         raise DataError(f"checkpoint {path} ({model.n_categories} categories, feat_dim {model.feat_dim}) "
@@ -164,79 +210,53 @@ def _load_model(path, data: dict) -> HOIModel:
 
 
 def cmd_gen_data(cfg: dict, args) -> int:
-    _check_keys(cfg, {"world": dict, "dataset": dict, "split": dict, "seed": int}, "gen-data")
-    world_cfg = dict(cfg.get("world", {}))
-    data_cfg = dict(cfg.get("dataset", {}))
-    split_cfg = dict(cfg.get("split", {}))
-    _check_keys(world_cfg, {"n_verbs": int, "n_objects": int, "c_pairs": int, "feat_dim": int,
-                            "noise_sigma": float, "tail_exponent": float, "head_count": int,
-                            "domain_shift_scale": float, "no_interaction_verbs": list}, "gen-data world")
-    _check_keys(data_cfg, {"n_train": int, "n_test": int, "n_external_objects": int, "co_label_prob": float},
-                "gen-data dataset")
-    _check_keys(split_cfg, {"mode": str, "unseen_count": int, "unseen_object_ids": list}, "gen-data split")
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
-
+    s = _settings(cfg, args)
+    for name, kinds in _GEN_DATA_SECTIONS.items():
+        _check_keys(s[name], kinds, f"gen-data {name}")
+    seed = s["seed"]
     try:
-        tax, world = gen_world(seed=seed, **world_cfg)
-        split = make_split(
-            tax,
-            split_cfg.get("mode", "none"),
-            unseen_count=split_cfg.get("unseen_count"),
-            unseen_object_ids=split_cfg.get("unseen_object_ids"),
-            rng=substream(seed, "split"),
-        )
-        train_set, test_set, external = gen_dataset(
-            world, tax, split,
-            n_train=int(data_cfg.get("n_train", DESK_N_TRAIN)),
-            n_test=int(data_cfg.get("n_test", DESK_N_TEST)),
-            n_external_objects=int(data_cfg.get("n_external_objects", DESK_N_TEST)),
-            seed=seed,
-            co_label_prob=float(data_cfg.get("co_label_prob", 0.1)),
-        )
+        int_items(s["world"].get("no_interaction_verbs", []), "world no_interaction_verbs")
+        int_items(s["split"].get("unseen_object_ids", []), "split unseen_object_ids")
+        tax, world = gen_world(seed=seed, **s["world"])
+        split = make_split(tax, rng=substream(seed, "split"), **s["split"])
+        train_set, test_set, external = gen_dataset(world, tax, split, seed=seed, **s["dataset"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"gen-data: {e}")
 
+    out = _out_dir(args)
     # taxonomy.json records the training counts this split actually drew
     replace(tax, train_counts=train_set.hoi_label.sum(axis=0)).save(out / "taxonomy.json")
     split.save(out / "split.json")
     save_instances(out / "train", train_set)
     save_instances(out / "test", test_set)
     save_instances(out / "external", external)
-    resolved = {"world": world_cfg, "dataset": data_cfg, "split": split_cfg, "seed": seed}
-    outputs = ["taxonomy.json", "split.json", "train", "test", "external"]
-    _write_manifest(out, "gen-data", resolved, {}, outputs)
+    _write_manifest(out, "gen-data", s, {}, ["taxonomy.json", "split.json", "train", "test", "external"])
     print(f"gen-data: {len(train_set)} train, {len(test_set)} test, {len(external)} external -> {out}")
     return EXIT_OK
 
 
 def cmd_train(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir": str, "train": dict, "baseline": bool, "seed": int}, "train")
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
-    train_overrides = dict(cfg.get("train", {}))
-    train_overrides.setdefault("seed", seed)
-    try:
-        tcfg = TrainConfig.from_json_dict(train_overrides)
+    s = _settings(cfg, args)
+    try:  # the seed is --seed, else train.seed, else the top-level seed
+        tcfg = TrainConfig.from_json_dict({"seed": s["seed"], **s["train"]})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train config: {e}")
     if args.seed is not None:
         tcfg.seed = args.seed
-    baseline = bool(cfg.get("baseline", False))
-    if baseline:
+    if s["baseline"]:
         tcfg = baseline_config(tcfg)
+    s.update(train=tcfg.to_json_dict(), seed=tcfg.seed)
+    out = _out_dir(args)
 
-    data = _load_data_dir(cfg, need=("taxonomy", "train", "external"))
+    data = _load_data_dir(s, need=("taxonomy", "train", "external"))
     try:
-        result = train(data["train"], [] if baseline else data["external"], data["taxonomy"], tcfg)
+        result = train(data["train"], [] if s["baseline"] else data["external"], data["taxonomy"], tcfg)
     except ValueError as e:
         raise DataError(f"train: {e}")
 
     save_checkpoint(result.model, tcfg, out / "checkpoint.json")
     write_trace_csv(result.trace, out / "trace.csv")
-    resolved = {"data_dir": str(data["dir"]), "train": tcfg.to_json_dict(), "baseline": baseline, "seed": tcfg.seed}
-    inputs = {k: data[k + "_path"] for k in ("taxonomy", "train", "external")}
-    _write_manifest(out, "train", resolved, inputs, ["checkpoint.json", "trace.csv"])
+    _write_manifest(out, "train", s, data["inputs"], ["checkpoint.json", "trace.csv"])
     last = result.trace[-1]["L_total"] if result.trace else float("nan")
     c = result.counters
     print(f"train: {tcfg.iterations} steps, final loss {last:.4f}, composite kept/valid/candidates "
@@ -245,41 +265,28 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def _eval_common(cfg: dict, args, with_split: bool) -> int:
-    _check_keys(cfg, {"data_dir": str, "checkpoint": str, "s_h": float, "s_o": float, "rare_threshold": int,
-                      "seed": int, "write_predictions": bool}, "eval")
+    s = _settings(cfg, args)
     try:
-        s_h, s_o = float(cfg.get("s_h", 1.0)), float(cfg.get("s_o", 1.0))
-        _check_confidences(s_h, s_o)
+        _check_confidences(s["s_h"], s["s_o"])
     except ValueError as e:
         raise ConfigError(f"eval s_h, s_o: {e}")
     out = _out_dir(args)
-    ckpt_path = cfg.get("checkpoint")
-    if ckpt_path is None:
-        raise ConfigError("config must set checkpoint (a train output)")
-    _require_file(Path(ckpt_path), "checkpoint")
-    need = ("taxonomy", "test", "split") if with_split else ("taxonomy", "test")
-    data = _load_data_dir(cfg, need=need)
-    model = _load_model(ckpt_path, data)
+    data = _load_data_dir(s, need=("taxonomy", "test", "split") if with_split else ("taxonomy", "test"))
+    model = _load_model(s["checkpoint"], data)
 
     split = data.get("split")
     if with_split and split is not None and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
-    preds = predict_dataset(model, data["test"], tax, s_h=s_h, s_o=s_o)
-    report = map_report(preds, data["test"], tax, split if with_split else None,
-                        rare_threshold=int(cfg.get("rare_threshold", RARE_THRESHOLD)))
+    preds = predict_dataset(model, data["test"], tax, s_h=s["s_h"], s_o=s["s_o"])
+    report = map_report(preds, data["test"], tax, split, rare_threshold=s["rare_threshold"])
     write_json(out / "report.json", report.to_json_dict())
     write_report_csv(report, tax, out / "report.csv")
     outputs = ["report.json", "report.csv"]
-    if cfg.get("write_predictions"):
+    if s["write_predictions"]:
         save_predictions(out / "predictions.jsonl", preds)
         outputs.append("predictions.jsonl")
-    resolved = {"data_dir": str(data["dir"]), "checkpoint": str(ckpt_path),
-                "s_h": s_h, "s_o": s_o,
-                "rare_threshold": int(cfg.get("rare_threshold", RARE_THRESHOLD))}
-    inputs = {k: data[k + "_path"] for k in need}
-    inputs["checkpoint"] = Path(ckpt_path)
-    _write_manifest(out, "zeroshot" if with_split else "eval-hoi", resolved, inputs, outputs)
+    _write_manifest(out, args.command, s, data["inputs"], outputs)
     for name in ("full", "rare", "nonrare", "unseen", "seen"):
         if name in report.groups:
             g = report.groups[name]
@@ -298,19 +305,15 @@ def cmd_zeroshot(cfg: dict, args) -> int:
 
 
 def cmd_build_bank(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir": str, "m": int, "seed": int}, "build-bank")
-    seed = _resolve_seed(cfg, args)
+    s = _settings(cfg, args)
     out = _out_dir(args)
-    data = _load_data_dir(cfg, need=("taxonomy", "train"))
-    m = int(cfg.get("m", DEFAULT_BANK_SIZE))
+    data = _load_data_dir(s, need=("taxonomy", "train"))
     try:
-        bank = build_bank(data["train"], data["taxonomy"], m=m, seed=seed)
+        bank = build_bank(data["train"], data["taxonomy"], m=s["m"], seed=s["seed"])
     except ValueError as e:
         raise ConfigError(f"build-bank: {e}")
     bank.save(out / "bank.json")
-    resolved = {"data_dir": str(data["dir"]), "m": m, "seed": seed}
-    inputs = {k: data[k + "_path"] for k in ("taxonomy", "train")}
-    _write_manifest(out, "build-bank", resolved, inputs, ["bank.json"])
+    _write_manifest(out, "build-bank", s, data["inputs"], ["bank.json"])
     counts = bank.s_counts()
     print(f"build-bank: {bank.total_entries} entries over {len(counts)} verbs "
           f"(min {min(counts.values())}, max {max(counts.values())}) -> {out}")
@@ -318,29 +321,19 @@ def cmd_build_bank(cfg: dict, args) -> int:
 
 
 def cmd_affordance(cfg: dict, args) -> int:
-    _check_keys(cfg, {"data_dir": str, "checkpoint": str, "bank": str, "hoi_threshold": float,
-                      "keep_threshold": float, "novel_only": bool, "seed": int}, "affordance")
-    hoi_t = float(cfg.get("hoi_threshold", DEFAULT_HOI_THRESHOLD))
-    keep_t = float(cfg.get("keep_threshold", DEFAULT_KEEP_THRESHOLD))
+    s = _settings(cfg, args)
+    hoi_t, keep_t = s["hoi_threshold"], s["keep_threshold"]
     if not (0 <= hoi_t <= 1 and 0 <= keep_t <= 1):
         raise ConfigError(f"hoi_threshold {hoi_t} and keep_threshold {keep_t} must lie in [0, 1]")
     out = _out_dir(args)
-    for key in ("checkpoint", "bank"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"config must set {key}")
-    _require_file(Path(cfg["checkpoint"]), "checkpoint")
-    _require_file(Path(cfg["bank"]), "bank")
-    data = _load_data_dir(cfg, need=("taxonomy", "split", "external"))
-    model = _load_model(cfg["checkpoint"], data)
-    try:
-        bank = AffordanceBank.load(cfg["bank"])
-    except _LOAD_ERRORS as e:
-        raise DataError(f"failed to load bank {cfg['bank']}: {e}")
+    data = _load_data_dir(s, need=("taxonomy", "split", "external"))
+    model = _load_model(s["checkpoint"], data)
+    bank = _load_file(s["bank"], "bank", AffordanceBank.load, data["inputs"])
 
     tax = data["taxonomy"]
     split = data["split"]
     objects = data["external"]
-    if bool(cfg.get("novel_only", True)):
+    if s["novel_only"]:
         objects = objects[np.isin(objects.object_label, sorted(split.unseen_object_ids))]
         if not len(objects):
             raise DataError("no novel objects in the external stream for this split")
@@ -360,7 +353,7 @@ def cmd_affordance(cfg: dict, args) -> int:
         "object_name": tax.object_names[o],
         "kept_verbs": np.flatnonzero(r.kept[i]).tolist(),
         "gt_verbs": np.flatnonzero(truth[i]).tolist(),
-        "scores": {str(v): None if math.isnan(s) else s for v, s in zip(probed, r.scores[i, probed].tolist())},
+        "scores": {str(v): None if math.isnan(x) else x for v, x in zip(probed, r.scores[i, probed].tolist())},
     } for i, o in enumerate(objects.object_label.tolist())]
     write_json(out / "affordance.json", {
         "hoi_threshold": hoi_t,
@@ -369,12 +362,7 @@ def cmd_affordance(cfg: dict, args) -> int:
         "affordance_map": None if math.isnan(amap) else amap,
         "objects": per_object,
     })
-    resolved = {"data_dir": str(data["dir"]), "checkpoint": str(cfg["checkpoint"]),
-                "bank": str(cfg["bank"]), "hoi_threshold": hoi_t, "keep_threshold": keep_t,
-                "novel_only": bool(cfg.get("novel_only", True))}
-    inputs = {k: data[k + "_path"] for k in ("taxonomy", "split", "external")}
-    inputs.update({"checkpoint": Path(cfg["checkpoint"]), "bank": Path(cfg["bank"])})
-    _write_manifest(out, "affordance", resolved, inputs, ["affordance.json"])
+    _write_manifest(out, "affordance", s, data["inputs"], ["affordance.json"])
 
     print(f"affordance over {len(objects)} objects: micro-F1 {prf1.micro_f1:.4f} "
           f"P {prf1.micro_precision:.4f} R {prf1.micro_recall:.4f} mAP "
@@ -388,15 +376,14 @@ def cmd_affordance(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
-    _check_keys(cfg, {"n_configs": int, "tolerance": float, "end_to_end_tolerance": float, "seed": int},
-                "gradcheck")
-    seed = _resolve_seed(cfg, args)
-    out = _out_dir(args)
-    n_configs = int(cfg.get("n_configs", 100))
-    tol = float(cfg.get("tolerance", 1e-4))
-    e2e_tol = float(cfg.get("end_to_end_tolerance", 1e-3))
+    s = _settings(cfg, args)
+    n_configs, tol, e2e_tol, seed = s["n_configs"], s["tolerance"], s["end_to_end_tolerance"], s["seed"]
     if n_configs < 1:
         raise ConfigError("n_configs must be positive")
+    for key in ("tolerance", "end_to_end_tolerance"):
+        if not 0 <= s[key] < math.inf:  # NaN fails too
+            raise ConfigError(f"{key} must be finite and nonnegative, got {s[key]}")
+    out = _out_dir(args)
 
     rng = substream(seed, "gradcheck")
     worst = 0.0
@@ -419,9 +406,7 @@ def cmd_gradcheck(cfg: dict, args) -> int:
         "end_to_end_tolerance": e2e_tol,
         "passed": passed,
     })
-    _write_manifest(out, "gradcheck", {"n_configs": n_configs, "tolerance": tol,
-                                       "end_to_end_tolerance": e2e_tol, "seed": seed},
-                    {}, ["gradcheck.json"])
+    _write_manifest(out, "gradcheck", s, {}, ["gradcheck.json"])
     print(f"gradcheck: max rel error {worst:.3e} over {n_configs} configs "
           f"(tolerance {tol:g}); end-to-end {e2e_worst:.3e} (tolerance {e2e_tol:g})")
     if not passed:
@@ -449,32 +434,20 @@ def _end_to_end_errors(seed: int) -> dict:
 def cmd_reproduce_trends(cfg: dict, args) -> int:
     if "seed" in cfg or args.seed is not None:
         raise ConfigError("reproduce-trends takes no seed or --seed: trend seeds come from the seeds list")
-    _check_keys(cfg, {"seeds": list, "n_train": int, "n_test": int, "n_external": int, "train": dict,
-                      "bank_m": int, "bank_m_small": int}, "reproduce-trends")
-    out = _out_dir(args)
+    s = _settings(cfg, args)
     try:
-        settings = TrendSettings(
-            seeds=tuple(cfg.get("seeds", (0, 1, 2, 3, 4))),
-            n_train=int(cfg.get("n_train", 1500)),
-            n_test=int(cfg.get("n_test", 400)),
-            n_external=int(cfg.get("n_external", 400)),
-            train=TrainConfig.from_json_dict(dict(cfg.get("train", {}))),
-            bank_m=int(cfg.get("bank_m", DEFAULT_BANK_SIZE)),
-            bank_m_small=int(cfg.get("bank_m_small", 20)),
-        )
+        settings = TrendSettings(**{**s, "seeds": tuple(s["seeds"]), "train": TrainConfig.from_json_dict(s["train"])})
         settings.validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(f"reproduce-trends config: {e}")
+    s["train"] = settings.train.to_json_dict()
+    out = _out_dir(args)
     try:
         report = reproduce_trends(settings)
     except ValueError as e:
         raise DataError(f"reproduce-trends: {e}")
     write_json(out / "trends.json", report.to_json_dict())
-    resolved = {"seeds": list(settings.seeds), "n_train": settings.n_train,
-                "n_test": settings.n_test, "n_external": settings.n_external,
-                "train": settings.train.to_json_dict(), "bank_m": settings.bank_m,
-                "bank_m_small": settings.bank_m_small}
-    _write_manifest(out, "reproduce-trends", resolved, {}, ["trends.json"])
+    _write_manifest(out, "reproduce-trends", s, {}, ["trends.json"])
     print(report.format_table())
     return EXIT_OK
 

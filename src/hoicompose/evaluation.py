@@ -243,7 +243,7 @@ class SplitSpec:
 
 def make_split(
     tax: Taxonomy,
-    mode: str,
+    mode: str = "none",
     unseen_count: int | None = None,
     unseen_object_ids=None,
     rng: np.random.Generator | None = None,

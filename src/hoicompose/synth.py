@@ -7,6 +7,7 @@ for an out-of-domain object dataset via a fixed domain-shift offset.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,10 +43,6 @@ class WorldSpec:
     def validate(self) -> None:
         if self.feat_dim < 2:
             raise ValueError("feat_dim must be at least 2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.tail_exponent < 0:
-            raise ValueError("tail_exponent must be nonnegative")
         for name, protos in (("verb", self.verb_prototypes), ("object", self.object_prototypes)):
             if protos.ndim != 2 or protos.shape[1] != self.feat_dim:
                 raise ValueError(f"{name} prototypes must be (n, {self.feat_dim})")
@@ -146,6 +143,11 @@ def gen_world(
     Target counts live in the world and are copied into taxonomy.train_counts.
     The realized counts of a drawn split are its train.hoi_label.sum(axis=0).
     """
+    for name, x in (("noise_sigma", noise_sigma), ("tail_exponent", tail_exponent)):
+        if not 0 <= x < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and nonnegative, got {x}")
+    if not math.isfinite(domain_shift_scale):
+        raise ValueError(f"domain_shift_scale must be finite, got {domain_shift_scale}")
     if c_pairs > n_verbs * n_objects:
         raise ValueError(f"c_pairs={c_pairs} exceeds {n_verbs}x{n_objects} possible pairs")
     rng = substream(seed, "world")
@@ -253,10 +255,10 @@ def gen_dataset(
     world: WorldSpec,
     tax: Taxonomy,
     split,
-    n_train: int,
-    n_test: int,
-    n_external_objects: int,
-    seed: int,
+    n_train: int = DESK_N_TRAIN,
+    n_test: int = DESK_N_TEST,
+    n_external_objects: int = DESK_N_TEST,
+    seed: int = 0,
     co_label_prob: float = 0.1,
 ):
     """Draw (train, test, external) sets for one split: two HOISets and an ObjectSet.

@@ -263,6 +263,24 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("train", {"train": {"lambda1": float("inf")}}, "train config: loss weights must be finite and nonnegative"),
     ("gen-data", {"dataset": {"co_label_prob": 1.5}}, "co_label_prob must lie in [0, 1], got 1.5"),
     ("gen-data", {"dataset": {"co_label_prob": -3}}, "co_label_prob must lie in [0, 1], got -3"),
+    ("gen-data", {"world": {"no_interaction_verbs": [2.5, True]}},
+     "world no_interaction_verbs must hold integers, got 2.5"),
+    ("gen-data", {"world": {"no_interaction_verbs": [1, True]}},
+     "world no_interaction_verbs must hold integers, got True"),
+    ("gen-data", {"split": {"mode": "novel-object", "unseen_object_ids": [1.9, "3"]}},
+     "split unseen_object_ids must hold integers, got 1.9"),
+    ("gen-data", {"split": {"mode": "novel-object", "unseen_object_ids": [1, "3"]}},
+     "split unseen_object_ids must hold integers, got '3'"),
+    ("gen-data", {"world": {"noise_sigma": float("nan")}}, "noise_sigma must be finite and nonnegative, got nan"),
+    ("gen-data", {"world": {"noise_sigma": float("inf")}}, "noise_sigma must be finite and nonnegative, got inf"),
+    ("gen-data", {"world": {"tail_exponent": float("nan")}}, "tail_exponent must be finite and nonnegative, got nan"),
+    ("gen-data", {"world": {"domain_shift_scale": float("inf")}}, "domain_shift_scale must be finite, got inf"),
+    ("gen-data", {"world": {"domain_shift_scale": float("nan")}}, "domain_shift_scale must be finite, got nan"),
+    ("gradcheck", {"tolerance": float("nan")}, "tolerance must be finite and nonnegative, got nan"),
+    ("gradcheck", {"tolerance": -1e-4}, "tolerance must be finite and nonnegative, got -0.0001"),
+    ("gradcheck", {"end_to_end_tolerance": float("inf")},
+     "end_to_end_tolerance must be finite and nonnegative, got inf"),
+    ("eval-hoi", {"s_h": 10**400}, "eval-hoi config: int too large to convert to float"),
 ])
 def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
     # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
@@ -747,6 +765,30 @@ def test_out_env_var_used(data_dir, tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "bank.json", {"data_dir": str(data_dir), "m": 5})
     assert run("build-bank", cfg) == EXIT_OK
     assert (out / "bank.json").is_file()
+
+
+@pytest.mark.parametrize("cmd", ["gen-data", "train", "zeroshot", "build-bank", "affordance", "gradcheck"])
+def test_manifest_config_reruns_the_command(data_dir, trained_dir, tmp_path, cmd):
+    # a manifest's config is the full resolved config: run on it, with no --seed,
+    # the command writes the same bytes, the manifest among them
+    checkpoint, bank = str(trained_dir / "checkpoint.json"), tmp_path / "bank" / "bank.json"
+    body = {
+        "gen-data": {"world": TINY_WORLD, "dataset": TINY_DATASET, "split": {"mode": "novel-object"}},
+        "train": {"data_dir": str(data_dir), "train": TINY_TRAIN},
+        "zeroshot": {"data_dir": str(data_dir), "checkpoint": checkpoint, "write_predictions": True},
+        "build-bank": {"data_dir": str(data_dir), "m": 20},
+        "affordance": {"data_dir": str(data_dir), "checkpoint": checkpoint, "bank": str(bank)},
+        "gradcheck": {"n_configs": 3},
+    }[cmd]
+    if cmd == "affordance":
+        assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+                   bank.parent) == EXIT_OK
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(cmd, write_config(tmp_path / "cfg.json", body), first, seed=3) == EXIT_OK
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert config["seed"] == 3
+    assert run(cmd, write_config(tmp_path / "replay.json", config), again) == EXIT_OK
+    assert tree_bytes(again) == tree_bytes(first)
 
 
 def test_reproduce_trends_smoke(tmp_path, capsys):
