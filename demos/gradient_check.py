@@ -9,16 +9,9 @@ import sys
 
 import numpy as np
 
-from hoicompose import gen_dataset, gen_world, grad_check, init_params, one_hot
-from hoicompose.pipeline import (
-    StepBatch,
-    TrainConfig,
-    build_matrices,
-    compose_batch,
-    init_model,
-    step_grad_check,
-)
-from hoicompose.taxonomy import decouple_verb
+from hoicompose import gen_dataset, gen_world, grad_check, init_params
+from hoicompose.pipeline import StepSampler, TrainConfig, init_model, step_grad_check
+from hoicompose.seeding import substream
 
 rng = np.random.default_rng(0)
 
@@ -43,22 +36,13 @@ print("\nper-tensor errors:")
 for name, err in report.per_param.items():
     print(f"  {name}: {err:.3e}")
 
-# the same agreement must hold through a full training step: both classifiers,
+# the same agreement must hold through train's first step: both classifiers,
 # the composite branch, and the loss weighting all at once
 tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=0)
 train_set, _, external = gen_dataset(world, tax, None, 6, 2, 4, seed=0)
-cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=0)
+cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, seed=0)
 model = init_model(tax, world.feat_dim, cfg)
-
-x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label[:2]])
-composites = compose_batch(decouple_verb(train_set.hoi_label[:4], tax), object_labels, tax, 2,
-                           np.random.default_rng(0))
-batch = StepBatch(
-    sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y,
-    atl_x=composites.inputs(train_set.verb_feat[:4], external.object_feat[:2]),
-    atl_y=composites.labels.astype(float),
-)
+batch = StepSampler(train_set, external, tax, cfg).draw(substream(cfg.seed, "batching"))
 
 errors = step_grad_check(model, batch, cfg)
 print("\nend-to-end composite step:")

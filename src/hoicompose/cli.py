@@ -25,12 +25,12 @@ from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_p
                          make_split, map_report, save_predictions, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
 from .jsonfile import check_fields, int_items, read_json, write_json
-from .pipeline import (HOIModel, StepBatch, TrainConfig, TrainingDiverged, baseline_config, build_matrices,
-                       _check_confidences, compose_batch, init_model, load_checkpoint, predict_dataset,
-                       save_checkpoint, step_grad_check, train, write_trace_csv)
+from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, _check_confidences,
+                       init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
+                       write_trace_csv)
 from .seeding import substream
 from .synth import gen_dataset, gen_world, load_instances, save_instances, validate_instances
-from .taxonomy import Taxonomy, decouple_verb, one_hot
+from .taxonomy import Taxonomy
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
 
@@ -75,8 +75,7 @@ SETTINGS = {
     "affordance": {"data_dir": str, "checkpoint": str, "bank": str, "hoi_threshold": DEFAULT_HOI_THRESHOLD,
                    "keep_threshold": DEFAULT_KEEP_THRESHOLD, "novel_only": True, "seed": 0},
     "gradcheck": {"n_configs": 100, "tolerance": 1e-4, "end_to_end_tolerance": 1e-3, "seed": 0},
-    "reproduce-trends": {"seeds": [0, 1, 2, 3, 4], "n_train": 1500, "n_test": 400, "n_external": 400,
-                         "train": {}, "bank_m": DEFAULT_BANK_SIZE, "bank_m_small": 20},
+    "reproduce-trends": {**vars(TrendSettings()), "seeds": list(TrendSettings.seeds), "train": {}},
 }
 
 
@@ -122,8 +121,7 @@ def _settings(cfg: dict, args) -> dict:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    path = Path(out)
+    path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -217,6 +215,8 @@ def cmd_gen_data(cfg: dict, args) -> int:
     try:
         int_items(s["world"].get("no_interaction_verbs", []), "world no_interaction_verbs")
         int_items(s["split"].get("unseen_object_ids", []), "split unseen_object_ids")
+        if s["dataset"].get("n_train", 1) < 1:  # gen_dataset would draw it, but train refuses it
+            raise ValueError(f"dataset n_train must be at least 1, got {s['dataset']['n_train']}")
         tax, world = gen_world(seed=seed, **s["world"])
         split = make_split(tax, rng=substream(seed, "split"), **s["split"])
         train_set, test_set, external = gen_dataset(world, tax, split, seed=seed, **s["dataset"])
@@ -330,9 +330,7 @@ def cmd_affordance(cfg: dict, args) -> int:
     model = _load_model(s["checkpoint"], data)
     bank = _load_file(s["bank"], "bank", AffordanceBank.load, data["inputs"])
 
-    tax = data["taxonomy"]
-    split = data["split"]
-    objects = data["external"]
+    tax, split, objects = data["taxonomy"], data["split"], data["external"]
     if s["novel_only"]:
         objects = objects[np.isin(objects.object_label, sorted(split.unseen_object_ids))]
         if not len(objects):
@@ -416,19 +414,12 @@ def cmd_gradcheck(cfg: dict, args) -> int:
 
 
 def _end_to_end_errors(seed: int) -> dict:
-    """Finite-difference check of one full composite training step on a miniature world."""
+    """Finite-difference check of train's first step on a miniature world."""
     tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=seed)
     train_set, _, external = gen_dataset(world, tax, None, 6, 1, 4, seed=seed)
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, object_batch=2, seed=seed)
-    model = init_model(tax, world.feat_dim, cfg)
-    x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label[:2]])
-    kept = compose_batch(decouple_verb(train_set.hoi_label[:4], tax), object_labels, tax, cfg.object_batch,
-                         substream(seed, "gradcheck-e2e"))
-    atl_x = kept.inputs(train_set.verb_feat[:4], external.object_feat[:2]) if len(kept) else None
-    atl_y = kept.labels.astype(float) if len(kept) else None
-    batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
-    return step_grad_check(model, batch, cfg)
+    batch = StepSampler(train_set, external, tax, cfg).draw(substream(seed, "batching"))
+    return step_grad_check(init_model(tax, world.feat_dim, cfg), batch, cfg)
 
 
 def cmd_reproduce_trends(cfg: dict, args) -> int:

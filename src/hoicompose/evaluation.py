@@ -250,13 +250,22 @@ def make_split(
 ) -> SplitSpec:
     """Build a split. Rare-first holds out the lowest-count categories, non-rare-first
     the highest (ties by category id); novel-object holds out whole objects, either
-    the given ids or a sampled default fraction of all objects.
+    the given ids or a sampled default fraction of all objects. A mode refuses a
+    key it does not read: unseen_count outside the two composition modes,
+    unseen_object_ids outside novel-object.
     """
+    if mode not in SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}")
+    composition = mode in ("unseen-composition-rare-first", "unseen-composition-nonrare-first")
+    for key, value, read in (("unseen_count", unseen_count, composition),
+                             ("unseen_object_ids", unseen_object_ids, mode == "novel-object")):
+        if value is not None and not read:
+            raise ValueError(f"split mode {mode!r} does not read {key}")
     all_cats = set(range(tax.n_categories))
     if mode == "none":
         return SplitSpec(mode="none", unseen_hoi_ids=frozenset(), seen_hoi_ids=frozenset(all_cats))
 
-    if mode in ("unseen-composition-rare-first", "unseen-composition-nonrare-first"):
+    if composition:
         if unseen_count is None:
             unseen_count = int(round(DEFAULT_UNSEEN_FRACTION * tax.n_categories))
         if not 0 < unseen_count < tax.n_categories:
@@ -269,29 +278,26 @@ def make_split(
         unseen = frozenset(order[:unseen_count])
         return SplitSpec(mode=mode, unseen_hoi_ids=unseen, seen_hoi_ids=frozenset(all_cats - unseen))
 
-    if mode == "novel-object":
-        if unseen_object_ids is None:
-            if rng is None:
-                raise ValueError("novel-object mode needs unseen_object_ids or an rng to sample them")
-            k = max(1, int(round(DEFAULT_UNSEEN_FRACTION * tax.n_objects)))
-            unseen_object_ids = rng.choice(tax.n_objects, size=k, replace=False)
-        obj_ids = frozenset(int(o) for o in unseen_object_ids)
-        for o in obj_ids:
-            if not 0 <= o < tax.n_objects:
-                raise ValueError(f"object id {o} out of range")
-        unseen = frozenset(c for c, (v, o) in enumerate(tax.hoi_pairs) if o in obj_ids)
-        if len(unseen) >= tax.n_categories:
-            raise ValueError("novel-object split leaves no seen categories")
-        split = SplitSpec(
-            mode=mode,
-            unseen_hoi_ids=unseen,
-            seen_hoi_ids=frozenset(all_cats - unseen),
-            unseen_object_ids=obj_ids,
-        )
-        split.validate(tax)
-        return split
-
-    raise ValueError(f"unknown split mode {mode!r}")
+    if unseen_object_ids is None:  # novel-object
+        if rng is None:
+            raise ValueError("novel-object mode needs unseen_object_ids or an rng to sample them")
+        k = max(1, int(round(DEFAULT_UNSEEN_FRACTION * tax.n_objects)))
+        unseen_object_ids = rng.choice(tax.n_objects, size=k, replace=False)
+    obj_ids = frozenset(int(o) for o in unseen_object_ids)
+    for o in obj_ids:
+        if not 0 <= o < tax.n_objects:
+            raise ValueError(f"object id {o} out of range")
+    unseen = frozenset(c for c, (v, o) in enumerate(tax.hoi_pairs) if o in obj_ids)
+    if len(unseen) >= tax.n_categories:
+        raise ValueError("novel-object split leaves no seen categories")
+    split = SplitSpec(
+        mode=mode,
+        unseen_hoi_ids=unseen,
+        seen_hoi_ids=frozenset(all_cats - unseen),
+        unseen_object_ids=obj_ids,
+    )
+    split.validate(tax)
+    return split
 
 
 @dataclass

@@ -120,11 +120,11 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
 
 
 def bank_stability(run: SeedRun, settings: TrendSettings) -> dict:
-    """Affordance mAP with a small bank vs the full bank, on one seed's ATL model."""
+    """Affordance mAP with a small bank vs the full bank, on one seed's ATL model.
+    The full bank's is the ATL affordance mAP run_trend_seed already measured."""
     small = build_bank(run.train_set, run.tax, m=settings.bank_m_small, seed=run.seed)
-    full = build_bank(run.train_set, run.tax, m=settings.bank_m, seed=run.seed)
-    map_small, map_full = (affordance_map(recognize_objects(run.novel_feats, bank, run.atl.model, run.tax).scores,
-                                          run.novel_gt) for bank in (small, full))
+    map_small = affordance_map(recognize_objects(run.novel_feats, small, run.atl.model, run.tax).scores, run.novel_gt)
+    map_full = run.affordance["atl"]["map"]
     rel = abs(map_small - map_full) / map_full if map_full > 0 else float("inf")
     return {
         "m_small": settings.bank_m_small,

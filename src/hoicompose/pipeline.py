@@ -197,14 +197,60 @@ def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfi
 
 @dataclass
 class StepBatch:
-    """Everything one optimization step sees, as stacked arrays (None = no composites)."""
+    """Everything one optimization step sees, as stacked arrays (None = no composites).
+    The spatial and real branches score the same rows, so they share the target y."""
 
     sp_x: np.ndarray
-    sp_y: np.ndarray
     hoi_x: np.ndarray
-    hoi_y: np.ndarray
+    y: np.ndarray
     atl_x: np.ndarray | None
     atl_y: np.ndarray | None
+
+
+class StepSampler:
+    """Draws the batch of each step train takes, and counts what the composite
+    branch did: candidate and valid compositions, draws that kept any, kept
+    examples, and their label bits per category (per_category). Construction
+    checks every input train takes, so a bad one fails even at 0 iterations."""
+
+    def __init__(self, train_set, external_objects, tax: Taxonomy, cfg: TrainConfig):
+        cfg.validate()
+        if not train_set:
+            raise ValueError("train set is empty")
+        self.use_composite = cfg.lambda2 > 0 and cfg.object_batch > 0
+        if self.use_composite and not external_objects:
+            raise ValueError("composite branch enabled but no external objects given")
+        self.x_sp, self.x_hoi, self.y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
+        if self.use_composite:
+            if not np.isfinite(external_objects.object_feat).all():
+                raise ValueError("non-finite entries in external object features")
+            self.verb_feats, self.verb_labels = train_set.verb_feat, verb_targets.astype(np.int8)
+            self.object_feats = external_objects.object_feat
+            self.object_labels = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
+        self.tax, self.cfg = tax, cfg
+        self.counters = {"composite_classifier_calls": 0, "composite_examples": 0,
+                         "composite_candidates": 0, "composite_valid": 0}
+        self.per_category = np.zeros(tax.n_categories, dtype=np.int64)
+
+    def draw(self, rng: np.random.Generator) -> StepBatch:
+        """One step's batch from rng: hoi_batch train rows, then, with the
+        composite branch on, object_batch external objects and the kept
+        compositions of the two."""
+        cfg, n = self.cfg, len(self.y)
+        idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
+        atl_x = atl_y = None
+        if self.use_composite:
+            m = len(self.object_labels)
+            obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
+            kept = compose_batch(self.verb_labels[idx], self.object_labels[obj_idx], self.tax, cfg.object_batch,
+                                 rng, self.counters)
+            if len(kept):
+                atl_x = kept.inputs(self.verb_feats[idx], self.object_feats[obj_idx])
+                atl_y = kept.labels.astype(float)
+                self.per_category += kept.labels.sum(axis=0)
+                self.counters["composite_classifier_calls"] += 1
+                self.counters["composite_examples"] += len(kept)
+        return StepBatch(sp_x=self.x_sp[idx], hoi_x=self.x_hoi[idx], y=self.y[idx], atl_x=atl_x, atl_y=atl_y)
 
 
 def grad_workspaces(model: HOIModel) -> tuple:
@@ -224,13 +270,13 @@ def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig, grads=None, 
     composites), the last two taken before they are added.
     """
     g_sp, g_hoi, g_atl = grads or grad_workspaces(model)
-    l_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.sp_y, out=g_sp)[0]
-    l_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y, out=g_hoi)[0]
+    l_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.y, out=g_sp)[0]
+    l_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.y, out=g_hoi)[0]
     g_hoi.flat *= cfg.lambda1
     if norms is not None:
         norms.update(sp=float(np.linalg.norm(g_sp.flat)), hoi=float(np.linalg.norm(g_hoi.flat)), atl=0.0)
     l_atl = 0.0
-    if batch.atl_x is not None and len(batch.atl_x):
+    if batch.atl_x is not None:
         l_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y, out=g_atl)[0]
         g_atl.flat *= cfg.lambda2
         if norms is not None:
@@ -252,7 +298,7 @@ class TrainResult:
 
 def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
     sp_d_in = 2 * cfg.spatial_resolution**2 + feat_dim
-    model = HOIModel(
+    return HOIModel(
         sp_classifier=nn.init_params(sp_d_in, tax.n_categories, cfg.hidden,
                                      seed=stream_seed(cfg.seed, "init-sp")),
         hoi_classifier=nn.init_params(2 * feat_dim, tax.n_categories, cfg.hidden,
@@ -260,66 +306,28 @@ def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
         spatial_resolution=cfg.spatial_resolution,
         feat_dim=feat_dim,
     )
-    return model
 
 
 def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> TrainResult:
     """Run the three-branch optimization and return the model plus loss trace.
 
     lambda2=0 or object_batch=0 disables the composite branch entirely (the
-    counters record that the shared classifier never saw composite inputs).
-    The counters also record what the composite branch did: candidate and valid
-    compositions, kept examples (composite_examples), and the label bits of the
-    kept examples per category (composite_per_category).
+    counters, those of the StepSampler that draws each step's batch, record
+    that the shared classifier never saw composite inputs).
 
     The model's classifiers are updated in place, and each step's gradients
     are written into one reused workspace per branch.
     """
-    cfg.validate()
-    if not train_set:
-        raise ValueError("train set is empty")
-    use_composite = cfg.lambda2 > 0 and cfg.object_batch > 0
-    if use_composite and not external_objects:
-        raise ValueError("composite branch enabled but no external objects given")
-
-    feat_dim = train_set.verb_feat.shape[1]
-    x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
-    if use_composite:
-        verb_feats = train_set.verb_feat
-        verb_labels = verb_targets.astype(np.int8)
-        obj_feats = external_objects.object_feat
-        if not np.isfinite(obj_feats).all():
-            raise ValueError("non-finite entries in external object features")
-        obj_onehots = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
-        m = len(external_objects)
-
-    model = init_model(tax, feat_dim, cfg)
+    sampler = StepSampler(train_set, external_objects, tax, cfg)
+    model = init_model(tax, train_set.verb_feat.shape[1], cfg)
     grads = grad_workspaces(model)
     rng = substream(cfg.seed, "batching")
-    n = len(train_set)
-    counters = {"composite_classifier_calls": 0, "composite_examples": 0,
-                "composite_candidates": 0, "composite_valid": 0}
-    per_category = np.zeros(tax.n_categories, dtype=np.int64)
     trace, grad_norms = [], []
 
     for step in range(cfg.iterations):
-        idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
-        atl_x = atl_y = None
-        if use_composite:
-            obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
-            kept = compose_batch(verb_labels[idx], obj_onehots[obj_idx], tax, cfg.object_batch, rng, counters)
-            if len(kept):
-                atl_x = kept.inputs(verb_feats[idx], obj_feats[obj_idx])
-                atl_y = kept.labels.astype(float)
-                per_category += kept.labels.sum(axis=0)
-                counters["composite_classifier_calls"] += 1
-                counters["composite_examples"] += len(kept)
-
-        y_b = y[idx]
-        batch = StepBatch(sp_x=x_sp[idx], sp_y=y_b, hoi_x=x_hoi[idx], hoi_y=y_b, atl_x=atl_x, atl_y=atl_y)
         traced = step % cfg.trace_every == 0 or step == cfg.iterations - 1
         norms = {} if traced else None
-        losses, (g_sp, g_hoi) = step_grads(model, batch, cfg, grads, norms)
+        losses, (g_sp, g_hoi) = step_grads(model, sampler.draw(rng), cfg, grads, norms)
         total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
         # the step's one divergence check, before either classifier is updated: one
         # isfinite per flat gradient buffer and the loss, with no sum that could overflow
@@ -333,7 +341,7 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
             trace.append({"step": step, **losses, "L_total": total})
             grad_norms.append({"step": step, **norms})
 
-    counters["composite_per_category"] = per_category.tolist()
+    counters = {**sampler.counters, "composite_per_category": sampler.per_category.tolist()}
     return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
 
 
@@ -348,10 +356,9 @@ def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: f
         return nn.bce_loss(nn.mlp_forward(params, x)[1], y)
 
     def loss() -> float:
-        has_atl = batch.atl_x is not None and len(batch.atl_x)
-        l_atl = bce(model.hoi_classifier, batch.atl_x, batch.atl_y) if has_atl else 0.0
-        return total_loss(bce(model.sp_classifier, batch.sp_x, batch.sp_y),
-                          bce(model.hoi_classifier, batch.hoi_x, batch.hoi_y), l_atl, cfg)
+        l_atl = 0.0 if batch.atl_x is None else bce(model.hoi_classifier, batch.atl_x, batch.atl_y)
+        return total_loss(bce(model.sp_classifier, batch.sp_x, batch.y),
+                          bce(model.hoi_classifier, batch.hoi_x, batch.y), l_atl, cfg)
 
     _, analytic = step_grads(model, batch, cfg)
     errors = {}

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import io
@@ -7,14 +8,17 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hoicompose
+from hoicompose import cli, pipeline
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
-from hoicompose.pipeline import load_checkpoint
+from hoicompose.pipeline import load_checkpoint, train
 
 
 def write_config(path: Path, body: dict) -> str:
@@ -281,6 +285,14 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("gradcheck", {"end_to_end_tolerance": float("inf")},
      "end_to_end_tolerance must be finite and nonnegative, got inf"),
     ("eval-hoi", {"s_h": 10**400}, "eval-hoi config: int too large to convert to float"),
+    ("gen-data", {"split": {"mode": "none", "unseen_count": 5}}, "split mode 'none' does not read unseen_count"),
+    ("gen-data", {"split": {"mode": "novel-object", "unseen_count": 5}},
+     "split mode 'novel-object' does not read unseen_count"),
+    ("gen-data", {"split": {"unseen_object_ids": [1]}}, "split mode 'none' does not read unseen_object_ids"),
+    ("gen-data", {"split": {"mode": "unseen-composition-rare-first", "unseen_object_ids": [1]}},
+     "split mode 'unseen-composition-rare-first' does not read unseen_object_ids"),
+    ("gen-data", {"dataset": {"n_train": 0}}, "dataset n_train must be at least 1, got 0"),
+    ("gen-data", {"dataset": {"n_train": -3}}, "dataset n_train must be at least 1, got -3"),
 ])
 def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
     # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
@@ -681,6 +693,38 @@ def test_gradcheck_passes_and_writes(tmp_path):
     assert doc["end_to_end_max_rel_error"] < 1e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradcheck_end_to_end_checks_trains_first_step(seed):
+    # the batch and model the end-to-end check differentiates are those of the
+    # first step train takes on the same world and config, bit for bit
+    def record(into, fn):  # each call's arguments, copied before the call, and its result
+        def wrapper(*args, **kwargs):
+            copied = copy.deepcopy(args)
+            result = fn(*args, **kwargs)
+            into.append((copied, result))
+            return result
+        return wrapper
+
+    worlds, checked, stepped = [], [], []
+    with mock.patch.object(cli, "gen_dataset", record(worlds, cli.gen_dataset)), \
+            mock.patch.object(cli, "step_grad_check", record(checked, cli.step_grad_check)):
+        cli._end_to_end_errors(seed)
+    [((_, tax, *_), (train_set, _, external))] = worlds
+    [((model, batch, cfg), _)] = checked
+    with mock.patch.object(pipeline, "step_grads", record(stepped, pipeline.step_grads)):
+        train(train_set, external, tax, replace(cfg, iterations=1))
+    [((want_model, want_batch, *_), _)] = stepped
+    if seed == 0:
+        assert batch.atl_x is not None  # the check covers the composite branch
+    for name in ("sp_classifier", "hoi_classifier"):
+        assert getattr(model, name).flat.tobytes() == getattr(want_model, name).flat.tobytes()
+    assert vars(batch).keys() == vars(want_batch).keys()
+    for key, value in vars(batch).items():
+        want = vars(want_batch)[key]
+        assert (value is None and want is None) or (value.dtype == want.dtype and value.shape == want.shape
+                                                     and value.tobytes() == want.tobytes()), key
+
+
 def test_gradcheck_impossible_tolerance_fails(tmp_path):
     cfg = write_config(tmp_path / "gc.json", {"n_configs": 2, "tolerance": 0.0})
     assert run("gradcheck", cfg, tmp_path) == EXIT_DIVERGED
@@ -849,12 +893,13 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == EXIT_DATA, proc.stderr
 
 
-def test_gradient_check_demo_runs():
-    # the one demo that builds a StepBatch and calls step_grad_check
-    demo = Path(__file__).resolve().parents[1] / "demos" / "gradient_check.py"
+@pytest.mark.parametrize("demo", sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
-    assert "end-to-end composite step:" in proc.stdout
+    if demo.stem == "gradient_check":
+        assert "end-to-end composite step:" in proc.stdout
 
 
 def test_console_script_target():

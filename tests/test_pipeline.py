@@ -16,7 +16,7 @@ from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import compose_label, decouple_verb, one_hot
 from hoicompose.pipeline import (
-    StepBatch,
+    StepSampler,
     TrainConfig,
     TrainingDiverged,
     baseline_config,
@@ -64,15 +64,6 @@ def compose_as_tuples(verb_items, object_items, tax, cap, rng, counters=None):
     kept = compose_batch(verb_labels, object_labels, tax, cap, rng, counters)
     assert kept.verb_rows.dtype == kept.object_rows.dtype == np.intp and kept.labels.dtype == np.int8
     return list(zip(kept.inputs(verb_feats, object_feats), kept.labels))
-
-
-def composite_batch(train_set, external, tax, cap, rng):
-    """(atl_x, atl_y) of compose_batch over every row of the two sets; (None, None) when none is kept."""
-    object_labels = np.stack([one_hot(tax.n_objects, o) for o in external.object_label])
-    kept = compose_batch(decouple_verb(train_set.hoi_label, tax), object_labels, tax, cap, rng)
-    if not len(kept):
-        return None, None
-    return kept.inputs(train_set.verb_feat, external.object_feat), kept.labels.astype(float)
 
 
 # --- spatial pattern ---
@@ -322,9 +313,7 @@ def test_step_losses_total_is_the_training_expression():
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
-    x_sp, x_hoi, y, _ = build_matrices(train_set[:8], tax, cfg.spatial_resolution)
-    atl_x, atl_y = composite_batch(train_set[:8], external[:3], tax, 2, np.random.default_rng(6))
-    batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
+    batch = StepSampler(train_set, external, tax, cfg).draw(np.random.default_rng(6))
     losses, _ = step_grads(model, batch, cfg)
     assert set(losses) == {"L_sp", "L_hoi", "L_ATL"}
     assert losses["L_ATL"] > 0
@@ -717,7 +706,7 @@ def test_grad_norms_are_the_norms_of_the_step_gradients(monkeypatch):
         model, batch = recorded[k]
         assert set(row) == {"step", "sp", "hoi", "atl"} and batch.atl_x is not None
         _, (g_sp, g_hoi) = real_step_grads(model, batch, cfg)
-        real = cfg.lambda1 * nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.hoi_y)[1].flat
+        real = cfg.lambda1 * nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.y)[1].flat
         composite = cfg.lambda2 * nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)[1].flat
         assert_same_bits(g_hoi.flat, real + composite)
         assert row["sp"] == np.linalg.norm(np.concatenate([arr.ravel() for _, arr in g_sp.items()]))
@@ -785,11 +774,10 @@ def test_weight_sharing_real_and_composite_branch():
 def test_step_grad_check_miniature():
     tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=5)
     train_set, _, external = gen_dataset(world, tax, None, 6, 2, 4, seed=5)
-    cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=5)
+    cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, seed=5)
     model = init_model(tax, world.feat_dim, cfg)
-    x_sp, x_hoi, y, _ = build_matrices(train_set[:4], tax, cfg.spatial_resolution)
-    atl_x, atl_y = composite_batch(train_set[:4], external[:2], tax, 2, np.random.default_rng(5))
-    batch = StepBatch(sp_x=x_sp, sp_y=y, hoi_x=x_hoi, hoi_y=y, atl_x=atl_x, atl_y=atl_y)
+    batch = StepSampler(train_set, external, tax, cfg).draw(np.random.default_rng(5))
+    assert batch.atl_x is not None
     errors = step_grad_check(model, batch, cfg)
     assert set(errors) == {"sp_classifier.w1", "sp_classifier.b1", "sp_classifier.w2",
                            "sp_classifier.b2", "hoi_classifier.w1", "hoi_classifier.b1",
