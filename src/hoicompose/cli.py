@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import nn
 from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
-                         make_split, map_report, save_predictions, write_report_csv)
+                         make_split, map_report, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
 from .jsonfile import check_fields, int_items, read_json, write_json
 from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, _check_confidences,
@@ -284,8 +285,8 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
     write_report_csv(report, tax, out / "report.csv")
     outputs = ["report.json", "report.csv"]
     if s["write_predictions"]:
-        save_predictions(out / "predictions.jsonl", preds)
-        outputs.append("predictions.jsonl")
+        save_instances(out / "predictions", preds)
+        outputs.append("predictions")
     _write_manifest(out, args.command, s, data["inputs"], outputs)
     for name in ("full", "rare", "nonrare", "unseen", "seen"):
         if name in report.groups:
@@ -415,7 +416,9 @@ def cmd_gradcheck(cfg: dict, args) -> int:
 
 def _end_to_end_errors(seed: int) -> dict:
     """Finite-difference check of train's first step on a miniature world."""
-    tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=seed)
+    with warnings.catch_warnings():  # a gradient check does not depend on separability
+        warnings.filterwarnings("ignore", r"min \w+ prototype distance", UserWarning)
+        tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=seed)
     train_set, _, external = gen_dataset(world, tax, None, 6, 1, 4, seed=seed)
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, object_batch=2, seed=seed)
     batch = StepSampler(train_set, external, tax, cfg).draw(substream(seed, "batching"))

@@ -9,13 +9,13 @@ precisions at true-positive ranks over n_positives.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jsonfile import check_fields, int_items, read_json, write_json
+from .synth import Detections
 from .taxonomy import Taxonomy
 
 IOU_THRESHOLD = 0.5
@@ -26,23 +26,11 @@ SPLIT_MODES = ("unseen-composition-rare-first", "unseen-composition-nonrare-firs
                "novel-object", "none")
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two (x1,y1,x2,y2) boxes in continuous coordinates."""
-    ax1, ay1, ax2, ay2 = box_a
-    bx1, by1, bx2, by2 = box_b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return float(inter / union)
-
-
 def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of boxes a[..., :4] and b[..., :4], broadcast against each other: a[:, None]
     and b[None] give the pairwise matrix, equal-length a and b the row-by-row pairs.
-    Same arithmetic as iou(), so every pair reads the same bits either way."""
+    Every pair reads the same bits either way, and an overlap-free pair (zero
+    intersection) reads 0."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
@@ -179,16 +167,6 @@ def average_precision(tp_flags, n_positives: int) -> float:
     if n_positives < 1:
         raise ValueError("average_precision needs at least one positive")
     return _ap_at_ranks([rank for rank, flag in enumerate(tp_flags) if flag], n_positives)
-
-
-@dataclass(eq=False)
-class Detections:
-    """Scored detections as one grid: row i is one (human box, object box) pair,
-    and scores[i, c] its score for category c."""
-
-    human_box: np.ndarray  # (n, 4)
-    object_box: np.ndarray  # (n, 4)
-    scores: np.ndarray  # (n, n_categories)
 
 
 @dataclass
@@ -491,15 +469,3 @@ def write_report_csv(report: EvalReport, tax: Taxonomy, path) -> None:
         for name, g in report.groups.items():
             w.writerow([name, "" if math.isnan(g["map"]) else f"{g['map']:.6f}", g["n_categories"]])
 
-
-def save_predictions(path, detections: Detections) -> None:
-    """JSON-lines prediction file, one line per (row, category), row-major:
-    boxes, integer category, score."""
-    with open(path, "w") as f:
-        for human_box, object_box, row in zip(detections.human_box, detections.object_box,
-                                              np.asarray(detections.scores).tolist()):
-            boxes = {"human_box": np.asarray(human_box, dtype=float).tolist(),
-                     "object_box": np.asarray(object_box, dtype=float).tolist()}
-            for category, score in enumerate(row):
-                rec = {**boxes, "category": category, "score": float(score)}
-                f.write(json.dumps(rec, sort_keys=True) + "\n")

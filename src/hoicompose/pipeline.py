@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import nn
-from .evaluation import Detections
 from .jsonfile import check_fields, read_json, write_json
 from .seeding import stream_seed, substream
+from .synth import Detections
 from .taxonomy import Taxonomy, compose_label, decouple_verb, one_hot
 
 _CHECKPOINT_SCHEMA = 2

@@ -71,7 +71,7 @@ class _Columns:
     axis indexes the records, so a row selection applies to all of them."""
 
     def __len__(self) -> int:
-        return len(self.object_label)
+        return len(getattr(self, fields(self)[0].name))
 
     def __getitem__(self, rows):
         """The records at rows (a slice, an index array or a boolean mask) as a new
@@ -117,6 +117,18 @@ class ObjectSet(_Columns):
     def empty(cls, n: int, feat_dim: int) -> "ObjectSet":
         """n zero rows, for gen_dataset to fill."""
         return cls(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), np.zeros((n, feat_dim)))
+
+
+@dataclass(eq=False)
+class Detections(_Columns):
+    """Scored detections as one grid: row i is one (human box, object box) pair,
+    and scores[i, c] its score for category c."""
+
+    human_box: np.ndarray  # (n, 4)
+    object_box: np.ndarray  # (n, 4)
+    scores: np.ndarray  # (n, n_categories)
+
+    kind = "detections"
 
 
 def tail_counts(n_categories: int, tail_exponent: float, head_count: int) -> np.ndarray:
@@ -341,17 +353,18 @@ def save_instances(path, instances) -> None:
 
 
 def load_instances(path):
-    """Read a save_instances directory as an HOISet or ObjectSet.
+    """Read a save_instances directory as an HOISet, ObjectSet or Detections.
 
     Its files must be exactly one set's <field>.npy column files, which fixes
-    the kind. Each is read without pickle, must hold the dtype and rank
-    save_instances writes, and all must have one row count. A failed check
-    raises ValueError naming the column file or column.
+    the kind: scores.npy makes a Detections, another HOISet-only file an HOISet.
+    Each is read without pickle, must hold the dtype and rank save_instances
+    writes, and all must have one row count. A failed check raises ValueError
+    naming the column file or column.
     """
     path = Path(path)
     found = {p.name for p in path.iterdir()}
     hoi_only = {f"{f.name}.npy" for f in fields(HOISet)} - {f"{f.name}.npy" for f in fields(ObjectSet)}
-    cls = HOISet if found & hoi_only else ObjectSet
+    cls = Detections if "scores.npy" in found else HOISet if found & hoi_only else ObjectSet
     names = [f.name for f in fields(cls)]
     unknown = found - {f"{name}.npy" for name in names}
     if unknown:
@@ -380,10 +393,10 @@ def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None
     rows have the wrong length (every row of a column has one length), else the
     first record (1-based) failing a value check. Returns feat_dim, so one length
     can be carried across files."""
+    if instances.kind != kind:  # an empty set too: its columns are another kind's
+        raise ValueError(f"record 1: expected kind {kind!r}")
     if not len(instances):
         return feat_dim
-    if instances.kind != kind:
-        raise ValueError(f"record 1: expected kind {kind!r}")
     if feat_dim is None:
         feat_dim = instances.object_feat.shape[1]
     if feat_dim < 1:

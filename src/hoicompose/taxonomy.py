@@ -108,12 +108,6 @@ class Taxonomy:
             if not 0 <= v < self.n_verbs:
                 raise ValueError(f"no-interaction verb id {v} out of range")
 
-    def pair_index(self, verb_id: int, object_id: int):
-        """Category index of (verb, object), or None when the pair is invalid."""
-        if not hasattr(self, "_pair_index"):
-            object.__setattr__(self, "_pair_index", {p: c for c, p in enumerate(self.hoi_pairs)})
-        return self._pair_index.get((verb_id, object_id))
-
     def categories_of_verb(self, verb_id: int) -> np.ndarray:
         return np.flatnonzero(self.verb_to_hoi[verb_id])
 
@@ -191,11 +185,3 @@ def decouple_object(hoi_label, tax: Taxonomy) -> np.ndarray:
     """Object multi-hot of an HOI label; mirror of decouple_verb."""
     y = _as_binary(hoi_label, tax.n_categories, "HOI label")
     return ((y @ tax.object_to_hoi.T) > 0).astype(np.int8)
-
-
-def is_valid_pair(verb_id: int, object_id: int, tax: Taxonomy) -> bool:
-    if not 0 <= verb_id < tax.n_verbs:
-        raise ValueError(f"verb id {verb_id} out of range [0, {tax.n_verbs})")
-    if not 0 <= object_id < tax.n_objects:
-        raise ValueError(f"object id {object_id} out of range [0, {tax.n_objects})")
-    return tax.pair_index(verb_id, object_id) is not None

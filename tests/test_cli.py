@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -19,6 +20,8 @@ import hoicompose
 from hoicompose import cli, pipeline
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.pipeline import load_checkpoint, train
+from hoicompose.synth import Detections, load_instances, save_instances
+from hoicompose.taxonomy import Taxonomy
 
 
 def write_config(path: Path, body: dict) -> str:
@@ -207,7 +210,11 @@ def test_zeroshot_report(trained_dir, data_dir, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert {"full", "rare", "nonrare", "unseen", "seen"} <= set(report["groups"])
     assert (out / "report.csv").is_file()
-    assert (out / "predictions.jsonl").is_file()
+    assert sorted(p.name for p in (out / "predictions").iterdir()) == [
+        "human_box.npy", "object_box.npy", "scores.npy"]
+    assert not (out / "predictions.jsonl").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["predictions", "report.csv", "report.json"]
     text = capsys.readouterr().out
     assert "unseen mAP" in text and "seen mAP" in text
 
@@ -222,7 +229,48 @@ def test_eval_hoi_needs_no_split(trained_dir, data_dir, tmp_path):
     assert run("eval-hoi", cfg, out) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert set(report["groups"]) == {"full", "rare", "nonrare"}
-    assert not (out / "predictions.jsonl").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.csv", "report.json"]
+
+
+@pytest.mark.parametrize("n_test", [60, 0])
+def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_path, n_test):
+    # predictions/ reads back as predict_dataset's Detections bit for bit: row i
+    # is test row i, and scores[:, c] category c
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    test_set = load_instances(data / "test")[:n_test]
+    save_instances(data / "test", test_set)
+    cfg = write_config(tmp_path / "eval.json", {
+        "data_dir": str(data),
+        "checkpoint": str(trained_dir / "checkpoint.json"),
+        "write_predictions": True,
+    })
+    out = tmp_path / "eval"
+    assert run("eval-hoi", cfg, out) == EXIT_OK
+    back = load_instances(out / "predictions")
+    model, _ = load_checkpoint(trained_dir / "checkpoint.json")
+    want = pipeline.predict_dataset(model, test_set, Taxonomy.load(data / "taxonomy.json"))
+    assert type(back) is Detections and len(back) == n_test
+    for name in ("human_box", "object_box", "scores"):
+        got, expected = getattr(back, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (np.dtype("<f8"), expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n_rows", [60, 0])
+def test_predictions_directory_is_not_a_test_set(trained_dir, data_dir, tmp_path, capsys, n_rows):
+    # a predictions directory in the test set's place is refused by kind, when
+    # it has no rows too
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    first = tmp_path / "first"
+    body = {"data_dir": str(data), "checkpoint": str(trained_dir / "checkpoint.json"), "write_predictions": True}
+    assert run("eval-hoi", write_config(tmp_path / "eval.json", body), first) == EXIT_OK
+    shutil.rmtree(data / "test")
+    save_instances(data / "test", load_instances(first / "predictions")[:n_rows])
+    out = tmp_path / "out"
+    assert run("eval-hoi", write_config(tmp_path / "eval.json", body), out) == EXIT_DATA
+    assert_data_error(capsys, out, "test: record 1: expected kind 'hoi'")
 
 
 @pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot"])
@@ -722,6 +770,15 @@ def test_gradcheck_end_to_end_checks_trains_first_step(seed):
         want = vars(want_batch)[key]
         assert (value is None and want is None) or (value.dtype == want.dtype and value.shape == want.shape
                                                      and value.tobytes() == want.tobytes()), key
+
+
+def test_gradcheck_seed_3_emits_no_warning(tmp_path, capsys):
+    # seed 3's miniature world has close object prototypes, which a gradient
+    # check does not depend on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("gradcheck", write_config(tmp_path / "gc.json", {"n_configs": 1}), tmp_path, seed=3) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_gradcheck_impossible_tolerance_fails(tmp_path):

@@ -18,11 +18,9 @@ from hoicompose.evaluation import (
     affordance_map,
     affordance_prf1,
     average_precision,
-    iou,
     make_split,
     map_report,
     match_detections,
-    save_predictions,
     write_report_csv,
 )
 from hoicompose.jsonfile import write_json
@@ -42,6 +40,20 @@ def four_cat_tax(counts=(1, 5, 9, 100)):
 
 # --- IoU ---
 
+def iou(box_a, box_b) -> float:
+    """Intersection over union of two (x1,y1,x2,y2) boxes in continuous coordinates:
+    the scalar oracle of evaluation._pair_iou."""
+    ax1, ay1, ax2, ay2 = box_a
+    bx1, by1, bx2, by2 = box_b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return float(inter / union)
+
+
 def test_iou_examples():
     assert iou(UNIT, UNIT) == 1.0
     assert iou(FAR, FAR2) == 0.0
@@ -60,6 +72,7 @@ def test_iou_symmetry_and_range():
         v = iou(a, b)
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(iou(b, a))
+        assert evaluation._pair_iou(a, b) == v  # the vectorized IoU reads the same bits
 
 
 # --- matching ---
@@ -367,22 +380,7 @@ def test_report_writers(tmp_path):
     assert any(line.startswith("full,") for line in lines)
 
 
-def test_predictions_roundtrip(tmp_path):
-    detections = Detections(np.array([UNIT, FAR]), np.array([RIGHT_HALF, FAR2]),
-                            np.array([[0.75, 0.5, 0.0], [0.25, 1.0, 0.125]]))
-    path = tmp_path / "preds.jsonl"
-    save_predictions(path, detections)
-    back = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(back) == 6
-    # row-major: every category of row 0, then of row 1
-    for k, rec in enumerate(back):
-        i, c = divmod(k, 3)
-        assert rec["human_box"] == detections.human_box[i].tolist()
-        assert rec["object_box"] == detections.object_box[i].tolist()
-        assert (c, detections.scores[i, c]) == (rec["category"], rec["score"])
-
-
-# --- the tuple path, kept as the oracle of map_report and save_predictions ---
+# --- the tuple path, kept as the oracle of map_report ---
 
 def ground_truth_pairs(instances):
     """(b_h, b_o, category) per set label bit of an HOISet."""
@@ -452,18 +450,6 @@ def map_report_oracle(predictions, ground_truth, n_categories):
         assert match_detections(preds_c, gt_c) == flags
         per_cat.append(average_precision_oracle(flags, len(gt_c)))
     return per_cat
-
-
-def save_predictions_oracle(path, predictions):
-    with open(path, "w") as f:
-        for human_box, object_box, category, score in predictions:
-            rec = {
-                "human_box": np.asarray(human_box, dtype=float).tolist(),
-                "object_box": np.asarray(object_box, dtype=float).tolist(),
-                "category": int(category),
-                "score": float(score),
-            }
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def assert_report_matches_oracle(report, detections, truth, tax, split=None):
@@ -661,16 +647,6 @@ def test_candidate_pairs_match_all_pairs_oracle_on_generated_data():
     boxes = (test_set.human_box, test_set.object_box)
     pred, gt = assert_candidate_pairs_match_oracle(*boxes, *boxes, evaluation.IOU_THRESHOLD)
     assert len(pred) > len(test_set)  # every self-pair, and more
-
-
-def test_save_predictions_matches_tuple_writer(tmp_path):
-    tax, world = gen_world(n_verbs=4, n_objects=5, c_pairs=9, feat_dim=6, seed=2)
-    _, test_set, _ = gen_dataset(world, tax, None, 30, 12, 0, seed=2)
-    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=2))
-    detections = predict_dataset(model, test_set, tax)
-    save_predictions(tmp_path / "grid.jsonl", detections)
-    save_predictions_oracle(tmp_path / "tuples.jsonl", detection_tuples(detections))
-    assert (tmp_path / "grid.jsonl").read_bytes() == (tmp_path / "tuples.jsonl").read_bytes()
 
 
 # --- affordance metrics ---

@@ -38,8 +38,7 @@ def test_no_unused_imports(path):
 
 
 def json_document_calls(source: str) -> list[str]:
-    """Whole-file json.dump / json.load calls (and imports of either by name);
-    the per-line json.dumps of the predictions.jsonl stream is exempt."""
+    """Whole-file json.dump / json.load calls (and imports of either by name)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and node.attr in ("dump", "load")

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from hoicompose.seeding import per_instance_rng, substream
 from hoicompose.evaluation import make_split
 from hoicompose.synth import (
+    Detections,
     HOISet,
     ObjectSet,
     WorldSpec,
@@ -242,9 +243,12 @@ def _float_column(n, width):
 
 @st.composite
 def column_sets(draw):
-    """An HOISet or ObjectSet of 0, 1 or n rows, of any float values (NaN and
-    ±inf too) and any label in its column's integer range."""
+    """An HOISet, ObjectSet or Detections of 0, 1 or n rows, of any float values
+    (NaN and ±inf too) and any label in its column's integer range."""
     n = draw(st.sampled_from([0, 1, draw(st.integers(2, 9))]))
+    if draw(st.booleans()):
+        return Detections(draw(_float_column(n, 4)), draw(_float_column(n, 4)),
+                          draw(_float_column(n, draw(st.integers(1, 6)))))
     feat_dim = draw(st.integers(1, 5))
     columns = {"object_box": draw(_float_column(n, 4)),
                "object_label": draw(hnp.arrays(np.int64, (n,))),
@@ -296,6 +300,19 @@ def test_load_rejects_unknown_kind(tmp_path):
     np.save(path / "mystery.npy", np.zeros(3))
     with pytest.raises(ValueError, match=re.escape("unknown column files: ['mystery.npy']")):
         load_instances(path)
+
+
+def test_load_refuses_a_stray_column_in_a_detections_directory(tmp_path):
+    # scores.npy makes the directory a Detections, whose files hold no label
+    detections = Detections(np.zeros((2, 4)), np.ones((2, 4)), np.full((2, 3), 0.5))
+    save_instances(tmp_path / "predictions", detections)
+    assert_same_set(load_instances(tmp_path / "predictions"), detections)
+    np.save(tmp_path / "predictions" / "hoi_label.npy", np.zeros((2, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match=re.escape("unknown column files: ['hoi_label.npy']")):
+        load_instances(tmp_path / "predictions")
+    (tmp_path / "predictions" / "scores.npy").unlink()
+    with pytest.raises(ValueError, match=re.escape("missing field 'object_label'")):
+        load_instances(tmp_path / "predictions")
 
 
 def saved_columns(tmp_path, part):

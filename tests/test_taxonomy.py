@@ -12,7 +12,6 @@ from hoicompose.taxonomy import (
     compose_label,
     decouple_object,
     decouple_verb,
-    is_valid_pair,
     one_hot,
 )
 
@@ -94,20 +93,6 @@ def test_decouple_roundtrip_single_pair():
         y[c] = 1
         assert decouple_verb(y, tax).tolist() == one_hot(3, v).tolist()
         assert decouple_object(y, tax).tolist() == one_hot(3, o).tolist()
-
-
-def test_is_valid_pair():
-    tax = small_tax()
-    assert is_valid_pair(0, 0, tax)
-    assert not is_valid_pair(1, 0, tax)
-    with pytest.raises(ValueError):
-        is_valid_pair(3, 0, tax)
-
-
-def test_pair_index():
-    tax = small_tax()
-    assert tax.pair_index(1, 1) == 2
-    assert tax.pair_index(1, 0) is None
 
 
 def test_categories_of_and_affordances():
