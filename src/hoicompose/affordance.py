@@ -65,6 +65,8 @@ class AffordanceBank:
         feat_dim = d["feat_dim"]
         entries = {}
         for v, rows in d["entries"].items():
+            if str(int(v)) != v:  # one spelling per verb: "01" would overwrite the rows of "1"
+                raise ValueError(f"bank entries key {v!r} is not a verb id in decimal")
             for j, row in enumerate(rows):
                 number_items(row, f"bank verb {v} row {j}")
             arr = np.asarray(rows, dtype=float)

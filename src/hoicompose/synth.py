@@ -95,13 +95,6 @@ class HOISet(_Columns):
 
     kind = "hoi"
 
-    @classmethod
-    def empty(cls, n: int, n_categories: int, feat_dim: int) -> "HOISet":
-        """n zero rows, for gen_dataset to fill."""
-        return cls(np.zeros((n, 4)), np.zeros((n, 4)), np.zeros(n, dtype=np.int64),
-                   np.zeros((n, n_categories), dtype=np.int8),
-                   np.zeros((n, feat_dim)), np.zeros((n, feat_dim)), np.zeros((n, feat_dim)))
-
 
 @dataclass(eq=False)
 class ObjectSet(_Columns):
@@ -112,11 +105,6 @@ class ObjectSet(_Columns):
     object_feat: np.ndarray  # (n, feat_dim)
 
     kind = "object"
-
-    @classmethod
-    def empty(cls, n: int, feat_dim: int) -> "ObjectSet":
-        """n zero rows, for gen_dataset to fill."""
-        return cls(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), np.zeros((n, feat_dim)))
 
 
 @dataclass(eq=False)
@@ -194,73 +182,66 @@ def gen_world(
     return tax, world
 
 
-def _sample_box(rng, min_side: float, max_side: float, center=None, jitter: float = 0.0) -> np.ndarray:
-    w = rng.uniform(min_side, max_side)
-    h = rng.uniform(min_side, max_side)
+def _boxes(u, min_side: float, max_side: float, center=None, jitter: float = 0.0) -> np.ndarray:
+    """(n, 4) boxes from four unit draws u a row, each mapped as Generator.uniform
+    maps it, low + (high - low) * u: the width and the height, then the top-left
+    corner, or with center (n, 2) the jitter of the box's center about it (the
+    box kept inside the image)."""
+    side = min_side + (max_side - min_side) * u[:, :2]
     if center is None:
-        x1 = rng.uniform(0.0, 1.0 - w)
-        y1 = rng.uniform(0.0, 1.0 - h)
+        corner = (1.0 - side) * u[:, 2:]  # low 0.0 adds nothing to a product >= +0.0
     else:
-        cx = np.clip(center[0] + rng.uniform(-jitter, jitter), w / 2, 1.0 - w / 2)
-        cy = np.clip(center[1] + rng.uniform(-jitter, jitter), h / 2, 1.0 - h / 2)
-        x1, y1 = cx - w / 2, cy - h / 2
-    return np.array([x1, y1, x1 + w, y1 + h])
+        corner = np.clip(center + (-jitter + 2 * jitter * u[:, 2:]), side / 2, 1.0 - side / 2) - side / 2
+    return np.hstack([corner, corner + side])
 
 
-def sample_hoi_instance(
-    world: WorldSpec,
-    tax: Taxonomy,
-    hoi_category: int,
-    rng: np.random.Generator,
-    co_label_prob: float = 0.0,
-    allowed_categories=None,
-) -> dict:
-    """Draw one HOI pair of the given category, as a record (field name -> value)
-    that gen_dataset writes into a row of an HOISet.
-
-    With probability co_label_prob each other valid category sharing the same
-    object is added to the label (restricted to allowed_categories when given,
-    so zero-shot splits stay leak-free). The verb feature always comes from the
-    primary category's verb.
-    """
-    if not 0 <= hoi_category < tax.n_categories:
-        raise ValueError(f"HOI category {hoi_category} out of range")
-    v, o = tax.hoi_pairs[hoi_category]
-
-    label = np.zeros(tax.n_categories, dtype=np.int8)
-    label[hoi_category] = 1
-    for c in tax.categories_of_object(o):
-        if c == hoi_category:
-            continue
-        take = rng.random() < co_label_prob
-        if take and (allowed_categories is None or c in allowed_categories):
-            label[c] = 1
-
-    sigma = world.noise_sigma
-    d = world.feat_dim
-    verb_feat = world.verb_prototypes[v] + sigma * rng.normal(size=d)
-    object_feat = world.object_prototypes[o] + sigma * rng.normal(size=d)
-    present_verbs = np.flatnonzero(decouple_verb(label, tax))
-    human_feat = world.verb_prototypes[present_verbs].mean(axis=0) + sigma * rng.normal(size=d)
-
-    human_box = _sample_box(rng, 0.25, 0.5)
-    center = ((human_box[0] + human_box[2]) / 2, (human_box[1] + human_box[3]) / 2)
-    object_box = _sample_box(rng, 0.1, 0.35, center=center, jitter=0.25)
-
-    return {"human_box": human_box, "object_box": object_box, "object_label": o, "hoi_label": label,
-            "human_feat": human_feat, "verb_feat": verb_feat, "object_feat": object_feat}
+def _draw_rows(seed: int, stream: str, n: int, pick, n_normal: int, n_unit: int, others=None, prob=0.0):
+    """The draws of a stream's rows 0..n-1, each from its own per_instance_rng,
+    as columns, in a row's draw order: its pick(rng); with others, one unit draw
+    per id in others[pick], kept as a coin that is set when the draw is below
+    prob; n_normal standard normals; n_unit unit draws."""
+    picks = np.zeros(n, dtype=np.int64)
+    coins = np.zeros((n, 0 if others is None else len(others)), dtype=bool)
+    normal, unit = np.empty((n, n_normal)), np.empty((n, n_unit))
+    for i in range(n):
+        rng = per_instance_rng(seed, stream, i)
+        p = picks[i] = pick(rng)
+        if others is not None:
+            coins[i, others[p]] = rng.random(len(others[p])) < prob
+        rng.standard_normal(out=normal[i])
+        rng.random(out=unit[i])
+    return picks, coins, normal, unit
 
 
-def sample_object_instance(world: WorldSpec, object_id: int, rng: np.random.Generator) -> dict:
-    """Draw one external-domain object record: prototype + domain shift + noise."""
-    if not 0 <= object_id < world.object_prototypes.shape[0]:
-        raise ValueError(f"object id {object_id} out of range")
-    feat = (
-        world.object_prototypes[object_id]
-        + world.object_domain_shift
-        + world.noise_sigma * rng.normal(size=world.feat_dim)
-    )
-    return {"object_box": _sample_box(rng, 0.2, 0.8), "object_label": object_id, "object_feat": feat}
+def _hoi_rows(world: WorldSpec, tax: Taxonomy, seed: int, stream: str, n: int, categories, cdf,
+              co_label_prob: float) -> HOISet:
+    """n HOI rows of the named stream, each of a category drawn from categories
+    (by cdf when given, else uniformly). Each other category of the row's object
+    joins its label when its unit draw is below co_label_prob and it is one of
+    categories. The verb feature comes from the drawn category's verb, the human
+    feature from the mean prototype of the label's verbs; the object box is
+    jittered about the human box's center."""
+    pairs = np.array(tax.hoi_pairs, dtype=np.int64)
+    ids = np.arange(tax.n_categories)
+    others = [np.flatnonzero((pairs[:, 1] == o) & (ids != c)) for c, (_, o) in enumerate(tax.hoi_pairs)]
+
+    def pick(rng):
+        k = rng.integers(len(categories)) if cdf is None else cdf.searchsorted(rng.random(), side="right")
+        return categories[k]
+
+    d, sigma = world.feat_dim, world.noise_sigma
+    cats, coins, noise, unit = _draw_rows(seed, stream, n, pick, 3 * d, 8, others, co_label_prob)
+    label = (coins & np.isin(ids, categories)).astype(np.int8)
+    label[np.arange(n), cats] = 1
+    verb_sets, which = np.unique(decouple_verb(label, tax), axis=0, return_inverse=True)
+    means = np.array([world.verb_prototypes[np.flatnonzero(s)].mean(axis=0) for s in verb_sets]).reshape(-1, d)
+    human_box = _boxes(unit[:, :4], 0.25, 0.5)
+    center = (human_box[:, :2] + human_box[:, 2:]) / 2
+    return HOISet(human_box=human_box, object_box=_boxes(unit[:, 4:], 0.1, 0.35, center, jitter=0.25),
+                  object_label=pairs[cats, 1], hoi_label=label,
+                  human_feat=means[which] + sigma * noise[:, 2 * d:],
+                  verb_feat=world.verb_prototypes[pairs[cats, 0]] + sigma * noise[:, :d],
+                  object_feat=world.object_prototypes[pairs[cats, 1]] + sigma * noise[:, d:2 * d])
 
 
 def gen_dataset(
@@ -276,50 +257,38 @@ def gen_dataset(
     """Draw (train, test, external) sets for one split: two HOISets and an ObjectSet.
 
     Train instances come only from seen categories, sampled proportionally to
-    the world's target counts; tax is left as given, and the realized
-    per-category counts are train.hoi_label.sum(axis=0). Test draws uniformly
-    over all categories; external objects draw uniformly over all object ids.
-    Each instance uses its own RNG stream, so generation is order-independent.
+    the world's target counts; their co-labels stay seen, so zero-shot splits
+    stay leak-free. tax is left as given, and the realized per-category counts
+    are train.hoi_label.sum(axis=0). Test draws uniformly over all categories;
+    external objects draw uniformly over all object ids, with features shifted
+    by the world's domain shift. Each instance uses its own RNG stream, so
+    generation is order-independent.
     """
     if not 0 <= co_label_prob <= 1:
         raise ValueError(f"co_label_prob must lie in [0, 1], got {co_label_prob}")
     if split is None:
-        seen = list(range(tax.n_categories))
+        seen = np.arange(tax.n_categories)
     else:
         split.validate(tax)
-        seen = sorted(split.seen_hoi_ids)
-    if not seen:
+        seen = np.array(sorted(split.seen_hoi_ids), dtype=np.int64)
+    if not len(seen):
         raise ValueError("split leaves zero seen categories to train on")
-    seen_set = set(seen)
 
     if world.target_counts.shape != (tax.n_categories,):
         raise ValueError("world target counts do not match this taxonomy")
     weights = world.target_counts[seen].astype(float)
-    probs = weights / weights.sum() if weights.sum() > 0 else None
+    cdf = None
+    if weights.sum() > 0:  # the cdf Generator.choice(len(seen), p=weights / weights.sum()) draws by
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+    train = _hoi_rows(world, tax, seed, "train", n_train, seen, cdf, co_label_prob)
+    test = _hoi_rows(world, tax, seed, "test", n_test, np.arange(tax.n_categories), None, co_label_prob)
 
-    train = HOISet.empty(n_train, tax.n_categories, world.feat_dim)
-    for i in range(n_train):
-        rng = per_instance_rng(seed, "train", i)
-        cat = seen[rng.choice(len(seen), p=probs)]
-        _write_row(train, i, sample_hoi_instance(world, tax, cat, rng, co_label_prob, allowed_categories=seen_set))
-
-    test = HOISet.empty(n_test, tax.n_categories, world.feat_dim)
-    for j in range(n_test):
-        rng = per_instance_rng(seed, "test", j)
-        cat = int(rng.integers(tax.n_categories))
-        _write_row(test, j, sample_hoi_instance(world, tax, cat, rng, co_label_prob))
-
-    external = ObjectSet.empty(n_external_objects, world.feat_dim)
     n_objects = world.object_prototypes.shape[0]
-    for k in range(n_external_objects):
-        rng = per_instance_rng(seed, "external", k)
-        _write_row(external, k, sample_object_instance(world, int(rng.integers(n_objects)), rng))
-    return train, test, external
-
-
-def _write_row(columns, i: int, record: dict) -> None:
-    for name, value in record.items():
-        getattr(columns, name)[i] = value
+    objects, _, noise, unit = _draw_rows(seed, "external", n_external_objects,
+                                         lambda rng: rng.integers(n_objects), world.feat_dim, 4)
+    feat = world.object_prototypes[objects] + world.object_domain_shift + world.noise_sigma * noise
+    return train, test, ObjectSet(object_box=_boxes(unit, 0.2, 0.8), object_label=objects, object_feat=feat)
 
 
 # The on-disk dtype of every column: little-endian float64 unless named here. The

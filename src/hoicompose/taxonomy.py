@@ -111,9 +111,6 @@ class Taxonomy:
     def categories_of_verb(self, verb_id: int) -> np.ndarray:
         return np.flatnonzero(self.verb_to_hoi[verb_id])
 
-    def categories_of_object(self, object_id: int) -> np.ndarray:
-        return np.flatnonzero(self.object_to_hoi[object_id])
-
     def affordance_matrix(self) -> np.ndarray:
         """Ground-truth affordances, (n_objects, n_verbs) bool: [o, v] is set iff
         (v, o) is a valid pair and v is not a no-interaction verb."""
@@ -136,6 +133,10 @@ class Taxonomy:
     def from_json_dict(cls, d: dict) -> "Taxonomy":
         check_fields(d, {"verbs": list, "objects": list, "pairs": list, "train_counts": list,
                          "no_interaction_verbs": list}, "taxonomy")
+        for key in ("verbs", "objects"):
+            for name in d[key]:
+                if type(name) is not str:  # a name is printed as text
+                    raise ValueError(f"taxonomy {key} must hold strings, got {name!r}")
         counts = d.get("train_counts")
         return cls.build(
             d["verbs"], d["objects"], [tuple(int_items(p, "taxonomy pair")) for p in d["pairs"]],

@@ -338,7 +338,7 @@ def recognize_objects_oracle(object_feats, bank, model, tax, hoi_threshold=0.5, 
 
 def affordances_of_object_oracle(tax, object_id) -> set:
     """Verbs valid for the object, minus the no-interaction verbs."""
-    return {tax.hoi_pairs[c][0] for c in tax.categories_of_object(object_id)} - tax.no_interaction_verbs
+    return {v for v, o in tax.hoi_pairs if o == object_id} - tax.no_interaction_verbs
 
 
 VALUES = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])

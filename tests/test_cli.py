@@ -125,6 +125,47 @@ def test_gen_data_seed_changes_data(data_dir, tmp_path):
     assert (out / "train" / "verb_feat.npy").read_bytes() != (data_dir / "train" / "verb_feat.npy").read_bytes()
 
 
+# The sha256 of every file gen-data writes at the byte-identity chain's config
+# (tools/chain_digest.py): 4000/3200/6400 rows, novel-object, seed 7. None of
+# them depends on the BLAS thread count.
+CHAIN_GEN_DATA_SHA256 = {
+    "external/object_box.npy": "a4b9131779b4e36af57f184c9ff6aafa61742bc9ea0cee8a8be084c621520fa9",
+    "external/object_feat.npy": "7492467b1a7ecaaf9768c62e4dafbad668331e1a53b930a3e17ef8cacaff1ae0",
+    "external/object_label.npy": "2123822e48f6ad4bde3e7501fca2b8857526d7245235e4d9ef9a604cd401aaa1",
+    "manifest.json": "7fd49b73204b25cdc0a47feb48580b85fa4307ed1ad5bd822c922ddba8291135",
+    "split.json": "8ff2c5fd3e882cce1a1e7d2c4c38c98bdb31da82f870f139c05a541e97b55877",
+    "taxonomy.json": "e89ed2791e2d008841d5a0cf381fda1e2035d46d189ce93ebcdf915e1fbdbb74",
+    "test/hoi_label.npy": "fff46b6f2cc8bacc4b8c0c1fdf5067d7d49affdecb3f9417ea005dd7f21325ab",
+    "test/human_box.npy": "f6aa5ad9e97870466773b1dbc12ae7cbb2d25d01299f56744c4f53d18a6ef1ac",
+    "test/human_feat.npy": "e57d88aef2ce7f11241de7f0ebc488e41ffbbf9abd0dcb02a18137c84c581ed4",
+    "test/object_box.npy": "7d8def407d2c8154468c6398d3a655ad74ebdb144f5409d30f797375e473a86a",
+    "test/object_feat.npy": "621c3b92d54bf362c3fa4c4a635b2b54450bbae201f2304a250a52e30f95cec6",
+    "test/object_label.npy": "713fa3fcc1a937b9e29581f651ddcb3344c155bde4ca206b64b002859faab196",
+    "test/verb_feat.npy": "edb3e2f3db0311ab8fe9ca30785d9125a72575dca9e8d566706c8e885ea00c6a",
+    "train/hoi_label.npy": "9796c84ac44c2dddb7c728e088b19adf71596e91ab6c786fdc72dac6abd1a31d",
+    "train/human_box.npy": "cce1a09d3f956b69dda0320e0dc030ddea9b6577ce75d8d270569575bc9dba4f",
+    "train/human_feat.npy": "ab691362612f379b52e90732727a5c205d5c180f1f84d21fde9771d943b12a74",
+    "train/object_box.npy": "859fed8c83a3a8c20309161a66fc683556d5b40495109f47fadacd5e1aaced90",
+    "train/object_feat.npy": "323f461bd33f552799affd428f3950652d4dd941fbbf7f82679b5a1f3a72ec82",
+    "train/object_label.npy": "5e20cebb7f5083496db46bb769a949cdfc7b7eecc1ea45d725f6068094fe1113",
+    "train/verb_feat.npy": "68bb48d348885bae4ac1a88ec94f3c658f744e3e1df5ed2ce02513001bbfbfca",
+}
+CHAIN_GEN_DATA_STDOUT_SHA256 = "7c847d03955f2babc9f774f5ed67786a0ef4399dc7f4c48a2d2e840108f5a850"
+
+
+def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
+    # run as the chain runs it: in its output root, on relative paths
+    monkeypatch.chdir(tmp_path)
+    config = {"dataset": {"n_train": 4000, "n_test": 3200, "n_external_objects": 6400},
+              "split": {"mode": "novel-object"}, "seed": 7}
+    Path("gen-data.json").write_text(json.dumps(config, sort_keys=True) + "\n")
+    assert main(["gen-data", "--config", "gen-data.json", "--out", "gen-data"]) == EXIT_OK
+    written = {p.relative_to("gen-data").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path("gen-data").rglob("*") if p.is_file()}
+    assert written == CHAIN_GEN_DATA_SHA256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_GEN_DATA_STDOUT_SHA256
+
+
 def test_train_outputs(trained_dir, data_dir):
     assert (trained_dir / "checkpoint.json").is_file()
     assert (trained_dir / "trace.csv").is_file()
@@ -711,25 +752,53 @@ def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
     assert {row["object_label"] for row in doc["objects"]} <= novel
 
 
+def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda doc: None, data=None):
+    """affordance's exit code and output dir, over data (default data_dir) with
+    a bank built from data_dir whose bank.json edit_bank changed."""
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+               tmp_path / "bank") == EXIT_OK
+    path = tmp_path / "bank" / "bank.json"
+    doc = json.loads(path.read_text())
+    edit_bank(doc)
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data or data_dir), "bank": str(path),
+                                                "checkpoint": str(trained_dir / "checkpoint.json")})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    return run("affordance", cfg, out), out
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["entries"]["0"].__setitem__(0, [str(x) for x in d["entries"]["0"][0]]),
     lambda d: d["entries"]["0"][0].__setitem__(0, True),
 ])
 def test_affordance_rejects_bank_of_non_numbers(trained_dir, data_dir, tmp_path, capsys, edit):
     # a float cast would load such a row as numbers
-    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
-               tmp_path / "bank") == EXIT_OK
-    doc = json.loads((tmp_path / "bank" / "bank.json").read_text())
-    edit(doc)
-    (tmp_path / "bank" / "bank.json").write_text(json.dumps(doc))
-    cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data_dir), "bank": str(tmp_path / "bank" / "bank.json"),
-                                                "checkpoint": str(trained_dir / "checkpoint.json")})
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run("affordance", cfg, out) == EXIT_DATA
+    code, out = run_affordance(trained_dir, data_dir, tmp_path, capsys, edit)
+    assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: failed to load bank ") and "bank verb 0 row 0: not a number" in err, err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d["entries"].__setitem__("01", d["entries"]["1"][:1]), "'01'"),  # loaded as verb 1's only row
+    (lambda d: d["entries"].__setitem__(" 2", d["entries"].pop("2")), "' 2'"),
+])
+def test_affordance_rejects_a_bank_key_of_another_spelling(trained_dir, data_dir, tmp_path, capsys, edit, key):
+    code, out = run_affordance(trained_dir, data_dir, tmp_path, capsys, edit)
+    assert code == EXIT_DATA
+    assert_data_error(capsys, out, f"bank entries key {key} is not a verb id in decimal")
+
+
+@pytest.mark.parametrize("key", ["verbs", "objects"])
+def test_affordance_rejects_a_taxonomy_name_that_is_not_a_string(trained_dir, data_dir, tmp_path, capsys, key):
+    # a list name used to load, and the affordance table then failed to print it
+    data = corrupt_copy(data_dir, tmp_path / "data", "taxonomy.json",
+                        lambda d: d.__setitem__(key, [[i] for i in range(len(d[key]))]))
+    code, out = run_affordance(trained_dir, data_dir, tmp_path, capsys, data=data)
+    assert code == EXIT_DATA
+    assert_data_error(capsys, out, f"taxonomy {key} must hold strings, got [0]")
 
 
 def test_gradcheck_passes_and_writes(tmp_path):

@@ -357,7 +357,8 @@ def test_map_report_rejects_out_of_range_category():
 def test_map_report_of_an_empty_test_set(tmp_path):
     # a saved 0-row test set: every category has no GT
     tax = four_cat_tax()
-    save_instances(tmp_path / "test", HOISet.empty(0, tax.n_categories, 3))
+    save_instances(tmp_path / "test", HOISet(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
+                                             np.zeros((0, tax.n_categories), dtype=np.int8), *[np.zeros((0, 3))] * 3))
     empty = load_instances(tmp_path / "test")
     assert len(empty) == 0 and empty.hoi_label.shape == (0, tax.n_categories)
     report = map_report(Detections(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4))), empty, tax)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,11 @@ from hoicompose.synth import (
     gen_dataset,
     gen_world,
     load_instances,
-    sample_hoi_instance,
-    sample_object_instance,
     save_instances,
     tail_counts,
     validate_instances,
 )
-from hoicompose.taxonomy import decouple_object, one_hot
+from hoicompose.taxonomy import decouple_object, decouple_verb
 
 
 def test_gen_world_complete_bipartite():
@@ -50,7 +49,9 @@ def test_tail_exponent_zero_uniform_counts():
 def test_tail_counts_match_analytic_distribution():
     # Sorted-decreasing realized counts must equal max(1, round(head * k^-tau)).
     tau, head, c = 1.5, 1000, 50
-    tax, _ = gen_world(n_verbs=10, n_objects=10, c_pairs=c, feat_dim=4,
+    # gen_world draws nothing with noise_sigma, so the counts do not depend on
+    # it; at 0 no prototype lies within 4 sigma of another
+    tax, _ = gen_world(n_verbs=10, n_objects=10, c_pairs=c, feat_dim=4, noise_sigma=0.0,
                        tail_exponent=tau, head_count=head, seed=2)
     got = np.sort(tax.train_counts)[::-1]
     ranks = np.arange(1, c + 1, dtype=float)
@@ -83,69 +84,199 @@ def test_world_validate_warns_on_close_prototypes():
         world.validate()
 
 
-def test_sample_hoi_noiseless_features_equal_prototypes():
+def sample_box(rng, min_side, max_side, center=None, jitter=0.0):
+    """The per-record box draw: width, height, then the corner or the jitter."""
+    w = rng.uniform(min_side, max_side)
+    h = rng.uniform(min_side, max_side)
+    if center is None:
+        x1 = rng.uniform(0.0, 1.0 - w)
+        y1 = rng.uniform(0.0, 1.0 - h)
+    else:
+        cx = np.clip(center[0] + rng.uniform(-jitter, jitter), w / 2, 1.0 - w / 2)
+        cy = np.clip(center[1] + rng.uniform(-jitter, jitter), h / 2, 1.0 - h / 2)
+        x1, y1 = cx - w / 2, cy - h / 2
+    return np.array([x1, y1, x1 + w, y1 + h])
+
+
+def sample_hoi_record(world, tax, hoi_category, rng, co_label_prob, allowed_categories=None):
+    """One HOI row of the given category as a record (field name -> value),
+    drawn one value at a time."""
+    v, o = tax.hoi_pairs[hoi_category]
+    label = np.zeros(tax.n_categories, dtype=np.int8)
+    label[hoi_category] = 1
+    for c in np.flatnonzero(tax.object_to_hoi[o]):
+        if c == hoi_category:
+            continue
+        take = rng.random() < co_label_prob
+        if take and (allowed_categories is None or c in allowed_categories):
+            label[c] = 1
+    sigma, d = world.noise_sigma, world.feat_dim
+    verb_feat = world.verb_prototypes[v] + sigma * rng.normal(size=d)
+    object_feat = world.object_prototypes[o] + sigma * rng.normal(size=d)
+    present_verbs = np.flatnonzero(decouple_verb(label, tax))
+    human_feat = world.verb_prototypes[present_verbs].mean(axis=0) + sigma * rng.normal(size=d)
+    human_box = sample_box(rng, 0.25, 0.5)
+    center = ((human_box[0] + human_box[2]) / 2, (human_box[1] + human_box[3]) / 2)
+    object_box = sample_box(rng, 0.1, 0.35, center=center, jitter=0.25)
+    return {"human_box": human_box, "object_box": object_box, "object_label": o, "hoi_label": label,
+            "human_feat": human_feat, "verb_feat": verb_feat, "object_feat": object_feat}
+
+
+def sample_object_record(world, object_id, rng):
+    feat = world.object_prototypes[object_id] + world.object_domain_shift + world.noise_sigma * rng.normal(
+        size=world.feat_dim)
+    return {"object_box": sample_box(rng, 0.2, 0.8), "object_label": object_id, "object_feat": feat}
+
+
+def write_row(columns, i, record):
+    for name, value in record.items():
+        getattr(columns, name)[i] = value
+
+
+def record_gen_dataset(world, tax, split, n_train, n_test, n_external_objects, seed, co_label_prob):
+    """gen_dataset's oracle: zero columns, each row then written from a record
+    drawn value by value from its own generator, the category by Generator.choice."""
+    seen = list(range(tax.n_categories)) if split is None else sorted(split.seen_hoi_ids)
+    weights = world.target_counts[seen].astype(float)
+    probs = weights / weights.sum() if weights.sum() > 0 else None
+    C, d = tax.n_categories, world.feat_dim
+    train, test = (HOISet(np.zeros((n, 4)), np.zeros((n, 4)), np.zeros(n, dtype=np.int64),
+                          np.zeros((n, C), dtype=np.int8), np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d)))
+                   for n in (n_train, n_test))
+    for i in range(n_train):
+        rng = per_instance_rng(seed, "train", i)
+        cat = seen[rng.choice(len(seen), p=probs)]
+        write_row(train, i, sample_hoi_record(world, tax, cat, rng, co_label_prob, allowed_categories=set(seen)))
+    for j in range(n_test):
+        rng = per_instance_rng(seed, "test", j)
+        write_row(test, j, sample_hoi_record(world, tax, int(rng.integers(C)), rng, co_label_prob))
+    n = n_external_objects
+    external = ObjectSet(np.zeros((n, 4)), np.zeros(n, dtype=np.int64), np.zeros((n, d)))
+    for k in range(n):
+        rng = per_instance_rng(seed, "external", k)
+        write_row(external, k, sample_object_record(world, int(rng.integers(world.object_prototypes.shape[0])), rng))
+    return train, test, external
+
+
+def assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def oracle_split(tax, mode, draw_int):
+    """A split of mode (None for no split) whose unseen parts draw_int(lo, hi)
+    picks, or None when the mode leaves no category seen."""
+    if mode is None or "composition" in mode and tax.n_categories < 2:
+        return None
+    try:
+        if mode == "novel-object":
+            return make_split(tax, mode, unseen_object_ids=[draw_int(0, tax.n_objects - 1)])
+        if "composition" in mode:
+            return make_split(tax, mode, unseen_count=draw_int(1, tax.n_categories - 1))
+        return make_split(tax, mode)
+    except ValueError:  # one category, or one object holding every category
+        return None
+
+
+ORACLE_SPLIT_MODES = [None, "none", "unseen-composition-rare-first", "unseen-composition-nonrare-first",
+                      "novel-object"]
+
+
+@st.composite
+def dataset_cases(draw):
+    """A random world and split, and gen_dataset's other arguments; a world may
+    weigh every seen category 0."""
+    n_verbs, n_objects = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # close prototypes are a fine world here
+        tax, world = gen_world(n_verbs=n_verbs, n_objects=n_objects, c_pairs=draw(st.integers(1, n_verbs * n_objects)),
+                               feat_dim=draw(st.integers(2, 5)), noise_sigma=draw(st.sampled_from([0.0, 0.3, 2.0])),
+                               tail_exponent=draw(st.sampled_from([0.0, 1.5])), seed=draw(st.integers(0, 2**32)),
+                               head_count=draw(st.integers(1, 50)))
+    split = oracle_split(tax, draw(st.sampled_from(ORACLE_SPLIT_MODES)), lambda lo, hi: draw(st.integers(lo, hi)))
+    if draw(st.booleans()):
+        seen = list(range(tax.n_categories)) if split is None else sorted(split.seen_hoi_ids)
+        world.target_counts[seen] = 0 if draw(st.booleans()) else draw(
+            hnp.arrays(np.int64, len(seen), elements=st.integers(0, 3)))
+    sizes = [draw(st.sampled_from([0, 1, draw(st.integers(2, 40))])) for _ in range(3)]
+    return world, tax, split, sizes, draw(st.integers(0, 2**32)), draw(st.sampled_from([0.0, 1.0, 0.1, 0.5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset_cases())
+def test_gen_dataset_matches_record_oracle(case):
+    # the column draws give the per-record path's bytes, column by column
+    world, tax, split, sizes, seed, co_label_prob = case
+    got = gen_dataset(world, tax, split, *sizes, seed=seed, co_label_prob=co_label_prob)
+    want = record_gen_dataset(world, tax, split, *sizes, seed, co_label_prob)
+    for part, oracle in zip(got, want):
+        assert_same_bytes(part, oracle)
+
+
+@pytest.mark.parametrize("mode", ORACLE_SPLIT_MODES)
+def test_gen_dataset_matches_record_oracle_at_desk_scale(mode):
+    # the desk world: 60 categories over 20 objects, so most rows draw several co-labels
+    tax, world = gen_world(seed=7)
+    split = oracle_split(tax, mode, lambda lo, hi: (lo + hi) // 2)
+    args = (world, tax, split, 300, 200, 200)
+    for part, oracle in zip(gen_dataset(*args, seed=7, co_label_prob=0.5), record_gen_dataset(*args, 7, 0.5)):
+        assert_same_bytes(part, oracle)
+
+
+def test_noiseless_features_equal_prototypes():
+    # sigma 0 and one category a row: every feature is its prototype
     tax, world = gen_world(seed=4, noise_sigma=0.0)
-    rng = np.random.default_rng(0)
-    cat = 7
-    v, o = tax.hoi_pairs[cat]
-    inst = sample_hoi_instance(world, tax, cat, rng)
-    np.testing.assert_array_equal(inst["verb_feat"], world.verb_prototypes[v])
-    np.testing.assert_array_equal(inst["object_feat"], world.object_prototypes[o])
-    np.testing.assert_array_equal(inst["human_feat"], world.verb_prototypes[v])
+    _, test, _ = gen_dataset(world, tax, None, 0, 300, 0, seed=4, co_label_prob=0.0)
+    assert (test.hoi_label.sum(axis=1) == 1).all()
+    verb = np.array(tax.hoi_pairs)[test.hoi_label.argmax(axis=1), 0]
+    np.testing.assert_array_equal(test.verb_feat, world.verb_prototypes[verb])
+    np.testing.assert_array_equal(test.object_feat, world.object_prototypes[test.object_label])
+    np.testing.assert_array_equal(test.human_feat, world.verb_prototypes[verb])
 
 
-def one_row(record):
-    """A one-row set holding record (an HOISet when it has a label)."""
-    cls = HOISet if "hoi_label" in record else ObjectSet
-    return cls(**{name: np.asarray(value)[None] for name, value in record.items()})
+def test_hoi_label_consistency():
+    # every label is of the row's object alone and sets the drawn category, whose
+    # verb the noiseless verb feature names; some labels carry co-labels
+    tax, world = gen_world(seed=4, noise_sigma=0.0)
+    _, test, _ = gen_dataset(world, tax, None, 0, 300, 0, seed=4, co_label_prob=0.5)
+    np.testing.assert_array_equal(decouple_object(test.hoi_label, tax), np.eye(tax.n_objects)[test.object_label])
+    verb = (test.verb_feat[:, None, :] == world.verb_prototypes).all(axis=2).argmax(axis=1)
+    drawn = [tax.hoi_pairs.index((v, o)) for v, o in zip(verb, test.object_label)]
+    assert (test.hoi_label[np.arange(len(test)), drawn] == 1).all()
+    assert (test.hoi_label.sum(axis=1) > 1).any()
+    assert validate_instances(test, "hoi", tax) == world.feat_dim
 
 
-def test_sample_hoi_label_consistency():
-    tax, world = gen_world(seed=4)
-    rng = np.random.default_rng(1)
-    for cat in range(0, tax.n_categories, 7):
-        inst = sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.5)
-        assert inst["hoi_label"][cat] == 1
-        want = one_hot(tax.n_objects, inst["object_label"])
-        np.testing.assert_array_equal(decouple_object(inst["hoi_label"], tax), want)
-        assert validate_instances(one_row(inst), "hoi", tax) == world.feat_dim
-
-
-def test_sample_hoi_instance_invariants_bulk():
+def test_hoi_rows_invariants_bulk():
     tax, world = gen_world(seed=9)
-    instances = HOISet.empty(500, tax.n_categories, world.feat_dim)
-    for i in range(500):
-        rng = per_instance_rng(9, "bulk", i)
-        cat = int(rng.integers(tax.n_categories))
-        for name, value in sample_hoi_instance(world, tax, cat, rng, co_label_prob=0.2).items():
-            getattr(instances, name)[i] = value
-    assert validate_instances(instances, "hoi", tax, world.feat_dim) == world.feat_dim
+    train, test, _ = gen_dataset(world, tax, None, 500, 500, 0, seed=9, co_label_prob=0.2)
+    for part in (train, test):
+        assert validate_instances(part, "hoi", tax, world.feat_dim) == world.feat_dim
+
+
+def nearest_prototype_accuracy(prototypes, feats, labels):
+    d = np.linalg.norm(feats[:, None, :] - prototypes[None, :, :], axis=2)
+    return (d.argmin(axis=1) == labels).mean()
 
 
 def test_nearest_prototype_recovers_object_label():
     # With sigma small relative to prototype separation, nearest-prototype
     # classification of object_feat must recover the label almost surely.
     tax, world = gen_world(seed=11)
-    hits = 0
-    n = 2000
-    for i in range(n):
-        rng = per_instance_rng(11, "nn-check", i)
-        cat = int(rng.integers(tax.n_categories))
-        inst = sample_hoi_instance(world, tax, cat, rng)
-        d = np.linalg.norm(world.object_prototypes - inst["object_feat"], axis=1)
-        hits += int(np.argmin(d)) == inst["object_label"]
-    assert hits / n >= 0.99
+    _, test, _ = gen_dataset(world, tax, None, 0, 2000, 0, seed=11)
+    assert nearest_prototype_accuracy(world.object_prototypes, test.object_feat, test.object_label) >= 0.99
 
 
 def test_external_object_domain_shift():
     tax, world = gen_world(seed=12, noise_sigma=0.0)
-    rng = np.random.default_rng(0)
-    inst = sample_object_instance(world, 3, rng)
-    np.testing.assert_allclose(inst["object_feat"], world.object_prototypes[3] + world.object_domain_shift)
-    one = one_row(inst)
-    assert validate_instances(one, "object", tax, world.feat_dim) == world.feat_dim
-    with pytest.raises(ValueError):
-        sample_object_instance(world, tax.n_objects, rng)
+    _, _, external = gen_dataset(world, tax, None, 0, 0, 100, seed=12)
+    assert len(set(external.object_label)) > 1
+    np.testing.assert_array_equal(external.object_feat,
+                                  world.object_prototypes[external.object_label] + world.object_domain_shift)
+    assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
 
 
 def test_large_shift_hurts_nearest_prototype():
@@ -154,14 +285,8 @@ def test_large_shift_hurts_nearest_prototype():
     big = WorldSpec(**{**world.__dict__, "object_domain_shift": np.full(world.feat_dim, 2.0)})
 
     def accuracy(w):
-        hits = 0
-        for i in range(400):
-            rng = per_instance_rng(13, "shift", i)
-            o = int(rng.integers(tax.n_objects))
-            inst = sample_object_instance(w, o, rng)
-            d = np.linalg.norm(w.object_prototypes - inst["object_feat"], axis=1)
-            hits += int(np.argmin(d)) == o
-        return hits / 400
+        _, _, external = gen_dataset(w, tax, None, 0, 0, 400, seed=13)
+        return nearest_prototype_accuracy(w.object_prototypes, external.object_feat, external.object_label)
 
     assert accuracy(big) < accuracy(base_world)
 
@@ -510,8 +635,8 @@ def test_validate_instances_names_first_bad_record(tmp_path, edit, want):
 def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
     tax, world = gen_world(seed=28)
     train, _, external = gen_dataset(world, tax, None, 3, 0, 4, seed=28)
-    assert validate_instances(ObjectSet.empty(0, world.feat_dim), "object", tax) is None
-    assert validate_instances(ObjectSet.empty(0, world.feat_dim), "object", tax, 5) == 5
+    assert validate_instances(external[:0], "object", tax) is None
+    assert validate_instances(external[:0], "object", tax, 5) == 5
     assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError, match="record 1: object_feat has shape"):
         validate_instances(external, "object", tax, world.feat_dim + 1)

@@ -98,7 +98,7 @@ def test_decouple_roundtrip_single_pair():
 def test_categories_of_and_affordances():
     tax = small_tax()
     assert tax.categories_of_verb(2).tolist() == [3, 4]
-    assert tax.categories_of_object(1).tolist() == [1, 2]
+    assert np.flatnonzero(tax.object_to_hoi[1]).tolist() == [1, 2]
     # no_interaction excluded from affordances
     afford = tax.affordance_matrix()
     assert afford.dtype == bool
