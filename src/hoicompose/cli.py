@@ -313,6 +313,8 @@ def cmd_build_bank(cfg: dict, args) -> int:
         bank = build_bank(data["train"], data["taxonomy"], m=s["m"], seed=s["seed"])
     except ValueError as e:
         raise ConfigError(f"build-bank: {e}")
+    if bank.total_entries == 0:  # affordance refuses such a bank
+        raise DataError("build-bank: bank has no entries: every verb of the train rows is a no-interaction verb")
     bank.save(out / "bank.json")
     _write_manifest(out, "build-bank", s, data["inputs"], ["bank.json"])
     counts = bank.s_counts()
@@ -429,6 +431,8 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
     if "seed" in cfg or args.seed is not None:
         raise ConfigError("reproduce-trends takes no seed or --seed: trend seeds come from the seeds list")
     s = _settings(cfg, args)
+    if "seed" in s["train"]:
+        raise ConfigError("reproduce-trends takes no train.seed: trend seeds come from the seeds list")
     try:
         settings = TrendSettings(**{**s, "seeds": tuple(s["seeds"]), "train": TrainConfig.from_json_dict(s["train"])})
         settings.validate()

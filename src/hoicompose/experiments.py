@@ -13,10 +13,10 @@ from statistics import median
 import numpy as np
 
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
-from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report
-from .pipeline import TrainConfig, TrainResult, baseline_config, predict_dataset, train
+from .evaluation import affordance_map, affordance_prf1, make_split, map_report
+from .pipeline import HOIModel, TrainConfig, baseline_config, predict_dataset, train
 from .seeding import substream
-from .synth import HOISet, ObjectSet, gen_dataset, gen_world
+from .synth import HOISet, gen_dataset, gen_world
 from .taxonomy import Taxonomy
 
 # Trend thresholds: the margins the comparison must clear.
@@ -50,18 +50,12 @@ class TrendSettings:
 
 @dataclass
 class SeedRun:
-    """Everything one seed produced; kept so later checks can reuse the models."""
+    """What bank_stability reads of one seed, and the seed's metrics."""
 
     seed: int
     tax: Taxonomy
-    split: SplitSpec
     train_set: HOISet
-    test_set: HOISet
-    external: ObjectSet
-    atl: TrainResult
-    base: TrainResult
-    detection: dict  # {"atl": EvalReport, "baseline": EvalReport}
-    affordance: dict  # {"atl"/"baseline": {"prf1": PRF1, "map": float}}
+    atl_model: HOIModel
     novel_feats: np.ndarray  # (n_novel, feat_dim)
     novel_gt: np.ndarray  # (n_novel, n_verbs) bool, the novel objects' true affordances
     metrics: dict
@@ -74,57 +68,36 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
         world, tax, split, settings.n_train, settings.n_test, settings.n_external, seed=seed)
 
     cfg = replace(settings.train, seed=seed)
-    atl = train(train_set, external, tax, cfg)
-    base = train(train_set, [], tax, baseline_config(cfg))
+    models = {"atl": train(train_set, external, tax, cfg).model,
+              "baseline": train(train_set, [], tax, baseline_config(cfg)).model}
 
     # Rare/non-rare groups count the training labels actually drawn.
     counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
-    detection = {
-        "atl": map_report(predict_dataset(atl.model, test_set, tax), test_set, counted, split),
-        "baseline": map_report(predict_dataset(base.model, test_set, tax), test_set, counted, split),
-    }
+    metrics = {"seed": seed}
+    for name, model in models.items():
+        groups = map_report(predict_dataset(model, test_set, tax), test_set, counted, split).groups
+        metrics.update({f"{name}_{group}_map": groups[group]["map"] for group in ("unseen", "seen", "full")})
 
     novel = external[np.isin(external.object_label, sorted(split.unseen_object_ids))]
     if not len(novel):
         raise ValueError(f"seed {seed}: no novel objects in the external stream")
-    novel_feats = novel.object_feat
     novel_gt = tax.affordance_matrix()[novel.object_label]
     bank = build_bank(train_set, tax, m=settings.bank_m, seed=seed)
-    affordance = {}
-    for name, result in (("atl", atl), ("baseline", base)):
-        r = recognize_objects(novel_feats, bank, result.model, tax)
-        affordance[name] = {
-            "prf1": affordance_prf1(r.kept, novel_gt),
-            "map": affordance_map(r.scores, novel_gt),
-        }
-
-    metrics = {
-        "seed": seed,
-        "atl_unseen_map": detection["atl"].groups["unseen"]["map"],
-        "atl_seen_map": detection["atl"].groups["seen"]["map"],
-        "atl_full_map": detection["atl"].groups["full"]["map"],
-        "baseline_unseen_map": detection["baseline"].groups["unseen"]["map"],
-        "baseline_seen_map": detection["baseline"].groups["seen"]["map"],
-        "baseline_full_map": detection["baseline"].groups["full"]["map"],
-        "atl_affordance_f1": affordance["atl"]["prf1"].micro_f1,
-        "baseline_affordance_f1": affordance["baseline"]["prf1"].micro_f1,
-        "atl_affordance_map": affordance["atl"]["map"],
-        "baseline_affordance_map": affordance["baseline"]["map"],
-        "n_novel_objects": len(novel),
-    }
-    return SeedRun(
-        seed=seed, tax=tax, split=split, train_set=train_set, test_set=test_set,
-        external=external, atl=atl, base=base, detection=detection,
-        affordance=affordance, novel_feats=novel_feats, novel_gt=novel_gt, metrics=metrics,
-    )
+    recognized = {name: recognize_objects(novel.object_feat, bank, model, tax) for name, model in models.items()}
+    metrics.update({f"{name}_affordance_f1": affordance_prf1(r.kept, novel_gt).micro_f1
+                    for name, r in recognized.items()})
+    metrics.update({f"{name}_affordance_map": affordance_map(r.scores, novel_gt) for name, r in recognized.items()})
+    metrics["n_novel_objects"] = len(novel)
+    return SeedRun(seed=seed, tax=tax, train_set=train_set, atl_model=models["atl"],
+                   novel_feats=novel.object_feat, novel_gt=novel_gt, metrics=metrics)
 
 
 def bank_stability(run: SeedRun, settings: TrendSettings) -> dict:
     """Affordance mAP with a small bank vs the full bank, on one seed's ATL model.
     The full bank's is the ATL affordance mAP run_trend_seed already measured."""
     small = build_bank(run.train_set, run.tax, m=settings.bank_m_small, seed=run.seed)
-    map_small = affordance_map(recognize_objects(run.novel_feats, small, run.atl.model, run.tax).scores, run.novel_gt)
-    map_full = run.affordance["atl"]["map"]
+    map_small = affordance_map(recognize_objects(run.novel_feats, small, run.atl_model, run.tax).scores, run.novel_gt)
+    map_full = run.metrics["atl_affordance_map"]
     rel = abs(map_small - map_full) / map_full if map_full > 0 else float("inf")
     return {
         "m_small": settings.bank_m_small,
@@ -141,7 +114,6 @@ class TrendReport:
     medians: dict
     bank: dict
     checks: dict
-    runs: list[SeedRun] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,21 +126,15 @@ class TrendReport:
     def format_table(self) -> str:
         header = (f"{'seed':>4} {'ATL-unseen':>10} {'base-unseen':>11} {'ATL-seen':>9} "
                   f"{'base-seen':>9} {'ATL-F1':>7} {'base-F1':>8} {'ATL-aMAP':>9} {'base-aMAP':>9}")
-        lines = [header, "-" * len(header)]
-        for m in self.per_seed:
-            lines.append(
-                f"{m['seed']:>4} {m['atl_unseen_map']:>10.4f} {m['baseline_unseen_map']:>11.4f} "
-                f"{m['atl_seen_map']:>9.4f} {m['baseline_seen_map']:>9.4f} "
-                f"{m['atl_affordance_f1']:>7.4f} {m['baseline_affordance_f1']:>8.4f} "
-                f"{m['atl_affordance_map']:>9.4f} {m['baseline_affordance_map']:>9.4f}")
-        med = self.medians
-        lines.append("-" * len(header))
-        lines.append(
-            f"{'med':>4} {med['atl_unseen_map']:>10.4f} {med['baseline_unseen_map']:>11.4f} "
-            f"{med['atl_seen_map']:>9.4f} {med['baseline_seen_map']:>9.4f} "
-            f"{med['atl_affordance_f1']:>7.4f} {med['baseline_affordance_f1']:>8.4f} "
-            f"{med['atl_affordance_map']:>9.4f} {med['baseline_affordance_map']:>9.4f}")
-        lines.append("")
+
+        def row(label, m: dict) -> str:
+            return (f"{label:>4} {m['atl_unseen_map']:>10.4f} {m['baseline_unseen_map']:>11.4f} "
+                    f"{m['atl_seen_map']:>9.4f} {m['baseline_seen_map']:>9.4f} "
+                    f"{m['atl_affordance_f1']:>7.4f} {m['baseline_affordance_f1']:>8.4f} "
+                    f"{m['atl_affordance_map']:>9.4f} {m['baseline_affordance_map']:>9.4f}")
+
+        rule = "-" * len(header)
+        lines = [header, rule, *(row(m["seed"], m) for m in self.per_seed), rule, row("med", self.medians), ""]
         b = self.bank
         lines.append(f"bank stability: aMAP {b['map_small']:.4f} @ M={b['m_small']} vs "
                      f"{b['map_full']:.4f} @ M={b['m_full']} (rel diff {b['rel_diff']:.3f})")
@@ -177,16 +143,17 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def reproduce_trends(settings: TrendSettings | None = None, keep_runs: bool = False) -> TrendReport:
-    """Run every seed, median the metrics, and evaluate the trend checks."""
+def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
+    """Run every seed, median the metrics, and evaluate the trend checks. Only
+    the first seed's run is kept, for the bank-stability check."""
     settings = settings or TrendSettings()
     settings.validate()
-    runs = [run_trend_seed(seed, settings) for seed in settings.seeds]
-    per_seed = [r.metrics for r in runs]
+    first = run_trend_seed(settings.seeds[0], settings)
+    per_seed = [first.metrics, *(run_trend_seed(seed, settings).metrics for seed in settings.seeds[1:])]
 
     keys = [k for k in per_seed[0] if k not in ("seed", "n_novel_objects")]
     medians = {k: median(m[k] for m in per_seed) for k in keys}
-    bank = bank_stability(runs[0], settings)
+    bank = bank_stability(first, settings)
 
     checks = {
         "unseen_map_gain": medians["atl_unseen_map"] >= UNSEEN_MIN_RELATIVE_GAIN * medians["baseline_unseen_map"],
@@ -195,5 +162,4 @@ def reproduce_trends(settings: TrendSettings | None = None, keep_runs: bool = Fa
         "affordance_map_higher": medians["atl_affordance_map"] > medians["baseline_affordance_map"],
         "bank_stable": bank["rel_diff"] <= BANK_STABILITY_MAX_REL_DIFF,
     }
-    return TrendReport(per_seed=per_seed, medians=medians, bank=bank, checks=checks,
-                       runs=runs if keep_runs else None)
+    return TrendReport(per_seed=per_seed, medians=medians, bank=bank, checks=checks)

@@ -135,16 +135,15 @@ def make_spatial_pattern(b_h, b_o, resolution: int) -> np.ndarray:
     return (in_y[..., :, None] & in_x[..., None, :]).astype(np.int8)
 
 
-def build_matrices(instances, tax: Taxonomy, resolution: int):
-    """Classifier inputs/targets of an HOISet: (X_sp, X_hoi, Y, verb multi-hots).
-    The one finiteness check on the way into train and predict_dataset."""
+def build_matrices(instances, resolution: int):
+    """The two classifier inputs of an HOISet: (X_sp, X_hoi). The one
+    finiteness check on the way into train and predict_dataset."""
     pattern = make_spatial_pattern(instances.human_box, instances.object_box, resolution)
     x_sp = np.concatenate([pattern.reshape(len(instances), -1), instances.human_feat], axis=1)
     x_hoi = np.concatenate([instances.verb_feat, instances.object_feat], axis=1)
     if not (np.isfinite(x_sp).all() and np.isfinite(x_hoi).all()):
         raise ValueError("non-finite entries in instance features")
-    verbs = decouple_verb(instances.hoi_label, tax)
-    return x_sp, x_hoi, instances.hoi_label.astype(float), verbs.astype(float)
+    return x_sp, x_hoi
 
 
 @dataclass
@@ -220,11 +219,13 @@ class StepSampler:
         self.use_composite = cfg.lambda2 > 0 and cfg.object_batch > 0
         if self.use_composite and not external_objects:
             raise ValueError("composite branch enabled but no external objects given")
-        self.x_sp, self.x_hoi, self.y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
+        self.x_sp, self.x_hoi = build_matrices(train_set, cfg.spatial_resolution)
+        self.y = train_set.hoi_label.astype(float)
+        verb_labels = decouple_verb(train_set.hoi_label, tax)  # also with no composites: checks the label width
         if self.use_composite:
             if not np.isfinite(external_objects.object_feat).all():
                 raise ValueError("non-finite entries in external object features")
-            self.verb_feats, self.verb_labels = train_set.verb_feat, verb_targets.astype(np.int8)
+            self.verb_feats, self.verb_labels = train_set.verb_feat, verb_labels
             self.object_feats = external_objects.object_feat
             self.object_labels = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
         self.tax, self.cfg = tax, cfg
@@ -381,7 +382,7 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
     _check_confidences(s_h, s_o)
     if not len(instances):
         return Detections(instances.human_box, instances.object_box, np.zeros((0, tax.n_categories)))
-    x_sp, x_hoi, _, _ = build_matrices(instances, tax, model.spatial_resolution)
+    x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)
     _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
     return Detections(instances.human_box, instances.object_box, s_h * s_o * p_sp * p_hoi)

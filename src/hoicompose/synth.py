@@ -35,10 +35,8 @@ class WorldSpec:
     verb_prototypes: np.ndarray  # (n_verbs, feat_dim)
     object_prototypes: np.ndarray  # (n_objects, feat_dim)
     noise_sigma: float
-    tail_exponent: float
     object_domain_shift: np.ndarray  # (feat_dim,)
     target_counts: np.ndarray  # (n_categories,) long-tail sampling weights
-    seed: int
 
     def validate(self) -> None:
         if self.feat_dim < 2:
@@ -173,10 +171,8 @@ def gen_world(
         verb_prototypes=rng.normal(size=(n_verbs, feat_dim)),
         object_prototypes=rng.normal(size=(n_objects, feat_dim)),
         noise_sigma=noise_sigma,
-        tail_exponent=tail_exponent,
         object_domain_shift=shift,
         target_counts=counts.copy(),
-        seed=seed,
     )
     world.validate()
     return tax, world

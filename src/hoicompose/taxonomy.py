@@ -47,15 +47,20 @@ def build_cooccurrence(hoi_pairs, n_verbs: int, n_objects: int):
 
 @dataclass
 class Taxonomy:
-    """The HOI label space. Immutable after construction; share freely."""
+    """The HOI label space. Immutable after construction; share freely. The
+    co-occurrence matrices are computed from hoi_pairs and are read-only."""
 
     verb_names: list[str]
     object_names: list[str]
     hoi_pairs: list[tuple[int, int]]
-    verb_to_hoi: np.ndarray
-    object_to_hoi: np.ndarray
     train_counts: np.ndarray
     no_interaction_verbs: frozenset[int] = field(default_factory=frozenset)
+    verb_to_hoi: np.ndarray = field(init=False, repr=False)
+    object_to_hoi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.verb_to_hoi, self.object_to_hoi = build_cooccurrence(self.hoi_pairs, self.n_verbs, self.n_objects)
+        self.verb_to_hoi.flags.writeable = self.object_to_hoi.flags.writeable = False
 
     @property
     def n_verbs(self) -> int:
@@ -73,15 +78,12 @@ class Taxonomy:
     def build(cls, verb_names, object_names, hoi_pairs, train_counts=None,
               no_interaction_verbs=()) -> "Taxonomy":
         pairs = [(int(v), int(o)) for v, o in hoi_pairs]
-        verb_to_hoi, object_to_hoi = build_cooccurrence(pairs, len(verb_names), len(object_names))
         if train_counts is None:
             train_counts = np.zeros(len(pairs), dtype=np.int64)
         tax = cls(
             verb_names=list(verb_names),
             object_names=list(object_names),
             hoi_pairs=pairs,
-            verb_to_hoi=verb_to_hoi,
-            object_to_hoi=object_to_hoi,
             train_counts=np.asarray(train_counts, dtype=np.int64),
             no_interaction_verbs=frozenset(int(v) for v in no_interaction_verbs),
         )
@@ -91,17 +93,6 @@ class Taxonomy:
     def validate(self) -> None:
         if self.n_verbs < 1 or self.n_objects < 1 or self.n_categories < 1:
             raise ValueError("taxonomy needs at least one verb, one object, and one HOI pair")
-        if self.verb_to_hoi.shape != (self.n_verbs, self.n_categories):
-            raise ValueError("verb_to_hoi shape does not match taxonomy")
-        if self.object_to_hoi.shape != (self.n_objects, self.n_categories):
-            raise ValueError("object_to_hoi shape does not match taxonomy")
-        if not ((self.verb_to_hoi.sum(axis=0) == 1).all() and (self.object_to_hoi.sum(axis=0) == 1).all()):
-            raise ValueError("each HOI category must have exactly one verb and one object")
-        for c, (v, o) in enumerate(self.hoi_pairs):
-            if self.verb_to_hoi[v, c] != 1 or self.object_to_hoi[o, c] != 1:
-                raise ValueError(f"co-occurrence matrices disagree with pair {c} = (verb={v}, object={o})")
-        if len(set(self.hoi_pairs)) != self.n_categories:
-            raise ValueError("duplicate HOI pairs")
         if self.train_counts.shape != (self.n_categories,) or (self.train_counts < 0).any():
             raise ValueError("train_counts must be nonnegative, one per HOI category")
         for v in self.no_interaction_verbs:

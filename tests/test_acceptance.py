@@ -11,6 +11,7 @@
 Checks 4-6 share one multi-seed experiment (session fixture); its margins and
 the tolerances here are fixed, not tuned per run.
 """
+import hashlib
 import itertools
 import time
 
@@ -31,6 +32,7 @@ from hoicompose.experiments import (
     TrendSettings,
     reproduce_trends,
 )
+from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig, compose_batch, init_model, make_spatial_pattern, train
 from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world, save_instances
@@ -144,8 +146,24 @@ def test_criterion_3_average_precision():
 @pytest.fixture(scope="session")
 def trend():
     start = time.perf_counter()
-    report = reproduce_trends(TrendSettings(), keep_runs=True)
+    report = reproduce_trends(TrendSettings())
     return report, time.perf_counter() - start
+
+
+# sha256 of the default reproduce-trends' trends.json and stdout in the
+# byte-identity chain (tools/chain_digest.py); neither depends on the BLAS
+# thread count
+CHAIN_TRENDS_JSON_SHA256 = "442cd5740aba29348861c59e39344e196c581875498cb27bb48423b5b21a712e"
+CHAIN_TRENDS_STDOUT_SHA256 = "f4c485c413782786da0119aeaaa18a474c9442bcb301976275178102339e3a9e"
+
+
+def test_trend_report_writes_the_chain_bytes(trend, tmp_path):
+    # not a criterion: the fixture's report is what reproduce-trends writes and prints
+    report, _ = trend
+    write_json(tmp_path / "trends.json", report.to_json_dict())
+    assert hashlib.sha256((tmp_path / "trends.json").read_bytes()).hexdigest() == CHAIN_TRENDS_JSON_SHA256
+    table = (report.format_table() + "\n").encode()
+    assert hashlib.sha256(table).hexdigest() == CHAIN_TRENDS_STDOUT_SHA256
 
 
 def test_criterion_4_zero_shot_transfer(trend):

@@ -1,5 +1,6 @@
 """tools/bench_record.py: the pair bookkeeping behind a committed BENCH_<label>.json."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,16 @@ def test_summary_pairs_runs_by_seed_and_counts_wins(bench_record):
     assert s["median_change"] == pytest.approx(3.0 / 3.0 - 1.0)
     higher = {**metric, "better": "higher"}
     assert bench_record.summarize(runs, [higher])["w"]["run_s"]["change_wins"] == 1
+
+
+def test_missing_out_dir_fails_before_any_run(bench_record, tmp_path, monkeypatch, capsys):
+    # a missing --out-dir used to surface only at the final write, after every run
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    calls = []
+    monkeypatch.setattr(bench_record, "run_one", lambda *a: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--label", "x",
+                           "--out-dir", str(tmp_path / "missing")])
+    assert exc.value.code == 2 and calls == []
+    assert "--out-dir" in capsys.readouterr().err

@@ -151,6 +151,17 @@ CHAIN_GEN_DATA_SHA256 = {
     "train/verb_feat.npy": "68bb48d348885bae4ac1a88ec94f3c658f744e3e1df5ed2ce02513001bbfbfca",
 }
 CHAIN_GEN_DATA_STDOUT_SHA256 = "7c847d03955f2babc9f774f5ed67786a0ef4399dc7f4c48a2d2e840108f5a850"
+# build-bank's files and stdout at the chain's default config over that data; no
+# training comes before it, so tier-1 can afford it
+CHAIN_BUILD_BANK_SHA256 = {
+    "bank.json": "345512d6dd3d0679de09f0bcb49338b06dca87be598a622d497c2a3d96bfd944",
+    "manifest.json": "aae44ada367484576a8c9764b0fbe3dcc0e641a52ea116bf5def915c31e5463e",
+}
+CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
+
+
+def tree_sha256(path) -> dict:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(Path(path)).items()}
 
 
 def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
@@ -160,10 +171,13 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
               "split": {"mode": "novel-object"}, "seed": 7}
     Path("gen-data.json").write_text(json.dumps(config, sort_keys=True) + "\n")
     assert main(["gen-data", "--config", "gen-data.json", "--out", "gen-data"]) == EXIT_OK
-    written = {p.relative_to("gen-data").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in Path("gen-data").rglob("*") if p.is_file()}
-    assert written == CHAIN_GEN_DATA_SHA256
+    assert tree_sha256("gen-data") == CHAIN_GEN_DATA_SHA256
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_GEN_DATA_STDOUT_SHA256
+
+    Path("build-bank.json").write_text(json.dumps({"data_dir": "gen-data"}, sort_keys=True) + "\n")
+    assert main(["build-bank", "--config", "build-bank.json", "--out", "build-bank"]) == EXIT_OK
+    assert tree_sha256("build-bank") == CHAIN_BUILD_BANK_SHA256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_BUILD_BANK_STDOUT_SHA256
 
 
 def test_train_outputs(trained_dir, data_dir):
@@ -674,6 +688,23 @@ def test_document_of_another_schema_version_is_data_error(trained_dir, data_dir,
     assert_data_error(capsys, out, f"{name}: unsupported ", f"schema_version {version!r}; this version reads 1")
 
 
+def test_build_bank_refuses_a_bank_with_no_entries(tmp_path, capsys):
+    # every verb a no-interaction verb: nothing to bank. Unchecked, build-bank
+    # wrote bank.json and its manifest, then crashed printing its summary
+    gen = write_config(tmp_path / "gen.json", {
+        "world": {**TINY_WORLD, "n_verbs": 2, "c_pairs": 8, "no_interaction_verbs": [0, 1]},
+        "dataset": TINY_DATASET,
+    })
+    assert run("gen-data", gen, tmp_path / "data") == EXIT_OK
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(tmp_path / "data")}),
+               out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: build-bank: bank has no entries"), err
+    assert not any(out.iterdir())
+
+
 def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
     # m above every pool size: at the parent commit the NaN reached bank.json
     data = corrupt_copy(data_dir, tmp_path / "data", "train", lambda c: put(c, "verb_feat", (4, 3), np.nan))
@@ -983,9 +1014,10 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
+@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3), ({"train": {"seed": 3}}, None)])
 def test_reproduce_trends_rejects_seed(tmp_path, capsys, body, seed):
-    # neither would change trends.json: the trend seeds are the seeds list
+    # none would change trends.json: the trend seeds are the seeds list, and
+    # each trend seed replaces the train seed
     cfg = write_config(tmp_path / "t.json", {"seeds": [0], **body})
     out = tmp_path / "out"
     assert run("reproduce-trends", cfg, out, seed=seed) == EXIT_CONFIG

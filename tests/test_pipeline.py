@@ -570,9 +570,10 @@ def _train_reference(train_set, external_objects, tax, cfg):
     concatenated divergence check."""
     cfg.validate()
     use_composite = cfg.lambda2 > 0 and cfg.object_batch > 0
-    x_sp, x_hoi, y, verb_targets = build_matrices(train_set, tax, cfg.spatial_resolution)
+    x_sp, x_hoi = build_matrices(train_set, cfg.spatial_resolution)
+    y = train_set.hoi_label.astype(float)
     if use_composite:
-        verb_rows = verb_targets.astype(np.int8)
+        verb_rows = decouple_verb(train_set.hoi_label, tax)
         obj_onehots = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
     model = init_model(tax, train_set.verb_feat.shape[1], cfg)
     rng = substream(cfg.seed, "batching")
@@ -724,7 +725,7 @@ def test_build_matrices_rejects_nonfinite_input(field):
     bad = test_set[[0, 2]]
     getattr(bad, field)[1, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite|degenerate"):
-        build_matrices(bad, tax, 4)
+        build_matrices(bad, 4)
     with pytest.raises(ValueError, match="non-finite|degenerate"):
         predict_dataset(model, bad, tax)
     with pytest.raises(ValueError, match="non-finite|degenerate"):
@@ -732,19 +733,18 @@ def test_build_matrices_rejects_nonfinite_input(field):
 
 
 def test_build_matrices_matches_per_instance_oracle(monkeypatch):
-    # one spatial-pattern call and one decouple_verb call per set, equal to the
-    # per-instance rows stacked
-    tax, world, train_set, _, _ = tiny_setup()
+    # one spatial-pattern call per set, equal to the per-instance rows stacked
+    _, _, train_set, _, _ = tiny_setup()
     rows = [(np.concatenate([spatial_pattern_oracle(h, o, 4).reshape(-1).astype(float), f]),
-             np.concatenate([v, of]), y.astype(float), decouple_verb(y, tax).astype(float))
-            for h, o, f, v, of, y in zip(train_set.human_box, train_set.object_box, train_set.human_feat,
-                                         train_set.verb_feat, train_set.object_feat, train_set.hoi_label)]
+             np.concatenate([v, of]))
+            for h, o, f, v, of in zip(train_set.human_box, train_set.object_box, train_set.human_feat,
+                                      train_set.verb_feat, train_set.object_feat)]
     calls = []
     for name in ("make_spatial_pattern", "decouple_verb"):
         real = getattr(pipeline, name)
         monkeypatch.setattr(pipeline, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
-    got = build_matrices(train_set, tax, 4)
-    assert calls == ["make_spatial_pattern", "decouple_verb"]
+    got = build_matrices(train_set, 4)
+    assert calls == ["make_spatial_pattern"]
     for column, want in zip(got, zip(*rows)):
         np.testing.assert_array_equal(column, np.stack(want))
 

@@ -75,8 +75,7 @@ def test_world_validate_warns_on_close_prototypes():
     protos[1, 0] = 0.5  # distance 0.5 <= 4 * 0.3
     world = WorldSpec(feat_dim=4, verb_prototypes=protos.copy(),
                       object_prototypes=np.eye(4) * 10, noise_sigma=0.3,
-                      tail_exponent=1.0, object_domain_shift=np.zeros(4),
-                      target_counts=np.ones(3, dtype=np.int64), seed=0)
+                      object_domain_shift=np.zeros(4), target_counts=np.ones(3, dtype=np.int64))
     with pytest.warns(UserWarning, match="prototype distance"):
         world.validate()
     world.verb_prototypes[1] = 0.0

@@ -158,11 +158,13 @@ def test_json_rejects_non_integer_ids_and_counts(tmp_path, edit, needle):
         Taxonomy.load(path)
 
 
-def test_validate_catches_tampering():
+def test_cooccurrence_matrices_are_read_only():
+    # computed from hoi_pairs, so there is no second copy to tamper with
     tax = small_tax()
-    tax.verb_to_hoi[0, 0] = 0
-    with pytest.raises(ValueError):
-        tax.validate()
+    for matrix in (tax.verb_to_hoi, tax.object_to_hoi):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0
+    np.testing.assert_array_equal(tax.verb_to_hoi, build_cooccurrence(tax.hoi_pairs, 3, 3)[0])
 
 
 @st.composite

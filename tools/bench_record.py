@@ -77,6 +77,8 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--out-dir", type=Path, default=Path("."))
     args = p.parse_args(argv)
+    if not args.out_dir.is_dir():  # fail now, not at the write after every run
+        p.error(f"--out-dir {args.out_dir} is not a directory")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
