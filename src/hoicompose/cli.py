@@ -431,8 +431,6 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
     if "seed" in cfg or args.seed is not None:
         raise ConfigError("reproduce-trends takes no seed or --seed: trend seeds come from the seeds list")
     s = _settings(cfg, args)
-    if "seed" in s["train"]:
-        raise ConfigError("reproduce-trends takes no train.seed: trend seeds come from the seeds list")
     try:
         settings = TrendSettings(**{**s, "seeds": tuple(s["seeds"]), "train": TrainConfig.from_json_dict(s["train"])})
         settings.validate()

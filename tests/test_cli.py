@@ -998,13 +998,19 @@ def test_reproduce_trends_smoke(tmp_path, capsys):
         "n_train": 250, "n_test": 60, "n_external": 60,
         "train": {"iterations": 250, "hidden": 24, "spatial_resolution": 8},
     })
-    assert run("reproduce-trends", cfg, tmp_path) == EXIT_OK
-    doc = json.loads((tmp_path / "trends.json").read_text())
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("reproduce-trends", cfg, first) == EXIT_OK
+    doc = json.loads((first / "trends.json").read_text())
     assert set(doc["checks"]) == {"unseen_map_gain", "seen_map_preserved",
                                   "affordance_f1_gap", "affordance_map_higher", "bank_stable"}
     assert len(doc["per_seed"]) == 1
     out = capsys.readouterr().out
     assert "bank stability" in out and "check unseen_map_gain" in out
+    # its manifest config, the full train config with its default seed among
+    # it, repeats the run
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert run("reproduce-trends", write_config(tmp_path / "replay.json", config), again) == EXIT_OK
+    assert tree_bytes(again) == tree_bytes(first)
 
 
 def test_reproduce_trends_config_validation(tmp_path):
@@ -1014,10 +1020,9 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3), ({"train": {"seed": 3}}, None)])
+@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
 def test_reproduce_trends_rejects_seed(tmp_path, capsys, body, seed):
-    # none would change trends.json: the trend seeds are the seeds list, and
-    # each trend seed replaces the train seed
+    # neither would change trends.json: the trend seeds are the seeds list
     cfg = write_config(tmp_path / "t.json", {"seeds": [0], **body})
     out = tmp_path / "out"
     assert run("reproduce-trends", cfg, out, seed=seed) == EXIT_CONFIG
