@@ -29,17 +29,17 @@ SPLIT_MODES = ("unseen-composition-rare-first", "unseen-composition-nonrare-firs
 def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of boxes a[..., :4] and b[..., :4], broadcast against each other: a[:, None]
     and b[None] give the pairwise matrix, equal-length a and b the row-by-row pairs.
-    Every pair reads the same bits either way, and an overlap-free pair (zero
-    intersection) reads 0."""
+    Every pair reads the same value either way, and an overlap-free pair (zero
+    intersection) reads 0. A union that is not positive holds no intersection (or
+    overflowed): the division by inf there reads 0, or NaN, never a match."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    inter = np.maximum(iw, 0)
+    inter *= np.maximum(ih, 0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return inter / np.where(union > 0, union, np.inf)
 
 
 # Prediction rows per IoU block: a block's temporaries are _CHUNK_ROWS x (the GT rows
@@ -65,14 +65,21 @@ def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
     reach / 2, and each prediction cell meets only the GT rows of its 5 x 5
     neighbourhood: the object IoU over blocks of its rows, the human IoU only on the
     pairs the object boxes let through. A row with a non-finite coordinate never
-    reaches IoU t and is dropped."""
+    reaches IoU t and is dropped.
+
+    When the GT boxes equal the prediction boxes (a Detections grid of the truth's
+    own rows), the pairs are a self-join: the IoU and the neighbourhood are both
+    symmetric, so each cell meets only itself and the 12 cells after it in key
+    order, and each pair across two cells is found once and mirrored."""
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
     pred_h, pred_o, gt_h, gt_o = (np.asarray(b, dtype=float).reshape(-1, 4)
                                   for b in (pred_h, pred_o, gt_h, gt_o))
-    pred_rows, gt_rows = (np.flatnonzero(np.isfinite(h).all(axis=1) & np.isfinite(o).all(axis=1))
-                          for h, o in ((pred_h, pred_o), (gt_h, gt_o)))
-    boxes = np.concatenate([pred_o[pred_rows], gt_o[gt_rows]])
+    self_join = np.array_equal(pred_h, gt_h) and np.array_equal(pred_o, gt_o)
+    pred_rows = np.flatnonzero(np.isfinite(pred_h).all(axis=1) & np.isfinite(pred_o).all(axis=1))
+    gt_rows = pred_rows if self_join else np.flatnonzero(np.isfinite(gt_h).all(axis=1)
+                                                         & np.isfinite(gt_o).all(axis=1))
+    boxes = pred_o[pred_rows] if self_join else np.concatenate([pred_o[pred_rows], gt_o[gt_rows]])
     w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
     side = max(w.max(initial=0.0), h.max(initial=0.0))
     empty = np.zeros(0, dtype=np.intp)
@@ -92,30 +99,52 @@ def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
         xy = np.zeros_like(corners, dtype=np.intp)
     stride = xy[:, 1].max() + 3  # > the largest y cell + 2: a window stays in its column
     keys = xy[:, 0] * stride + xy[:, 1]
-    pred_key, gt_key = keys[:len(pred_rows)], keys[len(pred_rows):]
-    pred_order, gt_order = np.argsort(pred_key), np.argsort(gt_key)
-    pred_rows, pred_key = pred_rows[pred_order], pred_key[pred_order]
-    gt_rows, gt_key = gt_rows[gt_order], gt_key[gt_order]
-    # per occupied prediction cell, the GT rows of its 5 x 5 neighbourhood: one key
-    # range per cell column
+    pred_order = np.argsort(keys[:len(pred_rows)])
+    pred_rows, pred_key = pred_rows[pred_order], keys[pred_order]
+    if self_join:
+        gt_rows, gt_key = pred_rows, pred_key
+        # the cell itself, the two after it in its column, the next two columns' five
+        window_lo = np.array([0, 1, stride - 2, 2 * stride - 2])
+        window_hi = np.array([0, 2, stride + 2, 2 * stride + 2])
+    else:
+        gt_order = np.argsort(keys[len(pred_rows):])
+        gt_rows, gt_key = gt_rows[gt_order], keys[len(pred_rows):][gt_order]
+        window_lo = stride * np.arange(-2, 3) - 2  # one key range per cell column
+        window_hi = window_lo + 4
+    # per occupied prediction cell, the GT rows of its window
     firsts = np.flatnonzero(np.diff(pred_key, prepend=-1))
-    windows = pred_key[firsts, None] + stride * np.arange(-2, 3)
-    starts = np.searchsorted(gt_key, windows - 2, side="left")
-    ends = np.searchsorted(gt_key, windows + 2, side="right")
+    starts = np.searchsorted(gt_key, pred_key[firsts, None] + window_lo, side="left")
+    ends = np.searchsorted(gt_key, pred_key[firsts, None] + window_hi, side="right")
     preds, gts = [empty], [empty]
     for first, last, cell_starts, cell_ends in zip(firsts, np.append(firsts[1:], len(pred_key)),
                                                    starts, ends):
         near = np.concatenate([gt_rows[s:e] for s, e in zip(cell_starts, cell_ends)])
+        # a self-join's GT rows past the cell's own are another cell's: mirrored
+        own = cell_ends[0] - cell_starts[0] if self_join else len(near)
         for start in range(first, last, _CHUNK_ROWS):
             block = pred_rows[start:min(start + _CHUNK_ROWS, last)]
             r, c = np.nonzero(_pair_iou(pred_o[block, None], gt_o[None, near]) >= iou_threshold)
-            pred, gt = block[r], near[c]
-            ok = _pair_iou(pred_h[pred], gt_h[gt]) >= iou_threshold
-            preds.append(pred[ok])
-            gts.append(gt[ok])
+            ok = _pair_iou(pred_h[block[r]], gt_h[near[c]]) >= iou_threshold
+            r, c = r[ok], c[ok]
+            mirror = c >= own
+            preds += [block[r], near[c[mirror]]]
+            gts += [near[c], block[r[mirror]]]
     pred, gt = np.concatenate(preds), np.concatenate(gts)
     order = np.lexsort((gt, pred))
     return pred[order], gt[order]
+
+
+def _descending_order(col: np.ndarray) -> np.ndarray:
+    """np.argsort(-col, kind="stable") from the default argsort: each run of equal
+    keys (NaN with NaN, -0.0 with 0.0) is put back in row order, NaN last."""
+    key = -col
+    order = np.argsort(key)
+    ranked = key[order]
+    tied = (ranked[1:] == ranked[:-1]) | np.isnan(ranked[:-1])  # NaN sorts last
+    if tied.any():  # sort (run, row) as one integer key; runs are numbered in rank order
+        run = np.cumsum(np.concatenate(([True], ~tied)))
+        order = np.sort(run * len(key) + order) % len(key)
+    return order
 
 
 def _greedy_match(pred, gt) -> list[int]:
@@ -428,7 +457,7 @@ def map_report(
         if not n_gt[c]:
             per_cat[c] = float("nan")
             continue
-        rank[np.argsort(-scores[:, c], kind="stable")] = np.arange(n)
+        rank[_descending_order(scores[:, c])] = np.arange(n)
         keep = candidate_labels[:, c]
         r, g = rank[pred[keep]], gt[keep]
         order = np.lexsort((g, r))

@@ -13,9 +13,16 @@ _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a s
 
 
 def write_json(path, doc: dict, version: int = 1, indent: int | None = 2) -> None:
-    """Write {"schema_version": version, **doc} to path, streamed through json.dump."""
+    """Write {"schema_version": version, **doc} to path. A compact document
+    (indent=None) is one json.dumps string, which takes the C encoder; an indented
+    one is streamed through json.dump, so that the pure-Python encoder's many
+    small chunks are never all held at once."""
+    doc = {"schema_version": version, **doc}
     with open(path, "w") as f:
-        json.dump({"schema_version": version, **doc}, f, indent=indent, sort_keys=True)
+        if indent is None:
+            f.write(json.dumps(doc, sort_keys=True))
+        else:
+            json.dump(doc, f, indent=indent, sort_keys=True)
         f.write("\n")
 
 

@@ -95,11 +95,11 @@ def sigmoid(z: np.ndarray, overwrite: bool = False) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     nonneg = z >= 0
     e = z if overwrite else z.copy()
-    np.negative(e, out=e, where=nonneg)
+    np.minimum(e, -e, out=e)  # -|z|, and z itself where z is NaN
     np.exp(e, out=e)
-    den = e + 1.0
-    np.copyto(e, 1.0, where=nonneg)
-    return np.divide(e, den, out=e)
+    num = np.where(nonneg, 1.0, e)
+    e += 1.0  # the denominator, in place: one temporary at a time
+    return np.divide(num, e, out=e)
 
 
 def zeros_like(params: MLPParams) -> MLPParams:

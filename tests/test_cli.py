@@ -158,6 +158,19 @@ CHAIN_BUILD_BANK_SHA256 = {
     "manifest.json": "aae44ada367484576a8c9764b0fbe3dcc0e641a52ea116bf5def915c31e5463e",
 }
 CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
+# the zeroshot and affordance outputs that do not depend on the BLAS thread count
+# (the checkpoint, trace, scores and the manifests that hash them do)
+CHAIN_THREAD_FREE_SHA256 = {
+    "zeroshot/report.json": "31d0b3d2a25fa383a10d42c0ba9e02a68245e4bb409ea59f0401a649ada1d297",
+    "zeroshot/report.csv": "8930d848e9437956c0af46bf62620f27942d4486a1a94d854916377f1c0ef719",
+    "zeroshot/predictions/human_box.npy": "f6aa5ad9e97870466773b1dbc12ae7cbb2d25d01299f56744c4f53d18a6ef1ac",
+    "zeroshot/predictions/object_box.npy": "7d8def407d2c8154468c6398d3a655ad74ebdb144f5409d30f797375e473a86a",
+    "affordance/affordance.json": "54dd280e186c58d6479428c84c550a188e4ce6903ab0eb335907ed20725f6804",
+}
+CHAIN_STDOUT_SHA256 = {
+    "zeroshot": "ca5a1e598fc9111b3ac300fe184cb3aec98683e6324f1184bbb2cbd677ac7443",
+    "affordance": "83e3dc20a4e4a9ada53f3dcba3d8ab38906bdfbce880f89456c9de6ef55618b4",
+}
 
 
 def tree_sha256(path) -> dict:
@@ -178,6 +191,21 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
     assert main(["build-bank", "--config", "build-bank.json", "--out", "build-bank"]) == EXIT_OK
     assert tree_sha256("build-bank") == CHAIN_BUILD_BANK_SHA256
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_BUILD_BANK_STDOUT_SHA256
+
+    # train, then zeroshot and affordance on its checkpoint: of their files, only
+    # those measured to be the same under any BLAS thread count are checked
+    for step, config in (("train", {"data_dir": "gen-data"}),
+                         ("zeroshot", {"data_dir": "gen-data", "checkpoint": "train/checkpoint.json",
+                                       "write_predictions": True}),
+                         ("affordance", {"data_dir": "gen-data", "checkpoint": "train/checkpoint.json",
+                                         "bank": "build-bank/bank.json"})):
+        Path(f"{step}.json").write_text(json.dumps(config, sort_keys=True) + "\n")
+        assert main([step, "--config", f"{step}.json", "--out", step]) == EXIT_OK
+        out = capsys.readouterr().out
+        if step in CHAIN_STDOUT_SHA256:
+            assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_STDOUT_SHA256[step], step
+    for name, digest in CHAIN_THREAD_FREE_SHA256.items():
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
 
 def test_train_outputs(trained_dir, data_dir):

@@ -51,7 +51,7 @@ def iou(box_a, box_b) -> float:
         return 0.0
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return float(inter / union)
+    return float(inter / union) if union > 0 else 0.0  # subnormal sides: all three round to 0
 
 
 def test_iou_examples():
@@ -575,6 +575,23 @@ def any_box(draw):
     return box
 
 
+THRESHOLDS = [0.05, 0.5, 0.9, 1.0]
+
+
+@settings(max_examples=600, deadline=None)
+@given(any_box(), any_box())
+@example([0.0, 0.0, 5e-324, 5e-324], [0.0, 0.0, 5e-324, 5e-324])  # every product underflows
+@example([0.0, 0.0, 1.0, 1.0], [0.5, 1.0, 0.0, 0.0])  # inverted both ways: a positive area
+def test_pair_iou_matches_the_scalar_oracle_both_ways(a, b):
+    # the self-join of _candidate_pairs relies on IoU >= t reading the same both ways
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite box
+        ab, ba = (float(evaluation._pair_iou(np.array(x), np.array(y))) for x, y in ((a, b), (b, a)))
+    for t in THRESHOLDS:
+        assert (ab >= t) == (ba >= t)
+    if np.isfinite(a + b).all():
+        assert ab == ba == iou(a, b) == iou(b, a)
+
+
 def reach_edge(box, t, axis):
     """box's right (axis 0) or lower (axis 1) part, its x1 (or y1) moved in by
     (1 - t) * side: IoU t with box, at the reach when box has the largest side."""
@@ -585,7 +602,7 @@ def reach_edge(box, t, axis):
 
 @st.composite
 def candidate_pair_cases(draw):
-    t = draw(st.sampled_from([0.05, 0.5, 0.9, 1.0]))
+    t = draw(st.sampled_from(THRESHOLDS))
     # unit-side boxes: no side is larger, so a reach-edge partner sits at the reach; a
     # corner one ulp below a quarter point rounds its partner's corner up, past the reach
     corner = st.sampled_from(GRID[:-1]) | st.sampled_from(GRID[1:-1]).map(lambda v: np.nextafter(v, 0)) \
@@ -606,6 +623,10 @@ def candidate_pair_cases(draw):
         gts.append((human, obj))
     pred_h, pred_o, gt_h, gt_o = (np.array([r[k] for r in rows], dtype=float).reshape(-1, 4)
                                   for rows in (preds, gts) for k in (0, 1))
+    join = draw(st.sampled_from(["none", "same arrays", "equal copies"]))
+    if join != "none":  # detections at the truth's own rows: duplicates, edges, non-finite rows
+        pred_h, pred_o = np.concatenate([pred_h, gt_h]), np.concatenate([pred_o, gt_o])
+        gt_h, gt_o = (pred_h, pred_o) if join == "same arrays" else (pred_h.copy(), pred_o.copy())
     return pred_h, pred_o, gt_h, gt_o, t, draw(st.integers(1, 5))
 
 
@@ -648,6 +669,47 @@ def test_candidate_pairs_match_all_pairs_oracle_on_generated_data():
     boxes = (test_set.human_box, test_set.object_box)
     pred, gt = assert_candidate_pairs_match_oracle(*boxes, *boxes, evaluation.IOU_THRESHOLD)
     assert len(pred) > len(test_set)  # every self-pair, and more
+
+
+def test_predict_dataset_output_takes_the_self_join():
+    # a Detections grid carries the truth's own box columns: the pairs are a self-join
+    tax, world = gen_world(seed=1)
+    split = make_split(tax, "novel-object", rng=np.random.default_rng(1))
+    _, test_set, _ = gen_dataset(world, tax, split, 10, 300, 0, seed=1)
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=1))
+    detections = predict_dataset(model, test_set, tax)
+    seen, array_equal = [], np.array_equal
+
+    def spy(a, b):
+        seen.append(array_equal(a, b))
+        return seen[-1]
+
+    with mock.patch.object(evaluation.np, "array_equal", spy):
+        map_report(detections, test_set, tax)
+    assert seen == [True, True]
+
+
+RANK_VALUES = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(RANK_VALUES) | st.floats(allow_nan=True, allow_infinity=True),
+                max_size=400))
+@example([0.5] * 40 + [np.nan] * 30 + [-0.0, 0.0] * 20 + [np.inf, -np.inf] * 10)
+def test_descending_order_is_the_stable_argsort(values):
+    # heavy ties: runs of equal keys, NaN with NaN and -0.0 with 0.0, in row order
+    col = np.array(values, dtype=float)
+    got, want = evaluation._descending_order(col), np.argsort(-col, kind="stable")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_descending_order_is_the_stable_argsort_on_a_long_column():
+    rng = np.random.default_rng(4)
+    col = rng.choice(np.array(RANK_VALUES + [0.75, 0.125]), size=20000)
+    np.testing.assert_array_equal(evaluation._descending_order(col), np.argsort(-col, kind="stable"))
+    col = rng.uniform(size=20000)  # no ties: the default argsort's order as it is
+    np.testing.assert_array_equal(evaluation._descending_order(col), np.argsort(-col, kind="stable"))
 
 
 # --- affordance metrics ---

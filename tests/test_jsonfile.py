@@ -14,6 +14,20 @@ def test_write_json_stamps_version_sorts_keys_and_ends_in_newline(tmp_path):
     assert path.read_text() == '{"a": "x", "b": 1.5, "schema_version": 2}\n'
 
 
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_json_writes_the_bytes_json_dump_streams(tmp_path, indent):
+    # one json.dumps string, and with indent=None the C encoder: the bytes the
+    # streamed json.dump wrote, floats at the edges of repr included
+    doc = {"w": [[5e-324, -0.0, 1e16], [[0.1, -2.5e-308], []], 1.7976931348623157e308],
+           "n": {"z": [1, -0.0, float("nan"), float("inf")], "a": "h\u00e9\u2028"}, "e": {}}
+    path = tmp_path / "doc.json"
+    write_json(path, doc, version=3, indent=indent)
+    with open(tmp_path / "want.json", "w") as f:
+        json.dump({"schema_version": 3, **doc}, f, indent=indent, sort_keys=True)
+        f.write("\n")
+    assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 def test_read_json_returns_the_document_without_its_version(tmp_path):
     path = tmp_path / "doc.json"
     write_json(path, {"a": [1.5]}, version=2)

@@ -87,6 +87,40 @@ def test_sigmoid_is_the_masked_one_bit_for_bit(values, shape):
     np.testing.assert_array_equal(z.view(np.uint64), want)
 
 
+def sigmoid_where_oracle(z, overwrite=False):
+    """The where= logistic function sigmoid replaced: -|z| by a masked negate, and
+    the numerator 1 copied in under the same mask."""
+    z = np.asarray(z, dtype=float)
+    nonneg = z >= 0
+    e = z if overwrite else z.copy()
+    np.negative(e, out=e, where=nonneg)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, den, out=e)
+
+
+# quiet and signalling NaNs of both signs with payloads, as raw bits
+NAN_PAYLOADS = np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF0000000000001, 0xFFF0000000000007],
+                        dtype=np.uint64).view(float).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL_LOGITS + NAN_PAYLOADS) | st.floats(allow_nan=True, allow_infinity=True)
+                | st.floats(-800, 800), min_size=0, max_size=40),
+       st.sampled_from([(-1,), (-1, 1), (1, -1), (-1, 2)]))
+def test_sigmoid_is_the_where_one_bit_for_bit(values, shape):
+    # NaN sign and payload, +-0, +-inf and |z| > 745 included
+    if shape[-1] == 2 and len(values) % 2:
+        values = values[:-1]
+    z = np.array(values, dtype=float).reshape(shape)
+    want = sigmoid_where_oracle(z).view(np.uint64)
+    np.testing.assert_array_equal(sigmoid(z).view(np.uint64), want)
+    out = sigmoid(z, overwrite=True)
+    assert out is z
+    np.testing.assert_array_equal(z.view(np.uint64), want)
+
+
 def test_forward_single_and_batch_agree():
     p = init_params(4, 3, hidden=5, seed=1)
     rng = np.random.default_rng(2)
