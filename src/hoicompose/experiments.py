@@ -7,7 +7,9 @@ code backs both the CLI summary and the automated trend checks.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from statistics import median
 
 import numpy as np
@@ -24,6 +26,11 @@ UNSEEN_MIN_RELATIVE_GAIN = 1.10
 SEEN_MAX_RELATIVE_DROP = 0.95
 AFFORDANCE_F1_MIN_GAP = 0.10
 BANK_STABILITY_MAX_REL_DIFF = 0.10
+
+# A spawn worker's BLAS thread pool, fixed by the environment it inherits
+# before it imports numpy: the workers fill the usable CPUs between them, and
+# more BLAS threads than CPUs would only contend.
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass
@@ -143,17 +150,71 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
-    """Run every seed, median the metrics, and evaluate the trend checks. Only
-    the first seed's run is kept, for the bank-stability check."""
+def seed_result(seed: int, settings: TrendSettings, with_bank: bool) -> tuple[dict, dict | None]:
+    """One seed's metrics, and its bank-stability dict when with_bank: all that
+    a worker sends back, so no taxonomy, dataset or model is pickled."""
+    run = run_trend_seed(seed, settings)
+    return run.metrics, bank_stability(run, settings) if with_bank else None
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def spawn_map(fn, workers: int, *iterables) -> list:
+    """list(map(fn, *iterables)) in `workers` spawn processes, results in input
+    order; the first exception in input order reaches the caller. No process
+    outlives the call and the environment is restored, also when fn raises."""
+    # Imported here: every CLI command imports this module, and these modules
+    # would add about 1.5 MB to the resident size of the commands that never pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import resource_tracker
+
+    # Spawning starts multiprocessing's resource tracker, a helper process that
+    # would otherwise run until this interpreter exits.
+    tracker = resource_tracker._resource_tracker
+    tracker_ran = tracker._pid is not None
+    saved = {key: os.environ.get(key) for key in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, *iterables))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
+        if not tracker_ran:
+            tracker._stop()
+
+
+def reproduce_trends(settings: TrendSettings | None = None, workers: int | None = None) -> TrendReport:
+    """Run every seed, median the metrics, and evaluate the trend checks. The
+    first seed's run also gives the bank-stability check.
+
+    Seeds run in min(workers, seeds, usable CPUs) spawn workers; workers
+    defaults to no limit. With one, they run one after another in this process.
+    A spawn worker imports the caller's main script, so a script that calls
+    this runs its code under `if __name__ == "__main__":`.
+    """
     settings = settings or TrendSettings()
     settings.validate()
-    first = run_trend_seed(settings.seeds[0], settings)
-    per_seed = [first.metrics, *(run_trend_seed(seed, settings).metrics for seed in settings.seeds[1:])]
+    if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int) or workers < 1):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    seeds = settings.seeds
+    workers = min(workers or len(seeds), len(seeds), usable_cpus())
+    args = (seeds, repeat(settings), [i == 0 for i in range(len(seeds))])
+    results = list(map(seed_result, *args)) if workers == 1 else spawn_map(seed_result, workers, *args)
+    per_seed = [metrics for metrics, _ in results]
+    bank = results[0][1]
 
     keys = [k for k in per_seed[0] if k not in ("seed", "n_novel_objects")]
     medians = {k: median(m[k] for m in per_seed) for k in keys}
-    bank = bank_stability(first, settings)
 
     checks = {
         "unseen_map_gain": medians["atl_unseen_map"] >= UNSEEN_MIN_RELATIVE_GAIN * medians["baseline_unseen_map"],

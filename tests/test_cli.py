@@ -19,7 +19,9 @@ import pytest
 import hoicompose
 from hoicompose import cli, pipeline
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
-from hoicompose.pipeline import load_checkpoint, train
+from hoicompose.experiments import TrendSettings, reproduce_trends
+from hoicompose.jsonfile import write_json
+from hoicompose.pipeline import TrainConfig, load_checkpoint, train
 from hoicompose.synth import Detections, load_instances, save_instances
 from hoicompose.taxonomy import Taxonomy
 
@@ -1019,13 +1021,13 @@ def test_manifest_config_reruns_the_command(data_dir, trained_dir, tmp_path, cmd
     assert tree_bytes(again) == tree_bytes(first)
 
 
+TOY_TRENDS = {"n_train": 250, "n_test": 60, "n_external": 60,
+              "train": {"iterations": 250, "hidden": 24, "spatial_resolution": 8}}
+
+
 def test_reproduce_trends_smoke(tmp_path, capsys):
     # one seed at toy sizes: exercises the command, not the trend margins
-    cfg = write_config(tmp_path / "t.json", {
-        "seeds": [0],
-        "n_train": 250, "n_test": 60, "n_external": 60,
-        "train": {"iterations": 250, "hidden": 24, "spatial_resolution": 8},
-    })
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0], **TOY_TRENDS})
     first, again = tmp_path / "first", tmp_path / "again"
     assert run("reproduce-trends", cfg, first) == EXIT_OK
     doc = json.loads((first / "trends.json").read_text())
@@ -1046,6 +1048,14 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg, tmp_path) == EXIT_CONFIG
     cfg2 = write_config(tmp_path / "t2.json", {"seeds": []})
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
+
+
+def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys):
+    # seed 1's external stream has no novel object; the error comes from a worker
+    cfg = write_config(tmp_path / "t.json", {"seeds": [5, 1], **TOY_TRENDS, "n_external": 1})
+    assert run("reproduce-trends", cfg, tmp_path / "out") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "reproduce-trends: seed 1: no novel objects in the external stream" in err, err
 
 
 @pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
@@ -1070,6 +1080,17 @@ def run_python(*argv):
 
 def run_program(*argv):
     return run_python("-m", "hoicompose", *argv)
+
+
+def test_reproduce_trends_entry_point_starts_its_workers(tmp_path):
+    # spawn workers of a fresh `python -m hoicompose` start from the CLI's main
+    # module, and the pooled run writes the serial run's bytes
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS})
+    proc = run_program("reproduce-trends", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**TOY_TRENDS["train"])})
+    write_json(tmp_path / "serial.json", reproduce_trends(settings, workers=1).to_json_dict())
+    assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
 def test_console_script_runs(tmp_path):
