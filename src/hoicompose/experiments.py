@@ -8,6 +8,7 @@ code backs both the CLI summary and the automated trend checks.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from statistics import median
@@ -164,24 +165,31 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def init_worker(filters: list, numpy_errors: dict) -> None:
+    """Give a spawn worker its caller's warning filters and numpy error
+    handling, so that a warning the caller turns into an error fails a pooled
+    seed as it fails the serial loop."""
+    warnings.resetwarnings()  # also marks the registries of warnings already shown out of date
+    warnings.filters.extend(filters)
+    np.seterr(**numpy_errors)
+
+
 def spawn_map(fn, workers: int, *iterables) -> list:
     """list(map(fn, *iterables)) in `workers` spawn processes, results in input
-    order; the first exception in input order reaches the caller. No process
-    outlives the call and the environment is restored, also when fn raises."""
+    order; the first exception in input order reaches the caller. The workers
+    run under the caller's warning filters and numpy error handling. The pool
+    is joined and the environment restored before the call returns, also when
+    fn raises."""
     # Imported here: every CLI command imports this module, and these modules
     # would add about 1.5 MB to the resident size of the commands that never pool.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import resource_tracker
 
-    # Spawning starts multiprocessing's resource tracker, a helper process that
-    # would otherwise run until this interpreter exits.
-    tracker = resource_tracker._resource_tracker
-    tracker_ran = tracker._pid is not None
     saved = {key: os.environ.get(key) for key in WORKER_ENV}
     os.environ.update(WORKER_ENV)
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=init_worker, initargs=(warnings.filters[:], np.geterr())) as pool:
             return list(pool.map(fn, *iterables))
     finally:
         for key, value in saved.items():
@@ -189,25 +197,21 @@ def spawn_map(fn, workers: int, *iterables) -> list:
                 del os.environ[key]
             else:
                 os.environ[key] = value
-        if not tracker_ran:
-            tracker._stop()
 
 
-def reproduce_trends(settings: TrendSettings | None = None, workers: int | None = None) -> TrendReport:
+def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
     """Run every seed, median the metrics, and evaluate the trend checks. The
     first seed's run also gives the bank-stability check.
 
-    Seeds run in min(workers, seeds, usable CPUs) spawn workers; workers
-    defaults to no limit. With one, they run one after another in this process.
-    A spawn worker imports the caller's main script, so a script that calls
-    this runs its code under `if __name__ == "__main__":`.
+    Seeds run in min(seeds, usable CPUs) spawn workers; with one, they run one
+    after another in this process. A spawn worker imports the caller's main
+    script, so a script that calls this runs its code under
+    `if __name__ == "__main__":`.
     """
     settings = settings or TrendSettings()
     settings.validate()
-    if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int) or workers < 1):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     seeds = settings.seeds
-    workers = min(workers or len(seeds), len(seeds), usable_cpus())
+    workers = min(len(seeds), usable_cpus())
     args = (seeds, repeat(settings), [i == 0 for i in range(len(seeds))])
     results = list(map(seed_result, *args)) if workers == 1 else spawn_map(seed_result, workers, *args)
     per_seed = [metrics for metrics, _ in results]

@@ -27,8 +27,12 @@ class TrainingDiverged(RuntimeError):
     """Raised when a step's loss or gradients go non-finite; .step is the failing step."""
 
     def __init__(self, step: int, loss: float):
-        super().__init__(f"training loss or gradients became non-finite at step {step} (loss {loss})")
-        self.step = step
+        # args hold what __init__ takes, so the error unpickles from a worker
+        super().__init__(step, loss)
+        self.step, self.loss = step, loss
+
+    def __str__(self) -> str:
+        return f"training loss or gradients became non-finite at step {self.step} (loss {self.loss})"
 
 
 @dataclass

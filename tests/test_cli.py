@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import hoicompose
-from hoicompose import cli, pipeline
+from hoicompose import cli, experiments, pipeline
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
 from hoicompose.jsonfile import write_json
@@ -1058,6 +1058,17 @@ def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys):
     assert "reproduce-trends: seed 1: no novel objects in the external stream" in err, err
 
 
+def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys):
+    # a worker's TrainingDiverged reaches main as itself; huge lr overflows into
+    # NaN within a step or two at full width
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS,
+                                             "train": {"iterations": 10, "lr": 1e160}})
+    with np.errstate(all="ignore"):
+        assert run("reproduce-trends", cfg, tmp_path / "out") == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "diverged: training loss or gradients became non-finite at step" in err, err
+
+
 @pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
 def test_reproduce_trends_rejects_seed(tmp_path, capsys, body, seed):
     # neither would change trends.json: the trend seeds are the seeds list
@@ -1082,14 +1093,15 @@ def run_program(*argv):
     return run_python("-m", "hoicompose", *argv)
 
 
-def test_reproduce_trends_entry_point_starts_its_workers(tmp_path):
+def test_reproduce_trends_entry_point_starts_its_workers(tmp_path, monkeypatch):
     # spawn workers of a fresh `python -m hoicompose` start from the CLI's main
     # module, and the pooled run writes the serial run's bytes
     cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS})
     proc = run_program("reproduce-trends", "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
     settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**TOY_TRENDS["train"])})
-    write_json(tmp_path / "serial.json", reproduce_trends(settings, workers=1).to_json_dict())
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)  # the in-process serial loop
+    write_json(tmp_path / "serial.json", reproduce_trends(settings).to_json_dict())
     assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 

@@ -1,4 +1,5 @@
 import copy
+import pickle
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -420,6 +421,13 @@ def test_train_divergence_reports_step():
         with np.errstate(all="ignore"):
             train(train_set, external, tax, cfg)
     assert err.value.step >= 0
+
+
+def test_training_diverged_pickles():
+    # a spawn worker's error reaches its caller through pickle
+    err = pickle.loads(pickle.dumps(TrainingDiverged(7, float("nan"))))
+    assert (type(err), err.step, str(err)) == (
+        TrainingDiverged, 7, "training loss or gradients became non-finite at step 7 (loss nan)")
 
 
 @pytest.mark.parametrize("classifier", ["sp", "hoi"])
