@@ -428,8 +428,10 @@ def _end_to_end_errors(seed: int) -> dict:
 
 
 def cmd_reproduce_trends(cfg: dict, args) -> int:
-    if "seed" in cfg or args.seed is not None:
-        raise ConfigError("reproduce-trends takes no seed or --seed: trend seeds come from the seeds list")
+    train = cfg.get("train")
+    if "seed" in cfg or args.seed is not None or (isinstance(train, dict) and "seed" in train):
+        raise ConfigError("reproduce-trends takes no seed, train.seed or --seed: "
+                          "trend seeds come from the seeds list")
     s = _settings(cfg, args)
     try:
         settings = TrendSettings(**{**s, "seeds": tuple(s["seeds"]), "train": TrainConfig.from_json_dict(s["train"])})
@@ -437,6 +439,7 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"reproduce-trends config: {e}")
     s["train"] = settings.train.to_json_dict()
+    del s["train"]["seed"]  # each trend seed is its own training seed
     out = _out_dir(args)
     try:
         report = reproduce_trends(settings)

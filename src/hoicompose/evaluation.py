@@ -1,10 +1,11 @@
 """Measurement: IoU-matched HOI detection mAP, zero-shot splits, affordance metrics.
 
-Detections are a grid, every (human_box, object_box) row scored for every
-category; ground truth is an HOISet's boxes and multi-hot labels. Matching is
-greedy in score order against a shared ground-truth pool, a true positive needs
-both IoUs >= 0.5 and the exact category, and AP is the non-interpolated sum of
-precisions at true-positive ranks over n_positives.
+Detections are a score grid over the ground truth's own rows: row i scores truth
+row i's (human_box, object_box) pair for every category. Ground truth is an
+HOISet's boxes and multi-hot labels. Matching is greedy in score order against a
+shared ground-truth pool, a true positive needs both IoUs >= 0.5 and the exact
+category, and AP is the non-interpolated sum of precisions at true-positive ranks
+over n_positives.
 """
 from __future__ import annotations
 
@@ -42,48 +43,45 @@ def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / np.where(union > 0, union, np.inf)
 
 
-# Prediction rows per IoU block: a block's temporaries are _CHUNK_ROWS x (the GT rows
-# near its cell), a few MB at most even when every box falls into one cell.
+# Rows per IoU block: a block's temporaries are _CHUNK_ROWS x (the rows near its
+# cell), a few MB at most even when every box falls into one cell.
 _CHUNK_ROWS = 64
 # Cells per axis at most. Wider cells stay exact; they keep the cell keys small and the
 # keys' rounding error far below the margin on the reach.
 _MAX_CELLS = 1024
-# Prediction rows per cell, at least, on average: cells per axis are also at most
-# sqrt(prediction rows / _CELL_ROWS), so that a small set does not pay a Python
-# loop step for every few rows.
+# Rows per cell, at least, on average: cells per axis are also at most
+# sqrt(rows / _CELL_ROWS), so that a small set does not pay a Python loop step
+# for every few rows.
 _CELL_ROWS = 16
 
 
-def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
-    """(prediction, GT) index arrays of every pair whose human and object IoUs both
-    reach iou_threshold, in (prediction, GT) order.
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
+
+
+def _candidate_pairs(human, obj, iou_threshold: float):
+    """(row, row) index arrays of every pair of a set's rows, a row with itself
+    included, whose human and object IoUs both reach iou_threshold, in index order.
 
     If IoU(a, b) >= t > 0, the intersection width is at least t * max(w_a, w_b), so
     |x1_a - x1_b| <= (1 - t) * max(w_a, w_b), and likewise y1 with heights. With
     reach that bound at the largest object side, widened to cover rounding, rows are
     bucketed by their object box's (x1, y1) into square cells of side at least
-    reach / 2, and each prediction cell meets only the GT rows of its 5 x 5
-    neighbourhood: the object IoU over blocks of its rows, the human IoU only on the
-    pairs the object boxes let through. A row with a non-finite coordinate never
-    reaches IoU t and is dropped.
-
-    When the GT boxes equal the prediction boxes (a Detections grid of the truth's
-    own rows), the pairs are a self-join: the IoU and the neighbourhood are both
-    symmetric, so each cell meets only itself and the 12 cells after it in key
-    order, and each pair across two cells is found once and mirrored."""
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
-    pred_h, pred_o, gt_h, gt_o = (np.asarray(b, dtype=float).reshape(-1, 4)
-                                  for b in (pred_h, pred_o, gt_h, gt_o))
-    self_join = np.array_equal(pred_h, gt_h) and np.array_equal(pred_o, gt_o)
-    pred_rows = np.flatnonzero(np.isfinite(pred_h).all(axis=1) & np.isfinite(pred_o).all(axis=1))
-    gt_rows = pred_rows if self_join else np.flatnonzero(np.isfinite(gt_h).all(axis=1)
-                                                         & np.isfinite(gt_o).all(axis=1))
-    boxes = pred_o[pred_rows] if self_join else np.concatenate([pred_o[pred_rows], gt_o[gt_rows]])
+    reach / 2, so the two rows of a pair lie within one 5 x 5 neighbourhood of
+    cells. The IoU and the neighbourhood are both symmetric, so each cell meets only
+    itself and the 12 cells after it in key order (the object IoU over blocks of its
+    rows, the human IoU only on the pairs the object boxes let through), and each
+    pair across two cells is found once and mirrored. A row with a non-finite
+    coordinate never reaches IoU t and is dropped."""
+    _check_iou_threshold(iou_threshold)
+    human, obj = (np.asarray(b, dtype=float).reshape(-1, 4) for b in (human, obj))
+    rows = np.flatnonzero(np.isfinite(human).all(axis=1) & np.isfinite(obj).all(axis=1))
+    boxes = obj[rows]
     w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
     side = max(w.max(initial=0.0), h.max(initial=0.0))
     empty = np.zeros(0, dtype=np.intp)
-    if not (len(pred_rows) and len(gt_rows) and side > 0):  # no pair can overlap
+    if not (len(rows) and side > 0):  # no pair can overlap
         return empty, empty
     # Below an area of 1e-300 the IoU's rounding is no longer relative to its value:
     # then only the overlap itself is relied on, |x1_a - x1_b| < max(w_a, w_b).
@@ -91,7 +89,7 @@ def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
     reach = (slack * (1 + 1e-9) + 1e-9) * side
     corners = boxes[:, :2]
     lo = corners.min(axis=0)
-    cells = min(_MAX_CELLS, max(1.0, math.sqrt(len(pred_rows) / _CELL_ROWS)))
+    cells = min(_MAX_CELLS, max(1.0, math.sqrt(len(rows) / _CELL_ROWS)))
     cell = max(reach / 2, (corners.max(axis=0) - lo).max() / cells)
     if 0 < cell < np.inf:
         xy = np.floor((corners - lo) / cell).astype(np.intp)
@@ -99,39 +97,30 @@ def _candidate_pairs(pred_h, pred_o, gt_h, gt_o, iou_threshold: float):
         xy = np.zeros_like(corners, dtype=np.intp)
     stride = xy[:, 1].max() + 3  # > the largest y cell + 2: a window stays in its column
     keys = xy[:, 0] * stride + xy[:, 1]
-    pred_order = np.argsort(keys[:len(pred_rows)])
-    pred_rows, pred_key = pred_rows[pred_order], keys[pred_order]
-    if self_join:
-        gt_rows, gt_key = pred_rows, pred_key
-        # the cell itself, the two after it in its column, the next two columns' five
-        window_lo = np.array([0, 1, stride - 2, 2 * stride - 2])
-        window_hi = np.array([0, 2, stride + 2, 2 * stride + 2])
-    else:
-        gt_order = np.argsort(keys[len(pred_rows):])
-        gt_rows, gt_key = gt_rows[gt_order], keys[len(pred_rows):][gt_order]
-        window_lo = stride * np.arange(-2, 3) - 2  # one key range per cell column
-        window_hi = window_lo + 4
-    # per occupied prediction cell, the GT rows of its window
-    firsts = np.flatnonzero(np.diff(pred_key, prepend=-1))
-    starts = np.searchsorted(gt_key, pred_key[firsts, None] + window_lo, side="left")
-    ends = np.searchsorted(gt_key, pred_key[firsts, None] + window_hi, side="right")
-    preds, gts = [empty], [empty]
-    for first, last, cell_starts, cell_ends in zip(firsts, np.append(firsts[1:], len(pred_key)),
-                                                   starts, ends):
-        near = np.concatenate([gt_rows[s:e] for s, e in zip(cell_starts, cell_ends)])
-        # a self-join's GT rows past the cell's own are another cell's: mirrored
-        own = cell_ends[0] - cell_starts[0] if self_join else len(near)
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+    # the cell itself, the two after it in its column, the next two columns' five
+    window_lo = np.array([0, 1, stride - 2, 2 * stride - 2])
+    window_hi = np.array([0, 2, stride + 2, 2 * stride + 2])
+    # per occupied cell, the rows of its window
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = np.searchsorted(keys, keys[firsts, None] + window_lo, side="left")
+    ends = np.searchsorted(keys, keys[firsts, None] + window_hi, side="right")
+    lefts, rights = [empty], [empty]
+    for first, last, cell_starts, cell_ends in zip(firsts, np.append(firsts[1:], len(keys)), starts, ends):
+        near = np.concatenate([rows[s:e] for s, e in zip(cell_starts, cell_ends)])
+        own = cell_ends[0] - cell_starts[0]  # the rows past the cell's own are another cell's: mirrored
         for start in range(first, last, _CHUNK_ROWS):
-            block = pred_rows[start:min(start + _CHUNK_ROWS, last)]
-            r, c = np.nonzero(_pair_iou(pred_o[block, None], gt_o[None, near]) >= iou_threshold)
-            ok = _pair_iou(pred_h[block[r]], gt_h[near[c]]) >= iou_threshold
+            block = rows[start:min(start + _CHUNK_ROWS, last)]
+            r, c = np.nonzero(_pair_iou(obj[block, None], obj[None, near]) >= iou_threshold)
+            ok = _pair_iou(human[block[r]], human[near[c]]) >= iou_threshold
             r, c = r[ok], c[ok]
             mirror = c >= own
-            preds += [block[r], near[c[mirror]]]
-            gts += [near[c], block[r[mirror]]]
-    pred, gt = np.concatenate(preds), np.concatenate(gts)
-    order = np.lexsort((gt, pred))
-    return pred[order], gt[order]
+            lefts += [block[r], near[c[mirror]]]
+            rights += [near[c], block[r[mirror]]]
+    a, b = np.concatenate(lefts), np.concatenate(rights)
+    order = np.lexsort((b, a))
+    return a[order], b[order]
 
 
 def _descending_order(col: np.ndarray) -> np.ndarray:
@@ -166,18 +155,20 @@ def match_detections(predictions, ground_truth, iou_threshold: float = IOU_THRES
     score descending; equal scores keep input order. Each GT pair is consumed
     by at most one prediction; a prediction takes the first unconsumed GT (in
     GT input order) with its exact category and both IoUs >= iou_threshold,
-    which must lie in (0, 1].
+    which must lie in (0, 1]. A box with a non-finite coordinate never matches.
     """
+    _check_iou_threshold(iou_threshold)
     scores = [p[3] for p in predictions]
     if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
         raise ValueError("predictions must be sorted by score descending")
-    pred, gt = _candidate_pairs([p[0] for p in predictions], [p[1] for p in predictions],
-                                [g[0] for g in ground_truth], [g[1] for g in ground_truth],
-                                iou_threshold)
-    same = (np.array([p[2] for p in predictions])[pred]
-            == np.array([g[2] for g in ground_truth])[gt])
+    pred_h, pred_o, gt_h, gt_o = (np.asarray([x[k] for x in rows], dtype=float).reshape(-1, 4)
+                                  for rows in (predictions, ground_truth) for k in (0, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite box reads NaN, never a match
+        ok = ((_pair_iou(pred_h[:, None], gt_h[None]) >= iou_threshold)
+              & (_pair_iou(pred_o[:, None], gt_o[None]) >= iou_threshold))
+    ok &= np.array([p[2] for p in predictions])[:, None] == np.array([g[2] for g in ground_truth])[None]
     flags = [False] * len(predictions)
-    for rank in _greedy_match(pred[same], gt[same]):
+    for rank in _greedy_match(*np.nonzero(ok)):  # in (prediction, GT) order
         flags[rank] = True
     return flags
 
@@ -425,27 +416,25 @@ def map_report(
     """Full detection report of a Detections grid against one pooled test set.
 
     truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
-    two boxes with that category. The candidate (detection row, GT row) pairs,
-    both IoUs >= iou_threshold in (0, 1], are found once for all categories; per
+    two boxes with that category. Row i of the grid scores truth row i's boxes.
+    The candidate (detection row, GT row) pairs, both IoUs >= iou_threshold in
+    (0, 1], are the truth's self-join, found once for all categories; per
     category, the detections rank by score descending (ties in row order) and
     match greedily against the candidate pairs whose GT row carries the
     category, as match_detections does. Categories absent from the ground
     truth get AP = NaN and are excluded from every group mean. Rare = realized
     train count < rare_threshold.
     """
-    n, m, n_cat = len(detections.scores), len(truth.hoi_label), tax.n_categories
+    n, n_cat = len(truth), tax.n_categories
     # an empty set loaded from an empty file has no label width
-    labels = truth.hoi_label if m else np.zeros((0, n_cat), dtype=np.int8)
-    for name, column, want in (("detection human_box", detections.human_box, (n, 4)),
-                               ("detection object_box", detections.object_box, (n, 4)),
-                               ("detection scores", detections.scores, (n, n_cat)),
-                               ("ground-truth human_box", truth.human_box, (m, 4)),
-                               ("ground-truth object_box", truth.object_box, (m, 4)),
-                               ("ground-truth hoi_label", labels, (m, n_cat))):
+    labels = truth.hoi_label if n else np.zeros((0, n_cat), dtype=np.int8)
+    for name, column, want in (("detection scores", detections.scores, (n, n_cat)),
+                               ("ground-truth human_box", truth.human_box, (n, 4)),
+                               ("ground-truth object_box", truth.object_box, (n, 4)),
+                               ("ground-truth hoi_label", labels, (n, n_cat))):
         if np.shape(column) != want:
             raise ValueError(f"{name} has shape {np.shape(column)}, expected {want}")
-    pred, gt = _candidate_pairs(detections.human_box, detections.object_box,
-                                truth.human_box, truth.object_box, iou_threshold)
+    pred, gt = _candidate_pairs(truth.human_box, truth.object_box, iou_threshold)
     labels = np.asarray(labels) != 0
     candidate_labels = labels[gt]
     scores = np.asarray(detections.scores, dtype=float)

@@ -382,14 +382,14 @@ def _check_confidences(s_h: float, s_o: float) -> None:
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
                     s_o: float = 1.0) -> Detections:
     """Score every instance of an HOISet for every category: a Detections grid
-    whose box columns are the set's own."""
+    whose row i is the set's row i."""
     _check_confidences(s_h, s_o)
     if not len(instances):
-        return Detections(instances.human_box, instances.object_box, np.zeros((0, tax.n_categories)))
+        return Detections(np.zeros((0, tax.n_categories)))
     x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)
     _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
-    return Detections(instances.human_box, instances.object_box, s_h * s_o * p_sp * p_hoi)
+    return Detections(s_h * s_o * p_sp * p_hoi)
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:

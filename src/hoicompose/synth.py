@@ -107,11 +107,9 @@ class ObjectSet(_Columns):
 
 @dataclass(eq=False)
 class Detections(_Columns):
-    """Scored detections as one grid: row i is one (human box, object box) pair,
-    and scores[i, c] its score for category c."""
+    """Scored detections as one grid over a scored set's rows: scores[i, c] is
+    the score of the set's row i (its human box and object box) for category c."""
 
-    human_box: np.ndarray  # (n, 4)
-    object_box: np.ndarray  # (n, 4)
     scores: np.ndarray  # (n, n_categories)
 
     kind = "detections"

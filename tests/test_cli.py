@@ -161,12 +161,11 @@ CHAIN_BUILD_BANK_SHA256 = {
 }
 CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
 # the zeroshot and affordance outputs that do not depend on the BLAS thread count
-# (the checkpoint, trace, scores and the manifests that hash them do)
+# (the checkpoint, trace, scores and the manifests that hash them do); the
+# predictions' rows are the test set's, whose boxes are pinned above
 CHAIN_THREAD_FREE_SHA256 = {
     "zeroshot/report.json": "31d0b3d2a25fa383a10d42c0ba9e02a68245e4bb409ea59f0401a649ada1d297",
     "zeroshot/report.csv": "8930d848e9437956c0af46bf62620f27942d4486a1a94d854916377f1c0ef719",
-    "zeroshot/predictions/human_box.npy": "f6aa5ad9e97870466773b1dbc12ae7cbb2d25d01299f56744c4f53d18a6ef1ac",
-    "zeroshot/predictions/object_box.npy": "7d8def407d2c8154468c6398d3a655ad74ebdb144f5409d30f797375e473a86a",
     "affordance/affordance.json": "54dd280e186c58d6479428c84c550a188e4ce6903ab0eb335907ed20725f6804",
 }
 CHAIN_STDOUT_SHA256 = {
@@ -208,6 +207,7 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_STDOUT_SHA256[step], step
     for name, digest in CHAIN_THREAD_FREE_SHA256.items():
         assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
+    assert sorted(p.name for p in Path("zeroshot/predictions").iterdir()) == ["scores.npy"]
 
 
 def test_train_outputs(trained_dir, data_dir):
@@ -295,8 +295,7 @@ def test_zeroshot_report(trained_dir, data_dir, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert {"full", "rare", "nonrare", "unseen", "seen"} <= set(report["groups"])
     assert (out / "report.csv").is_file()
-    assert sorted(p.name for p in (out / "predictions").iterdir()) == [
-        "human_box.npy", "object_box.npy", "scores.npy"]
+    assert sorted(p.name for p in (out / "predictions").iterdir()) == ["scores.npy"]
     assert not (out / "predictions.jsonl").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["predictions", "report.csv", "report.json"]
@@ -320,7 +319,7 @@ def test_eval_hoi_needs_no_split(trained_dir, data_dir, tmp_path):
 @pytest.mark.parametrize("n_test", [60, 0])
 def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_path, n_test):
     # predictions/ reads back as predict_dataset's Detections bit for bit: row i
-    # is test row i, and scores[:, c] category c
+    # scores test row i, and scores[:, c] category c
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     test_set = load_instances(data / "test")[:n_test]
@@ -335,11 +334,9 @@ def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_
     back = load_instances(out / "predictions")
     model, _ = load_checkpoint(trained_dir / "checkpoint.json")
     want = pipeline.predict_dataset(model, test_set, Taxonomy.load(data / "taxonomy.json"))
-    assert type(back) is Detections and len(back) == n_test
-    for name in ("human_box", "object_box", "scores"):
-        got, expected = getattr(back, name), getattr(want, name)
-        assert (got.dtype, got.shape) == (np.dtype("<f8"), expected.shape), name
-        assert got.tobytes() == expected.tobytes(), name
+    assert type(back) is Detections and len(back) == len(test_set) == n_test
+    assert (back.scores.dtype, back.scores.shape) == (np.dtype("<f8"), want.scores.shape)
+    assert back.scores.tobytes() == want.scores.tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [60, 0])
@@ -1036,8 +1033,8 @@ def test_reproduce_trends_smoke(tmp_path, capsys):
     assert len(doc["per_seed"]) == 1
     out = capsys.readouterr().out
     assert "bank stability" in out and "check unseen_map_gain" in out
-    # its manifest config, the full train config with its default seed among
-    # it, repeats the run
+    # its manifest config, the full train config but for its seed (each trend
+    # seed trains with itself), repeats the run
     config = json.loads((first / "manifest.json").read_text())["config"]
     assert run("reproduce-trends", write_config(tmp_path / "replay.json", config), again) == EXIT_OK
     assert tree_bytes(again) == tree_bytes(first)
@@ -1069,14 +1066,16 @@ def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys):
     assert "diverged: training loss or gradients became non-finite at step" in err, err
 
 
-@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3)])
+@pytest.mark.parametrize("body,seed", [({"seed": 3}, None), ({}, 3), ({"train": {"seed": 3}}, None)])
 def test_reproduce_trends_rejects_seed(tmp_path, capsys, body, seed):
-    # neither would change trends.json: the trend seeds are the seeds list
+    # none would change trends.json: the trend seeds are the seeds list, and
+    # each is also its own training seed
     cfg = write_config(tmp_path / "t.json", {"seeds": [0], **body})
     out = tmp_path / "out"
-    assert run("reproduce-trends", cfg, out, seed=seed) == EXIT_CONFIG
+    assert run("reproduce-trends", cfg, out, seed=seed) == EXIT_CONFIG == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "trend seeds come from the seeds list" in err, err
+    assert err.startswith("config error: reproduce-trends takes no seed, train.seed or --seed: "), err
+    assert "trend seeds come from the seeds list" in err, err
     assert not out.exists()
 
 

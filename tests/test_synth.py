@@ -371,8 +371,7 @@ def column_sets(draw):
     (NaN and ±inf too) and any label in its column's integer range."""
     n = draw(st.sampled_from([0, 1, draw(st.integers(2, 9))]))
     if draw(st.booleans()):
-        return Detections(draw(_float_column(n, 4)), draw(_float_column(n, 4)),
-                          draw(_float_column(n, draw(st.integers(1, 6)))))
+        return Detections(draw(_float_column(n, draw(st.integers(1, 6)))))
     feat_dim = draw(st.integers(1, 5))
     columns = {"object_box": draw(_float_column(n, 4)),
                "object_label": draw(hnp.arrays(np.int64, (n,))),
@@ -428,14 +427,14 @@ def test_load_rejects_unknown_kind(tmp_path):
 
 def test_load_refuses_a_stray_column_in_a_detections_directory(tmp_path):
     # scores.npy makes the directory a Detections, whose files hold no label
-    detections = Detections(np.zeros((2, 4)), np.ones((2, 4)), np.full((2, 3), 0.5))
+    detections = Detections(np.full((2, 3), 0.5))
     save_instances(tmp_path / "predictions", detections)
     assert_same_set(load_instances(tmp_path / "predictions"), detections)
     np.save(tmp_path / "predictions" / "hoi_label.npy", np.zeros((2, 3), dtype=np.int8))
     with pytest.raises(ValueError, match=re.escape("unknown column files: ['hoi_label.npy']")):
         load_instances(tmp_path / "predictions")
     (tmp_path / "predictions" / "scores.npy").unlink()
-    with pytest.raises(ValueError, match=re.escape("missing field 'object_label'")):
+    with pytest.raises(ValueError, match=re.escape("missing field 'human_box'")):
         load_instances(tmp_path / "predictions")
 
 
