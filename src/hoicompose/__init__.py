@@ -12,7 +12,7 @@ from .nn import GradReport, MLPParams, bce_loss, grad_check, init_params, mlp_ba
 from .pipeline import (HOIModel, TrainConfig, TrainingDiverged, TrainResult, baseline_config,
                        compose_batch, load_checkpoint, make_spatial_pattern, predict_dataset,
                        save_checkpoint, total_loss, train)
-from .seeding import per_instance_rng, stream_seed, substream
+from .seeding import instance_rngs, per_instance_rng, stream_seed, substream
 from .synth import (Detections, HOISet, ObjectSet, WorldSpec, gen_dataset, gen_world, load_instances,
                     save_instances)
 from .taxonomy import (Taxonomy, build_cooccurrence, compose_label, decouple_object,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import per_instance_rng, substream
+from .seeding import instance_rngs, substream
 from .taxonomy import Taxonomy, decouple_verb
 
 # Desk-scale defaults; everything is overridable.
@@ -190,15 +190,16 @@ def _boxes(u, min_side: float, max_side: float, center=None, jitter: float = 0.0
 
 
 def _draw_rows(seed: int, stream: str, n: int, pick, n_normal: int, n_unit: int, others=None, prob=0.0):
-    """The draws of a stream's rows 0..n-1, each from its own per_instance_rng,
-    as columns, in a row's draw order: its pick(rng); with others, one unit draw
-    per id in others[pick], kept as a coin that is set when the draw is below
-    prob; n_normal standard normals; n_unit unit draws."""
+    """The draws of a stream's rows 0..n-1 as columns. Row i draws from its own
+    generator, the one per_instance_rng(seed, stream, i) returns, which
+    instance_rngs seeds for all rows in one vectorised pass. A row's draw order:
+    its pick(rng); with others, one unit draw per id in others[pick], kept as a
+    coin that is set when the draw is below prob; n_normal standard normals;
+    n_unit unit draws."""
     picks = np.zeros(n, dtype=np.int64)
     coins = np.zeros((n, 0 if others is None else len(others)), dtype=bool)
     normal, unit = np.empty((n, n_normal)), np.empty((n, n_unit))
-    for i in range(n):
-        rng = per_instance_rng(seed, stream, i)
+    for i, rng in enumerate(instance_rngs(seed, stream, range(n))):
         p = picks[i] = pick(rng)
         if others is not None:
             coins[i, others[p]] = rng.random(len(others[p])) < prob

@@ -1018,6 +1018,29 @@ def test_manifest_config_reruns_the_command(data_dir, trained_dir, tmp_path, cmd
     assert tree_bytes(again) == tree_bytes(first)
 
 
+@pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot", "affordance"])
+def test_seed_is_recorded_but_not_read(data_dir, trained_dir, tmp_path, cmd):
+    # these commands draw nothing: under --seed 0 and --seed 5 they write the same
+    # reports, and their manifests differ only in the recorded seed and its hash
+    checkpoint, bank = str(trained_dir / "checkpoint.json"), tmp_path / "bank" / "bank.json"
+    body = {"data_dir": str(data_dir), "checkpoint": checkpoint}
+    if cmd == "affordance":
+        assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+                   bank.parent) == EXIT_OK
+        body["bank"] = str(bank)
+    else:
+        body["write_predictions"] = True
+    cfg = write_config(tmp_path / "cfg.json", body)
+    assert run(cmd, cfg, tmp_path / "seed0", seed=0) == EXIT_OK
+    assert run(cmd, cfg, tmp_path / "seed5", seed=5) == EXIT_OK
+    zero, five = tree_bytes(tmp_path / "seed0"), tree_bytes(tmp_path / "seed5")
+    m0, m5 = (json.loads(files.pop("manifest.json")) for files in (zero, five))
+    assert zero == five
+    assert (m0["config"].pop("seed"), m5["config"].pop("seed")) == (0, 5)
+    assert m0.pop("config_sha256") != m5.pop("config_sha256")
+    assert m0 == m5
+
+
 TOY_TRENDS = {"n_train": 250, "n_test": 60, "n_external": 60,
               "train": {"iterations": 250, "hidden": 24, "spatial_resolution": 8}}
 

@@ -1,6 +1,7 @@
-"""Run the byte-identity chain into OUT and print the sha256 of everything it wrote.
+"""Run the byte-identity chain and print the sha256 of everything it wrote.
 
     python3 tools/chain_digest.py OUT
+    python3 tools/chain_digest.py --check tools/chain.sha256 [OUT]
 
 The chain is gen-data 4000/3200/6400 novel-object at seed 7, then the default
 train, zeroshot with write_predictions, build-bank, affordance,
@@ -9,17 +10,29 @@ each in a fresh interpreter that imports this checkout's package, with
 OPENBLAS_NUM_THREADS=2 (checkpoint bytes depend on the BLAS thread count).
 Every step runs inside OUT on relative paths, so the manifests of two
 checkouts compare. Each step's config goes to OUT/configs/<step>.json and its
-stdout to OUT/stdout/<step>.txt. The output is one "<sha256>  <path>" line
-per file under OUT, sorted by path; diff two of them to compare checkouts.
+stdout to OUT/stdout/<step>.txt. The output is a "# " line naming the BLAS
+the digests were taken under (numpy version, BLAS name and version, thread
+count), then one "<sha256>  <path>" line per file under OUT, sorted by path;
+diff two of them to compare checkouts.
+
+With --check FILE the chain runs into OUT (a temporary directory when OUT is
+not given) and is compared with FILE, a recorded output such as
+tools/chain.sha256. Each changed, missing or extra path is printed, and any
+difference exits 1. A recorded BLAS line that differs from this machine's is
+only a warning on stderr, since the thread-dependent files may then differ.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 STEP_TIMEOUT_S = 900
@@ -49,11 +62,14 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        sys.exit(__doc__)
-    out = Path(args[0])
+def fingerprint() -> str:
+    """The BLAS line of a chain record: the numpy and BLAS the chain's steps import."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"# numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, OPENBLAS_NUM_THREADS=2"
+
+
+def run_chain(out: Path) -> list[str]:
+    """Run the chain into the empty directory out; the record's lines, BLAS line first."""
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")
     for sub in ("configs", "stdout"):
@@ -71,9 +87,43 @@ def main(argv=None) -> int:
         if proc.returncode != 0:
             sys.exit(f"{step} exited {proc.returncode}:\n{proc.stderr}")
         (out / "stdout" / f"{step}.txt").write_text(proc.stdout)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{sha256_file(path)}  {path.relative_to(out).as_posix()}")
-    return 0
+    return [fingerprint()] + [f"{sha256_file(path)}  {path.relative_to(out).as_posix()}"
+                              for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
+def digests(lines: list[str]) -> dict:
+    """{path: sha256} of a record's digest lines."""
+    return {path: sha for sha, path in (line.split("  ", 1) for line in lines if not line.startswith("#"))}
+
+
+def check(recorded: list[str], lines: list[str]) -> int:
+    """Print how lines differ from the recorded ones; 1 if any digest differs, else 0."""
+    if recorded[:1] != lines[:1]:
+        print(f"warning: recorded under {recorded[0] if recorded else 'nothing'!r}, "
+              f"this machine is {lines[0]!r}", file=sys.stderr)
+    want, got = digests(recorded), digests(lines)
+    diffs = ([f"changed  {p}" for p in sorted(want.keys() & got.keys()) if want[p] != got[p]]
+             + [f"missing  {p}" for p in sorted(want.keys() - got.keys())]
+             + [f"extra  {p}" for p in sorted(got.keys() - want.keys())])
+    print("\n".join(diffs) if diffs else f"all {len(want)} chain files match the record")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--check", metavar="FILE", help="compare the chain with this record")
+    parser.add_argument("out", nargs="?", help="directory to run the chain in")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        if args.out is None:
+            parser.error("OUT is required without --check")
+        print("\n".join(run_chain(Path(args.out))))
+        return 0
+    recorded = Path(args.check).read_text().splitlines()
+    if args.out is not None:
+        return check(recorded, run_chain(Path(args.out)))
+    with tempfile.TemporaryDirectory() as tmp:
+        return check(recorded, run_chain(Path(tmp)))
 
 
 if __name__ == "__main__":
