@@ -2,6 +2,11 @@
 object feature by pairing it with every banked entry and reading the shared HOI
 classifier. A verb counts a hit only on its own bank entries; the per-verb score
 is hits / stored entries.
+
+The probe runs entry-major: for a block of objects, each of a verb's entries is
+paired with all the block's objects at once, and the first layer's ReLU is split
+as relu(e + o) = max(e, -o) + o, so the object term o reaches the output
+through W2 once per block instead of once per (object, entry) pair.
 """
 from __future__ import annotations
 
@@ -19,9 +24,12 @@ from .taxonomy import Taxonomy, decouple_verb
 DEFAULT_BANK_SIZE = 100
 DEFAULT_HOI_THRESHOLD = 0.5
 DEFAULT_KEEP_THRESHOLD = 0.5
-# (object, entry) rows per block of recognize_objects: bounds its hidden buffer at
-# PROBE_ROWS x hidden floats whatever the number of objects.
-PROBE_ROWS = 1024
+# recognize_objects pairs blocks of PROBE_COLS objects with groups of entries, and
+# its hidden buffer and its best-logit buffer each hold at most
+# max(PROBE_CELLS, hidden x PROBE_COLS) floats, whatever the number of objects
+# and entries.
+PROBE_COLS = 512
+PROBE_CELLS = 32768
 
 
 @dataclass
@@ -160,10 +168,18 @@ def recognize_objects(
     scores 0. Kept verbs are those with hit ratio strictly above keep_threshold.
 
     The first layer splits as W1 = [W1_verb | W1_obj], so each pair's hidden
-    pre-activation is (f @ W1_verb.T + b1) + object_feat @ W1_obj.T: both halves
-    are computed once, and each verb's pairs are summed block by block into one
-    buffer of at most PROBE_ROWS x hidden (one object a block when S_i is larger),
-    which reads only that verb's own output rows of W2.
+    pre-activation is e + o, with e = f @ W1_verb.T + b1 and
+    o = object_feat @ W1_obj.T. The probe is entry-major: objects go in blocks of
+    PROBE_COLS, held as -o's (hidden, objects) columns, and each verb's entries
+    in groups. Since relu(e + o) = max(e, -o) + o exactly, a verb's own-category
+    logits are W2 @ max(e, -o) + (W2 @ o + b2). The bracket is computed once per
+    block and verb, and a group of entries costs one broadcast max, contiguous
+    over the block's objects, and one matrix product. Only the order of the
+    sums differs from a single forward pass, so a hit can differ only where a
+    probability lies within rounding of hoi_threshold. The max over own
+    categories fills a best-logit buffer of one or more groups, and the sigmoid
+    and threshold run once per buffer. The hidden and best-logit buffers hold at
+    most max(PROBE_CELLS, hidden x PROBE_COLS) floats each.
     """
     if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
         raise ValueError("thresholds must lie in [0, 1]")
@@ -183,27 +199,33 @@ def recognize_objects(
     hoi = model.hoi_classifier
     if hoi.d_in != 2 * bank.feat_dim:
         raise ValueError(f"classifier input dim {hoi.d_in} does not match twice the bank dim {bank.feat_dim}")
-    w1_verb, w1_obj = hoi.w1[:, :bank.feat_dim], hoi.w1[:, bank.feat_dim:]
-    obj_hidden = feats @ w1_obj.T  # (n, hidden): the object half of every first layer
+    w1_verb, w1_obj, hidden = hoi.w1[:, :bank.feat_dim], hoi.w1[:, bank.feat_dim:], hoi.hidden
+    probes = [(v, hoi.w2[cats], hoi.b2[cats, None]) for v in np.flatnonzero(stored).tolist()
+              if len(cats := tax.categories_of_verb(v))]  # each probed verb's own rows of W2 and b2
+    most = max((len(bank.entries[v]) for v, _, _ in probes), default=0)
     hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
-    for v in np.flatnonzero(stored).tolist():
-        cats = tax.categories_of_verb(v)
-        if not len(cats):
-            continue
-        entries = bank.entries[v]
-        entry_hidden = entries @ w1_verb.T + hoi.b1  # (s_i, hidden)
-        s_i = len(entries)
-        block = max(1, PROBE_ROWS // s_i)
-        buf = np.empty((min(block, len(feats)), s_i, hoi.hidden))
-        w2, b2 = hoi.w2[cats], hoi.b2[cats, None]
-        for start in range(0, len(feats), block):
-            h = buf[:min(block, len(feats) - start)]
-            np.add(entry_hidden, obj_hidden[start:start + len(h), None], out=h)
-            np.maximum(h, 0.0, out=h)
-            logits = w2 @ h.reshape(-1, hoi.hidden).T  # (own categories, rows): max runs down columns
-            logits += b2
-            probs = nn.sigmoid(logits.max(axis=0)).reshape(len(h), s_i)
-            hits[start:start + len(h), v] = (probs >= hoi_threshold).sum(axis=1)
+    for start in range(0, len(feats), PROBE_COLS):
+        neg = w1_obj @ feats[start:start + PROBE_COLS].T  # the block's o, (hidden, cols), negated in place
+        np.negative(neg, out=neg)
+        cols = neg.shape[1]
+        rows = min(most, max(1, PROBE_CELLS // cols))  # entries one best-logit buffer holds
+        group = min(rows, max(1, PROBE_CELLS // (hidden * cols)))  # entries one hidden buffer holds
+        h_buf, best = np.empty(hidden * group * cols), np.empty((rows, cols))
+        for v, w2, b2 in probes:
+            base = b2 - w2 @ neg  # W2 @ o + b2, as W2 @ -o is exactly -(W2 @ o)
+            entry_hidden = bank.entries[v] @ w1_verb.T  # e, (s_i, hidden)
+            entry_hidden += hoi.b1
+            for first in range(0, len(entry_hidden), rows):
+                chunk = entry_hidden[first:first + rows]
+                for g0 in range(0, len(chunk), group):
+                    e = chunk[g0:g0 + group]
+                    h = h_buf[:hidden * len(e) * cols].reshape(hidden, len(e), cols)
+                    np.maximum(neg[:, None], e.T[:, :, None], out=h)
+                    logits = (w2 @ h.reshape(hidden, -1)).reshape(len(w2), len(e), cols)
+                    logits += base[:, None]
+                    logits.max(axis=0, out=best[g0:g0 + len(e)])
+                passed = nn.sigmoid(best[:len(chunk)], overwrite=True) >= hoi_threshold
+                hits[start:start + cols, v] += passed.sum(axis=0)
     scores = np.full(hits.shape, np.nan)
     np.divide(hits, stored, out=scores, where=stored > 0)
     return AffordanceScores(hits=hits, stored=stored, probed=probed, scores=scores,

@@ -208,6 +208,16 @@ def _draw_rows(seed: int, stream: str, n: int, pick, n_normal: int, n_unit: int,
     return picks, coins, normal, unit
 
 
+def _unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(bits, axis=0, return_inverse=True) for a 0/1 matrix, by one sort of
+    a 1-D key per row: the row's bits packed big-endian into bytes, so the keys,
+    compared as byte strings, sort as the rows do."""
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return bits[first], which
+
+
 def _hoi_rows(world: WorldSpec, tax: Taxonomy, seed: int, stream: str, n: int, categories, cdf,
               co_label_prob: float) -> HOISet:
     """n HOI rows of the named stream, each of a category drawn from categories
@@ -228,7 +238,7 @@ def _hoi_rows(world: WorldSpec, tax: Taxonomy, seed: int, stream: str, n: int, c
     cats, coins, noise, unit = _draw_rows(seed, stream, n, pick, 3 * d, 8, others, co_label_prob)
     label = (coins & np.isin(ids, categories)).astype(np.int8)
     label[np.arange(n), cats] = 1
-    verb_sets, which = np.unique(decouple_verb(label, tax), axis=0, return_inverse=True)
+    verb_sets, which = _unique_rows(decouple_verb(label, tax))
     means = np.array([world.verb_prototypes[np.flatnonzero(s)].mean(axis=0) for s in verb_sets]).reshape(-1, d)
     human_box = _boxes(unit[:, :4], 0.25, 0.5)
     center = (human_box[:, :2] + human_box[:, 2:]) / 2

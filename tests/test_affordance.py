@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 from test_evaluation import (affordance_map_oracle, affordance_prf1_oracle, assert_same_float, assert_same_prf1,
                              grid_sets)
 
-from hoicompose import nn
+from hoicompose import affordance, nn
 from hoicompose.affordance import (
-    PROBE_ROWS,
+    PROBE_CELLS,
+    PROBE_COLS,
     AffordanceBank,
     build_bank,
     recognize,
     recognize_objects,
 )
-from hoicompose.evaluation import affordance_map, affordance_prf1
+from hoicompose.evaluation import affordance_map, affordance_prf1, make_split
 from hoicompose.pipeline import HOIModel, TrainConfig, init_model, train
+from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import Taxonomy
 
@@ -375,10 +378,13 @@ def probe_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(probe_cases())
-def test_recognize_objects_matches_dict_oracle(case):
+@given(probe_cases(), st.integers(1, 3), st.integers(1, 3))
+def test_recognize_objects_matches_dict_oracle(case, cols, cells):
     tax, bank, model, feats, labels, (hoi_t, keep_t) = case
-    r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
+    # blocks of 1-3 objects, and hidden and best-logit buffers of 1-3 cells (at least one
+    # entry): up to 6 objects and 4 entries a verb cross every block, group and buffer edge
+    with mock.patch.object(affordance, "PROBE_COLS", cols), mock.patch.object(affordance, "PROBE_CELLS", cells):
+        r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
     predicted, scores, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_t, keep_t)
 
     probed = [v for v in sorted(bank.entries) if v not in tax.no_interaction_verbs]
@@ -457,40 +463,100 @@ def random_case(sizes, seed=0):
 
 @pytest.mark.parametrize("s_i", [7, 100])
 def test_recognize_objects_block_boundaries(s_i):
-    # 0, 1, one full block of PROBE_ROWS // s_i objects and one more
+    # 0, 1, one full block of PROBE_COLS objects and one more; at hidden 6, a full
+    # block's hidden buffer holds 10 entries and its best-logit buffer up to 64
     tax, bank, model, rng = random_case([s_i, 3, 1], seed=s_i)
-    block = PROBE_ROWS // s_i
-    for n in (0, 1, block, block + 1):
+    for n in (0, 1, PROBE_COLS, PROBE_COLS + 1):
         assert_hits_match_oracle(rng.normal(size=(n, 3)), bank, model, tax)
 
 
 def test_recognize_objects_verb_above_block_rows():
-    # S_i > PROBE_ROWS: every block holds one object
-    tax, bank, model, rng = random_case([PROBE_ROWS + 5, 2], seed=1)
+    # S_i > PROBE_CELLS: no hidden or best-logit buffer holds all of the verb's entries
+    tax, bank, model, rng = random_case([PROBE_CELLS + 5, 2], seed=1)
     r = assert_hits_match_oracle(rng.normal(size=(3, 3)), bank, model, tax)
-    assert r.stored.tolist() == [PROBE_ROWS + 5, 2, 0]
+    assert r.stored.tolist() == [PROBE_CELLS + 5, 2, 0]
 
 
 def test_recognize_objects_single_entry_verb():
-    # S_i = 1: a block of PROBE_ROWS objects, then one more
+    # S_i = 1: a block of PROBE_COLS objects, then one more
     tax, bank, model, rng = random_case([1, 1, 1], seed=2)
-    r = assert_hits_match_oracle(rng.normal(size=(PROBE_ROWS + 1, 3)), bank, model, tax)
+    r = assert_hits_match_oracle(rng.normal(size=(PROBE_COLS + 1, 3)), bank, model, tax)
     assert set(np.unique(r.hits)) <= {0, 1}
 
 
-@pytest.mark.parametrize("s_i,n", [(100, 400), (PROBE_ROWS + 5, 8)])
-def test_recognize_objects_working_set_is_bounded(s_i, n):
-    # one block buffer of at most max(PROBE_ROWS, S_i) hidden rows, not n x S_i of them
-    tax = line_tax()
+def object_major_hits(feats, bank, model, tax, hoi_threshold=0.5, block_rows=1024):
+    """The hits of the object-major probe that recognize_objects replaced: for each
+    verb, blocks of about block_rows (object, entry) rows of relu(e + o), summed in
+    one buffer and read through the verb's own rows of W2."""
+    hoi = model.hoi_classifier
+    w1_verb, w1_obj = hoi.w1[:, :bank.feat_dim], hoi.w1[:, bank.feat_dim:]
+    obj_hidden = feats @ w1_obj.T
+    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
+    for v, entries in bank.entries.items():
+        cats = tax.categories_of_verb(v)
+        if v in tax.no_interaction_verbs or not len(entries) or not len(cats):
+            continue
+        entry_hidden = entries @ w1_verb.T + hoi.b1
+        block = max(1, block_rows // len(entries))
+        for start in range(0, len(feats), block):
+            h = np.maximum(entry_hidden + obj_hidden[start:start + block, None], 0.0)
+            logits = hoi.w2[cats] @ h.reshape(-1, hoi.hidden).T + hoi.b2[cats, None]
+            probs = nn.sigmoid(logits.max(axis=0)).reshape(len(h), len(entries))
+            hits[start:start + len(h), v] = (probs >= hoi_threshold).sum(axis=1)
+    return hits
+
+
+def test_recognize_objects_matches_object_major_oracle_at_the_chain_shape():
+    # the chain's affordance step: its 1,245 novel objects against its 1,091 bank
+    # entries over 12 verbs, hidden 64, with an untrained classifier whose
+    # probabilities sit near 0.5, so hits split and every block and buffer fills
+    tax, world = gen_world(seed=7)
+    split = make_split(tax, "novel-object", rng=substream(7, "split"))
+    train_set, _, external = gen_dataset(world, tax, split, 4000, 0, 6400, seed=7)
+    novel = external.object_feat[np.isin(external.object_label, sorted(split.unseen_object_ids))]
+    bank = build_bank(train_set, tax)
+    model = init_model(tax, world.feat_dim, TrainConfig(seed=7))
+    assert (len(novel), bank.total_entries, model.hoi_classifier.hidden) == (1245, 1091, 64)
+    r = recognize_objects(novel, bank, model, tax)
+    assert 0 < r.hits.sum() < r.stored.sum() * len(novel)
+    assert np.array_equal(r.hits, object_major_hits(novel, bank, model, tax))
+
+
+def shape_case(sizes, n):
+    """A bank of sizes[v] random entries for verb v (feature length 3) over a taxonomy
+    of max(3, len(sizes)) verbs on 5 objects, every pair a category, an untrained
+    hidden-64 model and n objects."""
+    n_verbs = max(3, len(sizes))
+    tax = Taxonomy.build([f"verb{v}" for v in range(n_verbs)], [f"object{o}" for o in range(5)],
+                         [(v, o) for v in range(n_verbs) for o in range(5)])
     rng = np.random.default_rng(0)
-    bank = bank_of({0: rng.normal(size=(s_i, 3))}, m=s_i, feat_dim=3)
+    bank = bank_of({v: rng.normal(size=(s, 3)) for v, s in enumerate(sizes)}, m=max(sizes), feat_dim=3)
     model = init_model(tax, 3, TrainConfig(hidden=64, spatial_resolution=4, seed=0))
-    feats = rng.normal(size=(n, 3))
+    return tax, bank, model, rng.normal(size=(n, 3))
+
+
+# bytes the object-major probe peaked at on the "benchmark" case below
+OBJECT_MAJOR_PEAK = 1_886_532
+
+
+@pytest.mark.parametrize("sizes,n", [
+    pytest.param([100], 400, id="100-400"),  # many objects
+    pytest.param([1029], 8, id="1029-8"),  # more entries than one hidden buffer holds
+    pytest.param([100] * 12, 1293, id="benchmark"),  # affordance_scale: 1,293 objects x 1,200 entries
+])
+def test_recognize_objects_working_set_is_bounded(sizes, n):
+    # four buffers of max(PROBE_CELLS, hidden x PROBE_COLS) floats (hidden, best
+    # logits, the sigmoid's temporary and the block's -o), one verb's e and the
+    # (n, V) outputs: nothing of n x S_i
+    tax, bank, model, feats = shape_case(sizes, n)
     tracemalloc.start()
     try:
         recognize_objects(feats, bank, model, tax)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = max(PROBE_ROWS, s_i) + s_i + n  # the block buffer, the entry half, the object half
-    assert peak < 1.25 * rows * 64 * 8 + 64 * 1024
+    floats = 4 * max(PROBE_CELLS, 64 * min(n, PROBE_COLS)) + max(sizes) * 64 + 3 * n * tax.n_verbs
+    bound = 1.1 * floats * 8 + 64 * 1024
+    assert peak < bound
+    if len(sizes) == 12:
+        assert bound < OBJECT_MAJOR_PEAK

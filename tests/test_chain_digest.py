@@ -47,7 +47,7 @@ def test_a_blas_difference_alone_passes_with_a_warning(chain_digest, capsys):
 
 def test_committed_record_holds_the_digests_tier_1_pins(chain_digest):
     lines = (TOOLS / "chain.sha256").read_text().splitlines()
-    assert re.fullmatch(r"# numpy \S+, \S+ \S+, OPENBLAS_NUM_THREADS=2", lines[0])
+    assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+, OPENBLAS_NUM_THREADS=2", lines[0])
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
     record = chain_digest.digests(lines)
     assert len(record) == len(lines) - 1 == 48

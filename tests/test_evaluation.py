@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hoicompose import evaluation
 from hoicompose.taxonomy import Taxonomy
@@ -595,22 +596,56 @@ def reach_edge(box, t, axis):
     return box
 
 
+# the kinds of a fresh box in candidate_pair_cases: any_box's four, and unit-side
+# boxes, which no side is larger than, so a reach-edge partner sits at the reach
+BOX_KINDS = ["grid", "continuous", "far", "non-finite", "unit"]
+FAR_OFFSETS = [(1e12, 0.0), (0.0, -1e12), (1e12, 1e12)]
+
+
+def fresh_box(kind, u):
+    """The box of kind that five numbers u in [0, 1] pick, as any_box draws it. A
+    continuous coordinate is 3u - 1, in [-1, 2], and a side is u itself, down to
+    subnormal. u[4] picks the far offset, or the non-finite coordinate and value.
+    A unit box's corner coordinate is, by u[2] and u[3], a quarter point, one ulp
+    below one (its partner's corner then rounds up, past the reach) or continuous."""
+    def pick(x, options):
+        return options[min(int(x * len(options)), len(options) - 1)]
+
+    if kind == "grid":
+        return [pick(x, GRID) for x in u[:4]]
+    if kind == "unit":
+        x, y = (pick(how, [pick(v, GRID[:-1]), np.nextafter(pick(v, GRID[1:-1]), 0), 3 * v - 1])
+                for v, how in zip(u[:2], u[2:4]))
+        return [x, y, x + 1, y + 1]
+    x1, y1 = 3 * u[0] - 1, 3 * u[1] - 1
+    box = [x1, y1, x1 + u[2], y1 + u[3]]
+    if kind == "far":
+        offset = pick(u[4], FAR_OFFSETS)
+        box = [v + offset[k % 2] for k, v in enumerate(box)]
+    elif kind == "non-finite":
+        k = pick(u[4], range(12))
+        box[k % 4] = [np.nan, np.inf, -np.inf][k // 4]
+    return box
+
+
 @st.composite
 def candidate_pair_cases(draw):
     """One set of rows: some drawn fresh, then more that copy a drawn row's boxes
-    or sit at the reach edge of one, non-finite rows among them."""
+    or sit at the reach edge of one, non-finite rows among them. The fresh boxes
+    come from one draw of their kinds and one array draw of their numbers."""
     t = draw(st.sampled_from(THRESHOLDS))
-    # unit-side boxes: no side is larger, so a reach-edge partner sits at the reach; a
-    # corner one ulp below a quarter point rounds its partner's corner up, past the reach
-    corner = st.sampled_from(GRID[:-1]) | st.sampled_from(GRID[1:-1]).map(lambda v: np.nextafter(v, 0)) \
-        | st.floats(-1, 2)
-    unit = st.tuples(corner, corner).map(lambda xy: [*xy, xy[0] + 1, xy[1] + 1])
-    box = any_box() | unit
-    rows = draw(st.lists(st.tuples(box, box), max_size=10))
-    for _ in range(draw(st.integers(0, 10))):
-        how = draw(st.sampled_from(["fresh", "copy", "edge"] if rows else ["fresh"]))
+    hows = ["fresh"] * draw(st.integers(0, 10))
+    hows += draw(st.lists(st.sampled_from(["fresh", "copy", "edge"]), max_size=10))
+    if hows:
+        hows[0] = "fresh"  # the first row has no row to copy
+    n_boxes = 2 * hows.count("fresh")
+    kinds = draw(st.lists(st.sampled_from(BOX_KINDS), min_size=n_boxes, max_size=n_boxes))
+    numbers = draw(hnp.arrays(np.float64, (n_boxes, 5), elements=st.floats(0, 1)))
+    boxes = iter([fresh_box(kind, u) for kind, u in zip(kinds, numbers.tolist())])
+    rows = []
+    for how in hows:
         if how == "fresh":
-            rows.append(draw(st.tuples(box, box)))
+            rows.append((next(boxes), next(boxes)))
             continue
         human, obj = draw(st.sampled_from(rows))
         if how == "edge":

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from hoicompose.seeding import per_instance_rng, substream
 from hoicompose.evaluation import make_split
+from hoicompose import synth
 from hoicompose.synth import (
     Detections,
     HOISet,
@@ -213,6 +214,18 @@ def test_gen_dataset_matches_record_oracle(case):
     want = record_gen_dataset(world, tax, split, *sizes, seed, co_label_prob)
     for part, oracle in zip(got, want):
         assert_same_bytes(part, oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: st.integers(1, 140).flatmap(
+    lambda v: hnp.arrays(np.int8, (n, v), elements=st.integers(0, 1)))))
+def test_unique_rows_match_unique_along_axis_0(bits):
+    # packed row keys, over 0 rows and past 64 verbs too, give np.unique(axis=0)'s rows and inverse
+    rows, which = synth._unique_rows(bits)
+    want_rows, want_which = np.unique(bits, axis=0, return_inverse=True)
+    assert rows.dtype == bits.dtype
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(which, want_which)
 
 
 @pytest.mark.parametrize("mode", ORACLE_SPLIT_MODES)

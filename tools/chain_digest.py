@@ -11,9 +11,10 @@ OPENBLAS_NUM_THREADS=2 (checkpoint bytes depend on the BLAS thread count).
 Every step runs inside OUT on relative paths, so the manifests of two
 checkouts compare. Each step's config goes to OUT/configs/<step>.json and its
 stdout to OUT/stdout/<step>.txt. The output is a "# " line naming the BLAS
-the digests were taken under (numpy version, BLAS name and version, thread
-count), then one "<sha256>  <path>" line per file under OUT, sorted by path;
-diff two of them to compare checkouts.
+the digests were taken under (numpy version, BLAS name and version, the core
+type OpenBLAS picked its kernels for, thread count), then one
+"<sha256>  <path>" line per file under OUT, sorted by path; diff two of them
+to compare checkouts.
 
 With --check FILE the chain runs into OUT (a temporary directory when OUT is
 not given) and is compared with FILE, a recorded output such as
@@ -24,6 +25,7 @@ only a warning on stderr, since the thread-dependent files may then differ.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -62,10 +64,30 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def openblas_core() -> str | None:
+    """The core type the OpenBLAS loaded with numpy picked its kernels for, read
+    through its corename call, or None without one (or off Linux)."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
 def fingerprint() -> str:
     """The BLAS line of a chain record: the numpy and BLAS the chain's steps import."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return f"# numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, OPENBLAS_NUM_THREADS=2"
+    return (f"# numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, core {openblas_core()}, "
+            "OPENBLAS_NUM_THREADS=2")
 
 
 def run_chain(out: Path) -> list[str]:
