@@ -25,7 +25,7 @@ from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_
 from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
                          make_split, map_report, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
-from .jsonfile import check_fields, int_items, read_json, write_json
+from .jsonfile import check_fields, int_items, read_json, write_json, write_json_rows
 from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, _check_confidences,
                        init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
                        write_trace_csv)
@@ -34,6 +34,8 @@ from .synth import gen_dataset, gen_world, load_instances, save_instances, valid
 from .taxonomy import Taxonomy
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
+# affordance.json's object rows are rendered and written this many at a time
+RENDER_ROWS = 256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -323,6 +325,40 @@ def cmd_build_bank(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _object_rows(kept, truth, scores, probed, labels: list, names: list):
+    """affordance.json's "objects" items, RENDER_ROWS to a yielded block, as
+    json.dump(indent=2, sort_keys=True) lays them out at depth 2. Object k is
+    {"gt_verbs", "index": k, "kept_verbs", "object_label", "object_name", "scores"}:
+    the verb ids set in the bool rows truth[k] and kept[k], labels[k] and its
+    name, and each probed verb's score (null for NaN) under its id as a string."""
+    keys = sorted(map(str, np.flatnonzero(probed).tolist()))
+    cols = list(map(int, keys))
+    row = ('    {\n      "gt_verbs": %s,\n      "index": %d,\n      "kept_verbs": %s,\n      "object_label": %d,\n'
+           '      "object_name": %s,\n      "scores": '
+           + ("{\n" + ",\n".join(f'        "{k}": %s' for k in keys) + "\n      }" if keys else "{}") + "\n    }")
+    names = [json.encoder.encode_basestring_ascii(name) for name in names]
+    width, p, lists = kept.shape[1], len(cols), {}  # lists: a bool row's bytes -> its verb id list
+
+    def verb_list(flags: bytes) -> str:
+        text = lists.get(flags)
+        if text is None:
+            ids = [str(v) for v, f in enumerate(flags) if f]
+            text = lists[flags] = "[\n        " + ",\n        ".join(ids) + "\n      ]" if ids else "[]"
+        return text
+
+    for start in range(0, len(labels), RENDER_ROWS):
+        stop = min(start + RENDER_ROWS, len(labels))
+        kept_b, truth_b = kept[start:stop].tobytes(), truth[start:stop].tobytes()
+        block = scores[start:stop, cols].ravel()
+        values = list(map(float.__repr__, block.tolist()))
+        for j in np.flatnonzero(np.isnan(block)).tolist():
+            values[j] = "null"
+        yield ",\n".join([row % (verb_list(truth_b[k * width:(k + 1) * width]), i,
+                                  verb_list(kept_b[k * width:(k + 1) * width]), o, names[o],
+                                  *values[k * p:(k + 1) * p])
+                           for k, (i, o) in enumerate(zip(range(start, stop), labels[start:stop]))])
+
+
 def cmd_affordance(cfg: dict, args) -> int:
     s = _settings(cfg, args)
     hoi_t, keep_t = s["hoi_threshold"], s["keep_threshold"]
@@ -347,32 +383,24 @@ def cmd_affordance(cfg: dict, args) -> int:
     prf1 = affordance_prf1(r.kept, truth)
     amap = affordance_map(r.scores, truth)
 
-    probed = np.flatnonzero(r.probed).tolist()
-    per_object = [{
-        "index": i,
-        "object_label": o,
-        "object_name": tax.object_names[o],
-        "kept_verbs": np.flatnonzero(r.kept[i]).tolist(),
-        "gt_verbs": np.flatnonzero(truth[i]).tolist(),
-        "scores": {str(v): None if math.isnan(x) else x for v, x in zip(probed, r.scores[i, probed].tolist())},
-    } for i, o in enumerate(objects.object_label.tolist())]
-    write_json(out / "affordance.json", {
+    labels = objects.object_label.tolist()
+    write_json_rows(out / "affordance.json", {
         "hoi_threshold": hoi_t,
         "keep_threshold": keep_t,
         "prf1": prf1.to_json_dict(),
         "affordance_map": None if math.isnan(amap) else amap,
-        "objects": per_object,
-    })
+    }, "objects", _object_rows(r.kept, truth, r.scores, r.probed, labels, tax.object_names))
     _write_manifest(out, "affordance", s, data["inputs"], ["affordance.json"])
 
     print(f"affordance over {len(objects)} objects: micro-F1 {prf1.micro_f1:.4f} "
           f"P {prf1.micro_precision:.4f} R {prf1.micro_recall:.4f} mAP "
           f"{'n/a' if math.isnan(amap) else f'{amap:.4f}'}")
     print(f"{'object':<12} {'kept verbs':<24} gt verbs")
-    for row in per_object[:20]:
-        print(f"{row['object_name']:<12} {str(row['kept_verbs']):<24} {row['gt_verbs']}")
-    if len(per_object) > 20:
-        print(f"... {len(per_object) - 20} more in affordance.json")
+    for i, o in enumerate(labels[:20]):
+        kept = str(np.flatnonzero(r.kept[i]).tolist())
+        print(f"{tax.object_names[o]:<12} {kept:<24} {np.flatnonzero(truth[i]).tolist()}")
+    if len(labels) > 20:
+        print(f"... {len(labels) - 20} more in affordance.json")
     return EXIT_OK
 
 

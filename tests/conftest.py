@@ -1,6 +1,13 @@
 """Shared test plumbing: the acceptance suite records one line per criterion
 here, and the terminal summary prints them whether the run passed or failed.
+The default trend experiment is one session fixture, which criteria 4-6 and
+the byte-identity chain test share.
 """
+import time
+
+import pytest
+
+from hoicompose.experiments import TrendSettings, reproduce_trends
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -16,3 +23,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def trend():
+    """The default reproduce_trends report, and the seconds it took."""
+    start = time.perf_counter()
+    report = reproduce_trends(TrendSettings())
+    return report, time.perf_counter() - start

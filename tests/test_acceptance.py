@@ -8,15 +8,14 @@
 6. Shrinking the feature bank to a fifth barely moves the affordance ranking.
 7. Structural invariants hold across generation, batching, scoring, and files.
 
-Checks 4-6 share one multi-seed experiment (session fixture); its margins and
-the tolerances here are fixed, not tuned per run.
+Checks 4-6 share one multi-seed experiment (session fixture, in conftest.py);
+its margins and the tolerances here are fixed, not tuned per run.
 """
 import hashlib
 import itertools
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_acceptance
 
@@ -29,8 +28,6 @@ from hoicompose.experiments import (
     BANK_STABILITY_MAX_REL_DIFF,
     SEEN_MAX_RELATIVE_DROP,
     UNSEEN_MIN_RELATIVE_GAIN,
-    TrendSettings,
-    reproduce_trends,
 )
 from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig, compose_batch, init_model, make_spatial_pattern, train
@@ -142,13 +139,6 @@ def test_criterion_3_average_precision():
 
 
 # --- criteria 4-6: the multi-seed trend experiment ---
-
-@pytest.fixture(scope="session")
-def trend():
-    start = time.perf_counter()
-    report = reproduce_trends(TrendSettings())
-    return report, time.perf_counter() - start
-
 
 # sha256 of the default reproduce-trends' trends.json and stdout in the
 # byte-identity chain (tools/chain_digest.py); neither depends on the BLAS

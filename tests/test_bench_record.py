@@ -36,8 +36,21 @@ def test_summary_pairs_runs_by_seed_and_counts_wins(bench_record):
     assert s["parent"]["values"] == parent and s["change"]["values"] == change
     assert (s["parent"]["q1"], s["parent"]["median"], s["parent"]["q3"]) == (1.5, 3.0, 4.5)
     assert s["median_change"] == pytest.approx(3.0 / 3.0 - 1.0)
+    # equal medians: no difference beyond the parent's quartiles (4.5 - 1.5), within the bound
+    assert (s["parent_iqr"], s["beyond_parent_iqr"], s["within_bound"]) == (3.0, False, True)
     higher = {**metric, "better": "higher"}
     assert bench_record.summarize(runs, [higher])["w"]["run_s"]["change_wins"] == 1
+
+    # a change at three times the parent: its median is 6.0 above, beyond the
+    # quartiles, and +200% is outside a 25% bound when lower is better only
+    tripled = [fake_run("parent", seed, p) for seed, p in enumerate(parent)]
+    tripled += [fake_run("change", seed, 3 * p) for seed, p in enumerate(parent)]
+    s = bench_record.summarize(tripled, [metric])["w"]["run_s"]
+    assert (s["change_wins"], s["beyond_parent_iqr"], s["within_bound"]) == (0, True, False)
+    summary = bench_record.summarize(tripled, [higher])
+    assert summary["w"]["run_s"]["within_bound"] is True
+    assert bench_record.summary_lines(summary) == [
+        "w run_s: 3 -> 9 s (+200.0%), change wins 5/5, |difference| 6 > parent IQR 3, within bound 25%"]
 
 
 def test_missing_out_dir_fails_before_any_run(bench_record, tmp_path, monkeypatch, capsys):

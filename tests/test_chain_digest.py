@@ -8,6 +8,9 @@ from test_acceptance import CHAIN_TRENDS_JSON_SHA256, CHAIN_TRENDS_STDOUT_SHA256
 from test_cli import (CHAIN_BUILD_BANK_SHA256, CHAIN_BUILD_BANK_STDOUT_SHA256, CHAIN_GEN_DATA_SHA256,
                       CHAIN_GEN_DATA_STDOUT_SHA256, CHAIN_STDOUT_SHA256, CHAIN_THREAD_FREE_SHA256)
 
+from hoicompose import cli
+from hoicompose.experiments import TrendSettings
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -45,18 +48,76 @@ def test_a_blas_difference_alone_passes_with_a_warning(chain_digest, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+# the 31 chain files tier-1 pins elsewhere, measured to be the same under any
+# BLAS thread count; the other 17 (checkpoint, trace, scores, the manifests,
+# the train and gradcheck outputs, the demo's stdout, the configs) are compared
+# under the record's own BLAS only
+THREAD_FREE = {**{f"gen-data/{k}": v for k, v in CHAIN_GEN_DATA_SHA256.items()},
+               **{f"build-bank/{k}": v for k, v in CHAIN_BUILD_BANK_SHA256.items()},
+               **CHAIN_THREAD_FREE_SHA256,
+               **{f"stdout/{k}.txt": v for k, v in CHAIN_STDOUT_SHA256.items()},
+               "stdout/gen-data.txt": CHAIN_GEN_DATA_STDOUT_SHA256,
+               "stdout/build-bank.txt": CHAIN_BUILD_BANK_STDOUT_SHA256,
+               "reproduce-trends/trends.json": CHAIN_TRENDS_JSON_SHA256,
+               "stdout/reproduce-trends.txt": CHAIN_TRENDS_STDOUT_SHA256}
+
+
 def test_committed_record_holds_the_digests_tier_1_pins(chain_digest):
     lines = (TOOLS / "chain.sha256").read_text().splitlines()
     assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+, OPENBLAS_NUM_THREADS=2", lines[0])
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
     record = chain_digest.digests(lines)
     assert len(record) == len(lines) - 1 == 48
-    pinned = {**{f"gen-data/{k}": v for k, v in CHAIN_GEN_DATA_SHA256.items()},
-              **{f"build-bank/{k}": v for k, v in CHAIN_BUILD_BANK_SHA256.items()},
-              **CHAIN_THREAD_FREE_SHA256,
-              **{f"stdout/{k}.txt": v for k, v in CHAIN_STDOUT_SHA256.items()},
-              "stdout/gen-data.txt": CHAIN_GEN_DATA_STDOUT_SHA256,
-              "stdout/build-bank.txt": CHAIN_BUILD_BANK_STDOUT_SHA256,
-              "reproduce-trends/trends.json": CHAIN_TRENDS_JSON_SHA256,
-              "stdout/reproduce-trends.txt": CHAIN_TRENDS_STDOUT_SHA256}
-    assert {path: record.get(path) for path in pinned} == pinned
+    assert {path: record.get(path) for path in THREAD_FREE} == THREAD_FREE
+
+
+def comparable(recorded: list[str], lines: list[str]):
+    """(recorded, lines, note): as given under the record's BLAS line; under
+    another, only their THREAD_FREE files, with a note that says so."""
+    if lines[0] == recorded[0]:
+        return recorded, lines, None
+    recorded, lines = ([ls[0]] + [line for line in ls[1:] if line.split("  ", 1)[1] in THREAD_FREE]
+                       for ls in (recorded, lines))
+    return recorded, lines, (f"chain record taken under {recorded[0]!r}, this machine has {lines[0]!r}: "
+                             f"compared only the {len(recorded) - 1} files that do not depend on the BLAS")
+
+
+def test_under_another_blas_only_the_thread_free_files_compare(chain_digest):
+    pinned = "gen-data/split.json"
+    recorded = [BLAS, f"{THREAD_FREE[pinned]}  {pinned}", f"{'b' * 64}  train/checkpoint.json"]
+    other = BLAS.replace("0.3", "0.4")
+    for lines, code in (([other, recorded[1], f"{'d' * 64}  train/checkpoint.json"], 0),
+                        ([other, recorded[1]], 0),
+                        ([other, f"{'d' * 64}  {pinned}", recorded[2]], 1),
+                        ([other, recorded[2]], 1)):
+        want, got, note = comparable(recorded, lines)
+        assert note.endswith("compared only the 1 files that do not depend on the BLAS")
+        assert chain_digest.check(want, got) == code
+    assert comparable(recorded, recorded[:2]) == (recorded, recorded[:2], None)
+
+
+def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, monkeypatch, capsys):
+    # every step but reproduce-trends runs as chain_digest.py runs it, in a fresh
+    # interpreter with 2 BLAS threads; reproduce-trends runs in process on the
+    # trend fixture's report, which is what its default settings compute
+    for step in chain_digest.STEPS:
+        if step[0] != "reproduce-trends":
+            chain_digest.run_step(tmp_path, *step)
+    report, _ = trend
+
+    def fixture_report(settings):
+        assert settings == TrendSettings()
+        return report
+
+    monkeypatch.setattr(cli, "reproduce_trends", fixture_report)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["reproduce-trends", "--out", "reproduce-trends"]) == cli.EXIT_OK
+    Path("stdout/reproduce-trends.txt").write_text(capsys.readouterr().out)
+
+    recorded, lines, note = comparable((TOOLS / "chain.sha256").read_text().splitlines(),
+                                       chain_digest.record(tmp_path))
+    if note:
+        with capsys.disabled():
+            print(f"\n{note}")
+    assert chain_digest.check(recorded, lines) == 0, capsys.readouterr().out

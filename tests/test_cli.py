@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -15,12 +16,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hoicompose
 from hoicompose import cli, experiments, pipeline
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
-from hoicompose.jsonfile import write_json
+from hoicompose.jsonfile import write_json, write_json_rows
 from hoicompose.pipeline import TrainConfig, load_checkpoint, train
 from hoicompose.synth import Detections, load_instances, save_instances
 from hoicompose.taxonomy import Taxonomy
@@ -808,6 +812,99 @@ def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
     split = json.loads((data_dir / "split.json").read_text())
     novel = set(split["unseen_object_ids"])
     assert {row["object_label"] for row in doc["objects"]} <= novel
+
+
+def test_affordance_over_every_external_object(trained_dir, data_dir, tmp_path, capsys):
+    # novel_only false probes the whole stream, seen objects included, in its order
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+               tmp_path / "bank") == EXIT_OK
+    cfg = write_config(tmp_path / "aff.json", {
+        "data_dir": str(data_dir), "checkpoint": str(trained_dir / "checkpoint.json"),
+        "bank": str(tmp_path / "bank" / "bank.json"), "novel_only": False})
+    capsys.readouterr()
+    assert run("affordance", cfg, tmp_path / "out") == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "affordance.json").read_text())
+    labels = np.load(data_dir / "external" / "object_label.npy", allow_pickle=False).tolist()
+    assert [row["object_label"] for row in doc["objects"]] == labels
+    assert [row["index"] for row in doc["objects"]] == list(range(TINY_DATASET["n_external_objects"]))
+    unseen = set(json.loads((data_dir / "split.json").read_text())["unseen_object_ids"])
+    assert set(labels) - unseen and set(labels) & unseen
+    out = capsys.readouterr().out
+    assert out.startswith(f"affordance over {len(labels)} objects: ")
+    assert out.endswith(f"... {len(labels) - 20} more in affordance.json\n")
+
+
+def test_affordance_on_an_empty_external_stream(tmp_path, capsys):
+    # a baseline model trains without the stream, so gen-data may draw none of it
+    data = tmp_path / "data"
+    assert run("gen-data", write_config(tmp_path / "gen.json", {
+        "world": TINY_WORLD, "dataset": {**TINY_DATASET, "n_external_objects": 0},
+        "split": {"mode": "novel-object"}, "seed": 0}), data) == EXIT_OK
+    assert run("train", write_config(tmp_path / "train.json", {
+        "data_dir": str(data), "train": TINY_TRAIN, "baseline": True}), tmp_path / "train") == EXIT_OK
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data)}),
+               tmp_path / "bank") == EXIT_OK
+    cfg = write_config(tmp_path / "aff.json", {
+        "data_dir": str(data), "checkpoint": str(tmp_path / "train" / "checkpoint.json"),
+        "bank": str(tmp_path / "bank" / "bank.json"), "novel_only": False})
+    capsys.readouterr()
+    assert run("affordance", cfg, tmp_path / "out") == EXIT_OK
+    text = (tmp_path / "out" / "affordance.json").read_text()
+    assert '\n  "objects": [],\n' in text and json.loads(text)["objects"] == []
+    assert capsys.readouterr().out.splitlines() == [  # no "... more" line
+        "affordance over 0 objects: micro-F1 0.0000 P 0.0000 R 0.0000 mAP n/a",
+        f"{'object':<12} {'kept verbs':<24} gt verbs"]
+
+
+def object_dicts(kept, truth, scores, probed, labels, names) -> list:
+    """affordance.json's "objects" as Python objects, built as cmd_affordance
+    built them before it rendered the rows itself: the renderer's oracle."""
+    probed = np.flatnonzero(probed).tolist()
+    return [{
+        "index": i,
+        "object_label": o,
+        "object_name": names[o],
+        "kept_verbs": np.flatnonzero(kept[i]).tolist(),
+        "gt_verbs": np.flatnonzero(truth[i]).tolist(),
+        "scores": {str(v): None if math.isnan(x) else x for v, x in zip(probed, scores[i, probed].tolist())},
+    } for i, o in enumerate(labels)]
+
+
+# quote, backslash, control, non-ASCII and astral characters, and "%s"
+NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\x00", "%", "s", "Z", "\u00e9", "\u2028", "\U0001f600"])
+
+
+@st.composite
+def object_row_cases(draw):
+    """(kept, truth, scores, probed, labels, names): up to 9 objects over 1-13 verbs,
+    so that verb ids of two digits sort as strings, with scores of 0-1 or NaN."""
+    n, n_verbs, n_names = draw(st.integers(0, 9)), draw(st.integers(1, 13)), draw(st.integers(1, 4))
+    flags = hnp.arrays(bool, (n, n_verbs))
+    scores = draw(hnp.arrays(float, (n, n_verbs), elements=st.one_of(
+        st.floats(0, 1), st.sampled_from([0.0, 1.0, 1 / 3, 5e-324, 1e-05, float("nan")]))))
+    labels = draw(st.lists(st.integers(0, n_names - 1), min_size=n, max_size=n))
+    names = draw(st.lists(st.text(NAME_CHARS, max_size=4), min_size=n_names, max_size=n_names))
+    return draw(flags), draw(flags), scores, draw(hnp.arrays(bool, n_verbs)), labels, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(object_row_cases(), st.integers(1, 3), st.sampled_from([0.0, 0.25, float("nan")]))
+@example((np.zeros((0, 3), bool), np.zeros((0, 3), bool), np.zeros((0, 3)), np.ones(3, bool), [], ["a"]), 1, 0.0)
+@example((np.zeros((4, 12), bool), np.ones((4, 12), bool), np.full((4, 12), np.nan), np.ones(12, bool),
+          [0, 1, 1, 0], ['"q\\', "\u00e9t\u00e9"]), 3, float("nan"))
+@example((np.ones((2, 3), bool), np.zeros((2, 3), bool), np.full((2, 3), 0.5), np.zeros(3, bool), [0, 0], ["x"]),
+         1, 0.25)
+def test_object_rows_match_the_dict_oracle(tmp_path_factory, case, rows, amap):
+    # blocks of 1-3 rows: up to 9 objects cross the block edge at every offset
+    kept, truth, scores, probed, labels, names = case
+    head = {"hoi_threshold": 0.5, "keep_threshold": 0.5, "affordance_map": None if math.isnan(amap) else amap,
+            "prf1": {"micro_f1": amap, "per_verb": {"10": [0.5], "2": []}}}
+    tmp = tmp_path_factory.mktemp("rows")
+    with mock.patch.object(cli, "RENDER_ROWS", rows):
+        write_json_rows(tmp / "rows.json", head, "objects",
+                        cli._object_rows(kept, truth, scores, probed, labels, names))
+    write_json(tmp / "dicts.json", {**head, "objects": object_dicts(kept, truth, scores, probed, labels, names)})
+    assert (tmp / "rows.json").read_bytes() == (tmp / "dicts.json").read_bytes()
 
 
 def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda doc: None, data=None):

@@ -9,9 +9,11 @@ parent first when k is even and the change first when k is odd; ten pairs is
 the fewest a gain claim is judged on. One traced run per tree and workload, at
 ``SEED``, gives the per-layer metrics. The file keeps every run's
 result, output digests and quality values, each tree's machine info, and for
-each workload and end-to-end metric both sides' medians and quartiles and the
-number of pairs the change won. Set ``OPENBLAS_NUM_THREADS`` before running:
-the output digests depend on it.
+each workload and end-to-end metric both sides' medians and quartiles, the
+number of pairs the change won, whether the medians differ by more than the
+parent's interquartile range and whether the change stays within the metric's
+bound; those last are also printed to stderr, one line each. Set
+``OPENBLAS_NUM_THREADS`` before running: the output digests depend on it.
 """
 from __future__ import annotations
 
@@ -62,12 +64,32 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                       for side in SIDES}
             wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
             sides = {side: spread(values[side]) for side in SIDES}
+            parent, change = sides["parent"], sides["change"]
+            median_change = change["median"] / parent["median"] - 1.0
+            iqr = parent["q3"] - parent["q1"]
             summary[workload][name] = {
                 **sides, "unit": metric["unit"], "bound": metric["bound"], "pairs": len(pairs),
-                "change_wins": wins,
-                "median_change": sides["change"]["median"] / sides["parent"]["median"] - 1.0,
+                "change_wins": wins, "median_change": median_change, "parent_iqr": iqr,
+                "beyond_parent_iqr": abs(change["median"] - parent["median"]) > iqr,
+                "within_bound": (median_change if lower else -median_change) <= metric["bound"],
             }
     return summary
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One line per workload and end-to-end metric: the medians, the pairs the
+    change won, the median difference against the parent's interquartile range,
+    and whether the change stays within the metric's bound."""
+    lines = []
+    for workload, metrics in summary.items():
+        for name, m in metrics.items():
+            p, c, unit = m["parent"]["median"], m["change"]["median"], m["unit"]
+            lines.append(
+                f"{workload} {name}: {p:.4g} -> {c:.4g} {unit} ({m['median_change']:+.1%}), "
+                f"change wins {m['change_wins']}/{m['pairs']}, |difference| {abs(c - p):.4g} "
+                f"{'>' if m['beyond_parent_iqr'] else '<='} parent IQR {m['parent_iqr']:.4g}, "
+                f"{'within' if m['within_bound'] else 'OUTSIDE'} bound {m['bound']:.0%}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -111,7 +133,7 @@ def main(argv=None) -> int:
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}", file=sys.stderr)
+    print(f"wrote {path}", *summary_lines(doc["summary"]), sep="\n", file=sys.stderr)
     return 0 if doc["all_correct"] else 1
 
 

@@ -90,27 +90,37 @@ def fingerprint() -> str:
             "OPENBLAS_NUM_THREADS=2")
 
 
-def run_chain(out: Path) -> list[str]:
-    """Run the chain into the empty directory out; the record's lines, BLAS line first."""
-    if out.exists() and any(out.iterdir()):
-        sys.exit(f"{out} is not empty")
+def run_step(out: Path, step: str, argv_tail: list, config) -> None:
+    """Run one of STEPS in a fresh interpreter inside out, as the chain runs it."""
     for sub in ("configs", "stdout"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    for step, argv_tail, config in STEPS:
-        cmd = [sys.executable, *argv_tail]
-        if argv_tail[:2] == ["-m", "hoicompose"]:
-            cmd += ["--out", step]
-        if config is not None:
-            (out / "configs" / f"{step}.json").write_text(json.dumps(config, sort_keys=True) + "\n")
-            cmd += ["--config", f"configs/{step}.json"]
-        proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True, timeout=STEP_TIMEOUT_S)
-        if proc.returncode != 0:
-            sys.exit(f"{step} exited {proc.returncode}:\n{proc.stderr}")
-        (out / "stdout" / f"{step}.txt").write_text(proc.stdout)
+    cmd = [sys.executable, *argv_tail]
+    if argv_tail[:2] == ["-m", "hoicompose"]:
+        cmd += ["--out", step]
+    if config is not None:
+        (out / "configs" / f"{step}.json").write_text(json.dumps(config, sort_keys=True) + "\n")
+        cmd += ["--config", f"configs/{step}.json"]
+    proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True, timeout=STEP_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.exit(f"{step} exited {proc.returncode}:\n{proc.stderr}")
+    (out / "stdout" / f"{step}.txt").write_text(proc.stdout)
+
+
+def record(out: Path) -> list[str]:
+    """The record's lines for the files under out, BLAS line first."""
     return [fingerprint()] + [f"{sha256_file(path)}  {path.relative_to(out).as_posix()}"
                               for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
+def run_chain(out: Path) -> list[str]:
+    """Run the chain into the empty directory out; the record's lines."""
+    if out.exists() and any(out.iterdir()):
+        sys.exit(f"{out} is not empty")
+    for step in STEPS:
+        run_step(out, *step)
+    return record(out)
 
 
 def digests(lines: list[str]) -> dict:
