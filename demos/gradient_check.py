@@ -42,9 +42,10 @@ tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=0)
 train_set, _, external = gen_dataset(world, tax, None, 6, 2, 4, seed=0)
 cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, seed=0)
 model = init_model(tax, world.feat_dim, cfg)
-batch = StepSampler(train_set, external, tax, cfg).draw(substream(cfg.seed, "batching"))
+sampler = StepSampler(train_set, external, tax, cfg)
+[plan] = sampler.draw(substream(cfg.seed, "batching"), 1)
 
-errors = step_grad_check(model, batch, cfg)
+errors = step_grad_check(model, sampler, plan, cfg)
 print("\nend-to-end composite step:")
 for name, err in sorted(errors.items()):
     print(f"  {name}: {err:.3e}")

@@ -451,8 +451,9 @@ def _end_to_end_errors(seed: int) -> dict:
         tax, world = gen_world(n_verbs=3, n_objects=2, c_pairs=6, feat_dim=4, seed=seed)
     train_set, _, external = gen_dataset(world, tax, None, 6, 1, 4, seed=seed)
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, object_batch=2, seed=seed)
-    batch = StepSampler(train_set, external, tax, cfg).draw(substream(seed, "batching"))
-    return step_grad_check(init_model(tax, world.feat_dim, cfg), batch, cfg)
+    sampler = StepSampler(train_set, external, tax, cfg)
+    [plan] = sampler.draw(substream(seed, "batching"), 1)
+    return step_grad_check(init_model(tax, world.feat_dim, cfg), sampler, plan, cfg)
 
 
 def cmd_reproduce_trends(cfg: dict, args) -> int:

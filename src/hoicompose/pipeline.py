@@ -18,9 +18,12 @@ from . import nn
 from .jsonfile import check_fields, read_json, write_json
 from .seeding import stream_seed, substream
 from .synth import Detections
-from .taxonomy import Taxonomy, compose_label, decouple_verb, one_hot
+from .taxonomy import Taxonomy, compose_label, decouple_verb
 
 _CHECKPOINT_SCHEMA = 2
+# Steps train plans with one draw before each classifier's loop runs over them.
+# 64-256 train alike in time; a plan holds row indices and int8 labels only.
+TRAIN_WINDOW = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -199,22 +202,22 @@ def total_loss(sp_loss: float, hoi_loss: float, atl_loss: float, cfg: TrainConfi
 
 
 @dataclass
-class StepBatch:
-    """Everything one optimization step sees, as stacked arrays (None = no composites).
-    The spatial and real branches score the same rows, so they share the target y."""
+class StepPlan:
+    """One step's batch as rows, not as gathered features: the train rows, then,
+    with the composite branch on, the drawn external rows and the kept
+    compositions of the two (None when none was kept)."""
 
-    sp_x: np.ndarray
-    hoi_x: np.ndarray
-    y: np.ndarray
-    atl_x: np.ndarray | None
-    atl_y: np.ndarray | None
+    rows: np.ndarray  # (hoi_batch,) intp
+    objects: np.ndarray | None = None  # (object_batch,) intp
+    kept: Composites | None = None
 
 
 class StepSampler:
-    """Draws the batch of each step train takes, and counts what the composite
-    branch did: candidate and valid compositions, draws that kept any, kept
-    examples, and their label bits per category (per_category). Construction
-    checks every input train takes, so a bad one fails even at 0 iterations."""
+    """Plans the batches of the steps train takes, gathers each classifier's
+    rows of a plan, and counts what the composite branch did: candidate and
+    valid compositions, draws that kept any, kept examples, and their label
+    bits per category (per_category). Construction checks every input train
+    takes, so a bad one fails even at 0 iterations."""
 
     def __init__(self, train_set, external_objects, tax: Taxonomy, cfg: TrainConfig):
         cfg.validate()
@@ -231,69 +234,111 @@ class StepSampler:
                 raise ValueError("non-finite entries in external object features")
             self.verb_feats, self.verb_labels = train_set.verb_feat, verb_labels
             self.object_feats = external_objects.object_feat
-            self.object_labels = np.stack([one_hot(tax.n_objects, o) for o in external_objects.object_label])
+            labels = np.asarray(external_objects.object_label)
+            bad = (labels < 0) | (labels >= tax.n_objects)  # a negative label would wrap in the gather
+            if bad.any():
+                raise ValueError(f"object label {labels[bad][0]} out of range for {tax.n_objects} objects")
+            self.object_labels = np.eye(tax.n_objects, dtype=np.int8)[labels]
         self.tax, self.cfg = tax, cfg
         self.counters = {"composite_classifier_calls": 0, "composite_examples": 0,
                          "composite_candidates": 0, "composite_valid": 0}
         self.per_category = np.zeros(tax.n_categories, dtype=np.int64)
 
-    def draw(self, rng: np.random.Generator) -> StepBatch:
-        """One step's batch from rng: hoi_batch train rows, then, with the
-        composite branch on, object_batch external objects and the kept
-        compositions of the two."""
+    def draw(self, rng: np.random.Generator, steps: int) -> list[StepPlan]:
+        """The plans of the next steps steps from rng, in step order. Each takes
+        hoi_batch train rows, then, with the composite branch on, object_batch
+        external objects and the kept compositions of the two."""
         cfg, n = self.cfg, len(self.y)
-        idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
-        atl_x = atl_y = None
-        if self.use_composite:
+        plans = []
+        for _ in range(steps):
+            idx = rng.choice(n, size=cfg.hoi_batch, replace=n < cfg.hoi_batch)
+            if not self.use_composite:
+                plans.append(StepPlan(idx))
+                continue
             m = len(self.object_labels)
             obj_idx = rng.choice(m, size=cfg.object_batch, replace=m < cfg.object_batch)
             kept = compose_batch(self.verb_labels[idx], self.object_labels[obj_idx], self.tax, cfg.object_batch,
                                  rng, self.counters)
             if len(kept):
-                atl_x = kept.inputs(self.verb_feats[idx], self.object_feats[obj_idx])
-                atl_y = kept.labels.astype(float)
                 self.per_category += kept.labels.sum(axis=0)
                 self.counters["composite_classifier_calls"] += 1
                 self.counters["composite_examples"] += len(kept)
-        return StepBatch(sp_x=self.x_sp[idx], hoi_x=self.x_hoi[idx], y=self.y[idx], atl_x=atl_x, atl_y=atl_y)
+            plans.append(StepPlan(idx, obj_idx, kept if len(kept) else None))
+        return plans
+
+    def sp_rows(self, plan: StepPlan) -> tuple:
+        """(x, y): the spatial classifier's inputs and targets of a plan."""
+        return self.x_sp[plan.rows], self.y[plan.rows]
+
+    def hoi_rows(self, plan: StepPlan) -> tuple:
+        """(x, y, atl_x, atl_y): the interaction classifier's real inputs and
+        targets of a plan, then its composite ones (None with no composites).
+        The real branch scores the spatial branch's rows, so y is theirs."""
+        atl_x = atl_y = None
+        if plan.kept is not None:
+            atl_x = plan.kept.inputs(self.verb_feats[plan.rows], self.object_feats[plan.objects])
+            atl_y = plan.kept.labels.astype(float)
+        return self.x_hoi[plan.rows], self.y[plan.rows], atl_x, atl_y
 
 
 def grad_workspaces(model: HOIModel) -> tuple:
-    """Zeroed (g_sp, g_hoi, g_atl) gradient workspaces for step_grads."""
+    """Zeroed (g_sp, g_hoi, g_atl) gradient workspaces for train and step_grads."""
     return tuple(nn.zeros_like(p) for p in (model.sp_classifier, model.hoi_classifier, model.hoi_classifier))
 
 
-def step_grads(model: HOIModel, batch: StepBatch, cfg: TrainConfig, grads=None, norms: dict | None = None):
-    """Raw branch losses and analytic gradients of the total step loss, from one
-    forward pass per branch: returns (losses, (g_sp, g_hoi)).
+def sp_grads(params: nn.MLPParams, sampler: StepSampler, plan: StepPlan, out: nn.MLPParams,
+             norms: dict | None = None) -> tuple[float, nn.MLPParams]:
+    """The spatial classifier's loss and gradient at plan: (L_sp, out), with
+    the gradient written into out. norms, when given, gains its L2 norm "sp"."""
+    loss = nn.mlp_backward(params, *sampler.sp_rows(plan), out=out)[0]
+    if norms is not None:
+        norms["sp"] = float(np.linalg.norm(out.flat))
+    return loss, out
 
-    The real and composite branches share the HOI classifier, so its gradient
-    is lambda1 * real + lambda2 * composite. The gradients are written into
-    grads, the grad_workspaces of the model (new ones when None); its g_atl ends
-    up holding lambda2 * composite. norms, when given, gains the L2 norms "sp",
-    "hoi" and "atl" of g_sp, lambda1 * real and lambda2 * composite (0.0 with no
-    composites), the last two taken before they are added.
+
+def hoi_grads(params: nn.MLPParams, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig, out: nn.MLPParams,
+              atl_out: nn.MLPParams, norms: dict | None = None) -> tuple[float, float, nn.MLPParams]:
+    """The interaction classifier's losses and gradient at plan: (L_hoi, L_ATL,
+    out), with the gradient written into out and L_ATL 0.0 in a step with no
+    composites.
+
+    The real and composite branches share this classifier, so its gradient is
+    lambda1 * real + lambda2 * composite; atl_out ends up holding the second
+    term. norms, when given, gains the L2 norms "hoi" and "atl" of the two
+    terms (0.0 with no composites), taken before they are added.
+    """
+    x, y, atl_x, atl_y = sampler.hoi_rows(plan)
+    l_hoi = nn.mlp_backward(params, x, y, out=out)[0]
+    out.flat *= cfg.lambda1
+    if norms is not None:
+        norms.update(hoi=float(np.linalg.norm(out.flat)), atl=0.0)
+    l_atl = 0.0
+    if atl_x is not None:
+        l_atl = nn.mlp_backward(params, atl_x, atl_y, out=atl_out)[0]
+        atl_out.flat *= cfg.lambda2
+        if norms is not None:
+            norms["atl"] = float(np.linalg.norm(atl_out.flat))
+        out.flat += atl_out.flat
+    return l_hoi, l_atl, out
+
+
+def step_grads(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig, grads=None,
+               norms: dict | None = None):
+    """Raw branch losses and analytic gradients of the total step loss of plan,
+    from sp_grads and hoi_grads, which train's two loops call: returns
+    (losses, (g_sp, g_hoi)). The gradients are written into grads, the
+    grad_workspaces of the model (new ones when None); norms is as in the two.
     """
     g_sp, g_hoi, g_atl = grads or grad_workspaces(model)
-    l_sp = nn.mlp_backward(model.sp_classifier, batch.sp_x, batch.y, out=g_sp)[0]
-    l_hoi = nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.y, out=g_hoi)[0]
-    g_hoi.flat *= cfg.lambda1
-    if norms is not None:
-        norms.update(sp=float(np.linalg.norm(g_sp.flat)), hoi=float(np.linalg.norm(g_hoi.flat)), atl=0.0)
-    l_atl = 0.0
-    if batch.atl_x is not None:
-        l_atl = nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y, out=g_atl)[0]
-        g_atl.flat *= cfg.lambda2
-        if norms is not None:
-            norms["atl"] = float(np.linalg.norm(g_atl.flat))
-        g_hoi.flat += g_atl.flat
+    l_sp, g_sp = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms)
+    l_hoi, l_atl, g_hoi = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
     return {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl}, (g_sp, g_hoi)
 
 
 @dataclass
 class TrainResult:
     """The trained model, the loss trace, the composite counters, and per traced
-    step the L2 gradient norms of the three branches (see step_grads)."""
+    step the L2 gradient norms of the three branches (see sp_grads and hoi_grads)."""
 
     model: HOIModel
     trace: list[dict] = field(default_factory=list)
@@ -317,55 +362,73 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     """Run the three-branch optimization and return the model plus loss trace.
 
     lambda2=0 or object_batch=0 disables the composite branch entirely (the
-    counters, those of the StepSampler that draws each step's batch, record
+    counters, those of the StepSampler that plans each step's batch, record
     that the shared classifier never saw composite inputs).
 
-    The model's classifiers are updated in place, and each step's gradients
-    are written into one reused workspace per branch.
+    The two classifiers share no parameters, and no batch depends on either,
+    so the steps run in windows of TRAIN_WINDOW: one draw plans the window,
+    then one loop takes the spatial classifier's steps and a second the
+    interaction classifier's. The model, trace, counters and grad norms are
+    those of running the steps one by one. At the first step whose total loss
+    or either gradient is non-finite, TrainingDiverged carries that step and
+    its total; by then the spatial classifier may have taken later steps of
+    the window, and that model is discarded. The classifiers are updated in
+    place, and each step's gradients are written into one reused workspace per
+    branch.
     """
     sampler = StepSampler(train_set, external_objects, tax, cfg)
     model = init_model(tax, train_set.verb_feat.shape[1], cfg)
-    grads = grad_workspaces(model)
+    g_sp, g_hoi, g_atl = grad_workspaces(model)
     rng = substream(cfg.seed, "batching")
     trace, grad_norms = [], []
 
-    for step in range(cfg.iterations):
-        traced = step % cfg.trace_every == 0 or step == cfg.iterations - 1
-        norms = {} if traced else None
-        losses, (g_sp, g_hoi) = step_grads(model, sampler.draw(rng), cfg, grads, norms)
-        total = total_loss(losses["L_sp"], losses["L_hoi"], losses["L_ATL"], cfg)
-        # the step's one divergence check, before either classifier is updated: one
-        # isfinite per flat gradient buffer and the loss, with no sum that could overflow
-        if not (math.isfinite(total) and np.isfinite(g_sp.flat).all() and np.isfinite(g_hoi.flat).all()):
-            raise TrainingDiverged(step, total)
-
-        nn.sgd_step(model.sp_classifier, g_sp, cfg.lr)
-        nn.sgd_step(model.hoi_classifier, g_hoi, cfg.lr)
-
-        if traced:
-            trace.append({"step": step, **losses, "L_total": total})
-            grad_norms.append({"step": step, **norms})
+    for start in range(0, cfg.iterations, TRAIN_WINDOW):
+        plans = sampler.draw(rng, min(TRAIN_WINDOW, cfg.iterations - start))
+        sp_losses, norms_at, sp_stop = [], {}, -1
+        for step, plan in enumerate(plans, start):
+            if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
+                norms_at[step] = {}
+            l_sp, g = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms_at.get(step))
+            sp_losses.append(l_sp)
+            # each divergence check is one isfinite per flat gradient buffer and
+            # the loss, with no sum that could overflow; the interaction loop
+            # raises at this step
+            if not (math.isfinite(l_sp) and np.isfinite(g.flat).all()):
+                sp_stop = step
+                break
+            nn.sgd_step(model.sp_classifier, g, cfg.lr)
+        for step, (plan, l_sp) in enumerate(zip(plans, sp_losses), start):
+            norms = norms_at.get(step)
+            l_hoi, l_atl, g = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
+            total = total_loss(l_sp, l_hoi, l_atl, cfg)
+            if step == sp_stop or not (math.isfinite(total) and np.isfinite(g.flat).all()):
+                raise TrainingDiverged(step, total)
+            nn.sgd_step(model.hoi_classifier, g, cfg.lr)
+            if norms is not None:
+                trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
+                grad_norms.append({"step": step, **norms})
 
     counters = {**sampler.counters, "composite_per_category": sampler.per_category.tolist()}
     return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
 
 
-def step_grad_check(model: HOIModel, batch: StepBatch, cfg: TrainConfig, step: float = 1e-5):
-    """Finite-difference check of the full composite step loss across both
+def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig, step: float = 1e-5):
+    """Finite-difference check of plan's full composite step loss across both
     classifiers. Returns {param_path: rel_error}.
 
     Each evaluation is total_loss of the forward-only branch losses, the path
     nn.grad_check takes, so no gradient is computed only to be thrown away.
     """
-    def bce(params: nn.MLPParams, x, y) -> float:
-        return nn.bce_loss(nn.mlp_forward(params, x)[1], y)
+    (sp_x, y), (hoi_x, _, atl_x, atl_y) = sampler.sp_rows(plan), sampler.hoi_rows(plan)
+
+    def bce(params: nn.MLPParams, x, t) -> float:
+        return nn.bce_loss(nn.mlp_forward(params, x)[1], t)
 
     def loss() -> float:
-        l_atl = 0.0 if batch.atl_x is None else bce(model.hoi_classifier, batch.atl_x, batch.atl_y)
-        return total_loss(bce(model.sp_classifier, batch.sp_x, batch.y),
-                          bce(model.hoi_classifier, batch.hoi_x, batch.y), l_atl, cfg)
+        l_atl = 0.0 if atl_x is None else bce(model.hoi_classifier, atl_x, atl_y)
+        return total_loss(bce(model.sp_classifier, sp_x, y), bce(model.hoi_classifier, hoi_x, y), l_atl, cfg)
 
-    _, analytic = step_grads(model, batch, cfg)
+    _, analytic = step_grads(model, sampler, plan, cfg)
     errors = {}
     for comp, grads in zip(("sp_classifier", "hoi_classifier"), analytic):
         for name, arr in getattr(model, comp).items():

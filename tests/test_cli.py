@@ -967,8 +967,9 @@ def test_gradcheck_passes_and_writes(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gradcheck_end_to_end_checks_trains_first_step(seed):
-    # the batch and model the end-to-end check differentiates are those of the
-    # first step train takes on the same world and config, bit for bit
+    # the classifiers and each classifier's inputs the end-to-end check
+    # differentiates are those of the first step train's two loops take on the
+    # same world and config, bit for bit
     def record(into, fn):  # each call's arguments, copied before the call, and its result
         def wrapper(*args, **kwargs):
             copied = copy.deepcopy(args)
@@ -977,23 +978,27 @@ def test_gradcheck_end_to_end_checks_trains_first_step(seed):
             return result
         return wrapper
 
-    worlds, checked, stepped = [], [], []
+    def same(value, want):
+        return (value is None and want is None) or (value.dtype == want.dtype and value.shape == want.shape
+                                                    and value.tobytes() == want.tobytes())
+
+    worlds, checked, sp_steps, hoi_steps = [], [], [], []
     with mock.patch.object(cli, "gen_dataset", record(worlds, cli.gen_dataset)), \
             mock.patch.object(cli, "step_grad_check", record(checked, cli.step_grad_check)):
         cli._end_to_end_errors(seed)
     [((_, tax, *_), (train_set, _, external))] = worlds
-    [((model, batch, cfg), _)] = checked
-    with mock.patch.object(pipeline, "step_grads", record(stepped, pipeline.step_grads)):
+    [((model, sampler, plan, cfg), _)] = checked
+    with mock.patch.object(pipeline, "sp_grads", record(sp_steps, pipeline.sp_grads)), \
+            mock.patch.object(pipeline, "hoi_grads", record(hoi_steps, pipeline.hoi_grads)):
         train(train_set, external, tax, replace(cfg, iterations=1))
-    [((want_model, want_batch, *_), _)] = stepped
-    assert batch.atl_x is not None  # the check covers the composite branch
-    for name in ("sp_classifier", "hoi_classifier"):
-        assert getattr(model, name).flat.tobytes() == getattr(want_model, name).flat.tobytes()
-    assert vars(batch).keys() == vars(want_batch).keys()
-    for key, value in vars(batch).items():
-        want = vars(want_batch)[key]
-        assert (value is None and want is None) or (value.dtype == want.dtype and value.shape == want.shape
-                                                     and value.tobytes() == want.tobytes()), key
+    [((sp_params, sp_sampler, sp_plan, *_), _)] = sp_steps
+    [((hoi_params, hoi_sampler, hoi_plan, *_), _)] = hoi_steps
+    assert plan.kept is not None  # the check covers the composite branch
+    assert model.sp_classifier.flat.tobytes() == sp_params.flat.tobytes()
+    assert model.hoi_classifier.flat.tobytes() == hoi_params.flat.tobytes()
+    for rows, want in ((sampler.sp_rows(plan), sp_sampler.sp_rows(sp_plan)),
+                       (sampler.hoi_rows(plan), hoi_sampler.hoi_rows(hoi_plan))):
+        assert len(rows) == len(want) and all(same(a, b) for a, b in zip(rows, want))
 
 
 def test_gradcheck_seed_3_emits_no_warning(tmp_path, capsys):

@@ -314,8 +314,9 @@ def test_step_losses_total_is_the_training_expression():
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
-    batch = StepSampler(train_set, external, tax, cfg).draw(np.random.default_rng(6))
-    losses, _ = step_grads(model, batch, cfg)
+    sampler = StepSampler(train_set, external, tax, cfg)
+    [plan] = sampler.draw(np.random.default_rng(6), 1)
+    losses, _ = step_grads(model, sampler, plan, cfg)
     assert set(losses) == {"L_sp", "L_hoi", "L_ATL"}
     assert losses["L_ATL"] > 0
     want = (losses["L_sp"] + cfg.lambda1 * losses["L_hoi"]) + cfg.lambda2 * losses["L_ATL"]
@@ -420,7 +421,10 @@ def test_train_divergence_reports_step():
     with pytest.raises(TrainingDiverged, match="non-finite") as err:
         with np.errstate(all="ignore"):
             train(train_set, external, tax, cfg)
-    assert err.value.step >= 0
+    with pytest.raises(TrainingDiverged) as want:
+        with np.errstate(all="ignore"):
+            _train_reference(train_set, external, tax, cfg)
+    assert (err.value.step, repr(err.value.loss)) == (want.value.step, repr(want.value.loss))
 
 
 def test_training_diverged_pickles():
@@ -430,75 +434,86 @@ def test_training_diverged_pickles():
         TrainingDiverged, 7, "training loss or gradients became non-finite at step 7 (loss nan)")
 
 
-@pytest.mark.parametrize("classifier", ["sp", "hoi"])
-def test_train_divergence_on_nonfinite_gradient(monkeypatch, classifier):
-    # finite loss, one non-finite gradient entry at step 3: the step's one
-    # check stops training there, before either classifier is updated
+def edited_grads(edit, latest: dict):
+    """pipeline's (sp_grads, hoi_grads) for train's two loops, where a
+    classifier's calls are its steps in order: edit(classifier, step, grad)
+    edits each step's gradient before train checks it ("sp" or "hoi"), and
+    latest[classifier] becomes the (step, gradient) of its last call."""
+    def branch(classifier, real):
+        def grads(*args):
+            *losses, grad = real(*args)
+            step = latest[classifier][0] + 1 if classifier in latest else 0
+            edit(classifier, step, grad)
+            latest[classifier] = (step, grad)
+            return (*losses, grad)
+        return grads
+    return branch("sp", pipeline.sp_grads), branch("hoi", pipeline.hoi_grads)
+
+
+def train_with_gradient_edit(monkeypatch, edit, updates, iterations=10):
+    """Train tiny_setup for iterations steps (one window), with edited_grads'
+    edit; updates gains (classifier, step) per SGD update. Returns the TrainResult."""
     tax, world, train_set, _, external = tiny_setup()
-    real_step_grads, real_sgd_step = pipeline.step_grads, nn.sgd_step
-    steps, updates = [], []
+    latest, real_sgd_step = {}, nn.sgd_step
 
-    def step_grads(*args):
-        losses, grads = real_step_grads(*args)
-        if len(steps) == 3:
-            grads[0 if classifier == "sp" else 1].b2[0] = np.inf
-        steps.append(losses)
-        return losses, grads
-
-    def sgd_step(params, grads, lr):
-        updates.append(len(steps) - 1)
+    def sgd_step(params, grads, lr):  # one gradient workspace per classifier
+        updates.append(next((c, step) for c, (step, g) in latest.items() if g is grads))
         return real_sgd_step(params, grads, lr)
 
-    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    for name, grads in zip(("sp_grads", "hoi_grads"), edited_grads(edit, latest)):
+        monkeypatch.setattr(pipeline, name, grads)
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
-    cfg = TrainConfig(iterations=10, hidden=8, spatial_resolution=4, seed=3)
+    return train(train_set, external, tax, TrainConfig(iterations=iterations, hidden=8, spatial_resolution=4, seed=3))
+
+
+def window_updates(sp_steps: int, hoi_steps: int) -> list:
+    """The SGD updates of one window: the spatial loop's, then the interaction loop's."""
+    return [("sp", k) for k in range(sp_steps)] + [("hoi", k) for k in range(hoi_steps)]
+
+
+@pytest.mark.parametrize("classifier", ["sp", "hoi"])
+def test_train_divergence_on_nonfinite_gradient(monkeypatch, classifier):
+    # finite loss, one non-finite gradient entry at step 3: its classifier's loop
+    # stops there, and training raises at step 3 before the interaction
+    # classifier takes it; the spatial loop may already have run its window
+    def edit(c, step, grad):
+        if (c, step) == (classifier, 3):
+            grad.b2[0] = np.inf
+
+    updates = []
     with pytest.raises(TrainingDiverged, match="non-finite") as err:
-        train(train_set, external, tax, cfg)
+        train_with_gradient_edit(monkeypatch, edit, updates)
     assert err.value.step == 3
-    assert np.isfinite(total_loss(steps[3]["L_sp"], steps[3]["L_hoi"], steps[3]["L_ATL"], cfg))
-    assert updates == [0, 0, 1, 1, 2, 2]
-
-
-def train_with_gradient_edit(monkeypatch, edit, iterations=10):
-    """Train tiny_setup for iterations steps, edit(step, (g_sp, g_hoi)) applied to
-    each step's gradients before the divergence check; returns the steps run."""
-    tax, world, train_set, _, external = tiny_setup()
-    real_step_grads = pipeline.step_grads
-    steps = []
-
-    def step_grads(*args):
-        losses, grads = real_step_grads(*args)
-        edit(len(steps), grads)
-        steps.append(losses)
-        return losses, grads
-
-    monkeypatch.setattr(pipeline, "step_grads", step_grads)
-    train(train_set, external, tax, TrainConfig(iterations=iterations, hidden=8, spatial_resolution=4, seed=3))
-    return steps
+    assert np.isfinite(err.value.loss)
+    assert updates == window_updates(3 if classifier == "sp" else 10, 3)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_train_divergence_on_the_last_gradient_entry(monkeypatch, value):
     # the very last entry the check sees: hoi_classifier's output bias, last category
-    def edit(step, grads):
-        if step == 4:
-            grads[1].b2[-1] = value
+    def edit(classifier, step, grad):
+        if (classifier, step) == ("hoi", 4):
+            grad.b2[-1] = value
 
+    updates = []
     with pytest.raises(TrainingDiverged) as err:
-        train_with_gradient_edit(monkeypatch, edit)
+        train_with_gradient_edit(monkeypatch, edit, updates)
     assert err.value.step == 4
+    assert updates == window_updates(10, 4)
 
 
 def test_train_overflowing_gradient_sum_is_no_divergence(monkeypatch):
     # finite entries whose sum overflows to inf: the check must not add them up
-    def edit(step, grads):
+    def edit(classifier, step, grad):
         if step == 9:
-            for g in grads:
-                g.w1[0, :2] = np.finfo(float).max
-                g.b2[:2] = np.finfo(float).max
+            grad.w1[0, :2] = np.finfo(float).max
+            grad.b2[:2] = np.finfo(float).max
 
+    updates = []
     with np.errstate(over="ignore"):  # the update after the check overflows (lr 3)
-        assert len(train_with_gradient_edit(monkeypatch, edit)) == 10
+        result = train_with_gradient_edit(monkeypatch, edit, updates)
+    assert updates == window_updates(10, 10)
+    assert [row["step"] for row in result.trace] == [0, 9]
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -507,23 +522,16 @@ def test_train_overflowing_gradient_sum_is_no_divergence(monkeypatch):
 @pytest.mark.parametrize("classifier", ["sp", "hoi"])
 def test_train_divergence_on_every_gradient_array(monkeypatch, classifier, name, entry, value):
     # the first or last entry of any one gradient array: the flat-buffer check sees
-    # every view, and training stops at that step before either classifier moves
-    real_sgd_step, edits, updates = nn.sgd_step, [], []
+    # every view, and training stops at that step, which neither classifier takes
+    def edit(c, step, grad):
+        if (c, step) == (classifier, 2):
+            getattr(grad, name).reshape(-1)[entry] = value
 
-    def sgd_step(params, grads, lr):
-        updates.append(edits[-1])
-        return real_sgd_step(params, grads, lr)
-
-    def edit(step, grads):
-        edits.append(step)
-        if step == 2:
-            getattr(grads[0 if classifier == "sp" else 1], name).reshape(-1)[entry] = value
-
-    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    updates = []
     with pytest.raises(TrainingDiverged) as err:
-        train_with_gradient_edit(monkeypatch, edit)
+        train_with_gradient_edit(monkeypatch, edit, updates)
     assert err.value.step == 2
-    assert updates == [0, 0, 1, 1]
+    assert updates == window_updates(2 if classifier == "sp" else 10, 2)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -532,17 +540,21 @@ def test_train_divergence_on_a_nonfinite_composite_gradient(monkeypatch, value):
     # gradient, and the check stops training at that step
     tax, world, train_set, _, external = tiny_setup()
     real_backward, real_sgd_step = nn.mlp_backward, nn.sgd_step
-    calls, updates = [], []
+    hoi_calls, updates = [], []
+
+    def classifier(params):
+        return "hoi" if params.d_in == 2 * world.feat_dim else "sp"
 
     def mlp_backward(params, x, target, out=None):
         loss, grads = real_backward(params, x, target, out=out)
-        calls.append(len(updates) // 2)
-        if calls.count(4) == 3 and calls[-1] == 4:  # step 4's composite call
-            grads.w2[0, -1] = value
+        if classifier(params) == "hoi":  # its step: the updates it has taken
+            hoi_calls.append(updates.count("hoi"))
+            if hoi_calls.count(4) == 2 and hoi_calls[-1] == 4:  # step 4's composite call
+                grads.w2[0, -1] = value
         return loss, grads
 
     def sgd_step(params, grads, lr):
-        updates.append(params)
+        updates.append(classifier(params))
         return real_sgd_step(params, grads, lr)
 
     monkeypatch.setattr(nn, "mlp_backward", mlp_backward)
@@ -550,8 +562,8 @@ def test_train_divergence_on_a_nonfinite_composite_gradient(monkeypatch, value):
     cfg = TrainConfig(iterations=10, hidden=8, spatial_resolution=4, lambda2=0.5, seed=3)
     with pytest.raises(TrainingDiverged) as err:
         train(train_set, external, tax, cfg)
-    assert calls.count(4) == 3  # the step had composites
-    assert err.value.step == 4 and len(updates) == 8
+    assert hoi_calls.count(4) == 2  # the step had composites
+    assert err.value.step == 4 and updates == ["sp"] * 10 + ["hoi"] * 4
 
 
 @lru_cache(maxsize=None)
@@ -645,11 +657,12 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 def test_train_matches_the_allocating_reference_bit_for_bit(n_train, n_external, overrides):
     tax, train_set, external = reference_world(n_train, n_external)
     cfg = TrainConfig(**overrides)
-    real_backward, inputs = nn.mlp_backward, ([], [])
+    real_backward, inputs = nn.mlp_backward, ({"sp": [], "hoi": []}, {"sp": [], "hoi": []})
+    hoi_d_in = 2 * train_set.verb_feat.shape[1]  # the spatial classifier's is 2 * res**2 + that half
 
-    def recorder(side):  # every backward pass's input and target, so batches must match too
+    def recorder(side):  # each classifier's backward inputs and targets, so batches must match too
         def mlp_backward(params, x, target, out=None):
-            side.append((x, target))
+            side["hoi" if params.d_in == hoi_d_in else "sp"].append((x, target))
             return real_backward(params, x, target, out=out)
         return mlp_backward
 
@@ -657,10 +670,11 @@ def test_train_matches_the_allocating_reference_bit_for_bit(n_train, n_external,
         got = train(train_set, external, tax, cfg)
     with mock.patch.object(nn, "mlp_backward", recorder(inputs[1])):
         want = _train_reference(train_set, external, tax, cfg)
-    assert len(inputs[0]) == len(inputs[1])
-    for pair, want_pair in zip(*inputs):
-        for a, b in zip(pair, want_pair):
-            assert_same_bits(a, b)
+    for classifier in ("sp", "hoi"):
+        assert len(inputs[0][classifier]) == len(inputs[1][classifier])
+        for pair, want_pair in zip(inputs[0][classifier], inputs[1][classifier]):
+            for a, b in zip(pair, want_pair):
+                assert_same_bits(a, b)
     for name in ("sp_classifier", "hoi_classifier"):
         for (_, a), (_, b) in zip(getattr(got.model, name).items(), getattr(want.model, name).items()):
             assert_same_bits(a, b)
@@ -669,25 +683,122 @@ def test_train_matches_the_allocating_reference_bit_for_bit(n_train, n_external,
     assert [row["step"] for row in got.grad_norms] == [row["step"] for row in got.trace]
 
 
+def reference_steps(train_set, external, tax, cfg, fault):
+    """_train_reference's result, or its TrainingDiverged, and per step its raw
+    gradients' flat buffers: spatial, real, then composite when the step had
+    one. fault, ("sp" | "hoi", step) or None, makes a NaN of that step's
+    spatial or real gradient."""
+    hoi_d_in, steps, real_backward = 2 * train_set.verb_feat.shape[1], [], nn.mlp_backward
+
+    def mlp_backward(params, x, target, out=None):
+        loss, grads = real_backward(params, x, target, out=out)
+        if params.d_in != hoi_d_in:  # each step begins with the spatial classifier
+            steps.append([])
+        if fault == (("sp", "hoi", None)[len(steps[-1])], len(steps) - 1):
+            grads.b2[0] = np.nan
+        steps[-1].append(grads.flat)
+        return loss, grads
+
+    with mock.patch.object(nn, "mlp_backward", mlp_backward):
+        try:
+            return _train_reference(train_set, external, tax, cfg), steps
+        except TrainingDiverged as err:
+            return err, steps
+
+
+def windowed_train(train_set, external, tax, cfg, window, fault):
+    """train's result, or its TrainingDiverged, with TRAIN_WINDOW window and
+    fault as in reference_steps, made in the gradient sp_grads or hoi_grads returns."""
+    def edit(classifier, step, grad):
+        if (classifier, step) == fault:
+            grad.b2[0] = np.nan
+
+    sp_grads, hoi_grads = edited_grads(edit, {})
+    with mock.patch.object(pipeline, "TRAIN_WINDOW", window), mock.patch.object(pipeline, "sp_grads", sp_grads), \
+            mock.patch.object(pipeline, "hoi_grads", hoi_grads):
+        try:
+            return train(train_set, external, tax, cfg)
+        except TrainingDiverged as err:
+            return err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 9), st.sampled_from([1, 4]), st.booleans(),
+       st.sampled_from([None, "sp", "hoi"]), st.sampled_from(["first", "last"]), st.data())
+def test_train_windows_match_the_reference_bit_for_bit(window, iterations, trace_every, composites,
+                                                        classifier, edge, data):
+    # windows of 1-3 steps cross every edge of 0-9 iterations; a NaN gradient at
+    # a window's first or last step must stop training at that step, as stepping
+    # one by one does
+    tax, train_set, external = reference_world(60, 20)
+    cfg = TrainConfig(iterations=iterations, trace_every=trace_every, hoi_batch=8, hidden=4,
+                      spatial_resolution=2, lambda2=0.5 if composites else 0.0,
+                      object_batch=2 if composites else 0, seed=data.draw(st.integers(0, 3)))
+    fault = None
+    if classifier and iterations:
+        first = window * data.draw(st.integers(0, (iterations - 1) // window))
+        fault = (classifier, first if edge == "first" else min(first + window, iterations) - 1)
+    want, steps = reference_steps(train_set, external, tax, cfg, fault)
+    got = windowed_train(train_set, external, tax, cfg, window, fault)
+    assert type(got) is type(want)
+    if isinstance(want, TrainingDiverged):
+        assert (got.step, repr(got.loss)) == (want.step, repr(want.loss)) == (fault[1], repr(want.loss))
+        return
+    assert fault is None
+    for name in ("sp_classifier", "hoi_classifier"):
+        assert_same_bits(getattr(got.model, name).flat, getattr(want.model, name).flat)
+    assert got.trace == want.trace
+    assert got.counters == want.counters
+    assert got.grad_norms == [
+        {"step": row["step"], "sp": float(np.linalg.norm(steps[row["step"]][0])),
+         "hoi": float(np.linalg.norm(cfg.lambda1 * steps[row["step"]][1])),
+         "atl": float(np.linalg.norm(cfg.lambda2 * steps[row["step"]][2])) if len(steps[row["step"]]) == 3 else 0.0}
+        for row in want.trace]
+
+
+def test_sampler_object_one_hots_are_the_labels_one_hots():
+    tax, _, train_set, _, external = tiny_setup()
+    sampler = StepSampler(train_set, external, tax, TrainConfig(hidden=8, spatial_resolution=4))
+    want = np.stack([one_hot(tax.n_objects, o) for o in external.object_label])
+    assert sampler.object_labels.dtype == want.dtype == np.int8
+    assert sampler.object_labels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label", [-1, 5, 99])
+def test_sampler_rejects_an_out_of_range_object_label(label):
+    # the one-hots are one gather, where a negative label would wrap silently
+    tax, _, train_set, _, external = tiny_setup()
+    bad = external[np.arange(6)]
+    bad.object_label[4] = label
+    with pytest.raises(ValueError, match=f"object label {label} out of range for 5 objects"):
+        StepSampler(train_set, bad, tax, TrainConfig(hidden=8, spatial_resolution=4))
+
+
 def test_two_trainings_return_independent_models(monkeypatch):
     # each training owns its model, which no later training and no gradient
-    # workspace shares; one workspace serves every step of a training
+    # workspace shares; one workspace per classifier serves every step of a training
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(iterations=6, hidden=8, spatial_resolution=4, seed=2)
-    real_step_grads, workspaces = pipeline.step_grads, []
+    workspaces = {"sp_grads": [], "hoi_grads": []}
 
-    def step_grads(*args):
-        losses, grads = real_step_grads(*args)
-        workspaces.append(grads)
-        return losses, grads
+    def recorder(name, real):
+        def grads(*args):
+            result = real(*args)
+            workspaces[name].append(result[-1])
+            return result
+        return grads
 
-    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    for name in workspaces:
+        monkeypatch.setattr(pipeline, name, recorder(name, getattr(pipeline, name)))
     a = train(train_set, external, tax, cfg)
     b = train(train_set, external, tax, cfg)
-    assert all(g[0] is workspaces[0][0] and g[1] is workspaces[0][1] for g in workspaces[:6])
-    assert workspaces[6][0] is not workspaces[0][0]
+    for grads in workspaces.values():
+        assert len(grads) == 12
+        assert all(g is grads[0] for g in grads[:6]) and all(g is grads[6] for g in grads[6:])
+        assert grads[6] is not grads[0]
+    assert workspaces["sp_grads"][0] is not workspaces["hoi_grads"][0]
     flats = [p.flat for r in (a, b) for p in (r.model.sp_classifier, r.model.hoi_classifier)]
-    flats += [g.flat for g in workspaces[0] + workspaces[6]]
+    flats += [grads[k].flat for grads in workspaces.values() for k in (0, 6)]
     for i, x in enumerate(flats):
         assert not any(np.shares_memory(x, y) for y in flats[i + 1:])
     want = b.model.hoi_classifier.flat.copy()
@@ -700,26 +811,33 @@ def test_two_trainings_return_independent_models(monkeypatch):
 def test_grad_norms_are_the_norms_of_the_step_gradients(monkeypatch):
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(iterations=12, trace_every=5, hidden=8, spatial_resolution=4, lambda1=1.3, seed=3)
-    real_step_grads, recorded = pipeline.step_grads, {}
+    real = {name: getattr(pipeline, name) for name in ("sp_grads", "hoi_grads")}
+    recorded = {name: [] for name in real}
 
-    def step_grads(model, batch, cfg, grads, norms):
-        if norms is not None:
-            recorded[len(recorded)] = (copy.deepcopy(model), batch)
-        return real_step_grads(model, batch, cfg, grads, norms)
+    def recorder(name):  # each traced step's classifier, as it was before the step, and plan
+        def grads(params, sampler, plan, *rest):
+            if rest[-1] is not None:
+                recorded[name].append((copy.deepcopy(params), sampler, plan))
+            return real[name](params, sampler, plan, *rest)
+        return grads
 
-    monkeypatch.setattr(pipeline, "step_grads", step_grads)
+    for name in real:
+        monkeypatch.setattr(pipeline, name, recorder(name))
     result = train(train_set, external, tax, cfg)
     assert [row["step"] for row in result.grad_norms] == [row["step"] for row in result.trace] == [0, 5, 10, 11]
     assert all(set(row) == {"step", "L_sp", "L_hoi", "L_ATL", "L_total"} for row in result.trace)
     for k, row in enumerate(result.grad_norms):
-        model, batch = recorded[k]
-        assert set(row) == {"step", "sp", "hoi", "atl"} and batch.atl_x is not None
-        _, (g_sp, g_hoi) = real_step_grads(model, batch, cfg)
-        real = cfg.lambda1 * nn.mlp_backward(model.hoi_classifier, batch.hoi_x, batch.y)[1].flat
-        composite = cfg.lambda2 * nn.mlp_backward(model.hoi_classifier, batch.atl_x, batch.atl_y)[1].flat
-        assert_same_bits(g_hoi.flat, real + composite)
+        (sp_params, sampler, plan), (hoi_params, _, hoi_plan) = recorded["sp_grads"][k], recorded["hoi_grads"][k]
+        assert set(row) == {"step", "sp", "hoi", "atl"} and hoi_plan is plan and plan.kept is not None
+        g_sp = nn.mlp_backward(sp_params, *sampler.sp_rows(plan))[1]
+        _, _, g_hoi = real["hoi_grads"](hoi_params, sampler, plan, cfg, nn.zeros_like(hoi_params),
+                                        nn.zeros_like(hoi_params))
+        x, y, atl_x, atl_y = sampler.hoi_rows(plan)
+        real_branch = cfg.lambda1 * nn.mlp_backward(hoi_params, x, y)[1].flat
+        composite = cfg.lambda2 * nn.mlp_backward(hoi_params, atl_x, atl_y)[1].flat
+        assert_same_bits(g_hoi.flat, real_branch + composite)
         assert row["sp"] == np.linalg.norm(np.concatenate([arr.ravel() for _, arr in g_sp.items()]))
-        assert row["hoi"] == np.linalg.norm(real) > 0
+        assert row["hoi"] == np.linalg.norm(real_branch) > 0
         assert row["atl"] == np.linalg.norm(composite) > 0
     base = train(train_set, [], tax, baseline_config(cfg))
     assert [row["atl"] for row in base.grad_norms] == [0.0] * 4
@@ -784,9 +902,10 @@ def test_step_grad_check_miniature():
     train_set, _, external = gen_dataset(world, tax, None, 6, 2, 4, seed=5)
     cfg = TrainConfig(hidden=8, spatial_resolution=4, hoi_batch=4, seed=5)
     model = init_model(tax, world.feat_dim, cfg)
-    batch = StepSampler(train_set, external, tax, cfg).draw(np.random.default_rng(5))
-    assert batch.atl_x is not None
-    errors = step_grad_check(model, batch, cfg)
+    sampler = StepSampler(train_set, external, tax, cfg)
+    [plan] = sampler.draw(np.random.default_rng(5), 1)
+    assert plan.kept is not None
+    errors = step_grad_check(model, sampler, plan, cfg)
     assert set(errors) == {"sp_classifier.w1", "sp_classifier.b1", "sp_classifier.w2",
                            "sp_classifier.b2", "hoi_classifier.w1", "hoi_classifier.b1",
                            "hoi_classifier.w2", "hoi_classifier.b2"}
