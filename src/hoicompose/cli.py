@@ -26,7 +26,7 @@ from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_p
                          make_split, map_report, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
 from .jsonfile import check_fields, int_items, read_json, write_json, write_json_rows
-from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, _check_confidences,
+from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, check_confidences,
                        init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
                        write_trace_csv)
 from .seeding import substream
@@ -267,18 +267,19 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _eval_common(cfg: dict, args, with_split: bool) -> int:
+def cmd_eval(cfg: dict, args) -> int:
     s = _settings(cfg, args)
+    zeroshot = args.command == "zeroshot"
     try:
-        _check_confidences(s["s_h"], s["s_o"])
+        check_confidences(s["s_h"], s["s_o"])
     except ValueError as e:
         raise ConfigError(f"eval s_h, s_o: {e}")
     out = _out_dir(args)
-    data = _load_data_dir(s, need=("taxonomy", "test", "split") if with_split else ("taxonomy", "test"))
+    data = _load_data_dir(s, need=("taxonomy", "test", "split") if zeroshot else ("taxonomy", "test"))
     model = _load_model(s["checkpoint"], data)
 
     split = data.get("split")
-    if with_split and split is not None and split.mode == "none":
+    if zeroshot and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
     preds = predict_dataset(model, data["test"], tax, s_h=s["s_h"], s_o=s["s_o"])
@@ -297,14 +298,6 @@ def _eval_common(cfg: dict, args, with_split: bool) -> int:
             shown = "n/a" if math.isnan(val) else f"{val:.4f}"
             print(f"{name:>8} mAP {shown}  ({g['n_categories']} categories)")
     return EXIT_OK
-
-
-def cmd_eval_hoi(cfg: dict, args) -> int:
-    return _eval_common(cfg, args, with_split=False)
-
-
-def cmd_zeroshot(cfg: dict, args) -> int:
-    return _eval_common(cfg, args, with_split=True)
 
 
 def cmd_build_bank(cfg: dict, args) -> int:
@@ -480,15 +473,16 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+# {name: (function, help)}
 COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval-hoi": cmd_eval_hoi,
-    "zeroshot": cmd_zeroshot,
-    "build-bank": cmd_build_bank,
-    "affordance": cmd_affordance,
-    "gradcheck": cmd_gradcheck,
-    "reproduce-trends": cmd_reproduce_trends,
+    "gen-data": (cmd_gen_data, "generate a synthetic world, split, and dataset files"),
+    "train": (cmd_train, "train the three-branch model from a gen-data directory"),
+    "eval-hoi": (cmd_eval, "detection mAP report (Full/Rare/NonRare)"),
+    "zeroshot": (cmd_eval, "detection mAP report with Unseen/Seen groups"),
+    "build-bank": (cmd_build_bank, "sample the affordance feature bank from training data"),
+    "affordance": (cmd_affordance, "recognize affordances of external objects and score them"),
+    "gradcheck": (cmd_gradcheck, "verify analytic gradients against finite differences"),
+    "reproduce-trends": (cmd_reproduce_trends, "multi-seed transfer-on vs transfer-off comparison"),
 }
 
 
@@ -498,18 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compositional HOI learning on synthetic desk-scale worlds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "gen-data": "generate a synthetic world, split, and dataset files",
-        "train": "train the three-branch model from a gen-data directory",
-        "eval-hoi": "detection mAP report (Full/Rare/NonRare)",
-        "zeroshot": "detection mAP report with Unseen/Seen groups",
-        "build-bank": "sample the affordance feature bank from training data",
-        "affordance": "recognize affordances of external objects and score them",
-        "gradcheck": "verify analytic gradients against finite differences",
-        "reproduce-trends": "multi-seed transfer-on vs transfer-off comparison",
-    }
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=helps[name])
+    for name, (fn, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or .)")

@@ -57,15 +57,6 @@ class MLPParams:
     def items(self):
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
-    def validate(self) -> None:
-        if self.w1.shape != (self.hidden, self.d_in) or self.b1.shape != (self.hidden,):
-            raise ValueError("first-layer shapes inconsistent")
-        if self.w2.shape != (self.k_out, self.hidden) or self.b2.shape != (self.k_out,):
-            raise ValueError("second-layer shapes inconsistent")
-        for name, arr in self.items():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite entries in {name}")
-
 
 @dataclass
 class GradReport:
@@ -208,37 +199,30 @@ def sgd_step(params: MLPParams, grads: MLPParams, lr: float = 0.01) -> MLPParams
     return params
 
 
-def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
-    num = np.linalg.norm(a - b)
-    den = max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12)
-    return float(num / den)
+def fd_errors(loss, params: MLPParams, analytic: MLPParams, step: float = 1e-5) -> dict[str, float]:
+    """{name: relative error} of each array of analytic, a gradient of loss()
+    w.r.t. params, against central finite differences of loss().
 
-
-def _numeric_grad(loss, arr: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences of loss() w.r.t. every entry of arr.
-
-    Each entry is perturbed in place by +-step and restored exactly, so loss
-    must read arr (e.g. a parameter array of the model it evaluates).
+    Each entry of params is perturbed in place by +-step and restored exactly,
+    so loss must read params (e.g. the parameters of the model it evaluates).
     """
-    fd = np.zeros_like(arr)
-    for idx in np.ndindex(arr.shape):
-        orig = arr[idx]
-        arr[idx] = orig + step
+    fd = zeros_like(params)
+    for i in range(params.flat.size):
+        orig = params.flat[i]
+        params.flat[i] = orig + step
         up = loss()
-        arr[idx] = orig - step
+        params.flat[i] = orig - step
         down = loss()
-        arr[idx] = orig
-        fd[idx] = (up - down) / (2.0 * step)
-    return fd
+        params.flat[i] = orig
+        fd.flat[i] = (up - down) / (2.0 * step)
+    return {name: float(np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12))
+            for (name, a), (_, b) in zip(analytic.items(), fd.items())}
 
 
 def grad_check(params: MLPParams, x, target, step: float = 1e-5) -> GradReport:
     """Central finite differences over every parameter entry vs the analytic gradient."""
     _, analytic = mlp_backward(params, x, target)
-    per_param = {}
-    for name, arr in params.items():
-        fd = _numeric_grad(lambda: bce_loss(mlp_forward(params, x)[1], target), arr, step)
-        per_param[name] = _rel_error(getattr(analytic, name), fd)
+    per_param = fd_errors(lambda: bce_loss(mlp_forward(params, x)[1], target), params, analytic, step)
     return GradReport(max_rel_error=max(per_param.values()), per_param=per_param)
 
 
@@ -254,8 +238,8 @@ def params_to_dict(params: MLPParams) -> dict:
 
 def params_from_dict(d: dict, what: str = "classifier") -> MLPParams:
     """The MLPParams of a params_to_dict object. Every key must be known, every
-    array item a JSON number and every array of its declared shape; a failed
-    check raises ValueError naming the array."""
+    array item a finite JSON number and every array of its declared shape; a
+    failed check raises ValueError naming the array."""
     check_fields(d, {"shape": dict, "w1": list, "b1": list, "w2": list, "b2": list}, what)
     check_fields(d["shape"], {"d_in": int, "hidden": int, "k_out": int}, f"{what} shape")
     d_in, hidden, k_out = d["shape"]["d_in"], d["shape"]["hidden"], d["shape"]["k_out"]
@@ -270,6 +254,6 @@ def params_from_dict(d: dict, what: str = "classifier") -> MLPParams:
         arrays[name] = np.asarray(d[name], dtype=float)
         if arrays[name].shape != shape:
             raise ValueError(f"{what} {name} has shape {arrays[name].shape}, expected {shape}")
-    params = MLPParams(**arrays)
-    params.validate()
-    return params
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"non-finite entries in {name}")
+    return MLPParams(**arrays)

@@ -281,11 +281,6 @@ class StepSampler:
         return self.x_hoi[plan.rows], self.y[plan.rows], atl_x, atl_y
 
 
-def grad_workspaces(model: HOIModel) -> tuple:
-    """Zeroed (g_sp, g_hoi, g_atl) gradient workspaces for train and step_grads."""
-    return tuple(nn.zeros_like(p) for p in (model.sp_classifier, model.hoi_classifier, model.hoi_classifier))
-
-
 def sp_grads(params: nn.MLPParams, sampler: StepSampler, plan: StepPlan, out: nn.MLPParams,
              norms: dict | None = None) -> tuple[float, nn.MLPParams]:
     """The spatial classifier's loss and gradient at plan: (L_sp, out), with
@@ -320,19 +315,6 @@ def hoi_grads(params: nn.MLPParams, sampler: StepSampler, plan: StepPlan, cfg: T
             norms["atl"] = float(np.linalg.norm(atl_out.flat))
         out.flat += atl_out.flat
     return l_hoi, l_atl, out
-
-
-def step_grads(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig, grads=None,
-               norms: dict | None = None):
-    """Raw branch losses and analytic gradients of the total step loss of plan,
-    from sp_grads and hoi_grads, which train's two loops call: returns
-    (losses, (g_sp, g_hoi)). The gradients are written into grads, the
-    grad_workspaces of the model (new ones when None); norms is as in the two.
-    """
-    g_sp, g_hoi, g_atl = grads or grad_workspaces(model)
-    l_sp, g_sp = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms)
-    l_hoi, l_atl, g_hoi = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
-    return {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl}, (g_sp, g_hoi)
 
 
 @dataclass
@@ -378,7 +360,7 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     """
     sampler = StepSampler(train_set, external_objects, tax, cfg)
     model = init_model(tax, train_set.verb_feat.shape[1], cfg)
-    g_sp, g_hoi, g_atl = grad_workspaces(model)
+    g_sp, g_hoi, g_atl = map(nn.zeros_like, (model.sp_classifier, model.hoi_classifier, model.hoi_classifier))
     rng = substream(cfg.seed, "batching")
     trace, grad_norms = [], []
 
@@ -419,25 +401,23 @@ def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: 
     Each evaluation is total_loss of the forward-only branch losses, the path
     nn.grad_check takes, so no gradient is computed only to be thrown away.
     """
+    sp, hoi = model.sp_classifier, model.hoi_classifier
     (sp_x, y), (hoi_x, _, atl_x, atl_y) = sampler.sp_rows(plan), sampler.hoi_rows(plan)
 
     def bce(params: nn.MLPParams, x, t) -> float:
         return nn.bce_loss(nn.mlp_forward(params, x)[1], t)
 
     def loss() -> float:
-        l_atl = 0.0 if atl_x is None else bce(model.hoi_classifier, atl_x, atl_y)
-        return total_loss(bce(model.sp_classifier, sp_x, y), bce(model.hoi_classifier, hoi_x, y), l_atl, cfg)
+        l_atl = 0.0 if atl_x is None else bce(hoi, atl_x, atl_y)
+        return total_loss(bce(sp, sp_x, y), bce(hoi, hoi_x, y), l_atl, cfg)
 
-    _, analytic = step_grads(model, sampler, plan, cfg)
-    errors = {}
-    for comp, grads in zip(("sp_classifier", "hoi_classifier"), analytic):
-        for name, arr in getattr(model, comp).items():
-            fd = nn._numeric_grad(loss, arr, step)
-            errors[f"{comp}.{name}"] = nn._rel_error(getattr(grads, name), fd)
-    return errors
+    analytic = {"sp_classifier": sp_grads(sp, sampler, plan, nn.zeros_like(sp))[1],
+                "hoi_classifier": hoi_grads(hoi, sampler, plan, cfg, nn.zeros_like(hoi), nn.zeros_like(hoi))[2]}
+    return {f"{comp}.{name}": err for comp, grads in analytic.items()
+            for name, err in nn.fd_errors(loss, getattr(model, comp), grads, step).items()}
 
 
-def _check_confidences(s_h: float, s_o: float) -> None:
+def check_confidences(s_h: float, s_o: float) -> None:
     if not 0.0 <= s_h <= 1.0 or not 0.0 <= s_o <= 1.0:
         raise ValueError("detection confidences must lie in [0, 1]")
 
@@ -446,7 +426,7 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
                     s_o: float = 1.0) -> Detections:
     """Score every instance of an HOISet for every category: a Detections grid
     whose row i is the set's row i."""
-    _check_confidences(s_h, s_o)
+    check_confidences(s_h, s_o)
     if not len(instances):
         return Detections(np.zeros((0, tax.n_categories)))
     x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)

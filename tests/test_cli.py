@@ -489,6 +489,37 @@ def test_checkpoint_of_non_numbers_is_data_error(trained_dir, data_dir, tmp_path
     assert_data_error(capsys, out, f"checkpoint {bad}: {needle}")
 
 
+
+def text_with_inf(doc: dict, put) -> str:
+    """doc as JSON text after put(doc, marker), with the number 1e999, which json
+    reads as inf, where put placed the marker."""
+    put(doc, "@inf")
+    return json.dumps(doc).replace('"@inf"', "1e999")
+
+
+def test_checkpoint_weight_of_inf_is_data_error(trained_dir, data_dir, tmp_path, capsys):
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(text_with_inf(json.loads((trained_dir / "checkpoint.json").read_text()),
+                                 lambda d, marker: d["sp_classifier"]["b1"].__setitem__(0, marker)))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
+    assert run("zeroshot", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, f"checkpoint {bad}: non-finite entries in b1")
+
+
+def test_bank_entry_of_inf_is_data_error(trained_dir, data_dir, tmp_path, capsys):
+    assert run("build-bank", write_config(tmp_path / "build.json", {"data_dir": str(data_dir)}),
+               tmp_path / "bank") == EXIT_OK
+    bank = tmp_path / "bank" / "bank.json"
+    bank.write_text(text_with_inf(json.loads(bank.read_text()),
+                                  lambda d, marker: d["entries"]["0"][0].__setitem__(0, marker)))
+    cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data_dir), "bank": str(bank),
+                                                "checkpoint": str(trained_dir / "checkpoint.json")})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("affordance", cfg, out) == EXIT_DATA
+    assert_data_error(capsys, out, f"bank {bank}: verb 0 entries hold non-finite values")
+
 def test_zeroshot_rejects_trivial_split(trained_dir, tmp_path):
     gen = write_config(tmp_path / "gen.json", {
         "world": TINY_WORLD,
@@ -1228,6 +1259,28 @@ def test_reproduce_trends_entry_point_starts_its_workers(tmp_path, monkeypatch):
     write_json(tmp_path / "serial.json", reproduce_trends(settings).to_json_dict())
     assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
+
+
+COMMAND_HELP = {
+    "gen-data": "generate a synthetic world, split, and dataset files",
+    "train": "train the three-branch model from a gen-data directory",
+    "eval-hoi": "detection mAP report (Full/Rare/NonRare)",
+    "zeroshot": "detection mAP report with Unseen/Seen groups",
+    "build-bank": "sample the affordance feature bank from training data",
+    "affordance": "recognize affordances of external objects and score them",
+    "gradcheck": "verify analytic gradients against finite differences",
+    "reproduce-trends": "multi-seed transfer-on vs transfer-off comparison",
+}
+
+
+def test_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: hoicompose ")
+    assert dict(re.findall(r"^    (\S+) +(\S.*)$", text, re.MULTILINE)) == COMMAND_HELP
 
 def test_console_script_runs(tmp_path):
     proc = run_program("gradcheck", "--help")

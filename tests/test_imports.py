@@ -63,6 +63,47 @@ def test_only_jsonfile_writes_and_reads_json_documents(path):
     assert json_document_calls(path.read_text()) == []
 
 
+
+PACKAGE_MODULES = frozenset(p.stem for p in (ROOT / "src" / "hoicompose").glob("*.py")) - {"__init__"}
+
+
+def private_reaches(source: str, modules=PACKAGE_MODULES) -> list[str]:
+    """Each import of another package module's _name (from .mod import _name),
+    and each read of one through a package module imported by name (mod._name);
+    dunder names are exempt. A module's own _names are its own business."""
+    tree = ast.parse(source)
+    bound, found = set(), []  # bound: the names this module binds to package modules
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "hoicompose"):
+            if node.module in (None, "hoicompose"):
+                bound |= {a.asname or a.name for a in node.names if a.name in modules}
+            else:
+                module = node.module.rpartition(".")[2]
+                found += [(node.lineno, f"{module}.{a.name}") for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+                and private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_finds_a_reach_into_a_private_name():
+    source = ("from . import nn, pipeline as pl\nfrom .cli import _helper, main\n"
+              "from hoicompose.taxonomy import _check, decouple_verb\nfrom hoicompose import synth\n"
+              "import numpy as np\nfrom os import _exit\nnn._numeric_grad(1)\npl._rows\nsynth._seed()\n"
+              "nn.__name__\nnn.fd_errors\nnp._core\nself._cache\n_local = 1\n")
+    assert private_reaches(source) == ["line 2: cli._helper", "line 3: taxonomy._check",
+                                       "line 7: nn._numeric_grad", "line 8: pl._rows", "line 9: synth._seed"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_reaches_into_another_modules_private_names(path):
+    assert private_reaches(path.read_text()) == []
+
 def unsafe_np_loads(source: str) -> list[str]:
     """Each np.load / numpy.load that is not a call passing the literal
     allow_pickle=False, and each import of numpy's load by name: a data file

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from hoicompose.nn import (
     GradReport,
     MLPParams,
     bce_loss,
+    fd_errors,
     grad_check,
     init_params,
     mlp_backward,
@@ -375,6 +377,15 @@ def test_params_from_dict_rejects_shape_mismatch():
         params_from_dict(d)
 
 
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+def test_params_from_dict_names_a_non_finite_array(name, value):
+    d = params_to_dict(init_params(3, 2, hidden=4, seed=16))
+    (d[name][-1] if name.startswith("w") else d[name])[-1] = value  # json reads 1e999 as inf
+    with pytest.raises(ValueError, match=f"^non-finite entries in {name}$"):
+        params_from_dict(d)
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
@@ -388,3 +399,65 @@ def test_grad_check_property(d_in, hidden, k_out, seed):
     x = rng.normal(size=d_in)
     t = (rng.random(k_out) < 0.5).astype(float)
     assert grad_check(p, x, t).max_rel_error < 1e-5
+
+
+def numeric_grad_oracle(loss, arr: np.ndarray, step: float) -> np.ndarray:
+    """Central finite differences of loss() w.r.t. every entry of arr, one array
+    at a time: with rel_error_oracle, the per-array routine fd_errors replaced."""
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + step
+        up = loss()
+        arr[idx] = orig - step
+        down = loss()
+        arr[idx] = orig
+        fd[idx] = (up - down) / (2.0 * step)
+    return fd
+
+
+def rel_error_oracle(a: np.ndarray, b: np.ndarray) -> float:
+    num = np.linalg.norm(a - b)
+    den = max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12)
+    return float(num / den)
+
+
+def fd_errors_oracle(loss, params: MLPParams, analytic: MLPParams, step: float) -> dict:
+    return {name: rel_error_oracle(getattr(analytic, name), numeric_grad_oracle(loss, arr, step))
+            for name, arr in params.items()}
+
+
+def bits(params: MLPParams) -> bytes:
+    return params.flat.view(np.uint64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([None, 1, 5]),
+    st.sampled_from([1e-6, 1e-5, 1e-3]),
+    st.booleans(),
+)
+def test_fd_errors_is_the_per_array_oracle(d_in, hidden, k_out, seed, n, step, exact):
+    # the errors are the oracle's bit for bit, for a right and a wrong gradient,
+    # and every parameter entry ends bit-equal to where it started
+    p, x, t = _random_case(d_in, k_out, hidden, seed, n)
+    _, analytic = mlp_backward(p, x, t)
+    if not exact:
+        analytic.flat += np.random.default_rng(seed).normal(size=analytic.flat.size)
+    before = bits(p)
+
+    def loss():
+        return bce_loss(mlp_forward(p, x)[1], t)
+
+    got = fd_errors(loss, p, analytic, step)
+    assert bits(p) == before
+    want = fd_errors_oracle(loss, p, analytic, step)
+    assert list(got) == ["w1", "b1", "w2", "b2"] and got == want
+    report = grad_check(p, x, t, step)
+    assert bits(p) == before
+    if exact:
+        assert report.per_param == want and report.max_rel_error == max(want.values())

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_evaluation import ground_truth_pairs
+from test_nn import bits, numeric_grad_oracle, rel_error_oracle
 from test_taxonomy import random_taxonomy
 
 from hoicompose import nn, pipeline
@@ -29,7 +31,6 @@ from hoicompose.pipeline import (
     predict_dataset,
     save_checkpoint,
     step_grad_check,
-    step_grads,
     total_loss,
     train,
     write_trace_csv,
@@ -308,15 +309,18 @@ def test_total_loss_arithmetic():
 
 
 def test_step_losses_total_is_the_training_expression():
-    # The training step and step_grad_check total the fused branch losses of
-    # step_grads through total_loss, with the association
+    # The training step and step_grad_check total the branch losses of
+    # sp_grads and hoi_grads through total_loss, with the association
     # (L_sp + l1*L_hoi) + l2*L_ATL; the trace records that total.
     tax, world, train_set, _, external = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, lambda1=1.3, lambda2=0.7, seed=6)
     model = init_model(tax, world.feat_dim, cfg)
     sampler = StepSampler(train_set, external, tax, cfg)
     [plan] = sampler.draw(np.random.default_rng(6), 1)
-    losses, _ = step_grads(model, sampler, plan, cfg)
+    sp, hoi = model.sp_classifier, model.hoi_classifier
+    l_sp, _ = pipeline.sp_grads(sp, sampler, plan, nn.zeros_like(sp))
+    l_hoi, l_atl, _ = pipeline.hoi_grads(hoi, sampler, plan, cfg, nn.zeros_like(hoi), nn.zeros_like(hoi))
+    losses = {"L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl}
     assert set(losses) == {"L_sp", "L_hoi", "L_ATL"}
     assert losses["L_ATL"] > 0
     want = (losses["L_sp"] + cfg.lambda1 * losses["L_hoi"]) + cfg.lambda2 * losses["L_ATL"]
@@ -911,6 +915,43 @@ def test_step_grad_check_miniature():
                            "hoi_classifier.w2", "hoi_classifier.b2"}
     assert max(errors.values()) < 1e-6
 
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=0, max_value=1000), st.sampled_from([0.0, 0.5]))
+def test_step_grad_check_is_the_per_array_oracle(seed, lambda2):
+    # the errors are those of the per-array oracle over the total step loss and
+    # the step's analytic gradients, and both classifiers end bit-equal
+    with warnings.catch_warnings():  # a gradient check does not depend on separability
+        warnings.filterwarnings("ignore", r"min \w+ prototype distance", UserWarning)
+        tax, world, train_set, _, external = tiny_setup(seed, n_train=12, n_external=6)
+    cfg = TrainConfig(hidden=4, spatial_resolution=3, hoi_batch=4, lambda2=lambda2, seed=seed)
+    model = init_model(tax, world.feat_dim, cfg)
+    sampler = StepSampler(train_set, external, tax, cfg)
+    [plan] = sampler.draw(np.random.default_rng(seed), 1)
+    sp, hoi = model.sp_classifier, model.hoi_classifier
+    before = bits(sp), bits(hoi)
+    got = step_grad_check(model, sampler, plan, cfg)
+    assert (bits(sp), bits(hoi)) == before
+
+    (sp_x, y), (hoi_x, _, atl_x, atl_y) = sampler.sp_rows(plan), sampler.hoi_rows(plan)
+
+    def bce(params, x, t):
+        return nn.bce_loss(nn.mlp_forward(params, x)[1], t)
+
+    def loss():
+        l_atl = 0.0 if atl_x is None else bce(hoi, atl_x, atl_y)
+        return total_loss(bce(sp, sp_x, y), bce(hoi, hoi_x, y), l_atl, cfg)
+
+    g_hoi = nn.mlp_backward(hoi, hoi_x, y)[1]
+    g_hoi.flat *= cfg.lambda1
+    if atl_x is not None:
+        g_hoi.flat += cfg.lambda2 * nn.mlp_backward(hoi, atl_x, atl_y)[1].flat
+    want = {f"{comp}.{name}": rel_error_oracle(getattr(grads, name), numeric_grad_oracle(loss, arr, 1e-5))
+            for comp, params, grads in (("sp_classifier", sp, nn.mlp_backward(sp, sp_x, y)[1]),
+                                        ("hoi_classifier", hoi, g_hoi))
+            for name, arr in params.items()}
+    assert got == want
 
 # --- inference ---
 
