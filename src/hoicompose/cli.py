@@ -22,6 +22,7 @@ import numpy as np
 from . import nn
 from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
+from .blas import blas_info
 from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
                          make_split, map_report, write_report_csv)
 from .experiments import TrendSettings, reproduce_trends
@@ -153,6 +154,8 @@ def _write_manifest(out: Path, command: str, resolved: dict, inputs: dict, outpu
         "config_sha256": _config_hash(resolved),
         "inputs": {name: {"path": str(p), "sha256": _file_hash(Path(p))} for name, p in inputs.items()},
         "outputs": sorted(outputs),
+        # the BLAS the outputs' bytes depend on; its thread count is not among them
+        "blas": {k: v for k, v in blas_info().items() if k != "threads"},
     })
 
 

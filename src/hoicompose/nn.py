@@ -255,5 +255,5 @@ def params_from_dict(d: dict, what: str = "classifier") -> MLPParams:
         if arrays[name].shape != shape:
             raise ValueError(f"{what} {name} has shape {arrays[name].shape}, expected {shape}")
         if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"non-finite entries in {name}")
+            raise ValueError(f"{what} {name}: non-finite entries")
     return MLPParams(**arrays)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import nn
+from . import blas, nn
 from .jsonfile import check_fields, read_json, write_json
 from .seeding import stream_seed, substream
 from .synth import Detections
@@ -356,7 +356,8 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     its total; by then the spatial classifier may have taken later steps of
     the window, and that model is discarded. The classifiers are updated in
     place, and each step's gradients are written into one reused workspace per
-    branch.
+    branch. The steps run with OpenBLAS on one thread (blas.one_thread), so
+    the model's bytes do not depend on the caller's thread count.
     """
     sampler = StepSampler(train_set, external_objects, tax, cfg)
     model = init_model(tax, train_set.verb_feat.shape[1], cfg)
@@ -364,31 +365,32 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     rng = substream(cfg.seed, "batching")
     trace, grad_norms = [], []
 
-    for start in range(0, cfg.iterations, TRAIN_WINDOW):
-        plans = sampler.draw(rng, min(TRAIN_WINDOW, cfg.iterations - start))
-        sp_losses, norms_at, sp_stop = [], {}, -1
-        for step, plan in enumerate(plans, start):
-            if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
-                norms_at[step] = {}
-            l_sp, g = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms_at.get(step))
-            sp_losses.append(l_sp)
-            # each divergence check is one isfinite per flat gradient buffer and
-            # the loss, with no sum that could overflow; the interaction loop
-            # raises at this step
-            if not (math.isfinite(l_sp) and np.isfinite(g.flat).all()):
-                sp_stop = step
-                break
-            nn.sgd_step(model.sp_classifier, g, cfg.lr)
-        for step, (plan, l_sp) in enumerate(zip(plans, sp_losses), start):
-            norms = norms_at.get(step)
-            l_hoi, l_atl, g = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
-            total = total_loss(l_sp, l_hoi, l_atl, cfg)
-            if step == sp_stop or not (math.isfinite(total) and np.isfinite(g.flat).all()):
-                raise TrainingDiverged(step, total)
-            nn.sgd_step(model.hoi_classifier, g, cfg.lr)
-            if norms is not None:
-                trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
-                grad_norms.append({"step": step, **norms})
+    with blas.one_thread():
+        for start in range(0, cfg.iterations, TRAIN_WINDOW):
+            plans = sampler.draw(rng, min(TRAIN_WINDOW, cfg.iterations - start))
+            sp_losses, norms_at, sp_stop = [], {}, -1
+            for step, plan in enumerate(plans, start):
+                if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
+                    norms_at[step] = {}
+                l_sp, g = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms_at.get(step))
+                sp_losses.append(l_sp)
+                # each divergence check is one isfinite per flat gradient buffer and
+                # the loss, with no sum that could overflow; the interaction loop
+                # raises at this step
+                if not (math.isfinite(l_sp) and np.isfinite(g.flat).all()):
+                    sp_stop = step
+                    break
+                nn.sgd_step(model.sp_classifier, g, cfg.lr)
+            for step, (plan, l_sp) in enumerate(zip(plans, sp_losses), start):
+                norms = norms_at.get(step)
+                l_hoi, l_atl, g = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
+                total = total_loss(l_sp, l_hoi, l_atl, cfg)
+                if step == sp_stop or not (math.isfinite(total) and np.isfinite(g.flat).all()):
+                    raise TrainingDiverged(step, total)
+                nn.sgd_step(model.hoi_classifier, g, cfg.lr)
+                if norms is not None:
+                    trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
+                    grad_norms.append({"step": step, **norms})
 
     counters = {**sampler.counters, "composite_per_category": sampler.per_category.tolist()}
     return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
@@ -425,13 +427,15 @@ def check_confidences(s_h: float, s_o: float) -> None:
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
                     s_o: float = 1.0) -> Detections:
     """Score every instance of an HOISet for every category: a Detections grid
-    whose row i is the set's row i."""
+    whose row i is the set's row i. The classifiers run with OpenBLAS on one
+    thread, as train does."""
     check_confidences(s_h, s_o)
     if not len(instances):
         return Detections(np.zeros((0, tax.n_categories)))
     x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)
-    _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
-    _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
+    with blas.one_thread():
+        _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
+        _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
     return Detections(s_h * s_o * p_sp * p_hoi)
 
 

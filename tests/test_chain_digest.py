@@ -1,5 +1,6 @@
 """tools/chain_digest.py's record check, and the committed record tools/chain.sha256."""
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from test_cli import (CHAIN_BUILD_BANK_SHA256, CHAIN_BUILD_BANK_STDOUT_SHA256, C
                       CHAIN_GEN_DATA_STDOUT_SHA256, CHAIN_STDOUT_SHA256, CHAIN_THREAD_FREE_SHA256)
 
 from hoicompose import cli
+from hoicompose.blas import blas_info
 from hoicompose.experiments import TrendSettings
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -22,7 +24,7 @@ def chain_digest():
     return module
 
 
-BLAS = "# numpy 2.0, openblas 0.3, OPENBLAS_NUM_THREADS=2"
+BLAS = "# numpy 2.0, openblas 0.3, core Haswell"
 RECORD = [BLAS, f"{'a' * 64}  gen-data/split.json", f"{'b' * 64}  train/checkpoint.json",
           f"{'c' * 64}  stdout/train.txt"]
 
@@ -44,14 +46,15 @@ def test_check_names_each_changed_missing_and_extra_path(chain_digest, capsys):
 
 
 def test_a_blas_difference_alone_passes_with_a_warning(chain_digest, capsys):
-    assert chain_digest.check(RECORD, ["# numpy 2.1, openblas 0.3, OPENBLAS_NUM_THREADS=2"] + RECORD[1:]) == 0
+    assert chain_digest.check(RECORD, ["# numpy 2.1, openblas 0.3, core Haswell"] + RECORD[1:]) == 0
     assert "warning" in capsys.readouterr().err
 
 
-# the 31 chain files tier-1 pins elsewhere, measured to be the same under any
-# BLAS thread count; the other 17 (checkpoint, trace, scores, the manifests,
-# the train and gradcheck outputs, the demo's stdout, the configs) are compared
-# under the record's own BLAS only
+# the 29 chain files tier-1 pins elsewhere, which do not depend on the BLAS; the
+# other 19 (checkpoint, trace, scores, the manifests with their blas block, the
+# train and gradcheck outputs, the demo's stdout, the configs) depend on the
+# BLAS build, not on its thread count, and are compared under the record's own
+# BLAS only
 THREAD_FREE = {**{f"gen-data/{k}": v for k, v in CHAIN_GEN_DATA_SHA256.items()},
                **{f"build-bank/{k}": v for k, v in CHAIN_BUILD_BANK_SHA256.items()},
                **CHAIN_THREAD_FREE_SHA256,
@@ -64,7 +67,7 @@ THREAD_FREE = {**{f"gen-data/{k}": v for k, v in CHAIN_GEN_DATA_SHA256.items()},
 
 def test_committed_record_holds_the_digests_tier_1_pins(chain_digest):
     lines = (TOOLS / "chain.sha256").read_text().splitlines()
-    assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+, OPENBLAS_NUM_THREADS=2", lines[0])
+    assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+", lines[0])  # the build, no thread count
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
     record = chain_digest.digests(lines)
     assert len(record) == len(lines) - 1 == 48
@@ -98,8 +101,11 @@ def test_under_another_blas_only_the_thread_free_files_compare(chain_digest):
 
 def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, monkeypatch, capsys):
     # every step but reproduce-trends runs as chain_digest.py runs it, in a fresh
-    # interpreter with 2 BLAS threads; reproduce-trends runs in process on the
-    # trend fixture's report, which is what its default settings compute
+    # interpreter, here with 1 BLAS thread: the record was taken with 2, so all
+    # 48 files matching shows that no byte depends on the thread count.
+    # reproduce-trends runs in process on the trend fixture's report, which is
+    # what its default settings compute
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     for step in chain_digest.STEPS:
         if step[0] != "reproduce-trends":
             chain_digest.run_step(tmp_path, *step)
@@ -115,6 +121,9 @@ def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, mo
     assert cli.main(["reproduce-trends", "--out", "reproduce-trends"]) == cli.EXIT_OK
     Path("stdout/reproduce-trends.txt").write_text(capsys.readouterr().out)
 
+    blas = {k: v for k, v in blas_info().items() if k != "threads"}
+    manifests = list(tmp_path.glob("*/manifest.json"))
+    assert len(manifests) == 7 and all(json.loads(path.read_text())["blas"] == blas for path in manifests)
     recorded, lines, note = comparable((TOOLS / "chain.sha256").read_text().splitlines(),
                                        chain_digest.record(tmp_path))
     if note:

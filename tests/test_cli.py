@@ -132,13 +132,13 @@ def test_gen_data_seed_changes_data(data_dir, tmp_path):
 
 
 # The sha256 of every file gen-data writes at the byte-identity chain's config
-# (tools/chain_digest.py): 4000/3200/6400 rows, novel-object, seed 7. None of
-# them depends on the BLAS thread count.
+# (tools/chain_digest.py): 4000/3200/6400 rows, novel-object, seed 7, but its
+# manifest, whose blas block names the machine's BLAS build. None of them
+# depends on the BLAS.
 CHAIN_GEN_DATA_SHA256 = {
     "external/object_box.npy": "a4b9131779b4e36af57f184c9ff6aafa61742bc9ea0cee8a8be084c621520fa9",
     "external/object_feat.npy": "7492467b1a7ecaaf9768c62e4dafbad668331e1a53b930a3e17ef8cacaff1ae0",
     "external/object_label.npy": "2123822e48f6ad4bde3e7501fca2b8857526d7245235e4d9ef9a604cd401aaa1",
-    "manifest.json": "7fd49b73204b25cdc0a47feb48580b85fa4307ed1ad5bd822c922ddba8291135",
     "split.json": "8ff2c5fd3e882cce1a1e7d2c4c38c98bdb31da82f870f139c05a541e97b55877",
     "taxonomy.json": "e89ed2791e2d008841d5a0cf381fda1e2035d46d189ce93ebcdf915e1fbdbb74",
     "test/hoi_label.npy": "fff46b6f2cc8bacc4b8c0c1fdf5067d7d49affdecb3f9417ea005dd7f21325ab",
@@ -157,16 +157,15 @@ CHAIN_GEN_DATA_SHA256 = {
     "train/verb_feat.npy": "68bb48d348885bae4ac1a88ec94f3c658f744e3e1df5ed2ce02513001bbfbfca",
 }
 CHAIN_GEN_DATA_STDOUT_SHA256 = "7c847d03955f2babc9f774f5ed67786a0ef4399dc7f4c48a2d2e840108f5a850"
-# build-bank's files and stdout at the chain's default config over that data; no
-# training comes before it, so tier-1 can afford it
+# build-bank's files but its manifest, and its stdout, at the chain's default
+# config over that data; no training comes before it, so tier-1 can afford it
 CHAIN_BUILD_BANK_SHA256 = {
     "bank.json": "345512d6dd3d0679de09f0bcb49338b06dca87be598a622d497c2a3d96bfd944",
-    "manifest.json": "aae44ada367484576a8c9764b0fbe3dcc0e641a52ea116bf5def915c31e5463e",
 }
 CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
-# the zeroshot and affordance outputs that do not depend on the BLAS thread count
-# (the checkpoint, trace, scores and the manifests that hash them do); the
-# predictions' rows are the test set's, whose boxes are pinned above
+# the zeroshot and affordance outputs that do not depend on the BLAS build (the
+# checkpoint, trace, scores and the manifests do; none depends on the thread
+# count); the predictions' rows are the test set's, whose boxes are pinned above
 CHAIN_THREAD_FREE_SHA256 = {
     "zeroshot/report.json": "31d0b3d2a25fa383a10d42c0ba9e02a68245e4bb409ea59f0401a649ada1d297",
     "zeroshot/report.csv": "8930d848e9437956c0af46bf62620f27942d4486a1a94d854916377f1c0ef719",
@@ -178,8 +177,10 @@ CHAIN_STDOUT_SHA256 = {
 }
 
 
-def tree_sha256(path) -> dict:
-    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(Path(path)).items()}
+def unmanifested_sha256(path) -> dict:
+    """{name: sha256} of the files under path but its manifest."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(Path(path)).items()
+            if name != "manifest.json"}
 
 
 def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
@@ -189,16 +190,16 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
               "split": {"mode": "novel-object"}, "seed": 7}
     Path("gen-data.json").write_text(json.dumps(config, sort_keys=True) + "\n")
     assert main(["gen-data", "--config", "gen-data.json", "--out", "gen-data"]) == EXIT_OK
-    assert tree_sha256("gen-data") == CHAIN_GEN_DATA_SHA256
+    assert unmanifested_sha256("gen-data") == CHAIN_GEN_DATA_SHA256
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_GEN_DATA_STDOUT_SHA256
 
     Path("build-bank.json").write_text(json.dumps({"data_dir": "gen-data"}, sort_keys=True) + "\n")
     assert main(["build-bank", "--config", "build-bank.json", "--out", "build-bank"]) == EXIT_OK
-    assert tree_sha256("build-bank") == CHAIN_BUILD_BANK_SHA256
+    assert unmanifested_sha256("build-bank") == CHAIN_BUILD_BANK_SHA256
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_BUILD_BANK_STDOUT_SHA256
 
     # train, then zeroshot and affordance on its checkpoint: of their files, only
-    # those measured to be the same under any BLAS thread count are checked
+    # those that do not depend on the BLAS build are checked
     for step, config in (("train", {"data_dir": "gen-data"}),
                          ("zeroshot", {"data_dir": "gen-data", "checkpoint": "train/checkpoint.json",
                                        "write_predictions": True}),
@@ -504,7 +505,7 @@ def test_checkpoint_weight_of_inf_is_data_error(trained_dir, data_dir, tmp_path,
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
     assert run("zeroshot", cfg, out) == EXIT_DATA
-    assert_data_error(capsys, out, f"checkpoint {bad}: non-finite entries in b1")
+    assert_data_error(capsys, out, f"checkpoint {bad}: sp_classifier b1: non-finite entries")
 
 
 def test_bank_entry_of_inf_is_data_error(trained_dir, data_dir, tmp_path, capsys):

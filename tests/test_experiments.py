@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from hoicompose import experiments
+from hoicompose.blas import blas_info
 from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map, usable_cpus
 from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TOY = {"n_train": 250, "n_test": 60, "n_external": 60,
        "train": TrainConfig(iterations=250, hidden=24, spatial_resolution=8)}
 # n_external=1 leaves seed 1's external stream no novel object; seed 5 keeps one
@@ -67,16 +67,13 @@ def test_pool_leaves_no_worker_and_restores_the_environment(monkeypatch):
 
 
 def worker_blas_threads(_) -> int | None:
-    import run  # perfbench/run.py, on the sys.path a spawn worker gets from its parent
-
-    return run.blas_info(np)["threads"]
+    return blas_info()["threads"]
 
 
 @needs_pool
-def test_each_worker_has_one_blas_thread(monkeypatch):
+def test_each_worker_has_one_blas_thread():
     # unpinned, each worker's OpenBLAS would start one thread per CPU, and the
     # workers, as many as the CPUs, would oversubscribe them
-    monkeypatch.syspath_prepend(str(PERFBENCH))
     threads = spawn_map(worker_blas_threads, 2, range(2))
     if threads[0] is None:
         pytest.skip("numpy's BLAS is not OpenBLAS: there is no thread count to read")

@@ -383,7 +383,7 @@ def test_params_from_dict_rejects_shape_mismatch():
 def test_params_from_dict_names_a_non_finite_array(name, value):
     d = params_to_dict(init_params(3, 2, hidden=4, seed=16))
     (d[name][-1] if name.startswith("w") else d[name])[-1] = value  # json reads 1e999 as inf
-    with pytest.raises(ValueError, match=f"^non-finite entries in {name}$"):
+    with pytest.raises(ValueError, match=f"^classifier {name}: non-finite entries$"):
         params_from_dict(d)
 
 @settings(max_examples=25, deadline=None)

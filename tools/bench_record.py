@@ -12,8 +12,9 @@ result, output digests and quality values, each tree's machine info, and for
 each workload and end-to-end metric both sides' medians and quartiles, the
 number of pairs the change won, whether the medians differ by more than the
 parent's interquartile range and whether the change stays within the metric's
-bound; those last are also printed to stderr, one line each. Set
-``OPENBLAS_NUM_THREADS`` before running: the output digests depend on it.
+bound; those last are also printed to stderr, one line each. The output
+digests do not depend on ``OPENBLAS_NUM_THREADS``, but the timings do: both
+trees run under the caller's setting, so state it with the recording.
 """
 from __future__ import annotations
 

@@ -6,13 +6,14 @@
 The chain is gen-data 4000/3200/6400 novel-object at seed 7, then the default
 train, zeroshot with write_predictions, build-bank, affordance,
 gradcheck --seed 0, the default reproduce-trends and demos/affordance_bank.py,
-each in a fresh interpreter that imports this checkout's package, with
-OPENBLAS_NUM_THREADS=2 (checkpoint bytes depend on the BLAS thread count).
-Every step runs inside OUT on relative paths, so the manifests of two
-checkouts compare. Each step's config goes to OUT/configs/<step>.json and its
-stdout to OUT/stdout/<step>.txt. The output is a "# " line naming the BLAS
-the digests were taken under (numpy version, BLAS name and version, the core
-type OpenBLAS picked its kernels for, thread count), then one
+each in a fresh interpreter that imports this checkout's package, under the
+caller's BLAS thread count: the package runs its thread-dependent products on
+one OpenBLAS thread, so no byte depends on OPENBLAS_NUM_THREADS. Every step
+runs inside OUT on relative paths, so the manifests of two checkouts compare.
+Each step's config goes to OUT/configs/<step>.json and its stdout to
+OUT/stdout/<step>.txt. The output is a "# " line naming the BLAS the digests
+were taken under (numpy version, BLAS name and version, and the core type
+OpenBLAS picked its kernels for, from hoicompose.blas.blas_info), then one
 "<sha256>  <path>" line per file under OUT, sorted by path; diff two of them
 to compare checkouts.
 
@@ -20,12 +21,11 @@ With --check FILE the chain runs into OUT (a temporary directory when OUT is
 not given) and is compared with FILE, a recorded output such as
 tools/chain.sha256. Each changed, missing or extra path is printed, and any
 difference exits 1. A recorded BLAS line that differs from this machine's is
-only a warning on stderr, since the thread-dependent files may then differ.
+only a warning on stderr, since the BLAS-dependent files may then differ.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -37,6 +37,9 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+from hoicompose.blas import blas_info  # this checkout's package, the one the steps import
+
 STEP_TIMEOUT_S = 900
 
 # (step, argv after the interpreter, config or None); each command writes into OUT/<step>
@@ -64,37 +67,17 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def openblas_core() -> str | None:
-    """The core type the OpenBLAS loaded with numpy picked its kernels for, read
-    through its corename call, or None without one (or off Linux)."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
-
-
 def fingerprint() -> str:
     """The BLAS line of a chain record: the numpy and BLAS the chain's steps import."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return (f"# numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, core {openblas_core()}, "
-            "OPENBLAS_NUM_THREADS=2")
+    blas = blas_info()
+    return f"# numpy {np.__version__}, {blas['name']} {blas['version']}, core {blas['core']}"
 
 
 def run_step(out: Path, step: str, argv_tail: list, config) -> None:
     """Run one of STEPS in a fresh interpreter inside out, as the chain runs it."""
     for sub in ("configs", "stdout"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     cmd = [sys.executable, *argv_tail]
     if argv_tail[:2] == ["-m", "hoicompose"]:
