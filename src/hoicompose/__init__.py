@@ -13,8 +13,7 @@ from .pipeline import (HOIModel, TrainConfig, TrainingDiverged, TrainResult, bas
                        compose_batch, load_checkpoint, make_spatial_pattern, predict_dataset,
                        save_checkpoint, total_loss, train)
 from .seeding import instance_rngs, per_instance_rng, stream_seed, substream
-from .synth import (Detections, HOISet, ObjectSet, WorldSpec, gen_dataset, gen_world, load_instances,
-                    save_instances)
+from .synth import HOISet, ObjectSet, WorldSpec, gen_dataset, gen_world, load_instances, save_instances
 from .taxonomy import (Taxonomy, build_cooccurrence, compose_label, decouple_object,
                        decouple_verb, one_hot)
 from .experiments import TrendReport, TrendSettings, reproduce_trends

@@ -31,7 +31,7 @@ from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, bas
                        init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
                        write_trace_csv)
 from .seeding import substream
-from .synth import gen_dataset, gen_world, load_instances, save_instances, validate_instances
+from .synth import HOISet, ObjectSet, gen_dataset, gen_world, load_instances, save_instances, validate_instances
 from .taxonomy import Taxonomy
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
@@ -90,7 +90,7 @@ def _load_config(path: str | None) -> dict:
         return read_json(path, "config", missing_ok=True)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except ValueError as e:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"config file {path}: {e}")
 
 
@@ -126,7 +126,10 @@ def _settings(cfg: dict, args) -> dict:
 
 def _out_dir(args) -> Path:
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # the path or a parent is a file
+        raise ConfigError(f"output directory {path}: {e}")
     return path
 
 
@@ -169,10 +172,10 @@ def _load_data_dir(s: dict, need=("taxonomy",)) -> dict:
     if not d.is_dir():
         raise DataError(f"data_dir does not exist: {d}")
     loaded = {"dir": d, "feat_dim": None, "inputs": {}}
-    kinds = {"train": "hoi", "test": "hoi", "external": "object"}  # the column directories
+    sets = {"train": HOISet, "test": HOISet, "external": ObjectSet}  # the column directories
     for key in need:
-        path = d / (key if key in kinds else key + ".json")
-        if not (path.is_dir() if key in kinds else path.is_file()):
+        path = d / (key if key in sets else key + ".json")
+        if not (path.is_dir() if key in sets else path.is_file()):
             raise DataError(f"{path.name} not found: {path}")
         try:
             if key == "taxonomy":
@@ -181,9 +184,8 @@ def _load_data_dir(s: dict, need=("taxonomy",)) -> dict:
                 loaded[key] = SplitSpec.load(path)
                 loaded[key].validate(loaded["taxonomy"])
             else:
-                loaded[key] = load_instances(path)
-                loaded["feat_dim"] = validate_instances(loaded[key], kinds[key], loaded["taxonomy"],
-                                                        loaded["feat_dim"])
+                loaded[key] = load_instances(path, sets[key])
+                loaded["feat_dim"] = validate_instances(loaded[key], loaded["taxonomy"], loaded["feat_dim"])
         except _LOAD_ERRORS as e:
             raise DataError(f"failed to load {path}: {e}")
         loaded["inputs"][key] = path
@@ -285,13 +287,14 @@ def cmd_eval(cfg: dict, args) -> int:
     if zeroshot and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
-    preds = predict_dataset(model, data["test"], tax, s_h=s["s_h"], s_o=s["s_o"])
-    report = map_report(preds, data["test"], tax, split, rare_threshold=s["rare_threshold"])
+    scores = predict_dataset(model, data["test"], tax, s_h=s["s_h"], s_o=s["s_o"])
+    report = map_report(scores, data["test"], tax, split, rare_threshold=s["rare_threshold"])
     write_json(out / "report.json", report.to_json_dict())
     write_report_csv(report, tax, out / "report.csv")
     outputs = ["report.json", "report.csv"]
     if s["write_predictions"]:
-        save_instances(out / "predictions", preds)
+        (out / "predictions").mkdir(exist_ok=True)
+        np.save(out / "predictions" / "scores.npy", scores, allow_pickle=False)
         outputs.append("predictions")
     _write_manifest(out, args.command, s, data["inputs"], outputs)
     for name in ("full", "rare", "nonrare", "unseen", "seen"):

@@ -1,22 +1,21 @@
 """Measurement: IoU-matched HOI detection mAP, zero-shot splits, affordance metrics.
 
-Detections are a score grid over the ground truth's own rows: row i scores truth
-row i's (human_box, object_box) pair for every category. Ground truth is an
-HOISet's boxes and multi-hot labels. Matching is greedy in score order against a
-shared ground-truth pool, a true positive needs both IoUs >= 0.5 and the exact
-category, and AP is the non-interpolated sum of precisions at true-positive ranks
-over n_positives.
+Detections are an (n, C) score grid over the ground truth's own rows: row i
+scores truth row i's (human_box, object_box) pair for every category. Ground
+truth is an HOISet's boxes and multi-hot labels. Matching is greedy in score
+order against a shared ground-truth pool, a true positive needs both IoUs >= 0.5
+and the exact category, and AP is the non-interpolated sum of precisions at
+true-positive ranks over n_positives.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .jsonfile import check_fields, int_items, read_json, write_json
-from .synth import Detections
 from .taxonomy import Taxonomy
 
 IOU_THRESHOLD = 0.5
@@ -55,11 +54,6 @@ _MAX_CELLS = 1024
 _CELL_ROWS = 16
 
 
-def _check_iou_threshold(iou_threshold: float) -> None:
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
-
-
 def _candidate_pairs(human, obj, iou_threshold: float):
     """(row, row) index arrays of every pair of a set's rows, a row with itself
     included, whose human and object IoUs both reach iou_threshold, in index order.
@@ -74,7 +68,6 @@ def _candidate_pairs(human, obj, iou_threshold: float):
     rows, the human IoU only on the pairs the object boxes let through), and each
     pair across two cells is found once and mirrored. A row with a non-finite
     coordinate never reaches IoU t and is dropped."""
-    _check_iou_threshold(iou_threshold)
     human, obj = (np.asarray(b, dtype=float).reshape(-1, 4) for b in (human, obj))
     rows = np.flatnonzero(np.isfinite(human).all(axis=1) & np.isfinite(obj).all(axis=1))
     boxes = obj[rows]
@@ -148,24 +141,23 @@ def _greedy_match(pred, gt) -> list[int]:
     return matched
 
 
-def match_detections(predictions, ground_truth, iou_threshold: float = IOU_THRESHOLD) -> list[bool]:
+def match_detections(predictions, ground_truth) -> list[bool]:
     """TP/FP flag per prediction, in input order.
 
     predictions: (human_box, object_box, category, score), already sorted by
     score descending; equal scores keep input order. Each GT pair is consumed
     by at most one prediction; a prediction takes the first unconsumed GT (in
-    GT input order) with its exact category and both IoUs >= iou_threshold,
-    which must lie in (0, 1]. A box with a non-finite coordinate never matches.
+    GT input order) with its exact category and both IoUs >= IOU_THRESHOLD.
+    A box with a non-finite coordinate never matches.
     """
-    _check_iou_threshold(iou_threshold)
     scores = [p[3] for p in predictions]
     if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
         raise ValueError("predictions must be sorted by score descending")
     pred_h, pred_o, gt_h, gt_o = (np.asarray([x[k] for x in rows], dtype=float).reshape(-1, 4)
                                   for rows in (predictions, ground_truth) for k in (0, 1))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite box reads NaN, never a match
-        ok = ((_pair_iou(pred_h[:, None], gt_h[None]) >= iou_threshold)
-              & (_pair_iou(pred_o[:, None], gt_o[None]) >= iou_threshold))
+        ok = ((_pair_iou(pred_h[:, None], gt_h[None]) >= IOU_THRESHOLD)
+              & (_pair_iou(pred_o[:, None], gt_o[None]) >= IOU_THRESHOLD))
     ok &= np.array([p[2] for p in predictions])[:, None] == np.array([g[2] for g in ground_truth])[None]
     flags = [False] * len(predictions)
     for rank in _greedy_match(*np.nonzero(ok)):  # in (prediction, GT) order
@@ -288,14 +280,8 @@ def make_split(
     unseen = frozenset(c for c, (v, o) in enumerate(tax.hoi_pairs) if o in obj_ids)
     if len(unseen) >= tax.n_categories:
         raise ValueError("novel-object split leaves no seen categories")
-    split = SplitSpec(
-        mode=mode,
-        unseen_hoi_ids=unseen,
-        seen_hoi_ids=frozenset(all_cats - unseen),
-        unseen_object_ids=obj_ids,
-    )
-    split.validate(tax)
-    return split
+    return SplitSpec(mode=mode, unseen_hoi_ids=unseen, seen_hoi_ids=frozenset(all_cats - unseen),
+                     unseen_object_ids=obj_ids)
 
 
 @dataclass
@@ -312,10 +298,7 @@ class PRF1:
     undefined_precision: bool = False  # no predictions anywhere: precision reported as 0
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "micro_precision", "micro_recall", "micro_f1",
-            "macro_precision", "macro_recall", "macro_f1",
-            "n_objects", "undefined_precision")}
+        return asdict(self)
 
 
 def _f1(p, r):
@@ -406,38 +389,37 @@ def _group_mean(per_cat: dict[int, float], ids) -> dict:
 
 
 def map_report(
-    detections: Detections,
+    scores,
     truth,
     tax: Taxonomy,
     split: SplitSpec | None = None,
     rare_threshold: int = RARE_THRESHOLD,
-    iou_threshold: float = IOU_THRESHOLD,
 ) -> EvalReport:
-    """Full detection report of a Detections grid against one pooled test set.
+    """Full detection report of an (n, C) score grid against one pooled test set.
 
     truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
     two boxes with that category. Row i of the grid scores truth row i's boxes.
-    The candidate (detection row, GT row) pairs, both IoUs >= iou_threshold in
-    (0, 1], are the truth's self-join, found once for all categories; per
-    category, the detections rank by score descending (ties in row order) and
-    match greedily against the candidate pairs whose GT row carries the
-    category, as match_detections does. Categories absent from the ground
-    truth get AP = NaN and are excluded from every group mean. Rare = realized
-    train count < rare_threshold.
+    The candidate (detection row, GT row) pairs, both IoUs >= IOU_THRESHOLD,
+    are the truth's self-join, found once for all categories; per category,
+    the detections rank by score descending (ties in row order) and match
+    greedily against the candidate pairs whose GT row carries the category,
+    as match_detections does. Categories absent from the ground truth get
+    AP = NaN and are excluded from every group mean. Rare = realized train
+    count < rare_threshold.
     """
     n, n_cat = len(truth), tax.n_categories
     # an empty set loaded from an empty file has no label width
     labels = truth.hoi_label if n else np.zeros((0, n_cat), dtype=np.int8)
-    for name, column, want in (("detection scores", detections.scores, (n, n_cat)),
+    for name, column, want in (("detection scores", scores, (n, n_cat)),
                                ("ground-truth human_box", truth.human_box, (n, 4)),
                                ("ground-truth object_box", truth.object_box, (n, 4)),
                                ("ground-truth hoi_label", labels, (n, n_cat))):
         if np.shape(column) != want:
             raise ValueError(f"{name} has shape {np.shape(column)}, expected {want}")
-    pred, gt = _candidate_pairs(truth.human_box, truth.object_box, iou_threshold)
+    pred, gt = _candidate_pairs(truth.human_box, truth.object_box, IOU_THRESHOLD)
     labels = np.asarray(labels) != 0
     candidate_labels = labels[gt]
-    scores = np.asarray(detections.scores, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     rank = np.empty(n, dtype=np.intp)
 
     per_cat = {}

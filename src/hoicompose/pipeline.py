@@ -17,7 +17,6 @@ import numpy as np
 from . import blas, nn
 from .jsonfile import check_fields, read_json, write_json
 from .seeding import stream_seed, substream
-from .synth import Detections
 from .taxonomy import Taxonomy, compose_label, decouple_verb
 
 _CHECKPOINT_SCHEMA = 2
@@ -425,18 +424,18 @@ def check_confidences(s_h: float, s_o: float) -> None:
 
 
 def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
-                    s_o: float = 1.0) -> Detections:
-    """Score every instance of an HOISet for every category: a Detections grid
-    whose row i is the set's row i. The classifiers run with OpenBLAS on one
-    thread, as train does."""
+                    s_o: float = 1.0) -> np.ndarray:
+    """Score every instance of an HOISet for every category: an (n, C) float64
+    grid whose row i is the set's row i. The classifiers run with OpenBLAS on
+    one thread, as train does."""
     check_confidences(s_h, s_o)
     if not len(instances):
-        return Detections(np.zeros((0, tax.n_categories)))
+        return np.zeros((0, tax.n_categories))
     x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)
     with blas.one_thread():
         _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
         _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
-    return Detections(s_h * s_o * p_sp * p_hoi)
+    return s_h * s_o * p_sp * p_hoi
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:

@@ -91,8 +91,6 @@ class HOISet(_Columns):
     verb_feat: np.ndarray  # (n, feat_dim)
     object_feat: np.ndarray  # (n, feat_dim)
 
-    kind = "hoi"
-
 
 @dataclass(eq=False)
 class ObjectSet(_Columns):
@@ -101,18 +99,6 @@ class ObjectSet(_Columns):
     object_box: np.ndarray  # (n, 4)
     object_label: np.ndarray  # (n,) int64
     object_feat: np.ndarray  # (n, feat_dim)
-
-    kind = "object"
-
-
-@dataclass(eq=False)
-class Detections(_Columns):
-    """Scored detections as one grid over a scored set's rows: scores[i, c] is
-    the score of the set's row i (its human box and object box) for category c."""
-
-    scores: np.ndarray  # (n, n_categories)
-
-    kind = "detections"
 
 
 def tail_counts(n_categories: int, tail_exponent: float, head_count: int) -> np.ndarray:
@@ -326,19 +312,16 @@ def save_instances(path, instances) -> None:
         np.save(path / f"{f.name}.npy", column, allow_pickle=False)
 
 
-def load_instances(path):
-    """Read a save_instances directory as an HOISet, ObjectSet or Detections.
+def load_instances(path, cls):
+    """Read a save_instances directory as a cls set (HOISet or ObjectSet).
 
-    Its files must be exactly one set's <field>.npy column files, which fixes
-    the kind: scores.npy makes a Detections, another HOISet-only file an HOISet.
-    Each is read without pickle, must hold the dtype and rank save_instances
-    writes, and all must have one row count. A failed check raises ValueError
-    naming the column file or column.
+    Its files must be exactly cls's <field>.npy column files. Each is read
+    without pickle, must hold the dtype and rank save_instances writes, and all
+    must have one row count. A failed check raises ValueError naming the column
+    file or column.
     """
     path = Path(path)
     found = {p.name for p in path.iterdir()}
-    hoi_only = {f"{f.name}.npy" for f in fields(HOISet)} - {f"{f.name}.npy" for f in fields(ObjectSet)}
-    cls = Detections if "scores.npy" in found else HOISet if found & hoi_only else ObjectSet
     names = [f.name for f in fields(cls)]
     unknown = found - {f"{name}.npy" for name in names}
     if unknown:
@@ -358,17 +341,14 @@ def load_instances(path):
     return cls(**columns)
 
 
-def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None = None) -> int | None:
-    """Check a loaded set of one kind ("hoi" or "object") column by column: boxes
-    finite, non-degenerate, in [0, 1]; object label in range; features finite, of
-    length feat_dim (default: record 1's); hoi_label a multi-hot of length C
-    setting at least one category, all of its object. Raises ValueError naming
-    record 1 when the set is of the other kind, its feature length is 0 or its
-    rows have the wrong length (every row of a column has one length), else the
-    first record (1-based) failing a value check. Returns feat_dim, so one length
-    can be carried across files."""
-    if instances.kind != kind:  # an empty set too: its columns are another kind's
-        raise ValueError(f"record 1: expected kind {kind!r}")
+def validate_instances(instances, tax: Taxonomy, feat_dim: int | None = None) -> int | None:
+    """Check a loaded HOISet or ObjectSet column by column: boxes finite,
+    non-degenerate, in [0, 1]; object label in range; features finite, of length
+    feat_dim (default: record 1's); hoi_label a multi-hot of length C setting at
+    least one category, all of its object. Raises ValueError naming record 1 when
+    its feature length is 0 or its rows have the wrong length (every row of a
+    column has one length), else the first record (1-based) failing a value
+    check. Returns feat_dim, so one length can be carried across files."""
     if not len(instances):
         return feat_dim
     if feat_dim is None:
@@ -381,7 +361,7 @@ def validate_instances(instances, kind: str, tax: Taxonomy, feat_dim: int | None
         if got != want:
             raise ValueError(f"record 1: {f.name} has shape {got}, expected {want}")
 
-    hoi = kind == "hoi"
+    hoi = isinstance(instances, HOISet)
     checks = []  # (bad-record mask, failure), in record field order
     for name in ("human_box", "object_box") if hoi else ("object_box",):
         b = getattr(instances, name)

@@ -89,6 +89,6 @@ def test_without_openblas_the_pin_does_nothing_and_blas_info_says_so(monkeypatch
     tax, _, train_set, test_set, external = tiny_setup()
     result = train(train_set, external, tax, TrainConfig(iterations=4, seed=0))
     assert [row["step"] for row in result.trace] == [0, 3]
-    assert predict_dataset(result.model, test_set, tax).scores.shape == (20, tax.n_categories)
+    assert predict_dataset(result.model, test_set, tax).shape == (20, tax.n_categories)
     with blas.one_thread():
         assert (found["get_num_threads"]() if found else None) == before

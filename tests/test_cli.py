@@ -26,7 +26,7 @@ from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
 from hoicompose.jsonfile import write_json, write_json_rows
 from hoicompose.pipeline import TrainConfig, load_checkpoint, train
-from hoicompose.synth import Detections, load_instances, save_instances
+from hoicompose.synth import HOISet, load_instances, save_instances
 from hoicompose.taxonomy import Taxonomy
 
 
@@ -323,11 +323,11 @@ def test_eval_hoi_needs_no_split(trained_dir, data_dir, tmp_path):
 
 @pytest.mark.parametrize("n_test", [60, 0])
 def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_path, n_test):
-    # predictions/ reads back as predict_dataset's Detections bit for bit: row i
-    # scores test row i, and scores[:, c] category c
+    # predictions/scores.npy reads back as predict_dataset's grid bit for bit:
+    # row i scores test row i, and scores[:, c] category c
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
-    test_set = load_instances(data / "test")[:n_test]
+    test_set = load_instances(data / "test", HOISet)[:n_test]
     save_instances(data / "test", test_set)
     cfg = write_config(tmp_path / "eval.json", {
         "data_dir": str(data),
@@ -336,28 +336,53 @@ def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_
     })
     out = tmp_path / "eval"
     assert run("eval-hoi", cfg, out) == EXIT_OK
-    back = load_instances(out / "predictions")
+    back = np.load(out / "predictions" / "scores.npy", allow_pickle=False)
     model, _ = load_checkpoint(trained_dir / "checkpoint.json")
     want = pipeline.predict_dataset(model, test_set, Taxonomy.load(data / "taxonomy.json"))
-    assert type(back) is Detections and len(back) == len(test_set) == n_test
-    assert (back.scores.dtype, back.scores.shape) == (np.dtype("<f8"), want.scores.shape)
-    assert back.scores.tobytes() == want.scores.tobytes()
+    assert len(back) == len(test_set) == n_test
+    assert (back.dtype, back.shape) == (want.dtype, want.shape) == (np.dtype("<f8"), (n_test, want.shape[1]))
+    assert back.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [60, 0])
 def test_predictions_directory_is_not_a_test_set(trained_dir, data_dir, tmp_path, capsys, n_rows):
-    # a predictions directory in the test set's place is refused by kind, when
-    # it has no rows too
+    # a predictions directory in the test set's place is refused by its column
+    # files, when it has no rows too
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     first = tmp_path / "first"
     body = {"data_dir": str(data), "checkpoint": str(trained_dir / "checkpoint.json"), "write_predictions": True}
     assert run("eval-hoi", write_config(tmp_path / "eval.json", body), first) == EXIT_OK
     shutil.rmtree(data / "test")
-    save_instances(data / "test", load_instances(first / "predictions")[:n_rows])
+    (data / "test").mkdir()
+    np.save(data / "test" / "scores.npy", np.load(first / "predictions" / "scores.npy")[:n_rows])
     out = tmp_path / "out"
     assert run("eval-hoi", write_config(tmp_path / "eval.json", body), out) == EXIT_DATA
-    assert_data_error(capsys, out, "test: record 1: expected kind 'hoi'")
+    assert_data_error(capsys, out, f"{data / 'test'}: unknown column files: ['scores.npy']")
+
+
+@pytest.mark.parametrize("n_rows", [60, 0])
+@pytest.mark.parametrize("cmd,key,source,why", [
+    ("eval-hoi", "test", "external", "missing field 'human_box': no human_box.npy"),
+    ("build-bank", "train", "external", "missing field 'human_box': no human_box.npy"),
+    ("train", "external", "test", "unknown column files: ['hoi_label.npy', 'human_box.npy'"),
+])
+def test_set_directory_of_the_other_class_is_data_error(trained_dir, data_dir, tmp_path, capsys, n_rows,
+                                                         cmd, key, source, why):
+    # an object directory where an HOI set belongs, or an HOI directory where the
+    # external objects belong, is refused by its column files, with rows or without
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    shutil.rmtree(data / key)
+    (data / key).mkdir()
+    for column in (data_dir / source).iterdir():
+        np.save(data / key / column.name, np.load(column)[:n_rows])
+    body = {"data_dir": str(data)}
+    if cmd == "eval-hoi":
+        body["checkpoint"] = str(trained_dir / "checkpoint.json")
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "cfg.json", body), out) == EXIT_DATA
+    assert_data_error(capsys, out, f"{data / key}: {why}")
 
 
 @pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot"])
@@ -1093,6 +1118,16 @@ def test_config_file_missing(tmp_path):
     assert run("train", tmp_path / "ghost.json", tmp_path) == EXIT_CONFIG
 
 
+def test_config_naming_a_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("gradcheck", tmp_path, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {tmp_path}: "), err
+    assert "Is a directory" in err and not out.exists()
+    assert run("gradcheck", tmp_path / "ghost.json", out) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config file not found: {tmp_path / 'ghost.json'}\n"
+
+
 def test_train_requires_data_dir(tmp_path):
     cfg = write_config(tmp_path / "train.json", {"train": {}})
     assert run("train", cfg, tmp_path) == EXIT_CONFIG
@@ -1126,6 +1161,21 @@ def test_out_env_var_used(data_dir, tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "bank.json", {"data_dir": str(data_dir), "m": 5})
     assert run("build-bank", cfg) == EXIT_OK
     assert (out / "bank.json").is_file()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, via, under):
+    # --out or $HOICOMPOSE_OUT naming an existing file, or a path under one
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    if via == "env":
+        monkeypatch.setenv("HOICOMPOSE_OUT", str(out))
+    assert run("gradcheck", out=out if via == "flag" else None) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out}: "), err
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("cmd", ["gen-data", "train", "zeroshot", "build-bank", "affordance", "gradcheck"])

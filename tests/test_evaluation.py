@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 from hoicompose import evaluation
 from hoicompose.taxonomy import Taxonomy
 from hoicompose.evaluation import (
-    Detections,
     EvalReport,
     SplitSpec,
     affordance_map,
@@ -125,17 +124,6 @@ def test_match_tp_count_bounded_by_gt():
 def test_match_empty_inputs():
     assert match_detections([], [(UNIT, UNIT, 0)]) == []
     assert match_detections([(UNIT, UNIT, 0, 0.5)], []) == [False]
-
-
-@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan")])
-def test_iou_threshold_outside_the_unit_interval_is_refused(threshold):
-    # at 0 every disjoint pair would match
-    tax = four_cat_tax()
-    detections, truth = perfect_grid(tax)
-    with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
-        match_detections([(FAR, FAR, 0, 0.9)], [(FAR2, FAR2, 0)], threshold)
-    with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
-        map_report(detections, truth, tax, iou_threshold=threshold)
 
 
 # --- average precision ---
@@ -300,7 +288,7 @@ def perfect_grid(tax):
             labels.append(np.eye(tax.n_categories, dtype=np.int8)[c])
             scores.append(labels[-1] * rng.uniform(0.5, 1.0))
     human, obj = (np.array([b[k] for b in boxes]) for k in (0, 1))
-    return Detections(np.array(scores)), truth_set(human, obj, labels)
+    return np.array(scores), truth_set(human, obj, labels)
 
 
 def test_map_report_perfect_predictions():
@@ -319,10 +307,10 @@ def test_map_report_full_is_category_mean_not_group_mean():
     tax = four_cat_tax()
     truth = truth_set([UNIT, FAR, FAR2, UNIT], [RIGHT_HALF, FAR, FAR2, RIGHT_HALF],
                       [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    detections = Detections(np.array([[0.9, 0.0, 0.0, 0.0],
-                                      [0.0, 0.0, 0.5, 0.0],
-                                      [0.0, 0.0, 0.0, 0.9],
-                                      [0.0, 0.0, 0.9, 0.0]]))  # row 3 outranks category 2's GT
+    detections = np.array([[0.9, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.5, 0.0],
+                           [0.0, 0.0, 0.0, 0.9],
+                           [0.0, 0.0, 0.9, 0.0]])  # row 3 outranks category 2's GT
     report = map_report(detections, truth, tax)
     assert math.isnan(report.per_category_ap[1])
     assert report.per_category_ap[2] == 0.5
@@ -347,7 +335,7 @@ def test_map_report_rejects_out_of_range_category():
     tax = four_cat_tax()
     detections, truth = perfect_grid(tax)
     with pytest.raises(ValueError, match=r"detection scores has shape \(8, 99\), expected \(8, 4\)"):
-        map_report(Detections(np.zeros((len(truth), 99))), truth, tax)
+        map_report(np.zeros((len(truth), 99)), truth, tax)
     with pytest.raises(ValueError, match=r"ground-truth hoi_label has shape \(8, 3\)"):
         map_report(detections, replace(truth, hoi_label=truth.hoi_label[:, :3]), tax)
     # a grid of other rows than the truth's
@@ -362,9 +350,9 @@ def test_map_report_of_an_empty_test_set(tmp_path):
     tax = four_cat_tax()
     save_instances(tmp_path / "test", HOISet(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
                                              np.zeros((0, tax.n_categories), dtype=np.int8), *[np.zeros((0, 3))] * 3))
-    empty = load_instances(tmp_path / "test")
+    empty = load_instances(tmp_path / "test", HOISet)
     assert len(empty) == 0 and empty.hoi_label.shape == (0, tax.n_categories)
-    report = map_report(Detections(np.zeros((0, 4))), empty, tax)
+    report = map_report(np.zeros((0, 4)), empty, tax)
     assert all(math.isnan(ap) for ap in report.per_category_ap.values())
     assert report.n_gt_per_category == {0: 0, 1: 0, 2: 0, 3: 0}
     assert math.isnan(report.groups["full"]["map"])
@@ -392,9 +380,9 @@ def ground_truth_pairs(instances):
     return [(human[i], obj[i], int(c)) for i, c in zip(*np.nonzero(instances.hoi_label))]
 
 
-def detection_tuples(detections, truth):
+def detection_tuples(scores, truth):
     """(b_h, b_o, category, score) per grid cell, row-major; row i's boxes are truth row i's."""
-    return [(b_h, b_o, c, s) for b_h, b_o, row in zip(truth.human_box, truth.object_box, detections.scores)
+    return [(b_h, b_o, c, s) for b_h, b_o, row in zip(truth.human_box, truth.object_box, scores)
             for c, s in enumerate(row.tolist())]
 
 
@@ -498,7 +486,7 @@ def detection_cases(draw):
     scores = draw(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9]), min_size=n_cat, max_size=n_cat),
                            min_size=n, max_size=n))
     counts = draw(st.lists(st.integers(0, 20), min_size=n_cat, max_size=n_cat))
-    detections = Detections(np.array(scores, dtype=float).reshape(n, n_cat))
+    detections = np.array(scores, dtype=float).reshape(n, n_cat)
     truth = truth_set([b[0] for b in boxes], [b[1] for b in boxes], np.array(labels, dtype=np.int8).reshape(n, n_cat))
     pairs = [(v, o) for v in range(2) for o in range(2)][:n_cat]
     tax = Taxonomy.build(["hold", "lift"], ["cup", "pen"], pairs, train_counts=counts)
@@ -717,7 +705,8 @@ def test_match_detections_matches_the_oracle_on_two_sets(case):
     # the oracle's inf - inf on a non-finite box is silenced
     predictions, ground_truth = case
     for t in THRESHOLDS:
-        flags = match_detections(predictions, ground_truth, t)
+        with mock.patch.object(evaluation, "IOU_THRESHOLD", t):
+            flags = match_detections(predictions, ground_truth)
         with np.errstate(invalid="ignore"):
             assert flags == match_detections_oracle(predictions, ground_truth, t)
         # a non-finite box never matches

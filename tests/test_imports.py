@@ -104,6 +104,46 @@ def test_scan_finds_a_reach_into_a_private_name():
 def test_no_module_reaches_into_another_modules_private_names(path):
     assert private_reaches(path.read_text()) == []
 
+
+# What may read a package name: the package, the demos, the benchmark and the tools
+# (tests and __init__.py's re-exports do not count).
+READERS = sorted(p for d in ("src", "demos", "perfbench", "tools") for p in (ROOT / d).rglob("*.py")
+                 if p.name != "__init__.py" and not p.name.startswith("test_"))
+# Public names that only tests read, each kept for its reason.
+UNREAD_ALLOWED = {
+    "evaluation.average_precision": "acceptance criterion 3 scores its TP flags with it",
+    "evaluation.match_detections": "acceptance criterion 3's matcher; perfbench wraps it by name",
+    "seeding.per_instance_rng": "the oracle of instance_rngs",
+}
+
+
+def unread_public_names(package: dict, readers) -> list[str]:
+    """module.name of each public top-level def or class of package ({module:
+    source}) that no reader source reads as a name or an attribute, sorted."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{node.name}" for module, source in package.items() for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_scan_finds_a_public_name_only_tests_read():
+    package = {"a": "def used(): pass\ndef lonely(): pass\nclass Kept: pass\ndef _own(): pass\n",
+               "b": "from .a import used, lonely\n\ndef helper():\n    return used()\n"}
+    readers = [*package.values(), "from hoicompose import a\na.Kept\n"]
+    assert unread_public_names(package, readers) == ["a.lonely", "b.helper"]
+    assert unread_public_names(package, [*readers, "helper(lonely)\n"]) == []
+
+
+def test_every_public_name_is_read_outside_tests():
+    package = {p.stem: p.read_text() for p in (ROOT / "src" / "hoicompose").glob("*.py") if p.name != "__init__.py"}
+    assert unread_public_names(package, [p.read_text() for p in READERS]) == sorted(UNREAD_ALLOWED)
+
 def unsafe_np_loads(source: str) -> list[str]:
     """Each np.load / numpy.load that is not a call passing the literal
     allow_pickle=False, and each import of numpy's load by name: a data file

@@ -970,7 +970,7 @@ def test_predict_pair_arithmetic_and_monotonicity():
     model = init_model(tax, world.feat_dim, cfg)
 
     def scores(s_h, s_o):
-        return predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o).scores.ravel()
+        return predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o).ravel()
 
     full = scores(1.0, 1.0)
     assert full.shape == (3 * tax.n_categories,)
@@ -987,13 +987,13 @@ def test_predict_dataset_matches_predict_pair():
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=8)
     model = init_model(tax, world.feat_dim, cfg)
     part = test_set[:3]
-    detections = predict_dataset(model, part, tax)
-    assert detections.scores.shape == (3, tax.n_categories) and len(detections) == len(part)
+    scores = predict_dataset(model, part, tax)
+    assert (scores.dtype, scores.shape) == (np.float64, (len(part), tax.n_categories))
     single = predict_pair(test_set.human_feat[1], test_set.verb_feat[1], test_set.object_feat[1],
                           test_set.human_box[1], test_set.object_box[1], 1.0, 1.0, model, tax)
-    np.testing.assert_allclose(detections.scores[1], single, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores[1], single, rtol=0, atol=1e-12)
     empty = predict_dataset(model, test_set[:0], tax)
-    assert empty.scores.shape == (0, tax.n_categories)
+    assert (empty.dtype, empty.shape) == (np.float64, (0, tax.n_categories))
     for s_h, s_o in ((-1.0, 1.0), (1.0, 5.0)):
         with pytest.raises(ValueError, match="confidences"):
             predict_dataset(model, test_set[:3], tax, s_h=s_h, s_o=s_o)
@@ -1025,7 +1025,7 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(model.hoi_classifier.w1, result.model.hoi_classifier.w1)
     a = predict_dataset(result.model, test_set[:2], tax)
     b = predict_dataset(model, test_set[:2], tax)
-    np.testing.assert_array_equal(a.scores, b.scores)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_trace_csv(tmp_path):

@@ -15,7 +15,6 @@ from hoicompose.seeding import per_instance_rng, substream
 from hoicompose.evaluation import make_split
 from hoicompose import synth
 from hoicompose.synth import (
-    Detections,
     HOISet,
     ObjectSet,
     WorldSpec,
@@ -259,14 +258,14 @@ def test_hoi_label_consistency():
     drawn = [tax.hoi_pairs.index((v, o)) for v, o in zip(verb, test.object_label)]
     assert (test.hoi_label[np.arange(len(test)), drawn] == 1).all()
     assert (test.hoi_label.sum(axis=1) > 1).any()
-    assert validate_instances(test, "hoi", tax) == world.feat_dim
+    assert validate_instances(test, tax) == world.feat_dim
 
 
 def test_hoi_rows_invariants_bulk():
     tax, world = gen_world(seed=9)
     train, test, _ = gen_dataset(world, tax, None, 500, 500, 0, seed=9, co_label_prob=0.2)
     for part in (train, test):
-        assert validate_instances(part, "hoi", tax, world.feat_dim) == world.feat_dim
+        assert validate_instances(part, tax, world.feat_dim) == world.feat_dim
 
 
 def nearest_prototype_accuracy(prototypes, feats, labels):
@@ -288,7 +287,7 @@ def test_external_object_domain_shift():
     assert len(set(external.object_label)) > 1
     np.testing.assert_array_equal(external.object_feat,
                                   world.object_prototypes[external.object_label] + world.object_domain_shift)
-    assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
+    assert validate_instances(external, tax, world.feat_dim) == world.feat_dim
 
 
 def test_large_shift_hurts_nearest_prototype():
@@ -380,11 +379,9 @@ def _float_column(n, width):
 
 @st.composite
 def column_sets(draw):
-    """An HOISet, ObjectSet or Detections of 0, 1 or n rows, of any float values
-    (NaN and ±inf too) and any label in its column's integer range."""
+    """An HOISet or ObjectSet of 0, 1 or n rows, of any float values (NaN and
+    ±inf too) and any label in its column's integer range."""
     n = draw(st.sampled_from([0, 1, draw(st.integers(2, 9))]))
-    if draw(st.booleans()):
-        return Detections(draw(_float_column(n, draw(st.integers(1, 6)))))
     feat_dim = draw(st.integers(1, 5))
     columns = {"object_box": draw(_float_column(n, 4)),
                "object_label": draw(hnp.arrays(np.int64, (n,))),
@@ -403,7 +400,7 @@ def test_save_load_roundtrip_property(orig):
     # values and dtypes come back equal, and a save of the load is byte-identical
     with tempfile.TemporaryDirectory() as tmp:
         save_instances(Path(tmp) / "a", orig)
-        back = load_instances(Path(tmp) / "a")
+        back = load_instances(Path(tmp) / "a", type(orig))
         assert_same_set(back, orig)
         save_instances(Path(tmp) / "b", back)
         assert dir_bytes(Path(tmp) / "b") == dir_bytes(Path(tmp) / "a")
@@ -415,7 +412,7 @@ def test_save_of_load_is_byte_identical(tmp_path):
     parts = gen_dataset(world, tax, split, 30, 20, 25, seed=26)
     for name, part in zip(("train", "test", "external"), parts):
         save_instances(tmp_path / name, part)
-        back = load_instances(tmp_path / name)
+        back = load_instances(tmp_path / name, type(part))
         assert_same_set(back, part)
         save_instances(tmp_path / ("again-" + name), back)
         assert dir_bytes(tmp_path / ("again-" + name)) == dir_bytes(tmp_path / name)
@@ -430,25 +427,41 @@ def test_save_refuses_a_column_of_another_dtype(tmp_path):
 
 
 def test_load_rejects_unknown_kind(tmp_path):
-    # a directory whose column files are no set's names none of them as a kind
+    # a directory whose column files are no set's is refused by either class
     path = tmp_path / "bad"
     path.mkdir()
     np.save(path / "mystery.npy", np.zeros(3))
-    with pytest.raises(ValueError, match=re.escape("unknown column files: ['mystery.npy']")):
-        load_instances(path)
+    for cls in (HOISet, ObjectSet):
+        with pytest.raises(ValueError, match=re.escape("unknown column files: ['mystery.npy']")):
+            load_instances(path, cls)
 
 
 def test_load_refuses_a_stray_column_in_a_detections_directory(tmp_path):
-    # scores.npy makes the directory a Detections, whose files hold no label
-    detections = Detections(np.full((2, 3), 0.5))
-    save_instances(tmp_path / "predictions", detections)
-    assert_same_set(load_instances(tmp_path / "predictions"), detections)
-    np.save(tmp_path / "predictions" / "hoi_label.npy", np.zeros((2, 3), dtype=np.int8))
-    with pytest.raises(ValueError, match=re.escape("unknown column files: ['hoi_label.npy']")):
-        load_instances(tmp_path / "predictions")
-    (tmp_path / "predictions" / "scores.npy").unlink()
+    # a predictions directory holds only scores.npy, which is no set's column
+    path = tmp_path / "predictions"
+    path.mkdir()
+    np.save(path / "scores.npy", np.full((2, 3), 0.5))
+    for cls in (HOISet, ObjectSet):
+        with pytest.raises(ValueError, match=re.escape("unknown column files: ['scores.npy']")):
+            load_instances(path, cls)
+    (path / "scores.npy").unlink()
+    np.save(path / "hoi_label.npy", np.zeros((2, 3), dtype=np.int8))
     with pytest.raises(ValueError, match=re.escape("missing field 'human_box'")):
-        load_instances(tmp_path / "predictions")
+        load_instances(path, HOISet)
+
+
+@pytest.mark.parametrize("n", [4, 0])
+def test_load_refuses_the_other_class_directory(tmp_path, n):
+    # the caller names the class: an object directory read as an HOISet lacks
+    # the HOI columns, an HOI directory read as an ObjectSet has too many
+    tax, world = gen_world(seed=28)
+    train, _, external = gen_dataset(world, tax, None, n, 0, n, seed=28)
+    save_instances(tmp_path / "external", external)
+    save_instances(tmp_path / "train", train)
+    with pytest.raises(ValueError, match=re.escape("missing field 'human_box': no human_box.npy")):
+        load_instances(tmp_path / "external", HOISet)
+    with pytest.raises(ValueError, match=re.escape("unknown column files: ['hoi_label.npy', 'human_box.npy'")):
+        load_instances(tmp_path / "train", ObjectSet)
 
 
 def saved_columns(tmp_path, part):
@@ -469,8 +482,8 @@ def write_columns(path, columns):
     return path
 
 
-def load_and_validate(path, kind, tax, feat_dim):
-    return validate_instances(load_instances(path), kind, tax, feat_dim)
+def load_and_validate(path, cls, tax, feat_dim):
+    return validate_instances(load_instances(path, cls), tax, feat_dim)
 
 
 @pytest.mark.parametrize("part,field,value,want", [
@@ -492,9 +505,9 @@ def test_load_rejects_a_short_row_by_record_number(tmp_path, part, field, value,
         del columns[field]
     else:
         columns[field] = np.tile(np.asarray(value, dtype=columns[field].dtype), (5, 1))
-    kind = "hoi" if part == 0 else "object"
+    cls = HOISet if part == 0 else ObjectSet
     with pytest.raises(ValueError, match=f"^(record 1: )?{re.escape(want)}"):
-        load_and_validate(write_columns(tmp_path / "bad", columns), kind, tax, world.feat_dim)
+        load_and_validate(write_columns(tmp_path / "bad", columns), cls, tax, world.feat_dim)
 
 
 def _fractional_bit(columns):
@@ -535,7 +548,7 @@ def test_load_rejects_a_non_integral_label(tmp_path, part, edit, fault):
     edit(columns)
     column = fault.split()[0]
     with pytest.raises(ValueError, match=f"^{column}: (dtype |Object arrays cannot be loaded)"):
-        load_instances(write_columns(tmp_path / "bad", columns))
+        load_instances(write_columns(tmp_path / "bad", columns), HOISet if part == 0 else ObjectSet)
 
 
 @pytest.mark.parametrize("part", [0, 2])
@@ -545,7 +558,7 @@ def test_load_rejects_an_unknown_field(tmp_path, part):
     columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 5, 0, 5, seed=29)[part])
     columns["object_bbox"] = columns["object_box"]
     with pytest.raises(ValueError, match=re.escape("unknown column files: ['object_bbox.npy']")):
-        load_instances(write_columns(tmp_path / "bad", columns))
+        load_instances(write_columns(tmp_path / "bad", columns), HOISet if part == 0 else ObjectSet)
 
 
 def _npy_bytes(array):
@@ -573,7 +586,7 @@ def test_load_rejects_a_malformed_column_file(tmp_path, edit, want):
     columns = saved_columns(tmp_path, gen_dataset(world, tax, None, 0, 0, 5, seed=29)[2])
     edit(columns)
     with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
-        load_instances(write_columns(tmp_path / "bad", columns))
+        load_instances(write_columns(tmp_path / "bad", columns), ObjectSet)
 
 
 def test_load_rejects_a_huge_declared_shape(tmp_path):
@@ -586,7 +599,7 @@ def test_load_rejects_a_huge_declared_shape(tmp_path):
     for name in ("object_box", "object_feat"):
         np.save(path / f"{name}.npy", np.zeros((8, 4)))
     with pytest.raises(ValueError, match="^object_label: "):
-        load_instances(path)
+        load_instances(path, ObjectSet)
 
 
 def _set(name, value):
@@ -626,41 +639,38 @@ def _other_object_category(s, tax):
     (_poke("verb_feat", 0, np.inf), "verb_feat is not finite"),
     (_poke("human_feat", 0, np.nan), "human_feat is not finite"),
     (_set("object_feat", [0.0, 0.0, 0.0]), "object_feat has shape"),
-    (lambda s, tax: ObjectSet(s.object_box, s.object_label, s.object_feat), "expected kind 'hoi'"),
 ])
 def test_validate_instances_names_first_bad_record(tmp_path, edit, want):
     # the set goes through its directory; a fault of a whole column (a row
-    # length, the kind) is named as record 1, a bad value by its first record
+    # length) is named as record 1, a bad value by its first record
     tax, world = gen_world(seed=27)
     records, _, _ = gen_dataset(world, tax, None, 6, 0, 0, seed=27)
-    assert validate_instances(records, "hoi", tax) == world.feat_dim
+    assert validate_instances(records, tax) == world.feat_dim
     # record 4 (1-based) gets a later bad value; record 3 is the first bad one
     records.verb_feat[3] = np.nan
     replaced = edit(records, tax)
     save_instances(tmp_path / "bad", records if replaced is None else replaced)
     first = 3 if replaced is None else 1
     with pytest.raises(ValueError, match=f"^record {first}: {want}"):
-        load_and_validate(tmp_path / "bad", "hoi", tax, world.feat_dim)
+        load_and_validate(tmp_path / "bad", HOISet, tax, world.feat_dim)
 
 
 def test_validate_instances_object_records_and_shared_feat_dim(tmp_path):
     tax, world = gen_world(seed=28)
     train, _, external = gen_dataset(world, tax, None, 3, 0, 4, seed=28)
-    assert validate_instances(external[:0], "object", tax) is None
-    assert validate_instances(external[:0], "object", tax, 5) == 5
-    assert validate_instances(external, "object", tax, world.feat_dim) == world.feat_dim
+    assert validate_instances(external[:0], tax) is None
+    assert validate_instances(external[:0], tax, 5) == 5
+    assert validate_instances(external, tax, world.feat_dim) == world.feat_dim
     with pytest.raises(ValueError, match="record 1: object_feat has shape"):
-        validate_instances(external, "object", tax, world.feat_dim + 1)
+        validate_instances(external, tax, world.feat_dim + 1)
     # the column files of both kinds in one directory: the HOI set's plus an unknown
     mixed = {**saved_columns(tmp_path, external[:1]), **saved_columns(tmp_path, train[:1])}
     mixed["object_kind"] = np.zeros(1)
     with pytest.raises(ValueError, match=re.escape("unknown column files: ['object_kind.npy']")):
-        load_instances(write_columns(tmp_path / "mixed", mixed))
-    with pytest.raises(ValueError, match="record 1: expected kind 'object'"):
-        validate_instances(train, "object", tax)
+        load_instances(write_columns(tmp_path / "mixed", mixed), HOISet)
     external.object_box[3] = [0.2, 0.2, 0.1, 0.9]
     with pytest.raises(ValueError, match="record 4: object_box is degenerate"):
-        validate_instances(external, "object", tax)
+        validate_instances(external, tax)
 
 
 def test_row_selection():
