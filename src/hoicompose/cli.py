@@ -23,13 +23,11 @@ from . import nn
 from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .blas import blas_info
-from .evaluation import (RARE_THRESHOLD, SplitSpec, affordance_map, affordance_prf1,
-                         make_split, map_report, write_report_csv)
+from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report, write_report_csv
 from .experiments import TrendSettings, reproduce_trends
 from .jsonfile import check_fields, int_items, read_json, write_json, write_json_rows
-from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, check_confidences,
-                       init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
-                       write_trace_csv)
+from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, init_model,
+                       load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
 from .synth import HOISet, ObjectSet, gen_dataset, gen_world, load_instances, save_instances, validate_instances
 from .taxonomy import Taxonomy
@@ -64,8 +62,7 @@ _GEN_DATA_SECTIONS = {
     "dataset": {"n_train": int, "n_test": int, "n_external_objects": int, "co_label_prob": float},
     "split": {"mode": str, "unseen_count": int, "unseen_object_ids": list},
 }
-_EVAL = {"data_dir": str, "checkpoint": str, "s_h": 1.0, "s_o": 1.0, "rare_threshold": RARE_THRESHOLD,
-         "write_predictions": False, "seed": 0}
+_EVAL = {"data_dir": str, "checkpoint": str, "write_predictions": False, "seed": 0}
 
 # Each command's settings, {key: default}; a kind in place of a default marks a
 # key the config must set. A default's type is its key's kind, and a float key
@@ -124,12 +121,19 @@ def _settings(cfg: dict, args) -> dict:
     return resolved
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, outputs: list) -> Path:
+    """The output directory, made if missing. Before the command works, it
+    refuses an output name, or manifest.json, that exists as the other kind:
+    a directory where a file goes, or a file where a directory goes."""
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # the path or a parent is a file
         raise ConfigError(f"output directory {path}: {e}")
+    for target in (path / name for name in [*outputs, "manifest.json"]):
+        want = "directory" if target.name in ("train", "test", "external", "predictions") else "file"
+        if target.exists() and target.is_dir() != (want == "directory"):
+            raise ConfigError(f"output {target} is in the way: {args.command} writes a {want} there")
     return path
 
 
@@ -231,14 +235,15 @@ def cmd_gen_data(cfg: dict, args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"gen-data: {e}")
 
-    out = _out_dir(args)
+    outputs = ["taxonomy.json", "split.json", "train", "test", "external"]
+    out = _out_dir(args, outputs)
     # taxonomy.json records the training counts this split actually drew
     replace(tax, train_counts=train_set.hoi_label.sum(axis=0)).save(out / "taxonomy.json")
     split.save(out / "split.json")
     save_instances(out / "train", train_set)
     save_instances(out / "test", test_set)
     save_instances(out / "external", external)
-    _write_manifest(out, "gen-data", s, {}, ["taxonomy.json", "split.json", "train", "test", "external"])
+    _write_manifest(out, "gen-data", s, {}, outputs)
     print(f"gen-data: {len(train_set)} train, {len(test_set)} test, {len(external)} external -> {out}")
     return EXIT_OK
 
@@ -254,7 +259,8 @@ def cmd_train(cfg: dict, args) -> int:
     if s["baseline"]:
         tcfg = baseline_config(tcfg)
     s.update(train=tcfg.to_json_dict(), seed=tcfg.seed)
-    out = _out_dir(args)
+    outputs = ["checkpoint.json", "trace.csv"]
+    out = _out_dir(args, outputs)
 
     data = _load_data_dir(s, need=("taxonomy", "train", "external"))
     try:
@@ -264,7 +270,7 @@ def cmd_train(cfg: dict, args) -> int:
 
     save_checkpoint(result.model, tcfg, out / "checkpoint.json")
     write_trace_csv(result.trace, out / "trace.csv")
-    _write_manifest(out, "train", s, data["inputs"], ["checkpoint.json", "trace.csv"])
+    _write_manifest(out, "train", s, data["inputs"], outputs)
     last = result.trace[-1]["L_total"] if result.trace else float("nan")
     c = result.counters
     print(f"train: {tcfg.iterations} steps, final loss {last:.4f}, composite kept/valid/candidates "
@@ -275,11 +281,8 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     s = _settings(cfg, args)
     zeroshot = args.command == "zeroshot"
-    try:
-        check_confidences(s["s_h"], s["s_o"])
-    except ValueError as e:
-        raise ConfigError(f"eval s_h, s_o: {e}")
-    out = _out_dir(args)
+    outputs = ["report.json", "report.csv", *(["predictions"] if s["write_predictions"] else [])]
+    out = _out_dir(args, outputs)
     data = _load_data_dir(s, need=("taxonomy", "test", "split") if zeroshot else ("taxonomy", "test"))
     model = _load_model(s["checkpoint"], data)
 
@@ -287,15 +290,13 @@ def cmd_eval(cfg: dict, args) -> int:
     if zeroshot and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
-    scores = predict_dataset(model, data["test"], tax, s_h=s["s_h"], s_o=s["s_o"])
-    report = map_report(scores, data["test"], tax, split, rare_threshold=s["rare_threshold"])
+    scores = predict_dataset(model, data["test"], tax)
+    report = map_report(scores, data["test"], tax, split)
     write_json(out / "report.json", report.to_json_dict())
     write_report_csv(report, tax, out / "report.csv")
-    outputs = ["report.json", "report.csv"]
     if s["write_predictions"]:
         (out / "predictions").mkdir(exist_ok=True)
         np.save(out / "predictions" / "scores.npy", scores, allow_pickle=False)
-        outputs.append("predictions")
     _write_manifest(out, args.command, s, data["inputs"], outputs)
     for name in ("full", "rare", "nonrare", "unseen", "seen"):
         if name in report.groups:
@@ -308,7 +309,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_build_bank(cfg: dict, args) -> int:
     s = _settings(cfg, args)
-    out = _out_dir(args)
+    out = _out_dir(args, ["bank.json"])
     data = _load_data_dir(s, need=("taxonomy", "train"))
     try:
         bank = build_bank(data["train"], data["taxonomy"], m=s["m"], seed=s["seed"])
@@ -363,7 +364,7 @@ def cmd_affordance(cfg: dict, args) -> int:
     hoi_t, keep_t = s["hoi_threshold"], s["keep_threshold"]
     if not (0 <= hoi_t <= 1 and 0 <= keep_t <= 1):
         raise ConfigError(f"hoi_threshold {hoi_t} and keep_threshold {keep_t} must lie in [0, 1]")
-    out = _out_dir(args)
+    out = _out_dir(args, ["affordance.json"])
     data = _load_data_dir(s, need=("taxonomy", "split", "external"))
     model = _load_model(s["checkpoint"], data)
     bank = _load_file(s["bank"], "bank", AffordanceBank.load, data["inputs"])
@@ -411,7 +412,7 @@ def cmd_gradcheck(cfg: dict, args) -> int:
     for key in ("tolerance", "end_to_end_tolerance"):
         if not 0 <= s[key] < math.inf:  # NaN fails too
             raise ConfigError(f"{key} must be finite and nonnegative, got {s[key]}")
-    out = _out_dir(args)
+    out = _out_dir(args, ["gradcheck.json"])
 
     rng = substream(seed, "gradcheck")
     worst = 0.0
@@ -468,7 +469,7 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
         raise ConfigError(f"reproduce-trends config: {e}")
     s["train"] = settings.train.to_json_dict()
     del s["train"]["seed"]  # each trend seed is its own training seed
-    out = _out_dir(args)
+    out = _out_dir(args, ["trends.json"])
     try:
         report = reproduce_trends(settings)
     except ValueError as e:

@@ -362,7 +362,6 @@ class EvalReport:
     per_category_ap: dict[int, float]  # NaN where the category has no GT
     n_gt_per_category: dict[int, int]
     groups: dict[str, dict]  # name -> {"map": float, "n_categories": int, "category_ids": [...]}
-    rare_threshold: int = RARE_THRESHOLD
 
     def to_json_dict(self) -> dict:
         # NaN is not valid JSON; absent values serialize as null.
@@ -374,7 +373,7 @@ class EvalReport:
                                 for c in sorted(self.per_category_ap)},
             "n_gt_per_category": {str(c): self.n_gt_per_category[c] for c in sorted(self.n_gt_per_category)},
             "groups": {name: {**g, "map": clean(g["map"])} for name, g in self.groups.items()},
-            "rare_threshold": self.rare_threshold,
+            "rare_threshold": RARE_THRESHOLD,
         }
 
 
@@ -388,13 +387,7 @@ def _group_mean(per_cat: dict[int, float], ids) -> dict:
     }
 
 
-def map_report(
-    scores,
-    truth,
-    tax: Taxonomy,
-    split: SplitSpec | None = None,
-    rare_threshold: int = RARE_THRESHOLD,
-) -> EvalReport:
+def map_report(scores, truth, tax: Taxonomy, split: SplitSpec | None = None) -> EvalReport:
     """Full detection report of an (n, C) score grid against one pooled test set.
 
     truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
@@ -405,7 +398,7 @@ def map_report(
     greedily against the candidate pairs whose GT row carries the category,
     as match_detections does. Categories absent from the ground truth get
     AP = NaN and are excluded from every group mean. Rare = realized train
-    count < rare_threshold.
+    count < RARE_THRESHOLD.
     """
     n, n_cat = len(truth), tax.n_categories
     # an empty set loaded from an empty file has no label width
@@ -435,8 +428,8 @@ def map_report(
         per_cat[c] = _ap_at_ranks(_greedy_match(r[order], g[order]), n_gt[c])
 
     all_ids = range(tax.n_categories)
-    rare = [c for c in all_ids if tax.train_counts[c] < rare_threshold]
-    nonrare = [c for c in all_ids if tax.train_counts[c] >= rare_threshold]
+    rare = [c for c in all_ids if tax.train_counts[c] < RARE_THRESHOLD]
+    nonrare = [c for c in all_ids if tax.train_counts[c] >= RARE_THRESHOLD]
     groups = {
         "full": _group_mean(per_cat, all_ids),
         "rare": _group_mean(per_cat, rare),
@@ -445,12 +438,7 @@ def map_report(
     if split is not None and split.mode != "none":
         groups["unseen"] = _group_mean(per_cat, sorted(split.unseen_hoi_ids))
         groups["seen"] = _group_mean(per_cat, sorted(split.seen_hoi_ids))
-    return EvalReport(
-        per_category_ap=per_cat,
-        n_gt_per_category=n_gt,
-        groups=groups,
-        rare_threshold=rare_threshold,
-    )
+    return EvalReport(per_category_ap=per_cat, n_gt_per_category=n_gt, groups=groups)
 
 
 def write_report_csv(report: EvalReport, tax: Taxonomy, path) -> None:

@@ -12,15 +12,15 @@ import warnings
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from statistics import median
+from typing import NamedTuple
 
 import numpy as np
 
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
 from .evaluation import affordance_map, affordance_prf1, make_split, map_report
-from .pipeline import HOIModel, TrainConfig, baseline_config, predict_dataset, train
+from .pipeline import TrainConfig, baseline_config, predict_dataset, train
 from .seeding import substream
-from .synth import HOISet, gen_dataset, gen_world
-from .taxonomy import Taxonomy
+from .synth import gen_dataset, gen_world
 
 # Trend thresholds: the margins the comparison must clear.
 UNSEEN_MIN_RELATIVE_GAIN = 1.10
@@ -56,20 +56,15 @@ class TrendSettings:
         self.train.validate()
 
 
-@dataclass
-class SeedRun:
-    """What bank_stability reads of one seed, and the seed's metrics."""
+class TrendSeed(NamedTuple):
+    """One seed's metrics, and its bank-stability dict when asked for: all that
+    a trend worker sends back, so no taxonomy, dataset or model is pickled."""
 
-    seed: int
-    tax: Taxonomy
-    train_set: HOISet
-    atl_model: HOIModel
-    novel_feats: np.ndarray  # (n_novel, feat_dim)
-    novel_gt: np.ndarray  # (n_novel, n_verbs) bool, the novel objects' true affordances
     metrics: dict
+    bank: dict | None
 
 
-def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
+def run_trend_seed(seed: int, settings: TrendSettings, with_bank: bool = False) -> TrendSeed:
     tax, world = gen_world(seed=seed)
     split = make_split(tax, "novel-object", rng=substream(seed, "split"))
     train_set, test_set, external = gen_dataset(
@@ -96,16 +91,16 @@ def run_trend_seed(seed: int, settings: TrendSettings) -> SeedRun:
                     for name, r in recognized.items()})
     metrics.update({f"{name}_affordance_map": affordance_map(r.scores, novel_gt) for name, r in recognized.items()})
     metrics["n_novel_objects"] = len(novel)
-    return SeedRun(seed=seed, tax=tax, train_set=train_set, atl_model=models["atl"],
-                   novel_feats=novel.object_feat, novel_gt=novel_gt, metrics=metrics)
+    if not with_bank:
+        return TrendSeed(metrics, None)
+    small = build_bank(train_set, tax, m=settings.bank_m_small, seed=seed)
+    map_small = affordance_map(recognize_objects(novel.object_feat, small, models["atl"], tax).scores, novel_gt)
+    return TrendSeed(metrics, bank_stability(map_small, metrics["atl_affordance_map"], settings))
 
 
-def bank_stability(run: SeedRun, settings: TrendSettings) -> dict:
-    """Affordance mAP with a small bank vs the full bank, on one seed's ATL model.
-    The full bank's is the ATL affordance mAP run_trend_seed already measured."""
-    small = build_bank(run.train_set, run.tax, m=settings.bank_m_small, seed=run.seed)
-    map_small = affordance_map(recognize_objects(run.novel_feats, small, run.atl_model, run.tax).scores, run.novel_gt)
-    map_full = run.metrics["atl_affordance_map"]
+def bank_stability(map_small: float, map_full: float, settings: TrendSettings) -> dict:
+    """The bank-size check: affordance mAP with the small bank vs the full bank,
+    both on one seed's ATL model."""
     rel = abs(map_small - map_full) / map_full if map_full > 0 else float("inf")
     return {
         "m_small": settings.bank_m_small,
@@ -149,13 +144,6 @@ class TrendReport:
         for name, ok in self.checks.items():
             lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
         return "\n".join(lines)
-
-
-def seed_result(seed: int, settings: TrendSettings, with_bank: bool) -> tuple[dict, dict | None]:
-    """One seed's metrics, and its bank-stability dict when with_bank: all that
-    a worker sends back, so no taxonomy, dataset or model is pickled."""
-    run = run_trend_seed(seed, settings)
-    return run.metrics, bank_stability(run, settings) if with_bank else None
 
 
 def usable_cpus() -> int:
@@ -212,10 +200,11 @@ def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
     settings.validate()
     seeds = settings.seeds
     workers = min(len(seeds), usable_cpus())
-    args = (seeds, repeat(settings), [i == 0 for i in range(len(seeds))])
-    results = list(map(seed_result, *args)) if workers == 1 else spawn_map(seed_result, workers, *args)
+    with_bank = [i == 0 for i in range(len(seeds))]
+    results = ([run_trend_seed(seed, settings, bank) for seed, bank in zip(seeds, with_bank)] if workers == 1
+               else spawn_map(run_trend_seed, workers, seeds, repeat(settings), with_bank))
     per_seed = [metrics for metrics, _ in results]
-    bank = results[0][1]
+    bank = results[0].bank
 
     keys = [k for k in per_seed[0] if k not in ("seed", "n_novel_objects")]
     medians = {k: median(m[k] for m in per_seed) for k in keys}

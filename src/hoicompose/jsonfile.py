@@ -31,13 +31,13 @@ def write_json(path, doc: dict, version: int = 1, indent: int | None = 2) -> Non
         f.write("\n")
 
 
-def write_json_rows(path, doc: dict, key: str, blocks, version: int = 1) -> None:
+def write_json_rows(path, doc: dict, key: str, blocks) -> None:
     """write_json(path, {**doc, key: items}) for an indent=2 document, where blocks
     yields non-empty strings of the list's items as json.dump(indent=2) lays them
     out at depth 2 (four spaces in, joined by ",\n"). The other members go
     through json.dumps; each block is written as it comes."""
     member = f"\n  {json.dumps(key)}: ["
-    text = json.dumps({"schema_version": version, **doc, key: []}, indent=2, sort_keys=True)
+    text = json.dumps({"schema_version": 1, **doc, key: []}, indent=2, sort_keys=True)
     # only the top-level member starts a line at indent 2 (a string holds no newline)
     head, tail = text.split(member + "]")
     with open(path, "w") as f:

@@ -3,7 +3,7 @@ composite branch that pairs in-batch verb features with external-object features
 
 Both the real and composite branches run through one shared HOI classifier; the
 total loss is L_sp + lambda1 * L_hoi + lambda2 * L_composite. Inference scores a
-pair as s_h * s_o * p_hoi * p_sp per category.
+pair of ground-truth boxes as p_sp * p_hoi per category (box confidences s_h = s_o = 1).
 """
 from __future__ import annotations
 
@@ -395,7 +395,7 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
 
 
-def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig, step: float = 1e-5):
+def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig):
     """Finite-difference check of plan's full composite step loss across both
     classifiers. Returns {param_path: rel_error}.
 
@@ -415,27 +415,20 @@ def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: 
     analytic = {"sp_classifier": sp_grads(sp, sampler, plan, nn.zeros_like(sp))[1],
                 "hoi_classifier": hoi_grads(hoi, sampler, plan, cfg, nn.zeros_like(hoi), nn.zeros_like(hoi))[2]}
     return {f"{comp}.{name}": err for comp, grads in analytic.items()
-            for name, err in nn.fd_errors(loss, getattr(model, comp), grads, step).items()}
+            for name, err in nn.fd_errors(loss, getattr(model, comp), grads).items()}
 
 
-def check_confidences(s_h: float, s_o: float) -> None:
-    if not 0.0 <= s_h <= 1.0 or not 0.0 <= s_o <= 1.0:
-        raise ValueError("detection confidences must lie in [0, 1]")
-
-
-def predict_dataset(model: HOIModel, instances, tax: Taxonomy, s_h: float = 1.0,
-                    s_o: float = 1.0) -> np.ndarray:
+def predict_dataset(model: HOIModel, instances, tax: Taxonomy) -> np.ndarray:
     """Score every instance of an HOISet for every category: an (n, C) float64
     grid whose row i is the set's row i. The classifiers run with OpenBLAS on
     one thread, as train does."""
-    check_confidences(s_h, s_o)
     if not len(instances):
         return np.zeros((0, tax.n_categories))
     x_sp, x_hoi = build_matrices(instances, model.spatial_resolution)
     with blas.one_thread():
         _, p_sp = nn.mlp_forward(model.sp_classifier, x_sp)
         _, p_hoi = nn.mlp_forward(model.hoi_classifier, x_hoi)
-    return s_h * s_o * p_sp * p_hoi
+    return p_sp * p_hoi
 
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:

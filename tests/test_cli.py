@@ -387,15 +387,17 @@ def test_set_directory_of_the_other_class_is_data_error(trained_dir, data_dir, t
 
 @pytest.mark.parametrize("cmd", ["eval-hoi", "zeroshot"])
 @pytest.mark.parametrize("key,value", [("s_h", -1.0), ("s_h", 5.0), ("s_o", -1.0), ("s_o", 5.0),
-                                       ("s_o", "high")])
-def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tmp_path, cmd, key, value):
-    # -1 would silently reverse the ranking, 5 would write scores above 1
+                                       ("s_o", "high"), ("s_h", 1.0), ("rare_threshold", 10)])
+def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tmp_path, capsys, cmd, key, value):
+    # ground-truth boxes have confidence 1 and rare is fixed at 10 training
+    # instances: s_h, s_o and rare_threshold are no config keys, at any value
     cfg = write_config(tmp_path / "eval.json", {
         "data_dir": str(data_dir),
         "checkpoint": str(trained_dir / "checkpoint.json"),
         key: value,
     })
     assert run(cmd, cfg, tmp_path) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown {cmd} config fields: ['{key}']\n"
     assert not (tmp_path / "report.json").exists()
 
 
@@ -407,7 +409,7 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("train", {"baseline": "yes"}, "baseline must be true or false"),
     ("train", {"train": {"hidden": "x"}}, "hidden must be an integer, got 'x'"),
     ("build-bank", {"m": "many"}, "m must be an integer, got 'many'"),
-    ("zeroshot", {"rare_threshold": "x"}, "rare_threshold must be an integer, got 'x'"),
+    ("zeroshot", {"checkpoint": 3}, "checkpoint must be a string, got 3"),
     ("eval-hoi", {"write_predictions": "true"}, "write_predictions must be true or false"),
     ("affordance", {"hoi_threshold": "hi"}, "hoi_threshold must be a number, got 'hi'"),
     ("affordance", {"keep_threshold": 2}, "keep_threshold 2.0 must lie in [0, 1]"),
@@ -444,7 +446,7 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("gradcheck", {"tolerance": -1e-4}, "tolerance must be finite and nonnegative, got -0.0001"),
     ("gradcheck", {"end_to_end_tolerance": float("inf")},
      "end_to_end_tolerance must be finite and nonnegative, got inf"),
-    ("eval-hoi", {"s_h": 10**400}, "eval-hoi config: int too large to convert to float"),
+    ("gradcheck", {"tolerance": 10**400}, "gradcheck config: int too large to convert to float"),
     ("gen-data", {"split": {"mode": "none", "unseen_count": 5}}, "split mode 'none' does not read unseen_count"),
     ("gen-data", {"split": {"mode": "novel-object", "unseen_count": 5}},
      "split mode 'novel-object' does not read unseen_count"),
@@ -1176,6 +1178,37 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, via, u
     err = capsys.readouterr().err
     assert err.startswith(f"config error: output directory {out}: "), err
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("cmd,name,kind", [
+    ("gen-data", "train", "directory"),
+    ("gen-data", "split.json", "file"),
+    ("train", "checkpoint.json", "file"),
+    ("eval-hoi", "report.csv", "file"),
+    ("zeroshot", "predictions", "directory"),
+    ("build-bank", "bank.json", "file"),
+    ("affordance", "manifest.json", "file"),
+    ("gradcheck", "gradcheck.json", "file"),
+    ("reproduce-trends", "trends.json", "file"),
+])
+def test_output_of_the_wrong_kind_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, name, kind):
+    # a directory where a file goes, or a file where a directory goes, is refused
+    # before the command works: it used to end in a traceback after part of the outputs
+    body = {"data_dir": str(data_dir), "checkpoint": str(trained_dir / "checkpoint.json"),
+            "bank": str(tmp_path / "bank.json"), "write_predictions": True}
+    keys = {"train": ["data_dir"], "eval-hoi": ["data_dir", "checkpoint"], "build-bank": ["data_dir"],
+            "zeroshot": ["data_dir", "checkpoint", "write_predictions"],
+            "affordance": ["data_dir", "checkpoint", "bank"]}.get(cmd, [])
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "file":
+        (out / name).mkdir()
+    else:
+        (out / name).write_text("kept\n")
+    assert run(cmd, write_config(tmp_path / "cfg.json", {k: body[k] for k in keys}), out) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: output {out / name} is in the way: {cmd} writes a {kind} there\n"
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).is_dir() if kind == "file" else (out / name).read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("cmd", ["gen-data", "train", "zeroshot", "build-bank", "affordance", "gradcheck"])

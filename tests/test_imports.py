@@ -144,6 +144,59 @@ def test_every_public_name_is_read_outside_tests():
     package = {p.stem: p.read_text() for p in (ROOT / "src" / "hoicompose").glob("*.py") if p.name != "__init__.py"}
     assert unread_public_names(package, [p.read_text() for p in READERS]) == sorted(UNREAD_ALLOWED)
 
+
+# Defaulted parameters that no call outside tests passes, each kept for its reason.
+UNPASSED_ALLOWED = {
+    "nn.grad_check(step)": "tests/test_nn.py's finite-difference oracle sweeps it",
+    "affordance.recognize(hoi_threshold)": "acceptance criterion 7 calls recognize, which stays as it is",
+    "affordance.recognize(keep_threshold)": "acceptance criterion 7 calls recognize, which stays as it is",
+}
+
+
+def unpassed_defaults(package: dict, callers) -> list[str]:
+    """module.function(parameter), or module.Class.method(parameter), of each
+    defaulted parameter of a def in package ({module: source}) that no call in
+    callers passes by position or by keyword, sorted. A call matches every def
+    of its name; one with *args or **kwargs passes every parameter."""
+    positions, keywords, everything = {}, {}, set()  # per called name
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                positions[name] = max(positions.get(name, 0), len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args) or None in keywords[name]:
+                    everything.add(name)
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) or f.name in everything:
+                continue
+            params = [*f.args.posonlyargs, *f.args.args][id(f) in owner:]  # a method's self is passed
+            defaulted = list(enumerate(params))[len(params) - len(f.args.defaults):]
+            defaulted += [(len(params), p) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+            where = ".".join([module, *([owner[id(f)]] if id(f) in owner else []), f.name])
+            found += [f"{where}({p.arg})" for i, p in defaulted
+                      if i >= positions.get(f.name, 0) and p.arg not in keywords.get(f.name, ())]
+    return sorted(found)
+
+
+def test_scan_finds_a_defaulted_parameter_no_call_passes():
+    package = {"a": "def f(x, y=1, z=2, *, w=3): pass\nclass C:\n    def m(self, p=0, q=1): pass\n"
+                    "def g(v=0):\n    return f(0, 5)\n"}
+    callers = [*package.values(), "C().m(7)\nf(x=0, y=[] if g(v=1) else None)\n"]
+    assert unpassed_defaults(package, callers) == ["a.C.m(q)", "a.f(w)", "a.f(z)"]
+    assert unpassed_defaults(package, [*callers, "f(0, 1, 2, w=3)\nobj.m(*args)\n"]) == []
+    assert unpassed_defaults(package, [*callers, "f(**kw)\nm(1, 2)\n"]) == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    package = {p.stem: p.read_text() for p in (ROOT / "src" / "hoicompose").glob("*.py") if p.name != "__init__.py"}
+    assert unpassed_defaults(package, [p.read_text() for p in READERS]) == sorted(UNPASSED_ALLOWED)
+
+
 def unsafe_np_loads(source: str) -> list[str]:
     """Each np.load / numpy.load that is not a call passing the literal
     allow_pickle=False, and each import of numpy's load by name: a data file

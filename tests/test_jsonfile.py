@@ -37,8 +37,8 @@ def test_write_json_rows_writes_the_bytes_of_write_json(tmp_path, n_blocks):
     depth_2 = [textwrap.indent(json.dumps(item, indent=2, sort_keys=True), "    ") for item in items]
     blocks = (",\n".join(depth_2[k:k + 2]) for k in range(0, len(items), 2))
     head = {"z": {"rows": []}, "a": '\n  "rows": []', "rows": "replaced"}
-    write_json_rows(tmp_path / "rows.json", head, "rows", blocks, version=2)
-    write_json(tmp_path / "doc.json", {**head, "rows": items}, version=2)
+    write_json_rows(tmp_path / "rows.json", head, "rows", blocks)
+    write_json(tmp_path / "doc.json", {**head, "rows": items})
     assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "doc.json").read_bytes()
 
 

@@ -13,7 +13,7 @@ from test_evaluation import ground_truth_pairs
 from test_nn import bits, numeric_grad_oracle, rel_error_oracle
 from test_taxonomy import random_taxonomy
 
-from hoicompose import nn, pipeline
+from hoicompose import blas, nn, pipeline
 from hoicompose.evaluation import make_split, map_report
 from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
@@ -955,31 +955,33 @@ def test_step_grad_check_is_the_per_array_oracle(seed, lambda2):
 
 # --- inference ---
 
-def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, s_h, s_o, model, tax):
-    """Reference scorer for one pair: s_h * s_o * p_hoi * p_sp per category."""
+def predict_pair(human_feat, verb_feat, object_feat, b_h, b_o, model, tax):
+    """Reference scorer for one pair of ground-truth boxes: p_hoi * p_sp per category."""
     pattern = spatial_pattern_oracle(b_h, b_o, model.spatial_resolution)
     sp_x = np.concatenate([pattern.reshape(-1).astype(float), np.asarray(human_feat, dtype=float)])
     _, p_sp = nn.mlp_forward(model.sp_classifier, sp_x)
     _, p_hoi = nn.mlp_forward(model.hoi_classifier, np.concatenate([verb_feat, object_feat]))
-    return s_h * s_o * p_hoi * p_sp
+    return p_hoi * p_sp
 
 
 def test_predict_pair_arithmetic_and_monotonicity():
     tax, world, train_set, _, _ = tiny_setup()
     cfg = TrainConfig(hidden=8, spatial_resolution=4, seed=7)
     model = init_model(tax, world.feat_dim, cfg)
-
-    def scores(s_h, s_o):
-        return predict_dataset(model, train_set[:3], tax, s_h=s_h, s_o=s_o).ravel()
-
-    full = scores(1.0, 1.0)
-    assert full.shape == (3 * tax.n_categories,)
+    part = train_set[:3]
+    full = predict_dataset(model, part, tax)
+    assert full.shape == (3, tax.n_categories)
     assert ((full >= 0) & (full <= 1)).all()
-    np.testing.assert_array_equal(scores(0.0, 1.0), np.zeros_like(full))
-    np.testing.assert_allclose(scores(0.5, 0.5), 0.25 * full, atol=1e-12)
-    # monotone nondecreasing in each confidence
-    assert (scores(0.6, 0.8) >= scores(0.3, 0.8)).all()
-    assert (scores(0.8, 0.6) >= scores(0.8, 0.3)).all()
+    # the product of the two classifiers' probabilities, bit for bit
+    x_sp, x_hoi = build_matrices(part, model.spatial_resolution)
+    with blas.one_thread():
+        want = nn.mlp_forward(model.sp_classifier, x_sp)[1] * nn.mlp_forward(model.hoi_classifier, x_hoi)[1]
+    assert full.tobytes() == want.tobytes()
+    # monotone nondecreasing in each classifier's probabilities: raise its output biases
+    for branch in ("sp_classifier", "hoi_classifier"):
+        raised = copy.deepcopy(model)
+        getattr(raised, branch).b2 += 1.0
+        assert (predict_dataset(raised, part, tax) >= full).all()
 
 
 def test_predict_dataset_matches_predict_pair():
@@ -990,13 +992,10 @@ def test_predict_dataset_matches_predict_pair():
     scores = predict_dataset(model, part, tax)
     assert (scores.dtype, scores.shape) == (np.float64, (len(part), tax.n_categories))
     single = predict_pair(test_set.human_feat[1], test_set.verb_feat[1], test_set.object_feat[1],
-                          test_set.human_box[1], test_set.object_box[1], 1.0, 1.0, model, tax)
+                          test_set.human_box[1], test_set.object_box[1], model, tax)
     np.testing.assert_allclose(scores[1], single, rtol=0, atol=1e-12)
     empty = predict_dataset(model, test_set[:0], tax)
     assert (empty.dtype, empty.shape) == (np.float64, (0, tax.n_categories))
-    for s_h, s_o in ((-1.0, 1.0), (1.0, 5.0)):
-        with pytest.raises(ValueError, match="confidences"):
-            predict_dataset(model, test_set[:3], tax, s_h=s_h, s_o=s_o)
 
 
 def test_ground_truth_pairs_expands_multi_hot():
