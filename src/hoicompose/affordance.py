@@ -95,23 +95,18 @@ def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int =
     """Uniformly sample up to m verb features per verb from a training HOISet.
 
     A verb's pool is the verb_feat rows, in instance order, whose label
-    contains it. No-interaction verbs are skipped entirely; verbs with no
-    instances store empty arrays.
+    contains it; verbs with no instances store empty arrays.
     """
     if m < 1:
         raise ValueError("bank cap m must be at least 1")
     feat_dim = train_set.verb_feat.shape[1]
-    if len(train_set):
-        verbs = decouple_verb(train_set.hoi_label, tax)
-    else:
+    if not len(train_set):
         warnings.warn("empty train set: bank has no entries", stacklevel=2)
-        verbs = np.zeros((0, tax.n_verbs), dtype=np.int8)
+    verbs = decouple_verb(train_set.hoi_label, tax)
     rng = substream(seed, "bank")
 
     entries = {}
     for v in range(tax.n_verbs):
-        if v in tax.no_interaction_verbs:
-            continue
         pool = train_set.verb_feat[verbs[:, v] == 1]
         if len(pool) > m:
             pool = pool[np.sort(rng.choice(len(pool), size=m, replace=False))]
@@ -126,10 +121,10 @@ def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int =
 class AffordanceScores:
     """recognize_objects() output: one grid over n objects x V verbs (V = tax.n_verbs).
 
-    probed marks the bank's verbs minus the no-interaction verbs. stored is S_i
-    for a probed verb and 0 for any other, hits[k, i] is F_i for object k, and
-    scores is F_i / S_i: NaN where S_i = 0 (undefined, never 0), so for every
-    verb not probed. kept is scores > keep_threshold.
+    probed marks the bank's verbs. stored is S_i for a probed verb and 0 for
+    any other, hits[k, i] is F_i for object k, and scores is F_i / S_i: NaN
+    where S_i = 0 (undefined, never 0), so for every verb not probed. kept is
+    scores > keep_threshold.
     """
 
     hits: np.ndarray  # (n, V) int64
@@ -194,7 +189,7 @@ def recognize_objects(
     if not np.isfinite(feats).all():
         raise ValueError("object features have non-finite entries")
 
-    probed = np.array([v in bank.entries and v not in tax.no_interaction_verbs for v in range(tax.n_verbs)])
+    probed = np.array([v in bank.entries for v in range(tax.n_verbs)])
     stored = np.array([len(bank.entries[v]) if p else 0 for v, p in enumerate(probed)], dtype=np.int64)
     hoi = model.hoi_classifier
     if hoi.d_in != 2 * bank.feat_dim:

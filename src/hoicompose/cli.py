@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,7 @@ _LOAD_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 # those functions hold their defaults, so these tables hold kinds only.
 _GEN_DATA_SECTIONS = {
     "world": {"n_verbs": int, "n_objects": int, "c_pairs": int, "feat_dim": int, "noise_sigma": float,
-              "tail_exponent": float, "head_count": int, "domain_shift_scale": float,
-              "no_interaction_verbs": list},
+              "tail_exponent": float, "head_count": int, "domain_shift_scale": float},
     "dataset": {"n_train": int, "n_test": int, "n_external_objects": int, "co_label_prob": float},
     "split": {"mode": str, "unseen_count": int, "unseen_object_ids": list},
 }
@@ -121,19 +120,27 @@ def _settings(cfg: dict, args) -> dict:
     return resolved
 
 
+# The files each output directory receives: a set's column files, or the score grid.
+_OUT_DIR_FILES = {**{name: [f"{f.name}.npy" for f in fields(cls)]
+                     for name, cls in (("train", HOISet), ("test", HOISet), ("external", ObjectSet))},
+                  "predictions": ["scores.npy"]}
+
+
 def _out_dir(args, outputs: list) -> Path:
     """The output directory, made if missing. Before the command works, it
-    refuses an output name, or manifest.json, that exists as the other kind:
-    a directory where a file goes, or a file where a directory goes."""
+    refuses an output name, manifest.json or a file an output directory
+    receives, that exists as the other kind: a directory where a file goes, or
+    a file where a directory goes."""
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # the path or a parent is a file
         raise ConfigError(f"output directory {path}: {e}")
-    for target in (path / name for name in [*outputs, "manifest.json"]):
-        want = "directory" if target.name in ("train", "test", "external", "predictions") else "file"
-        if target.exists() and target.is_dir() != (want == "directory"):
-            raise ConfigError(f"output {target} is in the way: {args.command} writes a {want} there")
+    for name in [*outputs, "manifest.json"]:
+        for target, want in [(path / name, "directory" if name in _OUT_DIR_FILES else "file"),
+                             *((path / name / f, "file") for f in _OUT_DIR_FILES.get(name, []))]:
+            if target.exists() and target.is_dir() != (want == "directory"):
+                raise ConfigError(f"output {target} is in the way: {args.command} writes a {want} there")
     return path
 
 
@@ -225,7 +232,6 @@ def cmd_gen_data(cfg: dict, args) -> int:
         _check_keys(s[name], kinds, f"gen-data {name}")
     seed = s["seed"]
     try:
-        int_items(s["world"].get("no_interaction_verbs", []), "world no_interaction_verbs")
         int_items(s["split"].get("unseen_object_ids", []), "split unseen_object_ids")
         if s["dataset"].get("n_train", 1) < 1:  # gen_dataset would draw it, but train refuses it
             raise ValueError(f"dataset n_train must be at least 1, got {s['dataset']['n_train']}")
@@ -258,7 +264,7 @@ def cmd_train(cfg: dict, args) -> int:
         tcfg.seed = args.seed
     if s["baseline"]:
         tcfg = baseline_config(tcfg)
-    s.update(train=tcfg.to_json_dict(), seed=tcfg.seed)
+    s.update(train=asdict(tcfg), seed=tcfg.seed)
     outputs = ["checkpoint.json", "trace.csv"]
     out = _out_dir(args, outputs)
 
@@ -311,12 +317,12 @@ def cmd_build_bank(cfg: dict, args) -> int:
     s = _settings(cfg, args)
     out = _out_dir(args, ["bank.json"])
     data = _load_data_dir(s, need=("taxonomy", "train"))
+    if not len(data["train"]):  # its bank would have no entries, which affordance refuses
+        raise DataError(f"build-bank: the train set {data['inputs']['train']} is empty: there is nothing to bank")
     try:
         bank = build_bank(data["train"], data["taxonomy"], m=s["m"], seed=s["seed"])
     except ValueError as e:
         raise ConfigError(f"build-bank: {e}")
-    if bank.total_entries == 0:  # affordance refuses such a bank
-        raise DataError("build-bank: bank has no entries: every verb of the train rows is a no-interaction verb")
     bank.save(out / "bank.json")
     _write_manifest(out, "build-bank", s, data["inputs"], ["bank.json"])
     counts = bank.s_counts()
@@ -387,7 +393,7 @@ def cmd_affordance(cfg: dict, args) -> int:
     write_json_rows(out / "affordance.json", {
         "hoi_threshold": hoi_t,
         "keep_threshold": keep_t,
-        "prf1": prf1.to_json_dict(),
+        "prf1": asdict(prf1),
         "affordance_map": None if math.isnan(amap) else amap,
     }, "objects", _object_rows(r.kept, truth, r.scores, r.probed, labels, tax.object_names))
     _write_manifest(out, "affordance", s, data["inputs"], ["affordance.json"])
@@ -467,7 +473,7 @@ def cmd_reproduce_trends(cfg: dict, args) -> int:
         settings.validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(f"reproduce-trends config: {e}")
-    s["train"] = settings.train.to_json_dict()
+    s["train"] = asdict(settings.train)
     del s["train"]["seed"]  # each trend seed is its own training seed
     out = _out_dir(args, ["trends.json"])
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,9 +296,6 @@ class PRF1:
     macro_f1: float
     n_objects: int
     undefined_precision: bool = False  # no predictions anywhere: precision reported as 0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _f1(p, r):

@@ -77,9 +77,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
         check_fields(d, dict.fromkeys(f.name for f in fields(cls)), "training config")
@@ -433,7 +430,7 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy) -> np.ndarray:
 
 def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
     write_json(path, {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "spatial_resolution": model.spatial_resolution,
         "feat_dim": model.feat_dim,
         "sp_classifier": nn.params_to_dict(model.sp_classifier),

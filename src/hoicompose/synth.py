@@ -118,7 +118,6 @@ def gen_world(
     seed: int = 0,
     head_count: int = 1000,
     domain_shift_scale: float = 0.1,
-    no_interaction_verbs=(),
 ) -> tuple[Taxonomy, WorldSpec]:
     """Sample a taxonomy (valid pairs + long-tail target counts) and its latent world.
 
@@ -145,7 +144,6 @@ def gen_world(
         object_names=[f"object{o:02d}" for o in range(n_objects)],
         hoi_pairs=pairs,
         train_counts=counts,
-        no_interaction_verbs=no_interaction_verbs,
     )
 
     direction = rng.normal(size=feat_dim)

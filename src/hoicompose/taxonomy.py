@@ -54,7 +54,6 @@ class Taxonomy:
     object_names: list[str]
     hoi_pairs: list[tuple[int, int]]
     train_counts: np.ndarray
-    no_interaction_verbs: frozenset[int] = field(default_factory=frozenset)
     verb_to_hoi: np.ndarray = field(init=False, repr=False)
     object_to_hoi: np.ndarray = field(init=False, repr=False)
 
@@ -75,8 +74,7 @@ class Taxonomy:
         return len(self.hoi_pairs)
 
     @classmethod
-    def build(cls, verb_names, object_names, hoi_pairs, train_counts=None,
-              no_interaction_verbs=()) -> "Taxonomy":
+    def build(cls, verb_names, object_names, hoi_pairs, train_counts=None) -> "Taxonomy":
         pairs = [(int(v), int(o)) for v, o in hoi_pairs]
         if train_counts is None:
             train_counts = np.zeros(len(pairs), dtype=np.int64)
@@ -85,7 +83,6 @@ class Taxonomy:
             object_names=list(object_names),
             hoi_pairs=pairs,
             train_counts=np.asarray(train_counts, dtype=np.int64),
-            no_interaction_verbs=frozenset(int(v) for v in no_interaction_verbs),
         )
         tax.validate()
         return tax
@@ -95,35 +92,26 @@ class Taxonomy:
             raise ValueError("taxonomy needs at least one verb, one object, and one HOI pair")
         if self.train_counts.shape != (self.n_categories,) or (self.train_counts < 0).any():
             raise ValueError("train_counts must be nonnegative, one per HOI category")
-        for v in self.no_interaction_verbs:
-            if not 0 <= v < self.n_verbs:
-                raise ValueError(f"no-interaction verb id {v} out of range")
 
     def categories_of_verb(self, verb_id: int) -> np.ndarray:
         return np.flatnonzero(self.verb_to_hoi[verb_id])
 
     def affordance_matrix(self) -> np.ndarray:
         """Ground-truth affordances, (n_objects, n_verbs) bool: [o, v] is set iff
-        (v, o) is a valid pair and v is not a no-interaction verb."""
-        valid = (self.object_to_hoi.astype(np.int64) @ self.verb_to_hoi.T) > 0
-        valid[:, sorted(self.no_interaction_verbs)] = False
-        return valid
+        (v, o) is a valid pair."""
+        return (self.object_to_hoi.astype(np.int64) @ self.verb_to_hoi.T) > 0
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "verbs": self.verb_names,
             "objects": self.object_names,
             "pairs": [[v, o] for v, o in self.hoi_pairs],
             "train_counts": self.train_counts.tolist(),
         }
-        if self.no_interaction_verbs:
-            d["no_interaction_verbs"] = sorted(self.no_interaction_verbs)
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Taxonomy":
-        check_fields(d, {"verbs": list, "objects": list, "pairs": list, "train_counts": list,
-                         "no_interaction_verbs": list}, "taxonomy")
+        check_fields(d, {"verbs": list, "objects": list, "pairs": list, "train_counts": list}, "taxonomy")
         for key in ("verbs", "objects"):
             for name in d[key]:
                 if type(name) is not str:  # a name is printed as text
@@ -132,7 +120,6 @@ class Taxonomy:
         return cls.build(
             d["verbs"], d["objects"], [tuple(int_items(p, "taxonomy pair")) for p in d["pairs"]],
             train_counts=None if counts is None else int_items(counts, "taxonomy train_counts"),
-            no_interaction_verbs=int_items(d.get("no_interaction_verbs", []), "taxonomy no_interaction_verbs"),
         )
 
     def save(self, path) -> None:

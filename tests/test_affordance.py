@@ -114,15 +114,6 @@ def test_bank_rejects_bad_cap():
         build_bank(train_set, tax, m=0)
 
 
-def test_bank_skips_no_interaction_verbs():
-    tax, world, train_set, _ = small_world()
-    quiet = Taxonomy.build(tax.verb_names, tax.object_names, tax.hoi_pairs,
-                           train_counts=tax.train_counts, no_interaction_verbs=[0])
-    bank = build_bank(train_set, quiet, m=5, seed=0)
-    assert 0 not in bank.entries
-    assert set(bank.entries) == {1, 2, 3}
-
-
 def test_bank_json_roundtrip(tmp_path):
     tax, world, train_set, _ = small_world()
     bank = build_bank(train_set, tax, m=4, seed=2)
@@ -245,18 +236,6 @@ def test_recognize_threshold_monotonicity():
         prev_hits = r.hits
 
 
-def test_recognize_skips_no_interaction_verbs():
-    tax = Taxonomy.build(["hold", "sip", "idle"], ["cup"],
-                         [(0, 0), (1, 0), (2, 0)], no_interaction_verbs=[2])
-    model = threshold_model(n_categories=tax.n_categories, cut=-10.0)
-    bank = bank_of({0: [[0.5]], 1: [[0.5]], 2: [[0.5]]})
-    r = recognize(np.zeros(1), bank, model, tax)
-    assert r.probed.tolist() == [True, True, False]
-    assert r.stored[2] == 0 and r.hits[0, 2] == 0
-    assert math.isnan(r.scores[0, 2]) and not r.kept[0, 2]
-    assert r.kept.tolist() == [[True, True, False]]
-
-
 def test_recognize_input_validation():
     tax = line_tax()
     model = threshold_model(n_categories=tax.n_categories)
@@ -303,12 +282,9 @@ def test_recognize_objects_keys_and_consistency():
 
 def recognize_oracle(object_feat, bank, model, tax, hoi_threshold=0.5, keep_threshold=0.5) -> dict:
     """One object probed verb by verb: per-verb hits, stored counts and scores
-    (NaN when S_i = 0) over the bank's verbs minus the no-interaction verbs,
-    plus the kept set."""
+    (NaN when S_i = 0) over the bank's verbs, plus the kept set."""
     scores, hits, stored, kept = {}, {}, {}, set()
     for v in sorted(bank.entries):
-        if v in tax.no_interaction_verbs:
-            continue
         feats = bank.entries[v]
         s_i = len(feats)
         stored[v] = s_i
@@ -340,8 +316,8 @@ def recognize_objects_oracle(object_feats, bank, model, tax, hoi_threshold=0.5, 
 
 
 def affordances_of_object_oracle(tax, object_id) -> set:
-    """Verbs valid for the object, minus the no-interaction verbs."""
-    return {v for v, o in tax.hoi_pairs if o == object_id} - tax.no_interaction_verbs
+    """Verbs valid for the object."""
+    return {v for v, o in tax.hoi_pairs if o == object_id}
 
 
 VALUES = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
@@ -349,14 +325,13 @@ VALUES = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
 
 @st.composite
 def probe_cases(draw):
-    """A small taxonomy (verbs with no category, no-interaction verbs), a bank (verbs
+    """A small taxonomy (verbs with no category), a bank (verbs
     with no entries, unbanked verbs), a classifier and objects, all from a few values,
     so probabilities hit 0.5 exactly and hit ratios tie."""
     n_verbs, n_objects = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     all_pairs = [(v, o) for v in range(n_verbs) for o in range(n_objects)]
     pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=len(all_pairs), unique=True))
-    tax = Taxonomy.build([f"verb{v}" for v in range(n_verbs)], [f"object{o}" for o in range(n_objects)],
-                         pairs, no_interaction_verbs=draw(st.sets(st.integers(0, n_verbs - 1), max_size=1)))
+    tax = Taxonomy.build([f"verb{v}" for v in range(n_verbs)], [f"object{o}" for o in range(n_objects)], pairs)
     feat_dim, hidden, n = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
 
     def array(*shape):
@@ -387,7 +362,7 @@ def test_recognize_objects_matches_dict_oracle(case, cols, cells):
         r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
     predicted, scores, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_t, keep_t)
 
-    probed = [v for v in sorted(bank.entries) if v not in tax.no_interaction_verbs]
+    probed = sorted(bank.entries)
     assert np.flatnonzero(r.probed).tolist() == probed
     assert r.stored.tolist() == [len(bank.entries[v]) if v in probed else 0 for v in range(tax.n_verbs)]
     assert not r.hits[:, ~r.probed].any() and np.isnan(r.scores[:, ~r.probed]).all()
@@ -494,7 +469,7 @@ def object_major_hits(feats, bank, model, tax, hoi_threshold=0.5, block_rows=102
     hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
     for v, entries in bank.entries.items():
         cats = tax.categories_of_verb(v)
-        if v in tax.no_interaction_verbs or not len(entries) or not len(cats):
+        if not len(entries) or not len(cats):
             continue
         entry_hidden = entries @ w1_verb.T + hoi.b1
         block = max(1, block_rows // len(entries))

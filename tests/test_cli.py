@@ -429,10 +429,8 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
     ("train", {"train": {"lambda1": float("inf")}}, "train config: loss weights must be finite and nonnegative"),
     ("gen-data", {"dataset": {"co_label_prob": 1.5}}, "co_label_prob must lie in [0, 1], got 1.5"),
     ("gen-data", {"dataset": {"co_label_prob": -3}}, "co_label_prob must lie in [0, 1], got -3"),
-    ("gen-data", {"world": {"no_interaction_verbs": [2.5, True]}},
-     "world no_interaction_verbs must hold integers, got 2.5"),
-    ("gen-data", {"world": {"no_interaction_verbs": [1, True]}},
-     "world no_interaction_verbs must hold integers, got True"),
+    ("gen-data", {"world": {"n_verbs": True}}, "n_verbs must be an integer, got True"),
+    ("gen-data", {"world": {"domain_shift_scale": "0.1"}}, "domain_shift_scale must be a number, got '0.1'"),
     ("gen-data", {"split": {"mode": "novel-object", "unseen_object_ids": [1.9, "3"]}},
      "split unseen_object_ids must hold integers, got 1.9"),
     ("gen-data", {"split": {"mode": "novel-object", "unseen_object_ids": [1, "3"]}},
@@ -455,6 +453,8 @@ def test_eval_rejects_confidence_outside_unit_interval(trained_dir, data_dir, tm
      "split mode 'unseen-composition-rare-first' does not read unseen_object_ids"),
     ("gen-data", {"dataset": {"n_train": 0}}, "dataset n_train must be at least 1, got 0"),
     ("gen-data", {"dataset": {"n_train": -3}}, "dataset n_train must be at least 1, got -3"),
+    ("gen-data", {"world": {"no_interaction_verbs": [0]}},  # a removed key
+     "unknown gen-data world config fields: ['no_interaction_verbs']"),
 ])
 def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, body, needle):
     # most used to end in a traceback (exit 1), exit 3, or a run that read 7.5 as 7,
@@ -469,6 +469,32 @@ def test_malformed_config_scalar_is_config_error(data_dir, trained_dir, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and needle in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+def readme_config_rows() -> dict:
+    """README's "Keys (default)" table as {row: its key names}, where a row is
+    ("command", name) for each command a row names and ("gen-data", section)
+    for a gen-data section's row. A key name is a backticked name outside
+    the parenthesised defaults."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| Command | Keys (default) |"):].split("\n\n")[0].splitlines()[2:]
+    rows = {}
+    for line in table:
+        label, keys = line.strip("|").split(" | ")
+        names = set(re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", keys)))
+        section = re.fullmatch(r" gen-data `(\w+)`", label)
+        if section:
+            rows["gen-data", section[1]] = names
+        else:
+            rows.update((("command", c), names) for c in re.findall(r"`([\w-]+)`", label))
+    return rows
+
+
+def test_readme_config_table_names_every_key_and_no_other():
+    # a key that leaves cli.SETTINGS or a gen-data section must leave the table too
+    want = {**{("command", c): set(spec) for c, spec in cli.SETTINGS.items()},
+            **{("gen-data", name): set(kinds) for name, kinds in cli._GEN_DATA_SECTIONS.items()}}
+    assert readme_config_rows() == want
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
@@ -778,21 +804,27 @@ def test_document_of_another_schema_version_is_data_error(trained_dir, data_dir,
     assert_data_error(capsys, out, f"{name}: unsupported ", f"schema_version {version!r}; this version reads 1")
 
 
-def test_build_bank_refuses_a_bank_with_no_entries(tmp_path, capsys):
-    # every verb a no-interaction verb: nothing to bank. Unchecked, build-bank
-    # wrote bank.json and its manifest, then crashed printing its summary
-    gen = write_config(tmp_path / "gen.json", {
-        "world": {**TINY_WORLD, "n_verbs": 2, "c_pairs": 8, "no_interaction_verbs": [0, 1]},
-        "dataset": TINY_DATASET,
-    })
-    assert run("gen-data", gen, tmp_path / "data") == EXIT_OK
+def test_build_bank_refuses_a_bank_with_no_entries(data_dir, tmp_path, capsys):
+    # a 0-row train set is the one way to a bank with no entries, which affordance
+    # refuses. Unchecked, build-bank wrote bank.json and its manifest, then crashed
+    # printing its summary; later it warned of the empty set before refusing
+    data = corrupt_copy(data_dir, tmp_path / "data", "train", lambda c: c.update({k: v[:0] for k, v in c.items()}))
     out = tmp_path / "out"
-    capsys.readouterr()
-    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(tmp_path / "data")}),
-               out) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error: build-bank: bank has no entries"), err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data)}), out)
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: build-bank: the train set {data / 'train'} is empty: "
+                                       "there is nothing to bank\n")
     assert not any(out.iterdir())
+
+
+def test_a_taxonomy_naming_no_interaction_verbs_is_data_error(data_dir, tmp_path, capsys):
+    # the label space is the valid-pair matrix alone: the removed key is an unknown field
+    data = corrupt_copy(data_dir, tmp_path / "data", "taxonomy.json", lambda d: d.update(no_interaction_verbs=[0]))
+    out = tmp_path / "out"
+    assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data)}), out) == EXIT_DATA
+    assert_data_error(capsys, out, "taxonomy.json: unknown taxonomy fields: ['no_interaction_verbs']")
 
 
 def test_build_bank_rejects_nonfinite_verb_feat(data_dir, tmp_path, capsys):
@@ -1190,6 +1222,8 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, via, u
     ("affordance", "manifest.json", "file"),
     ("gradcheck", "gradcheck.json", "file"),
     ("reproduce-trends", "trends.json", "file"),
+    ("gen-data", "test/hoi_label.npy", "file"),
+    ("zeroshot", "predictions/scores.npy", "file"),
 ])
 def test_output_of_the_wrong_kind_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, name, kind):
     # a directory where a file goes, or a file where a directory goes, is refused
@@ -1201,13 +1235,13 @@ def test_output_of_the_wrong_kind_is_config_error(data_dir, trained_dir, tmp_pat
             "affordance": ["data_dir", "checkpoint", "bank"]}.get(cmd, [])
     out = tmp_path / "out"
     out.mkdir()
-    if kind == "file":
-        (out / name).mkdir()
+    if kind == "file":  # a file of an output directory too: a set's column file, the score grid
+        (out / name).mkdir(parents=True)
     else:
         (out / name).write_text("kept\n")
     assert run(cmd, write_config(tmp_path / "cfg.json", {k: body[k] for k in keys}), out) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: output {out / name} is in the way: {cmd} writes a {kind} there\n"
-    assert [p.name for p in out.iterdir()] == [name]
+    assert [p.name for p in out.iterdir()] == [name.split("/")[0]]
     assert (out / name).is_dir() if kind == "file" else (out / name).read_text() == "kept\n"
 
 

@@ -1,7 +1,7 @@
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -896,7 +896,7 @@ def assert_same_float(a: float, b: float):
 
 def assert_same_prf1(prf1, want: dict):
     """Every field of prf1 equal to the oracle's, of the same type, floats bit for bit."""
-    got = prf1.to_json_dict()
+    got = asdict(prf1)
     assert got.keys() == want.keys()
     for key, value in want.items():
         if isinstance(value, float):

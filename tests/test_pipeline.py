@@ -1,7 +1,7 @@
 import copy
 import pickle
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import lru_cache
 from unittest import mock
 
@@ -1038,7 +1038,7 @@ def test_trace_csv(tmp_path):
 
 def test_config_roundtrip_rejects_unknown():
     cfg = TrainConfig()
-    back = TrainConfig.from_json_dict(cfg.to_json_dict())
+    back = TrainConfig.from_json_dict(asdict(cfg))
     assert back == cfg
     with pytest.raises(ValueError, match="mystery"):
         TrainConfig.from_json_dict({"mystery": 1})

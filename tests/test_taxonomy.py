@@ -20,10 +20,9 @@ def small_tax():
     # 3 verbs x 3 objects, 5 valid pairs
     pairs = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)]
     return Taxonomy.build(
-        verb_names=["hold", "ride", "no_interaction"],
+        verb_names=["hold", "ride", "carry"],
         object_names=["cup", "bike", "kite"],
         hoi_pairs=pairs,
-        no_interaction_verbs=[2],
     )
 
 
@@ -80,9 +79,9 @@ def test_compose_invalid_pair_gives_all_zero():
 
 def test_compose_multi_hot_verb():
     tax = small_tax()
-    verb = np.array([1, 0, 1], dtype=np.int8)  # hold + no_interaction
+    verb = np.array([1, 0, 1], dtype=np.int8)  # hold + carry
     y = compose_label(one_hot(3, 0), verb, tax)
-    # cup pairs with hold (pair 0) and no_interaction (pair 3)
+    # cup pairs with hold (pair 0) and carry (pair 3)
     assert y.tolist() == [1, 0, 0, 1, 0]
 
 
@@ -99,10 +98,10 @@ def test_categories_of_and_affordances():
     tax = small_tax()
     assert tax.categories_of_verb(2).tolist() == [3, 4]
     assert np.flatnonzero(tax.object_to_hoi[1]).tolist() == [1, 2]
-    # no_interaction excluded from affordances
+    # an object's affordances are the verbs of its valid pairs
     afford = tax.affordance_matrix()
     assert afford.dtype == bool
-    assert afford.tolist() == [[True, False, False], [True, True, False], [False, False, False]]
+    assert afford.tolist() == [[True, False, True], [True, True, False], [False, False, True]]
 
 
 def test_json_roundtrip(tmp_path):
@@ -114,7 +113,6 @@ def test_json_roundtrip(tmp_path):
     assert back.verb_names == tax.verb_names
     assert back.object_names == tax.object_names
     assert back.hoi_pairs == tax.hoi_pairs
-    assert back.no_interaction_verbs == tax.no_interaction_verbs
     np.testing.assert_array_equal(back.train_counts, tax.train_counts)
     np.testing.assert_array_equal(back.verb_to_hoi, tax.verb_to_hoi)
 
@@ -145,7 +143,6 @@ def test_load_rejects_other_schema_versions(tmp_path, version):
     (lambda d: d["train_counts"].__setitem__(0, True), "taxonomy train_counts must hold integers, got True"),
     (lambda d: d["pairs"][0].__setitem__(0, "0"), "taxonomy pair must hold integers, got '0'"),
     (lambda d: d["pairs"][1].__setitem__(1, 1.0), "taxonomy pair must hold integers, got 1.0"),
-    (lambda d: d.update(no_interaction_verbs=[2.0]), "taxonomy no_interaction_verbs must hold integers, got 2.0"),
     (lambda d: d.update(pairs={"0": [0, 0]}), "taxonomy pairs must be a list, got {'0': [0, 0]}"),
 ])
 def test_json_rejects_non_integer_ids_and_counts(tmp_path, edit, needle):
