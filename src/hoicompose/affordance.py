@@ -39,7 +39,6 @@ class AffordanceBank:
     entries: dict[int, np.ndarray]  # verb id -> (s_i, feat_dim)
     m: int
     feat_dim: int
-    source_seed: int
 
     def s_counts(self) -> dict[int, int]:
         return {v: len(arr) for v, arr in self.entries.items()}
@@ -63,13 +62,12 @@ class AffordanceBank:
         return {
             "m": self.m,
             "feat_dim": self.feat_dim,
-            "source_seed": self.source_seed,
             "entries": {str(v): self.entries[v].tolist() for v in sorted(self.entries)},
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AffordanceBank":
-        check_fields(d, {"m": int, "feat_dim": int, "source_seed": int, "entries": dict}, "bank")
+        check_fields(d, {"m": int, "feat_dim": int, "entries": dict}, "bank")
         feat_dim = d["feat_dim"]
         entries = {}
         for v, rows in d["entries"].items():
@@ -79,7 +77,7 @@ class AffordanceBank:
                 number_items(row, f"bank verb {v} row {j}")
             arr = np.asarray(rows, dtype=float)
             entries[int(v)] = arr.reshape(len(rows), feat_dim) if len(rows) else np.zeros((0, feat_dim))
-        bank = cls(entries=entries, m=d["m"], feat_dim=feat_dim, source_seed=d["source_seed"])
+        bank = cls(entries=entries, m=d["m"], feat_dim=feat_dim)
         bank.validate()
         return bank
 
@@ -112,7 +110,7 @@ def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int =
             pool = pool[np.sort(rng.choice(len(pool), size=m, replace=False))]
         entries[v] = pool
 
-    bank = AffordanceBank(entries=entries, m=m, feat_dim=feat_dim, source_seed=seed)
+    bank = AffordanceBank(entries=entries, m=m, feat_dim=feat_dim)
     bank.validate()
     return bank
 

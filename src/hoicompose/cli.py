@@ -25,7 +25,7 @@ from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_
 from .blas import blas_info
 from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report, write_report_csv
 from .experiments import TrendSettings, reproduce_trends
-from .jsonfile import check_fields, int_items, read_json, write_json, write_json_rows
+from .jsonfile import check_fields, int_items, read_json, write_json
 from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, init_model,
                        load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train, write_trace_csv)
 from .seeding import substream
@@ -33,8 +33,6 @@ from .synth import HOISet, ObjectSet, gen_dataset, gen_world, load_instances, sa
 from .taxonomy import Taxonomy
 
 OUT_ENV_VAR = "HOICOMPOSE_OUT"
-# affordance.json's object rows are rendered and written this many at a time
-RENDER_ROWS = 256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,27 +118,32 @@ def _settings(cfg: dict, args) -> dict:
     return resolved
 
 
-# The files each output directory receives: a set's column files, or the score grid.
+# The files each output directory receives: a set's column files, or a score grid and its labels.
 _OUT_DIR_FILES = {**{name: [f"{f.name}.npy" for f in fields(cls)]
                      for name, cls in (("train", HOISet), ("test", HOISet), ("external", ObjectSet))},
-                  "predictions": ["scores.npy"]}
+                  "predictions": ["scores.npy"], "objects": ["scores.npy", "object_label.npy"]}
 
 
 def _out_dir(args, outputs: list) -> Path:
     """The output directory, made if missing. Before the command works, it
     refuses an output name, manifest.json or a file an output directory
     receives, that exists as the other kind: a directory where a file goes, or
-    a file where a directory goes."""
+    a file where a directory goes. It refuses an output directory that holds
+    anything else, which a reader of the directory would take for its own."""
     path = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # the path or a parent is a file
         raise ConfigError(f"output directory {path}: {e}")
     for name in [*outputs, "manifest.json"]:
+        files = _OUT_DIR_FILES.get(name, [])
         for target, want in [(path / name, "directory" if name in _OUT_DIR_FILES else "file"),
-                             *((path / name / f, "file") for f in _OUT_DIR_FILES.get(name, []))]:
+                             *((path / name / f, "file") for f in files)]:
             if target.exists() and target.is_dir() != (want == "directory"):
                 raise ConfigError(f"output {target} is in the way: {args.command} writes a {want} there")
+        stale = sorted(set(os.listdir(path / name)) - set(files)) if (path / name).is_dir() else []
+        if stale:
+            raise ConfigError(f"output {path / name} holds {stale}, which {args.command} does not write")
     return path
 
 
@@ -218,7 +221,7 @@ def _load_file(path: str, what: str, load, inputs: dict):
 
 def _load_model(path: str, data: dict) -> HOIModel:
     """The checkpoint at path; it must fit the loaded data's categories and feat_dim."""
-    model = _load_file(path, "checkpoint", lambda p: load_checkpoint(p)[0], data["inputs"])
+    model = _load_file(path, "checkpoint", load_checkpoint, data["inputs"])
     n_categories, feat_dim = data["taxonomy"].n_categories, data["feat_dim"]
     if model.n_categories != n_categories or feat_dim not in (None, model.feat_dim):
         raise DataError(f"checkpoint {path} ({model.n_categories} categories, feat_dim {model.feat_dim}) "
@@ -274,7 +277,7 @@ def cmd_train(cfg: dict, args) -> int:
     except ValueError as e:
         raise DataError(f"train: {e}")
 
-    save_checkpoint(result.model, tcfg, out / "checkpoint.json")
+    save_checkpoint(result.model, out / "checkpoint.json")
     write_trace_csv(result.trace, out / "trace.csv")
     _write_manifest(out, "train", s, data["inputs"], outputs)
     last = result.trace[-1]["L_total"] if result.trace else float("nan")
@@ -331,46 +334,13 @@ def cmd_build_bank(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _object_rows(kept, truth, scores, probed, labels: list, names: list):
-    """affordance.json's "objects" items, RENDER_ROWS to a yielded block, as
-    json.dump(indent=2, sort_keys=True) lays them out at depth 2. Object k is
-    {"gt_verbs", "index": k, "kept_verbs", "object_label", "object_name", "scores"}:
-    the verb ids set in the bool rows truth[k] and kept[k], labels[k] and its
-    name, and each probed verb's score (null for NaN) under its id as a string."""
-    keys = sorted(map(str, np.flatnonzero(probed).tolist()))
-    cols = list(map(int, keys))
-    row = ('    {\n      "gt_verbs": %s,\n      "index": %d,\n      "kept_verbs": %s,\n      "object_label": %d,\n'
-           '      "object_name": %s,\n      "scores": '
-           + ("{\n" + ",\n".join(f'        "{k}": %s' for k in keys) + "\n      }" if keys else "{}") + "\n    }")
-    names = [json.encoder.encode_basestring_ascii(name) for name in names]
-    width, p, lists = kept.shape[1], len(cols), {}  # lists: a bool row's bytes -> its verb id list
-
-    def verb_list(flags: bytes) -> str:
-        text = lists.get(flags)
-        if text is None:
-            ids = [str(v) for v, f in enumerate(flags) if f]
-            text = lists[flags] = "[\n        " + ",\n        ".join(ids) + "\n      ]" if ids else "[]"
-        return text
-
-    for start in range(0, len(labels), RENDER_ROWS):
-        stop = min(start + RENDER_ROWS, len(labels))
-        kept_b, truth_b = kept[start:stop].tobytes(), truth[start:stop].tobytes()
-        block = scores[start:stop, cols].ravel()
-        values = list(map(float.__repr__, block.tolist()))
-        for j in np.flatnonzero(np.isnan(block)).tolist():
-            values[j] = "null"
-        yield ",\n".join([row % (verb_list(truth_b[k * width:(k + 1) * width]), i,
-                                  verb_list(kept_b[k * width:(k + 1) * width]), o, names[o],
-                                  *values[k * p:(k + 1) * p])
-                           for k, (i, o) in enumerate(zip(range(start, stop), labels[start:stop]))])
-
-
 def cmd_affordance(cfg: dict, args) -> int:
     s = _settings(cfg, args)
     hoi_t, keep_t = s["hoi_threshold"], s["keep_threshold"]
     if not (0 <= hoi_t <= 1 and 0 <= keep_t <= 1):
         raise ConfigError(f"hoi_threshold {hoi_t} and keep_threshold {keep_t} must lie in [0, 1]")
-    out = _out_dir(args, ["affordance.json"])
+    outputs = ["affordance.json", "objects"]
+    out = _out_dir(args, outputs)
     data = _load_data_dir(s, need=("taxonomy", "split", "external"))
     model = _load_model(s["checkpoint"], data)
     bank = _load_file(s["bank"], "bank", AffordanceBank.load, data["inputs"])
@@ -389,24 +359,26 @@ def cmd_affordance(cfg: dict, args) -> int:
     prf1 = affordance_prf1(r.kept, truth)
     amap = affordance_map(r.scores, truth)
 
-    labels = objects.object_label.tolist()
-    write_json_rows(out / "affordance.json", {
+    write_json(out / "affordance.json", {
         "hoi_threshold": hoi_t,
         "keep_threshold": keep_t,
         "prf1": asdict(prf1),
         "affordance_map": None if math.isnan(amap) else amap,
-    }, "objects", _object_rows(r.kept, truth, r.scores, r.probed, labels, tax.object_names))
-    _write_manifest(out, "affordance", s, data["inputs"], ["affordance.json"])
+    })
+    (out / "objects").mkdir(exist_ok=True)
+    np.save(out / "objects" / "scores.npy", r.scores, allow_pickle=False)
+    np.save(out / "objects" / "object_label.npy", objects.object_label, allow_pickle=False)
+    _write_manifest(out, "affordance", s, data["inputs"], outputs)
 
     print(f"affordance over {len(objects)} objects: micro-F1 {prf1.micro_f1:.4f} "
           f"P {prf1.micro_precision:.4f} R {prf1.micro_recall:.4f} mAP "
           f"{'n/a' if math.isnan(amap) else f'{amap:.4f}'}")
     print(f"{'object':<12} {'kept verbs':<24} gt verbs")
-    for i, o in enumerate(labels[:20]):
+    for i, o in enumerate(objects.object_label[:20].tolist()):
         kept = str(np.flatnonzero(r.kept[i]).tolist())
         print(f"{tax.object_names[o]:<12} {kept:<24} {np.flatnonzero(truth[i]).tolist()}")
-    if len(labels) > 20:
-        print(f"... {len(labels) - 20} more in affordance.json")
+    if len(objects) > 20:
+        print(f"... {len(objects) - 20} more in objects/")
     return EXIT_OK
 
 

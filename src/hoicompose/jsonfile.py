@@ -2,11 +2,6 @@
 keys, a trailing newline and an integer schema_version, which the reader checks
 before it returns anything. The field checker reads values as json.load makes
 them: true is not an integer and 2.0 is not one either.
-
-write_json writes a document whole; write_json_rows writes the same bytes for a
-document whose one long list member comes as blocks of items already rendered
-in the indented layout, so that its items need not be Python objects nor be
-held all at once.
 """
 from __future__ import annotations
 
@@ -29,24 +24,6 @@ def write_json(path, doc: dict, version: int = 1, indent: int | None = 2) -> Non
         else:
             json.dump(doc, f, indent=indent, sort_keys=True)
         f.write("\n")
-
-
-def write_json_rows(path, doc: dict, key: str, blocks) -> None:
-    """write_json(path, {**doc, key: items}) for an indent=2 document, where blocks
-    yields non-empty strings of the list's items as json.dump(indent=2) lays them
-    out at depth 2 (four spaces in, joined by ",\n"). The other members go
-    through json.dumps; each block is written as it comes."""
-    member = f"\n  {json.dumps(key)}: ["
-    text = json.dumps({"schema_version": 1, **doc, key: []}, indent=2, sort_keys=True)
-    # only the top-level member starts a line at indent 2 (a string holds no newline)
-    head, tail = text.split(member + "]")
-    with open(path, "w") as f:
-        f.write(head + member)
-        sep = "\n"
-        for block in blocks:
-            f.write(sep + block)
-            sep = ",\n"
-        f.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")  # "[]" when no block came
 
 
 def read_json(path, what: str, version: int = 1, missing_ok: bool = False) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -428,9 +428,8 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy) -> np.ndarray:
     return p_sp * p_hoi
 
 
-def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
+def save_checkpoint(model: HOIModel, path) -> None:
     write_json(path, {
-        "config": asdict(cfg),
         "spatial_resolution": model.spatial_resolution,
         "feat_dim": model.feat_dim,
         "sp_classifier": nn.params_to_dict(model.sp_classifier),
@@ -438,9 +437,9 @@ def save_checkpoint(model: HOIModel, cfg: TrainConfig, path) -> None:
     }, version=_CHECKPOINT_SCHEMA, indent=None)
 
 
-def load_checkpoint(path) -> tuple[HOIModel, TrainConfig]:
+def load_checkpoint(path) -> HOIModel:
     d = read_json(path, "checkpoint", version=_CHECKPOINT_SCHEMA)
-    check_fields(d, {"config": dict, "spatial_resolution": int, "feat_dim": int,
+    check_fields(d, {"spatial_resolution": int, "feat_dim": int,
                      "sp_classifier": dict, "hoi_classifier": dict}, "checkpoint")
     model = HOIModel(
         sp_classifier=nn.params_from_dict(d["sp_classifier"], "sp_classifier"),
@@ -449,7 +448,7 @@ def load_checkpoint(path) -> tuple[HOIModel, TrainConfig]:
         feat_dim=d["feat_dim"],
     )
     model.validate()
-    return model, TrainConfig.from_json_dict(d["config"])
+    return model
 
 
 def write_trace_csv(trace, path) -> None:

@@ -58,7 +58,7 @@ def line_tax():
 
 def bank_of(entries, m=10, feat_dim=1):
     arrs = {v: np.asarray(rows, dtype=float).reshape(-1, feat_dim) for v, rows in entries.items()}
-    bank = AffordanceBank(entries=arrs, m=m, feat_dim=feat_dim, source_seed=0)
+    bank = AffordanceBank(entries=arrs, m=m, feat_dim=feat_dim)
     bank.validate()
     return bank
 
@@ -125,6 +125,8 @@ def test_bank_json_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.entries[v], bank.entries[v])
     with pytest.raises(ValueError, match="extra"):
         AffordanceBank.from_json_dict({**bank.to_json_dict(), "extra": 1})
+    with pytest.raises(ValueError, match=re.escape("unknown bank fields: ['source_seed']")):  # a field since dropped
+        AffordanceBank.from_json_dict({**bank.to_json_dict(), "source_seed": 2})
     doc = bank.to_json_dict()
     doc["entries"]["1"][0][0] = float("nan")
     with pytest.raises(ValueError, match="verb 1 entries hold non-finite values"):
@@ -138,7 +140,7 @@ def test_bank_json_roundtrip(tmp_path):
     (lambda d: d["entries"]["0"][0].__setitem__(3, None), "bank verb 0 row 0: not a number"),
     (lambda d: d.update(m="100"), "bank m must be an integer, got '100'"),
     (lambda d: d.update(feat_dim=6.0), "bank feat_dim must be an integer, got 6.0"),
-    (lambda d: d.update(source_seed=True), "bank source_seed must be an integer, got True"),
+    (lambda d: d.update(m=True), "bank m must be an integer, got True"),
 ])
 def test_bank_load_rejects_non_numbers(edit, needle):
     # a float or int cast would read number strings and true as numbers
@@ -213,7 +215,7 @@ def test_recognize_entry_order_irrelevant():
     bank = build_bank(train_set, tax, m=6, seed=0)
     shuffled = AffordanceBank(
         entries={v: arr[::-1].copy() for v, arr in bank.entries.items()},
-        m=bank.m, feat_dim=bank.feat_dim, source_seed=bank.source_seed,
+        m=bank.m, feat_dim=bank.feat_dim,
     )
     feat = external.object_feat[0]
     a = recognize(feat, bank, model, tax)

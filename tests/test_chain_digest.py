@@ -50,8 +50,8 @@ def test_a_blas_difference_alone_passes_with_a_warning(chain_digest, capsys):
     assert "warning" in capsys.readouterr().err
 
 
-# the 29 chain files tier-1 pins elsewhere, which do not depend on the BLAS; the
-# other 19 (checkpoint, trace, scores, the manifests with their blas block, the
+# the 31 chain files tier-1 pins elsewhere, which do not depend on the BLAS; the
+# other 19 (checkpoint, trace, predictions, the manifests with their blas block, the
 # train and gradcheck outputs, the demo's stdout, the configs) depend on the
 # BLAS build, not on its thread count, and are compared under the record's own
 # BLAS only
@@ -70,7 +70,7 @@ def test_committed_record_holds_the_digests_tier_1_pins(chain_digest):
     assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+", lines[0])  # the build, no thread count
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
     record = chain_digest.digests(lines)
-    assert len(record) == len(lines) - 1 == 48
+    assert len(record) == len(lines) - 1 == 50
     assert {path: record.get(path) for path in THREAD_FREE} == THREAD_FREE
 
 
@@ -102,7 +102,7 @@ def test_under_another_blas_only_the_thread_free_files_compare(chain_digest):
 def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, monkeypatch, capsys):
     # every step but reproduce-trends runs as chain_digest.py runs it, in a fresh
     # interpreter, here with 1 BLAS thread: the record was taken with 2, so all
-    # 48 files matching shows that no byte depends on the thread count.
+    # 50 files matching shows that no byte depends on the thread count.
     # reproduce-trends runs in process on the trend fixture's report, which is
     # what its default settings compute
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -16,15 +16,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import hoicompose
 from hoicompose import cli, experiments, pipeline
+from hoicompose.affordance import AffordanceBank
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
-from hoicompose.jsonfile import write_json, write_json_rows
+from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig, load_checkpoint, train
 from hoicompose.synth import HOISet, load_instances, save_instances
 from hoicompose.taxonomy import Taxonomy
@@ -160,21 +158,25 @@ CHAIN_GEN_DATA_STDOUT_SHA256 = "7c847d03955f2babc9f774f5ed67786a0ef4399dc7f4c48a
 # build-bank's files but its manifest, and its stdout, at the chain's default
 # config over that data; no training comes before it, so tier-1 can afford it
 CHAIN_BUILD_BANK_SHA256 = {
-    "bank.json": "345512d6dd3d0679de09f0bcb49338b06dca87be598a622d497c2a3d96bfd944",
+    "bank.json": "4a62b16c5801c0bf2066e6fc3d1b31500fed4ceac9ae6d1b4ae980f0277d7e65",
 }
 CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
 # the zeroshot and affordance outputs that do not depend on the BLAS build (the
-# checkpoint, trace, scores and the manifests do; none depends on the thread
+# checkpoint, trace, predictions and the manifests do; none depends on the thread
 # count); the predictions' rows are the test set's, whose boxes are pinned above
 CHAIN_THREAD_FREE_SHA256 = {
     "zeroshot/report.json": "31d0b3d2a25fa383a10d42c0ba9e02a68245e4bb409ea59f0401a649ada1d297",
     "zeroshot/report.csv": "8930d848e9437956c0af46bf62620f27942d4486a1a94d854916377f1c0ef719",
-    "affordance/affordance.json": "54dd280e186c58d6479428c84c550a188e4ce6903ab0eb335907ed20725f6804",
+    "affordance/affordance.json": "7fbccf20f73a13db12d48588811bfd83cfac4147e1704f1207afe6a619f0cbe4",
+    "affordance/objects/object_label.npy": "8d9b1c4ae8da06297a1bddcef07338e65c441385bfdade0614eb20832ce4436b",
+    "affordance/objects/scores.npy": "d6997144b44aabc1b99b4aea4d3f99c0301526233167cba3e6d3f0adc0e35279",
 }
 CHAIN_STDOUT_SHA256 = {
     "zeroshot": "ca5a1e598fc9111b3ac300fe184cb3aec98683e6324f1184bbb2cbd677ac7443",
-    "affordance": "83e3dc20a4e4a9ada53f3dcba3d8ab38906bdfbce880f89456c9de6ef55618b4",
+    "affordance": "a00499d337c10a25dc970cab591696b2dd472417edc71fa61456e0f0ef6cd73f",
 }
+# the chain's affordance.json when it also held one "objects" row per probed object
+CHAIN_AFFORDANCE_ROWS_SHA256 = "54dd280e186c58d6479428c84c550a188e4ce6903ab0eb335907ed20725f6804"
 
 
 def unmanifested_sha256(path) -> dict:
@@ -214,13 +216,26 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
     assert sorted(p.name for p in Path("zeroshot/predictions").iterdir()) == ["scores.npy"]
 
+    # the per-object rows follow from objects/, the taxonomy, the bank and the thresholds
+    doc = json.loads(Path("affordance/affordance.json").read_text())
+    del doc["schema_version"]
+    tax = Taxonomy.load("gen-data/taxonomy.json")
+    bank = AffordanceBank.load("build-bank/bank.json")
+    scores = np.load("affordance/objects/scores.npy", allow_pickle=False)
+    labels = np.load("affordance/objects/object_label.npy", allow_pickle=False)
+    probed = np.isin(np.arange(tax.n_verbs), list(bank.entries))
+    write_json("rows.json", {**doc, "objects": object_dicts(
+        scores > doc["keep_threshold"], tax.affordance_matrix()[labels], scores, probed, labels.tolist(),
+        tax.object_names)})
+    assert hashlib.sha256(Path("rows.json").read_bytes()).hexdigest() == CHAIN_AFFORDANCE_ROWS_SHA256
+
 
 def test_train_outputs(trained_dir, data_dir):
     assert (trained_dir / "checkpoint.json").is_file()
     assert (trained_dir / "trace.csv").is_file()
-    model, cfg = load_checkpoint(trained_dir / "checkpoint.json")
-    assert cfg.iterations == TINY_TRAIN["iterations"]
+    load_checkpoint(trained_dir / "checkpoint.json")
     manifest = json.loads((trained_dir / "manifest.json").read_text())
+    assert TrainConfig.from_json_dict(manifest["config"]["train"]).iterations == TINY_TRAIN["iterations"]
     assert set(manifest["inputs"]) == {"taxonomy", "train", "external"}
     for entry in manifest["inputs"].values():
         assert len(entry["sha256"]) == 64
@@ -271,7 +286,7 @@ def test_train_baseline_flag(data_dir, tmp_path):
     out = tmp_path / "base"
     out.mkdir()
     assert run("train", cfg, out) == EXIT_OK
-    _, tcfg = load_checkpoint(out / "checkpoint.json")
+    tcfg = TrainConfig.from_json_dict(json.loads((out / "manifest.json").read_text())["config"]["train"])
     assert tcfg.lambda2 == 0.0 and tcfg.object_batch == 0
 
 
@@ -337,7 +352,7 @@ def test_predictions_directory_is_the_predicted_grid(trained_dir, data_dir, tmp_
     out = tmp_path / "eval"
     assert run("eval-hoi", cfg, out) == EXIT_OK
     back = np.load(out / "predictions" / "scores.npy", allow_pickle=False)
-    model, _ = load_checkpoint(trained_dir / "checkpoint.json")
+    model = load_checkpoint(trained_dir / "checkpoint.json")
     want = pipeline.predict_dataset(model, test_set, Taxonomy.load(data / "taxonomy.json"))
     assert len(back) == len(test_set) == n_test
     assert (back.dtype, back.shape) == (want.dtype, want.shape) == (np.dtype("<f8"), (n_test, want.shape[1]))
@@ -506,14 +521,18 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
 def test_zeroshot_rejects_schema_1_checkpoint(trained_dir, data_dir, tmp_path, capsys):
     d = json.loads((trained_dir / "checkpoint.json").read_text())
     assert d["schema_version"] == 2
-    d["schema_version"] = 1
-    d["verb_head"] = None
-    d["config"].update(lambda_aux=0.0, lr_decay_step=None)
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(d))
-    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(old)})
-    assert run("zeroshot", cfg, tmp_path) == EXIT_DATA
+    config = json.loads((trained_dir / "manifest.json").read_text())["config"]["train"]
+    # schema 1 carried a verb head and the training config, with two fields since removed
+    old = {**d, "schema_version": 1, "verb_head": None,
+           "config": {**config, "lambda_aux": 0.0, "lr_decay_step": None}}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(tmp_path / "old.json")})
+    assert run("zeroshot", cfg, tmp_path / "out") == EXIT_DATA
     assert "schema_version 1" in capsys.readouterr().err
+    # a schema-2 checkpoint that still carries the training config is refused too
+    (tmp_path / "old.json").write_text(json.dumps({**d, "config": config}))
+    assert run("zeroshot", cfg, tmp_path / "out") == EXIT_DATA
+    assert "unknown checkpoint fields: ['config']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("lambda_aux", 0.5), ("lr_decay_step", 100)])
@@ -897,12 +916,21 @@ def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
     aff_out.mkdir()
     assert run("affordance", aff_cfg, aff_out) == EXIT_OK
     doc = json.loads((aff_out / "affordance.json").read_text())
-    assert "prf1" in doc and "objects" in doc
-    assert len(doc["objects"]) > 0
-    # novel_only keeps exactly the held-out objects
+    assert sorted(doc) == ["affordance_map", "hoi_threshold", "keep_threshold", "prf1", "schema_version"]
+    assert sorted(p.name for p in (aff_out / "objects").iterdir()) == ["object_label.npy", "scores.npy"]
+    labels = np.load(aff_out / "objects" / "object_label.npy", allow_pickle=False)
+    scores = np.load(aff_out / "objects" / "scores.npy", allow_pickle=False)
+    assert (labels.dtype, scores.dtype) == (np.dtype("<i8"), np.dtype("<f8"))
+    assert scores.shape == (len(labels), TINY_WORLD["n_verbs"]) and len(labels) > 0
+    # a verb's scores are NaN exactly when the bank holds none of its features
+    empty = [not len(rows) for _, rows in sorted(AffordanceBank.load(bank_out / "bank.json").entries.items())]
+    assert (np.isnan(scores) == np.array(empty)).all() and 0 <= np.nanmin(scores) <= np.nanmax(scores) <= 1
+    # novel_only keeps exactly the held-out objects, in stream order
     split = json.loads((data_dir / "split.json").read_text())
-    novel = set(split["unseen_object_ids"])
-    assert {row["object_label"] for row in doc["objects"]} <= novel
+    stream = np.load(data_dir / "external" / "object_label.npy", allow_pickle=False)
+    assert labels.tolist() == [o for o in stream.tolist() if o in split["unseen_object_ids"]]
+    manifest = json.loads((aff_out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["affordance.json", "objects"]
 
 
 def test_affordance_over_every_external_object(trained_dir, data_dir, tmp_path, capsys):
@@ -914,15 +942,15 @@ def test_affordance_over_every_external_object(trained_dir, data_dir, tmp_path, 
         "bank": str(tmp_path / "bank" / "bank.json"), "novel_only": False})
     capsys.readouterr()
     assert run("affordance", cfg, tmp_path / "out") == EXIT_OK
-    doc = json.loads((tmp_path / "out" / "affordance.json").read_text())
     labels = np.load(data_dir / "external" / "object_label.npy", allow_pickle=False).tolist()
-    assert [row["object_label"] for row in doc["objects"]] == labels
-    assert [row["index"] for row in doc["objects"]] == list(range(TINY_DATASET["n_external_objects"]))
+    assert np.load(tmp_path / "out" / "objects" / "object_label.npy", allow_pickle=False).tolist() == labels
+    scores = np.load(tmp_path / "out" / "objects" / "scores.npy", allow_pickle=False)
+    assert scores.shape == (TINY_DATASET["n_external_objects"], TINY_WORLD["n_verbs"])
     unseen = set(json.loads((data_dir / "split.json").read_text())["unseen_object_ids"])
     assert set(labels) - unseen and set(labels) & unseen
     out = capsys.readouterr().out
     assert out.startswith(f"affordance over {len(labels)} objects: ")
-    assert out.endswith(f"... {len(labels) - 20} more in affordance.json\n")
+    assert out.endswith(f"... {len(labels) - 20} more in objects/\n")
 
 
 def test_affordance_on_an_empty_external_stream(tmp_path, capsys):
@@ -940,16 +968,20 @@ def test_affordance_on_an_empty_external_stream(tmp_path, capsys):
         "bank": str(tmp_path / "bank" / "bank.json"), "novel_only": False})
     capsys.readouterr()
     assert run("affordance", cfg, tmp_path / "out") == EXIT_OK
-    text = (tmp_path / "out" / "affordance.json").read_text()
-    assert '\n  "objects": [],\n' in text and json.loads(text)["objects"] == []
+    assert "objects" not in json.loads((tmp_path / "out" / "affordance.json").read_text())
+    labels = np.load(tmp_path / "out" / "objects" / "object_label.npy", allow_pickle=False)
+    scores = np.load(tmp_path / "out" / "objects" / "scores.npy", allow_pickle=False)
+    assert (labels.shape, scores.shape) == ((0,), (0, TINY_WORLD["n_verbs"]))
     assert capsys.readouterr().out.splitlines() == [  # no "... more" line
         "affordance over 0 objects: micro-F1 0.0000 P 0.0000 R 0.0000 mAP n/a",
         f"{'object':<12} {'kept verbs':<24} gt verbs"]
 
 
 def object_dicts(kept, truth, scores, probed, labels, names) -> list:
-    """affordance.json's "objects" as Python objects, built as cmd_affordance
-    built them before it rendered the rows itself: the renderer's oracle."""
+    """The "objects" rows affordance.json held before they became objects/, as
+    Python objects: per object, its index, label and name, the verb ids set in
+    kept[i] and truth[i], and each probed verb's score (None for NaN) under its
+    id as a string."""
     probed = np.flatnonzero(probed).tolist()
     return [{
         "index": i,
@@ -959,43 +991,6 @@ def object_dicts(kept, truth, scores, probed, labels, names) -> list:
         "gt_verbs": np.flatnonzero(truth[i]).tolist(),
         "scores": {str(v): None if math.isnan(x) else x for v, x in zip(probed, scores[i, probed].tolist())},
     } for i, o in enumerate(labels)]
-
-
-# quote, backslash, control, non-ASCII and astral characters, and "%s"
-NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\x00", "%", "s", "Z", "\u00e9", "\u2028", "\U0001f600"])
-
-
-@st.composite
-def object_row_cases(draw):
-    """(kept, truth, scores, probed, labels, names): up to 9 objects over 1-13 verbs,
-    so that verb ids of two digits sort as strings, with scores of 0-1 or NaN."""
-    n, n_verbs, n_names = draw(st.integers(0, 9)), draw(st.integers(1, 13)), draw(st.integers(1, 4))
-    flags = hnp.arrays(bool, (n, n_verbs))
-    scores = draw(hnp.arrays(float, (n, n_verbs), elements=st.one_of(
-        st.floats(0, 1), st.sampled_from([0.0, 1.0, 1 / 3, 5e-324, 1e-05, float("nan")]))))
-    labels = draw(st.lists(st.integers(0, n_names - 1), min_size=n, max_size=n))
-    names = draw(st.lists(st.text(NAME_CHARS, max_size=4), min_size=n_names, max_size=n_names))
-    return draw(flags), draw(flags), scores, draw(hnp.arrays(bool, n_verbs)), labels, names
-
-
-@settings(max_examples=300, deadline=None)
-@given(object_row_cases(), st.integers(1, 3), st.sampled_from([0.0, 0.25, float("nan")]))
-@example((np.zeros((0, 3), bool), np.zeros((0, 3), bool), np.zeros((0, 3)), np.ones(3, bool), [], ["a"]), 1, 0.0)
-@example((np.zeros((4, 12), bool), np.ones((4, 12), bool), np.full((4, 12), np.nan), np.ones(12, bool),
-          [0, 1, 1, 0], ['"q\\', "\u00e9t\u00e9"]), 3, float("nan"))
-@example((np.ones((2, 3), bool), np.zeros((2, 3), bool), np.full((2, 3), 0.5), np.zeros(3, bool), [0, 0], ["x"]),
-         1, 0.25)
-def test_object_rows_match_the_dict_oracle(tmp_path_factory, case, rows, amap):
-    # blocks of 1-3 rows: up to 9 objects cross the block edge at every offset
-    kept, truth, scores, probed, labels, names = case
-    head = {"hoi_threshold": 0.5, "keep_threshold": 0.5, "affordance_map": None if math.isnan(amap) else amap,
-            "prf1": {"micro_f1": amap, "per_verb": {"10": [0.5], "2": []}}}
-    tmp = tmp_path_factory.mktemp("rows")
-    with mock.patch.object(cli, "RENDER_ROWS", rows):
-        write_json_rows(tmp / "rows.json", head, "objects",
-                        cli._object_rows(kept, truth, scores, probed, labels, names))
-    write_json(tmp / "dicts.json", {**head, "objects": object_dicts(kept, truth, scores, probed, labels, names)})
-    assert (tmp / "rows.json").read_bytes() == (tmp / "dicts.json").read_bytes()
 
 
 def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda doc: None, data=None):
@@ -1243,6 +1238,27 @@ def test_output_of_the_wrong_kind_is_config_error(data_dir, trained_dir, tmp_pat
     assert capsys.readouterr().err == f"config error: output {out / name} is in the way: {cmd} writes a {kind} there\n"
     assert [p.name for p in out.iterdir()] == [name.split("/")[0]]
     assert (out / name).is_dir() if kind == "file" else (out / name).read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("cmd,name", [("gen-data", "train"), ("affordance", "objects")])
+def test_stale_file_in_an_output_directory_is_config_error(data_dir, trained_dir, tmp_path, capsys, cmd, name):
+    # a file the command does not write, left in one of its output directories,
+    # would make a directory that every later reader refuses (a set with an
+    # unknown column file), so the command refuses it before writing
+    body = {"world": TINY_WORLD, "dataset": TINY_DATASET}
+    if cmd == "affordance":
+        assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
+                   tmp_path / "bank") == EXIT_OK
+        body = {"data_dir": str(data_dir), "checkpoint": str(trained_dir / "checkpoint.json"),
+                "bank": str(tmp_path / "bank" / "bank.json")}
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    np.save(out / name / "extra.npy", np.zeros(3))
+    assert run(cmd, write_config(tmp_path / "cfg.json", body), out) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: output {out / name} holds ['extra.npy'], "
+                                       f"which {cmd} does not write\n")
+    assert [p.name for p in out.iterdir()] == [name]
+    assert [p.name for p in (out / name).iterdir()] == ["extra.npy"]
 
 
 @pytest.mark.parametrize("cmd", ["gen-data", "train", "zeroshot", "build-bank", "affordance", "gradcheck"])

@@ -1,10 +1,9 @@
 import json
 import re
-import textwrap
 
 import pytest
 
-from hoicompose.jsonfile import check_fields, int_items, read_json, write_json, write_json_rows
+from hoicompose.jsonfile import check_fields, int_items, read_json, write_json
 
 
 def test_write_json_stamps_version_sorts_keys_and_ends_in_newline(tmp_path):
@@ -27,19 +26,6 @@ def test_write_json_writes_the_bytes_json_dump_streams(tmp_path, indent):
         json.dump({"schema_version": 3, **doc}, f, indent=indent, sort_keys=True)
         f.write("\n")
     assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
-
-
-@pytest.mark.parametrize("n_blocks", [0, 1, 3])
-def test_write_json_rows_writes_the_bytes_of_write_json(tmp_path, n_blocks):
-    # the member's items come as blocks of two, rendered at depth 2; a nested
-    # member and a string that spell the same key are left alone
-    items = [{"b": [i, {"x": "\u00e9"}], "a": {}, "c": []} for i in range(2 * n_blocks)]
-    depth_2 = [textwrap.indent(json.dumps(item, indent=2, sort_keys=True), "    ") for item in items]
-    blocks = (",\n".join(depth_2[k:k + 2]) for k in range(0, len(items), 2))
-    head = {"z": {"rows": []}, "a": '\n  "rows": []', "rows": "replaced"}
-    write_json_rows(tmp_path / "rows.json", head, "rows", blocks)
-    write_json(tmp_path / "doc.json", {**head, "rows": items})
-    assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "doc.json").read_bytes()
 
 
 def test_read_json_returns_the_document_without_its_version(tmp_path):
