@@ -31,7 +31,7 @@ print(f"probing {len(novel)} instances of the held-out objects:"
 r = recognize(novel.object_feat[0], bank, model, tax)
 print(f"\n{tax.object_names[labels[0]]} (never seen in training):")
 print(f"{'verb':>8} {'hits':>6} {'stored':>7} {'score':>6}  kept")
-for v in np.flatnonzero(r.probed):
+for v in sorted(bank.entries):
     mark = "yes" if r.kept[0, v] else ""
     print(f"{tax.verb_names[v]:>8} {r.hits[0, v]:>6} {r.stored[v]:>7} {r.scores[0, v]:>6.2f}  {mark}")
 truth = tax.affordance_matrix()[novel.object_label]

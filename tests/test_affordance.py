@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hoicompose.affordance import (
     PROBE_COLS,
     AffordanceBank,
     build_bank,
+    decision_point,
     recognize,
     recognize_objects,
 )
@@ -165,7 +167,7 @@ def test_recognize_hit_ratio_exact():
     model = threshold_model(n_categories=tax.n_categories)
     bank = bank_of({0: [[0.9], [0.8], [0.7], [0.1]], 1: [[0.9], [0.1], [0.2], [0.3]]})
     r = recognize(np.zeros(1), bank, model, tax)
-    assert r.probed.tolist() == [True, True, False]
+    assert np.isnan(r.scores[0]).tolist() == [False, False, True]  # verb 2 is not in the bank
     assert r.stored.tolist() == [4, 4, 0]
     assert r.hits.tolist() == [[3, 1, 0]]
     assert r.scores[0, 0] == pytest.approx(0.75)
@@ -189,10 +191,10 @@ def test_recognize_all_or_nothing_classifier():
     never = threshold_model(n_categories=tax.n_categories, cut=10.0)
     bank = bank_of({0: [[0.5], [0.6]], 1: [[0.4]]})
     r_all = recognize(np.zeros(1), bank, always, tax)
-    assert r_all.scores[0, r_all.probed].tolist() == [1.0, 1.0]
+    assert r_all.scores[0, sorted(bank.entries)].tolist() == [1.0, 1.0]
     assert r_all.kept.tolist() == [[True, True, False]]
     r_none = recognize(np.zeros(1), bank, never, tax)
-    assert r_none.scores[0, r_none.probed].tolist() == [0.0, 0.0]
+    assert r_none.scores[0, sorted(bank.entries)].tolist() == [0.0, 0.0]
     assert not r_none.kept.any()
 
 
@@ -201,7 +203,7 @@ def test_recognize_empty_verb_entry_is_nan_never_kept():
     model = threshold_model(n_categories=tax.n_categories, cut=-10.0)
     bank = bank_of({0: [[0.5]], 1: []})
     r = recognize(np.zeros(1), bank, model, tax)
-    assert r.probed[1] and r.stored[1] == 0
+    assert 1 in bank.entries and r.stored[1] == 0
     assert math.isnan(r.scores[0, 1])
     assert r.hits[0, 1] == 0
     assert not r.kept[0, 1]
@@ -272,7 +274,7 @@ def test_recognize_objects_keys_and_consistency():
     feats = external.object_feat[:4]
     r = recognize_objects(feats, bank, model, tax)
     assert r.hits.shape == r.scores.shape == r.kept.shape == (4, tax.n_verbs)
-    assert r.stored.shape == r.probed.shape == (tax.n_verbs,)
+    assert r.stored.shape == (tax.n_verbs,)
     single = recognize(feats[2], bank, model, tax)
     assert np.array_equal(r.hits[2:3], single.hits)
     assert np.array_equal(r.scores[2:3], single.scores, equal_nan=True)
@@ -365,9 +367,9 @@ def test_recognize_objects_matches_dict_oracle(case, cols, cells):
     predicted, scores, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_t, keep_t)
 
     probed = sorted(bank.entries)
-    assert np.flatnonzero(r.probed).tolist() == probed
+    unbanked = [v for v in range(tax.n_verbs) if v not in bank.entries]
     assert r.stored.tolist() == [len(bank.entries[v]) if v in probed else 0 for v in range(tax.n_verbs)]
-    assert not r.hits[:, ~r.probed].any() and np.isnan(r.scores[:, ~r.probed]).all()
+    assert not r.hits[:, unbanked].any() and np.isnan(r.scores[:, unbanked]).all()
     for k in range(len(feats)):
         assert r.hits[k, probed].tolist() == [hits[k][v] for v in probed]
         for v in probed:
@@ -398,7 +400,7 @@ def test_recognize_objects_matches_dict_oracle_on_generated_data():
 def assert_hits_match_oracle(feats, bank, model, tax, hoi_threshold=0.5):
     r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_threshold)
     _, _, hits = recognize_objects_oracle(feats, bank, model, tax, hoi_threshold)
-    probed = np.flatnonzero(r.probed).tolist()
+    probed = sorted(bank.entries)
     assert r.hits.shape == (len(feats), tax.n_verbs)
     assert [dict(zip(probed, row)) for row in r.hits[:, probed].tolist()] == list(hits.values())
     return r
@@ -499,6 +501,119 @@ def test_recognize_objects_matches_object_major_oracle_at_the_chain_shape():
     assert np.array_equal(r.hits, object_major_hits(novel, bank, model, tax))
 
 
+def float64_probe_hits(feats, bank, model, tax, hoi_threshold=0.5):
+    """The hits of the float64 entry-major probe that recognize_objects replaced:
+    the same blocks, groups and buffers, read through the current PROBE_COLS
+    and PROBE_CELLS, with the sigmoid and threshold run on each full buffer."""
+    hoi = model.hoi_classifier
+    w1_verb, w1_obj, hidden = hoi.w1[:, :bank.feat_dim], hoi.w1[:, bank.feat_dim:], hoi.hidden
+    probes = [(v, hoi.w2[cats], hoi.b2[cats, None]) for v in sorted(bank.entries)
+              if len(bank.entries[v]) and len(cats := tax.categories_of_verb(v))]
+    most = max((len(bank.entries[v]) for v, _, _ in probes), default=0)
+    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
+    for start in range(0, len(feats), affordance.PROBE_COLS):
+        neg = w1_obj @ feats[start:start + affordance.PROBE_COLS].T
+        np.negative(neg, out=neg)
+        cols = neg.shape[1]
+        rows = min(most, max(1, affordance.PROBE_CELLS // cols))
+        group = min(rows, max(1, affordance.PROBE_CELLS // (hidden * cols)))
+        h_buf, best = np.empty(hidden * group * cols), np.empty((rows, cols))
+        for v, w2, b2 in probes:
+            base = b2 - w2 @ neg
+            entry_hidden = bank.entries[v] @ w1_verb.T
+            entry_hidden += hoi.b1
+            for first in range(0, len(entry_hidden), rows):
+                chunk = entry_hidden[first:first + rows]
+                for g0 in range(0, len(chunk), group):
+                    e = chunk[g0:g0 + group]
+                    h = h_buf[:hidden * len(e) * cols].reshape(hidden, len(e), cols)
+                    np.maximum(neg[:, None], e.T[:, :, None], out=h)
+                    logits = (w2 @ h.reshape(hidden, -1)).reshape(len(w2), len(e), cols)
+                    logits += base[:, None]
+                    logits.max(axis=0, out=best[g0:g0 + len(e)])
+                passed = nn.sigmoid(best[:len(chunk)], overwrite=True) >= hoi_threshold
+                hits[start:start + cols, v] += passed.sum(axis=0)
+    return hits
+
+
+def sigmoid64(x):
+    return nn.sigmoid(np.array([x]))[0]
+
+
+@pytest.mark.parametrize("t", [0.0, 2.0**-1074, 1e-300, 2.0**-60, 0.3, 0.5, 0.5 + 2.0**-53, 0.6,
+                               1 - 3 * 2.0**-53, 1 - 2.0**-53, 1.0])
+def test_decision_point_is_where_the_float64_sigmoid_flips(t):
+    # the least float64 x that hits, also at 0 and 1, where logit(t) is -inf and
+    # inf, and where the float64 sigmoid saturates, far from logit(t)
+    x = decision_point(t)
+    assert sigmoid64(x) >= t
+    if t == 0:
+        assert x == -math.inf
+        return
+    assert sigmoid64(np.nextafter(x, -math.inf)) < t
+    near = x + np.arange(-2000, 2001) * np.spacing(abs(x))  # monotone around it, as the probe assumes
+    assert np.array_equal(nn.sigmoid(near) >= t, near >= x)
+    if t == 1:
+        assert 36.5 < x < 37  # where exp(-x) drops below half of float64's spacing at 1
+
+
+DECISION_THRESHOLDS = [0.0, 1.0, 0.5, 0.6, 2.0**-60, 1 - 3 * 2.0**-53, 1 - 2.0**-53]
+
+
+@st.composite
+def decision_cases(draw):
+    """probe_cases with thresholds that include 0, 1 and saturated ones (1 - 3 * 2^-53
+    has logit 35.6, where the float64 sigmoid's steps are wide), and with some
+    own categories pinned to the threshold's decision point: each pinned
+    category's bias is the decision point or a few ulps off it, and when its
+    W2 row is zeroed, its logit is that bias exactly for every pair."""
+    tax, bank, model, feats, _, (_, keep_t) = draw(probe_cases())
+    hoi_t = draw(st.sampled_from(DECISION_THRESHOLDS))
+    point = decision_point(hoi_t)
+    hoi = model.hoi_classifier
+    w2, b2 = hoi.w2.copy(), hoi.b2.copy()
+    if point > -math.inf:
+        for c in draw(st.sets(st.integers(0, tax.n_categories - 1))):
+            b2[c] = point + draw(st.integers(-3, 3)) * np.spacing(abs(point))
+            if draw(st.booleans()):
+                w2[c] = 0.0
+    pinned = HOIModel(sp_classifier=model.sp_classifier, hoi_classifier=nn.MLPParams(hoi.w1, hoi.b1, w2, b2),
+                      spatial_resolution=4, feat_dim=model.feat_dim)
+    return tax, bank, pinned, feats, hoi_t, keep_t
+
+
+@settings(max_examples=300, deadline=None)
+@given(decision_cases(), st.integers(1, 3), st.integers(1, 3))
+def test_recognize_objects_matches_float64_probe_at_the_decision_point(case, cols, cells):
+    tax, bank, model, feats, hoi_t, keep_t = case
+    # blocks of 1-3 objects and buffers of 1-3 cells, in both probes
+    with mock.patch.object(affordance, "PROBE_COLS", cols), mock.patch.object(affordance, "PROBE_CELLS", cells):
+        r = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
+        want = float64_probe_hits(feats, bank, model, tax, hoi_t)
+    assert np.array_equal(r.hits, want)
+
+
+@pytest.mark.parametrize("feat_scale,entry_scale", [
+    pytest.param(1e39, 1.0, id="objects-overflow"),  # past float32's 3.4e38: inf as a float32
+    pytest.param(1.0, 1e39, id="entries-overflow"),
+    pytest.param(1e-42, 1.0, id="objects-subnormal"),  # below float32's smallest normal, 1.2e-38
+    pytest.param(1.0, 1e-42, id="entries-subnormal"),
+    pytest.param(1e-320, 1e-320, id="both-float64-subnormal"),
+])
+def test_recognize_objects_at_the_float32_range_edge(feat_scale, entry_scale):
+    # finite float64 inputs whose float32 casts overflow or lose bits: a logit
+    # that could be non-finite is flagged and rechecked in float64, and nothing warns
+    tax, bank, model, rng = random_case([9, 4, 2], seed=6)
+    bank = bank_of({v: arr * entry_scale for v, arr in bank.entries.items()}, m=9, feat_dim=3)
+    feats = rng.normal(size=(6, 3))
+    feats[::2] *= feat_scale  # a block holds objects on both sides of the edge
+    for t in (0.0, 0.5, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = recognize_objects(feats, bank, model, tax, hoi_threshold=t)
+        assert np.array_equal(r.hits, float64_probe_hits(feats, bank, model, tax, t))
+
+
 def shape_case(sizes, n):
     """A bank of sizes[v] random entries for verb v (feature length 3) over a taxonomy
     of max(3, len(sizes)) verbs on 5 objects, every pair a category, an untrained
@@ -522,9 +637,10 @@ OBJECT_MAJOR_PEAK = 1_886_532
     pytest.param([100] * 12, 1293, id="benchmark"),  # affordance_scale: 1,293 objects x 1,200 entries
 ])
 def test_recognize_objects_working_set_is_bounded(sizes, n):
-    # four buffers of max(PROBE_CELLS, hidden x PROBE_COLS) floats (hidden, best
-    # logits, the sigmoid's temporary and the block's -o), one verb's e and the
-    # (n, V) outputs: nothing of n x S_i
+    # three buffers' worth of max(PROBE_CELLS, hidden x PROBE_COLS) floats (the
+    # block's -o in float64 and float32, the float32 hidden and best-logit
+    # buffers and the decision's masks; no sigmoid runs on a full buffer), one
+    # verb's e and the (n, V) outputs: nothing of n x S_i
     tax, bank, model, feats = shape_case(sizes, n)
     tracemalloc.start()
     try:
@@ -532,7 +648,7 @@ def test_recognize_objects_working_set_is_bounded(sizes, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    floats = 4 * max(PROBE_CELLS, 64 * min(n, PROBE_COLS)) + max(sizes) * 64 + 3 * n * tax.n_verbs
+    floats = 3 * max(PROBE_CELLS, 64 * min(n, PROBE_COLS)) + max(sizes) * 64 + 3 * n * tax.n_verbs
     bound = 1.1 * floats * 8 + 64 * 1024
     assert peak < bound
     if len(sizes) == 12:
