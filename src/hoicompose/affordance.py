@@ -13,6 +13,7 @@ and the factor 2 the float64 sums' own rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +23,11 @@ import numpy as np
 from . import nn
 from .pipeline import HOIModel
 from .seeding import substream
-from .jsonfile import check_fields, number_items, read_json, write_json
+from .jsonfile import check_fields, read_arrays, read_json, write_arrays, write_json
 from .taxonomy import Taxonomy, decouple_verb
 
+_BANK_SCHEMA = 2
+BANK_ENTRIES = "entries.npy"  # the file beside a bank
 DEFAULT_BANK_SIZE = 100
 DEFAULT_HOI_THRESHOLD = 0.5
 DEFAULT_KEEP_THRESHOLD = 0.5
@@ -61,35 +64,30 @@ class AffordanceBank:
             if not np.isfinite(arr).all():
                 raise ValueError(f"verb {v} entries hold non-finite values")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "feat_dim": self.feat_dim,
-            "entries": {str(v): self.entries[v].tolist() for v in sorted(self.entries)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AffordanceBank":
-        check_fields(d, {"m": int, "feat_dim": int, "entries": dict}, "bank")
-        feat_dim = d["feat_dim"]
-        entries = {}
-        for v, rows in d["entries"].items():
-            if str(int(v)) != v:  # one spelling per verb: "01" would overwrite the rows of "1"
-                raise ValueError(f"bank entries key {v!r} is not a verb id in decimal")
-            for j, row in enumerate(rows):
-                number_items(row, f"bank verb {v} row {j}")
-            arr = np.asarray(rows, dtype=float)
-            entries[int(v)] = arr.reshape(len(rows), feat_dim) if len(rows) else np.zeros((0, feat_dim))
-        bank = cls(entries=entries, m=d["m"], feat_dim=feat_dim)
-        bank.validate()
-        return bank
-
     def save(self, path) -> None:
-        write_json(path, self.to_json_dict(), indent=None)
+        """Write the bank as the JSON document at path, m, feat_dim and each verb's
+        entry count, and every entry, in ascending verb order, as BANK_ENTRIES beside it."""
+        rows = np.concatenate([np.zeros((0, self.feat_dim)),
+                               *(self.entries[v].reshape(-1, self.feat_dim) for v in sorted(self.entries))])
+        write_json(path, {"m": self.m, "feat_dim": self.feat_dim, "counts": self.s_counts(),
+                          "arrays": write_arrays(path, {BANK_ENTRIES: rows})}, version=_BANK_SCHEMA, indent=None)
 
     @classmethod
     def load(cls, path) -> "AffordanceBank":
-        return cls.from_json_dict(read_json(path, "bank"))
+        """The bank of a save document; ValueError names a failed field or file."""
+        d = read_json(path, "bank", version=_BANK_SCHEMA)
+        check_fields(d, {"m": int, "feat_dim": int, "counts": dict, "arrays": dict}, "bank")
+        for v, n in d["counts"].items():
+            if str(int(v)) != v:  # one spelling per verb: "01" would overwrite the rows of "1"
+                raise ValueError(f"bank counts key {v!r} is not a verb id in decimal")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"bank verb {v} count must be a nonnegative integer, got {n!r}")
+        verbs = sorted(d["counts"], key=int)
+        rows = read_arrays(path, d["arrays"], {BANK_ENTRIES: (sum(d["counts"].values()), d["feat_dim"])})
+        parts = np.split(rows[BANK_ENTRIES], np.cumsum([d["counts"][v] for v in verbs])[:-1])
+        bank = cls(entries=dict(zip(map(int, verbs), parts)), m=d["m"], feat_dim=d["feat_dim"])
+        bank.validate()
+        return bank
 
 
 def build_bank(train_set, tax: Taxonomy, m: int = DEFAULT_BANK_SIZE, seed: int = 0) -> AffordanceBank:
@@ -133,11 +131,12 @@ class AffordanceScores:
     kept: np.ndarray  # (n, V) bool
 
 
+@functools.lru_cache
 def decision_point(hoi_threshold: float) -> float:
     """The least float64 x with nn.sigmoid(x) >= hoi_threshold: -inf at threshold
     0, and about 36.74 at 1, where the float64 sigmoid rounds to 1. It bisects
     the float64 values in order, as ranks (sign-folded bit patterns), so it is
-    exact wherever nn.sigmoid is monotone."""
+    exact wherever nn.sigmoid is monotone; each threshold is bisected once."""
     def value(rank: int) -> float:
         return math.copysign(float(np.int64(abs(rank)).view(np.float64)), rank)
 

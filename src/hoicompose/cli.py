@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .affordance import (DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
+from .affordance import (BANK_ENTRIES, DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .blas import blas_info
 from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report, write_report_csv
 from .experiments import TrendSettings, reproduce_trends
-from .jsonfile import check_fields, int_items, read_json, write_json
-from .pipeline import (HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config, init_model,
-                       load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train, write_trace_csv)
+from .jsonfile import check_fields, int_items, read_json, write_arrays, write_json
+from .pipeline import (CHECKPOINT_ARRAYS, HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config,
+                       init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
+                       write_trace_csv)
 from .seeding import substream
 from .synth import HOISet, ObjectSet, gen_dataset, gen_world, load_instances, save_instances, validate_instances
 from .taxonomy import Taxonomy
@@ -268,7 +269,7 @@ def cmd_train(cfg: dict, args) -> int:
     if s["baseline"]:
         tcfg = baseline_config(tcfg)
     s.update(train=asdict(tcfg), seed=tcfg.seed)
-    outputs = ["checkpoint.json", "trace.csv"]
+    outputs = ["checkpoint.json", *CHECKPOINT_ARRAYS, "trace.csv"]
     out = _out_dir(args, outputs)
 
     data = _load_data_dir(s, need=("taxonomy", "train", "external"))
@@ -318,7 +319,8 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_build_bank(cfg: dict, args) -> int:
     s = _settings(cfg, args)
-    out = _out_dir(args, ["bank.json"])
+    outputs = ["bank.json", BANK_ENTRIES]
+    out = _out_dir(args, outputs)
     data = _load_data_dir(s, need=("taxonomy", "train"))
     if not len(data["train"]):  # its bank would have no entries, which affordance refuses
         raise DataError(f"build-bank: the train set {data['inputs']['train']} is empty: there is nothing to bank")
@@ -327,7 +329,7 @@ def cmd_build_bank(cfg: dict, args) -> int:
     except ValueError as e:
         raise ConfigError(f"build-bank: {e}")
     bank.save(out / "bank.json")
-    _write_manifest(out, "build-bank", s, data["inputs"], ["bank.json"])
+    _write_manifest(out, "build-bank", s, data["inputs"], outputs)
     counts = bank.s_counts()
     print(f"build-bank: {bank.total_entries} entries over {len(counts)} verbs "
           f"(min {min(counts.values())}, max {max(counts.values())}) -> {out}")
@@ -359,15 +361,15 @@ def cmd_affordance(cfg: dict, args) -> int:
     prf1 = affordance_prf1(r.kept, truth)
     amap = affordance_map(r.scores, truth)
 
+    (out / "objects").mkdir(exist_ok=True)
     write_json(out / "affordance.json", {
         "hoi_threshold": hoi_t,
         "keep_threshold": keep_t,
         "prf1": asdict(prf1),
         "affordance_map": None if math.isnan(amap) else amap,
+        "arrays": write_arrays(out / "affordance.json", {"objects/scores.npy": r.scores,
+                                                         "objects/object_label.npy": objects.object_label}),
     })
-    (out / "objects").mkdir(exist_ok=True)
-    np.save(out / "objects" / "scores.npy", r.scores, allow_pickle=False)
-    np.save(out / "objects" / "object_label.npy", objects.object_label, allow_pickle=False)
     _write_manifest(out, "affordance", s, data["inputs"], outputs)
 
     print(f"affordance over {len(objects)} objects: micro-F1 {prf1.micro_f1:.4f} "

@@ -2,10 +2,18 @@
 keys, a trailing newline and an integer schema_version, which the reader checks
 before it returns anything. The field checker reads values as json.load makes
 them: true is not an integer and 2.0 is not one either.
+
+A document's arrays are .npy files beside it, named in its "arrays" map with
+the sha256 of their bytes. read_array is the package's one .npy reader.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from pathlib import Path
+
+import numpy as np
 
 # JSON kind of a field -> how an error names it; a field of kind None takes any value
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
@@ -61,10 +69,55 @@ def int_items(values: list, what: str) -> list:
     return values
 
 
-def number_items(values, what: str) -> list:
-    """values, when it is a list of JSON numbers only (not true, not "0.5")."""
-    if type(values) is not list:
-        raise ValueError(f"{what}: not a list")
-    if not set(map(type, values)) <= {int, float}:
-        raise ValueError(f"{what}: not a number")
-    return values
+def check_array(array, what: str, dtype: np.dtype, shape: tuple) -> None:
+    """Raise ValueError naming what unless array is an ndarray of dtype and of
+    shape's rank and lengths (None: any length)."""
+    if not isinstance(array, np.ndarray):
+        raise ValueError(f"{what}: not a .npy array")
+    if array.dtype != dtype:
+        raise ValueError(f"{what}: dtype {array.dtype.str}, expected {dtype.str}")
+    if array.ndim != len(shape):
+        raise ValueError(f"{what}: shape {array.shape}, expected rank {len(shape)}")
+    if any(want not in (None, got) for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{what}: shape {array.shape}, expected {shape}")
+
+
+def read_array(path, what: str, dtype: np.dtype, shape: tuple, sha256: str | None = None) -> np.ndarray:
+    """The check_array-checked array of the .npy file at path, read without
+    pickle; with sha256 given, its bytes are hashed once, must match it and are
+    loaded from memory. Any failure raises ValueError naming what."""
+    try:
+        with open(path, "rb") as f:
+            source = f if sha256 is None else io.BytesIO(f.read())
+            if sha256 is not None and (found := hashlib.sha256(source.getbuffer()).hexdigest()) != sha256:
+                raise ValueError(f"sha256 {found}, its document records {sha256}")
+            array = np.load(source, allow_pickle=False)
+    except (EOFError, OSError, MemoryError, ValueError) as e:  # MemoryError: a header's huge shape
+        raise ValueError(f"{what}: {e}") from None
+    check_array(array, what, dtype, shape)
+    return array
+
+
+def write_arrays(path, arrays: dict) -> dict:
+    """Write arrays, {file name: array}, as .npy files beside the document at
+    path; return the document's "arrays" map, {file name: sha256}."""
+    digests = {}
+    for name, array in arrays.items():
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        (Path(path).parent / name).write_bytes(buf.getbuffer())
+        digests[name] = hashlib.sha256(buf.getbuffer()).hexdigest()
+    return digests
+
+
+def read_arrays(path, digests: dict, shapes: dict) -> dict:
+    """The finite float64 arrays, {file name: array}, of shapes {file name:
+    shape} beside the document at path, whose "arrays" map is digests."""
+    if digests.keys() != shapes.keys():
+        raise ValueError(f"arrays names {sorted(digests)}, expected {sorted(shapes)}")
+    arrays = {name: read_array(Path(path).parent / name, name, np.dtype("<f8"), shape, digests[name])
+              for name, shape in shapes.items()}
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name}: non-finite values")
+    return arrays

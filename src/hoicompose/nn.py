@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonfile import check_fields, number_items
-
 # Probabilities are clamped to [EPS, 1-EPS] before logs.
 EPS = 1e-7
 
@@ -41,6 +39,12 @@ class MLPParams:
 
     def __reduce__(self):  # a copy or an unpickled one rebuilds its views
         return MLPParams, (self.w1, self.b1, self.w2, self.b2)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, d_in: int, hidden: int, k_out: int) -> "MLPParams":
+        """The MLPParams whose flat buffer is a copy of flat, of those shapes."""
+        w1, b1, w2, b2 = np.split(flat, np.cumsum([hidden * d_in, hidden, k_out * hidden]))
+        return cls(w1.reshape(hidden, d_in), b1, w2.reshape(k_out, hidden), b2)
 
     @property
     def d_in(self) -> int:
@@ -224,36 +228,3 @@ def grad_check(params: MLPParams, x, target, step: float = 1e-5) -> GradReport:
     _, analytic = mlp_backward(params, x, target)
     per_param = fd_errors(lambda: bce_loss(mlp_forward(params, x)[1], target), params, analytic, step)
     return GradReport(max_rel_error=max(per_param.values()), per_param=per_param)
-
-
-def params_to_dict(params: MLPParams) -> dict:
-    return {
-        "shape": {"d_in": params.d_in, "hidden": params.hidden, "k_out": params.k_out},
-        "w1": params.w1.tolist(),
-        "b1": params.b1.tolist(),
-        "w2": params.w2.tolist(),
-        "b2": params.b2.tolist(),
-    }
-
-
-def params_from_dict(d: dict, what: str = "classifier") -> MLPParams:
-    """The MLPParams of a params_to_dict object. Every key must be known, every
-    array item a finite JSON number and every array of its declared shape; a
-    failed check raises ValueError naming the array."""
-    check_fields(d, {"shape": dict, "w1": list, "b1": list, "w2": list, "b2": list}, what)
-    check_fields(d["shape"], {"d_in": int, "hidden": int, "k_out": int}, f"{what} shape")
-    d_in, hidden, k_out = d["shape"]["d_in"], d["shape"]["hidden"], d["shape"]["k_out"]
-    shapes = {"w1": (hidden, d_in), "b1": (hidden,), "w2": (k_out, hidden), "b2": (k_out,)}
-    arrays = {}
-    for name, shape in shapes.items():
-        if len(shape) == 2:
-            for j, row in enumerate(d[name]):
-                number_items(row, f"{what} {name} row {j}")
-        else:
-            number_items(d[name], f"{what} {name}")
-        arrays[name] = np.asarray(d[name], dtype=float)
-        if arrays[name].shape != shape:
-            raise ValueError(f"{what} {name} has shape {arrays[name].shape}, expected {shape}")
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{what} {name}: non-finite entries")
-    return MLPParams(**arrays)

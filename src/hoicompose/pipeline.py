@@ -15,11 +15,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import blas, nn
-from .jsonfile import check_fields, read_json, write_json
+from .jsonfile import check_fields, read_arrays, read_json, write_arrays, write_json
 from .seeding import stream_seed, substream
 from .taxonomy import Taxonomy, compose_label, decouple_verb
 
-_CHECKPOINT_SCHEMA = 2
+_CHECKPOINT_SCHEMA = 3
+_CLASSIFIERS, _SHAPE = ("sp_classifier", "hoi_classifier"), ("d_in", "hidden", "k_out")
+CHECKPOINT_ARRAYS = tuple(f"{name}.npy" for name in _CLASSIFIERS)  # the files beside a checkpoint
 # Steps train plans with one draw before each classifier's loop runs over them.
 # 64-256 train alike in time; a plan holds row indices and int8 labels only.
 TRAIN_WINDOW = 128
@@ -429,24 +431,33 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy) -> np.ndarray:
 
 
 def save_checkpoint(model: HOIModel, path) -> None:
+    """Write model as the JSON document at path, its sizes and classifier shapes,
+    and each classifier's flat buffer as <classifier>.npy beside it."""
+    params = {name: getattr(model, name) for name in _CLASSIFIERS}
     write_json(path, {
         "spatial_resolution": model.spatial_resolution,
         "feat_dim": model.feat_dim,
-        "sp_classifier": nn.params_to_dict(model.sp_classifier),
-        "hoi_classifier": nn.params_to_dict(model.hoi_classifier),
+        **{name: {"shape": dict(zip(_SHAPE, (p.d_in, p.hidden, p.k_out)))} for name, p in params.items()},
+        "arrays": write_arrays(path, {f"{name}.npy": p.flat for name, p in params.items()}),
     }, version=_CHECKPOINT_SCHEMA, indent=None)
 
 
 def load_checkpoint(path) -> HOIModel:
+    """The model of a save_checkpoint document; ValueError names a failed field or file."""
     d = read_json(path, "checkpoint", version=_CHECKPOINT_SCHEMA)
-    check_fields(d, {"spatial_resolution": int, "feat_dim": int,
-                     "sp_classifier": dict, "hoi_classifier": dict}, "checkpoint")
-    model = HOIModel(
-        sp_classifier=nn.params_from_dict(d["sp_classifier"], "sp_classifier"),
-        hoi_classifier=nn.params_from_dict(d["hoi_classifier"], "hoi_classifier"),
-        spatial_resolution=d["spatial_resolution"],
-        feat_dim=d["feat_dim"],
-    )
+    check_fields(d, {"spatial_resolution": int, "feat_dim": int, "arrays": dict,
+                     **dict.fromkeys(_CLASSIFIERS, dict)}, "checkpoint")
+    shapes = {}
+    for name in _CLASSIFIERS:
+        check_fields(d[name], {"shape": dict}, name)
+        check_fields(d[name]["shape"], dict.fromkeys(_SHAPE, int), f"{name} shape")
+        shapes[name] = [d[name]["shape"][key] for key in _SHAPE]
+        if min(shapes[name]) < 1:
+            raise ValueError(f"{name} shape {d[name]['shape']} must be positive")
+    flats = read_arrays(path, d["arrays"], {f"{name}.npy": (hidden * (d_in + 1 + k_out) + k_out,)
+                                            for name, (d_in, hidden, k_out) in shapes.items()})
+    model = HOIModel(**{name: nn.MLPParams.from_flat(flats[f"{name}.npy"], *shapes[name]) for name in _CLASSIFIERS},
+                     spatial_resolution=d["spatial_resolution"], feat_dim=d["feat_dim"])
     model.validate()
     return model
 

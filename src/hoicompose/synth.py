@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonfile import check_array, read_array
 from .seeding import instance_rngs, substream
 from .taxonomy import Taxonomy, decouple_verb
 
@@ -286,18 +287,10 @@ _FLOAT = np.dtype("<f8")
 _DTYPES = {"object_label": np.dtype("<i8"), "hoi_label": np.dtype("i1")}
 
 
-def _check_column(name: str, column) -> None:
-    """Raise ValueError naming the column unless it is an array of the column's
-    dtype and rank (object_label one value per row, every other column a row
-    vector); validate_instances checks the row widths."""
-    if not isinstance(column, np.ndarray):
-        raise ValueError(f"{name}: not a .npy array")
-    want = _DTYPES.get(name, _FLOAT)
-    if column.dtype != want:
-        raise ValueError(f"{name}: dtype {column.dtype.str}, expected {want.str}")
-    rank = 1 if name == "object_label" else 2
-    if column.ndim != rank:
-        raise ValueError(f"{name}: shape {column.shape}, expected rank {rank}")
+def _column(name: str) -> tuple:
+    """A column's (dtype, shape) on disk: object_label one value per row, every
+    other column a row vector; validate_instances checks the row widths."""
+    return _DTYPES.get(name, _FLOAT), (None,) if name == "object_label" else (None, None)
 
 
 def save_instances(path, instances) -> None:
@@ -306,7 +299,7 @@ def save_instances(path, instances) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for f in fields(instances):
         column = getattr(instances, f.name)
-        _check_column(f.name, column)
+        check_array(column, f.name, *_column(f.name))
         np.save(path / f"{f.name}.npy", column, allow_pickle=False)
 
 
@@ -328,12 +321,7 @@ def load_instances(path, cls):
     for name in names:
         if f"{name}.npy" not in found:
             raise ValueError(f"missing field {name!r}: no {name}.npy")
-        try:
-            with open(path / f"{name}.npy", "rb") as f:
-                columns[name] = np.load(f, allow_pickle=False)
-        except (EOFError, OSError, MemoryError, ValueError) as e:  # MemoryError: a header's huge shape
-            raise ValueError(f"{name}: {e}") from None
-        _check_column(name, columns[name])
+        columns[name] = read_array(path / f"{name}.npy", name, *_column(name))
         if len(columns[name]) != len(columns[names[0]]):
             raise ValueError(f"{name}: {len(columns[name])} rows, {names[0]} has {len(columns[names[0]])}")
     return cls(**columns)

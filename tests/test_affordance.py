@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import re
+import tempfile
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from test_evaluation import (affordance_map_oracle, affordance_prf1_oracle, assert_same_float, assert_same_prf1,
                              grid_sets)
+from test_pipeline import edge_floats
 
 from hoicompose import affordance, nn
 from hoicompose.affordance import (
@@ -116,6 +120,32 @@ def test_bank_rejects_bad_cap():
         build_bank(train_set, tax, m=0)
 
 
+def bank_to_json_dict(bank: AffordanceBank) -> dict:
+    """A bank as the object of a schema-1 bank.json, whose writer this was: the
+    oracle that rebuilds that text from entries.npy."""
+    return {
+        "m": bank.m,
+        "feat_dim": bank.feat_dim,
+        "entries": {str(v): bank.entries[v].tolist() for v in sorted(bank.entries)},
+    }
+
+
+def saved_bank(tmp_path, edit=None, entries=None):
+    """The path of a saved small-world bank, its document edited by edit(doc)
+    and its entries.npy replaced by entries (with the document's sha256 of it)."""
+    tax, world, train_set, _ = small_world()
+    path = tmp_path / "bank.json"
+    build_bank(train_set, tax, m=4, seed=2).save(path)
+    doc = json.loads(path.read_text())
+    if entries is not None:
+        np.save(tmp_path / "entries.npy", entries, allow_pickle=True)
+        doc["arrays"]["entries.npy"] = hashlib.sha256((tmp_path / "entries.npy").read_bytes()).hexdigest()
+    if edit is not None:
+        edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_bank_json_roundtrip(tmp_path):
     tax, world, train_set, _ = small_world()
     bank = build_bank(train_set, tax, m=4, seed=2)
@@ -123,34 +153,66 @@ def test_bank_json_roundtrip(tmp_path):
     bank.save(path)
     back = AffordanceBank.load(path)
     assert back.m == bank.m and back.feat_dim == bank.feat_dim
-    for v in bank.entries:
-        np.testing.assert_array_equal(back.entries[v], bank.entries[v])
+    assert bank_to_json_dict(back) == bank_to_json_dict(bank)
     with pytest.raises(ValueError, match="extra"):
-        AffordanceBank.from_json_dict({**bank.to_json_dict(), "extra": 1})
+        AffordanceBank.load(saved_bank(tmp_path, lambda d: d.update(extra=1)))
     with pytest.raises(ValueError, match=re.escape("unknown bank fields: ['source_seed']")):  # a field since dropped
-        AffordanceBank.from_json_dict({**bank.to_json_dict(), "source_seed": 2})
-    doc = bank.to_json_dict()
-    doc["entries"]["1"][0][0] = float("nan")
-    with pytest.raises(ValueError, match="verb 1 entries hold non-finite values"):
-        AffordanceBank.from_json_dict(doc)
+        AffordanceBank.load(saved_bank(tmp_path, lambda d: d.update(source_seed=2)))
+    rows = np.concatenate([bank.entries[v] for v in sorted(bank.entries)])
+    rows[len(bank.entries[0])] = np.nan  # verb 1's first entry
+    with pytest.raises(ValueError, match=re.escape("entries.npy: non-finite values")):
+        AffordanceBank.load(saved_bank(tmp_path, entries=rows))
 
 
 @pytest.mark.parametrize("edit,needle", [
-    (lambda d: d["entries"]["1"].__setitem__(0, [str(x) for x in d["entries"]["1"][0]]),
-     "bank verb 1 row 0: not a number"),
-    (lambda d: d["entries"]["2"][1].__setitem__(0, True), "bank verb 2 row 1: not a number"),
-    (lambda d: d["entries"]["0"][0].__setitem__(3, None), "bank verb 0 row 0: not a number"),
+    (lambda d: d["counts"].update({"1": "4"}), "bank verb 1 count must be a nonnegative integer, got '4'"),
+    (lambda d: d["counts"].update({"2": True}), "bank verb 2 count must be a nonnegative integer, got True"),
+    (lambda d: d["counts"].update({"0": -1, "1": d["counts"]["1"] + 1}),
+     "bank verb 0 count must be a nonnegative integer, got -1"),
     (lambda d: d.update(m="100"), "bank m must be an integer, got '100'"),
     (lambda d: d.update(feat_dim=6.0), "bank feat_dim must be an integer, got 6.0"),
     (lambda d: d.update(m=True), "bank m must be an integer, got True"),
+    (lambda d: d["counts"].update({"01": d["counts"].pop("1")}), "bank counts key '01' is not a verb id in decimal"),
 ])
-def test_bank_load_rejects_non_numbers(edit, needle):
+def test_bank_load_rejects_non_numbers(tmp_path, edit, needle):
     # a float or int cast would read number strings and true as numbers
-    tax, world, train_set, _ = small_world()
-    doc = build_bank(train_set, tax, m=4, seed=2).to_json_dict()
-    edit(doc)
     with pytest.raises(ValueError, match=re.escape(needle)):
-        AffordanceBank.from_json_dict(doc)
+        AffordanceBank.load(saved_bank(tmp_path, edit))
+
+
+@pytest.mark.parametrize("entries,needle", [
+    (lambda rows: rows.astype(str), "entries.npy: dtype <U32, expected <f8"),
+    (lambda rows: rows > 0, "entries.npy: dtype |b1, expected <f8"),
+    (lambda rows: rows.astype(object), "entries.npy: Object arrays cannot be loaded when allow_pickle=False"),
+    (lambda rows: rows.astype(np.float32), "entries.npy: dtype <f4, expected <f8"),
+    (lambda rows: rows[:-1], "entries.npy: shape (15, 6), expected (16, 6)"),
+    (lambda rows: rows.T, "entries.npy: shape (6, 16), expected (16, 6)"),
+])
+def test_bank_load_rejects_bad_entries(tmp_path, entries, needle):
+    # 16 entries: verbs of 4, 4, 4 and 4 rows; each file's sha256 is in the document
+    tax, world, train_set, _ = small_world()
+    bank = build_bank(train_set, tax, m=4, seed=2)
+    rows = np.concatenate([bank.entries[v] for v in sorted(bank.entries)])
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        AffordanceBank.load(saved_bank(tmp_path, entries=entries(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       st.lists(st.integers(-3, 40), min_size=1, max_size=4, unique=True), st.data())
+def test_bank_roundtrip_is_bit_equal(feat_dim, m, counts, verbs, data):
+    # any verb ids, a verb of 0 entries, and edge values anywhere in the entries
+    entries = {}
+    for v, n in zip(verbs, counts):
+        values = data.draw(st.lists(edge_floats, min_size=min(n, m) * feat_dim, max_size=min(n, m) * feat_dim))
+        entries[v] = np.array(values, dtype=float).reshape(-1, feat_dim)
+    bank = AffordanceBank(entries=entries, m=m, feat_dim=feat_dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        bank.save(f"{tmp}/bank.json")
+        back = AffordanceBank.load(f"{tmp}/bank.json")
+    assert (back.m, back.feat_dim, sorted(back.entries)) == (m, feat_dim, sorted(entries))
+    for v, rows in entries.items():
+        assert back.entries[v].shape == rows.shape and back.entries[v].tobytes() == rows.tobytes(), v
 
 
 def test_bank_validate_rejects_over_cap():
@@ -174,6 +236,22 @@ def test_recognize_hit_ratio_exact():
     assert r.scores[0, 1] == pytest.approx(0.25)
     assert math.isnan(r.scores[0, 2])
     assert r.kept.tolist() == [[True, False, False]]
+
+
+def test_two_recognize_calls_bisect_once():
+    # decision_point depends on the threshold alone, so its 64-step bisection
+    # runs at the first probe of a threshold only
+    tax = line_tax()
+    model = threshold_model(n_categories=tax.n_categories)
+    bank = bank_of({0: [[0.9], [0.8]], 1: [[0.1]]})
+    decision_point.cache_clear()
+    with mock.patch.object(affordance.nn, "sigmoid", wraps=nn.sigmoid) as sigmoid:
+        first = recognize(np.zeros(1), bank, model, tax, hoi_threshold=0.3)
+        bisection = sigmoid.call_count
+        second = recognize(np.zeros(1), bank, model, tax, hoi_threshold=0.3)
+    assert bisection >= 60 and sigmoid.call_count == bisection
+    assert decision_point.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert first.hits.tolist() == second.hits.tolist() == [[2, 0, 0]]
 
 
 def test_recognize_keep_is_strict_inequality():

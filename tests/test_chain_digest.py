@@ -1,4 +1,5 @@
 """tools/chain_digest.py's record check, and the committed record tools/chain.sha256."""
+import hashlib
 import importlib.util
 import json
 import re
@@ -8,12 +9,17 @@ import pytest
 from test_acceptance import CHAIN_TRENDS_JSON_SHA256, CHAIN_TRENDS_STDOUT_SHA256
 from test_cli import (CHAIN_BUILD_BANK_SHA256, CHAIN_BUILD_BANK_STDOUT_SHA256, CHAIN_GEN_DATA_SHA256,
                       CHAIN_GEN_DATA_STDOUT_SHA256, CHAIN_STDOUT_SHA256, CHAIN_THREAD_FREE_SHA256)
+from test_pipeline import checkpoint_to_json_dict
 
 from hoicompose import cli
 from hoicompose.blas import blas_info
 from hoicompose.experiments import TrendSettings
+from hoicompose.jsonfile import write_json
+from hoicompose.pipeline import load_checkpoint
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+# the record's train/checkpoint.json when it was schema 2, every weight a JSON number
+CHAIN_CHECKPOINT_SCHEMA_2_SHA256 = "360740402f8c91056fa33c5a7f79f55a21a0dc010699cc859c7e128a68d9e6cf"
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +56,11 @@ def test_a_blas_difference_alone_passes_with_a_warning(chain_digest, capsys):
     assert "warning" in capsys.readouterr().err
 
 
-# the 31 chain files tier-1 pins elsewhere, which do not depend on the BLAS; the
-# other 19 (checkpoint, trace, predictions, the manifests with their blas block, the
-# train and gradcheck outputs, the demo's stdout, the configs) depend on the
-# BLAS build, not on its thread count, and are compared under the record's own
-# BLAS only
+# the 32 chain files tier-1 pins elsewhere, which do not depend on the BLAS; the
+# other 21 (checkpoint and its arrays, trace, predictions, the manifests with their
+# blas block, the train and gradcheck outputs, the demo's stdout, the configs)
+# depend on the BLAS build, not on its thread count, and are compared under the
+# record's own BLAS only
 THREAD_FREE = {**{f"gen-data/{k}": v for k, v in CHAIN_GEN_DATA_SHA256.items()},
                **{f"build-bank/{k}": v for k, v in CHAIN_BUILD_BANK_SHA256.items()},
                **CHAIN_THREAD_FREE_SHA256,
@@ -70,7 +76,7 @@ def test_committed_record_holds_the_digests_tier_1_pins(chain_digest):
     assert re.fullmatch(r"# numpy \S+, \S+ \S+, core \S+", lines[0])  # the build, no thread count
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines[1:])
     record = chain_digest.digests(lines)
-    assert len(record) == len(lines) - 1 == 50
+    assert len(record) == len(lines) - 1 == 53
     assert {path: record.get(path) for path in THREAD_FREE} == THREAD_FREE
 
 
@@ -102,7 +108,7 @@ def test_under_another_blas_only_the_thread_free_files_compare(chain_digest):
 def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, monkeypatch, capsys):
     # every step but reproduce-trends runs as chain_digest.py runs it, in a fresh
     # interpreter, here with 1 BLAS thread: the record was taken with 2, so all
-    # 50 files matching shows that no byte depends on the thread count.
+    # 53 files matching shows that no byte depends on the thread count.
     # reproduce-trends runs in process on the trend fixture's report, which is
     # what its default settings compute
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -130,3 +136,8 @@ def test_the_chain_writes_the_committed_record(chain_digest, trend, tmp_path, mo
         with capsys.disabled():
             print(f"\n{note}")
     assert chain_digest.check(recorded, lines) == 0, capsys.readouterr().out
+    if note is None:  # the arrays hold the very numbers the schema-2 checkpoint spelt out
+        model = load_checkpoint(tmp_path / "train" / "checkpoint.json")
+        write_json(tmp_path / "schema-2.json", checkpoint_to_json_dict(model), version=2, indent=None)
+        digest = hashlib.sha256((tmp_path / "schema-2.json").read_bytes()).hexdigest()
+        assert digest == CHAIN_CHECKPOINT_SCHEMA_2_SHA256

@@ -16,6 +16,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from test_affordance import bank_to_json_dict
+from test_pipeline import checkpoint_to_json_dict
 
 import hoicompose
 from hoicompose import cli, experiments, pipeline
@@ -158,7 +160,8 @@ CHAIN_GEN_DATA_STDOUT_SHA256 = "7c847d03955f2babc9f774f5ed67786a0ef4399dc7f4c48a
 # build-bank's files but its manifest, and its stdout, at the chain's default
 # config over that data; no training comes before it, so tier-1 can afford it
 CHAIN_BUILD_BANK_SHA256 = {
-    "bank.json": "4a62b16c5801c0bf2066e6fc3d1b31500fed4ceac9ae6d1b4ae980f0277d7e65",
+    "bank.json": "976a7da69366dd0f3de5c2b066d2475a8c25b0f5c9d516dd3ac7e28da1ece73a",
+    "entries.npy": "ea2bca533d2894f6cd7bd854a31e168d8e539bc7d62b7bb506afd8554f1d9c8c",
 }
 CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd6674bb3032bba3d1b842"
 # the zeroshot and affordance outputs that do not depend on the BLAS build (the
@@ -167,7 +170,7 @@ CHAIN_BUILD_BANK_STDOUT_SHA256 = "b359c286bfc4b46b2adc6576bc00aec979faa07d60fd66
 CHAIN_THREAD_FREE_SHA256 = {
     "zeroshot/report.json": "31d0b3d2a25fa383a10d42c0ba9e02a68245e4bb409ea59f0401a649ada1d297",
     "zeroshot/report.csv": "8930d848e9437956c0af46bf62620f27942d4486a1a94d854916377f1c0ef719",
-    "affordance/affordance.json": "7fbccf20f73a13db12d48588811bfd83cfac4147e1704f1207afe6a619f0cbe4",
+    "affordance/affordance.json": "7a0d32dd2c1b70f5c9d820aa8e1d9a45bb73073b7176fb73b72e6918aaac779d",
     "affordance/objects/object_label.npy": "8d9b1c4ae8da06297a1bddcef07338e65c441385bfdade0614eb20832ce4436b",
     "affordance/objects/scores.npy": "d6997144b44aabc1b99b4aea4d3f99c0301526233167cba3e6d3f0adc0e35279",
 }
@@ -177,6 +180,8 @@ CHAIN_STDOUT_SHA256 = {
 }
 # the chain's affordance.json when it also held one "objects" row per probed object
 CHAIN_AFFORDANCE_ROWS_SHA256 = "54dd280e186c58d6479428c84c550a188e4ce6903ab0eb335907ed20725f6804"
+# the chain's bank.json when it was schema 1, every entry a list of JSON numbers
+CHAIN_BANK_SCHEMA_1_SHA256 = "4a62b16c5801c0bf2066e6fc3d1b31500fed4ceac9ae6d1b4ae980f0277d7e65"
 
 
 def unmanifested_sha256(path) -> dict:
@@ -199,6 +204,9 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
     assert main(["build-bank", "--config", "build-bank.json", "--out", "build-bank"]) == EXIT_OK
     assert unmanifested_sha256("build-bank") == CHAIN_BUILD_BANK_SHA256
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_BUILD_BANK_STDOUT_SHA256
+    # entries.npy holds the very numbers the schema-1 bank.json spelt out
+    write_json("bank-schema-1.json", bank_to_json_dict(AffordanceBank.load("build-bank/bank.json")), indent=None)
+    assert hashlib.sha256(Path("bank-schema-1.json").read_bytes()).hexdigest() == CHAIN_BANK_SCHEMA_1_SHA256
 
     # train, then zeroshot and affordance on its checkpoint: of their files, only
     # those that do not depend on the BLAS build are checked
@@ -219,6 +227,8 @@ def test_gen_data_writes_the_chain_bytes(tmp_path, monkeypatch, capsys):
     # the per-object rows follow from objects/, the taxonomy, the bank and the thresholds
     doc = json.loads(Path("affordance/affordance.json").read_text())
     del doc["schema_version"]
+    assert doc.pop("arrays") == {name: CHAIN_THREAD_FREE_SHA256[f"affordance/{name}"]
+                                 for name in ("objects/scores.npy", "objects/object_label.npy")}
     tax = Taxonomy.load("gen-data/taxonomy.json")
     bank = AffordanceBank.load("build-bank/bank.json")
     scores = np.load("affordance/objects/scores.npy", allow_pickle=False)
@@ -518,19 +528,49 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
+def copy_checkpoint(trained_dir: Path, dest: Path) -> Path:
+    """The path of a copy of trained_dir's checkpoint and its array files in dest."""
+    dest.mkdir(exist_ok=True)
+    for name in ("checkpoint.json", "sp_classifier.npy", "hoi_classifier.npy"):
+        shutil.copy(trained_dir / name, dest / name)
+    return dest / "checkpoint.json"
+
+
+def edit_doc(doc: Path, edit) -> None:
+    """Apply edit to the JSON document at doc, in place."""
+    body = json.loads(doc.read_text())
+    edit(body)
+    doc.write_text(json.dumps(body))
+
+
+def replace_array(doc: Path, name: str, array) -> None:
+    """Write array, pickled if it is an object array, as the array file name beside
+    the document doc, and record its sha256 there, so that the file fails only
+    the checks of its own contents."""
+    np.save(doc.parent / name, array, allow_pickle=True)
+    digest = hashlib.sha256((doc.parent / name).read_bytes()).hexdigest()
+    edit_doc(doc, lambda d: d["arrays"].update({name: digest}))
+
+
 def test_zeroshot_rejects_schema_1_checkpoint(trained_dir, data_dir, tmp_path, capsys):
     d = json.loads((trained_dir / "checkpoint.json").read_text())
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
+    model = load_checkpoint(trained_dir / "checkpoint.json")
     config = json.loads((trained_dir / "manifest.json").read_text())["config"]["train"]
-    # schema 1 carried a verb head and the training config, with two fields since removed
-    old = {**d, "schema_version": 1, "verb_head": None,
+    # schema 1 carried a verb head and the training config, with two fields since
+    # removed; schema 2 held the weights as JSON numbers
+    schema_2 = checkpoint_to_json_dict(model)
+    old = {**schema_2, "schema_version": 1, "verb_head": None,
            "config": {**config, "lambda_aux": 0.0, "lr_decay_step": None}}
-    (tmp_path / "old.json").write_text(json.dumps(old))
     cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(tmp_path / "old.json")})
-    assert run("zeroshot", cfg, tmp_path / "out") == EXIT_DATA
-    assert "schema_version 1" in capsys.readouterr().err
-    # a schema-2 checkpoint that still carries the training config is refused too
-    (tmp_path / "old.json").write_text(json.dumps({**d, "config": config}))
+    for doc, needle in ((old, "schema_version 1"), ({**schema_2, "schema_version": 2}, "schema_version 2")):
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert run("zeroshot", cfg, tmp_path / "out") == EXIT_DATA
+        assert f"unsupported checkpoint {needle}; this version reads 3" in capsys.readouterr().err
+    # a schema-3 checkpoint that still carries the training config is refused too
+    bad = copy_checkpoint(trained_dir, tmp_path / "ckpt")
+    bad.write_text(json.dumps({**d, "config": config}))
+    cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
     assert run("zeroshot", cfg, tmp_path / "out") == EXIT_DATA
     assert "unknown checkpoint fields: ['config']" in capsys.readouterr().err
 
@@ -546,52 +586,86 @@ def test_train_rejects_removed_config_fields(data_dir, tmp_path, capsys, key, va
 
 
 @pytest.mark.parametrize("edit,needle", [
-    (lambda d: d["sp_classifier"]["b1"].__setitem__(0, "0.5"), "sp_classifier b1: not a number"),
-    (lambda d: d["hoi_classifier"]["w2"][1].__setitem__(0, True), "hoi_classifier w2 row 1: not a number"),
-    (lambda d: d["hoi_classifier"].update(extra=[1.0]), "unknown hoi_classifier fields: ['extra']"),
+    (lambda doc: replace_array(doc, "sp_classifier.npy", np.load(doc.parent / "sp_classifier.npy").astype(np.float32)),
+     "sp_classifier.npy: dtype <f4, expected <f8"),
+    (lambda doc: replace_array(doc, "hoi_classifier.npy", np.load(doc.parent / "hoi_classifier.npy").astype(object)),
+     "hoi_classifier.npy: Object arrays cannot be loaded when allow_pickle=False"),
+    (lambda doc: edit_doc(doc, lambda d: d["hoi_classifier"].update(extra=[1.0])),
+     "unknown hoi_classifier fields: ['extra']"),
 ])
 def test_checkpoint_of_non_numbers_is_data_error(trained_dir, data_dir, tmp_path, capsys, edit, needle):
-    # a float cast would read "0.5" and true as numbers, and an unknown key went unread
-    doc = json.loads((trained_dir / "checkpoint.json").read_text())
-    edit(doc)
-    bad = tmp_path / "checkpoint.json"
-    bad.write_text(json.dumps(doc))
+    # a cast would read float32 or object weights as float64, and an unknown key went unread
+    bad = copy_checkpoint(trained_dir, tmp_path / "ckpt")
+    edit(bad)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
     assert run("zeroshot", cfg, out) == EXIT_DATA
     assert_data_error(capsys, out, f"checkpoint {bad}: {needle}")
 
 
-
-def text_with_inf(doc: dict, put) -> str:
-    """doc as JSON text after put(doc, marker), with the number 1e999, which json
-    reads as inf, where put placed the marker."""
-    put(doc, "@inf")
-    return json.dumps(doc).replace('"@inf"', "1e999")
-
-
 def test_checkpoint_weight_of_inf_is_data_error(trained_dir, data_dir, tmp_path, capsys):
-    bad = tmp_path / "checkpoint.json"
-    bad.write_text(text_with_inf(json.loads((trained_dir / "checkpoint.json").read_text()),
-                                 lambda d, marker: d["sp_classifier"]["b1"].__setitem__(0, marker)))
+    bad = copy_checkpoint(trained_dir, tmp_path / "ckpt")
+    flat = np.load(bad.parent / "sp_classifier.npy")
+    flat[-1] = np.inf
+    replace_array(bad, "sp_classifier.npy", flat)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "eval.json", {"data_dir": str(data_dir), "checkpoint": str(bad)})
     assert run("zeroshot", cfg, out) == EXIT_DATA
-    assert_data_error(capsys, out, f"checkpoint {bad}: sp_classifier b1: non-finite entries")
+    assert_data_error(capsys, out, f"checkpoint {bad}: sp_classifier.npy: non-finite values")
 
 
 def test_bank_entry_of_inf_is_data_error(trained_dir, data_dir, tmp_path, capsys):
     assert run("build-bank", write_config(tmp_path / "build.json", {"data_dir": str(data_dir)}),
                tmp_path / "bank") == EXIT_OK
     bank = tmp_path / "bank" / "bank.json"
-    bank.write_text(text_with_inf(json.loads(bank.read_text()),
-                                  lambda d, marker: d["entries"]["0"][0].__setitem__(0, marker)))
+    rows = np.load(bank.parent / "entries.npy")
+    rows[0, 0] = np.inf  # verb 0's first entry
+    replace_array(bank, "entries.npy", rows)
     cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data_dir), "bank": str(bank),
                                                 "checkpoint": str(trained_dir / "checkpoint.json")})
     capsys.readouterr()
     out = tmp_path / "out"
     assert run("affordance", cfg, out) == EXIT_DATA
-    assert_data_error(capsys, out, f"bank {bank}: verb 0 entries hold non-finite values")
+    assert_data_error(capsys, out, f"bank {bank}: entries.npy: non-finite values")
+
+
+def flip_last_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+# Faults of an array file beside its document: (edit of the file, what the message says after its name)
+ARRAY_FILE_FAULTS = {
+    "missing": (lambda doc, name: (doc.parent / name).unlink(), "No such file or directory"),
+    "flipped-byte": (lambda doc, name: flip_last_byte(doc.parent / name), "sha256 "),
+    "wrong-shape": (lambda doc, name: replace_array(doc, name, np.load(doc.parent / name)[:-1]), "shape "),
+    "pickled": (lambda doc, name: replace_array(doc, name, np.load(doc.parent / name).astype(object)),
+                "Object arrays cannot be loaded when allow_pickle=False"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARRAY_FILE_FAULTS))
+@pytest.mark.parametrize("name", ["sp_classifier.npy", "hoi_classifier.npy", "entries.npy"])
+def test_array_file_fault_is_data_error(trained_dir, data_dir, tmp_path, capsys, name, fault):
+    # every weight lies in an array file whose sha256 its document holds: a
+    # missing file, one flipped byte, another shape or a pickle stops the run,
+    # naming the file; a missing file used to be an OSError traceback
+    checkpoint = copy_checkpoint(trained_dir, tmp_path / "ckpt")
+    assert run("build-bank", write_config(tmp_path / "build.json", {"data_dir": str(data_dir)}),
+               tmp_path / "bank") == EXIT_OK
+    bank = tmp_path / "bank" / "bank.json"
+    doc = bank if name == "entries.npy" else checkpoint
+    edit, needle = ARRAY_FILE_FAULTS[fault]
+    edit(doc, name)
+    cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data_dir), "bank": str(bank),
+                                                "checkpoint": str(checkpoint)})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("affordance", cfg, out) == EXIT_DATA
+    what = "bank" if name == "entries.npy" else "checkpoint"
+    assert_data_error(capsys, out, f"{what} {doc}: {name}: ", needle)
+
 
 def test_zeroshot_rejects_trivial_split(trained_dir, tmp_path):
     gen = write_config(tmp_path / "gen.json", {
@@ -820,7 +894,8 @@ def test_document_of_another_schema_version_is_data_error(trained_dir, data_dir,
     capsys.readouterr()
     out = tmp_path / "out"
     assert run(cmd, write_config(tmp_path / "cmd.json", body), out) == EXIT_DATA
-    assert_data_error(capsys, out, f"{name}: unsupported ", f"schema_version {version!r}; this version reads 1")
+    assert_data_error(capsys, out, f"{name}: unsupported ",
+                      f"schema_version {version!r}; this version reads {2 if name == 'bank.json' else 1}")
 
 
 def test_build_bank_refuses_a_bank_with_no_entries(data_dir, tmp_path, capsys):
@@ -916,8 +991,11 @@ def test_bank_and_affordance_chain(trained_dir, data_dir, tmp_path):
     aff_out.mkdir()
     assert run("affordance", aff_cfg, aff_out) == EXIT_OK
     doc = json.loads((aff_out / "affordance.json").read_text())
-    assert sorted(doc) == ["affordance_map", "hoi_threshold", "keep_threshold", "prf1", "schema_version"]
+    assert sorted(doc) == ["affordance_map", "arrays", "hoi_threshold", "keep_threshold", "prf1", "schema_version"]
     assert sorted(p.name for p in (aff_out / "objects").iterdir()) == ["object_label.npy", "scores.npy"]
+    # the summary's digests cover the grids
+    assert doc["arrays"] == {f"objects/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+                             for p in (aff_out / "objects").iterdir()}
     labels = np.load(aff_out / "objects" / "object_label.npy", allow_pickle=False)
     scores = np.load(aff_out / "objects" / "scores.npy", allow_pickle=False)
     assert (labels.dtype, scores.dtype) == (np.dtype("<i8"), np.dtype("<f8"))
@@ -993,15 +1071,13 @@ def object_dicts(kept, truth, scores, probed, labels, names) -> list:
     } for i, o in enumerate(labels)]
 
 
-def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda doc: None, data=None):
+def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda path: None, data=None):
     """affordance's exit code and output dir, over data (default data_dir) with
-    a bank built from data_dir whose bank.json edit_bank changed."""
+    a bank built from data_dir that edit_bank(path of its bank.json) changed."""
     assert run("build-bank", write_config(tmp_path / "bank.json", {"data_dir": str(data_dir)}),
                tmp_path / "bank") == EXIT_OK
     path = tmp_path / "bank" / "bank.json"
-    doc = json.loads(path.read_text())
-    edit_bank(doc)
-    path.write_text(json.dumps(doc))
+    edit_bank(path)
     cfg = write_config(tmp_path / "aff.json", {"data_dir": str(data or data_dir), "bank": str(path),
                                                 "checkpoint": str(trained_dir / "checkpoint.json")})
     capsys.readouterr()
@@ -1010,26 +1086,26 @@ def run_affordance(trained_dir, data_dir, tmp_path, capsys, edit_bank=lambda doc
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d["entries"]["0"].__setitem__(0, [str(x) for x in d["entries"]["0"][0]]),
-    lambda d: d["entries"]["0"][0].__setitem__(0, True),
+    lambda path: replace_array(path, "entries.npy", np.load(path.parent / "entries.npy").astype(str)),
+    lambda path: replace_array(path, "entries.npy", np.load(path.parent / "entries.npy") > 0),
 ])
 def test_affordance_rejects_bank_of_non_numbers(trained_dir, data_dir, tmp_path, capsys, edit):
-    # a float cast would load such a row as numbers
+    # a float cast would load such entries as numbers
     code, out = run_affordance(trained_dir, data_dir, tmp_path, capsys, edit)
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error: failed to load bank ") and "bank verb 0 row 0: not a number" in err, err
+    assert err.startswith("data error: failed to load bank ") and "entries.npy: dtype " in err, err
     assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("edit,key", [
-    (lambda d: d["entries"].__setitem__("01", d["entries"]["1"][:1]), "'01'"),  # loaded as verb 1's only row
-    (lambda d: d["entries"].__setitem__(" 2", d["entries"].pop("2")), "' 2'"),
+    (lambda path: edit_doc(path, lambda d: d["counts"].__setitem__("01", 1)), "'01'"),  # a second verb 1
+    (lambda path: edit_doc(path, lambda d: d["counts"].__setitem__(" 2", d["counts"].pop("2"))), "' 2'"),
 ])
 def test_affordance_rejects_a_bank_key_of_another_spelling(trained_dir, data_dir, tmp_path, capsys, edit, key):
     code, out = run_affordance(trained_dir, data_dir, tmp_path, capsys, edit)
     assert code == EXIT_DATA
-    assert_data_error(capsys, out, f"bank entries key {key} is not a verb id in decimal")
+    assert_data_error(capsys, out, f"bank counts key {key} is not a verb id in decimal")
 
 
 @pytest.mark.parametrize("key", ["verbs", "objects"])
@@ -1214,6 +1290,8 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, via, u
     ("eval-hoi", "report.csv", "file"),
     ("zeroshot", "predictions", "directory"),
     ("build-bank", "bank.json", "file"),
+    ("train", "sp_classifier.npy", "file"),
+    ("build-bank", "entries.npy", "file"),
     ("affordance", "manifest.json", "file"),
     ("gradcheck", "gradcheck.json", "file"),
     ("reproduce-trends", "trends.json", "file"),

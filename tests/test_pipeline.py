@@ -1,6 +1,9 @@
 import copy
 import json
+import math
 import pickle
+import re
+import tempfile
 import warnings
 from dataclasses import asdict, replace
 from functools import lru_cache
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_evaluation import ground_truth_pairs
-from test_nn import bits, numeric_grad_oracle, rel_error_oracle
+from test_nn import bits, numeric_grad_oracle, params_to_dict, rel_error_oracle
 from test_taxonomy import random_taxonomy
 
 from hoicompose import blas, nn, pipeline
@@ -20,6 +23,7 @@ from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
 from hoicompose.taxonomy import compose_label, decouple_verb, one_hot
 from hoicompose.pipeline import (
+    HOIModel,
     StepSampler,
     TrainConfig,
     TrainingDiverged,
@@ -1022,12 +1026,81 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(result.model, path)
     model = load_checkpoint(path)
     # the model only: the training config is the train command's manifest's
-    assert sorted(json.loads(path.read_text())) == ["feat_dim", "hoi_classifier", "schema_version",
-                                                    "sp_classifier", "spatial_resolution"]
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["arrays", "feat_dim", "hoi_classifier", "schema_version", "sp_classifier",
+                           "spatial_resolution"]
+    assert sorted(doc["arrays"]) == ["hoi_classifier.npy", "sp_classifier.npy"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "hoi_classifier.npy", "sp_classifier.npy"]
     np.testing.assert_array_equal(model.hoi_classifier.w1, result.model.hoi_classifier.w1)
     a = predict_dataset(result.model, test_set[:2], tax)
     b = predict_dataset(model, test_set[:2], tax)
     np.testing.assert_array_equal(a, b)
+
+
+def checkpoint_to_json_dict(model: HOIModel) -> dict:
+    """A model as the object of a schema-2 checkpoint.json, which its writer wrote
+    with indent=None: the oracle that rebuilds that text from the .npy buffers."""
+    return {"spatial_resolution": model.spatial_resolution, "feat_dim": model.feat_dim,
+            "sp_classifier": params_to_dict(model.sp_classifier),
+            "hoi_classifier": params_to_dict(model.hoi_classifier)}
+
+
+# float64 values at the edges of the format: signed zeros, the least subnormal,
+# a subnormal with a full mantissa, the least normal and the largest finite
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_checkpoint_roundtrip_is_bit_equal(feat_dim, resolution, sp_hidden, hoi_hidden, k_out, data):
+    # random shapes, with edge values anywhere in either buffer
+    def params(d_in, hidden):
+        size = hidden * (d_in + 1 + k_out) + k_out
+        flat = np.array(data.draw(st.lists(edge_floats, min_size=size, max_size=size)))
+        return nn.MLPParams.from_flat(flat, d_in, hidden, k_out)
+
+    model = HOIModel(params(2 * resolution**2 + feat_dim, sp_hidden), params(2 * feat_dim, hoi_hidden),
+                     resolution, feat_dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(model, f"{tmp}/checkpoint.json")
+        back = load_checkpoint(f"{tmp}/checkpoint.json")
+    assert (back.spatial_resolution, back.feat_dim) == (resolution, feat_dim)
+    for name in ("sp_classifier", "hoi_classifier"):
+        assert bits(getattr(back, name)) == bits(getattr(model, name)), name
+        assert [a.shape for _, a in getattr(back, name).items()] == [a.shape for _, a in getattr(model, name).items()]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["sp_classifier", "hoi_classifier"])
+def test_load_checkpoint_names_a_non_finite_buffer(tmp_path, name, value):
+    tax, world, *_ = tiny_setup()
+    model = init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4))
+    getattr(model, name).b1[-1] = value
+    save_checkpoint(model, tmp_path / "checkpoint.json")
+    with pytest.raises(ValueError, match=f"^{name}.npy: non-finite values$"):
+        load_checkpoint(tmp_path / "checkpoint.json")
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d["sp_classifier"]["shape"].update(hidden=9),
+     "sp_classifier.npy: shape (420,), expected (471,)"),
+    (lambda d: d["hoi_classifier"]["shape"].update(k_out=0), "hoi_classifier shape "),
+    (lambda d: d["arrays"].update({"extra.npy": d["arrays"]["sp_classifier.npy"]}),
+     "arrays names ['extra.npy', 'hoi_classifier.npy', 'sp_classifier.npy'], expected "),
+    (lambda d: d["arrays"].pop("hoi_classifier.npy"), "arrays names ['sp_classifier.npy'], expected "),
+    (lambda d: d.update(feat_dim=7), "hoi classifier input must be two concatenated features"),
+])
+def test_load_checkpoint_refuses_a_header_its_buffers_do_not_fit(tmp_path, edit, needle):
+    tax, world, *_ = tiny_setup()
+    save_checkpoint(init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4)),
+                    tmp_path / "checkpoint.json")
+    doc = json.loads((tmp_path / "checkpoint.json").read_text())
+    edit(doc)
+    (tmp_path / "checkpoint.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        load_checkpoint(tmp_path / "checkpoint.json")
 
 
 def test_trace_csv(tmp_path):
