@@ -66,7 +66,9 @@ class AffordanceBank:
 
     def save(self, path) -> None:
         """Write the bank as the JSON document at path, m, feat_dim and each verb's
-        entry count, and every entry, in ascending verb order, as BANK_ENTRIES beside it."""
+        entry count, and every entry, in ascending verb order, as BANK_ENTRIES beside it.
+        That name is fixed, so a directory holds one bank: a second one saved there
+        replaces the first's entries, and the first then fails its digest."""
         rows = np.concatenate([np.zeros((0, self.feat_dim)),
                                *(self.entries[v].reshape(-1, self.feat_dim) for v in sorted(self.entries))])
         write_json(path, {"m": self.m, "feat_dim": self.feat_dim, "counts": self.s_counts(),

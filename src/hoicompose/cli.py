@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -23,8 +24,9 @@ from . import nn
 from .affordance import (BANK_ENTRIES, DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .blas import blas_info
-from .evaluation import SplitSpec, affordance_map, affordance_prf1, make_split, map_report, write_report_csv
-from .experiments import TrendSettings, reproduce_trends
+from .evaluation import (SplitSpec, affordance_map, affordance_prf1, candidate_pairs, make_split, map_report,
+                         write_report_csv)
+from .experiments import TrendSettings, reproduce_trends, usable_cpus
 from .jsonfile import check_fields, int_items, read_json, write_arrays, write_json
 from .pipeline import (CHECKPOINT_ARRAYS, HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config,
                        init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
@@ -288,6 +290,35 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _scores_and_pairs(model: HOIModel, test: HOISet, tax: Taxonomy):
+    """predict_dataset(model, test, tax) and candidate_pairs(test). With two
+    usable CPUs the scores come from a worker thread while this thread joins
+    the boxes, which calls no BLAS (its one-thread pin is the process's) and
+    nothing the benchmark's tracer wraps (its span stack is one for all
+    threads). The worker runs under this thread's numpy error handling, and
+    its exception is raised here, as the inline call would raise it."""
+    if usable_cpus() < 2:
+        return predict_dataset(model, test, tax), candidate_pairs(test)
+    errors, outcome = np.geterr(), {}
+
+    def predict():
+        try:
+            with np.errstate(**errors):
+                outcome["scores"] = predict_dataset(model, test, tax)
+        except BaseException as e:  # raised on the caller's thread below
+            outcome["error"] = e
+
+    worker = threading.Thread(target=predict, name="predict_dataset")
+    worker.start()
+    try:
+        pairs = candidate_pairs(test)
+    finally:
+        worker.join()
+        if "error" in outcome:  # the inline path would have raised it before the join
+            raise outcome.pop("error")
+    return outcome["scores"], pairs
+
+
 def cmd_eval(cfg: dict, args) -> int:
     s = _settings(cfg, args)
     zeroshot = args.command == "zeroshot"
@@ -300,8 +331,8 @@ def cmd_eval(cfg: dict, args) -> int:
     if zeroshot and split.mode == "none":
         raise DataError("zeroshot evaluation needs a split with held-out categories; this split has mode 'none'")
     tax = data["taxonomy"]
-    scores = predict_dataset(model, data["test"], tax)
-    report = map_report(scores, data["test"], tax, split)
+    scores, pairs = _scores_and_pairs(model, data["test"], tax)
+    report = map_report(scores, data["test"], tax, split, pairs=pairs)
     write_json(out / "report.json", report.to_json_dict())
     write_report_csv(report, tax, out / "report.csv")
     if s["write_predictions"]:

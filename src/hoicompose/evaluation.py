@@ -116,6 +116,14 @@ def _candidate_pairs(human, obj, iou_threshold: float):
     return a[order], b[order]
 
 
+def candidate_pairs(truth):
+    """The (detection row, GT row) index arrays that map_report matches: every
+    pair of an HOISet's rows whose human and object IoUs both reach
+    IOU_THRESHOLD, in index order. It reads only the boxes, so it can be found
+    before, or beside, the scores."""
+    return _candidate_pairs(truth.human_box, truth.object_box, IOU_THRESHOLD)
+
+
 def _descending_order(col: np.ndarray) -> np.ndarray:
     """np.argsort(-col, kind="stable") from the default argsort: each run of equal
     keys (NaN with NaN, -0.0 with 0.0) is put back in row order, NaN last."""
@@ -384,13 +392,14 @@ def _group_mean(per_cat: dict[int, float], ids) -> dict:
     }
 
 
-def map_report(scores, truth, tax: Taxonomy, split: SplitSpec | None = None) -> EvalReport:
+def map_report(scores, truth, tax: Taxonomy, split: SplitSpec | None = None, *, pairs=None) -> EvalReport:
     """Full detection report of an (n, C) score grid against one pooled test set.
 
     truth is an HOISet: each set bit of its hoi_label is one GT pair, that row's
     two boxes with that category. Row i of the grid scores truth row i's boxes.
     The candidate (detection row, GT row) pairs, both IoUs >= IOU_THRESHOLD,
-    are the truth's self-join, found once for all categories; per category,
+    are the truth's self-join candidate_pairs(truth), found once for all
+    categories, or pairs when the caller found them already; per category,
     the detections rank by score descending (ties in row order) and match
     greedily against the candidate pairs whose GT row carries the category,
     as match_detections does. Categories absent from the ground truth get
@@ -406,7 +415,7 @@ def map_report(scores, truth, tax: Taxonomy, split: SplitSpec | None = None) -> 
                                ("ground-truth hoi_label", labels, (n, n_cat))):
         if np.shape(column) != want:
             raise ValueError(f"{name} has shape {np.shape(column)}, expected {want}")
-    pred, gt = _candidate_pairs(truth.human_box, truth.object_box, IOU_THRESHOLD)
+    pred, gt = candidate_pairs(truth) if pairs is None else pairs
     labels = np.asarray(labels) != 0
     candidate_labels = labels[gt]
     scores = np.asarray(scores, dtype=float)

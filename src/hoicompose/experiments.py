@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
-from .evaluation import affordance_map, affordance_prf1, make_split, map_report
+from .evaluation import affordance_map, affordance_prf1, candidate_pairs, make_split, map_report
 from .pipeline import TrainConfig, baseline_config, predict_dataset, train
 from .seeding import substream
 from .synth import gen_dataset, gen_world
@@ -77,8 +77,9 @@ def run_trend_seed(seed: int, settings: TrendSettings, with_bank: bool = False) 
     # Rare/non-rare groups count the training labels actually drawn.
     counted = replace(tax, train_counts=train_set.hoi_label.sum(axis=0))
     metrics = {"seed": seed}
+    pairs = candidate_pairs(test_set)  # one self-join of the test boxes serves both models
     for name, model in models.items():
-        groups = map_report(predict_dataset(model, test_set, tax), test_set, counted, split).groups
+        groups = map_report(predict_dataset(model, test_set, tax), test_set, counted, split, pairs=pairs).groups
         metrics.update({f"{name}_{group}_map": groups[group]["map"] for group in ("unseen", "seen", "full")})
 
     novel = external[np.isin(external.object_label, sorted(split.unseen_object_ids))]

@@ -432,7 +432,9 @@ def predict_dataset(model: HOIModel, instances, tax: Taxonomy) -> np.ndarray:
 
 def save_checkpoint(model: HOIModel, path) -> None:
     """Write model as the JSON document at path, its sizes and classifier shapes,
-    and each classifier's flat buffer as <classifier>.npy beside it."""
+    and each classifier's flat buffer as <classifier>.npy beside it. The array
+    names are fixed, so a directory holds one checkpoint: a second one saved
+    there replaces the first's arrays, and the first then fails its digests."""
     params = {name: getattr(model, name) for name in _CLASSIFIERS}
     write_json(path, {
         "spatial_resolution": model.spatial_resolution,

@@ -215,6 +215,17 @@ def test_bank_roundtrip_is_bit_equal(feat_dim, m, counts, verbs, data):
         assert back.entries[v].shape == rows.shape and back.entries[v].tobytes() == rows.tobytes(), v
 
 
+def test_a_second_bank_in_one_directory_replaces_the_first_ones_entries(tmp_path):
+    # as with checkpoints: one directory holds one bank, and the first document
+    # is refused by its digest rather than read with the second's entries
+    bank_of({0: [[0.1]]}).save(tmp_path / "a.json")
+    bank_of({0: [[0.2]]}).save(tmp_path / "b.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "entries.npy"]
+    with pytest.raises(ValueError, match=r"^entries\.npy: sha256 [0-9a-f]{64}, its document records "):
+        AffordanceBank.load(tmp_path / "a.json")
+    assert AffordanceBank.load(tmp_path / "b.json").entries[0].tolist() == [[0.2]]
+
+
 def test_bank_validate_rejects_over_cap():
     bank = bank_of({0: [[0.1]]}, m=1)
     bank.entries[0] = np.zeros((3, 1))  # mutate past the cap

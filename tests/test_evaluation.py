@@ -684,6 +684,38 @@ def test_candidate_pairs_match_all_pairs_oracle_on_generated_data():
 
 
 @st.composite
+def precomputed_pair_cases(draw):
+    """A truth of candidate_pair_cases' boxes (none, or non-finite ones among
+    them), labels, two score grids of ties and NaN, train counts and a split."""
+    human, obj, _, _ = draw(candidate_pair_cases())
+    n, n_cat = len(human), draw(st.integers(1, 4))
+    labels = draw(hnp.arrays(np.int8, (n, n_cat), elements=st.sampled_from([0, 0, 1])))
+    grids = [draw(hnp.arrays(float, (n, n_cat), elements=st.sampled_from([0.0, 0.25, 0.9, np.nan])))
+             for _ in range(2)]
+    counts = draw(st.lists(st.integers(0, 20), min_size=n_cat, max_size=n_cat))
+    tax = Taxonomy.build(["hold", "lift"], ["cup", "pen"], [(v, o) for v in range(2) for o in range(2)][:n_cat],
+                         train_counts=counts)
+    unseen = frozenset(draw(st.sets(st.integers(0, n_cat - 1), max_size=n_cat - 1)))
+    split = SplitSpec("unseen-composition-rare-first", unseen, frozenset(range(n_cat)) - unseen) if unseen else None
+    return grids, truth_set(human, obj, labels), tax, split
+
+
+@settings(max_examples=300, deadline=None)
+@given(precomputed_pair_cases())
+def test_map_report_on_precomputed_pairs_matches_the_default(case):
+    # the pairs found once, before or beside the scores (cli's worker thread,
+    # run_trend_seed's two models), give the report map_report finds itself
+    grids, truth, tax, split = case
+    pairs = evaluation.candidate_pairs(truth)
+    for got, want in zip(pairs, evaluation._candidate_pairs(truth.human_box, truth.object_box, 0.5)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for scores in grids:  # one pairs for two grids, as for run_trend_seed's two models
+        report = map_report(scores, truth, tax, split, pairs=pairs)
+        assert repr(asdict(report)) == repr(asdict(map_report(scores, truth, tax, split)))  # every AP, NaN and group
+
+
+@st.composite
 def tuple_cases(draw):
     """Predictions and GT pairs drawn as two sets: any_box boxes, categories 0-2, a
     GT pair sometimes a copy of a prediction's boxes and category, and predictions

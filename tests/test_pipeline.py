@@ -1103,6 +1103,21 @@ def test_load_checkpoint_refuses_a_header_its_buffers_do_not_fit(tmp_path, edit,
         load_checkpoint(tmp_path / "checkpoint.json")
 
 
+def test_a_second_checkpoint_in_one_directory_replaces_the_first_ones_arrays(tmp_path):
+    # the array files keep fixed names, so a directory holds one checkpoint: the
+    # first document is then refused by its digests, never read with the second's weights
+    tax, world, *_ = tiny_setup()
+    first, second = (init_model(tax, world.feat_dim, TrainConfig(hidden=8, spatial_resolution=4, seed=seed))
+                     for seed in (0, 1))
+    save_checkpoint(first, tmp_path / "a.json")
+    save_checkpoint(second, tmp_path / "b.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "hoi_classifier.npy",
+                                                          "sp_classifier.npy"]
+    with pytest.raises(ValueError, match=r"^sp_classifier\.npy: sha256 [0-9a-f]{64}, its document records "):
+        load_checkpoint(tmp_path / "a.json")
+    assert load_checkpoint(tmp_path / "b.json").hoi_classifier.flat.tobytes() == second.hoi_classifier.flat.tobytes()
+
+
 def test_trace_csv(tmp_path):
     trace = [{"step": 0, "L_sp": 1.0, "L_hoi": 2.0, "L_ATL": 0.5, "L_total": 5.25}]
     path = tmp_path / "trace.csv"
