@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import blas, nn
 from .pipeline import HOIModel
 from .seeding import substream
 from .jsonfile import check_fields, read_arrays, read_json, write_arrays, write_json
@@ -36,6 +36,9 @@ DEFAULT_KEEP_THRESHOLD = 0.5
 # and entries.
 PROBE_COLS = 512
 PROBE_CELLS = 32768
+# Pairs below which recognize_objects probes inline: under about this many a
+# forked half saves less than the fork, the wait and the copy-on-write faults cost.
+FORK_MIN_PAIRS = 200_000
 
 
 @dataclass
@@ -198,6 +201,10 @@ def recognize_objects(
     W2 @ max(e, -o) so that the two cancel where every ReLU is 0, and hit iff
     nn.sigmoid(logit) >= hoi_threshold; any other pair hits iff its float32
     best logit exceeds x* + bound.
+
+    The probe runs on one BLAS thread. From FORK_MIN_PAIRS pairs on, a forked
+    child probes about half of the verbs' cost (experiments.fork_halves), so
+    each verb's hits come from the same computation on either path.
     """
     if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
         raise ValueError("thresholds must lie in [0, 1]")
@@ -222,8 +229,9 @@ def recognize_objects(
     most = max((len(bank.entries[v]) for v, _, _ in probes), default=0)
     point = decision_point(hoi_threshold)
     gamma = (hidden + 3) * 2.0**-24 / (1 - (hidden + 3) * 2.0**-24)
-    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):  # float32 overflows only where every pair is flagged
+
+    def probe(verbs, out):
+        """Add the hits of verbs, a slice of probes, into out."""
         for start in range(0, len(feats), PROBE_COLS):
             neg = w1_obj @ feats[start:start + PROBE_COLS].T  # the block's o, (hidden, cols), negated in place
             np.negative(neg, out=neg)
@@ -232,7 +240,7 @@ def recognize_objects(
             rows = min(most, max(1, PROBE_CELLS // cols))  # entries one best-logit buffer holds
             group = min(rows, max(1, PROBE_CELLS // (hidden * cols)))  # entries one hidden buffer holds
             h_buf, best = np.empty(hidden * group * cols, dtype=np.float32), np.empty((rows, cols), dtype=np.float32)
-            for v, w2, b2 in probes:
+            for v, w2, b2 in verbs:
                 base = b2 - w2 @ neg  # W2 @ o + b2, as W2 @ -o is exactly -(W2 @ o)
                 entry_hidden = bank.entries[v] @ w1_verb.T  # e, (s_i, hidden)
                 entry_hidden += hoi.b1
@@ -253,14 +261,26 @@ def recognize_objects(
                         logits += base32[:, None]
                         logits.max(axis=0, out=best[g0:g0 + len(e)])
                     above = best[:n] > hi
-                    hits[start:start + cols, v] += above.sum(axis=0)
+                    out[start:start + cols, v] += above.sum(axis=0)
                     flagged = np.nonzero(~(best[:n] < lo) ^ above)  # within bound of x*, or NaN
                     for f0 in range(0, len(flagged[0]), group * cols):  # the float64 recheck, a hidden buffer at a time
                         r, c = flagged[0][f0:f0 + group * cols] + first, flagged[1][f0:f0 + group * cols]
                         n_c = neg[:, c]  # -o, for a bracket of the same product shape as W2 @ max(e, -o)
                         logit = (w2 @ np.maximum(n_c, entry_hidden[r].T) + (b2 - w2 @ n_c)).max(axis=0)
                         passed = nn.sigmoid(logit, overwrite=True) >= hoi_threshold
-                        hits[start:start + cols, v] += np.bincount(c[passed], minlength=cols)
+                        out[start:start + cols, v] += np.bincount(c[passed], minlength=cols)
+
+    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
+    pairs = len(feats) * sum(len(bank.entries[v]) for v, _, _ in probes)
+    # float32 overflows only where every pair is flagged
+    with blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        if len(probes) > 1 and pairs >= FORK_MIN_PAIRS:
+            from .experiments import fork_halves  # imported here: experiments imports this module
+            cost = np.cumsum([len(bank.entries[v]) * (1 + len(w2)) for v, w2, _ in probes])
+            cut = int(np.argmin(np.abs(2 * cost - cost[-1]))) + 1  # two halves of about equal cost
+            fork_halves(probe, probes[:cut], probes[cut:], hits)
+        else:
+            probe(probes, hits)
     scores = np.full(hits.shape, np.nan)
     np.divide(hits, stored, out=scores, where=stored > 0)
     return AffordanceScores(hits=hits, stored=stored, scores=scores, kept=scores > keep_threshold)

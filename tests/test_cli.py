@@ -1415,17 +1415,19 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
 
 
-def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys):
+def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys, monkeypatch):
     # seed 1's external stream has no novel object; the error comes from a worker
+    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)  # TOY_TRENDS is below the pool's work gate
     cfg = write_config(tmp_path / "t.json", {"seeds": [5, 1], **TOY_TRENDS, "n_external": 1})
     assert run("reproduce-trends", cfg, tmp_path / "out") == EXIT_DATA
     err = capsys.readouterr().err
     assert "reproduce-trends: seed 1: no novel objects in the external stream" in err, err
 
 
-def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys):
+def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys, monkeypatch):
     # a worker's TrainingDiverged reaches main as itself; huge lr overflows into
     # NaN within a step or two at full width
+    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)
     cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS,
                                              "train": {"iterations": 10, "lr": 1e160}})
     with np.errstate(all="ignore"):
@@ -1462,11 +1464,14 @@ def run_program(*argv):
 
 def test_reproduce_trends_entry_point_starts_its_workers(tmp_path, monkeypatch):
     # spawn workers of a fresh `python -m hoicompose` start from the CLI's main
-    # module, and the pooled run writes the serial run's bytes
-    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS})
+    # module, and the pooled run writes the serial run's bytes; a batch of 64
+    # rows takes TOY_TRENDS over the pool's work gate
+    train = {**TOY_TRENDS["train"], "hoi_batch": 64}
+    assert 2 * train["iterations"] * train["hoi_batch"] >= experiments.POOL_MIN_ROWS
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS, "train": train})
     proc = run_program("reproduce-trends", "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**TOY_TRENDS["train"])})
+    settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**train)})
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)  # the in-process serial loop
     write_json(tmp_path / "serial.json", reproduce_trends(settings).to_json_dict())
     assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()

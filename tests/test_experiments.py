@@ -1,6 +1,7 @@
 """reproduce_trends in spawn workers against its in-process serial loop, the
 oracle: same bytes, no worker left behind, one BLAS thread per worker, and the
-caller's warning filters in every worker."""
+caller's warning filters in every worker. The pool starts only above its work
+gate, so the pooled tests lower it."""
 import multiprocessing
 import os
 import warnings
@@ -39,6 +40,7 @@ def report_bytes(report, path: Path) -> tuple[bytes, str]:
 @pytest.mark.parametrize("seeds", [(0, 1), (3, 0, 7)])
 def test_pooled_report_is_the_serial_report(seeds, tmp_path, monkeypatch):
     # three seeds on two workers: one worker runs two of them, out of seed order
+    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)  # TOY is below the pool's work gate
     settings = TrendSettings(seeds=seeds, **TOY)
     pooled = reproduce_trends(settings)
     serial = serial_trends(settings, monkeypatch)
@@ -52,6 +54,7 @@ def test_pool_leaves_no_worker_and_restores_the_environment(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)
     before = dict(os.environ)
     reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))
     assert multiprocessing.active_children() == []
@@ -64,6 +67,35 @@ def test_pool_leaves_no_worker_and_restores_the_environment(monkeypatch):
     assert str(pooled.value) == str(serial.value) == "seed 1: no novel objects in the external stream"
     assert multiprocessing.active_children() == []
     assert dict(os.environ) == before
+
+
+class Ran(Exception):
+    """Which way reproduce_trends ran its seeds: "pool" or "serial"."""
+
+
+def stop(way: str):
+    def raise_ran(*args):
+        raise Ran(way)
+    return raise_ran
+
+
+@pytest.mark.parametrize("settings,way", [
+    (TrendSettings(), "pool"),  # the default sizes: criteria 4-6, the chain, the benchmark's 5 seeds
+    (TrendSettings(seeds=(0, 1)), "pool"),  # the benchmark's trends workload
+    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=282)), "pool"),  # 18,048 rows
+    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=281)), "serial"),  # 17,984 rows
+    (TrendSettings(seeds=(0, 1), **TOY), "serial"),  # 16,000 rows
+    (TrendSettings(seeds=(0, 1, 2), train=TrainConfig(iterations=94, hoi_batch=64)), "pool"),  # 18,048 rows
+])
+def test_the_pool_starts_above_its_work_gate(settings, way, monkeypatch):
+    # the training rows, seeds x iterations x hoi_batch, against POOL_MIN_ROWS
+    assert experiments.POOL_MIN_ROWS == 18_000
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "spawn_map", stop("pool"))
+    monkeypatch.setattr(experiments, "run_trend_seed", stop("serial"))
+    with pytest.raises(Ran) as ran:
+        reproduce_trends(settings)
+    assert str(ran.value) == way
 
 
 def worker_blas_threads(_) -> int | None:
