@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas, nn
+from . import blas, nn, parallel
 from .pipeline import HOIModel
 from .seeding import substream
 from .jsonfile import check_fields, read_arrays, read_json, write_arrays, write_json
@@ -203,8 +203,9 @@ def recognize_objects(
     best logit exceeds x* + bound.
 
     The probe runs on one BLAS thread. From FORK_MIN_PAIRS pairs on, a forked
-    child probes about half of the verbs' cost (experiments.fork_halves), so
-    each verb's hits come from the same computation on either path.
+    child probes about half of the verbs' cost (parallel.fork_pair) and
+    returns their hit columns, so each verb's hits come from the same
+    computation on either path.
     """
     if not 0 <= hoi_threshold <= 1 or not 0 <= keep_threshold <= 1:
         raise ValueError("thresholds must lie in [0, 1]")
@@ -230,8 +231,9 @@ def recognize_objects(
     point = decision_point(hoi_threshold)
     gamma = (hidden + 3) * 2.0**-24 / (1 - (hidden + 3) * 2.0**-24)
 
-    def probe(verbs, out):
-        """Add the hits of verbs, a slice of probes, into out."""
+    def probe(verbs):
+        """The (n, V) hits of verbs, a slice of probes: 0 in any other column."""
+        out = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
         for start in range(0, len(feats), PROBE_COLS):
             neg = w1_obj @ feats[start:start + PROBE_COLS].T  # the block's o, (hidden, cols), negated in place
             np.negative(neg, out=neg)
@@ -269,18 +271,19 @@ def recognize_objects(
                         logit = (w2 @ np.maximum(n_c, entry_hidden[r].T) + (b2 - w2 @ n_c)).max(axis=0)
                         passed = nn.sigmoid(logit, overwrite=True) >= hoi_threshold
                         out[start:start + cols, v] += np.bincount(c[passed], minlength=cols)
+        return out
 
-    hits = np.zeros((len(feats), tax.n_verbs), dtype=np.int64)
-    pairs = len(feats) * sum(len(bank.entries[v]) for v, _, _ in probes)
+    pairs, forked = len(feats) * sum(len(bank.entries[v]) for v, _, _ in probes), None
     # float32 overflows only where every pair is flagged
     with blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
         if len(probes) > 1 and pairs >= FORK_MIN_PAIRS:
-            from .experiments import fork_halves  # imported here: experiments imports this module
             cost = np.cumsum([len(bank.entries[v]) * (1 + len(w2)) for v, w2, _ in probes])
             cut = int(np.argmin(np.abs(2 * cost - cost[-1]))) + 1  # two halves of about equal cost
-            fork_halves(probe, probes[:cut], probes[cut:], hits)
-        else:
-            probe(probes, hits)
+            first = [v for v, _, _ in probes[:cut]]
+            forked = parallel.fork_pair(lambda _: probe(probes[:cut])[:, first], lambda _: probe(probes[cut:]))
+        hits = forked[1] if forked else probe(probes)
+    if forked:
+        hits[:, first] = forked[0]
     scores = np.full(hits.shape, np.nan)
     np.divide(hits, stored, out=scores, where=stored > 0)
     return AffordanceScores(hits=hits, stored=stored, scores=scores, kept=scores > keep_threshold)

@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import nn, parallel
 from .affordance import (BANK_ENTRIES, DEFAULT_BANK_SIZE, DEFAULT_HOI_THRESHOLD, DEFAULT_KEEP_THRESHOLD,
                          AffordanceBank, build_bank, recognize_objects)
 from .blas import blas_info
 from .evaluation import (SplitSpec, affordance_map, affordance_prf1, candidate_pairs, make_split, map_report,
                          write_report_csv)
-from .experiments import TrendSettings, reproduce_trends, usable_cpus
+from .experiments import TrendSettings, reproduce_trends
 from .jsonfile import check_fields, int_items, read_json, write_arrays, write_json
 from .pipeline import (CHECKPOINT_ARRAYS, HOIModel, StepSampler, TrainConfig, TrainingDiverged, baseline_config,
                        init_model, load_checkpoint, predict_dataset, save_checkpoint, step_grad_check, train,
@@ -297,7 +297,7 @@ def _scores_and_pairs(model: HOIModel, test: HOISet, tax: Taxonomy):
     nothing the benchmark's tracer wraps (its span stack is one for all
     threads). The worker runs under this thread's numpy error handling, and
     its exception is raised here, as the inline call would raise it."""
-    if usable_cpus() < 2:
+    if parallel.usable_cpus() < 2:
         return predict_dataset(model, test, tax), candidate_pairs(test)
     errors, outcome = np.geterr(), {}
 

@@ -7,9 +7,7 @@ code backs both the CLI summary and the automated trend checks.
 """
 from __future__ import annotations
 
-import mmap
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -18,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .affordance import DEFAULT_BANK_SIZE, build_bank, recognize_objects
 from .evaluation import affordance_map, affordance_prf1, candidate_pairs, make_split, map_report
 from .pipeline import TrainConfig, baseline_config, predict_dataset, train
@@ -35,13 +34,11 @@ BANK_STABILITY_MAX_REL_DIFF = 0.10
 # more BLAS threads than CPUs would only contend.
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # The training rows (seeds x iterations x hoi_batch) below which
-# reproduce_trends runs its seeds in process: two seeds at the default sizes
-# ran faster serially at 100 iterations (6,400 rows) and pooled at 300
-# (19,200), as the pool's start-up costs about 0.3 s.
-POOL_MIN_ROWS = 18_000
-# Set by init_worker: a trend worker's pool already fills the usable CPUs, so
-# fork_halves forks no child there.
-_in_worker = False
+# reproduce_trends runs its seeds in process, where each train forks its
+# spatial loop: two seeds at the default sizes ran faster serially at 300
+# iterations (19,200 rows), alike at 600 and pooled from 700 (44,800), as the
+# pool's start-up costs about 0.3 s.
+POOL_MIN_ROWS = 40_000
 
 
 @dataclass
@@ -157,63 +154,14 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def init_worker(filters: list, numpy_errors: dict) -> None:
     """Give a spawn worker its caller's warning filters and numpy error
     handling, so that a warning the caller turns into an error fails a pooled
     seed as it fails the serial loop."""
-    global _in_worker
-    _in_worker = True
+    parallel.in_child = True  # the pool already fills the usable CPUs
     warnings.resetwarnings()  # also marks the registries of warnings already shown out of date
     warnings.filters.extend(filters)
     np.seterr(**numpy_errors)
-
-
-def fork_halves(work, first, second, out: np.ndarray) -> None:
-    """work(first, out) and work(second, out), where work adds its results into
-    the integer array out. With two usable CPUs, os.fork and no other Python
-    thread, outside a trend worker, a forked child runs work(first) into zeros
-    in shared memory while this process runs work(second), and out then adds
-    the child's sums. The child raises every warning as an error; when it exits
-    nonzero, or no child could start, work(first) runs here, so each error and
-    warning surfaces as inline. The child leaves by os._exit, flushing no
-    buffer of the caller's, and is reaped also when work(second) raises."""
-    if _in_worker or usable_cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        work(first, out)
-        work(second, out)
-        return
-    shared = np.frombuffer(mmap.mmap(-1, max(out.nbytes, 1)), out.dtype, out.size).reshape(out.shape)
-    with warnings.catch_warnings():
-        # Python 3.12+ warn when a process with other OS threads forks. No other
-        # Python thread runs (checked above), OpenBLAS's fork handler stops its
-        # own pool first, and the child runs only numpy on this thread.
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            pid = -1
-    if pid == 0:
-        code = 1
-        try:
-            warnings.simplefilter("error")
-            work(first, shared)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        work(second, out)
-    finally:
-        status = os.waitpid(pid, 0)[1] if pid > 0 else -1
-    if status:
-        work(first, out)
-    else:
-        out += shared
 
 
 def spawn_map(fn, workers: int, *iterables) -> list:
@@ -255,7 +203,7 @@ def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
     settings.validate()
     seeds = settings.seeds
     rows = len(seeds) * settings.train.iterations * settings.train.hoi_batch
-    workers = min(len(seeds), usable_cpus()) if rows >= POOL_MIN_ROWS else 1
+    workers = min(len(seeds), parallel.usable_cpus()) if rows >= POOL_MIN_ROWS else 1
     with_bank = [i == 0 for i in range(len(seeds))]
     results = ([run_trend_seed(seed, settings, bank) for seed, bank in zip(seeds, with_bank)] if workers == 1
                else spawn_map(run_trend_seed, workers, seeds, repeat(settings), with_bank))

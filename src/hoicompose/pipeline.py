@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import blas, nn
+from . import blas, nn, parallel
 from .jsonfile import check_fields, read_arrays, read_json, write_arrays, write_json
 from .seeding import stream_seed, substream
 from .taxonomy import Taxonomy, compose_label, decouple_verb
@@ -25,6 +25,9 @@ CHECKPOINT_ARRAYS = tuple(f"{name}.npy" for name in _CLASSIFIERS)  # the files b
 # Steps train plans with one draw before each classifier's loop runs over them.
 # 64-256 train alike in time; a plan holds row indices and int8 labels only.
 TRAIN_WINDOW = 128
+# The steps from which train may fork the spatial loop: below about this many
+# the fork and its copy-on-write faults cost more than the second CPU saves.
+FORK_MIN_STEPS = 100
 
 
 class TrainingDiverged(RuntimeError):
@@ -338,6 +341,36 @@ def init_model(tax: Taxonomy, feat_dim: int, cfg: TrainConfig) -> HOIModel:
     )
 
 
+def _steps(params: nn.MLPParams, grads, plans, start: int, stop: int, cfg: TrainConfig) -> tuple:
+    """One classifier's steps of plans from step start, grads(plan, norms) giving
+    (*losses, gradient): (start, each step's losses, {traced step: its gradient
+    norms}, the first step that is stop or has a non-finite loss or gradient, else -1)."""
+    losses, norms = [], {}
+    for step, plan in enumerate(plans, start):
+        if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
+            norms[step] = {}
+        *step_losses, g = grads(plan, norms.get(step))
+        losses.append(step_losses)
+        # one isfinite per flat gradient buffer and loss, with no sum that could overflow
+        if step == stop or not (all(map(math.isfinite, step_losses)) and np.isfinite(g.flat).all()):
+            return start, losses, norms, step
+        nn.sgd_step(params, g, cfg.lr)
+    return start, losses, norms, -1
+
+
+def _merge(sp: tuple, hoi: tuple, cfg: TrainConfig, result: TrainResult) -> None:
+    """Trace into result the steps of one window that both _steps took, raising
+    TrainingDiverged at the first that either stopped at or whose total is non-finite."""
+    (start, sp_losses, sp_norms, sp_stop), (_, hoi_losses, hoi_norms, hoi_stop) = sp, hoi
+    for step, ([l_sp], (l_hoi, l_atl)) in enumerate(zip(sp_losses, hoi_losses), start):
+        total = total_loss(l_sp, l_hoi, l_atl, cfg)
+        if step in (sp_stop, hoi_stop) or not math.isfinite(total):
+            raise TrainingDiverged(step, total)
+        if step in hoi_norms:
+            result.trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
+            result.grad_norms.append({"step": step, **sp_norms[step], **hoi_norms[step]})
+
+
 def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> TrainResult:
     """Run the three-branch optimization and return the model plus loss trace.
 
@@ -348,50 +381,65 @@ def train(train_set, external_objects, tax: Taxonomy, cfg: TrainConfig) -> Train
     The two classifiers share no parameters, and no batch depends on either,
     so the steps run in windows of TRAIN_WINDOW: one draw plans the window,
     then one loop takes the spatial classifier's steps and a second the
-    interaction classifier's. The model, trace, counters and grad norms are
-    those of running the steps one by one. At the first step whose total loss
-    or either gradient is non-finite, TrainingDiverged carries that step and
-    its total; by then the spatial classifier may have taken later steps of
-    the window, and that model is discarded. The classifiers are updated in
-    place, and each step's gradients are written into one reused workspace per
+    interaction classifier's. From FORK_MIN_STEPS steps on, a forked child
+    (parallel.fork_pair) takes the spatial steps of each window's rows drawn
+    here, or else the windows run here, on the plans already drawn. The model,
+    trace, counters and grad norms are those of running the steps one by one.
+    At the first step whose total loss or either gradient is non-finite,
+    TrainingDiverged carries that step and its total; by then the spatial
+    classifier, here or in the child, may have taken later steps of the
+    window, and that model is discarded. The classifiers are updated in place,
+    and each step's gradients are written into one reused workspace per
     branch. The steps run with OpenBLAS on one thread (blas.one_thread), so
     the model's bytes do not depend on the caller's thread count.
     """
     sampler = StepSampler(train_set, external_objects, tax, cfg)
     model = init_model(tax, train_set.verb_feat.shape[1], cfg)
     g_sp, g_hoi, g_atl = map(nn.zeros_like, (model.sp_classifier, model.hoi_classifier, model.hoi_classifier))
-    rng = substream(cfg.seed, "batching")
-    trace, grad_norms = [], []
+    rng, drawn, result = substream(cfg.seed, "batching"), [], TrainResult(model=model)
+    # each branch's (parameters, step gradients); a closure reading its own tuple would make a
+    # reference cycle that keeps the sampler's matrices alive after train returns
+    sp = (model.sp_classifier, lambda plan, norms: sp_grads(model.sp_classifier, sampler, plan, g_sp, norms))
+    hoi = (model.hoi_classifier, lambda plan, norms: hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi,
+                                                                 g_atl, norms))
 
-    with blas.one_thread():
-        for start in range(0, cfg.iterations, TRAIN_WINDOW):
-            plans = sampler.draw(rng, min(TRAIN_WINDOW, cfg.iterations - start))
-            sp_losses, norms_at, sp_stop = [], {}, -1
-            for step, plan in enumerate(plans, start):
-                if step % cfg.trace_every == 0 or step == cfg.iterations - 1:
-                    norms_at[step] = {}
-                l_sp, g = sp_grads(model.sp_classifier, sampler, plan, g_sp, norms_at.get(step))
-                sp_losses.append(l_sp)
-                # each divergence check is one isfinite per flat gradient buffer and
-                # the loss, with no sum that could overflow; the interaction loop
-                # raises at this step
-                if not (math.isfinite(l_sp) and np.isfinite(g.flat).all()):
-                    sp_stop = step
-                    break
-                nn.sgd_step(model.sp_classifier, g, cfg.lr)
-            for step, (plan, l_sp) in enumerate(zip(plans, sp_losses), start):
-                norms = norms_at.get(step)
-                l_hoi, l_atl, g = hoi_grads(model.hoi_classifier, sampler, plan, cfg, g_hoi, g_atl, norms)
-                total = total_loss(l_sp, l_hoi, l_atl, cfg)
-                if step == sp_stop or not (math.isfinite(total) and np.isfinite(g.flat).all()):
-                    raise TrainingDiverged(step, total)
-                nn.sgd_step(model.hoi_classifier, g, cfg.lr)
-                if norms is not None:
-                    trace.append({"step": step, "L_sp": l_sp, "L_hoi": l_hoi, "L_ATL": l_atl, "L_total": total})
-                    grad_norms.append({"step": step, **norms})
+    def windows():  # (first step, plans) of each window, the drawn ones first
+        for k, start in enumerate(range(0, cfg.iterations, TRAIN_WINDOW)):
+            yield start, drawn[k] if k < len(drawn) else sampler.draw(rng, min(TRAIN_WINDOW, cfg.iterations - start))
 
-    counters = {**sampler.counters, "composite_per_category": sampler.per_category.tolist()}
-    return TrainResult(model=model, trace=trace, counters=counters, grad_norms=grad_norms)
+    def spatial(feed):  # in the child, up to its stop
+        done = []
+        for start, rows in feed:
+            done.append(_steps(*sp, map(StepPlan, rows), start, -1, cfg))
+            if done[-1][3] >= 0:
+                break
+        return sp[0].flat, done
+
+    def interaction(send):  # here, up to its stop
+        done = []
+        for start, plans in windows():
+            drawn.append(plans)
+            send((start, np.stack([plan.rows for plan in plans])))
+            done.append(_steps(*hoi, plans, start, -1, cfg))
+            if done[-1][3] >= 0:
+                break
+        return done
+
+    forked = parallel.fork_pair(spatial, interaction) if cfg.iterations >= FORK_MIN_STEPS else None
+    if forked:
+        (flat, sp_done), hoi_done = forked
+        sp[0].flat[:] = flat
+        for sp_window, hoi_window in zip(sp_done, hoi_done):
+            _merge(sp_window, hoi_window, cfg, result)
+    else:
+        if drawn:  # undo the interaction steps taken here before a raise
+            hoi[0].flat[:] = init_model(tax, train_set.verb_feat.shape[1], cfg).hoi_classifier.flat
+        with blas.one_thread():
+            for start, plans in windows():
+                sp_window = _steps(*sp, plans, start, -1, cfg)
+                _merge(sp_window, _steps(*hoi, plans[:len(sp_window[1])], start, sp_window[3], cfg), cfg, result)
+    result.counters = {**sampler.counters, "composite_per_category": sampler.per_category.tolist()}
+    return result
 
 
 def step_grad_check(model: HOIModel, sampler: StepSampler, plan: StepPlan, cfg: TrainConfig):

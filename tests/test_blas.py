@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_pipeline import tiny_setup
 
-from hoicompose import blas, nn
+from hoicompose import blas, nn, parallel
 from hoicompose.pipeline import TrainConfig, TrainingDiverged, predict_dataset, train
 from hoicompose.synth import gen_dataset, gen_world
 
@@ -46,6 +46,7 @@ def test_blas_info_names_the_loaded_openblas(two_threads):
 @needs_openblas
 def test_train_and_predict_run_on_one_thread_and_restore_the_callers_count(two_threads, monkeypatch):
     tax, _, train_set, test_set, external = tiny_setup()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spy sees this process's steps
     seen = threads_seen(monkeypatch)
     model = train(train_set, external, tax, TrainConfig(iterations=4, seed=0)).model
     assert len(seen) >= 8 and set(seen) == {1}

@@ -20,7 +20,7 @@ from test_affordance import bank_to_json_dict
 from test_pipeline import checkpoint_to_json_dict
 
 import hoicompose
-from hoicompose import cli, experiments, pipeline
+from hoicompose import cli, experiments, parallel, pipeline
 from hoicompose.affordance import AffordanceBank
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
@@ -1151,7 +1151,8 @@ def test_gradcheck_end_to_end_checks_trains_first_step(seed):
     [((_, tax, *_), (train_set, _, external))] = worlds
     [((model, sampler, plan, cfg), _)] = checked
     with mock.patch.object(pipeline, "sp_grads", record(sp_steps, pipeline.sp_grads)), \
-            mock.patch.object(pipeline, "hoi_grads", record(hoi_steps, pipeline.hoi_grads)):
+            mock.patch.object(pipeline, "hoi_grads", record(hoi_steps, pipeline.hoi_grads)), \
+            mock.patch.object(parallel, "usable_cpus", lambda: 1):  # the spies see this process's steps
         train(train_set, external, tax, replace(cfg, iterations=1))
     [((sp_params, sp_sampler, sp_plan, *_), _)] = sp_steps
     [((hoi_params, hoi_sampler, hoi_plan, *_), _)] = hoi_steps
@@ -1464,15 +1465,15 @@ def run_program(*argv):
 
 def test_reproduce_trends_entry_point_starts_its_workers(tmp_path, monkeypatch):
     # spawn workers of a fresh `python -m hoicompose` start from the CLI's main
-    # module, and the pooled run writes the serial run's bytes; a batch of 64
+    # module, and the pooled run writes the serial run's bytes; a batch of 80
     # rows takes TOY_TRENDS over the pool's work gate
-    train = {**TOY_TRENDS["train"], "hoi_batch": 64}
+    train = {**TOY_TRENDS["train"], "hoi_batch": 80}
     assert 2 * train["iterations"] * train["hoi_batch"] >= experiments.POOL_MIN_ROWS
     cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS, "train": train})
     proc = run_program("reproduce-trends", "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
     settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**train)})
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)  # the in-process serial loop
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the in-process serial loop
     write_json(tmp_path / "serial.json", reproduce_trends(settings).to_json_dict())
     assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from test_cli import data_dir, run, trained_dir, tree_bytes, write_config  # noqa: F401 (fixtures)
 
-from hoicompose import cli
+from hoicompose import cli, parallel
 from hoicompose.cli import EXIT_OK
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,7 +32,7 @@ def eval_config(tmp_path, data_dir, trained_dir) -> str:
 
 def run_on(path: str, monkeypatch, cmd, config, out):
     """run(cmd, config, out) with the CPUs of path; no thread outlives it."""
-    monkeypatch.setattr(cli, "usable_cpus", lambda: PATHS[path])
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: PATHS[path])
     before = threading.active_count()
     try:
         return run(cmd, config, out)
@@ -71,11 +71,11 @@ def test_threaded_outputs_are_the_inline_bytes(cmd, data_dir, trained_dir, tmp_p
 _FAILING_PREDICT = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from hoicompose import cli
+from hoicompose import cli, parallel
 def predict_dataset(model, test, tax):
     raise ValueError("predict_dataset: no scores for this set")
 cli.predict_dataset = predict_dataset
-cli.usable_cpus = lambda: int(sys.argv[2])
+parallel.usable_cpus = lambda: int(sys.argv[2])
 sys.exit(cli.main(sys.argv[3:]))
 """
 

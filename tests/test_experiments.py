@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoicompose import experiments
+from hoicompose import experiments, parallel
 from hoicompose.blas import blas_info
-from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map, usable_cpus
+from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map
 from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig
 
@@ -21,13 +21,13 @@ TOY = {"n_train": 250, "n_test": 60, "n_external": 60,
 # n_external=1 leaves seed 1's external stream no novel object; seed 5 keeps one
 NO_NOVEL = TrendSettings(seeds=(5, 1), **{**TOY, "n_external": 1})
 
-needs_pool = pytest.mark.skipif(usable_cpus() < 2, reason="one usable CPU: reproduce_trends runs no pool")
+needs_pool = pytest.mark.skipif(parallel.usable_cpus() < 2, reason="one usable CPU: reproduce_trends runs no pool")
 
 
 def serial_trends(settings: TrendSettings, monkeypatch):
     """reproduce_trends as on one CPU: the in-process serial loop."""
     with monkeypatch.context() as m:
-        m.setattr(experiments, "usable_cpus", lambda: 1)
+        m.setattr(parallel, "usable_cpus", lambda: 1)
         return reproduce_trends(settings)
 
 
@@ -82,15 +82,15 @@ def stop(way: str):
 @pytest.mark.parametrize("settings,way", [
     (TrendSettings(), "pool"),  # the default sizes: criteria 4-6, the chain, the benchmark's 5 seeds
     (TrendSettings(seeds=(0, 1)), "pool"),  # the benchmark's trends workload
-    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=282)), "pool"),  # 18,048 rows
-    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=281)), "serial"),  # 17,984 rows
+    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=625)), "pool"),  # 40,000 rows
+    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=624)), "serial"),  # 39,936 rows
     (TrendSettings(seeds=(0, 1), **TOY), "serial"),  # 16,000 rows
-    (TrendSettings(seeds=(0, 1, 2), train=TrainConfig(iterations=94, hoi_batch=64)), "pool"),  # 18,048 rows
+    (TrendSettings(seeds=(0, 1, 2), train=TrainConfig(iterations=209, hoi_batch=64)), "pool"),  # 40,128 rows
 ])
 def test_the_pool_starts_above_its_work_gate(settings, way, monkeypatch):
     # the training rows, seeds x iterations x hoi_batch, against POOL_MIN_ROWS
-    assert experiments.POOL_MIN_ROWS == 18_000
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    assert experiments.POOL_MIN_ROWS == 40_000
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "spawn_map", stop("pool"))
     monkeypatch.setattr(experiments, "run_trend_seed", stop("serial"))
     with pytest.raises(Ran) as ran:

@@ -1,15 +1,21 @@
-"""recognize_objects probes half of the bank's verbs in a forked child when two
-CPUs are usable and the probe is large enough (experiments.fork_halves). The
-inline path is the oracle: the same hits, scores and kept verbs bit for bit,
-the same errors and warnings, and no child left behind. A spy on os.fork shows
-where no child may start: on one CPU, without os.fork, in a trend worker,
-below affordance.FORK_MIN_PAIRS, and on the package's small probes."""
+"""parallel.fork_pair's two users. recognize_objects probes half of the bank's
+verbs in a forked child when two CPUs are usable and the probe is large
+enough, and train runs its spatial loop in one from pipeline.FORK_MIN_STEPS
+steps on. The inline path is the oracle: the same hits, scores and kept verbs,
+or the same model, trace, counters and grad norms, bit for bit, the same
+errors and warnings, and no child left behind. A spy on os.fork shows where no
+child may start: on one CPU, without os.fork, beside another Python thread, in
+a trend worker or a forked child, below either gate, and on the package's
+small probes."""
+import gc
 import os
 import runpy
+import signal
 import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_affordance import probe_cases, shape_case
+from test_cli import TINY_DATASET, TINY_TRAIN, TINY_WORLD, run, write_config
+from test_pipeline import tiny_setup
 
-from hoicompose import affordance, blas, experiments, nn
+from hoicompose import affordance, blas, experiments, nn, parallel, pipeline
 from hoicompose.affordance import FORK_MIN_PAIRS, decision_point, recognize, recognize_objects
-from hoicompose.experiments import TrendSettings, fork_halves, reproduce_trends, spawn_map
-from hoicompose.pipeline import TrainConfig
+from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map
+from hoicompose.parallel import fork_pair
+from hoicompose.pipeline import StepSampler, TrainConfig, train
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "affordance_bank.py"
 # 12 verbs x 100 entries; every verb has categories of its own
@@ -47,7 +56,7 @@ def forks(monkeypatch):
 @pytest.fixture
 def open_gate(monkeypatch):
     """Two usable CPUs and no pair minimum: every probe of two verbs or more forks."""
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(affordance, "FORK_MIN_PAIRS", 1)
 
 
@@ -59,7 +68,7 @@ def assert_reaped(pids):
 
 def inline(*args, **kwargs):
     """recognize_objects as on one CPU: the oracle."""
-    with mock.patch.object(experiments, "usable_cpus", lambda: 1):
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
         return recognize_objects(*args, **kwargs)
 
 
@@ -124,7 +133,7 @@ def test_forked_probe_is_the_inline_probe(case, cols, cells):
     tax, bank, model, feats, hoi_t, keep_t = case
     probed = [v for v, arr in bank.entries.items() if len(arr) and len(tax.categories_of_verb(v))]
     with mock.patch.object(affordance, "PROBE_COLS", cols), mock.patch.object(affordance, "PROBE_CELLS", cells), \
-            mock.patch.object(experiments, "usable_cpus", lambda: 2), \
+            mock.patch.object(parallel, "usable_cpus", lambda: 2), \
             mock.patch.object(affordance, "FORK_MIN_PAIRS", 0), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         got = recognize_objects(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
         want = inline(feats, bank, model, tax, hoi_threshold=hoi_t, keep_threshold=keep_t)
@@ -135,21 +144,26 @@ def test_forked_probe_is_the_inline_probe(case, cols, cells):
 @pytest.mark.parametrize("sizes,cut", [([5, 1, 1, 1, 1, 1], 1), ([1, 1, 1, 1, 1, 5], 5), ([3] * 6, 3)])
 def test_the_halves_cost_about_the_same(sizes, cut):
     # each verb has 5 own categories, so costs 6 per entry: the cut leaves the
-    # two halves' costs closest
+    # two halves' costs closest; the child's half is the first verbs' columns
     tax, bank, model, feats = shape_case(sizes, 2)
     halves = []
-    with mock.patch.object(experiments, "fork_halves", lambda work, a, b, out: halves.append((a, b))), \
-            mock.patch.object(affordance, "FORK_MIN_PAIRS", 1):
-        recognize_objects(feats, bank, model, tax)
+
+    def spy(child, parent):
+        halves.append((child(iter(())), parent(None)))
+
+    with mock.patch.object(parallel, "fork_pair", spy), mock.patch.object(affordance, "FORK_MIN_PAIRS", 1):
+        want = recognize_objects(feats, bank, model, tax)
     (first, second), = halves
-    assert [v for v, _, _ in first] == list(range(cut)) and [v for v, _, _ in second] == list(range(cut, 6))
+    assert first.shape == (2, cut)
+    assert np.array_equal(first, want.hits[:, :cut]) and np.array_equal(second[:, cut:], want.hits[:, cut:])
+    assert not second[:, :cut].any()
 
 
 # --- where no child starts ---
 
 def test_the_gate_is_the_pair_count(forks, monkeypatch):
     # 12 verbs x 100 entries: 166 objects are 199,200 pairs, 167 are 200,400
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     assert FORK_MIN_PAIRS == 200_000
     tax, bank, model, feats = shape_case(SIZES, 167)
     below = recognize_objects(feats[:166], bank, model, tax)
@@ -163,12 +177,12 @@ def test_the_gate_is_the_pair_count(forks, monkeypatch):
 def test_one_usable_cpu_or_no_fork_runs_inline(forks, monkeypatch):
     monkeypatch.setattr(affordance, "FORK_MIN_PAIRS", 1)
     tax, bank, model, feats = shape_case(SIZES, 20)
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     want = recognize_objects(feats, bank, model, tax)
     assert len(forks) == 1
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     assert_same_scores(recognize_objects(feats, bank, model, tax), want)
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     assert_same_scores(recognize_objects(feats, bank, model, tax), want)
     assert len(forks) == 1
@@ -198,7 +212,7 @@ def test_another_python_thread_or_a_failed_fork_runs_inline(forks, open_gate, mo
 def test_both_paths_probe_on_one_blas_thread(cpus, open_gate, monkeypatch):
     if blas.blas_info()["threads"] is None:
         pytest.skip("numpy's BLAS is not OpenBLAS: there is no thread count to read")
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     tax, bank, model, feats = overflow_case()
     threads = []
     monkeypatch.setattr(nn, "sigmoid", everywhere(lambda: threads.append(blas.blas_info()["threads"])))
@@ -209,7 +223,7 @@ def test_both_paths_probe_on_one_blas_thread(cpus, open_gate, monkeypatch):
 def forks_in_a_worker(_) -> tuple[int, list]:
     """In a spawn worker: the children an open-gated probe starts, and its hits."""
     tax, bank, model, feats = shape_case(SIZES, 20)
-    with mock.patch.object(experiments, "usable_cpus", lambda: 2), \
+    with mock.patch.object(parallel, "usable_cpus", lambda: 2), \
             mock.patch.object(affordance, "FORK_MIN_PAIRS", 1), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         hits = recognize_objects(feats, bank, model, tax).hits
     return fork.call_count, hits.tolist()
@@ -228,6 +242,7 @@ WARMUP = {"n_train": 40, "n_test": 20, "n_external": 20, "train": TrainConfig(it
 
 
 def test_small_probes_fork_no_child(forks, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "FORK_MIN_STEPS", 10**9)  # the demo's 1,200 training steps would fork
     tax, bank, model, feats = shape_case(SIZES, 1)
     recognize(feats[0], bank, model, tax)
     reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))  # in process, below the pool's work gate
@@ -281,47 +296,50 @@ def test_a_warning_surfaces_as_inline(forks, open_gate, monkeypatch):
     assert len(forks) == 2
 
 
-def test_fork_halves_recomputes_a_failed_half_and_raises_its_error(forks, monkeypatch):
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+def test_fork_pair_recomputes_a_failed_child_and_leaves_a_failed_caller_inline(forks, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     calls = []
 
-    def work(items, out):
+    def work(items):
         calls.append(os.getpid())
-        for i in items:
-            if i < 0:
-                raise ValueError(f"item {i}")
-            out[i] += 1
+        if min(items) < 0:
+            raise ValueError(f"item {min(items)}")
+        return sum(items)
 
-    out = np.zeros(4, dtype=np.int64)
-    fork_halves(work, [0, 1], [2, 3], out)
-    assert out.tolist() == [1, 1, 1, 1] and calls == [os.getpid()] and len(forks) == 1
-    with pytest.raises(ValueError, match=r"item -1"):  # the child's half fails, and fails again here
-        fork_halves(work, [-1], [2], out)
-    assert out.tolist() == [1, 1, 2, 1] and calls == [os.getpid()] * 3 and len(forks) == 2
-    with pytest.raises(ValueError, match=r"item -2"):  # this side's half fails
-        fork_halves(work, [0], [-2], out)
+    def sender(items):  # sends each item to the child's feed, then works on them here
+        def parent(send):
+            for i in items:
+                send(i)
+            return work(items)
+        return parent
+
+    assert fork_pair(lambda feed: work(list(feed)), sender([0, 1])) == (1, 1)
+    assert calls == [os.getpid()] and len(forks) == 1
+    with pytest.raises(ValueError, match=r"item -1"):  # the child fails, and fails again here on the items sent
+        fork_pair(lambda feed: work([*feed, -1]), sender([2]))
+    assert calls == [os.getpid()] * 3 and len(forks) == 2
+    assert fork_pair(lambda feed: work([0]), sender([-2])) is None  # this side fails: the caller goes inline
     assert len(forks) == 3
     assert_reaped(forks)
 
 
-# fork_halves in a fresh interpreter, which has no other child: it returns,
-# then this side's half raises; argv[1] is the source directory
+# fork_pair in a fresh interpreter, which has no other child: it returns,
+# then this side raises; argv[1] is the source directory
 NO_CHILD_LEFT = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from hoicompose import experiments
+from hoicompose import parallel
 
-experiments.usable_cpus = lambda: 2
+parallel.usable_cpus = lambda: 2
 fork, forks = os.fork, []
 os.fork = lambda: forks.append(1) or fork()
 
 
-def work(items, out):
-    for i in items:
-        if i < 0:
-            raise ValueError(i)
-        out[i] += 1
+def work(i):
+    if i < 0:
+        raise ValueError(i)
+    return np.arange(1 << 17) + i  # 1 MiB: more than a pipe holds
 
 
 def no_child():
@@ -332,22 +350,19 @@ def no_child():
     return "a child is left"
 
 
-out = np.zeros(2, dtype=np.int64)
-experiments.fork_halves(work, [0], [1], out)
+child, here = parallel.fork_pair(lambda feed: work(0), lambda send: work(1))
 print("returned:", no_child())
-try:
-    experiments.fork_halves(work, [0], [-1], out)
-except ValueError:
-    print("raised:", no_child())
-print(out.tolist(), len(forks))
+print(parallel.fork_pair(lambda feed: work(0), lambda send: work(-1)), no_child())
+print(int(child[-1]), int(here[-1]), len(forks))
 """
 
 
 def test_no_child_outlives_a_return_or_a_raise():
+    # the child's result is larger than the pipe holds, so the caller must read it before the wait
     src = str(Path(experiments.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", NO_CHILD_LEFT, src], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", NO_CHILD_LEFT, src], capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "returned: no child\nraised: no child\n[1, 1] 2\n"
+    assert proc.stdout == "returned: no child\nNone no child\n131071 131072 2\n"
 
 
 def test_buffered_output_is_written_once(forks, open_gate, monkeypatch, capfd):
@@ -364,7 +379,7 @@ def test_buffered_output_is_written_once(forks, open_gate, monkeypatch, capfd):
 
 def test_the_fork_warning_of_python_3_12_is_not_shown(open_gate, monkeypatch):
     # Python 3.12+ warn after a fork in a process with other OS threads, such as
-    # OpenBLAS's; fork_halves checks that no other Python thread runs
+    # OpenBLAS's; fork_pair checks that no other Python thread runs
     fork = os.fork
 
     def fork_warning():
@@ -381,3 +396,252 @@ def test_the_fork_warning_of_python_3_12_is_not_shown(open_gate, monkeypatch):
         got = recognize_objects(feats, bank, model, tax)
     assert shown == []
     assert_same_scores(got, inline(feats, bank, model, tax))
+
+
+# --- train's spatial loop in a child ---
+
+def train_case(iterations: int):
+    tax, _, train_set, _, external = tiny_setup()
+    return train_set, external, tax, TrainConfig(iterations=iterations, hidden=8, spatial_resolution=4, seed=3)
+
+
+def train_inline(*args):
+    """train as on one CPU: the oracle."""
+    with mock.patch.object(parallel, "usable_cpus", lambda: 1):
+        return train(*args)
+
+
+def assert_same_training(got, want):
+    for name in ("sp_classifier", "hoi_classifier"):
+        assert getattr(got.model, name).flat.tobytes() == getattr(want.model, name).flat.tobytes()
+    assert (got.trace, got.counters, got.grad_norms) == (want.trace, want.counters, want.grad_norms)
+
+
+@pytest.fixture
+def open_step_gate(monkeypatch):
+    """Two usable CPUs and a step gate of 1: every train of a step or more forks."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "FORK_MIN_STEPS", 1)
+
+
+def in_child_step(parent: int, action, name="sp_grads"):
+    """pipeline.<name>, running action() first in any process but parent, or
+    everywhere when parent is None."""
+    real = getattr(pipeline, name)
+
+    def wrapped(*args):
+        if parent is None or os.getpid() != parent:
+            action()
+        return real(*args)
+    return wrapped
+
+
+def test_the_step_gate_and_one_child_per_train(forks, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert pipeline.FORK_MIN_STEPS == 100
+    below = train(*train_case(99))
+    assert forks == []
+    case = train_case(100)
+    got = [train(*case), train(*case)]
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert_same_training(below, train_inline(*train_case(99)))
+    want = train_inline(*case)
+    for result in got:
+        assert_same_training(result, want)
+
+
+def test_one_cpu_no_fork_or_another_thread_trains_inline(forks, open_step_gate, monkeypatch):
+    case = train_case(20)
+    want = train_inline(*case)
+    assert forks == []
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert_same_training(train(*case), want)
+    finally:
+        release.set()
+        other.join()
+    monkeypatch.delattr(os, "fork")
+    assert_same_training(train(*case), want)
+    assert forks == []
+
+
+def train_forks_in_a_worker(_) -> tuple[int, bytes]:
+    """In a spawn worker: the children an open-gated train starts, and its spatial classifier."""
+    with mock.patch.object(parallel, "usable_cpus", lambda: 2), mock.patch.object(pipeline, "FORK_MIN_STEPS", 1), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        flat = train(*train_case(20)).model.sp_classifier.flat.tobytes()
+    return fork.call_count, flat
+
+
+def test_a_trend_worker_or_a_forked_child_trains_inline(forks, open_step_gate):
+    (calls, flat), = spawn_map(train_forks_in_a_worker, 1, [None])
+    assert calls == 0
+    assert train_forks_in_a_worker(None) == (1, flat)
+    # the child's copy of forks gains the children it starts
+    before = len(forks)
+    nested = fork_pair(lambda feed: (train(*train_case(20)).model.sp_classifier.flat.tobytes(), len(forks) - before),
+                       lambda send: None)
+    assert nested == ((flat, 0), None)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_keeps_nothing_alive_after_it_returns(cpus, open_step_gate, monkeypatch):
+    # with the cyclic collector off, the sampler and its matrices go as train
+    # returns: no reference cycle holds them until a later collection
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    samplers = []
+
+    class Recorded(StepSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            samplers.append(weakref.ref(self))
+
+    monkeypatch.setattr(pipeline, "StepSampler", Recorded)
+    gc.disable()
+    try:
+        train(*train_case(20))
+        assert len(samplers) == 1 and samplers[0]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_both_paths_train_on_one_blas_thread(cpus, open_step_gate, monkeypatch):
+    # this process's interaction steps are seen; the caller's count comes back
+    if blas.blas_info()["threads"] is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS: there is no thread count to read")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    threads = []
+    monkeypatch.setattr(pipeline, "hoi_grads",
+                        in_child_step(None, lambda: threads.append(blas.blas_info()["threads"]), "hoi_grads"))
+    before = blas.blas_info()["threads"]
+    blas._openblas()["set_num_threads"](2)
+    try:
+        train(*train_case(20))
+        assert blas.blas_info()["threads"] == 2
+    finally:
+        blas._openblas()["set_num_threads"](before)
+    assert len(threads) == 20 and set(threads) == {1}
+
+
+# --- failures ---
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("action", [fail, warn, kill_self], ids=["raises", "warns", "dies"])
+def test_a_failed_child_is_recomputed_here(action, forks, open_step_gate, monkeypatch):
+    case = train_case(20)
+    want = train_inline(*case)
+    monkeypatch.setattr(pipeline, "sp_grads", in_child_step(os.getpid(), action))
+    assert_same_training(train(*case), want)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("name", ["sp_grads", "hoi_grads"])
+def test_an_error_in_either_loop_reaches_the_caller_as_inline(name, forks, open_step_gate, monkeypatch):
+    # the loop fails at step 5's plan, in whichever process takes that step
+    case, plans = train_case(20), []
+    monkeypatch.setattr(pipeline, name, lambda *args, real=getattr(pipeline, name): plans.append(args[2]) or real(*args))
+    train_inline(*case)
+
+    def failing(*args, real=getattr(pipeline, name)):
+        if np.array_equal(args[2].rows, plans[5].rows):
+            raise ValueError(f"{name} failed at step 5")
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, failing)
+    with pytest.raises(ValueError) as want:
+        train_inline(*case)
+    with pytest.raises(ValueError) as got:
+        train(*case)
+    assert str(got.value) == str(want.value) == f"{name} failed at step 5"
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_a_failed_interaction_loop_reruns_the_drawn_plans_inline(forks, open_step_gate, monkeypatch):
+    # its first try fails at step 5 of the second window: the windows run here
+    # from the first step, on the plans already drawn, and no window is drawn twice
+    monkeypatch.setattr(pipeline, "TRAIN_WINDOW", 4)
+    case, calls, real = train_case(20), [], pipeline.hoi_grads
+
+    def fails_once(*args):
+        calls.append(None)
+        if len(calls) == 6:
+            raise ValueError("a one-off failure")
+        return real(*args)
+
+    want = train_inline(*case)
+    monkeypatch.setattr(pipeline, "hoi_grads", fails_once)
+    draws = []
+    monkeypatch.setattr(StepSampler, "draw", lambda self, *a, real=StepSampler.draw: draws.append(a) or real(self, *a))
+    assert_same_training(train(*case), want)
+    assert len(calls) == 6 + 20 and len(draws) == 5
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_a_warning_in_the_spatial_loop_surfaces_as_inline(forks, open_step_gate, monkeypatch):
+    # shown every time, each warning of the inline path is shown once: the
+    # child fails on its first, and the recomputed loop's are shown here
+    case = train_case(20)
+    monkeypatch.setattr(pipeline, "sp_grads", in_child_step(None, warn))
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        expected = train_inline(*case)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        assert_same_training(train(*case), expected)
+    assert len(got) == len(want) == 20
+    assert len(forks) == 1
+
+
+# hoicompose train in a fresh interpreter with a spatial loop that raises:
+# argv[1] is the source directory, argv[2] the usable CPUs, the rest the command line
+FAILING_TRAIN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from hoicompose import cli, parallel, pipeline
+
+def sp_grads(*args):
+    raise RuntimeError("the spatial loop failed")
+
+pipeline.sp_grads = sp_grads
+pipeline.FORK_MIN_STEPS = 1
+parallel.usable_cpus = lambda: int(sys.argv[2])
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+try:
+    code = cli.main(sys.argv[3:])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child is left", len(forks), file=sys.stderr)
+    except ChildProcessError:
+        print("no child", len(forks))
+sys.exit(code)
+"""
+
+
+def test_a_failing_spatial_loop_ends_the_command_as_inline(tmp_path):
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    data = tmp_path / "data"
+    gen = write_config(tmp_path / "gen.json", {"world": TINY_WORLD, "dataset": TINY_DATASET,
+                                               "split": {"mode": "novel-object"}})
+    assert run("gen-data", gen, data) == 0
+    cfg = write_config(tmp_path / "train.json", {"data_dir": str(data), "train": TINY_TRAIN})
+    ends = {}
+    for cpus in (1, 2):
+        proc = subprocess.run([sys.executable, "-c", FAILING_TRAIN, src, str(cpus), "train", "--config", cfg,
+                               "--out", str(tmp_path / f"out{cpus}")], capture_output=True, text=True, timeout=60)
+        ends[cpus] = (proc.returncode, proc.stdout, proc.stderr.strip().splitlines()[-1])
+    assert ends[1] == (1, "no child 0\n", "RuntimeError: the spatial loop failed")
+    assert ends[2] == (1, "no child 1\n", "RuntimeError: the spatial loop failed")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 import re
 import tempfile
@@ -17,7 +18,7 @@ from test_evaluation import ground_truth_pairs
 from test_nn import bits, numeric_grad_oracle, params_to_dict, rel_error_oracle
 from test_taxonomy import random_taxonomy
 
-from hoicompose import blas, nn, pipeline
+from hoicompose import blas, nn, parallel, pipeline
 from hoicompose.evaluation import make_split, map_report
 from hoicompose.seeding import substream
 from hoicompose.synth import gen_dataset, gen_world
@@ -472,6 +473,7 @@ def train_with_gradient_edit(monkeypatch, edit, updates, iterations=10):
     for name, grads in zip(("sp_grads", "hoi_grads"), edited_grads(edit, latest)):
         monkeypatch.setattr(pipeline, name, grads)
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spies count this process's steps
     return train(train_set, external, tax, TrainConfig(iterations=iterations, hidden=8, spatial_resolution=4, seed=3))
 
 
@@ -568,6 +570,7 @@ def test_train_divergence_on_a_nonfinite_composite_gradient(monkeypatch, value):
 
     monkeypatch.setattr(nn, "mlp_backward", mlp_backward)
     monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spies count this process's steps
     cfg = TrainConfig(iterations=10, hidden=8, spatial_resolution=4, lambda2=0.5, seed=3)
     with pytest.raises(TrainingDiverged) as err:
         train(train_set, external, tax, cfg)
@@ -645,6 +648,11 @@ def _train_reference(train_set, external_objects, tax, cfg):
     return pipeline.TrainResult(model=model, trace=trace, counters=counters)
 
 
+def one_cpu():
+    """Training on one usable CPU: both loops in this process, where spies see them."""
+    return mock.patch.object(parallel, "usable_cpus", lambda: 1)
+
+
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
     assert a.shape == b.shape and a.dtype == b.dtype == np.float64
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -675,7 +683,7 @@ def test_train_matches_the_allocating_reference_bit_for_bit(n_train, n_external,
             return real_backward(params, x, target, out=out)
         return mlp_backward
 
-    with mock.patch.object(nn, "mlp_backward", recorder(inputs[0])):
+    with mock.patch.object(nn, "mlp_backward", recorder(inputs[0])), one_cpu():
         got = train(train_set, external, tax, cfg)
     with mock.patch.object(nn, "mlp_backward", recorder(inputs[1])):
         want = _train_reference(train_set, external, tax, cfg)
@@ -708,37 +716,43 @@ def reference_steps(train_set, external, tax, cfg, fault):
         steps[-1].append(grads.flat)
         return loss, grads
 
-    with mock.patch.object(nn, "mlp_backward", mlp_backward):
+    with mock.patch.object(nn, "mlp_backward", mlp_backward), one_cpu():
         try:
             return _train_reference(train_set, external, tax, cfg), steps
         except TrainingDiverged as err:
             return err, steps
 
 
-def windowed_train(train_set, external, tax, cfg, window, fault):
+def windowed_train(train_set, external, tax, cfg, window, fault, forked=False):
     """train's result, or its TrainingDiverged, with TRAIN_WINDOW window and
-    fault as in reference_steps, made in the gradient sp_grads or hoi_grads returns."""
+    fault as in reference_steps, made in the gradient sp_grads or hoi_grads
+    returns; forked, the spatial loop runs in a child whatever the steps, and
+    exactly one child starts."""
     def edit(classifier, step, grad):
         if (classifier, step) == fault:
             grad.b2[0] = np.nan
 
     sp_grads, hoi_grads = edited_grads(edit, {})
     with mock.patch.object(pipeline, "TRAIN_WINDOW", window), mock.patch.object(pipeline, "sp_grads", sp_grads), \
-            mock.patch.object(pipeline, "hoi_grads", hoi_grads):
+            mock.patch.object(pipeline, "hoi_grads", hoi_grads), mock.patch.object(pipeline, "FORK_MIN_STEPS", 0), \
+            mock.patch.object(parallel, "usable_cpus", lambda: 2 if forked else 1), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
         try:
             return train(train_set, external, tax, cfg)
         except TrainingDiverged as err:
             return err
+        finally:
+            assert fork.call_count == forked
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 9), st.sampled_from([1, 4]), st.booleans(),
-       st.sampled_from([None, "sp", "hoi"]), st.sampled_from(["first", "last"]), st.data())
+       st.sampled_from([None, "sp", "hoi"]), st.sampled_from(["first", "last"]), st.booleans(), st.data())
 def test_train_windows_match_the_reference_bit_for_bit(window, iterations, trace_every, composites,
-                                                        classifier, edge, data):
+                                                        classifier, edge, forked, data):
     # windows of 1-3 steps cross every edge of 0-9 iterations; a NaN gradient at
     # a window's first or last step must stop training at that step, as stepping
-    # one by one does
+    # one by one does, also with the spatial loop in a forked child
     tax, train_set, external = reference_world(60, 20)
     cfg = TrainConfig(iterations=iterations, trace_every=trace_every, hoi_batch=8, hidden=4,
                       spatial_resolution=2, lambda2=0.5 if composites else 0.0,
@@ -748,7 +762,7 @@ def test_train_windows_match_the_reference_bit_for_bit(window, iterations, trace
         first = window * data.draw(st.integers(0, (iterations - 1) // window))
         fault = (classifier, first if edge == "first" else min(first + window, iterations) - 1)
     want, steps = reference_steps(train_set, external, tax, cfg, fault)
-    got = windowed_train(train_set, external, tax, cfg, window, fault)
+    got = windowed_train(train_set, external, tax, cfg, window, fault, forked)
     assert type(got) is type(want)
     if isinstance(want, TrainingDiverged):
         assert (got.step, repr(got.loss)) == (want.step, repr(want.loss)) == (fault[1], repr(want.loss))
@@ -799,6 +813,7 @@ def test_two_trainings_return_independent_models(monkeypatch):
 
     for name in workspaces:
         monkeypatch.setattr(pipeline, name, recorder(name, getattr(pipeline, name)))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spies see this process's steps
     a = train(train_set, external, tax, cfg)
     b = train(train_set, external, tax, cfg)
     for grads in workspaces.values():
@@ -832,6 +847,7 @@ def test_grad_norms_are_the_norms_of_the_step_gradients(monkeypatch):
 
     for name in real:
         monkeypatch.setattr(pipeline, name, recorder(name))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spies see this process's steps
     result = train(train_set, external, tax, cfg)
     assert [row["step"] for row in result.grad_norms] == [row["step"] for row in result.trace] == [0, 5, 10, 11]
     assert all(set(row) == {"step", "L_sp", "L_hoi", "L_ATL", "L_total"} for row in result.trace)
