@@ -7,10 +7,7 @@ code backs both the CLI summary and the automated trend checks.
 """
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from statistics import median
 from typing import NamedTuple
 
@@ -28,18 +25,6 @@ UNSEEN_MIN_RELATIVE_GAIN = 1.10
 SEEN_MAX_RELATIVE_DROP = 0.95
 AFFORDANCE_F1_MIN_GAP = 0.10
 BANK_STABILITY_MAX_REL_DIFF = 0.10
-
-# A spawn worker's BLAS thread pool, fixed by the environment it inherits
-# before it imports numpy: the workers fill the usable CPUs between them, and
-# more BLAS threads than CPUs would only contend.
-WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# The training rows (seeds x iterations x hoi_batch) below which
-# reproduce_trends runs its seeds in process, where each train forks its
-# spatial loop: two seeds at the default sizes ran faster serially at 300
-# iterations (19,200 rows), alike at 600 and pooled from 700 (44,800), as the
-# pool's start-up costs about 0.3 s.
-POOL_MIN_ROWS = 40_000
-
 
 @dataclass
 class TrendSettings:
@@ -65,7 +50,7 @@ class TrendSettings:
 
 class TrendSeed(NamedTuple):
     """One seed's metrics, and its bank-stability dict when asked for: all that
-    a trend worker sends back, so no taxonomy, dataset or model is pickled."""
+    a trend child sends back, so no taxonomy, dataset or model is pickled."""
 
     metrics: dict
     bank: dict | None
@@ -154,59 +139,31 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def init_worker(filters: list, numpy_errors: dict) -> None:
-    """Give a spawn worker its caller's warning filters and numpy error
-    handling, so that a warning the caller turns into an error fails a pooled
-    seed as it fails the serial loop."""
-    parallel.in_child = True  # the pool already fills the usable CPUs
-    warnings.resetwarnings()  # also marks the registries of warnings already shown out of date
-    warnings.filters.extend(filters)
-    np.seterr(**numpy_errors)
-
-
-def spawn_map(fn, workers: int, *iterables) -> list:
-    """list(map(fn, *iterables)) in `workers` spawn processes, results in input
-    order; the first exception in input order reaches the caller. The workers
-    run under the caller's warning filters and numpy error handling. The pool
-    is joined and the environment restored before the call returns, also when
-    fn raises."""
-    # Imported here: every CLI command imports this module, and these modules
-    # would add about 1.5 MB to the resident size of the commands that never pool.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = {key: os.environ.get(key) for key in WORKER_ENV}
-    os.environ.update(WORKER_ENV)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=init_worker, initargs=(warnings.filters[:], np.geterr())) as pool:
-            return list(pool.map(fn, *iterables))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-
-
 def reproduce_trends(settings: TrendSettings | None = None) -> TrendReport:
     """Run every seed, median the metrics, and evaluate the trend checks. The
     first seed's run also gives the bank-stability check.
 
-    Seeds run in min(seeds, usable CPUs) spawn workers when their training
-    reads at least POOL_MIN_ROWS rows; with one worker, or less work, they run
-    one after another in this process. A spawn worker imports the caller's
-    main script, so a script that calls this runs its code under
-    `if __name__ == "__main__":`.
+    With two seeds or more, the seeds split in seed order into two halves,
+    each run in its own forked child (parallel.fork_pair): this side of the
+    first half's pair forks the second half's, so this process trains no seed,
+    and each child's train and probe stay inline. On one usable CPU, without a
+    fork, or when a half fails in its child and again here, the seeds run one
+    after another in this process, the serial loop, which raises the first
+    error in seed order.
     """
     settings = settings or TrendSettings()
     settings.validate()
-    seeds = settings.seeds
-    rows = len(seeds) * settings.train.iterations * settings.train.hoi_batch
-    workers = min(len(seeds), parallel.usable_cpus()) if rows >= POOL_MIN_ROWS else 1
-    with_bank = [i == 0 for i in range(len(seeds))]
-    results = ([run_trend_seed(seed, settings, bank) for seed, bank in zip(seeds, with_bank)] if workers == 1
-               else spawn_map(run_trend_seed, workers, seeds, repeat(settings), with_bank))
+    seeds, half = settings.seeds, len(settings.seeds) // 2
+
+    def run(part: tuple[int, ...], first: bool) -> list[TrendSeed]:
+        return [run_trend_seed(seed, settings, first and i == 0) for i, seed in enumerate(part)]
+
+    def second_half(_) -> list[TrendSeed]:
+        pair = parallel.fork_pair(lambda _: run(seeds[half:], False), lambda _: None)
+        return pair[0] if pair else run(seeds[half:], False)
+
+    halves = parallel.fork_pair(lambda _: run(seeds[:half], True), second_half) if half else None
+    results = halves[0] + halves[1] if halves else run(seeds, True)
     per_seed = [metrics for metrics, _ in results]
     bank = results[0].bank
 

@@ -9,7 +9,7 @@ from contextlib import suppress
 
 from . import blas
 
-# Set in a forked child and in a trend worker: their siblings already fill the CPUs.
+# Set in a forked child: it and its caller, or its sibling, already fill the CPUs.
 in_child = False
 
 
@@ -35,8 +35,8 @@ def _feed(f):
 def fork_pair(child, parent):
     """(child(feed), parent(send)) with child in a forked child, or None for the
     caller to run both inline: on one usable CPU, without os.fork, beside
-    another Python thread, in a forked child or trend worker, when no process
-    starts, or when parent raises an Exception. Both sides run on one OpenBLAS
+    another Python thread, in a forked child, when no process starts, or when
+    parent raises an Exception. Both sides run on one OpenBLAS
     thread; feed yields what parent sends, in order. The child raises every
     warning as an error and leaves by os._exit, flushing no buffer of the
     caller's; its result is read before the wait, so it may exceed a pipe's
@@ -81,9 +81,10 @@ def fork_pair(child, parent):
                     here = parent(send)
                 finally:
                     os.close(feed_w)
-                data = results.read()
+                with suppress(EOFError, pickle.UnpicklingError):  # a child that died before or mid-send exits nonzero
+                    result = pickle.load(results)
         except Exception:
             return None
         finally:
             status = os.waitpid(pid, 0)[1]
-        return (pickle.loads(data) if status == 0 else child(iter(sent))), here
+        return (result if status == 0 else child(iter(sent))), here

@@ -34,7 +34,7 @@ class TrainingDiverged(RuntimeError):
     """Raised when a step's loss or gradients go non-finite; .step is the failing step."""
 
     def __init__(self, step: int, loss: float):
-        # args hold what __init__ takes, so the error unpickles from a worker
+        # args hold what __init__ takes, so the error survives a pickle round trip
         super().__init__(step, loss)
         self.step, self.loss = step, loss
 

@@ -1,8 +1,10 @@
 """Shared test plumbing: the acceptance suite records one line per criterion
 here, and the terminal summary prints them whether the run passed or failed.
 The default trend experiment is one session fixture, which criteria 4-6 and
-the byte-identity chain test share.
+the byte-identity chain test share. `forks` spies on os.fork for the tests of
+the forked paths.
 """
+import os
 import time
 
 import pytest
@@ -31,3 +33,18 @@ def trend():
     start = time.perf_counter()
     report = reproduce_trends(TrendSettings())
     return report, time.perf_counter() - start
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process from now on."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids

@@ -20,7 +20,7 @@ from test_affordance import bank_to_json_dict
 from test_pipeline import checkpoint_to_json_dict
 
 import hoicompose
-from hoicompose import cli, experiments, parallel, pipeline
+from hoicompose import cli, parallel, pipeline
 from hoicompose.affordance import AffordanceBank
 from hoicompose.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hoicompose.experiments import TrendSettings, reproduce_trends
@@ -1416,19 +1416,18 @@ def test_reproduce_trends_config_validation(tmp_path):
     assert run("reproduce-trends", cfg2, tmp_path) == EXIT_CONFIG
 
 
-def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys, monkeypatch):
-    # seed 1's external stream has no novel object; the error comes from a worker
-    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)  # TOY_TRENDS is below the pool's work gate
+def test_reproduce_trends_worker_error_is_data_error(tmp_path, capsys):
+    # seed 1's external stream has no novel object; on two CPUs its seed
+    # child fails first, and the serial loop raises the error again here
     cfg = write_config(tmp_path / "t.json", {"seeds": [5, 1], **TOY_TRENDS, "n_external": 1})
     assert run("reproduce-trends", cfg, tmp_path / "out") == EXIT_DATA
     err = capsys.readouterr().err
     assert "reproduce-trends: seed 1: no novel objects in the external stream" in err, err
 
 
-def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys, monkeypatch):
-    # a worker's TrainingDiverged reaches main as itself; huge lr overflows into
-    # NaN within a step or two at full width
-    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)
+def test_reproduce_trends_worker_divergence_exit_code(tmp_path, capsys):
+    # a seed child's TrainingDiverged reaches main as itself; huge lr overflows
+    # into NaN within a step or two at full width
     cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS,
                                              "train": {"iterations": 10, "lr": 1e160}})
     with np.errstate(all="ignore"):
@@ -1464,15 +1463,12 @@ def run_program(*argv):
 
 
 def test_reproduce_trends_entry_point_starts_its_workers(tmp_path, monkeypatch):
-    # spawn workers of a fresh `python -m hoicompose` start from the CLI's main
-    # module, and the pooled run writes the serial run's bytes; a batch of 80
-    # rows takes TOY_TRENDS over the pool's work gate
-    train = {**TOY_TRENDS["train"], "hoi_batch": 80}
-    assert 2 * train["iterations"] * train["hoi_batch"] >= experiments.POOL_MIN_ROWS
-    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS, "train": train})
+    # a fresh `python -m hoicompose` forks its two seed children, and writes
+    # the serial run's bytes
+    cfg = write_config(tmp_path / "t.json", {"seeds": [0, 1], **TOY_TRENDS})
     proc = run_program("reproduce-trends", "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**train)})
+    settings = TrendSettings(seeds=(0, 1), **{**TOY_TRENDS, "train": TrainConfig(**TOY_TRENDS["train"])})
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the in-process serial loop
     write_json(tmp_path / "serial.json", reproduce_trends(settings).to_json_dict())
     assert (tmp_path / "out" / "trends.json").read_bytes() == (tmp_path / "serial.json").read_bytes()

@@ -1,8 +1,7 @@
-"""reproduce_trends in spawn workers against its in-process serial loop, the
-oracle: same bytes, no worker left behind, one BLAS thread per worker, and the
-caller's warning filters in every worker. The pool starts only above its work
-gate, so the pooled tests lower it."""
-import multiprocessing
+"""reproduce_trends in two forked seed children against its in-process serial
+loop, the oracle: same bytes, exactly two children and no seed run in the
+caller, and the caller's warning filters and numpy error handling in every
+child, so that a warning fails a forked seed as it fails the serial loop."""
 import os
 import warnings
 from pathlib import Path
@@ -11,17 +10,14 @@ import numpy as np
 import pytest
 
 from hoicompose import experiments, parallel
-from hoicompose.blas import blas_info
-from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map
+from hoicompose.experiments import TrendSettings, reproduce_trends
 from hoicompose.jsonfile import write_json
 from hoicompose.pipeline import TrainConfig
 
 TOY = {"n_train": 250, "n_test": 60, "n_external": 60,
        "train": TrainConfig(iterations=250, hidden=24, spatial_resolution=8)}
-# n_external=1 leaves seed 1's external stream no novel object; seed 5 keeps one
-NO_NOVEL = TrendSettings(seeds=(5, 1), **{**TOY, "n_external": 1})
 
-needs_pool = pytest.mark.skipif(parallel.usable_cpus() < 2, reason="one usable CPU: reproduce_trends runs no pool")
+needs_two_cpus = pytest.mark.skipif(parallel.usable_cpus() < 2, reason="one usable CPU: reproduce_trends forks no seed")
 
 
 def serial_trends(settings: TrendSettings, monkeypatch):
@@ -36,93 +32,72 @@ def report_bytes(report, path: Path) -> tuple[bytes, str]:
     return path.read_bytes(), report.format_table()
 
 
-@needs_pool
+@needs_two_cpus
 @pytest.mark.parametrize("seeds", [(0, 1), (3, 0, 7)])
-def test_pooled_report_is_the_serial_report(seeds, tmp_path, monkeypatch):
-    # three seeds on two workers: one worker runs two of them, out of seed order
-    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)  # TOY is below the pool's work gate
+def test_pooled_report_is_the_serial_report(seeds, forks, tmp_path, monkeypatch):
+    # three seeds: the second child runs two of them, out of seed order
     settings = TrendSettings(seeds=seeds, **TOY)
-    pooled = reproduce_trends(settings)
+    forked = reproduce_trends(settings)
+    assert len(forks) == 2
     serial = serial_trends(settings, monkeypatch)
-    assert [m["seed"] for m in pooled.per_seed] == list(seeds)
-    assert report_bytes(pooled, tmp_path / "pooled.json") == report_bytes(serial, tmp_path / "serial.json")
+    assert [m["seed"] for m in forked.per_seed] == list(seeds)
+    assert report_bytes(forked, tmp_path / "forked.json") == report_bytes(serial, tmp_path / "serial.json")
 
 
-@needs_pool
-def test_pool_leaves_no_worker_and_restores_the_environment(monkeypatch):
-    # one pinned variable set before the call, the others unset
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)
-    before = dict(os.environ)
-    reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))
-    assert multiprocessing.active_children() == []
-    assert dict(os.environ) == before
-
-    with pytest.raises(ValueError) as serial:
-        serial_trends(NO_NOVEL, monkeypatch)
-    with pytest.raises(ValueError) as pooled:
-        reproduce_trends(NO_NOVEL)
-    assert str(pooled.value) == str(serial.value) == "seed 1: no novel objects in the external stream"
-    assert multiprocessing.active_children() == []
-    assert dict(os.environ) == before
-
-
-class Ran(Exception):
-    """Which way reproduce_trends ran its seeds: "pool" or "serial"."""
-
-
-def stop(way: str):
-    def raise_ran(*args):
-        raise Ran(way)
-    return raise_ran
-
-
-@pytest.mark.parametrize("settings,way", [
-    (TrendSettings(), "pool"),  # the default sizes: criteria 4-6, the chain, the benchmark's 5 seeds
-    (TrendSettings(seeds=(0, 1)), "pool"),  # the benchmark's trends workload
-    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=625)), "pool"),  # 40,000 rows
-    (TrendSettings(seeds=(0, 1), train=TrainConfig(iterations=624)), "serial"),  # 39,936 rows
-    (TrendSettings(seeds=(0, 1), **TOY), "serial"),  # 16,000 rows
-    (TrendSettings(seeds=(0, 1, 2), train=TrainConfig(iterations=209, hoi_batch=64)), "pool"),  # 40,128 rows
-])
-def test_the_pool_starts_above_its_work_gate(settings, way, monkeypatch):
-    # the training rows, seeds x iterations x hoi_batch, against POOL_MIN_ROWS
-    assert experiments.POOL_MIN_ROWS == 40_000
+def test_the_caller_trains_no_seed(forks, tmp_path, monkeypatch):
+    # each run_trend_seed call writes its pid to a log that every process appends to
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "spawn_map", stop("pool"))
-    monkeypatch.setattr(experiments, "run_trend_seed", stop("serial"))
-    with pytest.raises(Ran) as ran:
-        reproduce_trends(settings)
-    assert str(ran.value) == way
+    log, real = tmp_path / "pids", experiments.run_trend_seed
+
+    def logged(*args):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()} {args[0]}\n")
+        return real(*args)
+
+    def ran() -> dict[int, set[int]]:
+        pids = {}
+        for line in log.read_text().splitlines():
+            pid, seed = map(int, line.split())
+            pids.setdefault(seed, set()).add(pid)
+        log.unlink()
+        return pids
+
+    monkeypatch.setattr(experiments, "run_trend_seed", logged)
+    small = {**TOY, "train": TrainConfig(iterations=20, hidden=24, spatial_resolution=8)}
+    reproduce_trends(TrendSettings(seeds=(3, 0, 7), **small))
+    pids = ran()
+    assert len(forks) == 2 and set(pids) == {3, 0, 7}
+    assert pids[3] == {forks[0]} and pids[0] == pids[7] == {forks[1]}  # the first child takes the first half
+    reproduce_trends(TrendSettings(seeds=(3,), **small))
+    assert ran() == {3: {os.getpid()}} and len(forks) == 2  # one seed forks no seed child
 
 
-def worker_blas_threads(_) -> int | None:
-    return blas_info()["threads"]
+def overflow_in_seed(bad: int):
+    """run_trend_seed, overflowing a float64 multiply first in seed `bad`."""
+    real = experiments.run_trend_seed
+
+    def run(seed, *args):
+        if seed == bad:
+            np.float64(1e308) * 10
+        return real(seed, *args)
+    return run
 
 
-@needs_pool
-def test_each_worker_has_one_blas_thread():
-    # unpinned, each worker's OpenBLAS would start one thread per CPU, and the
-    # workers, as many as the CPUs, would oversubscribe them
-    threads = spawn_map(worker_blas_threads, 2, range(2))
-    if threads[0] is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS: there is no thread count to read")
-    assert threads == [1, 1]
-
-
-def overflow(_) -> float:
-    return float(np.float64(1e308) * 10)
-
-
-@needs_pool
-def test_workers_take_the_callers_warning_filters():
-    # the project's pytest config makes RuntimeWarning an error, here and in a worker
-    with pytest.raises(RuntimeWarning, match="overflow"):
-        spawn_map(overflow, 2, range(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert spawn_map(overflow, 2, range(2)) == [np.inf, np.inf]
-    with np.errstate(over="ignore"):
-        assert spawn_map(overflow, 2, range(2)) == [np.inf, np.inf]
+@needs_two_cpus
+def test_workers_take_the_callers_warning_filters(tmp_path, monkeypatch):
+    # the project's pytest config makes RuntimeWarning an error, in the caller
+    # and so in a seed child; each seed child is one half of the seeds
+    settings = TrendSettings(seeds=(0, 1), **{**TOY, "train": TrainConfig(iterations=20, hidden=24)})
+    want = report_bytes(serial_trends(settings, monkeypatch), tmp_path / "serial.json")
+    for bad in settings.seeds:
+        monkeypatch.setattr(experiments, "run_trend_seed", overflow_in_seed(bad))
+        with pytest.raises(RuntimeWarning) as serial:
+            serial_trends(settings, monkeypatch)
+        with pytest.raises(RuntimeWarning) as forked:
+            reproduce_trends(settings)
+        assert str(forked.value) == str(serial.value) == "overflow encountered in scalar multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert report_bytes(reproduce_trends(settings), tmp_path / "ignored.json") == want
+        with np.errstate(over="ignore"):
+            assert report_bytes(reproduce_trends(settings), tmp_path / "errstate.json") == want

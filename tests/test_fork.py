@@ -5,10 +5,11 @@ steps on. The inline path is the oracle: the same hits, scores and kept verbs,
 or the same model, trace, counters and grad norms, bit for bit, the same
 errors and warnings, and no child left behind. A spy on os.fork shows where no
 child may start: on one CPU, without os.fork, beside another Python thread, in
-a trend worker or a forked child, below either gate, and on the package's
+a forked child such as a trend seed's, below either gate, and on the package's
 small probes."""
 import gc
 import os
+import pickle
 import runpy
 import signal
 import subprocess
@@ -29,28 +30,13 @@ from test_pipeline import tiny_setup
 
 from hoicompose import affordance, blas, experiments, nn, parallel, pipeline
 from hoicompose.affordance import FORK_MIN_PAIRS, decision_point, recognize, recognize_objects
-from hoicompose.experiments import TrendSettings, reproduce_trends, spawn_map
+from hoicompose.experiments import TrendSettings, reproduce_trends
 from hoicompose.parallel import fork_pair
 from hoicompose.pipeline import StepSampler, TrainConfig, train
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "affordance_bank.py"
 # 12 verbs x 100 entries; every verb has categories of its own
 SIZES = [100] * 12
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts in this process from now on."""
-    pids, fork = [], os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return pids
 
 
 @pytest.fixture
@@ -220,8 +206,8 @@ def test_both_paths_probe_on_one_blas_thread(cpus, open_gate, monkeypatch):
     assert threads and set(threads) == {1}
 
 
-def forks_in_a_worker(_) -> tuple[int, list]:
-    """In a spawn worker: the children an open-gated probe starts, and its hits."""
+def probe_forks_here(_) -> tuple[int, list]:
+    """The children an open-gated probe starts here, and its hits."""
     tax, bank, model, feats = shape_case(SIZES, 20)
     with mock.patch.object(parallel, "usable_cpus", lambda: 2), \
             mock.patch.object(affordance, "FORK_MIN_PAIRS", 1), mock.patch.object(os, "fork", wraps=os.fork) as fork:
@@ -230,10 +216,13 @@ def forks_in_a_worker(_) -> tuple[int, list]:
 
 
 def test_a_trend_worker_forks_no_child(forks, open_gate):
-    # the pool already fills the CPUs; the same probe forks here
-    (calls, hits), = spawn_map(forks_in_a_worker, 1, [None])
-    assert calls == 0
-    assert forks_in_a_worker(None) == (1, hits)
+    # a trend seed's probe runs in a fork_pair child, beside its caller or its
+    # sibling, which already fill the CPUs; the same probe forks here
+    (calls, hits), here = fork_pair(probe_forks_here, lambda _: None)
+    assert (calls, here) == (0, None)
+    assert probe_forks_here(None) == (1, hits)
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 TOY = {"n_train": 80, "n_test": 40, "n_external": 40, "train": TrainConfig(iterations=10)}
@@ -243,12 +232,24 @@ WARMUP = {"n_train": 40, "n_test": 20, "n_external": 20, "train": TrainConfig(it
 
 def test_small_probes_fork_no_child(forks, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "FORK_MIN_STEPS", 10**9)  # the demo's 1,200 training steps would fork
+    in_seeds = []  # the children forked inside each seed run in this process
+
+    def counted(*args, real=experiments.run_trend_seed):
+        before = len(forks)
+        try:
+            return real(*args)
+        finally:
+            in_seeds.append(len(forks) - before)
+
+    monkeypatch.setattr(experiments, "run_trend_seed", counted)
     tax, bank, model, feats = shape_case(SIZES, 1)
     recognize(feats[0], bank, model, tax)
-    reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))  # in process, below the pool's work gate
+    reproduce_trends(TrendSettings(seeds=(0,), **TOY))  # one seed: in process
     reproduce_trends(TrendSettings(seeds=(3,), **WARMUP))
-    monkeypatch.setattr(experiments, "POOL_MIN_ROWS", 0)
-    reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))  # pooled
+    assert in_seeds == [0, 0] and forks == []
+    reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))  # two seed children, which fork nothing
+    assert in_seeds == [0, 0] and len(forks) == 2
+    forks.clear()
     runpy.run_path(str(DEMO), run_name="__main__")
     assert "affordance mAP with M=20" in capsys.readouterr().out
     assert forks == []
@@ -323,13 +324,46 @@ def test_fork_pair_recomputes_a_failed_child_and_leaves_a_failed_caller_inline(f
     assert_reaped(forks)
 
 
+def test_a_child_that_dies_before_or_while_sending_is_recomputed(forks, monkeypatch):
+    # its result pipe ends empty or inside the pickle; its nonzero status, not
+    # the failed read, decides: the child's side runs here, the caller's is kept
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    me, write = os.getpid(), parallel._write
+
+    def half_then_exit(fd, item):
+        if os.getpid() == me:
+            return write(fd, item)
+        data = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+        os.write(fd, data[:len(data) // 2])
+        os._exit(1)
+
+    def work(feed):
+        return list(range(100)), os.getpid()
+
+    def killed(feed):
+        if os.getpid() != me:
+            kill_self()
+        return work(feed)
+
+    want = ((list(range(100)), me), "here")
+    assert fork_pair(killed, lambda send: "here") == want
+    monkeypatch.setattr(parallel, "_write", half_then_exit)
+    assert fork_pair(work, lambda send: "here") == want
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
 # fork_pair in a fresh interpreter, which has no other child: it returns,
-# then this side raises; argv[1] is the source directory
+# then this side raises; then reproduce_trends returns, then raises as its
+# serial loop (n_external=1 leaves seed 1 no novel object, seed 5 keeps one);
+# argv[1] is the source directory
 NO_CHILD_LEFT = """
 import os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from hoicompose import parallel
+from hoicompose.experiments import TrendSettings, reproduce_trends
+from hoicompose.pipeline import TrainConfig
 
 parallel.usable_cpus = lambda: 2
 fork, forks = os.fork, []
@@ -354,6 +388,15 @@ child, here = parallel.fork_pair(lambda feed: work(0), lambda send: work(1))
 print("returned:", no_child())
 print(parallel.fork_pair(lambda feed: work(0), lambda send: work(-1)), no_child())
 print(int(child[-1]), int(here[-1]), len(forks))
+
+env = dict(os.environ)
+toy = {"n_train": 250, "n_test": 60, "n_external": 60, "train": TrainConfig(iterations=10)}
+reproduce_trends(TrendSettings(seeds=(0, 1), **toy))
+print("trends returned:", no_child(), len(forks))
+try:
+    reproduce_trends(TrendSettings(seeds=(5, 1), **{**toy, "n_external": 1}))
+except ValueError as e:
+    print(e, no_child(), len(forks), os.environ == env)
 """
 
 
@@ -362,7 +405,8 @@ def test_no_child_outlives_a_return_or_a_raise():
     src = str(Path(experiments.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", NO_CHILD_LEFT, src], capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "returned: no child\nNone no child\n131071 131072 2\n"
+    assert proc.stdout == ("returned: no child\nNone no child\n131071 131072 2\ntrends returned: no child 4\n"
+                           "seed 1: no novel objects in the external stream no child 6 True\n")
 
 
 def test_buffered_output_is_written_once(forks, open_gate, monkeypatch, capfd):
@@ -468,8 +512,8 @@ def test_one_cpu_no_fork_or_another_thread_trains_inline(forks, open_step_gate, 
     assert forks == []
 
 
-def train_forks_in_a_worker(_) -> tuple[int, bytes]:
-    """In a spawn worker: the children an open-gated train starts, and its spatial classifier."""
+def train_forks_here(_) -> tuple[int, bytes]:
+    """The children an open-gated train starts here, and its spatial classifier."""
     with mock.patch.object(parallel, "usable_cpus", lambda: 2), mock.patch.object(pipeline, "FORK_MIN_STEPS", 1), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         flat = train(*train_case(20)).model.sp_classifier.flat.tobytes()
@@ -477,14 +521,11 @@ def train_forks_in_a_worker(_) -> tuple[int, bytes]:
 
 
 def test_a_trend_worker_or_a_forked_child_trains_inline(forks, open_step_gate):
-    (calls, flat), = spawn_map(train_forks_in_a_worker, 1, [None])
-    assert calls == 0
-    assert train_forks_in_a_worker(None) == (1, flat)
-    # the child's copy of forks gains the children it starts
-    before = len(forks)
-    nested = fork_pair(lambda feed: (train(*train_case(20)).model.sp_classifier.flat.tobytes(), len(forks) - before),
-                       lambda send: None)
-    assert nested == ((flat, 0), None)
+    # a trend seed trains in a fork_pair child: there its train forks nothing
+    # and gives the model that a forking train gives here
+    (calls, flat), here = fork_pair(train_forks_here, lambda _: None)
+    assert (calls, here) == (0, None)
+    assert train_forks_here(None) == (1, flat)
     assert len(forks) == 2
     assert_reaped(forks)
 
@@ -511,22 +552,29 @@ def test_train_keeps_nothing_alive_after_it_returns(cpus, open_step_gate, monkey
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_both_paths_train_on_one_blas_thread(cpus, open_step_gate, monkeypatch):
-    # this process's interaction steps are seen; the caller's count comes back
+def test_both_paths_train_on_one_blas_thread(cpus, open_step_gate, monkeypatch, tmp_path):
+    # every interaction step appends its thread count to a log: a train's here,
+    # and two trend seeds', forked on two CPUs; the caller's count comes back
     if blas.blas_info()["threads"] is None:
         pytest.skip("numpy's BLAS is not OpenBLAS: there is no thread count to read")
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-    threads = []
-    monkeypatch.setattr(pipeline, "hoi_grads",
-                        in_child_step(None, lambda: threads.append(blas.blas_info()["threads"]), "hoi_grads"))
+    log = tmp_path / "threads"
+
+    def record():
+        with log.open("a") as f:
+            f.write(f"{blas.blas_info()['threads']}\n")
+
+    monkeypatch.setattr(pipeline, "hoi_grads", in_child_step(None, record, "hoi_grads"))
     before = blas.blas_info()["threads"]
     blas._openblas()["set_num_threads"](2)
     try:
         train(*train_case(20))
+        reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))
         assert blas.blas_info()["threads"] == 2
     finally:
         blas._openblas()["set_num_threads"](before)
-    assert len(threads) == 20 and set(threads) == {1}
+    # two seeds of two trains of 10 steps each
+    assert log.read_text().split() == ["1"] * (20 + 2 * 2 * 10)
 
 
 # --- failures ---

@@ -438,7 +438,7 @@ def test_train_divergence_reports_step():
 
 
 def test_training_diverged_pickles():
-    # a spawn worker's error reaches its caller through pickle
+    # an error pickled across a process boundary arrives as itself
     err = pickle.loads(pickle.dumps(TrainingDiverged(7, float("nan"))))
     assert (type(err), err.step, str(err)) == (
         TrainingDiverged, 7, "training loss or gradients became non-finite at step 7 (loss nan)")
