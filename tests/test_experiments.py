@@ -16,6 +16,8 @@ from hoicompose.pipeline import TrainConfig
 
 TOY = {"n_train": 250, "n_test": 60, "n_external": 60,
        "train": TrainConfig(iterations=250, hidden=24, spatial_resolution=8)}
+# n_external=1 leaves seed 1's external stream no novel object; seed 5 keeps one
+NO_NOVEL = TrendSettings(seeds=(5, 1), **{**TOY, "n_external": 1})
 
 needs_two_cpus = pytest.mark.skipif(parallel.usable_cpus() < 2, reason="one usable CPU: reproduce_trends forks no seed")
 
@@ -42,6 +44,35 @@ def test_pooled_report_is_the_serial_report(seeds, forks, tmp_path, monkeypatch)
     serial = serial_trends(settings, monkeypatch)
     assert [m["seed"] for m in forked.per_seed] == list(seeds)
     assert report_bytes(forked, tmp_path / "forked.json") == report_bytes(serial, tmp_path / "serial.json")
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_pool_leaves_no_worker_and_restores_the_environment(forks, monkeypatch):
+    # one pinned variable set before the call, the others unset; each child
+    # pins its own BLAS, so the caller's environment is never touched
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    reproduce_trends(TrendSettings(seeds=(0, 1), **TOY))
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert dict(os.environ) == before
+
+    with pytest.raises(ValueError) as serial:
+        serial_trends(NO_NOVEL, monkeypatch)
+    with pytest.raises(ValueError) as forked:
+        reproduce_trends(NO_NOVEL)
+    assert str(forked.value) == str(serial.value) == "seed 1: no novel objects in the external stream"
+    assert len(forks) > 2  # the failed halves recompute here, and the serial loop's training forks
+    assert_reaped(forks)
+    assert dict(os.environ) == before
 
 
 def test_the_caller_trains_no_seed(forks, tmp_path, monkeypatch):
